@@ -184,7 +184,7 @@ func BenchmarkMapReduceFiltering(b *testing.B) {
 // list of ~beta*n/2 edges) against the Theorem 1 maximum matching (exact
 // matcher, <= n/2 edges). Reported metrics: per-op wall time plus the
 // coreset sizes in edges and encoded bytes (the communication the paper
-// counts). Baseline numbers are committed in BENCH_edcs.json.
+// counts).
 func BenchmarkEDCSVsMatchingCoreset(b *testing.B) {
 	g := benchGraph(16384, 24, 31)
 	part := partition.HashK(g.Edges, 8, 31)[0] // one machine's share
@@ -215,7 +215,7 @@ func BenchmarkEDCSVsMatchingCoreset(b *testing.B) {
 // messages (commbytes grows) but shrinks the union the coordinator must run
 // the exact matcher over (composeedges falls) — which is why deeper runs can
 // be FASTER end to end: the exact matcher dominates, and it now sees a far
-// smaller graph. Baseline numbers are committed in BENCH_rounds.json.
+// smaller graph.
 func BenchmarkMultiRoundEDCS(b *testing.B) {
 	g := benchGraph(16384, 24, 31)
 	p := edcs.ParamsForBeta(8)
@@ -263,7 +263,6 @@ func BenchmarkStreamPipeline(b *testing.B) {
 // worth of machines behind real TCP on loopback, measured wire bytes)
 // against the in-process streaming runtime on the same (graph, seed, k).
 // The answers are identical by construction; the benchmark prices the wire.
-// Baseline numbers are committed in BENCH_cluster.json.
 func BenchmarkClusterVsStream(b *testing.B) {
 	g := benchGraph(16384, 8, 23)
 	const k = 8

@@ -97,8 +97,9 @@
 // behind the causally-first one via errors.Join, cancellation force-closes
 // connections so nothing hangs, and workers drain gracefully on shutdown.
 // Experiment E20 tabulates simulated vs measured
-// communication as n and k scale, and BenchmarkClusterVsStream (baseline in
-// BENCH_cluster.json) prices the wire against the in-process runtime.
+// communication as n and k scale, and the benchmark (go run -C bench .,
+// workload dense_vc_cluster, ledger bench/out/result.json) prices the wire
+// against the in-process runtime.
 //
 // The runtimes themselves are task-agnostic: every task lives as a
 // task.Descriptor in the internal/task registry — the per-machine
@@ -141,8 +142,9 @@
 // (stream.EDCS), the cluster wire protocol (the HELLO frame carries β, β⁻),
 // and the service job API. Experiment E21 prices the EDCS against the
 // Theorem 1 coreset (approximation ratio, coreset bytes, measured cluster
-// communication) and BenchmarkEDCSVsMatchingCoreset (baseline in
-// BENCH_edcs.json) compares the per-machine summary costs.
+// communication) and the benchmark's per-task rows (task.edcs.* beside
+// task.matching.* in bench/out/result.json, written by go run -C bench .)
+// compare the per-machine summary costs.
 //
 // The same paper's O(log log n)-round MPC algorithms come from *iterating*
 // the sketch, and internal/rounds is that round-driver: round r shards its
@@ -161,9 +163,29 @@
 // run report's per-round breakdown (graph.RunReport.RoundStats). The driver
 // is exposed as cmd/coreset -rounds N, the service job field "rounds"
 // (folded into the result-cache key), cmd/coresetload -rounds, experiment
-// E22 (rounds vs quality vs communication) and BenchmarkMultiRoundEDCS
-// (baseline in BENCH_rounds.json); examples/multiround_mpc walks the
-// per-round shrink end to end.
+// E22 (rounds vs quality vs communication) and the rounds.* rows of the
+// benchmark ledger (bench/out/result.json); examples/multiround_mpc walks
+// the per-round shrink end to end.
+//
+// Builder memory model. The model grants each machine O(m/k) space, and
+// each task's builder (internal/task) spends it differently. The matching
+// builder stores its partition as one edge slice, 8 bytes per edge, plus a
+// 4-byte greedy-mate entry per vertex ID. The vc builder keeps a 4-byte
+// degree and a peeled flag per vertex and stores 8 bytes per edge that no
+// level-1 vertex covers (every edge, when the source cannot declare n). The
+// diversity builder holds no edges, only the set of vertex IDs it saw. The
+// edcs builder (edcs.Subgraph) stores each distinct non-loop edge once, in
+// arrival order, as a 20-byte slot — endpoints, one next-link per endpoint
+// threading the vertices' incidence lists, the in-H flag — inside
+// 4096-slot chunks that are never copied, plus 5–11 bytes of open-addressed
+// dedup index (4-byte refs, load between 3/8 and 3/4) and four small
+// per-vertex tables (H-degree, list head and tail, dirty flag). Chunks
+// instead of doubling make the bytes allocated the bytes held, and an
+// insert allocates once per chunk or index doubling, not once per edge. The
+// data plane around the builders is allocation-free in the steady state:
+// dataset segments and SHARD frames decode into reused buffers
+// (graph.DecodeEdgeBatchInto) and the stream sharder recycles its routing
+// batches.
 //
 // Above both runtimes sits the service layer (internal/service, served by
 // cmd/coresetd): a long-running daemon that keeps graphs and their composed
@@ -190,8 +212,8 @@
 // Because every runtime is a deterministic function of the seed, the
 // composed run report is cacheable: a repeated query is answered from
 // memory without re-running any pipeline (the cache-hit counters in
-// /v1/stats make this observable, and BENCH_service.json records the
-// cold-vs-hit latency gap). Streaming and cluster jobs honor cancellation
+// /v1/stats make this observable, and the benchmark's service_mix workload
+// records the cold-vs-hit latency gap in bench/out/result.json). Streaming and cluster jobs honor cancellation
 // at batch granularity; on shutdown the daemon drains in-flight jobs before
 // exiting. The CLI and the service share graph.RunReport as their result
 // schema (cmd/coreset -json), and cmd/coresetload is the matching load
@@ -200,7 +222,7 @@
 //
 // Observability (internal/obs) is dependency-free and off by default: the
 // runtimes report through an injected obs.Sink and a nil-safe *obs.Tracer,
-// both free when unset (BenchmarkObsOverhead, baseline BENCH_obs.json).
+// both free when unset (BenchmarkObsOverhead asserts 0 allocs/op).
 // Tracing is cross-process: the coordinator derives a run ID from the root
 // seed (deterministic, so fixed-seed traces reproduce) or mints one per
 // daemon job, ships it to every worker in the HELLO frame, and a worker

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,6 +34,9 @@ type proxyPlan struct {
 	stall bool
 	// dropAfterEOS closes both sides right after forwarding the coordinator's
 	// EOS, so the worker computes its coreset but the answer never arrives.
+	// The drop is ordered, not timed: the worker-to-coordinator pipe is muted
+	// before the EOS goes out, so not even a worker that answers before the
+	// close lands gets its CORESET through.
 	dropAfterEOS bool
 	// dropAfterCoreset closes both sides after forwarding this many
 	// worker-to-coordinator CORESET frames (0 = no limit) — a worker that
@@ -73,8 +77,9 @@ func flakyProxy(t *testing.T, backend string, plans []proxyPlan) (addr string, c
 				continue
 			}
 			p.track(up)
-			go p.pipeToWorker(client, up, plan)
-			go p.pipeToCoordinator(client, up, plan)
+			muted := new(atomic.Bool) // set once this connection's EOS drop has triggered
+			go p.pipeToWorker(client, up, plan, muted)
+			go p.pipeToCoordinator(client, up, plan, muted)
 		}
 	}()
 	return ln.Addr().String(), p.close
@@ -107,18 +112,24 @@ func (p *proxy) close() {
 }
 
 // pipeToWorker relays coordinator-to-worker frames under the plan.
-func (p *proxy) pipeToWorker(client, up net.Conn, plan proxyPlan) {
+func (p *proxy) pipeToWorker(client, up net.Conn, plan proxyPlan, muted *atomic.Bool) {
 	frames := 0
 	for {
 		typ, payload, _, err := readFrame(client)
 		if err != nil {
 			return
 		}
+		dropNow := plan.dropAfterEOS && typ == frameEOS
+		if dropNow {
+			// Before forwarding: whatever the worker sends in reply to this
+			// EOS is read by the other pipe after the flag is set.
+			muted.Store(true)
+		}
 		if _, err := writeFrame(up, typ, payload); err != nil {
 			return
 		}
 		frames++
-		if plan.dropAfterEOS && typ == frameEOS {
+		if dropNow {
 			client.Close()
 			up.Close()
 			return
@@ -136,11 +147,11 @@ func (p *proxy) pipeToWorker(client, up net.Conn, plan proxyPlan) {
 }
 
 // pipeToCoordinator relays worker-to-coordinator frames under the plan.
-func (p *proxy) pipeToCoordinator(client, up net.Conn, plan proxyPlan) {
+func (p *proxy) pipeToCoordinator(client, up net.Conn, plan proxyPlan, muted *atomic.Bool) {
 	coresets := 0
 	for {
 		typ, payload, _, err := readFrame(up)
-		if err != nil {
+		if err != nil || muted.Load() {
 			return
 		}
 		if _, err := writeFrame(client, typ, payload); err != nil {

@@ -260,13 +260,14 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	m := mk()
 
 	tm := new(workerTelem)
+	var shard []graph.Edge
 	for {
 		typ, payload, nr, err := readFrame(conn)
 		if err != nil {
 			return fmt.Errorf("machine %d: reading frame: %w", h.machine, err)
 		}
 		w.countIn(nr)
-		done, err := w.consumeFrame(conn, h, m, 0, typ, payload, tm)
+		done, err := w.consumeFrame(conn, h, m, 0, typ, payload, tm, &shard)
 		if err != nil || done {
 			return err
 		}
@@ -278,8 +279,10 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 // true), preceded by a TELEM frame when the HELLO requested telemetry.
 // Shared by the single-round loop and the multi-round loop, so the two paths
 // cannot drift on decoding or validation. tm accumulates the round's phase
-// times and build counters; the caller resets it at round boundaries.
-func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem) (done bool, err error) {
+// times and build counters; the caller resets it at round boundaries. shard
+// is the connection's SHARD decode buffer: builders copy what they keep of an
+// Add, so every frame decodes into the same array.
+func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem, shard *[]graph.Edge) (done bool, err error) {
 	fail := func(err error) error {
 		_, _ = writeFrame(conn, frameError, []byte(err.Error()))
 		return err
@@ -287,13 +290,14 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 	switch typ {
 	case frameShard:
 		t0 := time.Now()
-		edges, rest, err := graph.DecodeEdgeBatch(payload)
+		edges, rest, err := graph.DecodeEdgeBatchInto(*shard, payload)
 		if err != nil {
 			return false, fail(err)
 		}
 		if len(rest) != 0 {
 			return false, fail(fmt.Errorf("cluster: %d trailing bytes in SHARD", len(rest)))
 		}
+		*shard = edges
 		t1 := time.Now()
 		for _, e := range edges {
 			m.Add(e)
@@ -346,6 +350,7 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 // read error before any frame of a new round is therefore a clean end of
 // run, while one mid-round is a real abort.
 func (w *Worker) serveRounds(conn net.Conn, h hello, mk func() *stream.Machine, tr *obs.Tracer) error {
+	var shard []graph.Edge
 	for round := 0; round < h.rounds; round++ {
 		m := mk()
 		tm := new(workerTelem) // fresh per round, like the machine
@@ -368,7 +373,7 @@ func (w *Worker) serveRounds(conn net.Conn, h hello, mk func() *stream.Machine, 
 				inRound = true
 				endRound = tr.Span("worker.round", "machine", h.machine, "round", round)
 			}
-			done, err := w.consumeFrame(conn, h, m, round, typ, payload, tm)
+			done, err := w.consumeFrame(conn, h, m, round, typ, payload, tm, &shard)
 			if err != nil {
 				return err
 			}

@@ -176,10 +176,18 @@ func (d *Dataset) SegmentEdges(i int) int { return d.man.Segments[i].Edges }
 // zero reads, which is exactly what the service's no-re-parse tests assert.
 func (d *Dataset) SegmentReads() int64 { return d.segReads.Load() }
 
-// ReadSegment reads and decodes segment i. buf, when non-nil, is reused for
-// the encoded bytes (not the returned edges); pass the previous call's
+// ReadSegment reads and decodes segment i into a fresh edge slice. scratch,
+// when non-nil, is reused for the encoded bytes; pass the previous call's
 // scratch to avoid reallocating per segment.
 func (d *Dataset) ReadSegment(i int, scratch []byte) (edges []graph.Edge, newScratch []byte, err error) {
+	return d.ReadSegmentInto(i, nil, scratch)
+}
+
+// ReadSegmentInto is ReadSegment decoding into dst's backing array when it
+// is large enough (graph.DecodeEdgeBatchInto): a reader that passes back the
+// previous call's edges and scratch walks a whole dataset holding one decoded
+// segment and one encoded one, allocating neither again.
+func (d *Dataset) ReadSegmentInto(i int, dst []graph.Edge, scratch []byte) (edges []graph.Edge, newScratch []byte, err error) {
 	if i < 0 || i >= len(d.man.Segments) {
 		return nil, scratch, fmt.Errorf("dataset: segment %d out of range [0,%d)", i, len(d.man.Segments))
 	}
@@ -191,7 +199,7 @@ func (d *Dataset) ReadSegment(i int, scratch []byte) (edges []graph.Edge, newScr
 	if _, err := d.f.ReadAt(scratch, seg.Offset); err != nil {
 		return nil, scratch, fmt.Errorf("dataset: read segment %d of %s: %w", i, d.dir, err)
 	}
-	edges, rest, err := graph.DecodeEdgeBatch(scratch)
+	edges, rest, err := graph.DecodeEdgeBatchInto(dst, scratch)
 	if err != nil {
 		return nil, scratch, fmt.Errorf("dataset: segment %d of %s: %w", i, d.dir, err)
 	}

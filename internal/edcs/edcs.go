@@ -37,6 +37,7 @@ package edcs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -86,17 +87,51 @@ func ParamsForBeta(beta int) Params {
 	return Params{Beta: beta, BetaMinus: bm}
 }
 
+// Storage geometry. Stored edges live in fixed-size chunks that are never
+// copied, so the bytes the builder allocates are the bytes it holds: a slice
+// grown by doubling allocates (and discards) as much again whenever a shard
+// crosses a power of two.
+const (
+	chunkBits = 12
+	chunkSize = 1 << chunkBits // stored edges per chunk
+	minIndex  = 256            // slots in the smallest index table
+)
+
+// ref names a stored edge: its arrival index plus one. The zero ref means
+// "none" — an empty index slot, the end of an incidence list — so freshly
+// allocated tables are valid as they come.
+type ref = uint32
+
+// slot is one stored edge together with everything repair reads about it,
+// side by side so that visiting an edge touches one place, not three tables.
+type slot struct {
+	e    graph.Edge
+	next [2]ref // the next stored edge incident to e.U and to e.V
+	inH  bool
+}
+
 // Subgraph is the dynamic EDCS state: edges are inserted one at a time and
 // the degree constraints are repaired after every mutation. The zero value
 // is not usable; construct with New.
+//
+// Storage is flat. Stored edges sit in arrival order in chunks of chunkSize
+// slots; each vertex threads its incident slots into an intrusive list
+// (head, tail, and one next link per endpoint inside the slot), appended at
+// the tail so that repair scans a vertex's edges in arrival order; and an
+// open-addressed table of refs, keyed by canonical endpoints, answers the
+// duplicate check. Per stored edge that is one 20-byte slot plus 5–11 bytes
+// of index, and an allocation once per chunk or table doubling, never per
+// edge.
 type Subgraph struct {
-	p     Params
-	edges []graph.Edge            // stored edges, arrival order (loops and duplicates dropped)
-	inH   []bool                  // edges[i] ∈ H
-	deg   []int32                 // H-degree per vertex
-	adj   [][]int32               // stored-edge indices incident to each vertex
-	size  int                     // |H|
-	seen  map[graph.Edge]struct{} // canonical endpoints of stored edges (dedup)
+	p      Params
+	chunks []*[chunkSize]slot // stored edges, arrival order (loops and duplicates dropped)
+	stored int
+	index  []ref // linear-probed set of stored edges; len is 0 or a power of two
+	shift  uint  // 64 − log2(len(index)): a hash's top bits are its home slot
+	deg    []int32
+	head   []ref // per vertex: first and last stored edge incident to it
+	tail   []ref
+	size   int // |H|
 
 	dirty       []graph.ID // vertices whose H-degree changed since last repair
 	isDirty     []bool
@@ -118,18 +153,91 @@ func New(nHint int, p Params) *Subgraph {
 	return &Subgraph{
 		p:       p,
 		deg:     make([]int32, nHint),
-		adj:     make([][]int32, nHint),
+		head:    make([]ref, nHint),
+		tail:    make([]ref, nHint),
 		isDirty: make([]bool, nHint),
-		seen:    make(map[graph.Edge]struct{}),
 	}
 }
 
+// grow extends the per-vertex tables to cover vertex v.
 func (s *Subgraph) grow(v graph.ID) {
-	for int(v) >= len(s.deg) {
-		s.deg = append(s.deg, 0)
-		s.adj = append(s.adj, nil)
-		s.isDirty = append(s.isDirty, false)
+	if n := int(v) + 1 - len(s.deg); n > 0 {
+		s.deg = append(s.deg, make([]int32, n)...)
+		s.head = append(s.head, make([]ref, n)...)
+		s.tail = append(s.tail, make([]ref, n)...)
+		s.isDirty = append(s.isDirty, make([]bool, n)...)
 	}
+}
+
+// at returns the slot of stored edge r.
+func (s *Subgraph) at(r ref) *slot {
+	i := r - 1
+	return &s.chunks[i>>chunkBits][i&(chunkSize-1)]
+}
+
+// nextIn returns the slot's link in the incidence list of its endpoint v.
+func (sl *slot) nextIn(v graph.ID) *ref {
+	if sl.e.U == v {
+		return &sl.next[0]
+	}
+	return &sl.next[1]
+}
+
+// hashEdge mixes canonical endpoints into 64 bits whose top bits are uniform
+// (multiply, xorshift, multiply); the index takes the top bits.
+func hashEdge(c graph.Edge) uint64 {
+	const phi = 0x9E3779B97F4A7C15
+	x := (uint64(uint32(c.U))<<32 | uint64(uint32(c.V))) * phi
+	x ^= x >> 32
+	return x * phi
+}
+
+// find returns the index slot that holds canonical edge c, or the empty slot
+// where it belongs. The table is never full: Insert keeps it under 3/4.
+func (s *Subgraph) find(c graph.Edge) (i uint64, found bool) {
+	mask := uint64(len(s.index) - 1)
+	for i = hashEdge(c) >> s.shift; ; i = (i + 1) & mask {
+		r := s.index[i]
+		if r == 0 {
+			return i, false
+		}
+		if s.at(r).e.Canon() == c {
+			return i, true
+		}
+	}
+}
+
+// growIndex doubles the index table and re-enters every stored edge. The
+// discarded tables sum to less than the live one, which bounds the
+// builder's garbage.
+func (s *Subgraph) growIndex() {
+	n := max(2*len(s.index), minIndex)
+	s.index = make([]ref, n)
+	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for r := ref(1); int(r) <= s.stored; r++ {
+		i, _ := s.find(s.at(r).e.Canon())
+		s.index[i] = r
+	}
+}
+
+// store appends e to the chunked store and to both endpoints' incidence
+// lists, with no hygiene check and no index entry: Insert's second half.
+func (s *Subgraph) store(e graph.Edge) ref {
+	if s.stored == len(s.chunks)<<chunkBits {
+		s.chunks = append(s.chunks, new([chunkSize]slot))
+	}
+	s.stored++
+	r := ref(s.stored)
+	s.at(r).e = e
+	for _, v := range [2]graph.ID{e.U, e.V} {
+		if t := s.tail[v]; t == 0 {
+			s.head[v] = r
+		} else {
+			*s.at(t).nextIn(v) = r
+		}
+		s.tail[v] = r
+	}
+	return r
 }
 
 // Insert feeds one edge in arrival order and restores both invariants
@@ -150,47 +258,43 @@ func (s *Subgraph) Insert(e graph.Edge) {
 	if e.U == e.V {
 		return
 	}
-	c := e.Canon()
-	if _, dup := s.seen[c]; dup {
+	if 4*(s.stored+1) > 3*len(s.index) {
+		s.growIndex()
+	}
+	i, dup := s.find(e.Canon())
+	if dup {
 		return
 	}
-	s.seen[c] = struct{}{}
-	s.grow(e.U)
-	s.grow(e.V)
-	idx := int32(len(s.edges))
-	s.edges = append(s.edges, e)
-	s.inH = append(s.inH, false)
-	s.adj[e.U] = append(s.adj[e.U], idx)
-	s.adj[e.V] = append(s.adj[e.V], idx)
+	s.grow(max(e.U, e.V))
+	r := s.store(e)
+	s.index[i] = r
 	// P2: a new edge left out of H must already see β⁻ worth of H-degree.
 	if int(s.deg[e.U]+s.deg[e.V]) < s.p.BetaMinus {
-		s.addH(idx)
+		s.addH(s.at(r))
 		s.repair()
 	}
 }
 
-func (s *Subgraph) addH(j int32) {
-	e := s.edges[j]
-	s.inH[j] = true
-	s.deg[e.U]++
-	s.deg[e.V]++
+func (s *Subgraph) addH(sl *slot) {
+	sl.inH = true
+	s.deg[sl.e.U]++
+	s.deg[sl.e.V]++
 	s.size++
 	if s.size > s.peak {
 		s.peak = s.size
 	}
-	s.markDirty(e.U)
-	s.markDirty(e.V)
+	s.markDirty(sl.e.U)
+	s.markDirty(sl.e.V)
 }
 
-func (s *Subgraph) removeH(j int32) {
-	e := s.edges[j]
-	s.inH[j] = false
-	s.deg[e.U]--
-	s.deg[e.V]--
+func (s *Subgraph) removeH(sl *slot) {
+	sl.inH = false
+	s.deg[sl.e.U]--
+	s.deg[sl.e.V]--
 	s.size--
 	s.removals++
-	s.markDirty(e.U)
-	s.markDirty(e.V)
+	s.markDirty(sl.e.U)
+	s.markDirty(sl.e.V)
 }
 
 func (s *Subgraph) markDirty(v graph.ID) {
@@ -211,14 +315,15 @@ func (s *Subgraph) repair() {
 		v := s.dirty[len(s.dirty)-1]
 		s.dirty = s.dirty[:len(s.dirty)-1]
 		s.isDirty[v] = false
-		for _, j := range s.adj[v] {
-			e := s.edges[j]
-			sum := int(s.deg[e.U] + s.deg[e.V])
-			if s.inH[j] && sum > s.p.Beta {
-				s.removeH(j)
-			} else if !s.inH[j] && sum < s.p.BetaMinus {
-				s.addH(j)
+		for r := s.head[v]; r != 0; {
+			sl := s.at(r)
+			sum := int(s.deg[sl.e.U] + s.deg[sl.e.V])
+			if sl.inH && sum > s.p.Beta {
+				s.removeH(sl)
+			} else if !sl.inH && sum < s.p.BetaMinus {
+				s.addH(sl)
 			}
+			r = *sl.nextIn(v)
 		}
 	}
 }
@@ -230,7 +335,7 @@ func (s *Subgraph) Size() int { return s.size }
 // partition after edge hygiene (self-loops and parallel duplicates are
 // dropped at Insert and never stored), within the O(m/k) space the model
 // grants each machine.
-func (s *Subgraph) Stored() int { return len(s.edges) }
+func (s *Subgraph) Stored() int { return s.stored }
 
 // Removals returns the lifetime count of repair removals — how often an
 // H-edge became overfull and was evicted. It is the builder's streaming
@@ -251,9 +356,9 @@ func (s *Subgraph) PeakSize() int { return s.peak }
 // implementation detail) and compresses well under the delta wire codec.
 func (s *Subgraph) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.size)
-	for j, in := range s.inH {
-		if in {
-			out = append(out, s.edges[j])
+	for r := ref(1); int(r) <= s.stored; r++ {
+		if sl := s.at(r); sl.inH {
+			out = append(out, sl.e)
 		}
 	}
 	graph.SortEdges(out)
@@ -262,15 +367,22 @@ func (s *Subgraph) Edges() []graph.Edge {
 
 // CheckInvariants verifies P1 and P2 over every stored edge, that the
 // store obeys edge hygiene (no self-loops, no parallel duplicates — both
-// classes of arrival Insert must drop), and that the incremental H-degree
-// table matches a from-scratch recount of H. Tests use it as the
-// ground-truth oracle for the insertion and repair logic: the degree
-// recount is what catches bookkeeping skew (e.g. a self-loop charging +2
-// to one endpoint) even when P1/P2 happen to hold on the skewed sums.
+// classes of arrival Insert must drop), that the incremental H-degree
+// table matches a from-scratch recount of H, and that the flat storage is
+// coherent: the index finds every stored edge under its own ref and holds
+// nothing else, and each vertex's incidence list is exactly its stored
+// edges in arrival order. Tests use it as the ground-truth oracle for the
+// insertion and repair logic: the degree recount is what catches
+// bookkeeping skew (e.g. a self-loop charging +2 to one endpoint) even when
+// P1/P2 happen to hold on the skewed sums, and the duplicate check keeps a
+// map of its own instead of trusting the index it audits.
 func (s *Subgraph) CheckInvariants() error {
-	seen := make(map[graph.Edge]struct{}, len(s.edges))
+	seen := make(map[graph.Edge]struct{}, s.stored)
 	recount := make([]int32, len(s.deg))
-	for j, e := range s.edges {
+	last := make([]ref, len(s.deg)) // latest stored edge met at each vertex
+	for r := ref(1); int(r) <= s.stored; r++ {
+		j, sl := r-1, s.at(r)
+		e := sl.e
 		if e.U == e.V {
 			return fmt.Errorf("edcs: self-loop %v stored at index %d", e, j)
 		}
@@ -279,21 +391,46 @@ func (s *Subgraph) CheckInvariants() error {
 			return fmt.Errorf("edcs: duplicate edge %v stored at index %d", e, j)
 		}
 		seen[c] = struct{}{}
-		if s.inH[j] {
+		if i, found := s.find(c); !found || s.index[i] != r {
+			return fmt.Errorf("edcs: index does not map %v to its stored index %d", e, j)
+		}
+		for _, v := range [2]graph.ID{e.U, e.V} {
+			linked := s.head[v]
+			if last[v] != 0 {
+				linked = *s.at(last[v]).nextIn(v)
+			}
+			if linked != r {
+				return fmt.Errorf("edcs: incidence list of vertex %d skips stored edge %d=%v", v, j, e)
+			}
+			last[v] = r
+		}
+		if sl.inH {
 			recount[e.U]++
 			recount[e.V]++
 		}
 		sum := int(s.deg[e.U] + s.deg[e.V])
-		if s.inH[j] && sum > s.p.Beta {
+		if sl.inH && sum > s.p.Beta {
 			return fmt.Errorf("edcs: P1 violated at edge %d=%v (deg sum %d > beta %d)", j, e, sum, s.p.Beta)
 		}
-		if !s.inH[j] && sum < s.p.BetaMinus {
+		if !sl.inH && sum < s.p.BetaMinus {
 			return fmt.Errorf("edcs: P2 violated at edge %d=%v (deg sum %d < betaMinus %d)", j, e, sum, s.p.BetaMinus)
 		}
+	}
+	occupied := 0
+	for _, r := range s.index {
+		if r != 0 {
+			occupied++
+		}
+	}
+	if occupied != s.stored {
+		return fmt.Errorf("edcs: index holds %d entries for %d stored edges", occupied, s.stored)
 	}
 	for v, d := range recount {
 		if d != s.deg[v] {
 			return fmt.Errorf("edcs: H-degree of vertex %d is tracked as %d but recounts to %d", v, s.deg[v], d)
+		}
+		if s.tail[v] != last[v] || (last[v] != 0 && *s.at(last[v]).nextIn(graph.ID(v)) != 0) {
+			return fmt.Errorf("edcs: incidence list of vertex %d does not end at its last stored edge", v)
 		}
 	}
 	return nil

@@ -276,32 +276,170 @@ func TestDuplicateEdgesDropped(t *testing.T) {
 // TestCheckInvariantsCatchesHygieneViolations: the oracle must reject a
 // store containing a self-loop or a duplicate, and a tracked degree table
 // that disagrees with a recount of H — the three symptoms the Insert
-// hygiene exists to prevent.
+// hygiene exists to prevent — and, now that the storage is flat, an index
+// or an incidence list that disagrees with the store. store is Insert minus
+// the hygiene check and the index entry, so it plants exactly the arrivals
+// Insert would have dropped.
 func TestCheckInvariantsCatchesHygieneViolations(t *testing.T) {
 	p := ParamsForBeta(8)
 	corrupt := func(mutate func(s *Subgraph)) error {
 		s := New(4, p)
 		s.Insert(graph.Edge{U: 0, V: 1})
+		s.Insert(graph.Edge{U: 1, V: 2})
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("uncorrupted subgraph rejected: %v", err)
+		}
 		mutate(s)
 		return s.CheckInvariants()
 	}
-	if err := corrupt(func(s *Subgraph) {
-		s.edges = append(s.edges, graph.Edge{U: 2, V: 2})
-		s.inH = append(s.inH, false)
-	}); err == nil {
-		t.Fatal("stored self-loop passed CheckInvariants")
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Subgraph)
+	}{
+		{"stored self-loop", func(s *Subgraph) { s.store(graph.Edge{U: 3, V: 3}) }},
+		{"stored duplicate", func(s *Subgraph) { s.store(graph.Edge{U: 1, V: 0}) }},
+		{"indexed duplicate", func(s *Subgraph) {
+			// Even a duplicate the index knows about (in the slot a probe
+			// for it ends on) is still a duplicate in the store.
+			r := s.store(graph.Edge{U: 1, V: 0})
+			i := hashEdge(graph.Edge{U: 0, V: 1}) >> s.shift
+			for s.index[i] != 0 {
+				i = (i + 1) & uint64(len(s.index)-1)
+			}
+			s.index[i] = r
+		}},
+		// Skewed bookkeeping, the pre-fix self-loop symptom.
+		{"skewed H-degree table", func(s *Subgraph) { s.deg[3] = 2 }},
+		{"stored edge missing from the index", func(s *Subgraph) {
+			i, _ := s.find(graph.Edge{U: 1, V: 2})
+			s.index[i] = 0
+		}},
+		{"index entry naming the wrong edge", func(s *Subgraph) {
+			i, _ := s.find(graph.Edge{U: 1, V: 2})
+			s.index[i] = 1
+		}},
+		{"stale index entry", func(s *Subgraph) {
+			i, _ := s.find(graph.Edge{U: 2, V: 3})
+			s.index[i] = 2
+		}},
+		{"broken incidence link", func(s *Subgraph) { *s.at(1).nextIn(1) = 0 }},
+		{"incidence list running past its end", func(s *Subgraph) { *s.at(2).nextIn(1) = 1 }},
+		{"wrong list head", func(s *Subgraph) { s.head[1] = 2 }},
+		{"wrong list tail", func(s *Subgraph) { s.tail[1] = 1 }},
+		{"edge missing from an endpoint's list", func(s *Subgraph) { s.head[2], s.tail[2] = 0, 0 }},
+	} {
+		if err := corrupt(tc.mutate); err == nil {
+			t.Errorf("%s passed CheckInvariants", tc.name)
+		}
 	}
-	if err := corrupt(func(s *Subgraph) {
-		s.edges = append(s.edges, graph.Edge{U: 1, V: 0})
-		s.inH = append(s.inH, false)
-	}); err == nil {
-		t.Fatal("stored duplicate passed CheckInvariants")
+}
+
+// arrivalStream draws a hostile arrival sequence: endpoints from a universe
+// of nVerts (so duplicates, in both orientations, and self-loops are
+// common), with an occasional vertex far beyond it.
+func arrivalStream(r *rng.RNG, count, nVerts int) []graph.Edge {
+	edges := make([]graph.Edge, 0, count)
+	for len(edges) < count {
+		e := graph.Edge{U: graph.ID(r.Intn(nVerts)), V: graph.ID(r.Intn(nVerts))}
+		switch r.Intn(16) {
+		case 0:
+			e.V = e.U
+		case 1:
+			e.V = graph.ID(nVerts + r.Intn(4*nVerts))
+		case 2:
+			if len(edges) > 0 {
+				e = edges[r.Intn(len(edges))]
+			}
+		case 3:
+			if len(edges) > 0 {
+				d := edges[r.Intn(len(edges))]
+				e = graph.Edge{U: d.V, V: d.U}
+			}
+		}
+		edges = append(edges, e)
 	}
-	if err := corrupt(func(s *Subgraph) {
-		s.deg[3] = 2 // skewed bookkeeping, the pre-fix self-loop symptom
-	}); err == nil {
-		t.Fatal("skewed H-degree table passed CheckInvariants")
+	return edges
+}
+
+// TestDifferentialAgainstReference: the flat Subgraph and the map-based
+// reference it replaced must be indistinguishable from outside — same H,
+// same counters — on arrival sequences full of duplicates, self-loops and
+// vertices past the hint (and with no hint at all); on short runs the
+// comparison and the invariant oracle run after every prefix. Long runs
+// cross several chunk and index-doubling boundaries.
+func TestDifferentialAgainstReference(t *testing.T) {
+	same := func(t *testing.T, s *Subgraph, ref *refSubgraph, at int) {
+		t.Helper()
+		if !reflect.DeepEqual(s.Edges(), ref.Edges()) {
+			t.Fatalf("after %d arrivals: H diverged from the reference", at)
+		}
+		got := [5]int{s.Size(), s.Stored(), s.Removals(), s.RepairIters(), s.PeakSize()}
+		want := [5]int{ref.size, len(ref.edges), ref.removals, ref.repairIters, ref.peak}
+		if got != want {
+			t.Fatalf("after %d arrivals: {size stored removals repairIters peak} = %v, reference %v", at, got, want)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("after %d arrivals: %v", at, err)
+		}
+		if err := ref.CheckInvariants(); err != nil {
+			t.Fatalf("after %d arrivals: %v", at, err)
+		}
 	}
+	for _, tc := range []struct {
+		name                 string
+		count, nVerts, nHint int
+		p                    Params
+		everyPrefix          bool
+	}{
+		{"short-no-hint", 400, 12, 0, Params{Beta: 4, BetaMinus: 3}, true},
+		{"short-hint", 400, 12, 12, ParamsForBeta(8), true},
+		{"short-small-hint", 600, 40, 7, Params{Beta: 2, BetaMinus: 1}, true},
+		{"long-dense", 3 * chunkSize, 150, 150, Params{Beta: 6, BetaMinus: 5}, false},
+		{"long-sparse-no-hint", 5 * chunkSize, 4000, 0, ParamsForBeta(16), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				arrivals := arrivalStream(rng.New(seed), tc.count, tc.nVerts)
+				s, ref := New(tc.nHint, tc.p), newRef(tc.nHint, tc.p)
+				for i, e := range arrivals {
+					s.Insert(e)
+					ref.Insert(e)
+					if tc.everyPrefix {
+						same(t, s, ref, i+1)
+					}
+				}
+				same(t, s, ref, len(arrivals))
+				if !tc.everyPrefix && len(s.chunks) < 2 {
+					t.Fatalf("long run stored %d edges: no chunk boundary crossed", s.Stored())
+				}
+			}
+		})
+	}
+}
+
+// TestInsertAllocations guards the builder's memory model: storage grows by
+// whole chunks and index doublings, so 100k inserts (with repair churn) must
+// cost fewer than one allocation per hundred edges. The map-and-slices
+// builder this replaced paid more than one per edge.
+func TestInsertAllocations(t *testing.T) {
+	g := gen.GNP(4000, 50.0/4000, rng.New(5))
+	if g.M() < 100000 {
+		t.Fatalf("only %d edges drawn", g.M())
+	}
+	edges := g.Edges[:100000]
+	allocs := testing.AllocsPerRun(3, func() {
+		s := New(g.N, ParamsForBeta(16))
+		for _, e := range edges {
+			s.Insert(e)
+		}
+		if s.Stored() != len(edges) || s.Removals() == 0 {
+			t.Fatalf("stored %d of %d edges, %d removals", s.Stored(), len(edges), s.Removals())
+		}
+	})
+	if allocs >= float64(len(edges))/100 {
+		t.Fatalf("%d inserts cost %.0f allocations, want < %d", len(edges), allocs, len(edges)/100)
+	}
+	t.Logf("%d inserts: %.0f allocations", len(edges), allocs)
 }
 
 // TestGrowWithoutHint: inserting past the size hint must grow the tables

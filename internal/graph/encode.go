@@ -199,6 +199,16 @@ func AppendEdgeBatch(dst []byte, edges []Edge) []byte {
 // the remaining bytes. Endpoints outside the int32 ID range are rejected as
 // corrupt. A zero-count batch decodes to a nil slice.
 func DecodeEdgeBatch(data []byte) (edges []Edge, rest []byte, err error) {
+	return DecodeEdgeBatchInto(nil, data)
+}
+
+// DecodeEdgeBatchInto is DecodeEdgeBatch decoding into dst's backing array:
+// the result is dst[:count] when dst has the capacity and a fresh slice
+// otherwise, so a caller that hands each call's result to the next decodes
+// a stream of batches with no allocation once the largest has been seen.
+// Whatever dst held is overwritten; on error the contents are unspecified
+// and the returned slice is nil.
+func DecodeEdgeBatchInto(dst []Edge, data []byte) (edges []Edge, rest []byte, err error) {
 	count, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count)")
@@ -207,10 +217,10 @@ func DecodeEdgeBatch(data []byte) (edges []Edge, rest []byte, err error) {
 	if count > uint64(len(data)) { // each edge needs >= 2 bytes
 		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count %d too large)", count)
 	}
-	if count == 0 {
-		return nil, data, nil
+	if uint64(cap(dst)) < count {
+		dst = make([]Edge, 0, count)
 	}
-	edges = make([]Edge, 0, count)
+	edges = dst[:0]
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		du, ku := binary.Varint(data)

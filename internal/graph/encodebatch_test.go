@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -39,6 +40,95 @@ func TestEdgeBatchRoundTrip(t *testing.T) {
 		if want := EdgeBatchBytes(edges); want != len(buf)-1 {
 			t.Fatalf("case %d: EdgeBatchBytes %d, encoding is %d", i, want, len(buf)-1)
 		}
+	}
+}
+
+// dirtyDst returns a decode buffer of the given capacity whose every element
+// — also those beyond its length — holds a sentinel no batch contains.
+func dirtyDst(length, capacity int) []Edge {
+	dst := make([]Edge, capacity)
+	for i := range dst {
+		dst[i] = Edge{-7, -7}
+	}
+	return dst[:length]
+}
+
+// TestEdgeBatchDecodeInto: decoding into a caller's buffer must give exactly
+// what DecodeEdgeBatch gives — whatever the buffer held, however much larger
+// than the batch it is — in the buffer's own backing array when it fits and
+// in a fresh one when it does not, and a buffer handed from call to call
+// must make a stream of batches allocation-free.
+func TestEdgeBatchDecodeInto(t *testing.T) {
+	big := make([]Edge, 300)
+	for i := range big {
+		big[i] = Edge{ID(i * 3), ID(i*3 + 1)}
+	}
+	cases := [][]Edge{
+		nil,
+		{{0, 0}},
+		{{5, 3}, {0, 9}, {1000000, 2}, {7, 7}},
+		{{MaxID, MaxID}, {0, MaxID}, {MaxID, 0}},
+		big,
+	}
+	for i, edges := range cases {
+		wire := append(AppendEdgeBatch(nil, edges), 0xEE, 0xFF) // trailing bytes must come back as rest
+		want, wantRest, err := DecodeEdgeBatch(wire)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		for _, dst := range [][]Edge{nil, dirtyDst(0, 1000), dirtyDst(1000, 1000), dirtyDst(7, 1000), dirtyDst(2, 2)} {
+			got, rest, err := DecodeEdgeBatchInto(dst, wire)
+			if err != nil {
+				t.Fatalf("case %d, dst len %d cap %d: %v", i, len(dst), cap(dst), err)
+			}
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("case %d, dst len %d cap %d: got %v want %v", i, len(dst), cap(dst), got, want)
+			}
+			if !reflect.DeepEqual(rest, wantRest) {
+				t.Fatalf("case %d: rest %v want %v", i, rest, wantRest)
+			}
+			if fits := cap(dst) >= len(edges); fits && cap(dst) > 0 && &got[:1][0] != &dst[:1][0] {
+				t.Fatalf("case %d, dst cap %d: %d edges decoded into a fresh array", i, cap(dst), len(edges))
+			} else if !fits && cap(got) > 0 && cap(dst) > 0 && &got[:1][0] == &dst[:1][0] {
+				t.Fatalf("case %d: %d edges decoded into a %d-edge buffer", i, len(edges), cap(dst))
+			}
+		}
+	}
+
+	// Corrupt input: same verdicts as DecodeEdgeBatch, nil result.
+	for _, data := range [][]byte{{}, {0x05}, {0x01, 0x80}, {0x01, 0x01}} {
+		if got, _, err := DecodeEdgeBatchInto(dirtyDst(3, 10), data); err == nil || got != nil {
+			t.Fatalf("corrupt input %v: edges %v, err %v", data, got, err)
+		}
+	}
+
+	// A stream of batches of mixed sizes through one buffer.
+	var wires [][]byte
+	for _, n := range []int{300, 1, 120, 0, 299} {
+		wires = append(wires, AppendEdgeBatch(nil, big[:n]))
+	}
+	buf := make([]Edge, 0, len(big))
+	allocs := testing.AllocsPerRun(10, func() {
+		for j, wire := range wires {
+			var err error
+			if buf, _, err = DecodeEdgeBatchInto(buf, wire); err != nil {
+				t.Fatal(err)
+			}
+			want, _, _ := DecodeEdgeBatch(wire)
+			if len(buf) != len(want) {
+				t.Fatalf("batch %d: %d edges, want %d", j, len(buf), len(want))
+			}
+			for x := range want {
+				if buf[x] != want[x] {
+					t.Fatalf("batch %d: edge %d is %v, want %v (stale buffer contents?)", j, x, buf[x], want[x])
+				}
+			}
+		}
+	})
+	// DecodeEdgeBatch above allocates once per non-empty batch; the reused
+	// buffer must add nothing to that.
+	if allocs > 4 {
+		t.Fatalf("reused decode buffer: %.0f allocations per pass, want the oracle's 4", allocs)
 	}
 }
 
@@ -160,8 +250,21 @@ func FuzzEdgeBatchCodec(f *testing.F) {
 	f.Add(binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(nil, 1), -1), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: decode arbitrary bytes; on success the decoded batch
-		// must round-trip through the codec.
-		if edges, rest, err := DecodeEdgeBatch(data); err == nil {
+		// must round-trip through the codec. Decoding into a dirty buffer
+		// larger than any batch these bytes can declare must reach the same
+		// verdict, edges and remainder.
+		dec, decRest, decErr := DecodeEdgeBatch(data)
+		into, intoRest, intoErr := DecodeEdgeBatchInto(dirtyDst(len(data)/2, len(data)+3), data)
+		if (decErr == nil) != (intoErr == nil) || len(into) != len(dec) || !bytes.Equal(decRest, intoRest) {
+			t.Fatalf("Into diverged: %d edges, rest %d, err %v; want %d, %d, %v",
+				len(into), len(intoRest), intoErr, len(dec), len(decRest), decErr)
+		}
+		for i := range dec {
+			if into[i] != dec[i] {
+				t.Fatalf("Into diverged at edge %d: %v vs %v", i, into[i], dec[i])
+			}
+		}
+		if edges := dec; decErr == nil {
 			re := AppendEdgeBatch(nil, edges)
 			if len(re) != EdgeBatchBytes(edges) {
 				t.Fatalf("EdgeBatchBytes %d != encoding %d", EdgeBatchBytes(edges), len(re))
@@ -173,7 +276,6 @@ func FuzzEdgeBatchCodec(f *testing.F) {
 			if len(rest2) != 0 || !reflect.DeepEqual(back, edges) {
 				t.Fatalf("re-decode mismatch: %v vs %v", back, edges)
 			}
-			_ = rest
 		}
 
 		// Direction 2: build an edge list from the raw bytes and round-trip it.

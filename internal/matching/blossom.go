@@ -8,8 +8,14 @@ import "repro/internal/graph"
 // arbitrary graphs, not just bipartite ones; partitions of non-bipartite
 // workloads (power-law, grid-with-chords) take this path.
 func Blossom(n int, edges []graph.Edge) *Matching {
-	adj := graph.BuildAdj(n, edges)
+	return blossom(graph.BuildAdj(n, edges), edges)
+}
 
+// blossom is Blossom over a caller-built adjacency of edges. Maximum already
+// holds one from its 2-colouring attempt, and the CSR is two 2m-entry tables
+// not worth building twice.
+func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
+	n := adj.N
 	match := make([]graph.ID, n) // partner or -1
 	p := make([]graph.ID, n)     // BFS tree parent (on even vertices)
 	base := make([]graph.ID, n)  // blossom base of each vertex

@@ -63,3 +63,26 @@ func TestIncrementalMatchesMaximalGreedy(t *testing.T) {
 		}
 	}
 }
+
+// The mate table grows to the largest matched ID, in either orientation, and
+// vertices beyond it read as free.
+func TestIncrementalGrowsOnDemand(t *testing.T) {
+	im := NewIncremental()
+	if im.Covers(1 << 20) {
+		t.Fatal("empty matcher covers a vertex")
+	}
+	if !im.Add(graph.Edge{U: 900, V: 5}) || !im.Add(graph.Edge{U: 0, V: 70000}) {
+		t.Fatal("free endpoints rejected")
+	}
+	if im.Add(graph.Edge{U: 70000, V: 80000}) || im.Covers(80000) {
+		t.Fatal("matched endpoint accepted")
+	}
+	got := im.Edges()
+	graph.SortEdges(got)
+	if want := []graph.Edge{{U: 0, V: 70000}, {U: 5, V: 900}}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Edges() = %v, want %v", got, want)
+	}
+	if m := im.Matching(70001); m.Size() != 2 || m.Mate[900] != 5 {
+		t.Fatalf("Matching: size %d, mate[900] = %d", m.Size(), m.Mate[900])
+	}
+}

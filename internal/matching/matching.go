@@ -165,5 +165,5 @@ func Maximum(n int, edges []graph.Edge) *Matching {
 		}
 		return m
 	}
-	return Blossom(n, edges)
+	return blossom(adj, edges)
 }

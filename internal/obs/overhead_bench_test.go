@@ -13,8 +13,7 @@ import (
 // would tax every run that never asked for it. The registry-backed cases sit
 // alongside for contrast — the price a caller opts into with -trace/-admin.
 //
-// Baseline: BENCH_obs.json (regenerate with
-// go test -run=^$ -bench=BenchmarkObsOverhead -benchmem ./internal/obs/).
+// Run with go test -run=^$ -bench=BenchmarkObsOverhead -benchmem ./internal/obs/.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("count/nil-sink", func(b *testing.B) {
 		b.ReportAllocs()

@@ -10,8 +10,7 @@ import (
 // every iteration, so each query runs the whole streaming pipeline; "hit"
 // replays one key, so after the first iteration every query is served from
 // the result cache. The gap between the two sub-benchmarks is the value of
-// keeping coresets resident — the service's reason to exist. Baselines live
-// in BENCH_service.json.
+// keeping coresets resident — the service's reason to exist.
 func BenchmarkServiceQuery(b *testing.B) {
 	_, c := newTestService(b, Config{Workers: 4, QueueDepth: 256, CacheSize: -1})
 	var info GraphInfo

@@ -14,7 +14,8 @@ import (
 // through it, and it is Restartable by construction, because restarting is
 // just seeking back to segment zero. That makes cluster round replay and
 // multi-round resharding work on graphs larger than RAM: no pass ever holds
-// more than one decoded segment.
+// more than one decoded segment, and every segment is decoded into the same
+// two buffers (encoded bytes, edges), so a pass allocates O(1) times.
 //
 // MaxResidentBytes, when set, is an enforced in-memory budget: a segment
 // whose encoded size exceeds it fails the read rather than silently blowing
@@ -27,7 +28,7 @@ type DatasetSource struct {
 
 	d       *dataset.Dataset
 	seg     int          // next segment to decode
-	cur     []graph.Edge // decoded edges of the current segment
+	cur     []graph.Edge // decoded edges of the current segment (array reused by the next)
 	pos     int          // read position within cur
 	scratch []byte       // reused encoded-segment buffer
 	peak    int          // largest encoded segment held so far
@@ -59,7 +60,7 @@ func (s *DatasetSource) Next(buf []graph.Edge) (int, error) {
 			}
 		}
 		var err error
-		s.cur, s.scratch, err = s.d.ReadSegment(s.seg, s.scratch)
+		s.cur, s.scratch, err = s.d.ReadSegmentInto(s.seg, s.cur, s.scratch)
 		if err != nil {
 			return 0, err
 		}
@@ -84,6 +85,6 @@ func (s *DatasetSource) KnownUpfront() bool { return true }
 // are positioned reads, so rewinding is a pair of index resets — the
 // property that makes every dataset-backed run replayable.
 func (s *DatasetSource) Restart() error {
-	s.seg, s.pos, s.cur = 0, 0, nil
+	s.seg, s.pos, s.cur = 0, 0, s.cur[:0]
 	return nil
 }

@@ -288,9 +288,16 @@ func run(ctx context.Context, src EdgeSource, cfg Config, mk func(machine, nHint
 		results = make(chan machineResult, k)
 		wg      sync.WaitGroup
 	)
+	// Routing batches circulate: a machine hands each drained batch back on
+	// free and the sharder refills it (Add takes edges by value, so nothing
+	// downstream aliases a batch). At most chanDepth queued, one draining and
+	// one filling per machine are ever live, so free never overflows and a
+	// run allocates O(k) batches however long the stream.
+	const chanDepth = 4
+	free := make(chan []graph.Edge, k*(chanDepth+2))
 	chans := make([]chan []graph.Edge, k)
 	for i := 0; i < k; i++ {
-		chans[i] = make(chan []graph.Edge, 4)
+		chans[i] = make(chan []graph.Edge, chanDepth)
 		wg.Add(1)
 		go func(machine int) {
 			defer wg.Done()
@@ -301,6 +308,7 @@ func run(ctx context.Context, src EdgeSource, cfg Config, mk func(machine, nHint
 				for _, e := range batch {
 					b.Add(e)
 				}
+				free <- batch[:0]
 			}
 			select {
 			case <-nReady:
@@ -353,7 +361,11 @@ shard:
 			for _, e := range buf[:c] {
 				i := partition.HashAssign(e, k, cfg.Seed)
 				if pending[i] == nil {
-					pending[i] = make([]graph.Edge, 0, bs)
+					select {
+					case pending[i] = <-free:
+					default:
+						pending[i] = make([]graph.Edge, 0, bs)
+					}
 				}
 				pending[i] = append(pending[i], e)
 				if len(pending[i]) == bs && !send(i) {

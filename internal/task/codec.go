@@ -22,7 +22,7 @@ func AppendSummary(dst []byte, d *Descriptor, s Summary) []byte {
 // strict: a truncated field or trailing garbage is an error.
 func DecodeSummary(d *Descriptor, data []byte) (Summary, error) {
 	var s Summary
-	vals := make([]uint64, 3)
+	var vals [3]uint64
 	for i := range vals {
 		v, k := binary.Uvarint(data)
 		if k <= 0 {
