@@ -27,6 +27,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/rounds"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // benchExperiment runs a registered experiment end-to-end per iteration.
@@ -248,11 +249,12 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: 16, Seed: uint64(i + 1)})
+		m, _, err := stream.Solve(context.Background(), stream.NewGraphSource(g),
+			stream.Config{K: 16, Seed: uint64(i + 1)}, task.MustGet("matching"), task.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if m.Size() == 0 {
+		if m.Size == 0 {
 			b.Fatal("empty matching")
 		}
 	}
@@ -274,12 +276,12 @@ func BenchmarkClusterVsStream(b *testing.B) {
 	b.Run("cluster", func(b *testing.B) {
 		comm := 0
 		for i := 0; i < b.N; i++ {
-			m, st, err := cluster.Matching(context.Background(), stream.NewGraphSource(g),
-				cluster.Config{Workers: addrs, Seed: uint64(i + 1)})
+			m, st, err := cluster.Solve(context.Background(), stream.NewGraphSource(g),
+				cluster.Config{Workers: addrs, Seed: uint64(i + 1)}, task.MustGet("matching"), task.Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m.Size() == 0 {
+			if m.Size == 0 {
 				b.Fatal("empty matching")
 			}
 			comm = st.TotalCommBytes
@@ -290,11 +292,12 @@ func BenchmarkClusterVsStream(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		comm := 0
 		for i := 0; i < b.N; i++ {
-			m, st, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: uint64(i + 1)})
+			m, st, err := stream.Solve(context.Background(), stream.NewGraphSource(g),
+				stream.Config{K: k, Seed: uint64(i + 1)}, task.MustGet("matching"), task.Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m.Size() == 0 {
+			if m.Size == 0 {
 				b.Fatal("empty matching")
 			}
 			comm = st.TotalCommBytes

@@ -15,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // workerProcEnv diverts the test binary into worker mode, which is how the
@@ -159,7 +160,8 @@ func TestClusterChaosSIGKILL(t *testing.T) {
 		MaxRetries:   3,
 		RetryBackoff: 10 * time.Millisecond,
 	}
-	sess, err := cluster.DialEDCSRounds(context.Background(), cfg, p, 2, g.N)
+	d := task.MustGet("edcs")
+	sess, err := cluster.Dial(context.Background(), cfg, d, task.Params{EDCS: p}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +193,8 @@ func TestClusterChaosSIGKILL(t *testing.T) {
 			t.Fatalf("round 0 Retries = %d, want 0 (undisturbed)", st.Retries)
 		}
 
-		want, _, err := stream.EDCSSummaries(context.Background(),
-			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seeds[r], BatchSize: 64}, p)
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seeds[r], BatchSize: 64}, d, task.Params{EDCS: p})
 		if err != nil {
 			t.Fatal(err)
 		}

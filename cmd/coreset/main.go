@@ -173,6 +173,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "coreset: unknown task %q (known tasks: %s)\n", *taskName, strings.Join(task.Names(), ", "))
 		return 2
 	}
+	if *k < 1 {
+		fmt.Fprintf(stderr, "coreset: -k must be at least 1 (got %d)\n", *k)
+		return 2
+	}
 	if *dsDir != "" && (*in != "" || *genName != "") {
 		fmt.Fprintln(stderr, "coreset: -dataset replaces -in/-gen; set only one input")
 		return 2

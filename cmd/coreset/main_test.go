@@ -165,6 +165,23 @@ func TestCLIUnknownTask(t *testing.T) {
 	}
 }
 
+// -k below 1 is rejected once, before mode dispatch: the same message and
+// exit code in every runtime (batch mode used to panic in partition.RandomK).
+func TestCLIRejectsBadK(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-stream"}, {"-cluster", "local"}} {
+		for _, k := range []string{"0", "-3"} {
+			args := append([]string{"-task", "matching", "-k", k, "-gen", "gnp", "-n", "100"}, mode...)
+			_, errOut, code := runCLI(t, args...)
+			if code != 2 {
+				t.Fatalf("args %v exited %d, want 2", args, code)
+			}
+			if want := "coreset: -k must be at least 1 (got " + k + ")"; strings.TrimSpace(errOut) != want {
+				t.Fatalf("args %v: stderr = %q, want %q", args, errOut, want)
+			}
+		}
+	}
+}
+
 func TestLoadGraphDeterministicSeed(t *testing.T) {
 	a, err := loadGraph(inputSpec{genName: "gnp", n: 300, deg: 8, seed: 42})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // syncBuffer makes a bytes.Buffer safe for the worker's concurrent logger
@@ -115,8 +116,8 @@ func TestAdminSurface(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline: %d", code)
 	}
 
-	_, st, err := cluster.Matching(context.Background(),
-		path10(), cluster.Config{Workers: []string{workerAddr}, Seed: 3})
+	_, st, err := cluster.Solve(context.Background(),
+		path10(), cluster.Config{Workers: []string{workerAddr}, Seed: 3}, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +160,8 @@ func TestAdminSurface(t *testing.T) {
 func TestTraceJoinsCoordinatorRun(t *testing.T) {
 	workerAddr, _, stderr, stop := startWorker(t, "-q", "-trace")
 	runID := obs.RunIDFromSeed(3)
-	if _, _, err := cluster.Matching(context.Background(),
-		path10(), cluster.Config{Workers: []string{workerAddr}, Seed: 3, RunID: runID}); err != nil {
+	if _, _, err := cluster.Solve(context.Background(),
+		path10(), cluster.Config{Workers: []string{workerAddr}, Seed: 3, RunID: runID}, task.MustGet("matching"), task.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	stop() // drain so all spans are flushed

@@ -138,10 +138,10 @@
 // O~(n) size. The construction is edge insertion with degree-constraint
 // repair, a pure function of the machine's arrival order, so EDCS runs are
 // bit-for-bit identical across all four runtimes: task "edcs" is first-class
-// in the CLI (-task edcs, with -beta), the streaming builders
-// (stream.EDCS), the cluster wire protocol (the HELLO frame carries β, β⁻),
-// and the service job API. Experiment E21 prices the EDCS against the
-// Theorem 1 coreset (approximation ratio, coreset bytes, measured cluster
+// in the CLI (-task edcs, with -beta), the streaming builders (stream.Solve
+// with the edcs descriptor), the cluster wire protocol (the HELLO frame
+// carries β, β⁻), and the service job API. Experiment E21 prices the EDCS
+// against the Theorem 1 coreset (approximation ratio, coreset bytes, measured cluster
 // communication) and the benchmark's per-task rows (task.edcs.* beside
 // task.matching.* in bench/out/result.json, written by go run -C bench .)
 // compare the per-machine summary costs.
@@ -155,9 +155,11 @@
 // matching is composed over the last (much smaller) union. Round 0 uses the
 // root seed, so a rounds=1 run reproduces the single-round EDCS pipeline
 // bit for bit, and the whole schedule is seed-parity-checked across batch,
-// stream and cluster. In cluster mode one reused session drives all rounds:
-// the worker connections are dialed once, a single HELLO carries the round
-// cap (task byte 4 on the same protocol version), each round is a
+// stream and cluster. In cluster mode the coordinator's one conversation
+// (cluster.Session — a single-round cluster.Solve is the same session with a
+// round cap of 1) drives all rounds: the worker connections are dialed
+// once, a single HELLO carries the round cap (task byte 4 on the same
+// protocol version), each round is a
 // SHARD*/EOS/CORESET exchange with a fresh per-round EDCS machine, and
 // every round's communication is measured off the TCP connections into the
 // run report's per-round breakdown (graph.RunReport.RoundStats). The driver

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func main() {
@@ -34,20 +35,21 @@ func main() {
 	fmt.Printf("started %d workers: %v\n", k, addrs)
 
 	src := stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, deg/n, rng.New(seed)) })
-	m, st, err := cluster.Matching(context.Background(), src, cluster.Config{Workers: addrs, Seed: seed})
+	matching := task.MustGet("matching")
+	m, st, err := cluster.Solve(context.Background(), src, cluster.Config{Workers: addrs, Seed: seed}, matching, task.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cluster:    matching %d edges over %d edges total\n", m.Size(), st.EdgesTotal)
+	fmt.Printf("cluster:    matching %d edges over %d edges total\n", m.Size, st.EdgesTotal)
 	fmt.Printf("            measured comm %d B (max machine %d B), estimate %d B, shard traffic %d B\n",
 		st.TotalCommBytes, st.MaxMachineBytes, st.EstCommBytes, st.ShardBytes)
 
 	src = stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, deg/n, rng.New(seed)) })
-	sm, sst, err := stream.Matching(src, stream.Config{K: k, Seed: seed})
+	sm, sst, err := stream.Solve(context.Background(), src, stream.Config{K: k, Seed: seed}, matching, task.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("in-process: matching %d edges, simulated comm %d B\n", sm.Size(), sst.TotalCommBytes)
+	fmt.Printf("in-process: matching %d edges, simulated comm %d B\n", sm.Size, sst.TotalCommBytes)
 	fmt.Printf("answers identical: %v; estimate identical: %v\n",
-		m.Size() == sm.Size(), st.EstCommBytes == sst.TotalCommBytes)
+		m.Size == sm.Size, st.EstCommBytes == sst.TotalCommBytes)
 }

@@ -16,12 +16,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func main() {
@@ -36,7 +38,7 @@ func main() {
 
 	// --- Theorem 1: matching coresets over the stream.
 	src := stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, p, rng.New(seed)) })
-	m, st, err := stream.Matching(src, stream.Config{K: k, Seed: seed})
+	m, st, err := stream.Solve(context.Background(), src, stream.Config{K: k, Seed: seed}, task.MustGet("matching"), task.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 	fmt.Printf("  live greedy:   %d..%d matched online (>= 1/2 of each machine's optimum)\n", liveLo, liveHi)
 	fmt.Printf("  summaries:     %d..%d edges, %d bytes total, %d bytes max machine\n",
 		csLo, csHi, st.TotalCommBytes, st.MaxMachineBytes)
-	fmt.Printf("  composed:      %d edges\n", m.Size())
+	fmt.Printf("  composed:      %d edges\n", m.Size)
 	fmt.Printf("  throughput:    %.2f Medges/sec end to end\n\n", st.EdgesPerSec()/1e6)
 
 	// --- Theorem 2: VC coresets with online peeling, on the paper's star
@@ -59,7 +61,7 @@ func main() {
 	// edges crosses the threshold, then discards the rest of the stream.
 	fmt.Printf("input: streaming star K_{1,%d} into k=%d machines\n\n", n-1, k)
 	src = stream.NewIterSource(n, func() gen.EdgeIter { return gen.StarIter(n) })
-	cover, st2, err := stream.VertexCover(src, stream.Config{K: k, Seed: seed})
+	cover, st2, err := stream.Solve(context.Background(), src, stream.Config{K: k, Seed: seed}, task.MustGet("vc"), task.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 	fmt.Printf("  memory:        machines stored %d of %d routed edges (online peeling dropped %.1f%%)\n",
 		stored, received, 100*float64(received-stored)/float64(max(received, 1)))
 	fmt.Printf("  summaries:     %d bytes total communication\n", st2.TotalCommBytes)
-	fmt.Printf("  composed:      %d vertices\n", len(cover))
+	fmt.Printf("  composed:      %d vertices\n", cover.Size)
 	fmt.Printf("  throughput:    %.2f Medges/sec end to end\n", st2.EdgesPerSec()/1e6)
 }
 

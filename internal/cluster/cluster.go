@@ -7,7 +7,7 @@
 //	                                  ^                      |
 //	              coordinator --------+---- CORESET frames --+--> composition
 //
-// The coordinator (this package's Matching/VertexCover) consumes any
+// The coordinator (Solve, for any registered task) consumes any
 // stream.EdgeSource, routes every edge with the same seeded
 // partition.HashAssign the in-process runtime uses — so a cluster run is
 // bit-for-bit identical to the streaming and batch pipelines for the same
@@ -19,6 +19,14 @@
 // composes the summaries with the same core composition and reports both the
 // measured wire bytes (TotalCommBytes/MaxMachineBytes) and the simulated
 // estimate (EstCommBytes) side by side.
+//
+// There is one conversation, held by a Session: dial and greet every worker
+// once, then run rounds of shard-and-collect on the open connections, then
+// close. Solve is a session capped at one round plus the composition; the
+// multi-round MPC driver (internal/rounds) Dials a session under the task's
+// multi-round assignment and runs several rounds on shrinking inputs. Both
+// go through the same sharding loop, the same per-machine frame exchange and
+// the same replay waves.
 //
 // Backpressure is per worker: every connection has a bounded batch channel
 // and a blocking TCP write path, so a slow worker throttles only its own

@@ -13,7 +13,16 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 	"repro/internal/vcover"
+)
+
+// The registered descriptors the tests run, resolved once.
+var (
+	matchingTask  = task.MustGet("matching")
+	vcTask        = task.MustGet("vc")
+	edcsTask      = task.MustGet("edcs")
+	diversityTask = task.MustGet("diversity")
 )
 
 // startWorkers brings up k in-process workers on loopback TCP and returns
@@ -65,7 +74,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 
 			switch tc.task {
 			case "matching":
-				sums, _, err := run(ctx, src, cfg, taskMatching, edcs.Params{})
+				sums, _, err := summaries(ctx, src, cfg, matchingTask, task.Params{})
 				if err != nil {
 					t.Fatalf("matching seed %d: %v", seed, err)
 				}
@@ -81,24 +90,24 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 					}
 				}
 				// Composed solutions agree across all three runtimes.
-				cm, cst, err := Matching(ctx, stream.NewGraphSource(g), cfg)
+				cm, cst, err := Solve(ctx, stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 				if err != nil {
 					t.Fatalf("matching seed %d: %v", seed, err)
 				}
-				if err := matching.Verify(g.N, g.Edges, cm); err != nil {
+				if err := matching.Verify(g.N, g.Edges, cm.Matching); err != nil {
 					t.Fatalf("seed %d: cluster matching invalid: %v", seed, err)
 				}
-				sm, sst, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed})
+				sm, sst, err := stream.Solve(ctx, stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, matchingTask, task.Params{})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(cm.Edges(), sm.Edges()) {
+				if !reflect.DeepEqual(cm.Matching.Edges(), sm.Matching.Edges()) {
 					t.Fatalf("seed %d: cluster matching differs from stream", seed)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
 
 			case "edcs":
-				sums, _, err := run(ctx, src, cfg, taskEDCS, edcsP)
+				sums, _, err := summaries(ctx, src, cfg, edcsTask, task.Params{EDCS: edcsP})
 				if err != nil {
 					t.Fatalf("edcs seed %d: %v", seed, err)
 				}
@@ -110,18 +119,18 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 						t.Fatalf("seed %d machine %d: cluster EDCS differs from batch", seed, i)
 					}
 				}
-				cm, cst, err := EDCS(ctx, stream.NewGraphSource(g), cfg, edcsP)
+				cm, cst, err := Solve(ctx, stream.NewGraphSource(g), cfg, edcsTask, task.Params{EDCS: edcsP})
 				if err != nil {
 					t.Fatalf("edcs seed %d: %v", seed, err)
 				}
-				if err := matching.Verify(g.N, g.Edges, cm); err != nil {
+				if err := matching.Verify(g.N, g.Edges, cm.Matching); err != nil {
 					t.Fatalf("seed %d: cluster EDCS matching invalid: %v", seed, err)
 				}
-				sm, sst, err := stream.EDCS(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, edcsP)
+				sm, sst, err := stream.Solve(ctx, stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, edcsTask, task.Params{EDCS: edcsP})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(cm.Edges(), sm.Edges()) {
+				if !reflect.DeepEqual(cm.Matching.Edges(), sm.Matching.Edges()) {
 					t.Fatalf("seed %d: cluster EDCS matching differs from stream", seed)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
@@ -132,7 +141,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				// in-process streaming oracle for the same (input, k, seed) —
 				// including round 1, whose input is round 0's union — and every
 				// round's bytes are measured.
-				sess, err := DialEDCSRounds(ctx, cfg, edcsP, 2, g.N)
+				sess, err := Dial(ctx, cfg, edcsTask, task.Params{EDCS: edcsP}, 2, g.N)
 				if err != nil {
 					t.Fatalf("edcs-rounds seed %d: %v", seed, err)
 				}
@@ -143,8 +152,8 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("edcs-rounds seed %d round %d: %v", seed, round, err)
 					}
-					osums, ost, err := stream.EDCSSummaries(ctx, stream.NewSliceSource(g.N, input),
-						stream.Config{K: rk, Seed: rseed}, edcsP)
+					osums, ost, err := stream.Summaries(ctx, stream.NewSliceSource(g.N, input),
+						stream.Config{K: rk, Seed: rseed}, edcsTask, task.Params{EDCS: edcsP})
 					if err != nil {
 						t.Fatalf("edcs-rounds seed %d round %d oracle: %v", seed, round, err)
 					}
@@ -162,8 +171,8 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 					checkMeasuredBytes(t, rst, ost.TotalCommBytes)
 					input = union
 				}
-				if sess.RoundsRun() != 2 {
-					t.Fatalf("seed %d: session ran %d rounds, want 2", seed, sess.RoundsRun())
+				if sess.roundsRun != 2 {
+					t.Fatalf("seed %d: session ran %d rounds, want 2", seed, sess.roundsRun)
 				}
 				// The cap is exhausted: a third round must be refused without
 				// touching the wire.
@@ -175,7 +184,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				}
 
 			case "vc":
-				sums, _, err := run(ctx, src, cfg, taskVC, edcs.Params{})
+				sums, _, err := summaries(ctx, src, cfg, vcTask, task.Params{})
 				if err != nil {
 					t.Fatalf("vc seed %d: %v", seed, err)
 				}
@@ -185,19 +194,19 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 						t.Fatalf("seed %d machine %d: cluster VC coreset differs from batch:\ngot  %+v\nwant %+v", seed, i, sums[i].VC, want)
 					}
 				}
-				cc, cst, err := VertexCover(ctx, stream.NewGraphSource(g), cfg)
+				cc, cst, err := Solve(ctx, stream.NewGraphSource(g), cfg, vcTask, task.Params{})
 				if err != nil {
 					t.Fatalf("vc seed %d: %v", seed, err)
 				}
-				if err := vcover.Verify(g.N, g.Edges, cc); err != nil {
+				if err := vcover.Verify(g.N, g.Edges, cc.Cover); err != nil {
 					t.Fatalf("seed %d: cluster cover infeasible: %v", seed, err)
 				}
-				sc, sst, err := stream.VertexCover(stream.NewGraphSource(g), stream.Config{K: k, Seed: seed})
+				sc, sst, err := stream.Solve(ctx, stream.NewGraphSource(g), stream.Config{K: k, Seed: seed}, vcTask, task.Params{})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if !reflect.DeepEqual(cc, sc) {
-					t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, len(cc), len(sc))
+				if !reflect.DeepEqual(cc.Cover, sc.Cover) {
+					t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, cc.Size, sc.Size)
 				}
 				checkMeasuredBytes(t, cst, sst.TotalCommBytes)
 			}
@@ -243,15 +252,15 @@ func TestClusterUnknownN(t *testing.T) {
 	const k = 3
 	g := parityGraph(9, 400, 30)
 	addrs := startWorkers(t, k)
-	cc, _, err := VertexCover(context.Background(), &unknownNSource{stream.NewGraphSource(g)}, Config{Workers: addrs, Seed: 9})
+	cc, _, err := Solve(context.Background(), &unknownNSource{stream.NewGraphSource(g)}, Config{Workers: addrs, Seed: 9}, vcTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _, err := stream.VertexCover(&unknownNSource{stream.NewGraphSource(g)}, stream.Config{K: k, Seed: 9})
+	sc, _, err := stream.Solve(context.Background(), &unknownNSource{stream.NewGraphSource(g)}, stream.Config{K: k, Seed: 9}, vcTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cc, sc) {
+	if !reflect.DeepEqual(cc.Cover, sc.Cover) {
 		t.Fatal("cluster cover differs from stream with undeclared n")
 	}
 }
@@ -261,22 +270,22 @@ func TestClusterUnknownN(t *testing.T) {
 func TestClusterEmptyStream(t *testing.T) {
 	addrs := startWorkers(t, 2)
 	cfg := Config{Workers: addrs, Seed: 1}
-	m, st, err := Matching(context.Background(), stream.NewSliceSource(0, nil), cfg)
+	m, st, err := Solve(context.Background(), stream.NewSliceSource(0, nil), cfg, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Size() != 0 || st.EdgesTotal != 0 {
-		t.Fatalf("empty stream produced size %d, %d edges", m.Size(), st.EdgesTotal)
+	if m.Matching.Size() != 0 || st.EdgesTotal != 0 {
+		t.Fatalf("empty stream produced size %d, %d edges", m.Matching.Size(), st.EdgesTotal)
 	}
 	if st.TotalCommBytes <= 0 {
 		t.Fatal("even empty coresets cross the wire; measured bytes must be nonzero")
 	}
-	cover, _, err := VertexCover(context.Background(), stream.NewSliceSource(0, nil), cfg)
+	cover, _, err := Solve(context.Background(), stream.NewSliceSource(0, nil), cfg, vcTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cover) != 0 {
-		t.Fatalf("empty stream produced cover of %d", len(cover))
+	if len(cover.Cover) != 0 {
+		t.Fatalf("empty stream produced cover of %d", len(cover.Cover))
 	}
 }
 
@@ -286,15 +295,15 @@ func TestClusterBatchSizes(t *testing.T) {
 	addrs := startWorkers(t, 3)
 	var want []graph.Edge
 	for i, bs := range []int{0, 1, 7, 4096} {
-		m, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 5, BatchSize: bs})
+		m, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 5, BatchSize: bs}, matchingTask, task.Params{})
 		if err != nil {
 			t.Fatalf("batch %d: %v", bs, err)
 		}
 		if i == 0 {
-			want = m.Edges()
+			want = m.Matching.Edges()
 			continue
 		}
-		if !reflect.DeepEqual(m.Edges(), want) {
+		if !reflect.DeepEqual(m.Matching.Edges(), want) {
 			t.Fatalf("batch %d: matching differs from default batch size", bs)
 		}
 	}
@@ -306,15 +315,15 @@ func TestWorkerServesManyRuns(t *testing.T) {
 	const k = 2
 	addrs := startWorkers(t, k)
 	g := parityGraph(7, 400, 8)
-	want, _, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: 7})
+	want, _, err := stream.Solve(context.Background(), stream.NewGraphSource(g), stream.Config{K: k, Seed: 7}, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 6)
 	for i := 0; i < 6; i++ {
 		go func() {
-			m, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7})
-			if err == nil && m.Size() != want.Size() {
+			m, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7}, matchingTask, task.Params{})
+			if err == nil && m.Matching.Size() != want.Matching.Size() {
 				err = &WorkerError{Err: errNotEqual}
 			}
 			errs <- err
@@ -334,10 +343,10 @@ type errSentinel string
 func (e errSentinel) Error() string { return string(e) }
 
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := Matching(context.Background(), nil, Config{Workers: []string{"x"}}); err == nil {
+	if _, _, err := Solve(context.Background(), nil, Config{Workers: []string{"x"}}, matchingTask, task.Params{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	if _, _, err := Matching(context.Background(), stream.NewSliceSource(0, nil), Config{}); err == nil {
+	if _, _, err := Solve(context.Background(), stream.NewSliceSource(0, nil), Config{}, matchingTask, task.Params{}); err == nil {
 		t.Fatal("empty worker list accepted")
 	}
 }

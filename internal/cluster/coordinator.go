@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,9 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/edcs"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/stream"
@@ -25,317 +22,35 @@ import (
 // collect the per-machine summaries the descriptor's builders produced on
 // the other side of the wire, and compose the final solution from their
 // union — exactly the in-process stream.Solve, with the machines remote. It
-// is the single dispatch point of the cluster runtime; the task-named entry
-// points below are thin wrappers over it.
+// is the single dispatch point of the cluster runtime.
 func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *Stats, error) {
-	if d.Validate != nil {
-		if err := d.Validate(p); err != nil {
-			return task.Solution{}, nil, err
-		}
-	}
 	start := time.Now()
-	sums, st, err := run(ctx, src, cfg, d.Wire, p.EDCS)
+	sums, st, err := summaries(ctx, src, cfg, d, p)
 	if err != nil {
 		return task.Solution{}, nil, err
-	}
-	for _, s := range sums {
-		n := d.CoresetLen(s)
-		st.CoresetEdges = append(st.CoresetEdges, n)
-		if d.FixedLen != nil {
-			st.CoresetFixed = append(st.CoresetFixed, d.FixedLen(s))
-		}
-		st.CompositionEdges += n
 	}
 	sol := d.Compose(st.N, sums)
 	st.Duration = time.Since(start)
 	return sol, st, nil
 }
 
-// Matching runs the Theorem 1 pipeline across the configured workers:
-// hash-shard the source's edges over the k worker connections, collect the
-// per-machine maximum-matching coresets, and compose a maximum matching of
-// their union — exactly the in-process stream.Matching, with the machines on
-// the other side of a wire.
-func Matching(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("matching"), task.Params{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Matching, st, nil
-}
-
-// EDCS runs the EDCS coreset pipeline (arXiv:1711.03076) across the
-// configured workers: each worker maintains a dynamic edge-degree
-// constrained subgraph of its shard and answers with the sorted H edge
-// list; the coordinator composes a maximum matching of the union. The
-// degree constraints travel in the HELLO frame, so the worker machines are
-// parameterized identically to an in-process run.
-func EDCS(ctx context.Context, src stream.EdgeSource, cfg Config, p edcs.Params) (*matching.Matching, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("edcs"), task.Params{EDCS: p})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Matching, st, nil
-}
-
-// VertexCover runs the Theorem 2 pipeline across the configured workers and
-// returns the composed cover.
-func VertexCover(ctx context.Context, src stream.EdgeSource, cfg Config) ([]graph.ID, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("vc"), task.Params{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Cover, st, nil
-}
-
-// workerResult is one machine's outcome: its decoded summary plus the
-// measured wire traffic in both directions, or the error that ended it.
-type workerResult struct {
-	machine int
-	sum     stream.Summary
-	wire    int          // measured CORESET frame bytes (worker -> coordinator)
-	sent    int          // measured HELLO+SHARD+EOS bytes (coordinator -> worker)
-	telem   *workerTelem // decoded TELEM payload; nil when the worker omitted it
-	err     error
-}
-
-// run drives one cluster run: the caller's goroutine reads the source and
-// shards by partition.HashAssign, one goroutine per worker speaks the wire
-// protocol (dial, HELLO/ACK, SHARD stream with TCP backpressure, EOS after
-// the final vertex count is known, CORESET back). The close(nReady) edge
-// publishes nFinal to the connection goroutines exactly as in stream.run.
-//
-// Failure handling depends on the failure: a retryable worker failure
-// (dial, connection drop, stalled frame) in a run configured for replay
-// (MaxRetries > 0 with a stream.Restartable source) lets the sharder and
-// the healthy machines finish, then replays only the failed machines
-// (retry.go); anything else cancels the internal context (stopping the
-// sharder at the next batch boundary) and is returned as a typed
-// *WorkerError — concurrent real failures joined behind the causally first
-// one. Caller cancellation force-closes the connections, so no goroutine
-// can stay blocked on the network. Every exit path closes the batch
-// channels and waits for the connection goroutines, so run never leaks.
-// ep carries the EDCS degree constraints for taskEDCS (zero otherwise).
-func run(ctx context.Context, src stream.EdgeSource, cfg Config, tb byte, ep edcs.Params) ([]stream.Summary, *Stats, error) {
+// summaries is a single-round run without the composition: a session with a
+// round cap of 1 speaking the task's single-round HELLO (no rounds field),
+// one round over the whole fleet with the configured seed, and the close.
+func summaries(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) ([]stream.Summary, *Stats, error) {
 	if src == nil {
 		return nil, nil, errors.New("cluster: nil source")
 	}
-	k := len(cfg.Workers)
-	if k == 0 {
-		return nil, nil, errors.New("cluster: config needs at least one worker address")
+	h := hello{task: d.Wire, known: src.KnownUpfront()}
+	if h.known {
+		h.n = src.NumVertices()
 	}
-	start := time.Now()
-
-	nHint, known := 0, src.KnownUpfront()
-	if known {
-		nHint = src.NumVertices()
-	}
-	_, restartable := src.(stream.Restartable)
-	replayable := cfg.MaxRetries > 0 && restartable
-	iot := cfg.ioTimeout()
-
-	// runCtx is the run's internal lifetime: canceled by the caller's ctx or
-	// by the first fatal worker failure, whichever comes first.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	var (
-		nFinal  int
-		nReady  = make(chan struct{})
-		results = make(chan workerResult, k)
-		wg      sync.WaitGroup
-	)
-	// fails collects worker failures in causal order: fails[0] is the
-	// machine that actually broke first. On a fatal failure cancelRun
-	// force-closes every other connection, so the secondary I/O errors that
-	// follow must not mask the primary; noteFailure always runs before that
-	// cancelRun, which makes "first to record" exactly "first to fail".
-	var (
-		failMu sync.Mutex
-		fails  []*WorkerError
-	)
-	noteFailure := func(we *WorkerError) {
-		failMu.Lock()
-		fails = append(fails, we)
-		failMu.Unlock()
-	}
-	chans := make([]chan []graph.Edge, k)
-	dialer := &net.Dialer{Timeout: cfg.dialTimeout()}
-	for i := 0; i < k; i++ {
-		chans[i] = make(chan []graph.Edge, 4)
-		wg.Add(1)
-		go func(machine int) {
-			defer wg.Done()
-			res := workerResult{machine: machine}
-			defer func() {
-				if res.err != nil {
-					// A retryable failure in a replayable run must NOT stop
-					// the sharder: the healthy machines finish their round
-					// and only this machine is replayed. Anything else stops
-					// the run. Either way, discard whatever the sharder
-					// queued for this machine so it can never block on a
-					// dead connection (the sharder owns close(chans[machine]),
-					// so this drain always terminates).
-					if we, ok := res.err.(*WorkerError); !ok || !we.Retryable || !replayable {
-						cancelRun()
-					}
-					for range chans[machine] {
-					}
-				}
-				results <- res
-			}()
-			addr := cfg.Workers[machine]
-			fail := func(kind FailureKind, err error) {
-				we := &WorkerError{Machine: machine, Addr: addr, Kind: kind, Retryable: kind.retryable(), Err: err}
-				res.err = we
-				noteFailure(we)
-				obs.Count(cfg.Obs, MetricWorkerFailures, 1)
-			}
-
-			obs.Count(cfg.Obs, MetricDialAttempts, 1)
-			conn, err := dialer.DialContext(runCtx, "tcp", addr)
-			if err != nil {
-				fail(KindDial, err)
-				return
-			}
-			defer conn.Close()
-			// Force-close the connection on cancellation so blocked reads and
-			// writes fail promptly instead of hanging on a stuck peer.
-			stopWatch := closeOnCancel(runCtx, conn)
-			defer stopWatch()
-
-			h := hello{version: protocolVersion, task: tb, machine: machine, k: k, known: known, n: nHint, edcs: ep, telem: true, runID: cfg.RunID}
-			n, err := writeFrameDeadline(conn, iot, frameHello, encodeHello(h))
-			res.sent += n
-			countSent(cfg.Obs, machine, n, err)
-			if err != nil {
-				fail(ioKind(err), fmt.Errorf("handshake: %w", err))
-				return
-			}
-			if kind, err := readAck(conn, iot); err != nil {
-				fail(kind, err)
-				return
-			}
-			roundTrip(runCtx, conn, tb, iot, chans[machine], nReady, &nFinal, &res, fail, cfg.Obs)
-		}(i)
-	}
-
-	closeAll := func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-	}
-
-	// Shard stage: identical routing to stream.run — read source batches,
-	// assign each edge with the seeded hash, flush per-machine mini-batches
-	// as they fill. Sends block on the machine's channel (and transitively on
-	// its TCP connection: per-worker backpressure) but never past
-	// cancellation.
-	total, batches, srcErr, aborted := shardSource(runCtx, src, chans, cfg.batchSize(), cfg.Seed)
-	if srcErr != nil || aborted {
-		cancelRun() // release goroutines parked on nReady or blocked I/O
-		closeAll()
-	} else {
-		closeAll()
-		nFinal = src.NumVertices()
-		close(nReady)
-	}
-	wg.Wait()
-	close(results)
-
-	byMachine := make([]workerResult, k)
-	for r := range results {
-		byMachine[r.machine] = r
-	}
-	// Error precedence: the caller's cancellation, then a source error, then
-	// the worker failures — replayed when every failure is retryable and the
-	// run allows it, otherwise joined behind the causally-first one (never
-	// one of the secondary errors its cancellation induced on the other
-	// connections).
-	if err := ctx.Err(); err != nil {
+	s, err := open(ctx, cfg, d, p, h, 1)
+	if err != nil {
 		return nil, nil, err
 	}
-	if srcErr != nil {
-		return nil, nil, srcErr
-	}
-	var nRetries int
-	var replayedMachines []int
-	if len(fails) > 0 {
-		if !replayable || !allRetryable(fails) || aborted {
-			ferr := joinFailures(fails)
-			// Replay was asked for and every failure was replayable, but the
-			// source cannot rewind: name the source kind so the caller knows
-			// what to fix, rather than a generic worker failure.
-			if cfg.MaxRetries > 0 && !restartable && allRetryable(fails) && !aborted {
-				ferr = notRestartable(ferr, src)
-			}
-			return nil, nil, ferr
-		}
-		failed := make(map[int]*WorkerError, len(fails))
-		for _, we := range fails {
-			failed[we.Machine] = we
-		}
-		addrs := append([]string(nil), cfg.Workers...)
-		spares := append([]string(nil), cfg.Spares...)
-		rp := &replayer{
-			cfg: cfg, task: tb, seed: cfg.Seed, k: k, nFinal: nFinal,
-			addrs: addrs, spares: &spares,
-			helloFor: func(m int) hello {
-				return hello{version: protocolVersion, task: tb, machine: m, k: k, known: known, n: nHint, edcs: ep, telem: true, runID: cfg.RunID}
-			},
-		}
-		var err error
-		nRetries, replayedMachines, err = rp.replay(ctx, src, byMachine, failed)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if aborted { // canceled with no surviving cause: report it as such
-		return nil, nil, context.Canceled
-	}
-
-	sums := make([]stream.Summary, k)
-	st := &Stats{
-		K:                k,
-		N:                nFinal,
-		EdgesTotal:       total,
-		Batches:          batches,
-		PartEdges:        make([]int, k),
-		StoredEdges:      make([]int, k),
-		Live:             make([]int, k),
-		Retries:          nRetries,
-		ReplayedMachines: replayedMachines,
-		MachineStats:     make([]graph.MachineStats, k),
-	}
-	wasReplayed := make(map[int]bool, len(replayedMachines))
-	for _, m := range replayedMachines {
-		wasReplayed[m] = true
-	}
-	for _, r := range byMachine {
-		sums[r.machine] = r.sum
-		st.PartEdges[r.machine] = r.sum.Edges
-		st.StoredEdges[r.machine] = r.sum.Stored
-		st.Live[r.machine] = r.sum.Live
-		st.TotalCommBytes += r.wire
-		if r.wire > st.MaxMachineBytes {
-			st.MaxMachineBytes = r.wire
-		}
-		st.EstCommBytes += r.sum.Bytes
-		if r.sum.Bytes > st.EstMaxMachineBytes {
-			st.EstMaxMachineBytes = r.sum.Bytes
-		}
-		st.ShardBytes += r.sent
-		// Per-machine breakdown: a worker without the telemetry capability
-		// still gets an entry (edges from its Summary, phase fields zero).
-		ms := graph.MachineStats{Machine: r.machine, EdgesIn: r.sum.Edges}
-		if r.telem != nil {
-			ms = r.telem.machineStats(r.machine)
-		}
-		ms.Replayed = wasReplayed[r.machine]
-		st.MachineStats[r.machine] = ms
-	}
-	st.Duration = time.Since(start)
-	return sums, st, nil
+	defer s.Close()
+	return s.Round(ctx, src, len(cfg.Workers), cfg.Seed)
 }
 
 // readAck consumes the worker's handshake reply — an ACK, or the ERROR
@@ -354,81 +69,6 @@ func readAck(conn net.Conn, iot time.Duration) (FailureKind, error) {
 		return KindHandshake, fmt.Errorf("remote: %s", payload)
 	default:
 		return KindHandshake, fmt.Errorf("handshake: unexpected frame 0x%02x", typ)
-	}
-}
-
-// roundTrip speaks the post-handshake frames of one run — or one round of a
-// multi-round session — on an open connection: SHARD frames off the batch
-// channel (with TCP backpressure), EOS once the sharder publishes the final
-// vertex count through the nReady edge, then the CORESET reply. The decoded
-// summary and the measured byte counts land in res; failures go through
-// fail, which wraps them as *WorkerError with their FailureKind and records
-// causal order. Every frame exchange runs under the per-frame IOTimeout, so
-// a stalled worker surfaces as a retryable KindDeadline failure rather than
-// a hang. On a shard-stream failure the caller's deferred drain consumes
-// the remaining batches.
-func roundTrip(runCtx context.Context, conn net.Conn, tb byte, iot time.Duration, batches <-chan []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult, fail func(FailureKind, error), sink obs.Sink) {
-	var buf []byte
-	for batch := range batches {
-		buf = graph.AppendEdgeBatch(buf[:0], batch)
-		n, err := writeFrameDeadline(conn, iot, frameShard, buf)
-		res.sent += n
-		countSent(sink, res.machine, n, err)
-		if err != nil {
-			fail(ioKind(err), fmt.Errorf("shard stream: %w", err))
-			return
-		}
-	}
-	select {
-	case <-nReady:
-	case <-runCtx.Done():
-		res.err = runCtx.Err()
-		return
-	}
-	n, err := writeFrameDeadline(conn, iot, frameEOS, binary.AppendUvarint(nil, uint64(*nFinal)))
-	res.sent += n
-	countSent(sink, res.machine, n, err)
-	if err != nil {
-		fail(ioKind(err), fmt.Errorf("EOS: %w", err))
-		return
-	}
-
-	typ, payload, frameLen, err := readFrameDeadline(conn, iot)
-	if err != nil {
-		fail(ioKind(err), fmt.Errorf("awaiting CORESET: %w", err))
-		return
-	}
-	// A telemetry-capable worker answers EOS with TELEM then CORESET; an old
-	// worker sends a bare CORESET and the machine's phase telemetry stays
-	// zero. A corrupt TELEM is KindProtocol, like any corrupt frame: a peer
-	// that garbles telemetry cannot be trusted about the coreset either.
-	if typ == frameTelem {
-		t, terr := decodeTelem(payload)
-		if terr != nil {
-			fail(KindProtocol, terr)
-			return
-		}
-		res.telem = &t
-		countTelem(sink, res.machine, frameLen)
-		typ, payload, frameLen, err = readFrameDeadline(conn, iot)
-		if err != nil {
-			fail(ioKind(err), fmt.Errorf("awaiting CORESET: %w", err))
-			return
-		}
-	}
-	switch typ {
-	case frameCoreset:
-		sum, err := decodeSummary(tb, payload)
-		if err != nil {
-			fail(KindProtocol, err)
-			return
-		}
-		res.sum, res.wire = sum, frameLen
-		countReceived(sink, res.machine, frameLen)
-	case frameError:
-		fail(KindProtocol, fmt.Errorf("remote: %s", payload))
-	default:
-		fail(KindProtocol, fmt.Errorf("unexpected frame 0x%02x, want CORESET", typ))
 	}
 }
 
@@ -468,11 +108,13 @@ func countTelem(sink obs.Sink, machine, frameLen int) {
 }
 
 // shardSource reads src to exhaustion and routes every edge to the
-// per-machine channels with partition.HashAssign(e, len(chans), seed),
-// flushing mini-batches of bs edges as they fill. Sends block on a
-// machine's channel but never past cancellation. Returns the edge and batch
-// totals, a real source error (never a cancellation), and whether the loop
-// aborted on runCtx. The caller owns closing the channels.
+// per-machine channels with partition.HashAssign(e, len(chans), seed) —
+// identical routing to stream.run — flushing mini-batches of bs edges as
+// they fill. A machine with a nil channel is not taking part in this pass
+// (a replay wave serves only the failed machines) and its edges are dropped.
+// Sends block on a machine's channel but never past cancellation. Returns
+// the edge and batch totals, a real source error (never a cancellation), and
+// whether the loop aborted on runCtx. The caller owns closing the channels.
 func shardSource(runCtx context.Context, src stream.EdgeSource, chans []chan []graph.Edge, bs int, seed uint64) (total, batches int, srcErr error, aborted bool) {
 	k := len(chans)
 	buf := make([]graph.Edge, bs)
@@ -498,6 +140,9 @@ shard:
 			batches++
 			for _, e := range buf[:c] {
 				i := partition.HashAssign(e, k, seed)
+				if chans[i] == nil {
+					continue
+				}
 				if pending[i] == nil {
 					pending[i] = make([]graph.Edge, 0, bs)
 				}
@@ -530,8 +175,7 @@ shard:
 // function ends the watch (idempotently) once the connection is done.
 //
 // The done recheck inside the cancellation case matters for connections
-// that outlive the watch (EDCSSession reuses its connections across
-// rounds): on a successful round, stop() runs strictly before the round's
+// that outlive the watch (a Session reuses its connections across rounds): on a successful round, stop() runs strictly before the round's
 // deferred cancel, but a watcher that first wakes with BOTH channels ready
 // would pick a select case at random — and must not close a connection the
 // next round is about to use.

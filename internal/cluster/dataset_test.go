@@ -120,8 +120,8 @@ func TestDatasetStreamsUnderBudgetAllRuntimes(t *testing.T) {
 	var csums []stream.Summary
 	err = runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		csums, _, err = run(context.Background(), csrc,
-			Config{Workers: backends, Seed: seed, BatchSize: 64}, taskMatching, edcs.Params{})
+		csums, _, err = summaries(context.Background(), csrc,
+			Config{Workers: backends, Seed: seed, BatchSize: 64}, matchingTask, task.Params{})
 		return err
 	})
 	if err != nil {
@@ -152,12 +152,12 @@ func TestDatasetClusterRoundsWithReplay(t *testing.T) {
 
 	const rounds = 2
 	p := edcs.ParamsForBeta(16)
-	sess, err := DialEDCSRounds(context.Background(), Config{
+	sess, err := Dial(context.Background(), Config{
 		Workers:      []string{backends[0], proxyAddr},
 		BatchSize:    64,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
-	}, p, rounds, g.N)
+	}, edcsTask, task.Params{EDCS: p}, rounds, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +193,8 @@ func TestDatasetClusterRoundsWithReplay(t *testing.T) {
 			t.Fatalf("round %d held %d bytes resident, budget %d", r, dsrc.PeakResidentBytes(), budget)
 		}
 
-		want, _, err := stream.EDCSSummaries(context.Background(),
-			stream.NewSliceSource(g.N, oracleInput), stream.Config{K: 2, Seed: seed, BatchSize: 64}, p)
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, oracleInput), stream.Config{K: 2, Seed: seed, BatchSize: 64}, edcsTask, task.Params{EDCS: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // runWithTimeout guards against the exact failure mode these tests exist
@@ -69,8 +70,8 @@ func TestWorkerCrashMidShard(t *testing.T) {
 	crash := crashingWorker(t, 1)
 	g := gen.GNP(3000, 20.0/3000, rng.New(1))
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g),
-			Config{Workers: []string{healthy[0], crash, healthy[1]}, Seed: 1, BatchSize: 64})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g),
+			Config{Workers: []string{healthy[0], crash, healthy[1]}, Seed: 1, BatchSize: 64}, matchingTask, task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -94,7 +95,7 @@ func TestDialFailure(t *testing.T) {
 	ln.Close()
 	g := gen.GNP(200, 0.05, rng.New(2))
 	err = runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: []string{dead}, Seed: 2})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: []string{dead}, Seed: 2}, matchingTask, task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -122,7 +123,7 @@ func TestRemoteErrorFrame(t *testing.T) {
 	}()
 	g := gen.GNP(100, 0.05, rng.New(3))
 	err = runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: []string{ln.Addr().String()}, Seed: 3})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: []string{ln.Addr().String()}, Seed: 3}, matchingTask, task.Params{})
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "worker says no") {
@@ -178,7 +179,7 @@ func TestCoordinatorCancelDrainsWorkers(t *testing.T) {
 	g := gen.GNP(5000, 0.005, rng.New(4))
 	src := &cancelSource{inner: stream.NewGraphSource(g), cancel: cancel, after: 3}
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(ctx, src, Config{Workers: addrs, Seed: 4, BatchSize: 64})
+		_, _, err := Solve(ctx, src, Config{Workers: addrs, Seed: 4, BatchSize: 64}, matchingTask, task.Params{})
 		return err
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -205,7 +206,7 @@ func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := gen.GNP(200, 0.05, rng.New(5))
-	_, _, err := Matching(ctx, stream.NewGraphSource(g), Config{Workers: addrs, Seed: 5})
+	_, _, err := Solve(ctx, stream.NewGraphSource(g), Config{Workers: addrs, Seed: 5}, matchingTask, task.Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -246,8 +247,8 @@ func TestWorkerShutdownDrains(t *testing.T) {
 	src := &gatedSource{inner: stream.NewGraphSource(g), started: make(chan struct{}), release: make(chan struct{})}
 	runDone := make(chan error, 1)
 	go func() {
-		m, _, err := Matching(context.Background(), src, Config{Workers: []string{ln.Addr().String()}, Seed: 6})
-		if err == nil && m == nil {
+		m, _, err := Solve(context.Background(), src, Config{Workers: []string{ln.Addr().String()}, Seed: 6}, matchingTask, task.Params{})
+		if err == nil && m.Matching == nil {
 			err = errNotEqual
 		}
 		runDone <- err
@@ -342,7 +343,7 @@ func TestWorkerShutdownRacesShardFrames(t *testing.T) {
 	if err != nil || typ != frameCoreset {
 		t.Fatalf("want CORESET after drain, got typ 0x%02x err %v", typ, err)
 	}
-	sum, err := decodeSummary(taskMatching, payload)
+	sum, err := task.DecodeSummary(matchingTask, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,24 +378,30 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	g := gen.GNP(1000, 0.01, rng.New(7))
 
 	// Success.
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7}); err != nil {
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 7}, matchingTask, task.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	// Worker failure.
 	crash := crashingWorker(t, 0)
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: []string{addrs[0], crash}, Seed: 7}); err == nil {
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: []string{addrs[0], crash}, Seed: 7}, matchingTask, task.Params{}); err == nil {
 		t.Fatal("crash run succeeded")
 	}
 	// Cancellation.
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &cancelSource{inner: stream.NewGraphSource(g), cancel: cancel, after: 2}
-	_, _, _ = Matching(ctx, src, Config{Workers: addrs, Seed: 7, BatchSize: 32})
+	_, _, _ = Solve(ctx, src, Config{Workers: addrs, Seed: 7, BatchSize: 32}, matchingTask, task.Params{})
 	cancel()
 
 	shutdown() // all worker goroutines must exit too
 
-	// Allow small slack for runtime-internal goroutines; anything beyond it
-	// is a leaked sharder, connection watcher or worker handler.
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines waits for the process to return to its goroutine baseline.
+// It allows small slack for runtime-internal goroutines; anything beyond it
+// is a leaked sharder, connection watcher or worker handler.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

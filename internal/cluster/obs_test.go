@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // memSink is a minimal obs.Sink capturing counts for assertions.
@@ -41,8 +41,8 @@ func TestObsCleanRun(t *testing.T) {
 	backends := startWorkers(t, 3)
 	sink := newMemSink()
 	g := gen.GNP(1500, 12.0/1500, rng.New(7))
-	_, st, err := run(context.Background(), stream.NewGraphSource(g),
-		Config{Workers: backends, Seed: 7, BatchSize: 64, Obs: sink}, taskMatching, edcs.Params{})
+	_, st, err := summaries(context.Background(), stream.NewGraphSource(g),
+		Config{Workers: backends, Seed: 7, BatchSize: 64, Obs: sink}, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestObsReplayCounters(t *testing.T) {
 	var st *Stats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		_, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		_, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 		return err
 	})
 	if err != nil {

@@ -9,15 +9,25 @@ import (
 	"testing"
 
 	"repro/internal/diversity"
-	"repro/internal/edcs"
 	"repro/internal/graph"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
 
-// TestTaskBytesMatchRegistry pins the package's wire-byte constants to the
-// registry's descriptors: the constants exist for readability in wire-level
-// tests, but the registry is authoritative, and the two must never drift.
+// The HELLO task bytes as they are on the wire today. The registry is what
+// the protocol code dispatches through; these restate its values for the
+// wire-level tests, and TestTaskBytesMatchRegistry keeps the two from
+// drifting — a changed byte is a protocol break, not a refactor.
+const (
+	taskMatching   byte = 1
+	taskVC         byte = 2
+	taskEDCS       byte = 3
+	taskEDCSRounds byte = 4
+	taskDiversity  byte = 5
+)
+
+// TestTaskBytesMatchRegistry pins the wire-byte constants to the registry's
+// descriptors.
 func TestTaskBytesMatchRegistry(t *testing.T) {
 	for name, b := range map[string]byte{
 		"matching":  taskMatching,
@@ -73,7 +83,7 @@ func TestDiversityParityAcrossRuntimes(t *testing.T) {
 
 		// Per-machine summaries survive the wire deep-equal to the oracle:
 		// greedy centers over the partition's touched vertices.
-		sums, _, err := run(ctx, stream.NewGraphSource(g), cfg, taskDiversity, edcs.Params{})
+		sums, _, err := summaries(ctx, stream.NewGraphSource(g), cfg, diversityTask, task.Params{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -191,17 +201,17 @@ func FuzzDiversityCodec(f *testing.F) {
 	b.Add(graph.Edge{U: 4, V: 57})
 	s := b.Finish(100)
 	s.Edges = 2
-	f.Add(appendSummary(nil, taskDiversity, s))
-	f.Add(appendSummary(nil, taskDiversity, stream.Summary{}))
+	f.Add(task.AppendSummary(nil, diversityTask, s))
+	f.Add(task.AppendSummary(nil, diversityTask, stream.Summary{}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sum, err := decodeSummary(taskDiversity, data)
+		sum, err := task.DecodeSummary(diversityTask, data)
 		if err != nil {
 			return
 		}
-		re := appendSummary(nil, taskDiversity, sum)
-		got, err := decodeSummary(taskDiversity, re)
+		re := task.AppendSummary(nil, diversityTask, sum)
+		got, err := task.DecodeSummary(diversityTask, re)
 		if err != nil {
 			t.Fatalf("re-decode of a re-encoded summary failed: %v", err)
 		}

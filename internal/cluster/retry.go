@@ -2,17 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sort"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/stream"
 )
 
@@ -25,16 +20,16 @@ import (
 // sequence; batch granularity does not affect machine results), which is
 // what keeps a disturbed run deep-equal to an undisturbed one.
 //
-// The replayer runs after the round's normal fan-out has finished: the
-// healthy machines' results are in hand, the final vertex count is known,
-// and only the failed machines are re-run. Replays proceed in waves — each
-// wave re-dials every still-failed machine (rotating in a spare address
-// after a failed replay attempt), re-handshakes, restarts the source once
-// and re-shards it routing edges only to the machines being replayed, then
-// collects their CORESET frames. Waves repeat under capped exponential
-// backoff until every machine recovered or some machine spends its
-// MaxRetries budget, which fails the run with a terminal, non-retryable
-// ErrRetriesExhausted WorkerError.
+// A replay wave is not a second conversation: once the round's first pass
+// has finished — the healthy machines' results are in hand — Session.Round
+// re-enters the same pass for the failed machines only. rearm, below, is
+// what happens between two passes: the budget check, the capped exponential
+// backoff, the source restart, and the re-dial of every still-failed machine
+// (rotating in a spare address after a failed replay attempt). The
+// replacement connections belong to the session like any other, so in a
+// multi-round run they serve the remaining rounds. Waves repeat until every
+// machine has answered or one spends its MaxRetries budget, which fails the
+// round with a terminal, non-retryable ErrRetriesExhausted WorkerError.
 
 // ioKind classifies a transport error: deadline expiries are KindDeadline
 // (a stalled peer), everything else that broke a live connection is
@@ -91,321 +86,54 @@ func allRetryable(fails []*WorkerError) bool {
 	return true
 }
 
-// replayer re-runs the current round for the machines that failed it. One
-// replayer serves both deployment shapes: single-round runs (run) discard
-// the replacement connections after the round, multi-round sessions
-// (EDCSSession.Round) retire the broken connection and keep the replacement
-// for the rounds that follow.
-type replayer struct {
-	cfg    Config
-	task   byte
-	seed   uint64   // this round's sharding seed
-	k      int      // active machine count this round (the hash modulus)
-	nFinal int      // final vertex count, known from the completed shard pass
-	addrs  []string // current address per machine; shared with the owner, replay rotates in spares
-	spares *[]string
-	// helloFor mints the re-handshake HELLO for a machine (sessions shrink
-	// the rounds field to the rounds still owed).
-	helloFor func(machine int) hello
-	// retire closes the machine's previous connection before its first
-	// replay attempt; nil when the caller already closed it.
-	retire func(machine int)
-	// keep receives the machine's replacement connection after a successful
-	// replay; nil closes it once the CORESET is in.
-	keep func(machine int, conn net.Conn)
-}
-
-// replayConn is one machine's live replay attempt within a wave.
-type replayConn struct {
-	conn  net.Conn
-	sent  int // coordinator-to-worker bytes of this attempt
-	sum   stream.Summary
-	wire  int          // measured CORESET frame bytes
-	telem *workerTelem // TELEM payload of this attempt (nil if omitted)
-}
-
-// replay drives replay waves until failed is empty or a budget runs out.
-// Successful machines overwrite their slot in byMachine (accumulating the
-// sent-byte accounting of the failed attempt, so ShardBytes stays honest).
-// It returns the number of replay attempts made and the machines recovered,
-// in ascending order.
-func (r *replayer) replay(ctx context.Context, src stream.EdgeSource, byMachine []workerResult, failed map[int]*WorkerError) (retries int, replayed []int, err error) {
-	rs, ok := src.(stream.Restartable)
-	if !ok { // callers gate on this; defensive
-		return 0, nil, notRestartable(joinFailures(sortedFailures(failed)), src)
-	}
-	iot := r.cfg.ioTimeout()
-	dialer := &net.Dialer{Timeout: r.cfg.dialTimeout()}
-	attempts := make(map[int]int)
-	retired := make(map[int]bool)
-	backoff := r.cfg.backoffBase()
-
-	terminal := func(primary *WorkerError, active map[int]*replayConn) error {
-		for _, rc := range active {
-			rc.conn.Close()
-		}
+// rearm readies a replay wave for the round's still-failed machines (in
+// ascending order, each down with its failure recorded on its link). The
+// lowest machine whose budget is spent turns the round terminal. A machine's
+// first replay attempt re-dials its own address (a crashed-and-restarted
+// worker is the common case); later attempts consume a spare while one
+// remains. Machines whose re-dial fails stay down and fail the coming pass
+// with the new error.
+func (s *Session) rearm(ctx context.Context, src stream.Restartable, failed, attempts []int, backoff time.Duration) error {
+	// terminal leads with primary and lets the other failed machines ride
+	// along, as in any joined round error.
+	terminal := func(primary *WorkerError) error {
 		fails := []*WorkerError{primary}
-		for _, we := range sortedFailures(failed) {
-			if we.Machine != primary.Machine {
-				fails = append(fails, we)
+		for _, m := range failed {
+			if m != primary.Machine {
+				fails = append(fails, s.links[m].down)
 			}
 		}
 		return joinFailures(fails)
 	}
-
-	for len(failed) > 0 {
-		// Budget check: the lowest exhausted machine turns terminal.
-		for _, we := range sortedFailures(failed) {
-			m := we.Machine
-			if attempts[m] >= r.cfg.MaxRetries {
-				exh := &WorkerError{
-					Machine: m, Addr: r.addrs[m], Kind: we.Kind, Retryable: false,
-					Err: fmt.Errorf("%w: %d replay attempts: %w", ErrRetriesExhausted, attempts[m], we.Err),
-				}
-				return retries, replayed, terminal(exh, nil)
-			}
-		}
-		obs.Count(r.cfg.Obs, MetricBackoffSleeps, 1)
-		if err := sleepCtx(ctx, backoff); err != nil {
-			return retries, replayed, err
-		}
-		if backoff *= 2; backoff > maxRetryBackoff {
-			backoff = maxRetryBackoff
-		}
-
-		// Re-dial and re-handshake every still-failed machine. A machine
-		// whose previous replay attempt failed rotates to a spare address
-		// when one remains; the first replay attempt tries the machine's
-		// own address (a crashed-and-restarted worker is the common case).
-		active := make(map[int]*replayConn)
-		for _, we := range sortedFailures(failed) {
-			m := we.Machine
-			if err := ctx.Err(); err != nil {
-				for _, rc := range active {
-					rc.conn.Close()
-				}
-				return retries, replayed, err
-			}
-			if attempts[m] > 0 && len(*r.spares) > 0 {
-				r.addrs[m] = (*r.spares)[0]
-				*r.spares = (*r.spares)[1:]
-			}
-			attempts[m]++
-			retries++
-			obs.Count(r.cfg.Obs, MetricRetries, 1)
-			if r.retire != nil && !retired[m] {
-				r.retire(m)
-				retired[m] = true
-			}
-			rc, hswe := r.handshake(ctx, dialer, m, iot)
-			if hswe != nil {
-				failed[m] = hswe
-				if !hswe.Retryable {
-					return retries, replayed, terminal(hswe, active)
-				}
-				continue
-			}
-			active[m] = rc
-		}
-		if len(active) == 0 {
-			continue // every dial failed; back off and try the next wave
-		}
-
-		// One deterministic re-scan of the round input, routing edges only
-		// to the machines being replayed this wave.
-		if err := rs.Restart(); err != nil {
-			we := sortedFailures(failed)[0]
-			return retries, replayed, terminal(&WorkerError{
-				Machine: we.Machine, Addr: r.addrs[we.Machine], Kind: we.Kind, Retryable: false,
-				Err: fmt.Errorf("replay needs a restartable source (%v): %w", err, we.Err),
-			}, active)
-		}
-		if err := r.shardTo(ctx, src, active, failed, iot); err != nil {
-			return retries, replayed, err // ctx or source error; conns closed
-		}
-
-		// EOS, then the replayed CORESETs.
-		for _, m := range sortedConns(active) {
-			rc := active[m]
-			we := r.collect(m, rc, iot)
-			if we != nil {
-				rc.conn.Close()
-				delete(active, m)
-				failed[m] = we
-				if !we.Retryable {
-					return retries, replayed, terminal(we, active)
-				}
-				continue
-			}
-			old := byMachine[m]
-			// Telemetry describes the replacement attempt only: the failed
-			// attempt's partial phases never mix in. Sent bytes accumulate
-			// (ShardBytes stays honest about every byte actually sent).
-			byMachine[m] = workerResult{machine: m, sum: rc.sum, wire: rc.wire, sent: old.sent + rc.sent, telem: rc.telem}
-			delete(failed, m)
-			delete(active, m)
-			replayed = append(replayed, m)
-			obs.Count(r.cfg.Obs, MetricReplays, 1)
-			if r.keep != nil {
-				r.keep(m, rc.conn)
-			} else {
-				rc.conn.Close()
-			}
+	for _, m := range failed {
+		if we := s.links[m].down; attempts[m] >= s.cfg.MaxRetries {
+			return terminal(&WorkerError{
+				Machine: m, Addr: we.Addr, Kind: we.Kind, Retryable: false,
+				Err: fmt.Errorf("%w: %d replay attempts: %w", ErrRetriesExhausted, attempts[m], we.Err),
+			})
 		}
 	}
-	sort.Ints(replayed)
-	return retries, replayed, nil
-}
-
-// handshake dials a machine's current address and speaks the replay HELLO.
-func (r *replayer) handshake(ctx context.Context, dialer *net.Dialer, m int, iot time.Duration) (*replayConn, *WorkerError) {
-	addr := r.addrs[m]
-	obs.Count(r.cfg.Obs, MetricDialAttempts, 1)
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, &WorkerError{Machine: m, Addr: addr, Kind: KindDial, Retryable: true, Err: fmt.Errorf("replay dial: %w", err)}
+	obs.Count(s.cfg.Obs, MetricBackoffSleeps, 1)
+	if err := sleepCtx(ctx, backoff); err != nil {
+		return err
 	}
-	rc := &replayConn{conn: conn}
-	n, err := writeFrameDeadline(conn, iot, frameHello, encodeHello(r.helloFor(m)))
-	rc.sent += n
-	countSent(r.cfg.Obs, m, n, err)
-	if err != nil {
-		conn.Close()
-		return nil, &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay handshake: %w", err)}
+	// One deterministic re-scan of the round input per wave.
+	if err := src.Restart(); err != nil {
+		we := s.links[failed[0]].down
+		return terminal(&WorkerError{
+			Machine: we.Machine, Addr: we.Addr, Kind: we.Kind, Retryable: false,
+			Err: fmt.Errorf("replay needs a restartable source (%v): %w", err, we.Err),
+		})
 	}
-	if kind, err := readAck(conn, iot); err != nil {
-		conn.Close()
-		return nil, &WorkerError{Machine: m, Addr: addr, Kind: kind, Retryable: kind.retryable(), Err: fmt.Errorf("replay: %w", err)}
+	for _, m := range failed {
+		if attempts[m] > 0 && len(s.spares) > 0 {
+			s.links[m].addr, s.spares = s.spares[0], s.spares[1:]
+		}
+		attempts[m]++
+		obs.Count(s.cfg.Obs, MetricRetries, 1)
 	}
-	return rc, nil
-}
-
-// shardTo re-streams the restarted source, routing each edge with the same
-// seeded hash as the original pass and sending only to the active replay
-// connections. A send failure returns that machine to the failed set for
-// the next wave; a source or context error is fatal and closes every active
-// connection.
-func (r *replayer) shardTo(ctx context.Context, src stream.EdgeSource, active map[int]*replayConn, failed map[int]*WorkerError, iot time.Duration) error {
-	closeAll := func() {
-		for _, rc := range active {
-			rc.conn.Close()
-		}
-	}
-	bs := r.cfg.batchSize()
-	buf := make([]graph.Edge, bs)
-	pending := make(map[int][]graph.Edge, len(active))
-	var enc []byte
-	flush := func(m int) {
-		rc := active[m]
-		if rc == nil || len(pending[m]) == 0 {
-			return
-		}
-		enc = graph.AppendEdgeBatch(enc[:0], pending[m])
-		pending[m] = pending[m][:0]
-		n, err := writeFrameDeadline(rc.conn, iot, frameShard, enc)
-		rc.sent += n
-		countSent(r.cfg.Obs, m, n, err)
-		if err != nil {
-			rc.conn.Close()
-			delete(active, m)
-			failed[m] = &WorkerError{Machine: m, Addr: r.addrs[m], Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay shard stream: %w", err)}
-		}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			closeAll()
-			return err
-		}
-		c, err := src.Next(buf)
-		for _, e := range buf[:c] {
-			m := partition.HashAssign(e, r.k, r.seed)
-			if active[m] == nil {
-				continue
-			}
-			pending[m] = append(pending[m], e)
-			if len(pending[m]) == bs {
-				flush(m)
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				closeAll()
-				return err
-			}
-			break
-		}
-		if len(active) == 0 {
-			// Everyone died again mid-replay; drain to EOF is pointless.
-			return nil
-		}
-	}
-	for _, m := range sortedConns(active) {
-		flush(m)
-	}
+	s.connect(ctx, failed)
 	return nil
-}
-
-// collect finishes one machine's replay: EOS with the known final vertex
-// count, then its CORESET frame. The decoded summary lands in rc.
-func (r *replayer) collect(m int, rc *replayConn, iot time.Duration) *WorkerError {
-	addr := r.addrs[m]
-	n, err := writeFrameDeadline(rc.conn, iot, frameEOS, binary.AppendUvarint(nil, uint64(r.nFinal)))
-	rc.sent += n
-	countSent(r.cfg.Obs, m, n, err)
-	if err != nil {
-		return &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay EOS: %w", err)}
-	}
-	typ, payload, frameLen, err := readFrameDeadline(rc.conn, iot)
-	if err != nil {
-		return &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay awaiting CORESET: %w", err)}
-	}
-	// Optional TELEM before the CORESET, exactly as on the fan-out path.
-	if typ == frameTelem {
-		t, terr := decodeTelem(payload)
-		if terr != nil {
-			return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: terr}
-		}
-		rc.telem = &t
-		countTelem(r.cfg.Obs, m, frameLen)
-		typ, payload, frameLen, err = readFrameDeadline(rc.conn, iot)
-		if err != nil {
-			return &WorkerError{Machine: m, Addr: addr, Kind: ioKind(err), Retryable: true, Err: fmt.Errorf("replay awaiting CORESET: %w", err)}
-		}
-	}
-	switch typ {
-	case frameCoreset:
-		sum, err := decodeSummary(r.task, payload)
-		if err != nil {
-			return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: err}
-		}
-		rc.sum, rc.wire = sum, frameLen
-		countReceived(r.cfg.Obs, m, frameLen)
-		return nil
-	case frameError:
-		return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: fmt.Errorf("remote: %s", payload)}
-	default:
-		return &WorkerError{Machine: m, Addr: addr, Kind: KindProtocol, Retryable: false, Err: fmt.Errorf("unexpected frame 0x%02x, want CORESET", typ)}
-	}
-}
-
-// sortedFailures returns failed's errors in ascending machine order, so
-// wave iteration and primary selection are deterministic.
-func sortedFailures(failed map[int]*WorkerError) []*WorkerError {
-	out := make([]*WorkerError, 0, len(failed))
-	for _, we := range failed {
-		out = append(out, we)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
-	return out
-}
-
-func sortedConns(active map[int]*replayConn) []int {
-	out := make([]int, 0, len(active))
-	for m := range active {
-		out = append(out, m)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // sleepCtx waits d or until ctx is canceled.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // proxyPlan scripts how the flaky proxy mistreats one connection. The zero
@@ -245,7 +246,7 @@ func TestReplayRecovery(t *testing.T) {
 			var st *Stats
 			err := runWithTimeout(t, 30*time.Second, func() error {
 				var err error
-				sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+				sums, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 				return err
 			})
 			if err != nil {
@@ -263,8 +264,8 @@ func TestReplayRecovery(t *testing.T) {
 			}
 
 			// Oracle: the same run against three healthy workers, undisturbed.
-			want, wantSt, err := run(context.Background(), stream.NewGraphSource(g),
-				Config{Workers: backends, Seed: 11, BatchSize: 64}, taskMatching, edcs.Params{})
+			want, wantSt, err := summaries(context.Background(), stream.NewGraphSource(g),
+				Config{Workers: backends, Seed: 11, BatchSize: 64}, matchingTask, task.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,41 +283,109 @@ func TestReplayRecovery(t *testing.T) {
 	}
 }
 
+// sessionShape is one way of holding the coordinator's conversation: a
+// single-round run (round cap 1, the task's single-round HELLO) or a session
+// round (the multi-round assignment). Tables over sessionShapes pin that a
+// behavior belongs to the one conversation, not to one of its entry points.
+type sessionShape struct {
+	name string
+	// rounds runs the shape over g under cfg and returns every round's
+	// summaries and Stats: one round for a single-round run, two for a
+	// session (round 1's input is round 0's union, as in internal/rounds).
+	rounds func(ctx context.Context, g *graph.Graph, cfg Config) ([][]stream.Summary, []*Stats, error)
+}
+
+var sessionShapes = []sessionShape{
+	{"single-round", func(ctx context.Context, g *graph.Graph, cfg Config) ([][]stream.Summary, []*Stats, error) {
+		sums, st, err := summaries(ctx, stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
+		return [][]stream.Summary{sums}, []*Stats{st}, err
+	}},
+	{"session-round", func(ctx context.Context, g *graph.Graph, cfg Config) ([][]stream.Summary, []*Stats, error) {
+		sess, err := Dial(ctx, cfg, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer sess.Close()
+		var allSums [][]stream.Summary
+		var allSt []*Stats
+		input := []graph.Edge(g.Edges)
+		for r := 0; r < 2; r++ {
+			sums, st, err := sess.Round(ctx, stream.NewSliceSource(g.N, input), len(cfg.Workers), cfg.Seed+uint64(r))
+			if err != nil {
+				return nil, nil, err
+			}
+			allSums, allSt = append(allSums, sums), append(allSt, st)
+			input = nil
+			for _, s := range sums {
+				input = append(input, s.Coreset...)
+			}
+		}
+		return allSums, allSt, sess.Close()
+	}},
+}
+
 // TestReplayDialRefusedUsesSpare: a worker whose process is gone for good
 // (its address refuses dials) burns one replay attempt on the original
-// address, then recovers on a Config.Spares standby.
+// address, then recovers on a Config.Spares standby — in a single-round run
+// and in a session alike, where the spare then serves the remaining rounds.
+// With replay disabled the same dead address fails fast, typed.
 func TestReplayDialRefusedUsesSpare(t *testing.T) {
-	backends := startWorkers(t, 2)
-	g := gen.GNP(2000, 16.0/2000, rng.New(13))
-	cfg := Config{
-		Workers: []string{backends[0], deadAddr(t)},
-		Spares:  []string{backends[1]},
-		Seed:    13, BatchSize: 64,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+	for _, shape := range sessionShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			backends := startWorkers(t, 2)
+			dead := deadAddr(t)
+			g := gen.GNP(2000, 16.0/2000, rng.New(13))
+			cfg := Config{
+				Workers: []string{backends[0], dead},
+				Spares:  []string{backends[1]},
+				Seed:    13, BatchSize: 64,
+				MaxRetries: 2, RetryBackoff: time.Millisecond,
+			}
+			var sums [][]stream.Summary
+			var sts []*Stats
+			err := runWithTimeout(t, 30*time.Second, func() error {
+				var err error
+				sums, sts, err = shape.rounds(context.Background(), g, cfg)
+				return err
+			})
+			if err != nil {
+				t.Fatalf("spare did not recover the run: %v", err)
+			}
+			if sts[0].Retries != 2 {
+				t.Fatalf("Retries = %d, want 2 (one refused re-dial, one spare)", sts[0].Retries)
+			}
+			if !reflect.DeepEqual(sts[0].ReplayedMachines, []int{1}) {
+				t.Fatalf("ReplayedMachines = %v, want [1]", sts[0].ReplayedMachines)
+			}
+			for r, st := range sts[1:] {
+				if st.Retries != 0 {
+					t.Fatalf("round %d: Retries = %d, want 0 (the spare's connection is the session's now)", r+1, st.Retries)
+				}
+			}
+			// The result must not depend on which address served machine 1.
+			want, _, err := shape.rounds(context.Background(), g, Config{Workers: backends, Seed: 13, BatchSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range want {
+				assertSummariesEqual(t, sums[r], want[r])
+			}
+
+			// Fail fast, typed, when replay is off.
+			cfg.MaxRetries = 0
+			err = runWithTimeout(t, 30*time.Second, func() error {
+				_, _, err := shape.rounds(context.Background(), g, cfg)
+				return err
+			})
+			var we *WorkerError
+			if !errors.As(err, &we) || we.Addr != dead || we.Kind != KindDial {
+				t.Fatalf("err = %v, want a dial *WorkerError for %s", err, dead)
+			}
+			if errors.Is(err, ErrRetriesExhausted) {
+				t.Fatalf("err = %v: replay was attempted with MaxRetries 0", err)
+			}
+		})
 	}
-	var sums []stream.Summary
-	var st *Stats
-	err := runWithTimeout(t, 30*time.Second, func() error {
-		var err error
-		sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
-		return err
-	})
-	if err != nil {
-		t.Fatalf("spare did not recover the run: %v", err)
-	}
-	if st.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2 (one refused re-dial, one spare)", st.Retries)
-	}
-	if !reflect.DeepEqual(st.ReplayedMachines, []int{1}) {
-		t.Fatalf("ReplayedMachines = %v, want [1]", st.ReplayedMachines)
-	}
-	// The result must not depend on which address served machine 1.
-	want, _, err := run(context.Background(), stream.NewGraphSource(g),
-		Config{Workers: backends, Seed: 13, BatchSize: 64}, taskMatching, edcs.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSummariesEqual(t, sums, want)
 }
 
 // TestRetriesExhausted: when every replay attempt fails, the run must end
@@ -331,7 +400,7 @@ func TestRetriesExhausted(t *testing.T) {
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 	}
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		_, _, err := summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 		return err
 	})
 	if !errors.Is(err, ErrRetriesExhausted) {
@@ -364,7 +433,7 @@ func TestReplayNeedsRestartableSource(t *testing.T) {
 	cfg := Config{Workers: []string{backends[0], crash}, Seed: 19, BatchSize: 64,
 		MaxRetries: 2, RetryBackoff: time.Millisecond}
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := run(context.Background(), &opaqueSource{inner: stream.NewGraphSource(g)}, cfg, taskMatching, edcs.Params{})
+		_, _, err := summaries(context.Background(), &opaqueSource{inner: stream.NewGraphSource(g)}, cfg, matchingTask, task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -386,8 +455,8 @@ func TestIOTimeoutStalledWorker(t *testing.T) {
 	g := gen.GNP(500, 0.02, rng.New(23))
 	start := time.Now()
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g),
-			Config{Workers: []string{backends[0], proxyAddr}, Seed: 23, IOTimeout: 2 * time.Second})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g),
+			Config{Workers: []string{backends[0], proxyAddr}, Seed: 23, IOTimeout: 2 * time.Second}, matchingTask, task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -450,8 +519,8 @@ func TestConcurrentWorkerFailures(t *testing.T) {
 	crashB := crashingWorker(t, 0)
 	g := gen.GNP(2000, 0.01, rng.New(29))
 	err := runWithTimeout(t, 30*time.Second, func() error {
-		_, _, err := Matching(context.Background(), stream.NewGraphSource(g),
-			Config{Workers: []string{backends[0], crashA, crashB}, Seed: 29, BatchSize: 64})
+		_, _, err := Solve(context.Background(), stream.NewGraphSource(g),
+			Config{Workers: []string{backends[0], crashA, crashB}, Seed: 29, BatchSize: 64}, matchingTask, task.Params{})
 		return err
 	})
 	var we *WorkerError
@@ -463,6 +532,100 @@ func TestConcurrentWorkerFailures(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v reads as a cancellation", err)
+	}
+}
+
+// muteAfterCrash is a worker that fails the first pass and wedges the replay:
+// its first connection drops right after the handshake, and every later one
+// ACKs, drains SHARD frames through the EOS, reports that on sawEOS, and then
+// never answers — holding the connection until the coordinator closes it.
+func muteAfterCrash(t *testing.T) (addr string, sawEOS <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	eos := make(chan struct{}, 1)
+	go func() {
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(crash bool) {
+				defer conn.Close()
+				if typ, _, _, err := readFrame(conn); err != nil || typ != frameHello {
+					return
+				}
+				if _, err := writeFrame(conn, frameAck, []byte{protocolVersion}); err != nil || crash {
+					return
+				}
+				for {
+					typ, _, _, err := readFrame(conn)
+					if err != nil {
+						return
+					}
+					if typ == frameEOS {
+						break
+					}
+				}
+				select {
+				case eos <- struct{}{}:
+				default:
+				}
+				_, _ = io.Copy(io.Discard, conn) // returns when the coordinator hangs up
+			}(i == 0)
+		}
+	}()
+	return ln.Addr().String(), eos
+}
+
+// TestCancelDuringReplay: a cancellation that lands while a replay wave is
+// awaiting a replayed CORESET — from a worker that will never send it, with
+// the frame deadlines off — must end the round with the context error
+// promptly and leak nothing. The replay wave is the same conversation as the
+// first pass, so the same connection watch covers it.
+func TestCancelDuringReplay(t *testing.T) {
+	for _, shape := range sessionShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			healthy := startWorkers(t, 1)
+			mute, sawEOS := muteAfterCrash(t)
+			baseline := runtime.NumGoroutine()
+
+			g := gen.GNP(2000, 16.0/2000, rng.New(59))
+			cfg := Config{
+				Workers: []string{healthy[0], mute},
+				Seed:    59, BatchSize: 64,
+				MaxRetries: 2, RetryBackoff: time.Millisecond,
+				IOTimeout: -1,
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var canceledAt time.Time
+			go func() {
+				select {
+				case <-sawEOS: // the replay wave is in flight and will never be answered
+					canceledAt = time.Now()
+					cancel()
+				case <-ctx.Done():
+				}
+			}()
+			err := runWithTimeout(t, 15*time.Second, func() error {
+				_, _, err := shape.rounds(ctx, g, cfg)
+				return err
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if canceledAt.IsZero() {
+				t.Fatal("the run ended before the replay wave was in flight")
+			}
+			if d := time.Since(canceledAt); d > 2*time.Second {
+				t.Fatalf("cancellation took %v to surface", d)
+			}
+			waitGoroutines(t, baseline)
+		})
 	}
 }
 
@@ -492,7 +655,7 @@ func TestSessionReplayEveryRound(t *testing.T) {
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
 	}
-	sess, err := DialEDCSRounds(context.Background(), cfg, p, rounds, g.N)
+	sess, err := Dial(context.Background(), cfg, edcsTask, task.Params{EDCS: p}, rounds, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,8 +681,8 @@ func TestSessionReplayEveryRound(t *testing.T) {
 			t.Fatalf("round %d: ReplayedMachines = %v, want [1]", r, st.ReplayedMachines)
 		}
 		// In-process oracle for the same (input, k, seed).
-		want, _, err := stream.EDCSSummaries(context.Background(),
-			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seed, BatchSize: 64}, p)
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seed, BatchSize: 64}, edcsTask, task.Params{EDCS: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +705,7 @@ func TestSessionReplayEveryRound(t *testing.T) {
 func TestSessionCloseIdempotent(t *testing.T) {
 	backends := startWorkers(t, 2)
 	g := gen.GNP(400, 0.05, rng.New(41))
-	sess, err := DialEDCSRounds(context.Background(), Config{Workers: backends}, edcs.ParamsForBeta(16), 2, g.N)
+	sess, err := Dial(context.Background(), Config{Workers: backends}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,8 +732,7 @@ func TestSessionCloseAfterFailure(t *testing.T) {
 	t.Cleanup(closeProxy)
 	g := gen.GNP(2000, 16.0/2000, rng.New(43))
 	// Replay disabled: the mid-round failure must poison the session.
-	sess, err := DialEDCSRounds(context.Background(), Config{Workers: []string{backends[0], proxyAddr}, BatchSize: 64},
-		edcs.ParamsForBeta(16), 2, g.N)
+	sess, err := Dial(context.Background(), Config{Workers: []string{backends[0], proxyAddr}, BatchSize: 64}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,21 +766,21 @@ func TestNoGoroutineLeaksReplay(t *testing.T) {
 	g := gen.GNP(1500, 0.01, rng.New(47))
 
 	// Successful replay after a crash.
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g),
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g),
 		Config{Workers: []string{addrs[0], proxyAddr}, Seed: 47, BatchSize: 64,
-			MaxRetries: 2, RetryBackoff: time.Millisecond}); err != nil {
+			MaxRetries: 2, RetryBackoff: time.Millisecond}, matchingTask, task.Params{}); err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
 	// Successful replay after a stall (deadline detection).
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g),
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g),
 		Config{Workers: []string{addrs[0], stallAddr}, Seed: 47, BatchSize: 64,
-			IOTimeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond}); err != nil {
+			IOTimeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond}, matchingTask, task.Params{}); err != nil {
 		t.Fatalf("stall replay run: %v", err)
 	}
 	// Exhausted retries.
-	if _, _, err := Matching(context.Background(), stream.NewGraphSource(g),
+	if _, _, err := Solve(context.Background(), stream.NewGraphSource(g),
 		Config{Workers: []string{addrs[0], deadAddr(t)}, Seed: 47, BatchSize: 64,
-			MaxRetries: 1, RetryBackoff: time.Millisecond}); !errors.Is(err, ErrRetriesExhausted) {
+			MaxRetries: 1, RetryBackoff: time.Millisecond}, matchingTask, task.Params{}); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("exhausted run err = %v", err)
 	}
 
@@ -626,17 +788,5 @@ func TestNoGoroutineLeaksReplay(t *testing.T) {
 	closeStall()
 	shutdown()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= baseline+3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines did not settle: %d (baseline %d)\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitGoroutines(t, baseline)
 }

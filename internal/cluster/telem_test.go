@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 // TestTelemCodec: the TELEM payload round-trips field-for-field, and the
@@ -92,7 +92,7 @@ func legacyWorker(t *testing.T, sawHello chan<- hello) string {
 			edges = append(edges, batch...)
 		}
 		sum := stream.Summary{Edges: len(edges), Stored: len(edges), Coreset: edges}
-		_, _ = writeFrame(conn, frameCoreset, appendSummary(nil, taskMatching, sum))
+		_, _ = writeFrame(conn, frameCoreset, task.AppendSummary(nil, matchingTask, sum))
 	}()
 	return ln.Addr().String()
 }
@@ -112,7 +112,7 @@ func TestBareCoresetTolerated(t *testing.T) {
 	var st *Stats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		sums, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 		return err
 	})
 	if err != nil {
@@ -182,7 +182,7 @@ func telemCorruptingWorker(t *testing.T, telemPayload []byte) string {
 					return
 				}
 				sum := stream.Summary{Coreset: []graph.Edge{}}
-				_, _ = writeFrame(conn, frameCoreset, appendSummary(nil, taskMatching, sum))
+				_, _ = writeFrame(conn, frameCoreset, task.AppendSummary(nil, matchingTask, sum))
 			}(conn)
 		}
 	}()
@@ -211,7 +211,7 @@ func TestCorruptTelemIsTerminal(t *testing.T) {
 				MaxRetries: 2, RetryBackoff: time.Millisecond, // replay armed, must not fire
 			}
 			err := runWithTimeout(t, 30*time.Second, func() error {
-				_, _, err := run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+				_, _, err := summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 				return err
 			})
 			var we *WorkerError
@@ -248,7 +248,7 @@ func TestReplayedMachineTelemetry(t *testing.T) {
 	var st *Stats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
-		sums, st, err = run(context.Background(), stream.NewGraphSource(g), cfg, taskMatching, edcs.Params{})
+		sums, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
 		return err
 	})
 	if err != nil {

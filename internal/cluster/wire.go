@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/edcs"
 	"repro/internal/graph"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -17,16 +16,31 @@ import (
 //
 //	[1 byte type][4 bytes big-endian payload length][payload]
 //
-// A run-assignment is one TCP connection speaking a fixed sequence:
+// The coordinator holds one session per run: one TCP connection per worker,
+// one HELLO on each, and then up to the session's round cap of rounds on the
+// same connections. A connection therefore speaks
 //
 //	coordinator -> worker   HELLO      task, machine index, k, optional n
-//	                                   (+ EDCS degree constraints for task edcs)
+//	                                   (+ degree constraints for UsesBeta tasks)
+//	                                   (+ round cap under a multi-round task byte)
 //	                                   (+ run ID when telemetry is requested)
 //	worker -> coordinator   ACK        protocol version echo + capability byte
+//
+// followed by one or more rounds, each with a fresh machine on the worker:
+//
 //	coordinator -> worker   SHARD*     varint delta edge batch (graph codec)
 //	coordinator -> worker   EOS        final vertex count
 //	worker -> coordinator   TELEM      phase timings + build counters (optional)
 //	worker -> coordinator   CORESET    per-machine stats + coreset message
+//
+// A single-round run is the session with a cap of 1: it is announced by the
+// task's single-round byte, whose HELLO has no rounds field, and the worker
+// closes the connection after its one CORESET. Under a task's multi-round
+// byte the HELLO carries the cap, and because the coordinator cannot know the
+// final round count upfront (its early exit fires when the union stops
+// shrinking) and may drop a machine from later rounds (the schedule shrinks
+// k), it ends the assignment by closing the connection at a round boundary,
+// which the worker treats as a clean end.
 //
 // TELEM is capability-negotiated, no version bump: the coordinator sets the
 // telemetry bit in the HELLO flag byte (and appends its run ID, which old
@@ -39,16 +53,11 @@ import (
 // are measurement overhead, not algorithm traffic — and are tracked under
 // their own metric instead.
 //
-// A multi-round assignment (task taskEDCSRounds) repeats the
-// SHARD*/EOS/CORESET round on the same connection up to the HELLO's round
-// cap — one HELLO per run, not per round — and ends when the coordinator
-// closes the connection at a round boundary.
-//
 // Retry is a re-handshake, not a frame: workers are stateless across
 // connections, so a coordinator replaying a lost round simply dials again
-// and speaks a fresh HELLO for the same machine index (for a multi-round
-// assignment, with the rounds field reduced to the rounds still owed,
-// current round included). The frame set is unchanged and no version bump
+// and speaks a fresh HELLO for the same machine index (under a multi-round
+// byte, with the rounds field reduced to the rounds still owed, current
+// round included). The frame set is unchanged and no version bump
 // is needed; a pre-replay worker serves a replayed round exactly like a
 // fresh run.
 //
@@ -88,29 +97,15 @@ const ackCapTelem byte = 1 << 0
 // "r-%08x" (10 bytes), so the cap exists purely against hostile frames.
 const maxRunIDLen = 128
 
-// Task bytes carried in HELLO. The authoritative byte assignments live in
-// the task registry (internal/task): Descriptor.Wire is the HELLO task byte
-// and Descriptor.WireRounds its multi-round variant, and both encodeHello
-// and decodeHello dispatch through task.ByWire rather than a task switch.
-// The constants below are the registry's values restated for this package's
-// own call sites and tests; TestTaskBytesMatchRegistry pins the two in sync.
-// A task byte extends the HELLO payload per its descriptor's capabilities
-// (UsesBeta appends the two EDCS degree constraints; a WireRounds byte
-// additionally carries the round cap); peers that predate a byte reject the
-// unknown task, so no protocol version bump is needed. A multi-round
-// assignment (taskEDCSRounds) speaks up to the round cap's SHARD*/EOS
-// rounds — with a fresh machine per round — instead of exactly one; the
-// coordinator ends the run early by closing the connection at a round
-// boundary, which the worker treats as a clean end (the early exit fires
-// when the union stops shrinking, so the worker cannot know the final round
-// count upfront).
-const (
-	taskMatching   byte = 1
-	taskVC         byte = 2
-	taskEDCS       byte = 3
-	taskEDCSRounds byte = 4
-	taskDiversity  byte = 5
-)
+// Task bytes carried in HELLO. The byte assignments live in the task registry
+// (internal/task): Descriptor.Wire is the HELLO task byte and
+// Descriptor.WireRounds its multi-round variant, and both encodeHello and
+// decodeHello dispatch through task.ByWire rather than a task switch
+// (TestTaskBytesMatchRegistry pins the assigned values). A task byte extends
+// the HELLO payload per its descriptor's capabilities (UsesBeta appends the
+// two EDCS degree constraints; a WireRounds byte additionally carries the
+// round cap); peers that predate a byte reject the unknown task, so no
+// protocol version bump is needed.
 
 // taskName returns a task byte's human name for logs and trace spans.
 func taskName(tb byte) string {
@@ -123,9 +118,9 @@ func taskName(tb byte) string {
 	return fmt.Sprintf("task-0x%02x", tb)
 }
 
-// UnknownTaskError is the typed rejection for a HELLO (or CORESET) carrying
-// a task byte the task registry does not know. It names the offending byte
-// and the registry's known bytes, so a version-skewed peer's operator can
+// UnknownTaskError is the typed rejection for a HELLO carrying a task byte
+// the task registry does not know. It names the offending byte and the
+// registry's known bytes, so a version-skewed peer's operator can
 // see at a glance whether the byte is from a newer task or plain corruption.
 type UnknownTaskError struct {
 	Task  byte   // the unknown task byte
@@ -154,7 +149,7 @@ const maxVertices = 1 << 28
 // maxK bounds the machine count in HELLO; far above any deployment here.
 const maxK = 1 << 20
 
-// maxWireRounds bounds the round cap a worker accepts in a taskEDCSRounds
+// maxWireRounds bounds the round cap a worker accepts in a multi-round
 // HELLO. The paper's schedule needs O(log log n) rounds, so anything near
 // this cap is already nonsense; it exists so a corrupt frame cannot promise
 // an absurd run length.
@@ -217,9 +212,9 @@ func readFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
 	return hdr[0], payload, frameHeaderLen + int(size), nil
 }
 
-// hello is the HELLO payload: which machine of which kind of run this
-// connection carries. EDCS runs additionally carry the degree constraints,
-// so the worker builds the identical machine the in-process runtime would.
+// hello is the HELLO payload: which machine of which run this connection
+// carries. UsesBeta tasks additionally carry the degree constraints, so the
+// worker builds the identical machine the in-process runtime would.
 type hello struct {
 	version byte
 	task    byte
@@ -227,8 +222,8 @@ type hello struct {
 	k       int
 	known   bool // vertex count declared upfront (enables online peeling)
 	n       int
-	edcs    edcs.Params // taskEDCS and taskEDCSRounds
-	rounds  int         // taskEDCSRounds only: round cap for this run (>= 1)
+	edcs    edcs.Params // UsesBeta tasks
+	rounds  int         // multi-round task bytes only: round cap for this connection (>= 1)
 	telem   bool        // request per-round TELEM frames from the worker
 	runID   string      // coordinator's trace run ID (sent iff telem)
 }
@@ -403,31 +398,4 @@ func (t workerTelem) machineStats(m int) graph.MachineStats {
 		Removals:    t.removals,
 		PeakCoreset: t.peakCoreset,
 	}
-}
-
-// appendSummary encodes a machine's end-of-stream summary as the CORESET
-// payload for task byte tb: uvarint received/stored/live stats, then the
-// descriptor's coreset body. The actual codec lives with the descriptor
-// (task.AppendSummary); this wrapper only resolves the wire byte.
-func appendSummary(dst []byte, tb byte, s stream.Summary) []byte {
-	d, _, ok := task.ByWire(tb)
-	if !ok {
-		// Only reachable with a task byte that already passed decodeHello.
-		panic((&UnknownTaskError{Task: tb, Known: task.WireRange()}).Error())
-	}
-	return task.AppendSummary(dst, d, s)
-}
-
-// decodeSummary reconstructs a stream.Summary from a CORESET payload. The
-// result is field-for-field identical to what the worker's Machine.Finish
-// returned — including nil-versus-empty slice shapes, which the seed-parity
-// guarantee (cluster coresets deep-equal in-process ones) depends on. The
-// codec is the descriptor's (task.DecodeSummary); this wrapper resolves the
-// wire byte.
-func decodeSummary(tb byte, data []byte) (stream.Summary, error) {
-	d, _, ok := task.ByWire(tb)
-	if !ok {
-		return stream.Summary{}, &UnknownTaskError{Task: tb, Known: task.WireRange()}
-	}
-	return task.DecodeSummary(d, data)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -62,15 +64,42 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
+// helloVectors are well-formed HELLOs covering every optional part of the
+// payload: the UsesBeta tail, the rounds field, the telemetry bit with and
+// without a run ID.
+var helloVectors = []hello{
+	{version: protocolVersion, task: taskMatching, machine: 0, k: 1},
+	{version: protocolVersion, task: taskVC, machine: 7, k: 8, known: true, n: 1 << 20},
+	{version: protocolVersion, task: taskEDCS, machine: 2, k: 4, known: true, n: 1 << 10, edcs: edcs.ParamsForBeta(32)},
+	{version: protocolVersion, task: taskMatching, machine: 1, k: 2, telem: true, runID: "r-00c0ffee"},
+	{version: protocolVersion, task: taskEDCS, machine: 0, k: 2, known: true, n: 1 << 8,
+		edcs: edcs.ParamsForBeta(16), telem: true}, // telemetry requested with an empty run ID
+	{version: protocolVersion, task: taskEDCSRounds, machine: 1, k: 2, known: true, n: 1 << 8,
+		edcs: edcs.ParamsForBeta(16), rounds: 3, telem: true, runID: "r-00c0ffee"},
+}
+
+// badHellos are HELLOs a worker must reject.
+var badHellos = map[string]hello{
+	"version":     {version: 99, task: taskMatching, k: 1},
+	"task":        {version: protocolVersion, task: 9, k: 1},
+	"machine-oob": {version: protocolVersion, task: taskVC, machine: 3, k: 3},
+	"zero-k":      {version: protocolVersion, task: taskVC, machine: 0, k: 0},
+	"huge-k":      {version: protocolVersion, task: taskVC, machine: 0, k: maxK + 1},
+	// n drives an O(n) allocation in the VC machine; a worker that
+	// accepted an unbounded count could be crashed by one frame.
+	"huge-n": {version: protocolVersion, task: taskVC, k: 1, known: true, n: maxVertices + 1},
+	// EDCS params the dynamic subgraph cannot satisfy, or absurdly large.
+	"edcs-invalid": {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: 4, BetaMinus: 4}},
+	"edcs-huge":    {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: edcs.MaxBeta + 1, BetaMinus: 1}},
+	// A round cap outside [1, maxWireRounds] promises a nonsense run length.
+	"rounds-zero": {version: protocolVersion, task: taskEDCSRounds, k: 1, edcs: edcs.ParamsForBeta(16)},
+	"rounds-huge": {version: protocolVersion, task: taskEDCSRounds, k: 1, edcs: edcs.ParamsForBeta(16), rounds: maxWireRounds + 1},
+	// A hostile run ID length must be rejected before allocation.
+	"runid-huge": {version: protocolVersion, task: taskMatching, k: 1, telem: true, runID: strings.Repeat("x", maxRunIDLen+1)},
+}
+
 func TestHelloRoundTrip(t *testing.T) {
-	for _, h := range []hello{
-		{version: protocolVersion, task: taskMatching, machine: 0, k: 1},
-		{version: protocolVersion, task: taskVC, machine: 7, k: 8, known: true, n: 1 << 20},
-		{version: protocolVersion, task: taskEDCS, machine: 2, k: 4, known: true, n: 1 << 10, edcs: edcs.ParamsForBeta(32)},
-		{version: protocolVersion, task: taskMatching, machine: 1, k: 2, telem: true, runID: "r-00c0ffee"},
-		{version: protocolVersion, task: taskEDCS, machine: 0, k: 2, known: true, n: 1 << 8,
-			edcs: edcs.ParamsForBeta(16), telem: true}, // telemetry requested with an empty run ID
-	} {
+	for _, h := range helloVectors {
 		got, err := decodeHello(encodeHello(h))
 		if err != nil {
 			t.Fatalf("%+v: %v", h, err)
@@ -82,21 +111,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloRejectsBadFields(t *testing.T) {
-	for name, h := range map[string]hello{
-		"version":     {version: 99, task: taskMatching, k: 1},
-		"task":        {version: protocolVersion, task: 9, k: 1},
-		"machine-oob": {version: protocolVersion, task: taskVC, machine: 3, k: 3},
-		"zero-k":      {version: protocolVersion, task: taskVC, machine: 0, k: 0},
-		"huge-k":      {version: protocolVersion, task: taskVC, machine: 0, k: maxK + 1},
-		// n drives an O(n) allocation in the VC machine; a worker that
-		// accepted an unbounded count could be crashed by one frame.
-		"huge-n": {version: protocolVersion, task: taskVC, k: 1, known: true, n: maxVertices + 1},
-		// EDCS params the dynamic subgraph cannot satisfy, or absurdly large.
-		"edcs-invalid": {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: 4, BetaMinus: 4}},
-		"edcs-huge":    {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: edcs.MaxBeta + 1, BetaMinus: 1}},
-		// A hostile run ID length must be rejected before allocation.
-		"runid-huge": {version: protocolVersion, task: taskMatching, k: 1, telem: true, runID: strings.Repeat("x", maxRunIDLen+1)},
-	} {
+	for name, h := range badHellos {
 		if _, err := decodeHello(encodeHello(h)); err == nil {
 			t.Fatalf("%s: bad HELLO accepted", name)
 		}
@@ -104,6 +119,101 @@ func TestHelloRejectsBadFields(t *testing.T) {
 	if _, err := decodeHello([]byte{protocolVersion}); err == nil {
 		t.Fatal("short HELLO accepted")
 	}
+}
+
+// FuzzDecodeHello: the HELLO decoder reads bytes straight off a socket. It
+// must absorb anything, and whatever it accepts must survive a re-encode
+// unchanged — the capability tail, the run-ID length, the rounds field and
+// the UsesBeta tail included.
+func FuzzDecodeHello(f *testing.F) {
+	for _, h := range helloVectors {
+		f.Add(encodeHello(h))
+	}
+	for _, h := range badHellos {
+		f.Add(encodeHello(h))
+	}
+	f.Add([]byte{protocolVersion})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := decodeHello(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeHello(encodeHello(h))
+		if err != nil {
+			t.Fatalf("accepted HELLO %+v does not re-decode: %v", h, err)
+		}
+		if again != h {
+			t.Fatalf("HELLO changed across a re-encode:\nfirst  %+v\nsecond %+v", h, again)
+		}
+	})
+}
+
+// FuzzDecodeTelem: same contract for the TELEM payload, whose decoder is
+// strict (no truncation, no trailing bytes).
+func FuzzDecodeTelem(f *testing.F) {
+	full := appendTelem(nil, workerTelem{
+		decodeNS: 1_500_000, buildNS: 92_000_000, encodeNS: 310_000,
+		edgesIn: 4096, repairIters: 17, removals: 9, peakCoreset: 801,
+	})
+	f.Add(full)
+	f.Add(full[:3])
+	f.Add(append(append([]byte{}, full...), 0x07))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tm, err := decodeTelem(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeTelem(appendTelem(nil, tm))
+		if err != nil || again != tm {
+			t.Fatalf("TELEM %+v changed across a re-encode: %+v (err %v)", tm, again, err)
+		}
+	})
+}
+
+// FuzzReadFrame: the frame reader sees a peer's bytes before any other
+// validation. Truncated headers and payloads and oversized length prefixes
+// must come back as errors, a frame it accepts must be exactly the bytes on
+// the wire, and in no case may one read allocate past maxFramePayload.
+func FuzzReadFrame(f *testing.F) {
+	var ok bytes.Buffer
+	_, _ = writeFrame(&ok, frameShard, []byte{0x01, 0x02, 0x03})
+	f.Add(ok.Bytes())
+	f.Add([]byte{frameShard, 0xFF, 0xFF, 0xFF, 0xFF})           // oversized length prefix
+	f.Add([]byte{frameShard, 0x00})                             // truncated header
+	f.Add([]byte{frameShard, 0x00, 0x00, 0x00, 0x05, 0x01})     // truncated payload
+	f.Add([]byte{frameCoreset, 0x04, 0x00, 0x00, 0x00, 0x01})   // largest legal prefix, truncated
+	f.Add([]byte{frameCoreset, 0x04, 0x00, 0x00, 0x01, 0x01})   // one past the limit
+	f.Add([]byte{frameEOS, 0x00, 0x00, 0x00, 0x00, 0xAA, 0xBB}) // empty frame, trailing bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		typ, payload, n, err := readFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// Slack for whatever else the test process allocates meanwhile.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFramePayload+1<<20 {
+			t.Fatalf("one readFrame allocated %d bytes, limit %d", grew, maxFramePayload)
+		}
+		if len(data) < frameHeaderLen {
+			if err == nil {
+				t.Fatal("truncated header accepted")
+			}
+			return
+		}
+		size := binary.BigEndian.Uint32(data[1:])
+		if size > maxFramePayload || uint64(len(data)-frameHeaderLen) < uint64(size) {
+			if err == nil {
+				t.Fatalf("frame with length prefix %d over %d payload bytes accepted", size, len(data)-frameHeaderLen)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("well-formed frame rejected: %v", err)
+		}
+		if typ != data[0] || n != frameHeaderLen+int(size) || !bytes.Equal(payload, data[frameHeaderLen:n]) {
+			t.Fatalf("frame type 0x%02x len %d differs from the bytes on the wire", typ, n)
+		}
+	})
 }
 
 // TestWorkerSurvivesHostileFrames: frames that could drive unbounded
@@ -146,8 +256,8 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 
 	// The worker is still alive and serves an honest run.
 	g := gen.GNP(300, 0.05, rng.New(8))
-	m, _, err := Matching(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 8})
-	if err != nil || m.Size() == 0 {
+	m, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: addrs, Seed: 8}, matchingTask, task.Params{})
+	if err != nil || m.Size == 0 {
 		t.Fatalf("worker unusable after hostile frames: %v", err)
 	}
 }
@@ -165,41 +275,44 @@ func TestSummaryCodecParity(t *testing.T) {
 		return m.Finish(g.N)
 	}
 	cases := []struct {
-		name string
-		task byte
-		sum  stream.Summary
+		name     string
+		d        *task.Descriptor
+		k, nHint int
+		edges    []graph.Edge
 	}{
-		{"matching", taskMatching, feed(stream.NewMatchingMachine(), g.Edges)},
-		{"matching-empty", taskMatching, feed(stream.NewMatchingMachine(), nil)},
-		{"vc-online-peel", taskVC, feed(stream.NewVCMachine(4, g.N), g.Edges)},
-		{"vc-no-hint", taskVC, feed(stream.NewVCMachine(4, 0), g.Edges)},
-		{"vc-empty", taskVC, feed(stream.NewVCMachine(4, g.N), nil)},
-		{"edcs", taskEDCS, feed(stream.NewEDCSMachine(g.N, edcs.ParamsForBeta(8)), g.Edges)},
-		{"edcs-empty", taskEDCS, feed(stream.NewEDCSMachine(0, edcs.ParamsForBeta(8)), nil)},
+		{"matching", matchingTask, 0, 0, g.Edges},
+		{"matching-empty", matchingTask, 0, 0, nil},
+		{"vc-online-peel", vcTask, 4, g.N, g.Edges},
+		{"vc-no-hint", vcTask, 4, 0, g.Edges},
+		{"vc-empty", vcTask, 4, g.N, nil},
+		{"edcs", edcsTask, 0, g.N, g.Edges},
+		{"edcs-empty", edcsTask, 0, 0, nil},
 	}
 	for _, tc := range cases {
-		got, err := decodeSummary(tc.task, appendSummary(nil, tc.task, tc.sum))
+		b := tc.d.NewBuilder(tc.k, tc.nHint, task.Params{EDCS: edcs.ParamsForBeta(8)})
+		sum := feed(stream.NewMachine(b), tc.edges)
+		got, err := task.DecodeSummary(tc.d, task.AppendSummary(nil, tc.d, sum))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(got, tc.sum) {
-			t.Fatalf("%s: decoded summary differs:\ngot  %+v\nwant %+v", tc.name, got, tc.sum)
+		if !reflect.DeepEqual(got, sum) {
+			t.Fatalf("%s: decoded summary differs:\ngot  %+v\nwant %+v", tc.name, got, sum)
 		}
 	}
 }
 
 func TestSummaryCodecCorrupt(t *testing.T) {
 	for _, data := range [][]byte{nil, {0x01}, {0x01, 0x01, 0x01}} {
-		if _, err := decodeSummary(taskMatching, data); err == nil {
+		if _, err := task.DecodeSummary(matchingTask, data); err == nil {
 			t.Fatalf("corrupt matching summary %v accepted", data)
 		}
-		if _, err := decodeSummary(taskVC, data); err == nil {
+		if _, err := task.DecodeSummary(vcTask, data); err == nil {
 			t.Fatalf("corrupt vc summary %v accepted", data)
 		}
 	}
 	// Trailing garbage after a valid body must be rejected.
-	valid := appendSummary(nil, taskMatching, stream.NewMatchingMachine().Finish(0))
-	if _, err := decodeSummary(taskMatching, append(valid, 0x00)); err == nil {
+	valid := task.AppendSummary(nil, matchingTask, stream.NewMachine(matchingTask.NewBuilder(0, 0, task.Params{})).Finish(0))
+	if _, err := task.DecodeSummary(matchingTask, append(valid, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }

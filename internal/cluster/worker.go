@@ -19,9 +19,9 @@ import (
 )
 
 // Worker is a resident coreset worker: it accepts any number of concurrent
-// run-assignment connections, hosts one stream.Machine per connection — the
-// same incremental builders the in-process runtime uses — and answers each
-// with a single CORESET frame. A worker is stateless between runs: all
+// run-assignment connections, hosts one stream.Machine per connection and
+// round — the same incremental builders the in-process runtime uses — and
+// answers each round with a single CORESET frame. A worker is stateless between runs: all
 // per-run state lives on the connection's goroutine and is discarded the
 // moment the connection ends, so a coordinator that vanishes mid-shard costs
 // the worker nothing but a logged line.
@@ -36,7 +36,7 @@ type Worker struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	served atomic.Int64 // CORESET frames answered (runs, or rounds of multi-round runs)
+	served atomic.Int64 // rounds answered with a CORESET (one per single-round run)
 }
 
 // NewWorker returns a worker logging to logger (nil: discard).
@@ -201,12 +201,13 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handle speaks one run-assignment: HELLO/ACK handshake, SHARD frames into
-// the machine, EOS, CORESET back. Protocol and decode failures are answered
-// with a best-effort ERROR frame before the connection drops. A panic while
-// serving one run (a malformed input the validations missed) is confined to
-// that connection: the worker is resident and must outlive any single
-// coordinator.
+// handle speaks one run-assignment: the HELLO/ACK handshake, then the
+// assignment's rounds (serveRounds) — one for a single-round task byte, up
+// to the HELLO's round cap for a multi-round one. Protocol and decode
+// failures are answered with a best-effort ERROR frame before the connection
+// drops. A panic while serving one run (a malformed input the validations
+// missed) is confined to that connection: the worker is resident and must
+// outlive any single coordinator.
 func (w *Worker) handle(conn net.Conn) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -251,34 +252,18 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	// cannot miss; the descriptor supplies the machine's builder, so the
 	// worker itself is task-agnostic.
 	d, multiRound, _ := task.ByWire(h.task)
-	mk := func() *stream.Machine {
+	if !multiRound {
+		h.rounds = 1
+	}
+	return w.serveRounds(conn, h, tr, func() *stream.Machine {
 		return stream.NewMachine(d.NewBuilder(h.k, nHint, task.Params{EDCS: h.edcs}))
-	}
-	if multiRound {
-		return w.serveRounds(conn, h, mk, tr)
-	}
-	m := mk()
-
-	tm := new(workerTelem)
-	var shard []graph.Edge
-	for {
-		typ, payload, nr, err := readFrame(conn)
-		if err != nil {
-			return fmt.Errorf("machine %d: reading frame: %w", h.machine, err)
-		}
-		w.countIn(nr)
-		done, err := w.consumeFrame(conn, h, m, 0, typ, payload, tm, &shard)
-		if err != nil || done {
-			return err
-		}
-	}
+	})
 }
 
 // consumeFrame handles one mid-run frame for the given machine: SHARD feeds
 // the builder, EOS finishes it and answers with the CORESET frame (done =
-// true), preceded by a TELEM frame when the HELLO requested telemetry.
-// Shared by the single-round loop and the multi-round loop, so the two paths
-// cannot drift on decoding or validation. tm accumulates the round's phase
+// true), preceded by a TELEM frame when the HELLO requested telemetry. tm
+// accumulates the round's phase
 // times and build counters; the caller resets it at round boundaries. shard
 // is the connection's SHARD decode buffer: builders copy what they keep of an
 // Add, so every frame decodes into the same array.
@@ -315,11 +300,16 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		}
 		t0 := time.Now()
 		sum := m.Finish(int(n))
-		body := appendSummary(nil, h.task, sum)
+		d, _, _ := task.ByWire(h.task) // cannot miss: decodeHello accepted the byte
+		body := task.AppendSummary(nil, d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		bt := m.Telem()
 		tm.repairIters, tm.removals, tm.peakCoreset = bt.RepairIters, bt.Removals, bt.PeakCoreset
 		w.observePhases(tm)
+		// Counted before the answer goes out, so a coordinator that has read
+		// the CORESET never finds this round missing from the worker's
+		// counters.
+		w.served.Add(1)
 		if h.telem {
 			nw, err := writeFrame(conn, frameTelem, appendTelem(nil, *tm))
 			if err != nil {
@@ -332,24 +322,23 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 			return false, fmt.Errorf("machine %d round %d: writing CORESET: %w", h.machine, round, err)
 		}
 		w.countOut(nw)
-		w.served.Add(1)
 		return true, nil
 	default:
 		return false, fail(fmt.Errorf("cluster: unexpected frame 0x%02x mid-shard", typ))
 	}
 }
 
-// serveRounds speaks a multi-round assignment (internal/rounds): up to
-// h.rounds rounds of SHARD*/EOS on this one connection, each answered by one
-// CORESET, with a FRESH machine per round (built by mk) — round r's input is
-// a different graph (the union of round r-1's coresets across all machines),
-// so nothing may carry over. The coordinator cannot know the final round
-// count upfront (its early exit fires when the union stops shrinking) and
-// may also drop this machine from later rounds (the schedule shrinks k), so
-// it ends the assignment by closing the connection at a round boundary; a
-// read error before any frame of a new round is therefore a clean end of
-// run, while one mid-round is a real abort.
-func (w *Worker) serveRounds(conn net.Conn, h hello, mk func() *stream.Machine, tr *obs.Tracer) error {
+// serveRounds speaks an assignment's rounds: up to h.rounds rounds of
+// SHARD*/EOS on this one connection, each answered by one CORESET, with a
+// FRESH machine per round (built by mk) — round r's input is a different
+// graph (the union of round r-1's coresets across all machines), so nothing
+// may carry over. The coordinator cannot know the final round count upfront
+// (its early exit fires when the union stops shrinking) and may also drop
+// this machine from later rounds (the schedule shrinks k), so it ends the
+// assignment by closing the connection at a round boundary; a read error
+// before any frame of a new round is therefore a clean end of run, while one
+// mid-round — or before the first round — is a real abort.
+func (w *Worker) serveRounds(conn net.Conn, h hello, tr *obs.Tracer, mk func() *stream.Machine) error {
 	var shard []graph.Edge
 	for round := 0; round < h.rounds; round++ {
 		m := mk()
@@ -362,7 +351,7 @@ func (w *Worker) serveRounds(conn net.Conn, h hello, mk func() *stream.Machine, 
 				// Only an orderly close (clean EOF before any frame of a new
 				// round) is the documented end-of-run signal; resets,
 				// timeouts and mid-header EOFs are real aborts and must be
-				// surfaced, exactly as the single-round path surfaces them.
+				// surfaced.
 				if !inRound && round > 0 && errors.Is(err, io.EOF) {
 					return nil
 				}

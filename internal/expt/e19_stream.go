@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func init() {
@@ -59,15 +61,16 @@ func runE19(cfg Config) *Result {
 			batchM := core.ComposeMatching(g.N, coresets).Size()
 			batchDur := time.Since(t0)
 
-			streamM, stM, err := stream.Matching(stream.NewGraphSource(g), stream.Config{K: k, Seed: hashSeed})
+			streamM, stM, err := stream.Solve(context.Background(), stream.NewGraphSource(g),
+				stream.Config{K: k, Seed: hashSeed}, task.MustGet("matching"), task.Params{})
 			if err != nil {
 				panic(err) // experiments fail loudly
 			}
-			eq := batchM == streamM.Size()
+			eq := batchM == streamM.Size
 			if !eq {
 				mismatches++
 			}
-			tb.AddRow(wl.name, rep, "matching", batchM, streamM.Size(), eq,
+			tb.AddRow(wl.name, rep, "matching", batchM, streamM.Size, eq,
 				fmt.Sprintf("%.2f", mEdgesPerSec(g.M(), batchDur)),
 				fmt.Sprintf("%.2f", stM.EdgesPerSec()/1e6),
 				stM.TotalCommBytes/1024)
@@ -80,15 +83,16 @@ func runE19(cfg Config) *Result {
 			batchVC := len(core.ComposeVC(g.N, vcs))
 			batchDur = time.Since(t0)
 
-			streamVC, stV, err := stream.VertexCover(stream.NewGraphSource(g), stream.Config{K: k, Seed: hashSeed})
+			streamVC, stV, err := stream.Solve(context.Background(), stream.NewGraphSource(g),
+				stream.Config{K: k, Seed: hashSeed}, task.MustGet("vc"), task.Params{})
 			if err != nil {
 				panic(err)
 			}
-			eq = batchVC == len(streamVC)
+			eq = batchVC == streamVC.Size
 			if !eq {
 				mismatches++
 			}
-			tb.AddRow(wl.name, rep, "vc", batchVC, len(streamVC), eq,
+			tb.AddRow(wl.name, rep, "vc", batchVC, streamVC.Size, eq,
 				fmt.Sprintf("%.2f", mEdgesPerSec(g.M(), batchDur)),
 				fmt.Sprintf("%.2f", stV.EdgesPerSec()/1e6),
 				stV.TotalCommBytes/1024)

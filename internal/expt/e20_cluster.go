@@ -9,6 +9,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func init() {
@@ -42,13 +43,8 @@ func runE20(cfg Config) *Result {
 			}
 			ccfg := cluster.Config{Workers: addrs, Seed: hashSeed}
 
-			for _, task := range []string{"matching", "vc"} {
-				var st *cluster.Stats
-				if task == "matching" {
-					_, st, err = cluster.Matching(ctx, stream.NewGraphSource(g), ccfg)
-				} else {
-					_, st, err = cluster.VertexCover(ctx, stream.NewGraphSource(g), ccfg)
-				}
+			for _, name := range []string{"matching", "vc"} {
+				_, st, err := cluster.Solve(ctx, stream.NewGraphSource(g), ccfg, task.MustGet(name), task.Params{})
 				if err != nil {
 					shutdown()
 					panic(err)
@@ -59,7 +55,7 @@ func runE20(cfg Config) *Result {
 				if st.TotalCommBytes <= 0 || ratio > 2 {
 					violations++
 				}
-				tb.AddRow(task, n, k,
+				tb.AddRow(name, n, k,
 					fmt.Sprintf("%.1f", float64(st.EstCommBytes)/1024),
 					fmt.Sprintf("%.1f", float64(st.TotalCommBytes)/1024),
 					fmt.Sprintf("%.3f", ratio),

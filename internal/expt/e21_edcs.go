@@ -14,6 +14,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
 
 func init() {
@@ -79,12 +80,13 @@ func runE21(cfg Config) *Result {
 			if err != nil {
 				panic(err) // experiments fail loudly
 			}
-			cm, cst, err := cluster.EDCS(ctx, stream.NewGraphSource(g), cluster.Config{Workers: addrs, Seed: hashSeed}, p)
+			cm, cst, err := cluster.Solve(ctx, stream.NewGraphSource(g), cluster.Config{Workers: addrs, Seed: hashSeed},
+				task.MustGet("edcs"), task.Params{EDCS: p})
 			shutdown()
 			if err != nil {
 				panic(err)
 			}
-			if cm.Size() != edcsM.Size() || cst.EstCommBytes != edcsSt.TotalCommBytes {
+			if cm.Size != edcsM.Size() || cst.EstCommBytes != edcsSt.TotalCommBytes {
 				violations++ // seed parity broke: the runtimes disagree
 			}
 

@@ -25,9 +25,11 @@
 //   - Stream feeds round 0 from any stream.EdgeSource (never materializing
 //     the original input) and later rounds from the in-memory union, which
 //     is coordinator state the MPC model already charges for.
-//   - Cluster drives a real worker fleet through one cluster.EDCSSession:
-//     the connections are dialed once, one HELLO carries the round cap, and
-//     every round's communication is MEASURED off the TCP connections.
+//   - Cluster drives a real worker fleet through one cluster.Session — the
+//     same conversation a single-round cluster run speaks, opened with the
+//     task's multi-round assignment: the connections are dialed once, one
+//     HELLO carries the round cap, and every round's communication is
+//     MEASURED off the TCP connections.
 //
 // All three produce deep-equal per-machine coresets for the same
 // (graph, seed, k, β, rounds) — the multi-round extension of the seed
@@ -320,7 +322,7 @@ func union(coresets [][]graph.Edge) []graph.Edge {
 // runRound executes one round and returns its per-machine coresets, the
 // round accounting and the vertex count the round observed (constant across
 // rounds; drive records it from round 0). Implementations: batch HashK +
-// edcs.Coreset, the streaming pipeline, one cluster.EDCSSession round.
+// edcs.Coreset, the streaming pipeline, one cluster.Session round.
 type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, rs RoundStat, n int, err error)
 
 // drive is the schedule shared by the three runtimes: run rounds with
@@ -404,10 +406,11 @@ func Batch(g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
 // Stream runs the multi-round driver over the in-process streaming runtime:
 // round 0 shards src through the concurrent pipeline without materializing
 // it; later rounds stream the in-memory union. Cancellation is cooperative
-// at batch granularity, as in stream.EDCSContext.
+// at batch granularity, as in stream.Solve.
 func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
 	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, RoundStat, int, error) {
-		sums, sst, err := stream.EDCSSummaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize}, cfg.Params)
+		sums, sst, err := stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize},
+			task.RoundsCapable(), task.Params{EDCS: cfg.Params})
 		if err != nil {
 			return nil, RoundStat{}, 0, err
 		}
@@ -424,7 +427,7 @@ func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.M
 }
 
 // Cluster runs the multi-round driver over a real worker fleet through one
-// cluster.EDCSSession: the worker connections are dialed once and reused
+// cluster.Session: the worker connections are dialed once and reused
 // across rounds, one HELLO per run carries the round cap, and every round's
 // communication lands in the round breakdown as MEASURED wire bytes. The
 // fleet size overrides cfg.K (one machine per worker, as everywhere in the
@@ -446,7 +449,7 @@ func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cf
 	if src != nil && src.KnownUpfront() {
 		nHint = src.NumVertices()
 	}
-	sess, err := cluster.DialEDCSRounds(ctx, ccfg, cfg.Params, cfg.Rounds, nHint)
+	sess, err := cluster.Dial(ctx, ccfg, task.RoundsCapable(), task.Params{EDCS: cfg.Params}, cfg.Rounds, nHint)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -470,10 +473,8 @@ func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cf
 			Retries:            cst.Retries,
 			ReplayedMachines:   cst.ReplayedMachines,
 			MachineStats:       cst.MachineStats,
+			CoresetEdges:       cst.CoresetEdges,
 			Duration:           cst.Duration,
-		}
-		for _, cs := range coresets {
-			rs.CoresetEdges = append(rs.CoresetEdges, len(cs))
 		}
 		return coresets, rs, cst.N, nil
 	}

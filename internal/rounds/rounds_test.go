@@ -282,7 +282,7 @@ func TestReport(t *testing.T) {
 }
 
 // TestClusterSessionReuse: one session serves every round over the same
-// connections — the Fleet/RoundsRun accounting proves the conversation
+// connections — the per-round shard accounting proves the conversation
 // shape (one HELLO, several rounds) rather than per-round redials.
 func TestClusterSessionReuse(t *testing.T) {
 	addrs, shutdown, err := cluster.ServeLoopback(4)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/rng"
+	"repro/internal/task"
 )
 
 // TestEDCSParity: the streaming EDCS pipeline must reproduce the batch
@@ -22,10 +23,11 @@ func TestEDCSParity(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		g := parityGraph(seed, 500, 30)
 		const k = 4
-		m, st, err := EDCS(NewGraphSource(g), Config{K: k, Seed: seed}, p)
+		mSol, st, err := Solve(context.Background(), NewGraphSource(g), Config{K: k, Seed: seed}, edcsTask, task.Params{EDCS: p})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		m := mSol.Matching
 		if err := matching.Verify(g.N, g.Edges, m); err != nil {
 			t.Fatalf("seed %d: streamed EDCS matching invalid: %v", seed, err)
 		}
@@ -62,7 +64,7 @@ func TestEDCSBuilderDeepParity(t *testing.T) {
 		const k = 3
 		parts := batchHashParts(g, k, seed)
 		for i, part := range parts {
-			b := NewEDCSMachine(g.N, p)
+			b := NewMachine(edcsTask.NewBuilder(0, g.N, task.Params{EDCS: p}))
 			for _, e := range part {
 				b.Add(e)
 			}
@@ -78,7 +80,8 @@ func TestEDCSBuilderDeepParity(t *testing.T) {
 // TestEDCSInvalidParams: the pipeline rejects unusable degree constraints
 // up front instead of panicking in a machine goroutine.
 func TestEDCSInvalidParams(t *testing.T) {
-	_, _, err := EDCS(NewSliceSource(0, nil), Config{K: 2, Seed: 1}, edcs.Params{Beta: 4, BetaMinus: 9})
+	_, _, err := Solve(context.Background(), NewSliceSource(0, nil), Config{K: 2, Seed: 1},
+		edcsTask, task.Params{EDCS: edcs.Params{Beta: 4, BetaMinus: 9}})
 	if err == nil {
 		t.Fatal("invalid params accepted")
 	}
@@ -88,7 +91,7 @@ func TestEDCSContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := gen.GNP(200, 0.05, rng.New(1))
-	_, _, err := EDCSContext(ctx, NewGraphSource(g), Config{K: 3, Seed: 1}, edcs.ParamsForBeta(8))
+	_, _, err := Solve(ctx, NewGraphSource(g), Config{K: 3, Seed: 1}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(8)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,28 +106,31 @@ func TestZeroEdgeMachines(t *testing.T) {
 	const k = 8
 	cfg := Config{K: k, Seed: 5}
 
-	m, st, err := Matching(NewSliceSource(4, edges), cfg)
+	mSol, st, err := Solve(context.Background(), NewSliceSource(4, edges), cfg, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := mSol.Matching
 	if m.Size() != 2 {
 		t.Fatalf("matching %d, want 2", m.Size())
 	}
 	assertEmptyMachineStats(t, st, k)
 
-	cover, vst, err := VertexCover(NewSliceSource(4, edges), cfg)
+	coverSol, vst, err := Solve(context.Background(), NewSliceSource(4, edges), cfg, vcTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cover := coverSol.Cover
 	if len(cover) == 0 || len(cover) > 4 {
 		t.Fatalf("cover size %d out of range", len(cover))
 	}
 	assertEmptyMachineStats(t, vst, k)
 
-	em, est, err := EDCS(NewSliceSource(4, edges), cfg, edcs.ParamsForBeta(8))
+	emSol, est, err := Solve(context.Background(), NewSliceSource(4, edges), cfg, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	em := emSol.Matching
 	if em.Size() != 2 {
 		t.Fatalf("EDCS matching %d, want 2", em.Size())
 	}

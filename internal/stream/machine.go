@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"repro/internal/edcs"
 	"repro/internal/graph"
 	"repro/internal/task"
 )
@@ -34,31 +33,9 @@ type Machine struct {
 }
 
 // NewMachine wraps a task builder — typically task.Descriptor.NewBuilder's
-// result — with the runtime's received-edge accounting. This is the only
-// constructor external hosts need; the per-task constructors below are
-// conveniences for the built-in tasks.
+// result — with the runtime's received-edge accounting.
 func NewMachine(b task.Builder) *Machine {
 	return &Machine{b: b}
-}
-
-// NewMatchingMachine returns the Theorem 1 machine (stored partition, live
-// greedy telemetry, exact end-of-stream maximum matching).
-func NewMatchingMachine() *Machine {
-	return NewMachine(task.MustGet("matching").NewBuilder(0, 0, task.Params{}))
-}
-
-// NewVCMachine returns the Theorem 2 machine for a k-machine run. nHint > 0
-// declares the vertex count upfront and enables online level-1 peeling;
-// nHint = 0 stores the partition and peels entirely at Finish.
-func NewVCMachine(k, nHint int) *Machine {
-	return NewMachine(task.MustGet("vc").NewBuilder(k, nHint, task.Params{}))
-}
-
-// NewEDCSMachine returns the EDCS machine (dynamic edge-degree constrained
-// subgraph, arXiv:1711.03076) for the given degree constraints. nHint > 0
-// pre-sizes the per-vertex tables; it never changes the result.
-func NewEDCSMachine(nHint int, p edcs.Params) *Machine {
-	return NewMachine(task.MustGet("edcs").NewBuilder(0, nHint, task.Params{EDCS: p}))
 }
 
 // Add feeds one routed edge.

@@ -32,9 +32,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/edcs"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/task"
@@ -130,8 +128,11 @@ func (s *Stats) Report(task string, seed uint64, solutionSize int) *graph.RunRep
 // Solve runs the full pipeline for any registered task: hash-shard the edges
 // across cfg.K machines, build the descriptor's per-machine summaries
 // incrementally, and compose the final solution from their union. It is the
-// single dispatch point of the streaming runtime; the task-named entry points
-// below are thin wrappers over it.
+// single dispatch point of the streaming runtime. Cancellation is cooperative:
+// when ctx is canceled the sharder stops routing at the next batch boundary,
+// the machine goroutines are torn down without emitting summaries, and the
+// ctx error is returned — the hook long-running callers (the coresetd job
+// manager) use to abandon a pipeline mid-stream without leaking goroutines.
 func Solve(ctx context.Context, src EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *Stats, error) {
 	start := time.Now()
 	sums, st, err := Summaries(ctx, src, cfg, d, p)
@@ -172,65 +173,6 @@ func Summaries(ctx context.Context, src EdgeSource, cfg Config, d *task.Descript
 	}
 	st.Duration = time.Since(start)
 	return sums, st, nil
-}
-
-// Matching runs the full Theorem 1 pipeline over the stream: hash-shard the
-// edges across cfg.K machines, maintain per-machine coresets incrementally,
-// and compose a maximum matching of the union of the summaries.
-func Matching(src EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
-	return MatchingContext(context.Background(), src, cfg)
-}
-
-// MatchingContext is Matching with cooperative cancellation: when ctx is
-// canceled the sharder stops routing at the next batch boundary, the machine
-// goroutines are torn down without emitting summaries, and the ctx error is
-// returned. It is the hook long-running callers (the coresetd job manager)
-// use to abandon a pipeline mid-stream without leaking goroutines.
-func MatchingContext(ctx context.Context, src EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("matching"), task.Params{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Matching, st, nil
-}
-
-// EDCS runs the EDCS coreset pipeline (arXiv:1711.03076) over the stream:
-// hash-shard the edges across cfg.K machines, maintain a per-machine
-// edge-degree constrained subgraph incrementally, and compose a maximum
-// matching of the union of the EDCS coresets.
-func EDCS(src EdgeSource, cfg Config, p edcs.Params) (*matching.Matching, *Stats, error) {
-	return EDCSContext(context.Background(), src, cfg, p)
-}
-
-// EDCSContext is EDCS with cooperative cancellation; see MatchingContext.
-func EDCSContext(ctx context.Context, src EdgeSource, cfg Config, p edcs.Params) (*matching.Matching, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("edcs"), task.Params{EDCS: p})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Matching, st, nil
-}
-
-// EDCSSummaries is Summaries for the EDCS task, kept for the multi-round
-// driver's call sites; see Summaries.
-func EDCSSummaries(ctx context.Context, src EdgeSource, cfg Config, p edcs.Params) ([]Summary, *Stats, error) {
-	return Summaries(ctx, src, cfg, task.MustGet("edcs"), task.Params{EDCS: p})
-}
-
-// VertexCover runs the full Theorem 2 pipeline over the stream and returns
-// the composed cover.
-func VertexCover(src EdgeSource, cfg Config) ([]graph.ID, *Stats, error) {
-	return VertexCoverContext(context.Background(), src, cfg)
-}
-
-// VertexCoverContext is VertexCover with cooperative cancellation; see
-// MatchingContext.
-func VertexCoverContext(ctx context.Context, src EdgeSource, cfg Config) ([]graph.ID, *Stats, error) {
-	sol, st, err := Solve(ctx, src, cfg, task.MustGet("vc"), task.Params{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol.Cover, st, nil
 }
 
 // Shard runs only the source+sharder stages and returns the per-machine edge

@@ -15,7 +15,15 @@ import (
 	"repro/internal/matching"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/task"
 	"repro/internal/vcover"
+)
+
+// The registered descriptors the tests run, resolved once.
+var (
+	matchingTask = task.MustGet("matching")
+	vcTask       = task.MustGet("vc")
+	edcsTask     = task.MustGet("edcs")
 )
 
 // parityGraph returns a deterministic test workload per seed.
@@ -67,10 +75,11 @@ func TestMatchingParity(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		g := parityGraph(seed, 800, 8)
 		k := 6
-		m, st, err := Matching(NewGraphSource(g), Config{K: k, Seed: seed})
+		mSol, st, err := Solve(context.Background(), NewGraphSource(g), Config{K: k, Seed: seed}, matchingTask, task.Params{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		m := mSol.Matching
 		if err := matching.Verify(g.N, g.Edges, m); err != nil {
 			t.Fatalf("seed %d: streamed matching invalid: %v", seed, err)
 		}
@@ -112,10 +121,11 @@ func TestVertexCoverParity(t *testing.T) {
 		// High average degree so peeling actually fires several levels.
 		g := parityGraph(seed, 700, 40)
 		k := 4
-		cover, st, err := VertexCover(NewGraphSource(g), Config{K: k, Seed: seed})
+		coverSol, st, err := Solve(context.Background(), NewGraphSource(g), Config{K: k, Seed: seed}, vcTask, task.Params{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		cover := coverSol.Cover
 		if err := vcover.Verify(g.N, g.Edges, cover); err != nil {
 			t.Fatalf("seed %d: streamed cover infeasible: %v", seed, err)
 		}
@@ -153,7 +163,7 @@ func TestVCBuilderDeepParity(t *testing.T) {
 		k := 3
 		parts := batchHashParts(g, k, seed)
 		for i, p := range parts {
-			m := NewVCMachine(k, g.N)
+			m := NewMachine(vcTask.NewBuilder(k, g.N, task.Params{}))
 			for _, e := range p {
 				m.Add(e)
 			}
@@ -175,14 +185,16 @@ func TestReaderSourceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{K: 4, Seed: 11}
-	fromFile, stF, err := Matching(NewReaderSource(bytes.NewReader(buf.Bytes())), cfg)
+	fromFileSol, stF, err := Solve(context.Background(), NewReaderSource(bytes.NewReader(buf.Bytes())), cfg, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSlice, stS, err := Matching(NewGraphSource(g), cfg)
+	fromFile := fromFileSol.Matching
+	fromSliceSol, stS, err := Solve(context.Background(), NewGraphSource(g), cfg, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromSlice := fromSliceSol.Matching
 	if fromFile.Size() != fromSlice.Size() || stF.N != stS.N || stF.EdgesTotal != stS.EdgesTotal {
 		t.Fatalf("reader (%d edges, n=%d) differs from slice (%d edges, n=%d)",
 			fromFile.Size(), stF.N, fromSlice.Size(), stS.N)
@@ -203,10 +215,11 @@ func TestHeaderlessReader(t *testing.T) {
 		t.Fatal("headerless source claims to know n upfront")
 	}
 	cfg := Config{K: 4, Seed: 13}
-	cover, st, err := VertexCover(src, cfg)
+	coverSol, st, err := Solve(context.Background(), src, cfg, vcTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cover := coverSol.Cover
 	// Headerless n is 1 + max id seen, which can be < g.N if the top ids are
 	// isolated; the composed cover must still match batch on that universe.
 	parts := partition.ByAssignment(g.Edges, cfg.K, partition.HashAssignAll(g.Edges, cfg.K, cfg.Seed))
@@ -248,17 +261,19 @@ func TestIterSourceMatchesGraphSource(t *testing.T) {
 // TestEmptyStream: a zero-edge stream must compose empty answers, not hang
 // or panic.
 func TestEmptyStream(t *testing.T) {
-	m, st, err := Matching(NewSliceSource(0, nil), Config{K: 3, Seed: 1})
+	mSol, st, err := Solve(context.Background(), NewSliceSource(0, nil), Config{K: 3, Seed: 1}, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := mSol.Matching
 	if m.Size() != 0 || st.EdgesTotal != 0 {
 		t.Fatalf("empty stream produced size %d, %d edges", m.Size(), st.EdgesTotal)
 	}
-	cover, _, err := VertexCover(NewSliceSource(0, nil), Config{K: 3, Seed: 1})
+	coverSol, _, err := Solve(context.Background(), NewSliceSource(0, nil), Config{K: 3, Seed: 1}, vcTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cover := coverSol.Cover
 	if len(cover) != 0 {
 		t.Fatalf("empty stream produced cover of %d", len(cover))
 	}
@@ -268,7 +283,7 @@ func TestEmptyStream(t *testing.T) {
 // shut the machine goroutines down cleanly (no deadlock, no summary).
 func TestSourceErrorAborts(t *testing.T) {
 	in := "p 4 3\n0 1\n2 3\n0 9\n" // third edge out of declared range
-	_, _, err := Matching(NewReaderSource(strings.NewReader(in)), Config{K: 2, Seed: 1})
+	_, _, err := Solve(context.Background(), NewReaderSource(strings.NewReader(in)), Config{K: 2, Seed: 1}, matchingTask, task.Params{})
 	if err == nil {
 		t.Fatal("invalid input accepted")
 	}
@@ -279,10 +294,10 @@ func TestSourceErrorAborts(t *testing.T) {
 
 // TestConfigValidation: bad configs and sources are rejected.
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := Matching(nil, Config{K: 2}); err == nil {
+	if _, _, err := Solve(context.Background(), nil, Config{K: 2}, matchingTask, task.Params{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	if _, _, err := Matching(NewSliceSource(0, nil), Config{K: 0}); err == nil {
+	if _, _, err := Solve(context.Background(), NewSliceSource(0, nil), Config{K: 0}, matchingTask, task.Params{}); err == nil {
 		t.Fatal("K = 0 accepted")
 	}
 }
@@ -292,7 +307,7 @@ func TestConfigValidation(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	g := parityGraph(19, 400, 8)
 	k := 4
-	_, st, err := Matching(NewGraphSource(g), Config{K: k, Seed: 19})
+	_, st, err := Solve(context.Background(), NewGraphSource(g), Config{K: k, Seed: 19}, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +353,7 @@ func TestMatchingContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := gen.GNP(200, 0.05, rng.New(1))
-	_, _, err := MatchingContext(ctx, NewGraphSource(g), Config{K: 3, Seed: 1})
+	_, _, err := Solve(ctx, NewGraphSource(g), Config{K: 3, Seed: 1}, matchingTask, task.Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -349,7 +364,7 @@ func TestMatchingContextCanceledMidStream(t *testing.T) {
 	defer cancel()
 	g := gen.GNP(2000, 0.01, rng.New(2))
 	src := &cancelSource{inner: NewGraphSource(g), cancel: cancel, after: 2}
-	_, _, err := MatchingContext(ctx, src, Config{K: 4, Seed: 2, BatchSize: 64})
+	_, _, err := Solve(ctx, src, Config{K: 4, Seed: 2, BatchSize: 64}, matchingTask, task.Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -360,23 +375,28 @@ func TestVertexCoverContextCanceledMidStream(t *testing.T) {
 	defer cancel()
 	g := gen.GNP(2000, 0.01, rng.New(3))
 	src := &cancelSource{inner: NewGraphSource(g), cancel: cancel, after: 2}
-	_, _, err := VertexCoverContext(ctx, src, Config{K: 4, Seed: 3, BatchSize: 64})
+	_, _, err := Solve(ctx, src, Config{K: 4, Seed: 3, BatchSize: 64}, vcTask, task.Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// A background context must leave the pipeline's behavior untouched.
+// A background context (nil Done channel) and a cancelable one that is never
+// canceled must leave the pipeline's behavior untouched.
 func TestMatchingContextBackgroundMatchesMatching(t *testing.T) {
 	g := gen.GNP(1500, 0.008, rng.New(4))
-	want, _, err := Matching(NewGraphSource(g), Config{K: 3, Seed: 4})
+	wantSol, _, err := Solve(context.Background(), NewGraphSource(g), Config{K: 3, Seed: 4}, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := MatchingContext(context.Background(), NewGraphSource(g), Config{K: 3, Seed: 4})
+	want := wantSol.Matching
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gotSol, _, err := Solve(ctx, NewGraphSource(g), Config{K: 3, Seed: 4}, matchingTask, task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := gotSol.Matching
 	if want.Size() != got.Size() {
 		t.Fatalf("sizes differ: %d vs %d", want.Size(), got.Size())
 	}
