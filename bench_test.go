@@ -225,7 +225,7 @@ func BenchmarkMultiRoundEDCS(b *testing.B) {
 			b.ReportAllocs()
 			var st *rounds.Stats
 			for i := 0; i < b.N; i++ {
-				m, rst, err := rounds.Batch(g, rounds.Config{K: 16, Rounds: rc, Seed: 31, Params: p})
+				m, rst, err := rounds.Batch(context.Background(), g, rounds.Config{K: 16, Rounds: rc, Seed: 31, Params: p})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,9 +33,15 @@
 // union stops shrinking; the report gains a per-round breakdown, and
 // -rounds 1 reproduces the single-round run exactly.
 //
+// This command is a frontend and nothing more: the flags become one
+// engine.Spec, engine.Run (internal/engine) dispatches on runtime and rounds,
+// and every output format — the text lines, -json, -trace-out — is drawn
+// from the graph.RunReport it returns.
+//
 // The default (batch) mode materializes the graph and partitions it with a
-// single sequential RNG. With -stream the input is never materialized:
-// edges flow from the source through a deterministic hash sharder to k
+// single sequential RNG; having the whole graph in hand, it also checks the
+// input's structure and verifies the composed solution. With -stream the
+// input is never materialized: edges flow from the source through a deterministic hash sharder to k
 // concurrent machine goroutines, each maintaining its coreset incrementally
 // — the shape of a real deployment, where every machine summarizes its share
 // in O(n)-ish space as data arrives. Streaming mode reads files and stdin
@@ -52,13 +58,15 @@
 // reported alongside as estCommBytes). The -worker flag is the internal
 // worker mode "-cluster local" forks; it serves runs until stdin closes.
 //
-// With -json the run report is emitted as a single JSON object using the
-// same schema (graph.RunReport) the coresetd service returns for jobs, so
-// CLI runs and service queries are interchangeable downstream.
+// With -json the run report is emitted as a single JSON object — the very
+// report (graph.RunReport, built by the engine) a coresetd job returns for
+// the same request, so CLI runs and service queries are interchangeable
+// downstream (TestCLIMatchesDaemon).
 //
 // With -trace the run logs span events to stderr (run.start/run.end, plus
 // per-round spans for -rounds and shard spans for -stream), each stamped
-// with a run ID derived deterministically from -seed. Cluster runs ship that
+// with a run ID derived deterministically from -seed; the run span's k is
+// the k that ran (the fleet size under -cluster). Cluster runs ship that
 // run ID to every worker in the HELLO frame, so a worker started with
 // coresetworker -trace logs spans carrying the same run ID and the two
 // streams can be joined by grep.
@@ -93,19 +101,14 @@ import (
 	"log"
 	"net"
 	"os"
-	"time"
-
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/edcs"
-	"repro/internal/gen"
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/obs"
-	"repro/internal/rng"
-	rnd "repro/internal/rounds"
 	"repro/internal/service"
 	"repro/internal/stream"
 	"repro/internal/task"
@@ -153,12 +156,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One validator for -beta and -rounds across every surface
-	// (service.ValidateTaskParams is also what coresetd's job API and
-	// cmd/coresetload call): the flags only mean something for tasks whose
+	// (task.ValidateParams is also what coresetd's job API, cmd/coresetload
+	// and the engine call): the flags only mean something for tasks whose
 	// registry descriptor declares the capability, and each is an error —
 	// never a silent fallback or a silently ignored flag — outside its
 	// range, with identical message text everywhere.
-	if err := service.ValidateTaskParams(*taskName, *beta, *rounds); err != nil {
+	if err := task.ValidateParams(*taskName, *beta, *rounds); err != nil {
 		fmt.Fprintln(stderr, "coreset:", err)
 		return 2
 	}
@@ -196,64 +199,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceF {
 		tracer = obs.NewTextTracer(stderr, obs.RunIDFromSeed(*seed))
 	}
-	mode := "batch"
+	// The flags become one engine.Spec; the engine owns the runtime × rounds
+	// dispatch and hands back the report every output format is printed from.
+	spec := engine.Spec{
+		Task: *taskName, Beta: *beta, Rounds: *rounds,
+		Runtime: engine.Batch, K: *k, Seed: *seed,
+		BatchSize: *batch, Workers: *workers, Trace: tracer,
+	}
 	switch {
 	case *clusterTo != "":
-		mode = "cluster"
+		addrs, cleanup, err := resolveCluster(*clusterTo, *k, stderr)
+		if err != nil {
+			fmt.Fprintln(stderr, "coreset:", err)
+			return 1
+		}
+		if cleanup != nil {
+			defer cleanup()
+		}
+		if *retries < 0 {
+			*retries = cluster.DefaultMaxRetries // -1 means unset: replay on by default
+		}
+		// One machine per worker address: the fleet, not -k, is this run's k.
+		// The run ID shipped to every worker in the HELLO frame is the same
+		// seed-derived ID -trace stamps on coordinator spans, so worker-side
+		// trace streams join the coordinator's without coordination.
+		spec.Runtime, spec.K = engine.Cluster, len(addrs)
+		spec.Cluster = cluster.Config{Workers: addrs, MaxRetries: *retries, RunID: obs.RunIDFromSeed(*seed)}
 	case *streaming:
-		mode = "stream"
+		spec.Runtime = engine.Stream
 	}
-	input := inputSpec{in: *in, genName: *genName, dataset: *dsDir, n: *n, deg: *deg, seed: *seed}
-	endRun := tracer.Span("run", "task", *taskName, "mode", mode, "k", *k, "seed", *seed)
-	var code int
-	switch mode {
-	case "cluster":
-		code = runCluster(desc, input, *k, *batch, *beta, *rounds, *retries, *clusterTo, *traceOut, *quiet, *jsonOut, tracer, stdout, stderr)
-	case "stream":
-		code = runStream(desc, input, *k, *batch, *beta, *rounds, *quiet, *jsonOut, tracer, stdout, stderr)
+	src, closeSrc, err := openSource(inputSpec{in: *in, genName: *genName, dataset: *dsDir, n: *n, deg: *deg, seed: *seed})
+	if err != nil {
+		fmt.Fprintln(stderr, "coreset:", err)
+		return 1
+	}
+	if closeSrc != nil {
+		defer closeSrc()
+	}
+
+	endRun := tracer.Span("run", "task", spec.Task, "mode", spec.Runtime, "k", spec.K, "seed", spec.Seed)
+	code := 0
+	rep, err := engine.Run(context.Background(), spec, src)
+	if err == nil && *traceOut != "" {
+		// The Perfetto timeline is written even for -q and -json runs.
+		err = writeChromeTrace(*traceOut, rep)
+	}
+	switch {
+	case err != nil:
+		fmt.Fprintln(stderr, "coreset:", err)
+		code = 1
+	case *jsonOut:
+		code = emitReport(stdout, rep)
 	default:
-		code = runBatch(desc, input, *k, *workers, *beta, *rounds, *quiet, *jsonOut, tracer, stdout, stderr)
+		printReport(stdout, desc, rep, *quiet)
 	}
 	endRun("code", code)
 	return code
-}
-
-// roundsConfig assembles the multi-round driver configuration shared by the
-// three runtimes (engaged by -rounds N with N >= 1).
-func roundsConfig(k, roundCap int, seed uint64, p edcs.Params, batch, workers int, tr *obs.Tracer) rnd.Config {
-	return rnd.Config{K: k, Rounds: roundCap, Seed: seed, Params: p, BatchSize: batch, Workers: workers, Trace: tr}
-}
-
-// printRoundStats prints the per-round breakdown of a multi-round run.
-func printRoundStats(stdout io.Writer, st *rnd.Stats, measured bool) {
-	label := "est"
-	if measured {
-		label = "measured"
-	}
-	fmt.Fprintf(stdout, "rounds: %d of %d (cap); total comm %d bytes (%s)\n",
-		st.RoundsRun, st.RoundCap, st.TotalCommBytes, label)
-	for _, rs := range st.Rounds {
-		fmt.Fprintf(stdout, "  round %d: k=%d input=%d union=%d comm=%d bytes\n",
-			rs.Round, rs.K, rs.InputEdges, rs.UnionEdges, rs.TotalCommBytes)
-		if rs.Retries > 0 {
-			fmt.Fprintf(stdout, "    recovery: %d replay attempts, machines replayed %v\n",
-				rs.Retries, rs.ReplayedMachines)
-		}
-		printMachineStats(stdout, rs.MachineStats, "    ")
-	}
-}
-
-// printMachineStats prints the per-machine phase telemetry the workers
-// reported in their TELEM frames (cluster runs only; empty elsewhere).
-func printMachineStats(stdout io.Writer, ms []graph.MachineStats, indent string) {
-	for _, m := range ms {
-		replayed := ""
-		if m.Replayed {
-			replayed = " (replayed)"
-		}
-		fmt.Fprintf(stdout, "%smachine %d: decode %.2fms build %.2fms encode %.2fms; %d edges in, %d repair iters, %d removals, peak |H| %d%s\n",
-			indent, m.Machine, m.DecodeMS, m.BuildMS, m.EncodeMS, m.EdgesIn, m.RepairIters, m.Removals, m.PeakCoreset, replayed)
-	}
 }
 
 // emitReport writes the JSON run report, the CLI's machine-readable output.
@@ -266,133 +267,102 @@ func emitReport(stdout io.Writer, rep *graph.RunReport) int {
 	return 0
 }
 
-func runBatch(d *task.Descriptor, input inputSpec, k, workers, beta, rounds int, quiet, jsonOut bool, tracer *obs.Tracer, stdout, stderr io.Writer) int {
-	seed := input.seed
-	g, err := loadGraph(input)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if err := g.Validate(); err != nil {
-		fmt.Fprintln(stderr, "coreset: invalid input:", err)
-		return 1
-	}
-	if !quiet && !jsonOut {
-		fmt.Fprintf(stdout, "graph: n=%d m=%d, k=%d machines\n", g.N, g.M(), k)
-	}
-
-	p := task.Params{}
-	if d.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	if rounds >= 1 {
-		// Validation already restricted -rounds to the rounds-capable task.
-		m, st, err := rnd.Batch(g, roundsConfig(k, rounds, seed, p.EDCS, 0, workers, tracer))
-		if err != nil {
-			fmt.Fprintln(stderr, "coreset:", err)
-			return 1
-		}
-		if err := matching.Verify(g.N, g.Edges, m); err != nil {
-			fmt.Fprintln(stderr, "coreset: internal error:", err)
-			return 1
-		}
-		if jsonOut {
-			return emitReport(stdout, st.Report("batch", seed, m.Size(), p.EDCS.Beta))
-		}
-		if !quiet {
-			printRoundStats(stdout, st, false)
-		}
-		fmt.Fprintf(stdout, "%s: %d %s (multi-round, %d rounds, %d machines)\n",
-			d.SolutionNoun, m.Size(), d.SolutionUnit, st.RoundsRun, k)
-		return 0
-	}
-	start := time.Now()
-	sol, st := d.Batch(g, k, workers, seed, p)
-	dur := time.Since(start)
-	if d.Verify != nil {
-		if err := d.Verify(g.N, g.Edges, sol); err != nil {
-			fmt.Fprintln(stderr, "coreset: internal error:", err)
-			return 1
-		}
-	}
-	if jsonOut {
-		rep := st.Report(d.Name, g.N, g.M(), seed, sol.Size, dur)
-		if d.UsesBeta {
-			rep.Beta = p.EDCS.Beta
-		}
-		return emitReport(stdout, rep)
-	}
-	if !quiet {
-		if d.FixedLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.FixedLabel, st.CoresetFixed)
-		}
-		fmt.Fprintf(stdout, "%s: %v\n", d.CoresetLabel, st.CoresetEdges)
-		fmt.Fprintf(stdout, "communication: total %d bytes, max machine %d bytes\n",
-			st.TotalCommBytes, st.MaxMachineBytes)
-	}
-	fmt.Fprintf(stdout, "%s: %d %s (distributed, %d machines)\n", d.SolutionNoun, sol.Size, d.SolutionUnit, k)
-	return 0
+// modeWords is how the summary line names each runtime, single-round and
+// multi-round.
+var modeWords = map[string][2]string{
+	engine.Batch:   {"distributed", "multi-round"},
+	engine.Stream:  {"streamed", "multi-round streamed"},
+	engine.Cluster: {"cluster", "multi-round cluster"},
 }
 
-func runStream(d *task.Descriptor, input inputSpec, k, batch, beta, rounds int, quiet, jsonOut bool, tracer *obs.Tracer, stdout, stderr io.Writer) int {
-	seed := input.seed
-	src, closeSrc, err := openSource(input)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if closeSrc != nil {
-		defer closeSrc()
-	}
-	cfg := stream.Config{K: k, Seed: seed, BatchSize: batch, Trace: tracer}
-
-	p := task.Params{}
-	if d.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	if rounds >= 1 {
-		m, st, err := rnd.Stream(context.Background(), src, roundsConfig(k, rounds, seed, p.EDCS, batch, 0, tracer))
-		if err != nil {
-			fmt.Fprintln(stderr, "coreset:", err)
-			return 1
-		}
-		if jsonOut {
-			return emitReport(stdout, st.Report("stream", seed, m.Size(), p.EDCS.Beta))
-		}
-		if !quiet {
-			printRoundStats(stdout, st, false)
-		}
-		fmt.Fprintf(stdout, "%s: %d %s (multi-round streamed, %d rounds, %d machines)\n",
-			d.SolutionNoun, m.Size(), d.SolutionUnit, st.RoundsRun, k)
-		return 0
-	}
-	sol, st, err := stream.Solve(context.Background(), src, cfg, d, p)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if jsonOut {
-		rep := st.Report(d.Name, seed, sol.Size)
-		if d.UsesBeta {
-			rep.Beta = p.EDCS.Beta
-		}
-		return emitReport(stdout, rep)
-	}
+// printReport is the CLI's text output, drawn from the run report alone —
+// the same object -json emits and coresetd serves. d supplies the task's
+// display labels. With quiet only the summary line prints.
+func printReport(w io.Writer, d *task.Descriptor, rep *graph.RunReport, quiet bool) {
+	multiRound := rep.Rounds > 0
 	if !quiet {
-		printStreamStats(stdout, st)
-		if d.FixedLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.FixedLabel, st.CoresetFixed)
+		if rep.Mode == engine.Batch {
+			fmt.Fprintf(w, "graph: n=%d m=%d, k=%d machines\n", rep.N, rep.M, rep.K)
 		}
-		fmt.Fprintf(stdout, "%s: %v\n", d.CoresetLabel, st.CoresetEdges)
-		if d.ShowStored {
-			fmt.Fprintf(stdout, "stored vs received per machine: %v / %v\n", st.StoredEdges, st.PartEdges)
+		coresets := func() {
+			if d.FixedLabel != "" {
+				fmt.Fprintf(w, "%s: %v\n", d.FixedLabel, rep.CoresetFixed)
+			}
+			fmt.Fprintf(w, "%s: %v\n", d.CoresetLabel, rep.CoresetEdges)
 		}
-		if d.LiveLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.LiveLabel, st.Live)
+		switch {
+		case multiRound:
+			printRounds(w, rep)
+		case rep.Mode == engine.Batch:
+			coresets()
+			fmt.Fprintf(w, "communication: total %d bytes, max machine %d bytes\n", rep.TotalCommBytes, rep.MaxMachineBytes)
+		case rep.Mode == engine.Stream:
+			fmt.Fprintf(w, "stream: n=%d, %d edges in %d batches, k=%d machines\n", rep.N, rep.M, rep.Batches, rep.K)
+			fmt.Fprintf(w, "communication: total %d bytes, max machine %d bytes\n", rep.TotalCommBytes, rep.MaxMachineBytes)
+			fmt.Fprintf(w, "throughput: %.0f edges/sec (%.1f ms)\n", rep.EdgesPerSec, rep.DurationMS)
+			coresets()
+			if d.ShowStored {
+				fmt.Fprintf(w, "stored vs received per machine: %v / %v\n", rep.StoredEdges, rep.PartEdges)
+			}
+			if d.LiveLabel != "" {
+				fmt.Fprintf(w, "%s: %v\n", d.LiveLabel, rep.Live)
+			}
+		default:
+			fmt.Fprintf(w, "cluster: n=%d, %d edges in %d batches, k=%d worker processes\n", rep.N, rep.M, rep.Batches, rep.K)
+			fmt.Fprintf(w, "communication (measured): total %d bytes, max machine %d bytes; simulated estimate %d bytes\n",
+				rep.TotalCommBytes, rep.MaxMachineBytes, rep.EstCommBytes)
+			fmt.Fprintf(w, "shard traffic: %d bytes to workers; throughput %.0f edges/sec (%.1f ms)\n",
+				rep.ShardBytes, rep.EdgesPerSec, rep.DurationMS)
+			printRecovery(w, rep.Retries, rep.ReplayedMachines, "")
+			printMachineStats(w, rep.MachineStats, "  ")
+			coresets()
 		}
 	}
-	fmt.Fprintf(stdout, "%s: %d %s (streamed, %d machines)\n", d.SolutionNoun, sol.Size, d.SolutionUnit, k)
-	return 0
+	if multiRound {
+		fmt.Fprintf(w, "%s: %d %s (%s, %d rounds, %d machines)\n",
+			d.SolutionNoun, rep.SolutionSize, d.SolutionUnit, modeWords[rep.Mode][1], rep.RoundsRun, rep.K)
+		return
+	}
+	fmt.Fprintf(w, "%s: %d %s (%s, %d machines)\n", d.SolutionNoun, rep.SolutionSize, d.SolutionUnit, modeWords[rep.Mode][0], rep.K)
+}
+
+// printRounds prints the per-round breakdown of a multi-round run. Cluster
+// rounds measure their communication off the wire; the in-process runtimes
+// report the simulated estimate.
+func printRounds(w io.Writer, rep *graph.RunReport) {
+	label := "est"
+	if rep.Mode == engine.Cluster {
+		label = "measured"
+	}
+	fmt.Fprintf(w, "rounds: %d of %d (cap); total comm %d bytes (%s)\n",
+		rep.RoundsRun, rep.Rounds, rep.TotalCommBytes, label)
+	for _, rs := range rep.RoundStats {
+		fmt.Fprintf(w, "  round %d: k=%d input=%d union=%d comm=%d bytes\n",
+			rs.Round, rs.K, rs.InputEdges, rs.UnionEdges, rs.TotalCommBytes)
+		printRecovery(w, rs.Retries, rs.ReplayedMachines, "    ")
+		printMachineStats(w, rs.MachineStats, "    ")
+	}
+}
+
+// printRecovery reports worker-failure replays (cluster runs only; silent on
+// an undisturbed run or round).
+func printRecovery(w io.Writer, retries int, replayed []int, indent string) {
+	if retries > 0 {
+		fmt.Fprintf(w, "%srecovery: %d replay attempts, machines replayed %v\n", indent, retries, replayed)
+	}
+}
+
+// printMachineStats prints the per-machine phase telemetry the workers
+// reported in their TELEM frames (cluster runs only; empty elsewhere).
+func printMachineStats(w io.Writer, ms []graph.MachineStats, indent string) {
+	for _, m := range ms {
+		replayed := ""
+		if m.Replayed {
+			replayed = " (replayed)"
+		}
+		fmt.Fprintf(w, "%smachine %d: decode %.2fms build %.2fms encode %.2fms; %d edges in, %d repair iters, %d removals, peak |H| %d%s\n",
+			indent, m.Machine, m.DecodeMS, m.BuildMS, m.EncodeMS, m.EdgesIn, m.RepairIters, m.Removals, m.PeakCoreset, replayed)
+	}
 }
 
 // runWorker is the internal worker mode "-cluster local" forks: serve runs
@@ -438,116 +408,6 @@ func resolveCluster(spec string, k int, stderr io.Writer) (addrs []string, clean
 	return lw.Addrs(), func() { _ = lw.Close() }, nil
 }
 
-func runCluster(d *task.Descriptor, input inputSpec, k, batch, beta, rounds, retries int, spec, traceOut string, quiet, jsonOut bool, tracer *obs.Tracer, stdout, stderr io.Writer) int {
-	seed := input.seed
-	addrs, cleanup, err := resolveCluster(spec, k, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if cleanup != nil {
-		defer cleanup()
-	}
-	src, closeSrc, err := openSource(input)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	if closeSrc != nil {
-		defer closeSrc()
-	}
-	k = len(addrs) // one machine per worker address
-	if retries < 0 {
-		retries = cluster.DefaultMaxRetries // -1 means unset: replay on by default
-	}
-	// The run ID shipped to every worker in the HELLO frame is the same
-	// seed-derived ID -trace stamps on coordinator spans, so worker-side
-	// trace streams join the coordinator's without coordination.
-	cfg := cluster.Config{Workers: addrs, Seed: seed, BatchSize: batch, MaxRetries: retries, RunID: obs.RunIDFromSeed(seed)}
-	ctx := context.Background()
-
-	// emit finishes a successful run: the Perfetto timeline first (it must
-	// be written even for -q and -json runs), then the JSON report when
-	// asked. Returns the exit code, or -1 to continue with text output.
-	emit := func(rep *graph.RunReport) int {
-		if traceOut != "" {
-			if err := writeChromeTrace(traceOut, rep); err != nil {
-				fmt.Fprintln(stderr, "coreset:", err)
-				return 1
-			}
-		}
-		if jsonOut {
-			return emitReport(stdout, rep)
-		}
-		return -1
-	}
-
-	p := task.Params{}
-	if d.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	if rounds >= 1 {
-		m, st, err := rnd.Cluster(ctx, src, cfg, roundsConfig(k, rounds, seed, p.EDCS, batch, 0, tracer))
-		if err != nil {
-			fmt.Fprintln(stderr, "coreset:", err)
-			return 1
-		}
-		if code := emit(st.Report("cluster", seed, m.Size(), p.EDCS.Beta)); code >= 0 {
-			return code
-		}
-		if !quiet {
-			printRoundStats(stdout, st, true)
-		}
-		fmt.Fprintf(stdout, "%s: %d %s (multi-round cluster, %d rounds, %d machines)\n",
-			d.SolutionNoun, m.Size(), d.SolutionUnit, st.RoundsRun, k)
-		return 0
-	}
-	sol, st, err := cluster.Solve(ctx, src, cfg, d, p)
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset:", err)
-		return 1
-	}
-	rep := st.Report(d.Name, seed, sol.Size)
-	if d.UsesBeta {
-		rep.Beta = p.EDCS.Beta
-	}
-	if code := emit(rep); code >= 0 {
-		return code
-	}
-	if !quiet {
-		printClusterStats(stdout, st)
-		if d.FixedLabel != "" {
-			fmt.Fprintf(stdout, "%s: %v\n", d.FixedLabel, st.CoresetFixed)
-		}
-		fmt.Fprintf(stdout, "%s: %v\n", d.CoresetLabel, st.CoresetEdges)
-	}
-	fmt.Fprintf(stdout, "%s: %d %s (cluster, %d machines)\n", d.SolutionNoun, sol.Size, d.SolutionUnit, k)
-	return 0
-}
-
-func printClusterStats(stdout io.Writer, st *cluster.Stats) {
-	fmt.Fprintf(stdout, "cluster: n=%d, %d edges in %d batches, k=%d worker processes\n",
-		st.N, st.EdgesTotal, st.Batches, st.K)
-	fmt.Fprintf(stdout, "communication (measured): total %d bytes, max machine %d bytes; simulated estimate %d bytes\n",
-		st.TotalCommBytes, st.MaxMachineBytes, st.EstCommBytes)
-	fmt.Fprintf(stdout, "shard traffic: %d bytes to workers; throughput %.0f edges/sec (%.1f ms)\n",
-		st.ShardBytes, st.EdgesPerSec(), float64(st.Duration.Microseconds())/1000)
-	if st.Retries > 0 {
-		fmt.Fprintf(stdout, "recovery: %d replay attempts, machines replayed %v\n",
-			st.Retries, st.ReplayedMachines)
-	}
-	printMachineStats(stdout, st.MachineStats, "  ")
-}
-
-func printStreamStats(stdout io.Writer, st *stream.Stats) {
-	fmt.Fprintf(stdout, "stream: n=%d, %d edges in %d batches, k=%d machines\n",
-		st.N, st.EdgesTotal, st.Batches, st.K)
-	fmt.Fprintf(stdout, "communication: total %d bytes, max machine %d bytes\n",
-		st.TotalCommBytes, st.MaxMachineBytes)
-	fmt.Fprintf(stdout, "throughput: %.0f edges/sec (%.1f ms)\n",
-		st.EdgesPerSec(), float64(st.Duration.Microseconds())/1000)
-}
-
 // inputSpec bundles the CLI flags that name an input graph: an edge-list
 // file, a generator draw, or a stored dataset directory. One dispatch
 // (openSource) serves every runtime, so the modes can never drift apart on
@@ -572,17 +432,10 @@ func openSource(sp inputSpec) (stream.EdgeSource, func() error, error) {
 		return stream.NewDatasetSource(d), d.Close, nil
 	}
 	if sp.genName != "" {
-		n, deg, seed := sp.n, sp.deg, sp.seed
-		switch sp.genName {
-		case "gnp":
-			return stream.NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, deg/float64(n), rng.New(seed)) }), nil, nil
-		case "star":
-			return stream.NewIterSource(n, func() gen.EdgeIter { return gen.StarIter(n) }), nil, nil
-		case "powerlaw":
-			return stream.NewIterSource(n, func() gen.EdgeIter { return gen.PowerlawIter(n, 2.0, n/16+1, rng.New(seed)) }), nil, nil
-		default:
-			return nil, nil, fmt.Errorf("unknown generator %q", sp.genName)
-		}
+		// The service's generator table is the only one: a -gen run and a
+		// coresetd generator spec with the same parameters name the same graph.
+		src, err := (&service.GenSpec{Name: sp.genName, N: sp.n, Deg: sp.deg, Seed: sp.seed}).Source()
+		return src, nil, err
 	}
 	switch sp.in {
 	case "":
@@ -692,30 +545,4 @@ func ingestSource(sp inputSpec, dir string, opts dataset.IngestOptions) (*datase
 		}
 	}
 	return b.Finish(src.NumVertices(), opts.Source, 0, 0)
-}
-
-// loadGraph materializes the same input openSource streams: one dispatch,
-// two consumption modes, so batch and -stream can never drift apart on what
-// a given set of input flags means.
-func loadGraph(sp inputSpec) (*graph.Graph, error) {
-	src, closeSrc, err := openSource(sp)
-	if err != nil {
-		return nil, err
-	}
-	if closeSrc != nil {
-		defer closeSrc()
-	}
-	var edges []graph.Edge
-	buf := make([]graph.Edge, 4096)
-	for {
-		c, err := src.Next(buf)
-		edges = append(edges, buf[:c]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &graph.Graph{N: src.NumVertices(), Edges: edges}, nil
 }

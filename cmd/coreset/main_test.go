@@ -10,7 +10,21 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/stream"
 )
+
+// loadGraph materializes an input the way the batch runtime does: the CLI's
+// one source dispatch, drained by stream.Collect.
+func loadGraph(sp inputSpec) (*graph.Graph, error) {
+	src, closeSrc, err := openSource(sp)
+	if err != nil {
+		return nil, err
+	}
+	if closeSrc != nil {
+		defer closeSrc()
+	}
+	return stream.Collect(src)
+}
 
 func TestLoadGraphGenerators(t *testing.T) {
 	for _, name := range []string{"gnp", "powerlaw", "star"} {

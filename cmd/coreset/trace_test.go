@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"regexp"
+	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/graph"
 )
 
 // traceDurRe normalizes the only nondeterministic attribute in a trace
@@ -61,6 +66,34 @@ func TestTraceStream(t *testing.T) {
 	for _, want := range []string{"msg=run.start", "msg=shard.start", "msg=shard.end", "msg=run.end", "run=r-"} {
 		if !regexp.MustCompile(regexp.QuoteMeta(want)).MatchString(errOut) {
 			t.Errorf("trace missing %q:\n%s", want, errOut)
+		}
+	}
+}
+
+// TestTraceClusterStampsFleetSize: -cluster host:a,host:b runs one machine
+// per address whatever -k says, and the run span must say the same k the
+// report does.
+func TestTraceClusterStampsFleetSize(t *testing.T) {
+	addrs, shutdown, err := cluster.ServeLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(shutdown)
+	out, errOut, code := runCLI(t, "-trace", "-task", "matching", "-k", "4", "-seed", "3",
+		"-cluster", strings.Join(addrs, ","), "-json", "-in", writePath10(t))
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errOut)
+	}
+	var rep graph.RunReport
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.K != 2 {
+		t.Fatalf("report k = %d, want the fleet size 2", rep.K)
+	}
+	for _, msg := range []string{"run.start", "run.end"} {
+		if want := "msg=" + msg + " run=r-db018fed task=matching mode=cluster k=2 seed=3"; !strings.Contains(errOut, want) {
+			t.Errorf("trace lacks %q:\n%s", want, errOut)
 		}
 	}
 }

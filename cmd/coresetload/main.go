@@ -60,11 +60,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/edcs"
+	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/rounds"
 	"repro/internal/service"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -112,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// and coresetd's job API also use — silently benchmarking something
 	// other than what the flags claim would mislabel every latency
 	// percentile this tool prints.
-	if err := service.ValidateTaskParams(*taskName, *beta, *rounds); err != nil {
+	if err := task.ValidateParams(*taskName, *beta, *rounds); err != nil {
 		fmt.Fprintln(stderr, "coresetload:", err)
 		return 2
 	}
@@ -391,13 +389,12 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 	}
 	// Membership comes from the task registry — the same list the -task
 	// usage string advertises.
-	desc, ok := task.Get(taskName)
-	if !ok {
+	if _, ok := task.Get(taskName); !ok {
 		fmt.Fprintf(stderr, "coresetload: unknown task %q (known tasks: %s)\n", taskName, strings.Join(task.Names(), ", "))
 		return 2
 	}
-	spec := &service.GenSpec{Name: genName, N: n, Deg: deg, Seed: gseed}
-	if _, err := spec.Source(); err != nil {
+	input := &service.GenSpec{Name: genName, N: n, Deg: deg, Seed: gseed}
+	if err := input.Validate(); err != nil {
 		fmt.Fprintln(stderr, "coresetload:", err)
 		return 1
 	}
@@ -410,52 +407,28 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 		return 1
 	}
 
-	p := task.Params{}
-	if desc.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(beta)
-	}
-	multiRound := desc.WireRounds != 0 && roundCap >= 1
-	rcfg := rounds.Config{K: len(addrs), Rounds: roundCap, Seed: 0, Params: p.EDCS}
-	ccfgFor := func(seed uint64) cluster.Config {
-		return cluster.Config{Workers: addrs, Seed: seed, MaxRetries: maxRetries}
-	}
-	// Every single-round path dispatches through the task descriptor; only
-	// the multi-round MPC driver keeps its own entry points.
-	runOne := func(mode string, seed uint64) (time.Duration, int, error) {
-		src, err := spec.Source()
+	// Both waves are the same engine.Spec, the runtime aside: what differs
+	// between the two latency lines is where the machines live, nothing else.
+	runOne := func(runtime string, seed uint64) (time.Duration, int, error) {
+		src, err := input.Source()
 		if err != nil {
 			return 0, 0, err
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		t0 := time.Now()
-		retried := 0
-		switch {
-		case mode == "cluster" && multiRound:
-			cfg := rcfg
-			cfg.Seed = seed
-			var st *rounds.Stats
-			_, st, err = rounds.Cluster(ctx, src, ccfgFor(seed), cfg)
-			if st != nil {
-				retried = st.Retries
-			}
-		case mode == "cluster":
-			var st *cluster.Stats
-			_, st, err = cluster.Solve(ctx, src, ccfgFor(seed), desc, p)
-			if st != nil {
-				retried = st.Retries
-			}
-		case multiRound:
-			cfg := rcfg
-			cfg.Seed = seed
-			_, _, err = rounds.Stream(ctx, src, cfg)
-		default:
-			_, _, err = stream.Solve(ctx, src, stream.Config{K: len(addrs), Seed: seed}, desc, p)
+		rep, err := engine.Run(ctx, engine.Spec{
+			Task: taskName, Beta: beta, Rounds: roundCap,
+			Runtime: runtime, K: len(addrs), Seed: seed,
+			Cluster: cluster.Config{Workers: addrs, MaxRetries: maxRetries},
+		}, src)
+		if err != nil {
+			return 0, 0, err
 		}
-		return time.Since(t0), retried, err
+		return time.Since(t0), rep.Retries, nil
 	}
 
-	fire := func(mode string) ([]time.Duration, int, int, time.Duration) {
+	fire := func(label, runtime string) ([]time.Duration, int, int, time.Duration) {
 		var (
 			mu        sync.Mutex
 			latencies []time.Duration
@@ -476,12 +449,12 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					d, r, err := runOne(mode, uint64(i%seeds))
+					d, r, err := runOne(runtime, uint64(i%seeds))
 					mu.Lock()
 					retries += r
 					if err != nil {
 						failures++
-						fmt.Fprintf(stderr, "coresetload: %s job %d: %v\n", mode, i, err)
+						fmt.Fprintf(stderr, "coresetload: %s job %d: %v\n", label, i, err)
 					} else {
 						latencies = append(latencies, d)
 					}
@@ -509,7 +482,7 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 		return failures == 0
 	}
 
-	cl, cf, cr, cw := fire("cluster")
+	cl, cf, cr, cw := fire("cluster", engine.Cluster)
 	// Snapshot before the in-process replay: only the cluster wave touches
 	// the workers, so the window should close with it.
 	after, err := scrapers.snapshot()
@@ -517,7 +490,7 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 		fmt.Fprintln(stderr, "coresetload: scraping /metrics:", err)
 		return 1
 	}
-	sl, sf, sr, sw := fire("in-process")
+	sl, sf, sr, sw := fire("in-process", engine.Stream)
 	okC := report("cluster", cl, cf, cr, cw)
 	okS := report("in-process", sl, sf, sr, sw)
 	scrapers.printDeltas(stdout, before, after)

@@ -19,9 +19,16 @@
 // paper-vs-measured results.
 //
 // Four runtimes execute the model over one core, trading realism for
-// convenience at each step:
+// convenience at each step, and one engine (internal/engine) sits between
+// them and every frontend: a frontend states what it wants as an
+// engine.Spec — task, β, rounds, runtime, k, seed, batch size, the resolved
+// worker fleet — and engine.Run holds the only runtime × rounds dispatch in
+// the repository and the only constructor of the run report.
 //
-//	           ┌─────────────────────────────────────────────────────┐
+//	cmd/coreset ────┐
+//	coresetd job ───┼─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
+//	coresetload ────┘           │ (-target cluster)
+//	           ┌────────────────▼────────────────────────────────────┐
 //	batch      │ materialize edges → RandomK parts → map → compose   │ simulator's view
 //	stream     │ EdgeSource → hash sharder → k goroutines → compose  │ deployment shape
 //	cluster    │ EdgeSource → hash sharder → k OS PROCESSES over TCP │ real machines,
@@ -44,9 +51,9 @@
 // online level-1 peeling for Theorem 2, which discards already-covered
 // edges mid-stream), and a coordinator composes the final answer. Given the
 // same hash k-partitioning the runtimes agree bit for bit (internal/stream's
-// parity tests); cmd/coreset selects between them with -stream,
-// examples/streaming_pipeline demonstrates the pipeline, and experiment E19
-// compares their throughput and quality at fixed k.
+// parity tests); cmd/coreset selects between them with -stream (the Spec's
+// Runtime), examples/streaming_pipeline demonstrates the pipeline, and
+// experiment E19 compares their throughput and quality at fixed k.
 //
 // Feeding every runtime is a disk-backed data plane (internal/dataset):
 // real graphs are ingested once — `coreset ingest` runs the lenient
@@ -199,8 +206,8 @@
 //	POST /v1/graphs ──▶│ Registry: id → uploaded edges | gen spec | dataset ref   │
 //	                   │           (ref-counted, LRU-evicted)                     │
 //	                   │      │ Acquire/Release                                   │
-//	POST /v1/jobs ────▶│ Manager: bounded queue ─▶ worker pool ─▶ batch pipeline  │
-//	GET  /v1/jobs/{id} │          (cancel via context)         └▶ stream pipeline │
+//	POST /v1/jobs ────▶│ Manager: bounded queue ─▶ worker pool ─▶ engine.Run      │
+//	GET  /v1/jobs/{id} │          (cancel via context)    (batch|stream|cluster)  │
 //	                   │      │ publish on success                                │
 //	GET  /v1/stats ───▶│ Cache: (graph, task, k, seed, mode, beta, rounds)        │
 //	                   │        (LRU, hit/miss counters)                          │
@@ -215,11 +222,18 @@
 // composed run report is cacheable: a repeated query is answered from
 // memory without re-running any pipeline (the cache-hit counters in
 // /v1/stats make this observable, and the benchmark's service_mix workload
-// records the cold-vs-hit latency gap in bench/out/result.json). Streaming and cluster jobs honor cancellation
-// at batch granularity; on shutdown the daemon drains in-flight jobs before
+// records the cold-vs-hit latency gap in bench/out/result.json). Streaming
+// and cluster jobs honor cancellation at batch granularity, batch jobs at
+// round boundaries; on shutdown the daemon drains in-flight jobs before
 // exiting. The CLI and the service share graph.RunReport as their result
-// schema (cmd/coreset -json), and cmd/coresetload is the matching load
-// generator (-target service drives the HTTP API, -target cluster drives a
+// schema, and more than the schema: every runtime returns the one run-stats
+// struct (core.PipelineStats — stream.Stats and cluster.Stats are aliases
+// of it, a multi-round run carries one per round), and the engine's report
+// function is the single place that turns it into a RunReport, so cmd/coreset
+// -json and a coresetd job give the same report for the same request. The
+// batch runtime's self-checks (input structure, the task's verifier) live in
+// the engine too, so daemon batch jobs run them like CLI runs do.
+// cmd/coresetload is the matching load generator (-target service drives the HTTP API, -target cluster drives a
 // worker fleet directly).
 //
 // Observability (internal/obs) is dependency-free and off by default: the

@@ -54,7 +54,8 @@ func main() {
 	// would reproduce the baseline exactly), then union → reshard → rebuild
 	// with the ⌊√k⌋ schedule.
 	cfg := rounds.Config{K: k, Rounds: rcCap, Seed: seed, Params: p}
-	m2, st2, err := rounds.Batch(g, cfg)
+	ctx := context.Background()
+	m2, st2, err := rounds.Batch(ctx, g, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer shutdown()
-	m3, st3, err := rounds.Cluster(context.Background(), stream.NewGraphSource(g),
+	m3, st3, err := rounds.Cluster(ctx, stream.NewGraphSource(g),
 		cluster.Config{Workers: addrs, Seed: seed}, cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -54,7 +54,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/graph"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -264,94 +264,7 @@ func (e *WorkerError) Error() string {
 
 func (e *WorkerError) Unwrap() error { return e.Err }
 
-// Stats reports what a cluster run did and cost. It mirrors stream.Stats
-// where the fields coincide; the communication fields split into measured
-// wire bytes and the simulated estimate the in-process runtimes report.
-type Stats struct {
-	K          int
-	N          int   // final vertex count
-	EdgesTotal int   // edges read from the source
-	Batches    int   // batches read from the source
-	PartEdges  []int // edges routed to each machine (worker-reported)
-	// StoredEdges is how many edges each worker still held at end of stream
-	// (vc online peeling makes it < PartEdges on peel-heavy inputs).
-	StoredEdges []int
-	// Live is each worker's online telemetry at end of stream: greedy
-	// matching size (matching) or vertices peeled online (vc).
-	Live         []int
-	CoresetEdges []int
-	CoresetFixed []int // vc only
-
-	// TotalCommBytes and MaxMachineBytes are MEASURED: the exact bytes of
-	// each worker's CORESET frame (header included) as read off its TCP
-	// connection.
-	TotalCommBytes  int
-	MaxMachineBytes int
-	// EstCommBytes / EstMaxMachineBytes are the simulated estimate for the
-	// same messages — core.CoresetSizeBytes / core.VCCoresetSizeBytes, the
-	// numbers the in-process runtimes report — kept alongside so measured
-	// and simulated accounting can be compared on every run.
-	EstCommBytes       int
-	EstMaxMachineBytes int
-	// ShardBytes is the measured coordinator-to-worker traffic: HELLO, SHARD
-	// and EOS frames summed over all workers — including the traffic of
-	// replayed rounds, so retried runs account for every byte actually sent.
-	ShardBytes int
-
-	// Retries counts replay attempts this run made after worker failures
-	// (0 on an undisturbed run); ReplayedMachines lists the machines whose
-	// round was successfully replayed, in ascending order.
-	Retries          int
-	ReplayedMachines []int
-
-	// MachineStats is the per-machine telemetry breakdown, one entry per
-	// machine in index order: the worker's phase wall times and build
-	// counters from its TELEM frame. A worker without the telemetry
-	// capability still gets an entry with the phase fields zero; a replayed
-	// machine's entry describes the replacement attempt and is marked
-	// Replayed.
-	MachineStats []graph.MachineStats
-
-	CompositionEdges int
-	Duration         time.Duration
-}
-
-// EdgesPerSec returns the end-to-end throughput of the run.
-func (s *Stats) EdgesPerSec() float64 {
-	if s.Duration <= 0 {
-		return 0
-	}
-	return float64(s.EdgesTotal) / s.Duration.Seconds()
-}
-
-// Report assembles the shared JSON-able run report for a cluster run. Mode
-// is "cluster"; TotalCommBytes/MaxMachineBytes carry the measured wire
-// bytes and EstCommBytes/EstMaxMachineBytes the simulated estimate.
-func (s *Stats) Report(task string, seed uint64, solutionSize int) *graph.RunReport {
-	return &graph.RunReport{
-		Task:               task,
-		Mode:               "cluster",
-		N:                  s.N,
-		M:                  s.EdgesTotal,
-		K:                  s.K,
-		Seed:               seed,
-		SolutionSize:       solutionSize,
-		PartEdges:          s.PartEdges,
-		StoredEdges:        s.StoredEdges,
-		Live:               s.Live,
-		CoresetEdges:       s.CoresetEdges,
-		CoresetFixed:       s.CoresetFixed,
-		TotalCommBytes:     s.TotalCommBytes,
-		MaxMachineBytes:    s.MaxMachineBytes,
-		EstCommBytes:       s.EstCommBytes,
-		EstMaxMachineBytes: s.EstMaxMachineBytes,
-		ShardBytes:         s.ShardBytes,
-		Retries:            s.Retries,
-		ReplayedMachines:   s.ReplayedMachines,
-		MachineStats:       s.MachineStats,
-		CompositionEdges:   s.CompositionEdges,
-		Batches:            s.Batches,
-		DurationMS:         float64(s.Duration.Microseconds()) / 1000,
-		EdgesPerSec:        s.EdgesPerSec(),
-	}
-}
+// Stats reports what a cluster run did and cost: the run-stats struct every
+// runtime shares, with the communication fields split into measured wire
+// bytes and the simulated estimate the in-process runtimes report.
+type Stats = core.PipelineStats

@@ -9,40 +9,76 @@ import (
 	"repro/internal/rng"
 )
 
-// PipelineStats reports what a full distributed run cost.
+// PipelineStats is the one run-stats struct: what a distributed run did and
+// cost, in whichever runtime ran it. stream.Stats and cluster.Stats are
+// aliases of it and a multi-round run (internal/rounds) carries one per round
+// plus one of aggregates, so a single constructor (internal/engine) turns
+// any run into a graph.RunReport. A runtime fills the fields it can observe
+// and leaves the rest zero; per-machine slices are indexed by machine.
 type PipelineStats struct {
-	K                int   // number of machines
-	PartEdges        []int // edges received by each machine
-	CoresetEdges     []int // edges in each machine's coreset message
-	CoresetFixed     []int // fixed vertices in each machine's message (VC only)
-	TotalCommBytes   int   // sum of encoded message sizes
-	MaxMachineBytes  int   // largest single message
-	CompositionEdges int   // edges the coordinator processed
+	K          int // number of machines
+	N          int // final vertex count
+	EdgesTotal int // edges read from the input
+	Batches    int // batches read from the source (stream and cluster)
+
+	PartEdges []int // edges routed to each machine
+	// StoredEdges is how many edges each machine still held at end of stream
+	// (stream and cluster). For matching it equals PartEdges (the model's
+	// O(m/k) budget); for vertex cover online peeling makes it smaller on
+	// peel-heavy inputs.
+	StoredEdges []int
+	// Live is each machine's online telemetry at end of stream (stream and
+	// cluster): the greedy matching size (matching) or the count of vertices
+	// peeled online (vc).
+	Live         []int
+	CoresetEdges []int // edges in each machine's coreset message
+	CoresetFixed []int // fixed vertices in each machine's message (vc only)
+
+	// TotalCommBytes and MaxMachineBytes are the coreset messages' sizes: the
+	// simulated estimate (core.CoresetSizeBytes / core.VCCoresetSizeBytes) in
+	// batch and stream mode; in cluster mode the MEASURED bytes of each
+	// worker's CORESET frame (header included) as read off its TCP
+	// connection, with the estimate for the same messages alongside in
+	// EstCommBytes / EstMaxMachineBytes so the two can be compared on every
+	// run.
+	TotalCommBytes     int
+	MaxMachineBytes    int
+	EstCommBytes       int // cluster only
+	EstMaxMachineBytes int // cluster only
+	// ShardBytes is the measured coordinator-to-worker traffic (cluster
+	// only): HELLO, SHARD and EOS frames summed over all workers — including
+	// the traffic of replayed rounds, so retried runs account for every byte
+	// actually sent.
+	ShardBytes int
+
+	// Retries counts replay attempts the run made after worker failures
+	// (cluster only; 0 on an undisturbed run); ReplayedMachines lists the
+	// machines whose round was successfully replayed, in ascending order.
+	Retries          int
+	ReplayedMachines []int
+
+	// MachineStats is the per-machine telemetry breakdown (cluster only), one
+	// entry per machine in index order: the worker's phase wall times and
+	// build counters from its TELEM frame. A worker without the telemetry
+	// capability still gets an entry with the phase fields zero; a replayed
+	// machine's entry describes the replacement attempt and is marked
+	// Replayed.
+	MachineStats []graph.MachineStats
+
+	CompositionEdges int // edges the coordinator processed
+	// Duration spans the whole pipeline: source + sharding + machines +
+	// composition (stream.Shard and Summaries, which compose nothing, span
+	// through drain). The batch pipelines do not time themselves; whoever
+	// calls them sets it.
+	Duration time.Duration
 }
 
-// Report assembles the shared JSON-able run report for a batch run: the
-// input shape, the partitioning parameters, the composed solution size and
-// these stats. The batch pipeline does not time itself, so the caller
-// passes the wall clock it measured around the call. The schema
-// (graph.RunReport) is shared with the streaming runtime and the coresetd
-// service.
-func (st *PipelineStats) Report(task string, n, m int, seed uint64, solutionSize int, d time.Duration) *graph.RunReport {
-	return &graph.RunReport{
-		Task:             task,
-		Mode:             "batch",
-		N:                n,
-		M:                m,
-		K:                st.K,
-		Seed:             seed,
-		SolutionSize:     solutionSize,
-		PartEdges:        st.PartEdges,
-		CoresetEdges:     st.CoresetEdges,
-		CoresetFixed:     st.CoresetFixed,
-		TotalCommBytes:   st.TotalCommBytes,
-		MaxMachineBytes:  st.MaxMachineBytes,
-		CompositionEdges: st.CompositionEdges,
-		DurationMS:       float64(d.Microseconds()) / 1000,
+// EdgesPerSec returns the end-to-end throughput of the run.
+func (st *PipelineStats) EdgesPerSec() float64 {
+	if st.Duration <= 0 {
+		return 0
 	}
+	return float64(st.EdgesTotal) / st.Duration.Seconds()
 }
 
 // DistributedMatching runs the full Theorem 1 pipeline on g: random

@@ -59,7 +59,7 @@ func runE19(cfg Config) *Result {
 				return core.MatchingCoreset(g.N, part)
 			})
 			batchM := core.ComposeMatching(g.N, coresets).Size()
-			batchDur := time.Since(t0)
+			batchSt := core.PipelineStats{EdgesTotal: g.M(), Duration: time.Since(t0)}
 
 			streamM, stM, err := stream.Solve(context.Background(), stream.NewGraphSource(g),
 				stream.Config{K: k, Seed: hashSeed}, task.MustGet("matching"), task.Params{})
@@ -71,7 +71,7 @@ func runE19(cfg Config) *Result {
 				mismatches++
 			}
 			tb.AddRow(wl.name, rep, "matching", batchM, streamM.Size, eq,
-				fmt.Sprintf("%.2f", mEdgesPerSec(g.M(), batchDur)),
+				fmt.Sprintf("%.2f", batchSt.EdgesPerSec()/1e6),
 				fmt.Sprintf("%.2f", stM.EdgesPerSec()/1e6),
 				stM.TotalCommBytes/1024)
 
@@ -81,7 +81,7 @@ func runE19(cfg Config) *Result {
 				return core.ComputeVCCoreset(g.N, k, part)
 			})
 			batchVC := len(core.ComposeVC(g.N, vcs))
-			batchDur = time.Since(t0)
+			batchSt.Duration = time.Since(t0)
 
 			streamVC, stV, err := stream.Solve(context.Background(), stream.NewGraphSource(g),
 				stream.Config{K: k, Seed: hashSeed}, task.MustGet("vc"), task.Params{})
@@ -93,7 +93,7 @@ func runE19(cfg Config) *Result {
 				mismatches++
 			}
 			tb.AddRow(wl.name, rep, "vc", batchVC, streamVC.Size, eq,
-				fmt.Sprintf("%.2f", mEdgesPerSec(g.M(), batchDur)),
+				fmt.Sprintf("%.2f", batchSt.EdgesPerSec()/1e6),
 				fmt.Sprintf("%.2f", stV.EdgesPerSec()/1e6),
 				stV.TotalCommBytes/1024)
 		}
@@ -111,11 +111,4 @@ func runE19(cfg Config) *Result {
 		Tables: []*stats.Table{tb},
 		Notes:  notes,
 	}
-}
-
-func mEdgesPerSec(m int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(m) / d.Seconds() / 1e6
 }

@@ -3,12 +3,14 @@ package graph
 // RunReport is the JSON-able record of one distributed coreset run: the
 // input shape, the partitioning parameters, the composed solution size and
 // the per-machine / communication accounting. It is the schema shared by
-// cmd/coreset's -json output and the coresetd service API, so a CLI run and
-// a service job describe themselves identically and downstream tooling can
-// consume either.
+// cmd/coreset's -json output and the coresetd service API, and both get it
+// from the same constructor (internal/engine), so a CLI run and a service
+// job describe themselves identically and downstream tooling can consume
+// either.
 //
-// Slice fields are indexed by machine. Fields that only one runtime produces
-// (StoredEdges, Live, Batches, EdgesPerSec for streaming; nothing is
+// Slice fields are indexed by machine. Fields a runtime does not produce
+// (StoredEdges, Live and Batches outside stream and cluster mode, the
+// measured-versus-estimated split outside cluster mode; nothing is
 // batch-only) are omitted from the JSON encoding when empty.
 type RunReport struct {
 	Task string `json:"task"` // "matching" | "vc" | "edcs"

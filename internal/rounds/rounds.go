@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -151,66 +150,39 @@ func SeedForRound(seed uint64, round int) uint64 {
 	return x
 }
 
-// RoundStat is one round's accounting. The byte fields follow the runtime's
-// convention: measured off the wire in cluster mode (with the simulated
-// estimate alongside), the simulated estimate itself in batch and stream
-// mode.
+// RoundStat is one round's accounting: the run stats of the single-round
+// run the round was, plus its place in the schedule. The byte fields follow
+// the runtime's convention: measured off the wire in cluster mode (with the
+// simulated estimate alongside), the simulated estimate itself in batch and
+// stream mode.
 type RoundStat struct {
-	Round        int    // 0-based
-	K            int    // machines active this round
-	Seed         uint64 // sharding seed (SeedForRound)
-	InputEdges   int    // edges fed into the round
-	UnionEdges   int    // edges in the union of the round's coresets
-	CoresetEdges []int  // per-machine coreset sizes
-
-	TotalCommBytes     int
-	MaxMachineBytes    int
-	EstCommBytes       int // cluster only
-	EstMaxMachineBytes int // cluster only
-	ShardBytes         int // cluster only
-	// Retries counts the round's worker-failure replay attempts and
-	// ReplayedMachines the machines recovered by replay (cluster only; zero
-	// on an undisturbed round).
-	Retries          int
-	ReplayedMachines []int
-	// MachineStats is the round's per-machine telemetry breakdown (cluster
-	// only): phase wall times, repair work and peak coreset size as reported
-	// by each worker's TELEM frame. Entries exist for every machine; phase
-	// fields are zero when a worker lacks the telemetry capability.
-	MachineStats []graph.MachineStats
-	Duration     time.Duration
+	core.PipelineStats        // K is the machines active this round
+	Round              int    // 0-based
+	Seed               uint64 // sharding seed (SeedForRound)
+	InputEdges         int    // edges fed into the round
+	UnionEdges         int    // edges in the union of the round's coresets
 }
 
-// Stats reports a whole multi-round run: per-round breakdowns plus
-// aggregates. The final round's coresets — whose union the coordinator
-// composed — are retained so callers (parity tests, the CLI's JSON report)
-// can inspect exactly what was composed.
+// Stats reports a whole multi-round run: aggregates plus per-round
+// breakdowns. The final round's coresets — whose union the coordinator
+// composed — are retained so callers (parity tests) can inspect exactly
+// what was composed.
 type Stats struct {
-	K          int // round-0 machine count
-	N          int // vertex count
-	EdgesTotal int // round-0 input edges
-	RoundCap   int // configured cap
-	RoundsRun  int
-	Rounds     []RoundStat
+	// PipelineStats holds the run-level figures: K, N and EdgesTotal
+	// describe round 0's input; TotalCommBytes, EstCommBytes, ShardBytes and
+	// Retries sum over the rounds, MaxMachineBytes and EstMaxMachineBytes
+	// are the largest single message of any round, ReplayedMachines is the
+	// ascending union of the machines any round replayed; CoresetEdges,
+	// MachineStats and CompositionEdges describe the final round (what
+	// composition saw).
+	core.PipelineStats
+	RoundCap  int // configured cap
+	RoundsRun int
+	Rounds    []RoundStat
 
 	// Coresets are the final round's per-machine EDCS edge lists, indexed
 	// by machine.
 	Coresets [][]graph.Edge
-
-	// TotalCommBytes sums every round's coreset messages; MaxMachineBytes
-	// is the largest single message of any round. Est*/ShardBytes aggregate
-	// the same way (cluster only).
-	TotalCommBytes     int
-	MaxMachineBytes    int
-	EstCommBytes       int
-	EstMaxMachineBytes int
-	ShardBytes         int
-	// Retries sums replay attempts across rounds; ReplayedMachines is the
-	// ascending union of the machines any round replayed (cluster only).
-	Retries          int
-	ReplayedMachines []int
-	CompositionEdges int // final-round union size (what composition saw)
-	Duration         time.Duration
 }
 
 // accumulate folds one finished round into the aggregates.
@@ -219,17 +191,13 @@ func (s *Stats) accumulate(rs RoundStat, coresets [][]graph.Edge) {
 	s.RoundsRun++
 	s.Coresets = coresets
 	s.TotalCommBytes += rs.TotalCommBytes
-	if rs.MaxMachineBytes > s.MaxMachineBytes {
-		s.MaxMachineBytes = rs.MaxMachineBytes
-	}
+	s.MaxMachineBytes = max(s.MaxMachineBytes, rs.MaxMachineBytes)
 	s.EstCommBytes += rs.EstCommBytes
-	if rs.EstMaxMachineBytes > s.EstMaxMachineBytes {
-		s.EstMaxMachineBytes = rs.EstMaxMachineBytes
-	}
+	s.EstMaxMachineBytes = max(s.EstMaxMachineBytes, rs.EstMaxMachineBytes)
 	s.ShardBytes += rs.ShardBytes
 	s.Retries += rs.Retries
 	s.ReplayedMachines = mergeMachines(s.ReplayedMachines, rs.ReplayedMachines)
-	s.CompositionEdges = rs.UnionEdges
+	s.CoresetEdges, s.MachineStats, s.CompositionEdges = rs.CoresetEdges, rs.MachineStats, rs.UnionEdges
 }
 
 // mergeMachines folds a round's replayed machines into the run-level list,
@@ -245,61 +213,6 @@ func mergeMachines(acc, add []int) []int {
 		acc[i] = m
 	}
 	return acc
-}
-
-// Report assembles the shared JSON-able run report. Mode names the runtime
-// ("batch" | "stream" | "cluster"); the per-machine slices describe the
-// final round, the communication fields aggregate across rounds, and the
-// per-round breakdown rides in RoundStats.
-func (s *Stats) Report(mode string, seed uint64, solutionSize, beta int) *graph.RunReport {
-	rep := &graph.RunReport{
-		Task:               task.RoundsCapable().Name,
-		Mode:               mode,
-		N:                  s.N,
-		M:                  s.EdgesTotal,
-		K:                  s.K,
-		Seed:               seed,
-		Beta:               beta,
-		SolutionSize:       solutionSize,
-		TotalCommBytes:     s.TotalCommBytes,
-		MaxMachineBytes:    s.MaxMachineBytes,
-		EstCommBytes:       s.EstCommBytes,
-		EstMaxMachineBytes: s.EstMaxMachineBytes,
-		ShardBytes:         s.ShardBytes,
-		Retries:            s.Retries,
-		ReplayedMachines:   s.ReplayedMachines,
-		CompositionEdges:   s.CompositionEdges,
-		DurationMS:         float64(s.Duration.Microseconds()) / 1000,
-		Rounds:             s.RoundCap,
-		RoundsRun:          s.RoundsRun,
-	}
-	for _, cs := range s.Coresets {
-		rep.CoresetEdges = append(rep.CoresetEdges, len(cs))
-	}
-	for _, rs := range s.Rounds {
-		rep.RoundStats = append(rep.RoundStats, graph.RoundReport{
-			Round:              rs.Round,
-			K:                  rs.K,
-			Seed:               rs.Seed,
-			InputEdges:         rs.InputEdges,
-			UnionEdges:         rs.UnionEdges,
-			TotalCommBytes:     rs.TotalCommBytes,
-			MaxMachineBytes:    rs.MaxMachineBytes,
-			EstCommBytes:       rs.EstCommBytes,
-			EstMaxMachineBytes: rs.EstMaxMachineBytes,
-			ShardBytes:         rs.ShardBytes,
-			Retries:            rs.Retries,
-			ReplayedMachines:   rs.ReplayedMachines,
-			MachineStats:       rs.MachineStats,
-			DurationMS:         float64(rs.Duration.Microseconds()) / 1000,
-		})
-	}
-	if n := len(s.Rounds); n > 0 {
-		// The run-level breakdown mirrors the final round — the one whose
-		// coresets the coordinator composed.
-		rep.MachineStats = s.Rounds[n-1].MachineStats
-	}
-	return rep
 }
 
 // union concatenates per-machine coresets in machine order — the
@@ -319,16 +232,18 @@ func union(coresets [][]graph.Edge) []graph.Edge {
 	return out
 }
 
-// runRound executes one round and returns its per-machine coresets, the
-// round accounting and the vertex count the round observed (constant across
-// rounds; drive records it from round 0). Implementations: batch HashK +
-// edcs.Coreset, the streaming pipeline, one cluster.Session round.
-type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, rs RoundStat, n int, err error)
+// runRound executes one round and returns its per-machine coresets and the
+// round's run stats (K, N, EdgesTotal, the coreset sizes and the
+// communication fields filled). Implementations: batch HashK + edcs.Coreset,
+// the streaming pipeline, one cluster.Session round.
+type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, st *core.PipelineStats, err error)
 
 // drive is the schedule shared by the three runtimes: run rounds with
 // shrinking k and per-round seeds until the cap, or until the union stops
 // shrinking, then compose a maximum matching of the final union. src feeds
-// round 0; later rounds stream the previous union from memory.
+// round 0; later rounds stream the previous union from memory. Cancellation
+// is checked at every round boundary, on top of whatever the runtime's own
+// round honors.
 func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound) (*matching.Matching, *Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -337,27 +252,28 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 		return nil, nil, errors.New("rounds: nil source")
 	}
 	start := time.Now()
-	st := &Stats{K: cfg.K, RoundCap: cfg.Rounds}
+	st := &Stats{PipelineStats: core.PipelineStats{K: cfg.K}, RoundCap: cfg.Rounds}
 	k := cfg.K
 	var prevUnion []graph.Edge
 	for round := 0; round < cfg.Rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		input := src
 		if round > 0 {
 			input = stream.NewSliceSource(st.N, prevUnion)
 		}
 		seed := SeedForRound(cfg.Seed, round)
 		endRound := cfg.Trace.Span("round", "round", round, "k", k)
-		coresets, rs, n, err := exec(ctx, input, k, seed)
+		coresets, rst, err := exec(ctx, input, k, seed)
 		if err != nil {
 			endRound("err", err.Error())
 			return nil, nil, err
 		}
-		rs.Round, rs.K, rs.Seed = round, k, seed
 		prevUnion = union(coresets)
-		rs.UnionEdges = len(prevUnion)
+		rs := RoundStat{PipelineStats: *rst, Round: round, Seed: seed, InputEdges: rst.EdgesTotal, UnionEdges: len(prevUnion)}
 		if round == 0 {
-			st.EdgesTotal = rs.InputEdges
-			st.N = n
+			st.EdgesTotal, st.N = rs.InputEdges, rs.N
 		}
 		st.accumulate(rs, coresets)
 		shrink := 1.0
@@ -374,6 +290,9 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 		}
 		k = NextK(k)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	cfg.Trace.Event("compose", "machines", len(st.Coresets), "union_edges", st.CompositionEdges)
 	m := core.ComposeMatching(st.N, st.Coresets)
 	st.Duration = time.Since(start)
@@ -383,24 +302,30 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 // Batch runs the multi-round driver over the materialized batch runtime:
 // every round partitions its input with partition.HashK and builds the
 // per-machine EDCSs in parallel (cfg.Workers goroutines), exactly as
-// edcs.Distributed does for a single round.
-func Batch(g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
-	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, RoundStat, int, error) {
+// edcs.Distributed does for a single round. A round is uninterruptible;
+// ctx is honored between rounds.
+func Batch(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
+	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
 		t0 := time.Now()
-		edges, n, err := drain(input)
+		in, err := stream.Collect(input)
 		if err != nil {
-			return nil, RoundStat{}, 0, err
+			return nil, nil, err
 		}
-		parts := partition.HashK(edges, k, seed)
+		parts := partition.HashK(in.Edges, k, seed)
 		coresets := core.MapParts(parts, cfg.Workers, func(i int, part []graph.Edge) []graph.Edge {
-			return edcs.Coreset(n, part, cfg.Params)
+			return edcs.Coreset(in.N, part, cfg.Params)
 		})
-		rs := RoundStat{InputEdges: len(edges)}
-		chargeEstimated(&rs, coresets)
-		rs.Duration = time.Since(t0)
-		return coresets, rs, n, nil
+		st := &core.PipelineStats{K: k, N: in.N, EdgesTotal: in.M()}
+		for _, cs := range coresets {
+			st.CoresetEdges = append(st.CoresetEdges, len(cs))
+			b := core.CoresetSizeBytes(cs)
+			st.TotalCommBytes += b
+			st.MaxMachineBytes = max(st.MaxMachineBytes, b)
+		}
+		st.Duration = time.Since(t0)
+		return coresets, st, nil
 	}
-	return drive(context.Background(), stream.NewGraphSource(g), cfg, exec)
+	return drive(ctx, stream.NewGraphSource(g), cfg, exec)
 }
 
 // Stream runs the multi-round driver over the in-process streaming runtime:
@@ -408,20 +333,10 @@ func Batch(g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
 // it; later rounds stream the in-memory union. Cancellation is cooperative
 // at batch granularity, as in stream.Solve.
 func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
-	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, RoundStat, int, error) {
-		sums, sst, err := stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize},
+	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
+		sums, st, err := stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize},
 			task.RoundsCapable(), task.Params{EDCS: cfg.Params})
-		if err != nil {
-			return nil, RoundStat{}, 0, err
-		}
-		coresets := make([][]graph.Edge, len(sums))
-		for i, s := range sums {
-			coresets[i] = s.Coreset
-		}
-		rs := RoundStat{InputEdges: sst.EdgesTotal}
-		chargeEstimated(&rs, coresets)
-		rs.Duration = sst.Duration
-		return coresets, rs, sst.N, nil
+		return coresetsOf(sums), st, err
 	}
 	return drive(ctx, src, cfg, exec)
 }
@@ -454,60 +369,18 @@ func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cf
 		return nil, nil, err
 	}
 	defer sess.Close()
-	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, RoundStat, int, error) {
-		sums, cst, err := sess.Round(ctx, input, k, seed)
-		if err != nil {
-			return nil, RoundStat{}, 0, err
-		}
-		coresets := make([][]graph.Edge, len(sums))
-		for i, s := range sums {
-			coresets[i] = s.Coreset
-		}
-		rs := RoundStat{
-			InputEdges:         cst.EdgesTotal,
-			TotalCommBytes:     cst.TotalCommBytes,
-			MaxMachineBytes:    cst.MaxMachineBytes,
-			EstCommBytes:       cst.EstCommBytes,
-			EstMaxMachineBytes: cst.EstMaxMachineBytes,
-			ShardBytes:         cst.ShardBytes,
-			Retries:            cst.Retries,
-			ReplayedMachines:   cst.ReplayedMachines,
-			MachineStats:       cst.MachineStats,
-			CoresetEdges:       cst.CoresetEdges,
-			Duration:           cst.Duration,
-		}
-		return coresets, rs, cst.N, nil
+	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
+		sums, st, err := sess.Round(ctx, input, k, seed)
+		return coresetsOf(sums), st, err
 	}
 	return drive(ctx, src, cfg, exec)
 }
 
-// chargeEstimated fills an in-process round's communication fields with the
-// simulated estimate — core.CoresetSizeBytes, the same function of the edge
-// list the cluster runtime's measured frames encode.
-func chargeEstimated(rs *RoundStat, coresets [][]graph.Edge) {
-	for _, cs := range coresets {
-		rs.CoresetEdges = append(rs.CoresetEdges, len(cs))
-		b := core.CoresetSizeBytes(cs)
-		rs.TotalCommBytes += b
-		if b > rs.MaxMachineBytes {
-			rs.MaxMachineBytes = b
-		}
+// coresetsOf projects a round's summaries onto their edge-list coresets.
+func coresetsOf(sums []stream.Summary) [][]graph.Edge {
+	coresets := make([][]graph.Edge, len(sums))
+	for i, s := range sums {
+		coresets[i] = s.Coreset
 	}
-}
-
-// drain materializes a source (batch mode's view of a round input).
-func drain(src stream.EdgeSource) ([]graph.Edge, int, error) {
-	var edges []graph.Edge
-	buf := make([]graph.Edge, 4096)
-	for {
-		c, err := src.Next(buf)
-		edges = append(edges, buf[:c]...)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, 0, err
-		}
-	}
-	return edges, src.NumVertices(), nil
+	return coresets
 }

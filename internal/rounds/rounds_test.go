@@ -2,6 +2,7 @@ package rounds
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 		const k = 4
 		wantM, wantSt := edcs.Distributed(g, k, 0, seed, p)
 
-		m, st, err := Batch(g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
+		m, st, err := Batch(context.Background(), g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -129,7 +130,7 @@ func TestMultiRoundParityAcrossRuntimes(t *testing.T) {
 		g := gen.GNP(400, 40.0/400, rng.New(seed))
 		cfg := Config{K: 4, Rounds: 3, Seed: seed, Params: p}
 
-		bm, bst, err := Batch(g, cfg)
+		bm, bst, err := Batch(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("seed %d batch: %v", seed, err)
 		}
@@ -189,7 +190,7 @@ func TestScheduleShrinks(t *testing.T) {
 	g := gen.GNP(300, 0.4, rng.New(7))
 	opt := matching.Maximum(g.N, g.Edges).Size()
 	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8)}
-	m, st, err := Batch(g, cfg)
+	m, st, err := Batch(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestEarlyExit(t *testing.T) {
 		path = append(path, graph.Edge{U: v, V: v + 1})
 	}
 	g := &graph.Graph{N: 200, Edges: path}
-	_, st, err := Batch(g, Config{K: 4, Rounds: 8, Seed: 1, Params: edcs.ParamsForBeta(8)})
+	_, st, err := Batch(context.Background(), g, Config{K: 4, Rounds: 8, Seed: 1, Params: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestEarlyExit(t *testing.T) {
 // matching and a single zero-edge round.
 func TestEmptyGraph(t *testing.T) {
 	g := &graph.Graph{N: 10}
-	m, st, err := Batch(g, Config{K: 4, Rounds: 3, Seed: 1, Params: edcs.ParamsForBeta(8)})
+	m, st, err := Batch(context.Background(), g, Config{K: 4, Rounds: 3, Seed: 1, Params: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,32 +253,54 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestReport: the JSON-able report carries the multi-round fields and the
-// per-round breakdown, and the aggregates tie out against the rounds.
-func TestReport(t *testing.T) {
-	g := gen.GNP(300, 0.3, rng.New(5))
-	cfg := Config{K: 9, Rounds: 3, Seed: 5, Params: edcs.ParamsForBeta(8)}
-	m, st, err := Batch(g, cfg)
-	if err != nil {
-		t.Fatal(err)
+// roundSink counts the rounds the driver reports and, when cancel is set,
+// cancels on the first one — a cancellation landing exactly on the round
+// boundary.
+type roundSink struct {
+	rounds int
+	cancel context.CancelFunc
+}
+
+func (s *roundSink) Count(name string, _ int64) {
+	if name != MetricRounds {
+		return
 	}
-	rep := st.Report("batch", cfg.Seed, m.Size(), cfg.Params.Beta)
-	if rep.Task != "edcs" || rep.Mode != "batch" || rep.Beta != 8 {
-		t.Fatalf("report header wrong: %+v", rep)
+	s.rounds++
+	if s.cancel != nil {
+		s.cancel()
 	}
-	if rep.Rounds != 3 || rep.RoundsRun != st.RoundsRun || len(rep.RoundStats) != st.RoundsRun {
-		t.Fatalf("round fields wrong: rounds=%d roundsRun=%d stats=%d", rep.Rounds, rep.RoundsRun, len(rep.RoundStats))
-	}
-	sum := 0
-	for _, rr := range rep.RoundStats {
-		sum += rr.TotalCommBytes
-	}
-	if sum != rep.TotalCommBytes {
-		t.Fatalf("per-round comm %d does not sum to total %d", sum, rep.TotalCommBytes)
-	}
-	if len(rep.CoresetEdges) != st.Rounds[st.RoundsRun-1].K {
-		t.Fatalf("top-level coreset slice describes %d machines, final round had %d",
-			len(rep.CoresetEdges), st.Rounds[st.RoundsRun-1].K)
+}
+func (*roundSink) Observe(string, float64) {}
+
+// TestBatchHonorsCancellation: the batch driver runs under the caller's
+// context. A pre-canceled context runs no round at all; one canceled after
+// round 0 stops at that boundary (the input of TestScheduleShrinks keeps
+// shrinking, so without the check the run would go on to round 1).
+func TestBatchHonorsCancellation(t *testing.T) {
+	g := gen.GNP(300, 0.4, rng.New(7))
+	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8)}
+	for _, tc := range []struct {
+		name       string
+		preCancel  bool
+		wantRounds int
+	}{
+		{"pre-canceled", true, 0},
+		{"canceled after round 0", false, 1},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &roundSink{cancel: cancel}
+		if tc.preCancel {
+			cancel()
+		}
+		cfg.Obs = sink
+		_, _, err := Batch(ctx, g, cfg)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if sink.rounds != tc.wantRounds {
+			t.Fatalf("%s: %d rounds ran, want %d", tc.name, sink.rounds, tc.wantRounds)
+		}
 	}
 }
 

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/edcs"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/rounds"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -63,8 +61,9 @@ type Job struct {
 }
 
 // Cancel requests cancellation: a queued job is dropped when dequeued, a
-// running streaming job stops at the next batch boundary. Safe to call in
-// any state, any number of times.
+// running streaming or cluster job stops at the next batch boundary, a batch
+// job at its next round boundary. Safe to call in any state, any number of
+// times.
 func (j *Job) Cancel() { j.cancel() }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -345,23 +344,12 @@ func (m *Manager) lifetime() (submitted, done, failed, canceled int64) {
 	return m.submitted, m.nDone, m.nFailed, m.nCanceled
 }
 
-// roundsConfig assembles the multi-round driver configuration for a
-// normalized EDCS job with Rounds >= 1. The cluster driver overrides K with
-// the fleet size, exactly as Submit already validated.
-func (m *Manager) roundsConfig(req CreateJobRequest) rounds.Config {
-	return rounds.Config{
-		K:         req.K,
-		Rounds:    req.Rounds,
-		Seed:      req.Seed,
-		Params:    edcs.ParamsForBeta(req.Beta),
-		BatchSize: req.Batch,
-		Obs:       m.ins.eventSink(),
-	}
-}
-
-// execute pins the job's graph and runs the requested pipeline. Streaming
-// jobs honor the job context at batch granularity; batch jobs check it
-// before and after the (uninterruptible) core pipeline call.
+// execute pins the job's graph and hands the run to the engine — the one
+// place that dispatches on mode and rounds, so a newly registered task or
+// runtime reaches the daemon without a service change. Cancellation follows
+// the runtime (engine.Run): streaming and cluster jobs honor the job context
+// at batch granularity, batch jobs around the uninterruptible pipeline call
+// and between rounds.
 func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 	entry, err := m.reg.Acquire(j.Req.Graph)
 	if err != nil {
@@ -375,105 +363,31 @@ func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 		// its scope is the content hash, which did not change.
 		return nil, fmt.Errorf("service: graph %q was replaced while job %s was queued", j.Req.Graph, j.ID)
 	}
-
-	req := j.Req
-	// normalize admitted the task, so the registry lookup cannot miss; the
-	// descriptor is the single dispatch point for every mode below — no
-	// per-task branching here, so a newly registered task runs through all
-	// three modes without a service change.
-	desc, ok := task.Get(req.Task)
-	if !ok {
-		return nil, fmt.Errorf("service: task %q vanished from the registry", req.Task)
-	}
-	p := task.Params{}
-	if desc.UsesBeta {
-		p.EDCS = edcs.ParamsForBeta(req.Beta)
-	}
-	// Multi-round execution is a registry capability: normalize already
-	// rejected Rounds on tasks without it.
-	multiRound := desc.WireRounds != 0 && req.Rounds >= 1
-
-	if req.Mode == ModeStream {
-		src, err := entry.Source()
-		if err != nil {
-			return nil, err
-		}
-		if multiRound {
-			sol, st, err := rounds.Stream(j.ctx, src, m.roundsConfig(req))
-			if err != nil {
-				return nil, err
-			}
-			return st.Report(ModeStream, req.Seed, sol.Size(), req.Beta), nil
-		}
-		cfg := stream.Config{K: req.K, Seed: req.Seed, BatchSize: req.Batch}
-		sol, st, err := stream.Solve(j.ctx, src, cfg, desc, p)
-		if err != nil {
-			return nil, err
-		}
-		rep := st.Report(req.Task, req.Seed, sol.Size)
-		rep.Beta = req.Beta // nonzero only for beta-capable tasks (normalize pins the rest to 0)
-		return rep, nil
-	}
-	if req.Mode == ModeCluster {
-		src, err := entry.Source()
-		if err != nil {
-			return nil, err
-		}
-		// Replay is on by default for daemon-dispatched jobs: generator
-		// sources are restartable, so a worker lost mid-round costs the job
-		// one round replay (reported in the result's retry fields) instead
-		// of a 500.
-		cfg := cluster.Config{
-			Workers:    m.cluster.Workers,
-			Seed:       req.Seed,
-			BatchSize:  req.Batch,
-			Spares:     m.cluster.Spares,
-			MaxRetries: m.cluster.maxRetries(),
-			Obs:        m.ins.eventSink(),
-			RunID:      j.runID,
-		}
-		if multiRound {
-			sol, st, err := rounds.Cluster(j.ctx, src, cfg, m.roundsConfig(req))
-			if err != nil {
-				return nil, err
-			}
-			return st.Report(ModeCluster, req.Seed, sol.Size(), req.Beta), nil
-		}
-		sol, st, err := cluster.Solve(j.ctx, src, cfg, desc, p)
-		if err != nil {
-			return nil, err
-		}
-		rep := st.Report(req.Task, req.Seed, sol.Size)
-		rep.Beta = req.Beta
-		return rep, nil
-	}
-
-	g, err := entry.Materialize()
+	src, err := entry.Source()
 	if err != nil {
 		return nil, err
 	}
-	if err := j.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if multiRound {
-		sol, st, err := rounds.Batch(g, m.roundsConfig(req))
-		if err != nil {
-			return nil, err
-		}
-		if err := j.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return st.Report(ModeBatch, req.Seed, sol.Size(), req.Beta), nil
-	}
-	start := time.Now()
-	sol, st := desc.Batch(g, req.K, 0, req.Seed, p)
-	d := time.Since(start)
-	if err := j.ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep := st.Report(req.Task, g.N, g.M(), req.Seed, sol.Size, d)
-	rep.Beta = req.Beta
-	return rep, nil
+	req := j.Req
+	return engine.Run(j.ctx, engine.Spec{
+		Task:      req.Task,
+		Beta:      req.Beta, // normalize pinned the default, so cache keys and reports agree
+		Rounds:    req.Rounds,
+		Runtime:   req.Mode,
+		K:         req.K,
+		Seed:      req.Seed,
+		BatchSize: req.Batch,
+		// Replay is on by default for daemon-dispatched jobs: registry
+		// sources are restartable, so a worker lost mid-round costs the job
+		// one round replay (reported in the result's retry fields) instead
+		// of a 500.
+		Cluster: cluster.Config{
+			Workers:    m.cluster.Workers,
+			Spares:     m.cluster.Spares,
+			MaxRetries: m.cluster.maxRetries(),
+			RunID:      j.runID,
+		},
+		Obs: m.ins.eventSink(),
+	}, src)
 }
 
 // Stats counts jobs by state. Terminal counts are lifetime totals (they

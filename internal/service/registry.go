@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/dataset"
@@ -266,7 +265,10 @@ func (r *Registry) Stats() RegistryStats {
 // stream their resident edge slice (read-only, safe to share across
 // concurrent jobs); generator entries replay their draw sequence; dataset
 // entries stream segments off disk. All three are stream.Restartable, so
-// every registry-backed cluster job can replay a lost round.
+// every registry-backed cluster job can replay a lost round. Batch-mode
+// jobs materialize the source (stream.Collect): an upload's slice is handed
+// over as is, generator and dataset entries become a transient edge list
+// dropped when the job finishes.
 func (e *GraphEntry) Source() (stream.EdgeSource, error) {
 	switch {
 	case e.Gen != nil:
@@ -275,30 +277,4 @@ func (e *GraphEntry) Source() (stream.EdgeSource, error) {
 		return stream.NewDatasetSource(e.DS), nil
 	}
 	return stream.NewGraphSource(e.G), nil
-}
-
-// Materialize returns the full graph for batch-mode jobs, collecting
-// generator and dataset entries into a transient edge list that is dropped
-// when the job finishes (only uploads stay resident).
-func (e *GraphEntry) Materialize() (*graph.Graph, error) {
-	if e.G != nil {
-		return e.G, nil
-	}
-	src, err := e.Source()
-	if err != nil {
-		return nil, err
-	}
-	var edges []graph.Edge
-	buf := make([]graph.Edge, 4096)
-	for {
-		c, err := src.Next(buf)
-		edges = append(edges, buf[:c]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &graph.Graph{N: src.NumVertices(), Edges: edges}, nil
 }

@@ -11,7 +11,10 @@
 //     eviction.
 //   - Manager (jobs.go): an async job manager with a bounded worker pool;
 //     coreset jobs (task, k, seed, mode) run off a bounded queue with
-//     context cancellation and graceful drain.
+//     context cancellation and graceful drain. A job is one engine.Run
+//     (internal/engine): the manager turns the request into an engine.Spec
+//     and owns nothing of the runtime × rounds dispatch, so a job's report
+//     is the report cmd/coreset -json prints for the same request.
 //   - Cache (cache.go): composed run reports keyed by
 //     (graph, task, k, seed, mode) with hit/miss counters, so repeated
 //     queries are served from memory.
@@ -38,10 +41,10 @@ import (
 	"fmt"
 
 	"repro/internal/edcs"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/rounds"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
@@ -59,13 +62,14 @@ const (
 	TaskEDCS     = "edcs"
 )
 
-// Execution modes accepted by the job API. ModeCluster dispatches the job
-// to the worker fleet the daemon was configured with (coresetd -cluster);
-// it is rejected when no fleet is configured.
+// Execution modes accepted by the job API: the engine's runtimes, under the
+// names the API has always used. ModeCluster dispatches the job to the
+// worker fleet the daemon was configured with (coresetd -cluster); it is
+// rejected when no fleet is configured.
 const (
-	ModeBatch   = "batch"
-	ModeStream  = "stream"
-	ModeCluster = "cluster"
+	ModeBatch   = engine.Batch
+	ModeStream  = engine.Stream
+	ModeCluster = engine.Cluster
 )
 
 // Hard sanity caps on request parameters: a single unauthenticated request
@@ -87,14 +91,14 @@ const (
 	MaxJobBeta = edcs.MaxBeta
 	// MaxJobRounds caps the multi-round cap, shared with the CLI and (well
 	// under) the cluster wire protocol's own bound for the same reason.
-	MaxJobRounds = rounds.MaxRounds
+	MaxJobRounds = task.MaxRounds
 )
 
-// GenSpec describes a synthetic graph by generator name and parameters. The
-// parameter mapping matches cmd/coreset's -gen flags exactly, so a spec
-// submitted to the service names the same graph a CLI run would build:
-// gnp is G(n, Deg/n), star is K_{1,n-1}, powerlaw is Chung-Lu with exponent
-// 2 and weight cap n/16+1.
+// GenSpec describes a synthetic graph by generator name and parameters. It
+// is the one generator table: cmd/coreset builds its -gen inputs through it,
+// so a spec submitted to the service names the same graph a CLI run would
+// build: gnp is G(n, Deg/n), star is K_{1,n-1}, powerlaw is Chung-Lu with
+// exponent 2 and weight cap n/16+1.
 type GenSpec struct {
 	Name string  `json:"name"`           // gnp | star | powerlaw
 	N    int     `json:"n"`              // vertices
@@ -204,20 +208,6 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidRequest}, args...)...)
 }
 
-// ValidateTaskParams checks the task-scoped EDCS parameters — the degree
-// bound and the multi-round cap — shared by every user-facing surface:
-// cmd/coreset's flags, cmd/coresetload's flags and this service's job API
-// all call it, so the three cannot drift on bounds or message text. The
-// actual table lives with the task registry (task.ValidateParams, driven by
-// the descriptors' capability flags); this wrapper keeps the service-level
-// name the other surfaces import. Zero means "not set" for both parameters;
-// the returned error text is the canonical vocabulary, to which each caller
-// adds its own prefix (the service wraps it in ErrInvalidRequest for 4xx
-// classification).
-func ValidateTaskParams(taskName string, beta, rounds int) error {
-	return task.ValidateParams(taskName, beta, rounds)
-}
-
 func (r *CreateJobRequest) normalize() error {
 	if r.Mode == "" {
 		r.Mode = ModeStream
@@ -226,12 +216,12 @@ func (r *CreateJobRequest) normalize() error {
 	if !ok {
 		return badRequestf("unknown task %q", r.Task)
 	}
-	if err := ValidateTaskParams(r.Task, r.Beta, r.Rounds); err != nil {
+	if err := task.ValidateParams(r.Task, r.Beta, r.Rounds); err != nil {
 		return badRequestf("%s", err)
 	}
 	if d.UsesBeta && r.Beta == 0 {
 		// Pin the default so cache keys are canonical; ParamsForBeta clamps
-		// any bound >= 2 into a valid pair, so ValidateTaskParams' range
+		// any bound >= 2 into a valid pair, so ValidateParams' range
 		// check was the whole validation.
 		r.Beta = edcs.DefaultBeta
 	}

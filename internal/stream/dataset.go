@@ -10,7 +10,7 @@ import (
 
 // DatasetSource streams a stored dataset (internal/dataset) segment by
 // segment. It is the unified data plane's source: every runtime — batch
-// (via Materialize/drain), stream, cluster, service — reads real graphs
+// (via Collect), stream, cluster, service — reads real graphs
 // through it, and it is Restartable by construction, because restarting is
 // just seeking back to segment zero. That makes cluster round replay and
 // multi-round resharding work on graphs larger than RAM: no pass ever holds

@@ -91,6 +91,29 @@ func (s *SliceSource) Restart() error {
 	return nil
 }
 
+// Collect drains src into a materialized graph — the batch runtime's view of
+// an input. An unread SliceSource hands back its backing slice instead of a
+// copy, so collecting an already-materialized graph costs nothing; the
+// result is read-only for the caller in that case.
+func Collect(src EdgeSource) (*graph.Graph, error) {
+	if s, ok := src.(*SliceSource); ok && s.pos == 0 {
+		s.pos = len(s.edges)
+		return &graph.Graph{N: s.n, Edges: s.edges}, nil
+	}
+	var edges []graph.Edge
+	buf := make([]graph.Edge, 4096)
+	for {
+		c, err := src.Next(buf)
+		edges = append(edges, buf[:c]...)
+		if err == io.EOF {
+			return &graph.Graph{N: src.NumVertices(), Edges: edges}, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
 // IterSource adapts a gen.EdgeIter (a synthetic-workload generator with O(1)
 // state) into an EdgeSource on a declared vertex universe. The factory mints
 // a fresh iterator per pass — generators are seeded, so every pass replays

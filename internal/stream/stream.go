@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -65,65 +66,9 @@ func (c Config) batchSize() int {
 	return DefaultBatchSize
 }
 
-// Stats reports what a streaming run did and cost. It mirrors
-// core.PipelineStats where the fields coincide, plus streaming-specific
-// accounting.
-type Stats struct {
-	K          int
-	N          int   // final vertex count
-	EdgesTotal int   // edges read from the source
-	Batches    int   // batches read from the source
-	PartEdges  []int // edges routed to each machine
-	// StoredEdges is how many edges each machine still held at end of
-	// stream. For matching it equals PartEdges (the model's O(m/k) budget);
-	// for vertex cover online peeling makes it smaller on peel-heavy inputs.
-	StoredEdges []int
-	// Live is each machine's online telemetry at end of stream: the greedy
-	// matching size (matching) or the count of vertices peeled online (vc).
-	Live             []int
-	CoresetEdges     []int
-	CoresetFixed     []int // vc only
-	TotalCommBytes   int
-	MaxMachineBytes  int
-	CompositionEdges int
-	// Duration spans the whole pipeline: source + sharding + machines +
-	// composition (Shard, which composes nothing, spans through drain).
-	Duration time.Duration
-}
-
-// EdgesPerSec returns the end-to-end throughput of the run.
-func (s *Stats) EdgesPerSec() float64 {
-	if s.Duration <= 0 {
-		return 0
-	}
-	return float64(s.EdgesTotal) / s.Duration.Seconds()
-}
-
-// Report assembles the shared JSON-able run report for a streaming run.
-// The schema (graph.RunReport) is shared with the batch pipeline and the
-// coresetd service.
-func (s *Stats) Report(task string, seed uint64, solutionSize int) *graph.RunReport {
-	return &graph.RunReport{
-		Task:             task,
-		Mode:             "stream",
-		N:                s.N,
-		M:                s.EdgesTotal,
-		K:                s.K,
-		Seed:             seed,
-		SolutionSize:     solutionSize,
-		PartEdges:        s.PartEdges,
-		StoredEdges:      s.StoredEdges,
-		Live:             s.Live,
-		CoresetEdges:     s.CoresetEdges,
-		CoresetFixed:     s.CoresetFixed,
-		TotalCommBytes:   s.TotalCommBytes,
-		MaxMachineBytes:  s.MaxMachineBytes,
-		CompositionEdges: s.CompositionEdges,
-		Batches:          s.Batches,
-		DurationMS:       float64(s.Duration.Microseconds()) / 1000,
-		EdgesPerSec:      s.EdgesPerSec(),
-	}
-}
+// Stats reports what a streaming run did and cost: the run-stats struct
+// every runtime shares.
+type Stats = core.PipelineStats
 
 // Solve runs the full pipeline for any registered task: hash-shard the edges
 // across cfg.K machines, build the descriptor's per-machine summaries

@@ -258,6 +258,50 @@ func TestIterSourceMatchesGraphSource(t *testing.T) {
 	}
 }
 
+// TestCollect: draining any source yields the graph it streams; an unread
+// slice source hands back its own slice (no copy — what keeps a batch job on
+// an uploaded graph from doubling it), a partly read one the rest; a source
+// error surfaces instead of a truncated graph.
+func TestCollect(t *testing.T) {
+	const n, seed = 300, 5
+	g := gen.GNP(n, 8.0/n, rng.New(seed))
+	got, err := Collect(NewIterSource(n, func() gen.EdgeIter { return gen.GNPIter(n, 8.0/n, rng.New(seed)) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != g.N || !reflect.DeepEqual(got.Edges, g.Edges) {
+		t.Fatalf("collected n=%d m=%d, generator made n=%d m=%d", got.N, got.M(), g.N, g.M())
+	}
+
+	src := NewGraphSource(g)
+	got, err = Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != g.N || got.M() != g.M() || &got.Edges[0] != &g.Edges[0] {
+		t.Fatal("an unread slice source must hand back its backing slice")
+	}
+	if c, err := src.Next(make([]graph.Edge, 4)); c != 0 || err == nil {
+		t.Fatalf("collected source still delivers (%d, %v)", c, err)
+	}
+
+	src = NewGraphSource(g)
+	if _, err := src.Next(make([]graph.Edge, 10)); err != nil {
+		t.Fatal(err)
+	}
+	got, err = Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Edges, g.Edges[10:]) {
+		t.Fatalf("a partly read source collected %d edges, want the remaining %d", got.M(), g.M()-10)
+	}
+
+	if _, err := Collect(NewReaderSource(strings.NewReader("p 4 3\n0 1\n0 9\n"))); err == nil || !strings.Contains(err.Error(), "out of declared range") {
+		t.Fatalf("source error lost: %v", err)
+	}
+}
+
 // TestEmptyStream: a zero-edge stream must compose empty answers, not hang
 // or panic.
 func TestEmptyStream(t *testing.T) {

@@ -135,7 +135,7 @@ type Descriptor struct {
 	// fixed vertices; vc reports its peeled levels through it).
 	FixedLen func(s Summary) int
 	// Verify checks a composed solution against the full edge list
-	// (nil: no verifier). The batch CLI path runs it as a self-check.
+	// (nil: no verifier). The engine's batch path runs it as a self-check.
 	Verify func(n int, edges []graph.Edge, sol Solution) error
 
 	// CLI display metadata: how cmd/coreset labels this task's output.

@@ -183,8 +183,8 @@ func TestMustGetPanicsOnUnknown(t *testing.T) {
 	}
 }
 
-// The validation table is shared between the service (via
-// service.ValidateTaskParams) and both CLIs; the message text is golden —
+// The validation table is shared between the service, the engine and both
+// CLIs; the message text is golden —
 // cmd/coreset's own goldens pin the same strings with the "coreset: " prefix.
 func TestValidateParamsMessages(t *testing.T) {
 	for name, tc := range map[string]struct {

@@ -19,11 +19,10 @@ const MaxBeta = edcs.MaxBeta
 // ValidateParams checks the task-scoped parameters — the EDCS degree bound
 // and the multi-round cap — against the registry's capability flags. Every
 // user-facing surface shares it: cmd/coreset's flags, cmd/coresetload's
-// flags and the service's job API all call it (directly or through
-// service.ValidateTaskParams), so the surfaces cannot drift on bounds or
-// message text. Zero means "not set" for both parameters; the returned
-// error text is the canonical vocabulary, to which each caller adds its own
-// prefix.
+// flags, the service's job API and engine.Run all call it, so the surfaces
+// cannot drift on bounds or message text. Zero means "not set" for both
+// parameters; the returned error text is the canonical vocabulary, to which
+// each caller adds its own prefix.
 //
 // Which tasks a parameter applies to comes from the registry (UsesBeta,
 // WireRounds), not from hardcoded names, so registering a new
