@@ -1,12 +1,17 @@
-// Benchmark harness: one benchmark per experiment (E1..E22, the paper's
-// "tables and figures" plus the systems experiments) and micro-benchmarks of
-// the hot kernels. Each
-// experiment benchmark executes the same code path as cmd/experiments -quick
-// and reports the headline metric via b.ReportMetric, so
+// Go benchmarks: one per experiment (E1..E22, the paper's "tables and
+// figures" plus the systems experiments) and micro-benchmarks of the hot
+// kernels. Each experiment benchmark executes the same code path as
+//
+//	go run ./cmd/experiments -quick -run E<n>
+//
+// and reports that table's headline metric via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every measured quantity in EXPERIMENTS.md at reduced scale.
+// regenerates every quantity the experiment tables print, at reduced scale.
+// These are for measuring while working on a kernel. The repository's
+// benchmark — fixed workloads, end-to-end metrics with regression bounds and
+// the per-layer ledger — is bench/ (see BENCHMARK.json and bench/README.md).
 package repro_test
 
 import (

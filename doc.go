@@ -178,10 +178,21 @@
 //
 // Builder memory model. The model grants each machine O(m/k) space, and
 // each task's builder (internal/task) spends it differently. The matching
-// builder stores its partition as one edge slice, 8 bytes per edge, plus a
-// 4-byte greedy-mate entry per vertex ID. The vc builder keeps a 4-byte
-// degree and a peeled flag per vertex and stores 8 bytes per edge that no
-// level-1 vertex covers (every edge, when the source cannot declare n). The
+// and vc builders keep their shard in a graph.EdgeStore: chunks that double
+// up to 32768 edges and are never copied or re-grown, so a shard costs the 8
+// bytes per edge it holds plus under one chunk of slack (an append-grown
+// slice allocates about five times what it ends up holding). The matching
+// builder adds a 4-byte greedy-mate entry per vertex ID and flattens the
+// store once, for the matcher, at Finish. The vc builder keeps a 4-byte
+// degree and a peeled flag per vertex and stores only the edges that no
+// level-1 vertex covers yet (every edge, when the source cannot declare n);
+// its Finish is the edge-list peel (core.PeelVC), which needs no adjacency:
+// per level that fixed a vertex, one sweep over the store drops the covered
+// edges, compacts the chunks in place and recounts the survivors' degrees,
+// and the next level is selected from that table in ascending vertex order.
+// The peel allocates two O(n) tables and the residual, sized to what
+// survives — the batch core.ComputeVCCoreset runs the same loop over a
+// borrowed slice it never writes. The
 // diversity builder holds no edges, only the set of vertex IDs it saw. The
 // edcs builder (edcs.Subgraph) stores each distinct non-loop edge once, in
 // arrival order, as a 20-byte slot — endpoints, one next-link per endpoint
@@ -193,8 +204,11 @@
 // insert allocates once per chunk or index doubling, not once per edge. The
 // data plane around the builders is allocation-free in the steady state:
 // dataset segments and SHARD frames decode into reused buffers
-// (graph.DecodeEdgeBatchInto) and the stream sharder recycles its routing
-// batches.
+// (graph.DecodeEdgeBatchInto), the stream and cluster sharders take their
+// routing batches back from the machines and senders that drained them, a
+// cluster link encodes every SHARD payload into one buffer, and a worker
+// reads every mid-run frame into one per connection (the coordinator, which
+// keeps the TELEM and CORESET payloads it reads, does not).
 //
 // Above both runtimes sits the service layer (internal/service, served by
 // cmd/coresetd): a long-running daemon that keeps graphs and their composed

@@ -112,10 +112,12 @@ func countTelem(sink obs.Sink, machine, frameLen int) {
 // identical routing to stream.run — flushing mini-batches of bs edges as
 // they fill. A machine with a nil channel is not taking part in this pass
 // (a replay wave serves only the failed machines) and its edges are dropped.
-// Sends block on a machine's channel but never past cancellation. Returns
+// A batch is taken from free when one is waiting there — the senders return
+// each batch once they have encoded it — and allocated only otherwise. Sends
+// block on a machine's channel but never past cancellation. Returns
 // the edge and batch totals, a real source error (never a cancellation), and
 // whether the loop aborted on runCtx. The caller owns closing the channels.
-func shardSource(runCtx context.Context, src stream.EdgeSource, chans []chan []graph.Edge, bs int, seed uint64) (total, batches int, srcErr error, aborted bool) {
+func shardSource(runCtx context.Context, src stream.EdgeSource, chans []chan []graph.Edge, free <-chan []graph.Edge, bs int, seed uint64) (total, batches int, srcErr error, aborted bool) {
 	k := len(chans)
 	buf := make([]graph.Edge, bs)
 	pending := make([][]graph.Edge, k)
@@ -144,7 +146,11 @@ shard:
 					continue
 				}
 				if pending[i] == nil {
-					pending[i] = make([]graph.Edge, 0, bs)
+					select {
+					case pending[i] = <-free:
+					default:
+						pending[i] = make([]graph.Edge, 0, bs)
+					}
 				}
 				pending[i] = append(pending[i], e)
 				if len(pending[i]) == bs && !send(i) {

@@ -61,7 +61,14 @@ type link struct {
 	conn net.Conn     // nil while the machine is down
 	down *WorkerError // what took the connection down
 	sent int          // coordinator-to-worker bytes not yet folded into a round's Stats
+	enc  []byte       // SHARD payload encode buffer, reused across frames and rounds
 }
+
+// shardQueueDepth is how many routed batches may wait on one machine's
+// connection. It only has to cover the sharder while a sender is inside a
+// blocking TCP write; past that, a deeper queue is memory a slow worker
+// holds for nothing, since backpressure must reach the source anyway.
+const shardQueueDepth = 4
 
 // workerResult is what one machine answered in a round.
 type workerResult struct {
@@ -322,6 +329,12 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 		}
 	}
 	chans := make([]chan []graph.Edge, k) // nil: the sharder skips the machine
+	// Routing batches circulate as in stream.run: a sender hands each batch
+	// back on free once it has encoded it and the sharder refills it. A
+	// machine has at most shardQueueDepth queued, one being encoded and one
+	// being filled, so free never overflows and a pass allocates O(k)
+	// batches however long the source.
+	free := make(chan []graph.Edge, len(machines)*(shardQueueDepth+2))
 	live := 0
 	for _, m := range machines {
 		l := &s.links[m]
@@ -330,14 +343,14 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 			continue
 		}
 		live++
-		ch := make(chan []graph.Edge, 4)
+		ch := make(chan []graph.Edge, shardQueueDepth)
 		chans[m], res[m] = ch, workerResult{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			stopWatch := closeOnCancel(runCtx, l.conn)
 			defer stopWatch()
-			if kind, err := s.roundTrip(runCtx, m, ch, nReady, &p.n, &res[m]); err != nil {
+			if kind, err := s.roundTrip(runCtx, m, ch, free, nReady, &p.n, &res[m]); err != nil {
 				note(s.fail(m, kind, err))
 			}
 			// Discard whatever the sharder still queues for a machine that
@@ -353,7 +366,7 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 
 	// Sends block on the machine's channel (and transitively on its TCP
 	// connection: per-worker backpressure) but never past cancellation.
-	p.total, p.batches, p.srcErr, p.aborted = shardSource(runCtx, src, chans, s.cfg.batchSize(), seed)
+	p.total, p.batches, p.srcErr, p.aborted = shardSource(runCtx, src, chans, free, s.cfg.batchSize(), seed)
 	for _, ch := range chans {
 		if ch != nil {
 			close(ch)
@@ -370,18 +383,20 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 }
 
 // roundTrip speaks one round on machine m's connection: SHARD frames off the
-// batch channel (with TCP backpressure), EOS once the sharder publishes the
-// final vertex count through the nReady edge, then the CORESET reply, which
-// lands in res. A failure is returned with its FailureKind; cancellation
-// while parked on nReady returns nil with res unset. Every frame exchange
-// runs under the per-frame IOTimeout, so a stalled worker surfaces as a
-// retryable KindDeadline failure rather than a hang.
-func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult) (FailureKind, error) {
-	conn, sink := s.links[m].conn, s.cfg.Obs
-	var buf []byte
+// batch channel (with TCP backpressure; each batch goes back on free as soon
+// as it is encoded, before the write that may block), EOS once the sharder
+// publishes the final vertex count through the nReady edge, then the CORESET
+// reply, which lands in res. A failure is returned with its FailureKind;
+// cancellation while parked on nReady returns nil with res unset. Every frame
+// exchange runs under the per-frame IOTimeout, so a stalled worker surfaces
+// as a retryable KindDeadline failure rather than a hang.
+func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []graph.Edge, free chan<- []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult) (FailureKind, error) {
+	l := &s.links[m]
+	conn, sink := l.conn, s.cfg.Obs
 	for batch := range batches {
-		buf = graph.AppendEdgeBatch(buf[:0], batch)
-		if err := s.send(m, frameShard, buf); err != nil {
+		l.enc = graph.AppendEdgeBatch(l.enc[:0], batch)
+		free <- batch[:0]
+		if err := s.send(m, frameShard, l.enc); err != nil {
 			return ioKind(err), fmt.Errorf("shard stream: %w", err)
 		}
 	}

@@ -195,21 +195,43 @@ func readFrameDeadline(conn net.Conn, d time.Duration) (typ byte, payload []byte
 }
 
 // readFrame reads one frame and returns its type, payload and total wire
-// size (header included).
+// size (header included). The payload is a fresh allocation the caller may
+// keep: it is how the coordinator reads the TELEM and CORESET frames it holds
+// on to.
 func readFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrameInto(r, new(frameBuf))
+}
+
+// frameBuf is a connection's reusable read buffer: the header scratch and a
+// payload buffer that grows to the largest frame seen and is then reused, so
+// a read loop over it allocates nothing per frame.
+type frameBuf struct {
+	hdr     [frameHeaderLen]byte
+	payload []byte
+}
+
+// readFrameInto is readFrame into fb. The returned payload aliases fb and is
+// valid only until the next read into it, so it is for frames consumed on
+// the spot (the worker's SHARD and EOS frames). The length prefix is checked
+// before fb's payload buffer is touched, and the payload returned is exactly
+// the bytes of this frame: what an earlier, longer frame left behind lies
+// beyond its length.
+func readFrameInto(r io.Reader, fb *frameBuf) (typ byte, payload []byte, n int, err error) {
+	if _, err := io.ReadFull(r, fb.hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	size := binary.BigEndian.Uint32(hdr[1:])
+	size := binary.BigEndian.Uint32(fb.hdr[1:])
 	if size > maxFramePayload {
 		return 0, nil, 0, fmt.Errorf("cluster: frame payload %d exceeds limit", size)
 	}
-	payload = make([]byte, size)
+	if uint32(cap(fb.payload)) < size {
+		fb.payload = make([]byte, size)
+	}
+	payload = fb.payload[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
 	}
-	return hdr[0], payload, frameHeaderLen + int(size), nil
+	return fb.hdr[0], payload, frameHeaderLen + int(size), nil
 }
 
 // hello is the HELLO payload: which machine of which run this connection

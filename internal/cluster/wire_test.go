@@ -171,10 +171,91 @@ func FuzzDecodeTelem(f *testing.F) {
 	})
 }
 
+// dirtyFrameBuf returns a read buffer that has just served a frame longer
+// than anything the tests then read into it, so every byte of it is stale.
+func dirtyFrameBuf(t testing.TB) (fb *frameBuf, stale []byte) {
+	t.Helper()
+	var long bytes.Buffer
+	_, _ = writeFrame(&long, frameShard, bytes.Repeat([]byte{0xEE}, 256))
+	fb = new(frameBuf)
+	if _, p, _, err := readFrameInto(&long, fb); err != nil || len(p) != 256 {
+		t.Fatalf("priming the read buffer: %d bytes, err %v", len(p), err)
+	}
+	return fb, bytes.Clone(fb.payload[:cap(fb.payload)])
+}
+
+// TestReadFrameIntoDirtyBuffer: the worker reads every mid-run frame into one
+// buffer. A short frame after a long one must come back as exactly its own
+// bytes, in place; an oversized length prefix must fail before the buffer is
+// touched; a truncated payload must hand back nothing; and a longer frame
+// must still fit.
+func TestReadFrameIntoDirtyBuffer(t *testing.T) {
+	fb, _ := dirtyFrameBuf(t)
+	var wire bytes.Buffer
+	for _, p := range [][]byte{{0x01, 0x02, 0x03}, {}, bytes.Repeat([]byte{0x5A}, 1000)} {
+		_, _ = writeFrame(&wire, frameShard, p)
+		typ, payload, n, err := readFrameInto(&wire, fb)
+		if err != nil || typ != frameShard || n != frameHeaderLen+len(p) {
+			t.Fatalf("%d-byte frame: type 0x%02x, %d wire bytes, err %v", len(p), typ, n, err)
+		}
+		if len(payload) != len(p) || !bytes.Equal(payload, p) {
+			t.Fatalf("%d-byte frame read back as %d bytes % x", len(p), len(payload), payload)
+		}
+		if len(p) > 0 && &payload[0] != &fb.payload[0] {
+			t.Fatalf("%d-byte frame was not read into the connection's buffer", len(p))
+		}
+	}
+
+	fb, stale := dirtyFrameBuf(t)
+	held := &fb.payload[0]
+	if _, _, _, err := readFrameInto(bytes.NewReader([]byte{frameShard, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}), fb); err == nil {
+		t.Fatal("oversized length prefix accepted")
+	}
+	if &fb.payload[0] != held || !bytes.Equal(fb.payload[:cap(fb.payload)], stale) {
+		t.Fatal("an oversized length prefix touched the read buffer")
+	}
+	if _, payload, _, err := readFrameInto(bytes.NewReader([]byte{frameShard, 0x00, 0x00, 0x00, 0x05, 0x01}), fb); err == nil || payload != nil {
+		t.Fatalf("truncated payload came back as % x, err %v", payload, err)
+	}
+}
+
+// TestKeptFramesAreNeverRecycled: the coordinator holds on to what it reads
+// — a TELEM payload while it awaits the CORESET, a CORESET payload while it
+// decodes — so its reads must each own their bytes.
+func TestKeptFramesAreNeverRecycled(t *testing.T) {
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	telem := appendTelem(nil, workerTelem{decodeNS: 1, buildNS: 2, encodeNS: 3, edgesIn: 4})
+	coreset := bytes.Repeat([]byte{0xC5}, len(telem)) // same size: a recycling reader would reuse the array
+	go func() {
+		defer worker.Close()
+		_, _ = writeFrame(worker, frameTelem, telem)
+		_, _ = writeFrame(worker, frameCoreset, coreset)
+	}()
+	_, first, _, err := readFrameDeadline(coord, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, _, err := readFrameDeadline(coord, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, telem) || !bytes.Equal(second, coreset) {
+		t.Fatalf("the second read disturbed the first: % x, % x", first, second)
+	}
+	if &first[:1][0] == &second[:1][0] {
+		t.Fatal("two kept frames share one buffer")
+	}
+}
+
 // FuzzReadFrame: the frame reader sees a peer's bytes before any other
 // validation. Truncated headers and payloads and oversized length prefixes
 // must come back as errors, a frame it accepts must be exactly the bytes on
-// the wire, and in no case may one read allocate past maxFramePayload.
+// the wire, and in no case may one read allocate past maxFramePayload. Every
+// input is read twice — into a fresh buffer, as the coordinator reads, and
+// into a dirty reused one, as the worker's SHARD loop does — and the two
+// must agree: no stale byte of the longer frame the buffer last held may
+// show, and an oversized length prefix must leave the buffer as it was.
 func FuzzReadFrame(f *testing.F) {
 	var ok bytes.Buffer
 	_, _ = writeFrame(&ok, frameShard, []byte{0x01, 0x02, 0x03})
@@ -185,6 +266,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{frameCoreset, 0x04, 0x00, 0x00, 0x00, 0x01})   // largest legal prefix, truncated
 	f.Add([]byte{frameCoreset, 0x04, 0x00, 0x00, 0x01, 0x01})   // one past the limit
 	f.Add([]byte{frameEOS, 0x00, 0x00, 0x00, 0x00, 0xAA, 0xBB}) // empty frame, trailing bytes
+	var long bytes.Buffer
+	_, _ = writeFrame(&long, frameShard, bytes.Repeat([]byte{0xEE}, 300))
+	f.Add(long.Bytes())                                                 // longer than the dirty buffer: it must grow
+	f.Add([]byte{frameShard, 0x00, 0x00, 0x00, 0x02, 0xEE, 0xEE, 0xEE}) // short frame of the stale byte itself
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -194,6 +279,15 @@ func FuzzReadFrame(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFramePayload+1<<20 {
 			t.Fatalf("one readFrame allocated %d bytes, limit %d", grew, maxFramePayload)
 		}
+
+		fb, stale := dirtyFrameBuf(t)
+		held := &fb.payload[0]
+		rtyp, rpayload, rn, rerr := readFrameInto(bytes.NewReader(data), fb)
+		if (rerr == nil) != (err == nil) || rtyp != typ || rn != n || !bytes.Equal(rpayload, payload) || (rerr != nil && rpayload != nil) {
+			t.Fatalf("a reused buffer read (type 0x%02x, %d bytes, % x, err %v), a fresh one (type 0x%02x, %d bytes, % x, err %v)",
+				rtyp, rn, rpayload, rerr, typ, n, payload, err)
+		}
+
 		if len(data) < frameHeaderLen {
 			if err == nil {
 				t.Fatal("truncated header accepted")
@@ -201,6 +295,9 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		size := binary.BigEndian.Uint32(data[1:])
+		if size > maxFramePayload && (&fb.payload[0] != held || !bytes.Equal(fb.payload[:cap(fb.payload)], stale)) {
+			t.Fatalf("length prefix %d over the limit touched the read buffer", size)
+		}
 		if size > maxFramePayload || uint64(len(data)-frameHeaderLen) < uint64(size) {
 			if err == nil {
 				t.Fatalf("frame with length prefix %d over %d payload bytes accepted", size, len(data)-frameHeaderLen)

@@ -266,7 +266,8 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 // accumulates the round's phase
 // times and build counters; the caller resets it at round boundaries. shard
 // is the connection's SHARD decode buffer: builders copy what they keep of an
-// Add, so every frame decodes into the same array.
+// Add, so every frame decodes into the same array. payload may alias the
+// connection's read buffer; nothing of it is kept past the call.
 func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem, shard *[]graph.Edge) (done bool, err error) {
 	fail := func(err error) error {
 		_, _ = writeFrame(conn, frameError, []byte(err.Error()))
@@ -301,7 +302,11 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		t0 := time.Now()
 		sum := m.Finish(int(n))
 		d, _, _ := task.ByWire(h.task) // cannot miss: decodeHello accepted the byte
-		body := task.AppendSummary(nil, d, sum)
+		// sum.Bytes is the simulated size of the coreset body, which the
+		// wire encoding matches to within a few bytes per list; sized to it
+		// (plus the stats prefix) the buffer is allocated once instead of
+		// doubling its way up to a coreset-sized frame.
+		body := task.AppendSummary(make([]byte, 0, sum.Bytes+64), d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		bt := m.Telem()
 		tm.repairIters, tm.removals, tm.peakCoreset = bt.RepairIters, bt.Removals, bt.PeakCoreset
@@ -340,13 +345,14 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 // mid-round — or before the first round — is a real abort.
 func (w *Worker) serveRounds(conn net.Conn, h hello, tr *obs.Tracer, mk func() *stream.Machine) error {
 	var shard []graph.Edge
+	var fb frameBuf // every mid-run frame is consumed before the next read
 	for round := 0; round < h.rounds; round++ {
 		m := mk()
 		tm := new(workerTelem) // fresh per round, like the machine
 		inRound := false
 		endRound := func(...any) {}
 		for {
-			typ, payload, nr, err := readFrame(conn)
+			typ, payload, nr, err := readFrameInto(conn, &fb)
 			if err != nil {
 				// Only an orderly close (clean EOF before any frame of a new
 				// round) is the documented end-of-run signal; resets,

@@ -42,18 +42,83 @@ func PeelingDepth(n, k int) int {
 
 // ComputeVCCoreset runs VC-Coreset (Theorem 2) on one machine's partition.
 // n is the global vertex count and k the number of machines; both enter the
-// peeling thresholds n/(k*2^(j+1)).
+// peeling thresholds n/(k*2^(j+1)). part is only read: the peel borrows it
+// and copies out what survives the first level that removes anything.
 func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
+	return PeelVC(n, k, graph.BorrowEdges(part), nil)
+}
+
+// PeelVC is the level loop of VC-Coreset, run straight off a machine's edge
+// store, which it consumes. Level j fixes every vertex whose degree in the
+// surviving subgraph is at least ceil(n/(k*2^(j+1))), in ascending vertex
+// order. A level needs degrees only once, before it selects, and removing a
+// level needs no adjacency — an edge leaves exactly when an endpoint has —
+// so the peel is one sweep per level that removed something: Prune drops the
+// edges the last level killed and recounts the survivors' degrees in the same
+// pass. The cost is what the sweeps visit, on a store that shrinks with every
+// one; levels that fix nobody (the high thresholds, on a shard with no
+// heavy vertex) cost a scan of the degree table and nothing else.
+//
+// online, when non-nil, is the level-1 decision a streaming machine took
+// while its shard arrived (online[v]: v's degree in the full shard reached
+// the level-1 threshold, and the machine stopped storing v's edges from then
+// on). Level 1 is then taken from it rather than recomputed — the store no
+// longer holds the edges that decided it — and is reported even if n leaves
+// no level to run, since edges were discarded on its account.
+//
+// The result is that of the paper's definition field for field: Levels
+// ascending (nil for a level that fixed nobody), Residual in arrival order
+// and exactly sized, self-loops and parallel edges counted as BuildAdj
+// counts them.
+func PeelVC(n, k int, st *graph.EdgeStore, online []bool) *VCCoreset {
 	delta := PeelingDepth(n, k)
-	res := graph.NewResidual(n, part)
 	out := &VCCoreset{}
-	for j := 1; j <= delta-1; j++ {
-		threshold := float64(n) / (float64(k) * math.Pow(2, float64(j+1)))
-		peeled := res.RemoveAtLeast(int(math.Ceil(threshold)))
-		out.Levels = append(out.Levels, peeled)
-		out.Fixed = append(out.Fixed, peeled...)
+	deg := make([]int32, n)
+	dead := make([]bool, n)
+	// killed: vertices died since the last sweep, so the store still holds
+	// the edges they cover and deg still counts them.
+	killed := false
+	fix := func(level []graph.ID) {
+		for _, v := range level {
+			dead[v] = true
+		}
+		out.Levels = append(out.Levels, level)
+		out.Fixed = append(out.Fixed, level...)
+		killed = len(level) > 0
 	}
-	out.Residual = res.LiveEdges()
+	first := 1
+	if online != nil {
+		var level []graph.ID
+		for v, fixed := range online {
+			if fixed {
+				level = append(level, graph.ID(v))
+			}
+		}
+		fix(level)
+		first = 2
+	}
+	if !killed && first <= delta-1 {
+		st.AddDegrees(deg) // nothing to drop yet: count, and leave the store be
+	}
+	for j := first; j <= delta-1; j++ {
+		if killed {
+			st.Prune(dead, deg)
+		}
+		threshold := int(math.Ceil(float64(n) / (float64(k) * math.Pow(2, float64(j+1)))))
+		// A dead vertex has degree 0 after the sweep and the threshold is at
+		// least 1, so the scan needs no liveness test.
+		var level []graph.ID
+		for v, d := range deg {
+			if int(d) >= threshold {
+				level = append(level, graph.ID(v))
+			}
+		}
+		fix(level)
+	}
+	if killed {
+		st.Prune(dead, deg)
+	}
+	out.Residual = st.Edges()
 	return out
 }
 

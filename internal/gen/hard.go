@@ -252,3 +252,30 @@ func AdversarialMaximalOrder(part []graph.Edge, isHidden func(graph.Edge) bool) 
 	out = append(out, hiddens...)
 	return out
 }
+
+// HubNoise is the hard arrival order for a vertex-cover machine with online
+// peeling: a multigraph on n vertices in which vertices 0..hubs-1 each get
+// hubDeg edges to uniform endpoints, over noise uniform edges, plus noise/16
+// repeats of edges already drawn and as many self-loops, all shuffled. With
+// hubDeg above a machine's level-1 threshold a hub crosses it mid-stream, so
+// the machine holds edges it stored before their endpoint was fixed — the
+// case G(n,p) inputs never produce — and the repeats and loops exercise the
+// multigraph degree convention. The result is not a valid graph.Graph
+// (Validate rejects the loops); it is an edge sequence for the machines.
+func HubNoise(n, hubs, hubDeg, noise int, r *rng.RNG) []graph.Edge {
+	var edges []graph.Edge
+	for h := 0; h < hubs; h++ {
+		for i := 0; i < hubDeg; i++ {
+			edges = append(edges, graph.Edge{U: graph.ID(h), V: graph.ID(r.Intn(n))}.Canon())
+		}
+	}
+	for i := 0; i < noise; i++ {
+		edges = append(edges, graph.Edge{U: graph.ID(r.Intn(n)), V: graph.ID(r.Intn(n))}.Canon())
+	}
+	for i := 0; i < noise/16; i++ {
+		v := graph.ID(r.Intn(n))
+		edges = append(edges, edges[r.Intn(len(edges))], graph.Edge{U: v, V: v})
+	}
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}

@@ -9,7 +9,6 @@ type Adj struct {
 	N   int
 	Off []int32 // len N+1; neighbors of v are Nbr[Off[v]:Off[v+1]]
 	Nbr []ID    // len 2m
-	EID []int32 // len 2m; EID[i] indexes the originating edge in the source list
 }
 
 // BuildAdj constructs the CSR structure in two counting passes (O(n + m),
@@ -24,18 +23,15 @@ func BuildAdj(n int, edges []Edge) *Adj {
 		off[i+1] += off[i]
 	}
 	nbr := make([]ID, 2*len(edges))
-	eid := make([]int32, 2*len(edges))
 	cur := make([]int32, n)
 	copy(cur, off[:n])
-	for i, e := range edges {
+	for _, e := range edges {
 		nbr[cur[e.U]] = e.V
-		eid[cur[e.U]] = int32(i)
 		cur[e.U]++
 		nbr[cur[e.V]] = e.U
-		eid[cur[e.V]] = int32(i)
 		cur[e.V]++
 	}
-	return &Adj{N: n, Off: off, Nbr: nbr, EID: eid}
+	return &Adj{N: n, Off: off, Nbr: nbr}
 }
 
 // Degree returns the degree of v (counting parallel edges).

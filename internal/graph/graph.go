@@ -1,8 +1,9 @@
 // Package graph provides the graph substrate shared by every algorithm in
-// this repository: compact edge-list graphs, CSR adjacency structures,
-// mutable residual graphs with degree tracking (for the peeling algorithms),
-// bipartite views, and the binary edge encoding used to account for
-// communication in the simultaneous protocols.
+// this repository: compact edge-list graphs, chunked per-machine edge stores,
+// CSR adjacency structures, mutable residual graphs with degree tracking (for
+// the vertex-at-a-time peeling algorithms), bipartite views, and the binary
+// edge encoding used to account for communication in the simultaneous
+// protocols.
 //
 // Vertices are dense integer identifiers 0..N-1 stored as int32 (the paper's
 // regime is n up to millions of vertices; 32-bit ids halve memory traffic on

@@ -1,19 +1,22 @@
 package graph
 
 // Residual is a mutable view of a graph supporting vertex removal with O(1)
-// amortized degree maintenance. It is the workhorse of the peeling
-// algorithms: VC-Coreset (Theorem 2) repeatedly removes all vertices whose
-// residual degree exceeds a threshold, and Parnas-Ron peeling does the same
-// on the whole graph.
+// amortized degree maintenance, over a CSR adjacency. It serves the peeling
+// algorithms that remove vertices one at a time or interleave removals with
+// degree queries: Parnas-Ron peeling and the greedy covers (internal/vcover),
+// the Buss kernel (internal/kernel) and the Lemma 3.6 analysis. The
+// Theorem 2 machine does not use it — VC-Coreset removes whole levels and
+// asks for degrees only between them, which EdgeStore.Prune answers from the
+// edge list alone, without the 2m-entry adjacency.
 //
 // Removal is lazy on the adjacency side: neighbors are not unlinked, but
-// degrees are decremented eagerly and dead vertices are skipped on scans.
+// degrees are decremented eagerly and dead vertices are skipped on scans. An
+// edge is live exactly while both its endpoints are alive.
 type Residual struct {
 	adj   *Adj
 	alive []bool
 	deg   []int32 // residual degree (edges to alive neighbors)
 	edges []Edge  // originating edge list (shared, not owned)
-	eDead []bool  // edge removed because an endpoint died
 }
 
 // NewResidual builds a residual view over (n, edges). The edge slice is
@@ -24,7 +27,6 @@ func NewResidual(n int, edges []Edge) *Residual {
 		alive: make([]bool, n),
 		deg:   make([]int32, n),
 		edges: edges,
-		eDead: make([]bool, len(edges)),
 	}
 	for i := range r.alive {
 		r.alive[i] = true
@@ -61,7 +63,6 @@ func (r *Residual) Remove(v ID) {
 		if r.alive[w] {
 			r.deg[w]--
 		}
-		r.eDead[r.adj.EID[i]] = true
 	}
 }
 
@@ -84,11 +85,11 @@ func (r *Residual) RemoveAtLeast(threshold int) []ID {
 }
 
 // LiveEdges returns the edges with both endpoints alive, preserving input
-// order.
+// order, in a slice of exactly their number (non-nil when empty).
 func (r *Residual) LiveEdges() []Edge {
-	out := make([]Edge, 0, len(r.edges))
-	for i, e := range r.edges {
-		if !r.eDead[i] {
+	out := make([]Edge, 0, r.LiveEdgeCount())
+	for _, e := range r.edges {
+		if r.alive[e.U] && r.alive[e.V] {
 			out = append(out, e)
 		}
 	}
@@ -98,8 +99,8 @@ func (r *Residual) LiveEdges() []Edge {
 // LiveEdgeCount returns the number of edges with both endpoints alive.
 func (r *Residual) LiveEdgeCount() int {
 	c := 0
-	for i := range r.edges {
-		if !r.eDead[i] {
+	for _, e := range r.edges {
+		if r.alive[e.U] && r.alive[e.V] {
 			c++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,65 +113,108 @@ func TestMatchingParity(t *testing.T) {
 	}
 }
 
+// hubInput is the workload on which online level-1 peeling fires: a shuffled
+// hubs-and-noise multigraph (gen.HubNoise, self-loops and parallel edges
+// included) whose hubs cross every machine's level-1 threshold mid-stream.
+// On the G(n,p) parity graphs per-machine degrees never come near n/(4k).
+func hubInput(seed uint64) (n, k int, edges []graph.Edge) {
+	n, k = 1200+40*int(seed), 2+int(seed%3)
+	return n, k, gen.HubNoise(n, 3+int(seed%4), n/2, 5*n, rng.New(seed))
+}
+
+// vcParity runs the streaming Theorem 2 pipeline on (n, edges) and holds it
+// to the batch path on the same hash partitioning: per-machine coresets of
+// the sizes core.ComputeVCCoreset gives, and the identical, feasible cover.
+// It returns how many vertices the machines peeled online.
+func vcParity(t *testing.T, name string, n int, edges []graph.Edge, k int, seed uint64) (peeledOnline int) {
+	t.Helper()
+	coverSol, st, err := Solve(context.Background(), NewSliceSource(n, edges), Config{K: k, Seed: seed}, vcTask, task.Params{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	cover := coverSol.Cover
+	if err := vcover.Verify(n, edges, cover); err != nil {
+		t.Fatalf("%s: streamed cover infeasible: %v", name, err)
+	}
+
+	parts := batchHashParts(&graph.Graph{N: n, Edges: edges}, k, seed)
+	coresets := make([]*core.VCCoreset, k)
+	for i, p := range parts {
+		coresets[i] = core.ComputeVCCoreset(n, k, p)
+		if st.CoresetEdges[i] != len(coresets[i].Residual) || st.CoresetFixed[i] != len(coresets[i].Fixed) {
+			t.Fatalf("%s machine %d: coreset (%d res, %d fixed), batch (%d, %d)",
+				name, i, st.CoresetEdges[i], st.CoresetFixed[i], len(coresets[i].Residual), len(coresets[i].Fixed))
+		}
+		peeledOnline += st.Live[i]
+		// Online peeling must only ever shrink what a machine stores.
+		if st.StoredEdges[i] > st.PartEdges[i] {
+			t.Fatalf("%s machine %d: stored %d > received %d", name, i, st.StoredEdges[i], st.PartEdges[i])
+		}
+	}
+	want := core.ComposeVC(n, coresets)
+	if !reflect.DeepEqual(cover, want) {
+		t.Fatalf("%s: streamed cover differs from batch (got %d vertices, want %d)", name, len(cover), len(want))
+	}
+	return peeledOnline
+}
+
 // TestVertexCoverParity: the streaming Theorem 2 pipeline (with online
 // level-1 peeling) must emit per-machine coresets deep-equal to batch
 // core.ComputeVCCoreset on the same parts, and compose to the identical,
-// feasible cover — across >= 5 seeds.
+// feasible cover — on G(n,p), where the online path stays idle, and on the
+// hub-heavy inputs, where it must have fired.
 func TestVertexCoverParity(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		// High average degree so peeling actually fires several levels.
 		g := parityGraph(seed, 700, 40)
-		k := 4
-		coverSol, st, err := Solve(context.Background(), NewGraphSource(g), Config{K: k, Seed: seed}, vcTask, task.Params{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		cover := coverSol.Cover
-		if err := vcover.Verify(g.N, g.Edges, cover); err != nil {
-			t.Fatalf("seed %d: streamed cover infeasible: %v", seed, err)
-		}
-
-		parts := batchHashParts(g, k, seed)
-		coresets := make([]*core.VCCoreset, k)
-		peeledOnline := 0
-		for i, p := range parts {
-			coresets[i] = core.ComputeVCCoreset(g.N, k, p)
-			if st.CoresetEdges[i] != len(coresets[i].Residual) || st.CoresetFixed[i] != len(coresets[i].Fixed) {
-				t.Fatalf("seed %d machine %d: coreset (%d res, %d fixed), batch (%d, %d)",
-					seed, i, st.CoresetEdges[i], st.CoresetFixed[i], len(coresets[i].Residual), len(coresets[i].Fixed))
-			}
-			peeledOnline += st.Live[i]
-			// Online peeling must only ever shrink what a machine stores.
-			if st.StoredEdges[i] > st.PartEdges[i] {
-				t.Fatalf("seed %d machine %d: stored %d > received %d", seed, i, st.StoredEdges[i], st.PartEdges[i])
-			}
-		}
-		want := core.ComposeVC(g.N, coresets)
-		if !reflect.DeepEqual(cover, want) {
-			t.Fatalf("seed %d: streamed cover differs from batch (got %d vertices, want %d)", seed, len(cover), len(want))
+		vcParity(t, "gnp seed "+strconv.FormatUint(seed, 10), g.N, g.Edges, 4, seed)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		n, k, edges := hubInput(seed)
+		// A whole run takes a graph without self-loops (graph.Validate; the
+		// composed cover ignores them). The machines themselves are held to
+		// the loops too, in TestVCBuilderDeepParity.
+		edges = slices.DeleteFunc(edges, func(e graph.Edge) bool { return e.U == e.V })
+		name := "hubs seed " + strconv.FormatUint(seed, 10)
+		if vcParity(t, name, n, edges, k, seed) == 0 {
+			t.Fatalf("%s: no machine peeled a vertex online", name)
 		}
 	}
 }
 
 // TestVCBuilderDeepParity drives the vc machine directly against batch
 // ComputeVCCoreset: with the vertex count known upfront the online-peeling
-// path must produce a field-for-field identical coreset, for every machine.
-// (The threshold-selection internals are pinned by internal/task's tests;
-// here we check the hosted Machine facade end to end.)
+// path must produce a field-for-field identical coreset, for every machine —
+// on G(n,p) shards and on hub-heavy ones, where every machine must have
+// peeled online and dropped edges it had stored. (The threshold-selection
+// internals are pinned by internal/task's tests; here we check the hosted
+// Machine facade end to end.)
 func TestVCBuilderDeepParity(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		g := parityGraph(seed, 500, 60)
-		k := 3
-		parts := batchHashParts(g, k, seed)
+	check := func(name string, n, k int, parts [][]graph.Edge) (live []int) {
 		for i, p := range parts {
-			m := NewMachine(vcTask.NewBuilder(k, g.N, task.Params{}))
+			m := NewMachine(vcTask.NewBuilder(k, n, task.Params{}))
 			for _, e := range p {
 				m.Add(e)
 			}
-			got := m.Finish(g.N).VC
-			want := core.ComputeVCCoreset(g.N, k, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d machine %d: online-peel coreset differs from batch:\ngot  %+v\nwant %+v", seed, i, got, want)
+			s := m.Finish(n)
+			want := core.ComputeVCCoreset(n, k, p)
+			if !reflect.DeepEqual(s.VC, want) {
+				t.Fatalf("%s machine %d: online-peel coreset differs from batch:\ngot  %+v\nwant %+v", name, i, s.VC, want)
+			}
+			live = append(live, s.Live)
+		}
+		return live
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		g := parityGraph(seed, 500, 60)
+		check("gnp seed "+strconv.FormatUint(seed, 10), g.N, 3, batchHashParts(g, 3, seed))
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		n, k, edges := hubInput(seed)
+		name := "hubs seed " + strconv.FormatUint(seed, 10)
+		for i, live := range check(name, n, k, batchHashParts(&graph.Graph{N: n, Edges: edges}, k, seed)) {
+			if live == 0 {
+				t.Fatalf("%s machine %d: peeled nothing online", name, i)
 			}
 		}
 	}

@@ -14,10 +14,11 @@ import (
 // greedy matching as live telemetry (a 2-approximation of the partition's
 // maximum matching at every instant). At end of stream it emits exactly the
 // batch pipeline's summary: a maximum matching of the stored partition,
-// computed by the same core.MatchingCoreset call, so streaming and batch
-// runs over the same k-partitioning are bit-for-bit identical.
+// computed by the same core.MatchingCoreset call (which wants one flat
+// slice, so Finish flattens the store once), so streaming and batch runs
+// over the same k-partitioning are bit-for-bit identical.
 type matchingBuilder struct {
-	edges []graph.Edge
+	edges graph.EdgeStore
 	live  *matching.Incremental
 }
 
@@ -26,43 +27,48 @@ func newMatchingBuilder() *matchingBuilder {
 }
 
 func (b *matchingBuilder) Add(e graph.Edge) {
-	b.edges = append(b.edges, e)
+	b.edges.Append(e)
 	b.live.Add(e)
 }
 
 func (b *matchingBuilder) Finish(n int) Summary {
-	cs := core.MatchingCoreset(n, b.edges)
+	part := b.edges.Edges()
+	b.edges = graph.EdgeStore{} // the matcher's working set should not sit beside a second copy of the shard
+	cs := core.MatchingCoreset(n, part)
 	return Summary{
 		Coreset: cs,
-		Stored:  len(b.edges),
+		Stored:  len(part),
 		Live:    b.live.Size(),
 		Bytes:   core.CoresetSizeBytes(cs),
 	}
 }
 
-// vcBuilder is the Theorem 2 machine: incremental degree tracking with
-// online level-1 peeling. Degrees only grow as edges arrive, so a vertex
-// belongs to the first peeled level iff its running degree ever reaches the
-// level-1 threshold n/(4k) — the builder detects this the moment it happens,
-// fixes the vertex into the cover immediately, and discards every subsequent
-// edge incident to it (such edges are already covered and can never reach the
-// residual). Stored edges incident to later-peeled vertices are removed at
-// Finish, where peeling resumes at level 2 on the surviving subgraph. The
-// emitted coreset is field-for-field identical to the batch
-// core.ComputeVCCoreset on the same partition; online peeling only reduces
-// the edges held in memory.
+// vcBuilder is the Theorem 2 machine: a chunked edge store that never copies
+// what it holds, incremental degree tracking with online level-1 peeling,
+// and at Finish the edge-list peel (core.PeelVC) run in place on the store.
+//
+// Degrees only grow as edges arrive, so a vertex belongs to the first peeled
+// level iff its running degree ever reaches the level-1 threshold n/(4k) —
+// the builder detects this the moment it happens, fixes the vertex into the
+// cover immediately, and discards every subsequent edge incident to it (such
+// edges are already covered and can never reach the residual). Edges stored
+// before an endpoint crossed the threshold are dropped by the first sweep of
+// Finish, which hands PeelVC the level-1 set and lets it run levels
+// 2..Delta-1: the same level loop the batch core.ComputeVCCoreset runs from
+// level 1, so the emitted coreset is field-for-field identical to the batch
+// one on the same partition; online peeling only reduces the edges held in
+// memory.
 //
 // Online peeling needs the thresholds — hence n — upfront; when the source
 // cannot declare n (headerless edge lists), the builder degrades to storing
-// its partition and running the full batch peel at Finish.
+// its partition and leaving every level to Finish.
 type vcBuilder struct {
 	k         int
 	threshold int // level-1 peel threshold; 0 disables online peeling
 	deg       []int32
-	peeled    []bool
+	peeled    []bool // nil iff online peeling is disabled
 	nPeeled   int
-	stored    []graph.Edge
-	received  int
+	stored    graph.EdgeStore
 }
 
 func newVCBuilder(k, nHint int) *vcBuilder {
@@ -86,11 +92,9 @@ func (b *vcBuilder) grow(v graph.ID) {
 }
 
 func (b *vcBuilder) Add(e graph.Edge) {
-	b.received++
 	if b.threshold == 0 {
-		// No vertex count, no thresholds: just store the partition; Finish
-		// runs the full batch peel.
-		b.stored = append(b.stored, e)
+		// No vertex count, no thresholds: just store the partition.
+		b.stored.Append(e)
 		return
 	}
 	b.grow(e.U)
@@ -105,7 +109,7 @@ func (b *vcBuilder) Add(e graph.Edge) {
 	if b.peeled[e.U] || b.peeled[e.V] {
 		return // covered by a fixed vertex; never reaches the residual
 	}
-	b.stored = append(b.stored, e)
+	b.stored.Append(e)
 }
 
 func (b *vcBuilder) peel(v graph.ID) {
@@ -116,48 +120,14 @@ func (b *vcBuilder) peel(v graph.ID) {
 }
 
 func (b *vcBuilder) Finish(n int) Summary {
-	var cs *core.VCCoreset
-	if b.threshold == 0 {
-		cs = core.ComputeVCCoreset(n, b.k, b.stored)
-	} else {
-		cs = b.finishFromLevel2(n)
-	}
+	stored := b.stored.Len() // the peel consumes the store
+	cs := core.PeelVC(n, b.k, &b.stored, b.peeled)
 	return Summary{
 		VC:     cs,
-		Stored: len(b.stored),
+		Stored: stored,
 		Live:   b.nPeeled,
 		Bytes:  core.VCCoresetSizeBytes(cs),
 	}
-}
-
-// finishFromLevel2 resumes the VC-Coreset peel after the online level-1 pass:
-// remove the already-peeled vertices from the stored subgraph, then run
-// levels 2..Delta-1 exactly as the batch algorithm does.
-func (b *vcBuilder) finishFromLevel2(n int) *core.VCCoreset {
-	delta := core.PeelingDepth(n, b.k)
-	// Batch RemoveAtLeast reports each level in ascending vertex order; match
-	// it so the coresets compare deep-equal.
-	var level1 []graph.ID
-	for v := 0; v < len(b.peeled); v++ {
-		if b.peeled[v] {
-			level1 = append(level1, graph.ID(v))
-		}
-	}
-	res := graph.NewResidual(n, b.stored)
-	for _, v := range level1 {
-		res.Remove(v)
-	}
-	out := &core.VCCoreset{}
-	out.Levels = append(out.Levels, level1)
-	out.Fixed = append(out.Fixed, level1...)
-	for j := 2; j <= delta-1; j++ {
-		threshold := float64(n) / (float64(b.k) * math.Pow(2, float64(j+1)))
-		peeled := res.RemoveAtLeast(int(math.Ceil(threshold)))
-		out.Levels = append(out.Levels, peeled)
-		out.Fixed = append(out.Fixed, peeled...)
-	}
-	out.Residual = res.LiveEdges()
-	return out
 }
 
 // edcsBuilder is the EDCS machine (arXiv:1711.03076): a dynamic
