@@ -131,9 +131,10 @@ func TestStreamGoldenSyntheticGNP(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"stream: n=2000, 5960 edges in 6 batches, k=4 machines",
-		// Byte counts are pinned to the varint delta edge-batch codec
-		// (graph.AppendEdgeBatch), the shared wire/accounting encoding.
-		"communication: total 7946 bytes, max machine 2071 bytes",
+		// Byte counts are pinned to the sorted-set codec
+		// (graph.AppendEdgeSet), the shared wire/accounting encoding of
+		// every coreset body; 7946 / 2071 under the delta batch codec.
+		"communication: total 4712 bytes, max machine 1220 bytes",
 		"coreset edges per machine: [679 705 655 671]",
 		"live greedy per machine: [621 627 591 614]",
 		"matching: 980 edges (streamed, 4 machines)",
@@ -257,8 +258,8 @@ func TestJSONGoldenBatchMatching(t *testing.T) {
     2,
     3
   ],
-  "totalCommBytes": 12,
-  "maxMachineBytes": 7,
+  "totalCommBytes": 11,
+  "maxMachineBytes": 6,
   "compositionEdges": 5,
   "durationMs": 0
 }`
@@ -300,8 +301,8 @@ func TestJSONGoldenStreamVC(t *testing.T) {
     0,
     0
   ],
-  "totalCommBytes": 22,
-  "maxMachineBytes": 14,
+  "totalCommBytes": 15,
+  "maxMachineBytes": 8,
   "compositionEdges": 9,
   "batches": 1,
   "durationMs": 0
@@ -336,8 +337,8 @@ func TestJSONGoldenBatchEDCS(t *testing.T) {
     3,
     6
   ],
-  "totalCommBytes": 20,
-  "maxMachineBytes": 13,
+  "totalCommBytes": 13,
+  "maxMachineBytes": 7,
   "compositionEdges": 9,
   "durationMs": 0
 }`
@@ -435,8 +436,8 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
     3,
     6
   ],
-  "totalCommBytes": 20,
-  "maxMachineBytes": 13,
+  "totalCommBytes": 13,
+  "maxMachineBytes": 7,
   "compositionEdges": 9,
   "durationMs": 0,
   "rounds": 3,
@@ -448,8 +449,8 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
       "seed": 3,
       "inputEdges": 9,
       "unionEdges": 9,
-      "totalCommBytes": 20,
-      "maxMachineBytes": 13,
+      "totalCommBytes": 13,
+      "maxMachineBytes": 7,
       "durationMs": 0
     }
   ]

@@ -32,7 +32,7 @@
 //	batch      │ materialize edges → RandomK parts → map → compose   │ simulator's view
 //	stream     │ EdgeSource → hash sharder → k goroutines → compose  │ deployment shape
 //	cluster    │ EdgeSource → hash sharder → k OS PROCESSES over TCP │ real machines,
-//	           │   (typed frames, varint delta edge batches)         │ measured bytes
+//	           │   (typed frames; shards as lists, coresets as sets) │ measured bytes
 //	service    │ resident daemon dispatching jobs to any of the above│ summaries reused
 //	           └──────────────── internal/core ──────────────────────┘
 //	rounds     │ any of the above, iterated (task edcs, -rounds N):  │ multi-round MPC
@@ -83,13 +83,24 @@
 // OS processes (cmd/coresetworker, or self-spawned by cmd/coreset -cluster
 // local) host the very same incremental builders behind a compact
 // length-prefixed wire protocol — HELLO/ACK/SHARD/EOS/CORESET/ERROR frames
-// over TCP, edge batches in the varint delta codec (graph.AppendEdgeBatch)
-// that the simulated accounting also charges. The coordinator shards with
+// over TCP. Two codecs carry edges (internal/graph, encode.go). A shard must
+// arrive in the order it was routed, so SHARD frames use the
+// order-preserving varint delta batch (graph.AppendEdgeBatch, the dataset
+// segment format too). A coreset is a set — a matching, an EDCS, the peeled
+// levels and the residual of Theorem 2 — and leaves every machine sorted, so
+// CORESET bodies send the set and not a list of it: Golomb–Rice coded gaps of
+// the sorted elements (graph.AppendEdgeSet / AppendIDSet), 13 to 17 bits an
+// edge on the benchmark inputs against an information bound within 2 % of
+// that, half what the list costs. The same functions price the messages in
+// every runtime (core.CoresetSizeBytes, core.VCCoresetSizeBytes), so the
+// communication a batch or stream run reports is the byte length the cluster
+// would have sent, exactly. The coordinator shards with
 // the same seeded hash, so a cluster run is bit-for-bit identical to the
 // in-process pipelines for the same (graph, seed, k) — the seed-parity
 // tests in internal/cluster assert deep-equal coresets — while
 // TotalCommBytes/MaxMachineBytes in the run report are measured off the
-// sockets, with the simulated estimate alongside (EstCommBytes). Failures
+// sockets, with the body lengths alongside (EstCommBytes): the difference
+// is the frame headers and the stats varints, to the byte. Failures
 // surface as typed *cluster.WorkerError values carrying a FailureKind
 // taxonomy, and the retryable kinds — dial refused, connection drop, a
 // frame stalled past Config.IOTimeout — do not abort the run: because the

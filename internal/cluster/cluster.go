@@ -13,7 +13,8 @@
 // bit-for-bit identical to the streaming and batch pipelines for the same
 // (graph, seed, k) — and fans edge batches out over a compact length-prefixed
 // binary protocol (wire.go: typed HELLO/ACK/SHARD/EOS/CORESET/ERROR frames,
-// varint delta-encoded edge batches shared with graph.AppendEdgeBatch).
+// SHARD payloads in the order-preserving graph.AppendEdgeBatch, CORESET
+// bodies in each task's set codec).
 // Each worker hosts a stream.Machine — the very builders the in-process
 // pipeline runs — and answers with one CORESET frame. The coordinator
 // composes the summaries with the same core composition and reports both the

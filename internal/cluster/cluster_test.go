@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -215,25 +216,119 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 }
 
 // checkMeasuredBytes asserts the acceptance criterion on wire accounting:
-// measured bytes are real (nonzero), the simulated estimate matches the
-// in-process runtime's accounting exactly, and measured stays within 2x of
-// the estimate (the slack is frame headers and per-machine stats varints).
+// the estimate is the in-process runtime's accounting exactly, and the
+// measured bytes are that plus, per machine, the CORESET frame's header and
+// its three stats varints — to the byte, because the estimate is the length
+// of the encoded bodies and not an approximation of it.
 func checkMeasuredBytes(t *testing.T, st *Stats, streamEstimate int) {
 	t.Helper()
-	if st.TotalCommBytes <= 0 {
-		t.Fatal("measured TotalCommBytes is zero")
-	}
 	if st.EstCommBytes != streamEstimate {
 		t.Fatalf("cluster estimate %d differs from stream accounting %d", st.EstCommBytes, streamEstimate)
 	}
-	if st.TotalCommBytes < st.EstCommBytes || st.TotalCommBytes > 2*st.EstCommBytes {
-		t.Fatalf("measured %d bytes not within [est, 2*est] of estimate %d", st.TotalCommBytes, st.EstCommBytes)
+	overhead := 0
+	for m := 0; m < st.K; m++ {
+		overhead += frameHeaderLen
+		for _, stat := range []int{st.PartEdges[m], st.StoredEdges[m], st.Live[m]} {
+			overhead += graph.UvarintLen(uint64(stat))
+		}
+	}
+	if st.TotalCommBytes-overhead != st.EstCommBytes {
+		t.Fatalf("measured %d bytes less %d of frame headers and stats is %d, estimate %d",
+			st.TotalCommBytes, overhead, st.TotalCommBytes-overhead, st.EstCommBytes)
 	}
 	if st.MaxMachineBytes < st.EstMaxMachineBytes {
 		t.Fatalf("measured max %d below estimated max %d", st.MaxMachineBytes, st.EstMaxMachineBytes)
 	}
 	if st.ShardBytes <= 0 {
 		t.Fatal("no coordinator-to-worker bytes measured")
+	}
+}
+
+// TestCanonicalOrderParity: a summary is a set, and leaves every runtime in
+// the one order the codec carries, whatever order its shard arrived in. On
+// shuffled hub-noise multigraphs (gen.HubNoise: nothing arrives sorted,
+// parallel edges, either endpoint order, self-loops) the batch peel over the
+// hash partitioning, the stream machines and the cluster workers must emit
+// deep-equal VC summaries whose residual is sorted by (U, V), and compose the
+// same feasible cover.
+func TestCanonicalOrderParity(t *testing.T) {
+	ctx := context.Background()
+	for seed := uint64(1); seed <= 6; seed++ {
+		n, k := 1200+40*int(seed), 2+int(seed%3)
+		edges := gen.HubNoise(n, 3+int(seed%4), n/2, 5*n, rng.New(seed))
+		for i := range edges {
+			if i%3 == 0 {
+				edges[i].U, edges[i].V = edges[i].V, edges[i].U
+			}
+		}
+		if graph.EdgesSorted(edges) {
+			t.Fatalf("seed %d: the input arrives sorted", seed)
+		}
+		cfg := Config{Workers: startWorkers(t, k), Seed: seed, BatchSize: 97}
+		parts := batchHashParts(&graph.Graph{N: n, Edges: edges}, k, seed)
+
+		csums, _, err := summaries(ctx, stream.NewSliceSource(n, edges), cfg, vcTask, task.Params{})
+		if err != nil {
+			t.Fatalf("seed %d: cluster: %v", seed, err)
+		}
+		ssums, _, err := stream.Summaries(ctx, stream.NewSliceSource(n, edges), stream.Config{K: k, Seed: seed}, vcTask, task.Params{})
+		if err != nil {
+			t.Fatalf("seed %d: stream: %v", seed, err)
+		}
+		loops, copies := 0, 0
+		for i, part := range parts {
+			before := slices.Clone(part)
+			want := core.ComputeVCCoreset(n, k, part)
+			if !slices.Equal(part, before) {
+				t.Fatalf("seed %d machine %d: ComputeVCCoreset reordered its input", seed, i)
+			}
+			if !graph.EdgesSorted(want.Residual) {
+				t.Fatalf("seed %d machine %d: batch residual is not sorted", seed, i)
+			}
+			if !reflect.DeepEqual(ssums[i].VC, want) {
+				t.Fatalf("seed %d machine %d: stream VC summary differs from batch", seed, i)
+			}
+			if !reflect.DeepEqual(csums[i], ssums[i]) {
+				t.Fatalf("seed %d machine %d: cluster summary differs from stream:\ngot  %+v\nwant %+v", seed, i, csums[i], ssums[i])
+			}
+			for j, e := range want.Residual {
+				if e.U == e.V {
+					loops++
+				}
+				if j > 0 && e == want.Residual[j-1] {
+					copies++
+				}
+			}
+		}
+		if loops == 0 || copies == 0 {
+			t.Fatalf("seed %d: residuals carry %d self-loops and %d parallel copies; the input is too tame", seed, loops, copies)
+		}
+
+		// A whole run takes a graph without self-loops (graph.Validate; the
+		// composed cover ignores them): the machines above were held to them.
+		simple := slices.DeleteFunc(slices.Clone(edges), func(e graph.Edge) bool { return e.U == e.V })
+		cc, cst, err := Solve(ctx, stream.NewSliceSource(n, simple), cfg, vcTask, task.Params{})
+		if err != nil {
+			t.Fatalf("seed %d: cluster solve: %v", seed, err)
+		}
+		if err := vcover.Verify(n, simple, cc.Cover); err != nil {
+			t.Fatalf("seed %d: cluster cover infeasible: %v", seed, err)
+		}
+		sc, sst, err := stream.Solve(ctx, stream.NewSliceSource(n, simple), stream.Config{K: k, Seed: seed}, vcTask, task.Params{})
+		if err != nil {
+			t.Fatalf("seed %d: stream solve: %v", seed, err)
+		}
+		if !reflect.DeepEqual(cc.Cover, sc.Cover) {
+			t.Fatalf("seed %d: cluster cover differs from stream (%d vs %d vertices)", seed, cc.Size, sc.Size)
+		}
+		coresets := make([]*core.VCCoreset, k)
+		for i, part := range batchHashParts(&graph.Graph{N: n, Edges: simple}, k, seed) {
+			coresets[i] = core.ComputeVCCoreset(n, k, part)
+		}
+		if want := core.ComposeVC(n, coresets); !reflect.DeepEqual(sc.Cover, want) {
+			t.Fatalf("seed %d: stream cover differs from batch (%d vs %d vertices)", seed, len(sc.Cover), len(want))
+		}
+		checkMeasuredBytes(t, cst, sst.TotalCommBytes)
 	}
 }
 

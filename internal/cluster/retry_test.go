@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -789,4 +790,110 @@ func TestNoGoroutineLeaksReplay(t *testing.T) {
 	shutdown()
 
 	waitGoroutines(t, baseline)
+}
+
+// TestVersionSkewIsTerminal: a CORESET body does not describe its own format,
+// so peers of different protocol versions must never get as far as one. Both
+// directions of the skew end at the HELLO, typed and at once.
+//
+// A current worker answers an older coordinator's HELLO with an ERROR naming
+// both versions. A current coordinator whose worker answers so — in a
+// single-round run and in a session alike — reports a *WorkerError of
+// KindHandshake that is not retryable, after exactly one dial of that worker:
+// the replay budget is untouched, no backoff is slept, and the refusal
+// surfaces well within one IOTimeout.
+func TestVersionSkewIsTerminal(t *testing.T) {
+	skew := fmt.Sprintf("protocol version %d, want %d", protocolVersion-1, protocolVersion)
+	t.Run("worker refuses an older HELLO", func(t *testing.T) {
+		conn, err := net.Dial("tcp", startWorkers(t, 1)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		old := hello{version: protocolVersion - 1, task: taskMatching, k: 1}
+		if _, err := writeFrame(conn, frameHello, encodeHello(old)); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, _, err := readFrameDeadline(conn, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != frameError || !strings.Contains(string(payload), skew) {
+			t.Fatalf("got frame 0x%02x %q, want an ERROR saying %q", typ, payload, skew)
+		}
+	})
+
+	// olderWorker refuses every HELLO the way a worker one version behind
+	// does, and counts the connections it was offered.
+	olderWorker := func(t *testing.T) (addr string, dials *atomic.Int32) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		dials = new(atomic.Int32)
+		refusal := fmt.Sprintf("cluster: protocol version %d, want %d", protocolVersion, protocolVersion-1)
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				dials.Add(1)
+				if typ, _, _, err := readFrame(conn); err == nil && typ == frameHello {
+					_, _ = writeFrame(conn, frameError, []byte(refusal)) // the test fails on what the coordinator reports
+				}
+				conn.Close()
+			}
+		}()
+		return ln.Addr().String(), dials
+	}
+	for _, shape := range sessionShapes {
+		t.Run("coordinator/"+shape.name, func(t *testing.T) {
+			older, dials := olderWorker(t)
+			sink := newMemSink()
+			g := gen.GNP(2000, 16.0/2000, rng.New(29))
+			const ioTimeout = 5 * time.Second
+			cfg := Config{
+				Workers: []string{startWorkers(t, 1)[0], older},
+				Spares:  startWorkers(t, 1), // a replay would find a healthy standby
+				Seed:    29, BatchSize: 64,
+				MaxRetries: 3, RetryBackoff: ioTimeout, // one backoff sleep would blow the deadline below
+				IOTimeout: ioTimeout, Obs: sink,
+			}
+			start := time.Now()
+			err := runWithTimeout(t, 30*time.Second, func() error {
+				_, _, err := shape.rounds(context.Background(), g, cfg)
+				return err
+			})
+			var we *WorkerError
+			if !errors.As(err, &we) {
+				t.Fatalf("err = %v, want *WorkerError", err)
+			}
+			if we.Kind != KindHandshake || we.Retryable || we.Machine != 1 || we.Addr != older {
+				t.Fatalf("failure %+v, want a terminal KindHandshake on machine 1 (%s)", we, older)
+			}
+			want := fmt.Sprintf("protocol version %d, want %d", protocolVersion, protocolVersion-1)
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want it to carry the worker's %q", err, want)
+			}
+			if errors.Is(err, ErrRetriesExhausted) {
+				t.Fatalf("err = %v: the replay budget was spent on a refusal", err)
+			}
+			if got := dials.Load(); got != 1 {
+				t.Fatalf("the refusing worker was dialed %d times, want 1", got)
+			}
+			if got := sink.get(MetricDialAttempts); got != 2 {
+				t.Fatalf("%s = %d, want 2 (one per machine)", MetricDialAttempts, got)
+			}
+			for _, name := range []string{MetricRetries, MetricReplays, MetricBackoffSleeps} {
+				if got := sink.get(name); got != 0 {
+					t.Fatalf("%s = %d, want 0", name, got)
+				}
+			}
+			if d := time.Since(start); d >= ioTimeout {
+				t.Fatalf("the refusal took %v to surface, IOTimeout is %v", d, ioTimeout)
+			}
+		})
+	}
 }

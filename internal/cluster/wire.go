@@ -31,7 +31,7 @@ import (
 //	coordinator -> worker   SHARD*     varint delta edge batch (graph codec)
 //	coordinator -> worker   EOS        final vertex count
 //	worker -> coordinator   TELEM      phase timings + build counters (optional)
-//	worker -> coordinator   CORESET    per-machine stats + coreset message
+//	worker -> coordinator   CORESET    per-machine stats + coreset body (task codec)
 //
 // A single-round run is the session with a cap of 1: it is announced by the
 // task's single-round byte, whose HELLO has no rounds field, and the worker
@@ -62,13 +62,29 @@ import (
 // fresh run.
 //
 // Either side may substitute ERROR (UTF-8 message) for its next frame and
-// close. Edge batches and coreset bodies use graph.AppendEdgeBatch — the
-// same codec the simulated accounting charges — so a measured CORESET
-// payload and core.CoresetSizeBytes are the same function of the edge list,
-// and the measured number exceeds the estimate only by the frame header and
-// the per-machine stats varints.
+// close.
+//
+// Two codecs carry edges. SHARD payloads are graph.AppendEdgeBatch, which
+// preserves order: a machine's coreset is a function of its arrival order, so
+// a shard must arrive as it was routed. A CORESET payload is three uvarint
+// stats (received, stored, live) and then the task's body (task.AppendSummary):
+// for every summary whose order is not information — matchings, EDCSs, the
+// peeled levels and the residual of a VC coreset — that is the sorted-set
+// codec (graph.AppendEdgeSet / AppendIDSet), Golomb–Rice coded gaps at about
+// half the bytes of an order-preserving list; the diversity centers keep
+// their selection order in graph.AppendIDs. The simulated accounting charges
+// the same functions, and Summary.Bytes is the exact length of the body, so
+// a measured CORESET frame is its estimate plus the 5-byte frame header and
+// the stats varints, to the byte.
+//
+// Version 2 is version 1 with the CORESET bodies moved from the delta batch
+// codec to the sorted-set codec. A body does not describe its own format, so
+// the version is compared for equality at the HELLO, the one place peers
+// meet: a worker answers any other version with an ERROR naming both, which
+// the coordinator reports as a KindHandshake failure — terminal, since every
+// replay would be refused the same way.
 
-const protocolVersion = 1
+const protocolVersion = 2
 
 // Frame types.
 const (
@@ -285,6 +301,10 @@ func decodeHello(data []byte) (hello, error) {
 		return h, fmt.Errorf("cluster: short HELLO")
 	}
 	h.version, h.task = data[0], data[1]
+	if h.version != protocolVersion {
+		// Before anything else is read: another version may lay it out differently.
+		return h, fmt.Errorf("cluster: protocol version %d, want %d", h.version, protocolVersion)
+	}
 	h.known = data[2]&helloFlagKnown != 0
 	h.telem = data[2]&helloFlagTelem != 0
 	data = data[3:]
@@ -305,9 +325,6 @@ func decodeHello(data []byte) (hello, error) {
 		vals[i] = v
 	}
 	h.machine, h.k, h.n = int(vals[0]), int(vals[1]), int(vals[2])
-	if h.version != protocolVersion {
-		return h, fmt.Errorf("cluster: protocol version %d, want %d", h.version, protocolVersion)
-	}
 	d, multiRound, ok := task.ByWire(h.task)
 	if !ok {
 		return h, &UnknownTaskError{Task: h.task, Known: task.WireRange()}

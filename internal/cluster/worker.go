@@ -302,11 +302,11 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		t0 := time.Now()
 		sum := m.Finish(int(n))
 		d, _, _ := task.ByWire(h.task) // cannot miss: decodeHello accepted the byte
-		// sum.Bytes is the simulated size of the coreset body, which the
-		// wire encoding matches to within a few bytes per list; sized to it
-		// (plus the stats prefix) the buffer is allocated once instead of
-		// doubling its way up to a coreset-sized frame.
-		body := task.AppendSummary(make([]byte, 0, sum.Bytes+64), d, sum)
+		// sum.Bytes is the length of the coreset body; sized to it plus the
+		// stats prefix (three uvarints, 30 bytes at most) the buffer is
+		// allocated once instead of doubling its way up to a coreset-sized
+		// frame.
+		body := task.AppendSummary(make([]byte, 0, sum.Bytes+3*binary.MaxVarintLen64), d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		bt := m.Telem()
 		tm.repairIters, tm.removals, tm.peakCoreset = bt.RepairIters, bt.Removals, bt.PeakCoreset

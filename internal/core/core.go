@@ -58,11 +58,12 @@ func GreedyMatchCombine(n int, coresets [][]graph.Edge) *matching.Matching {
 	return m
 }
 
-// CoresetSizeBytes returns the encoded size of a matching coreset message,
-// used for communication accounting. It charges the varint delta edge-batch
-// codec — the same encoding the cluster runtime puts on the wire — so a
-// simulated estimate and a measured CORESET payload are the same function of
-// the same edge list.
+// CoresetSizeBytes returns the encoded size of an edge-set coreset message
+// (a Theorem 1 matching, an EDCS), used for communication accounting. It
+// charges the sorted-set codec — the same encoding the cluster runtime puts
+// on the wire — so a simulated estimate and a measured CORESET body are the
+// same function of the same edge set. The edges must be in (U, V) order,
+// which is how every producer emits them.
 func CoresetSizeBytes(coreset []graph.Edge) int {
-	return graph.EdgeBatchBytes(coreset)
+	return graph.EdgeSetBytes(coreset)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -221,6 +222,29 @@ func TestVCCoresetSizeAccessors(t *testing.T) {
 	}
 	if VCCoresetSizeBytes(cs) <= 0 {
 		t.Fatal("VCCoresetSizeBytes wrong")
+	}
+}
+
+// The VC coreset message round-trips what the peel produces, its size
+// function is its length, and — since a receiver charges what it consumed —
+// the decoder refuses a level count padded to a longer varint.
+func TestVCCoresetMessage(t *testing.T) {
+	g := gen.GNP(600, 40.0/600, rng.New(7))
+	cs := ComputeVCCoreset(g.N, 2, g.Edges)
+	if len(cs.Fixed) == 0 || len(cs.Residual) == 0 {
+		t.Fatalf("the peel left %d fixed, %d residual; want both", len(cs.Fixed), len(cs.Residual))
+	}
+	wire := AppendVCCoreset(nil, cs)
+	if VCCoresetSizeBytes(cs) != len(wire) {
+		t.Fatalf("VCCoresetSizeBytes %d, message is %d bytes", VCCoresetSizeBytes(cs), len(wire))
+	}
+	got, rest, err := DecodeVCCoreset(append(wire[:len(wire):len(wire)], 0xEE))
+	if err != nil || len(rest) != 1 || !reflect.DeepEqual(got, cs) {
+		t.Fatalf("round trip: err %v, %d bytes left", err, len(rest))
+	}
+	padded := append([]byte{wire[0] | 0x80, 0x00}, wire[1:]...)
+	if _, _, err := DecodeVCCoreset(padded); err == nil {
+		t.Fatal("a padded level count was accepted")
 	}
 }
 

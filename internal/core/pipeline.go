@@ -34,13 +34,14 @@ type PipelineStats struct {
 	CoresetEdges []int // edges in each machine's coreset message
 	CoresetFixed []int // fixed vertices in each machine's message (vc only)
 
-	// TotalCommBytes and MaxMachineBytes are the coreset messages' sizes: the
-	// simulated estimate (core.CoresetSizeBytes / core.VCCoresetSizeBytes) in
-	// batch and stream mode; in cluster mode the MEASURED bytes of each
-	// worker's CORESET frame (header included) as read off its TCP
-	// connection, with the estimate for the same messages alongside in
-	// EstCommBytes / EstMaxMachineBytes so the two can be compared on every
-	// run.
+	// TotalCommBytes and MaxMachineBytes are the coreset messages' sizes: in
+	// batch and stream mode the exact length of each message's encoded body
+	// (core.CoresetSizeBytes / core.VCCoresetSizeBytes), simulated in that
+	// nothing is sent; in cluster mode the MEASURED bytes of each worker's
+	// CORESET frame as read off its TCP connection — the same body plus the
+	// frame header and the stats varints — with the body lengths alongside
+	// in EstCommBytes / EstMaxMachineBytes so the two can be compared on
+	// every run.
 	TotalCommBytes     int
 	MaxMachineBytes    int
 	EstCommBytes       int // cluster only

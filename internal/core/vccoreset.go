@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 
 	"repro/internal/graph"
@@ -16,7 +18,8 @@ type VCCoreset struct {
 	// final vertex cover unconditionally.
 	Fixed []graph.ID
 	// Residual is the edge set of G_Delta^(i), the subgraph left after
-	// peeling; the paper bounds it by O(n log n) edges.
+	// peeling, sorted by (U, V) with each edge oriented as it arrived; the
+	// paper bounds it by O(n log n) edges.
 	Residual []graph.Edge
 	// Levels records the peeled set of each iteration j = 1..Delta-1
 	// (diagnostics; Lemma 3.6 sandwiches these sets between the
@@ -67,9 +70,12 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 // no level to run, since edges were discarded on its account.
 //
 // The result is that of the paper's definition field for field: Levels
-// ascending (nil for a level that fixed nobody), Residual in arrival order
+// ascending (nil for a level that fixed nobody), Residual sorted by (U, V)
 // and exactly sized, self-loops and parallel edges counted as BuildAdj
-// counts them.
+// counts them. The residual is a set — its message is coded as one
+// (AppendVCCoreset) — so it leaves in the one order every runtime agrees on
+// whatever order the shard arrived in; on a shard that arrived sorted, which
+// is what every generator and ingested dataset delivers, the sort is a scan.
 func PeelVC(n, k int, st *graph.EdgeStore, online []bool) *VCCoreset {
 	delta := PeelingDepth(n, k)
 	out := &VCCoreset{}
@@ -119,6 +125,9 @@ func PeelVC(n, k int, st *graph.EdgeStore, online []bool) *VCCoreset {
 		st.Prune(dead, deg)
 	}
 	out.Residual = st.Edges()
+	if !graph.EdgesSorted(out.Residual) {
+		graph.SortEdges(out.Residual)
+	}
 	return out
 }
 
@@ -158,12 +167,60 @@ func ComposeVCGreedy(n int, coresets []*VCCoreset) []graph.ID {
 	return vcover.Dedup(cover)
 }
 
-// VCCoresetSizeBytes returns the encoded message size of a VC coreset
-// (fixed vertex ids plus residual edges), for communication accounting. The
-// residual is charged at the delta edge-batch codec the cluster runtime uses
-// on the wire, keeping simulated and measured sizes one definition.
+// A VC coreset message is the number of peeled levels, each level as an ID
+// set (in peel order; Fixed is their concatenation, so it is not sent), then
+// the residual as an edge set — the sorted-set codec of internal/graph
+// throughout. The three functions below are the whole definition: the
+// cluster wire sends AppendVCCoreset, and every runtime's communication
+// accounting charges VCCoresetSizeBytes, which is its exact length.
+
+// AppendVCCoreset appends the message of cs to dst and returns it.
+func AppendVCCoreset(dst []byte, cs *VCCoreset) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(cs.Levels)))
+	for _, level := range cs.Levels {
+		dst = graph.AppendIDSet(dst, level)
+	}
+	return graph.AppendEdgeSet(dst, cs.Residual)
+}
+
+// VCCoresetSizeBytes returns len(AppendVCCoreset(nil, cs)) without
+// materializing the message, for communication accounting.
 func VCCoresetSizeBytes(cs *VCCoreset) int {
-	return graph.EncodedIDBytes(cs.Fixed) + graph.EdgeBatchBytes(cs.Residual)
+	size := graph.UvarintLen(uint64(len(cs.Levels)))
+	for _, level := range cs.Levels {
+		size += graph.IDSetBytes(level)
+	}
+	return size + graph.EdgeSetBytes(cs.Residual)
+}
+
+// DecodeVCCoreset decodes a message produced by AppendVCCoreset, with the
+// slice shapes PeelVC produces (a nil level where nobody was fixed, a non-nil
+// residual), and returns the remaining bytes. Like the set decoders it is
+// built from, it accepts only the encoder's own bytes, so what it consumes
+// is VCCoresetSizeBytes of what it returns.
+func DecodeVCCoreset(data []byte) (cs *VCCoreset, rest []byte, err error) {
+	nLevels, k := binary.Uvarint(data)
+	if k <= 0 || k != graph.UvarintLen(nLevels) || nLevels > uint64(len(data)) { // each level needs >= 1 byte
+		return nil, nil, errors.New("core: corrupt VC coreset (level count)")
+	}
+	data = data[k:]
+	cs = &VCCoreset{}
+	for i := uint64(0); i < nLevels; i++ {
+		level, rest, err := graph.DecodeIDSet(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		data = rest
+		cs.Levels = append(cs.Levels, level)
+		cs.Fixed = append(cs.Fixed, level...)
+	}
+	if cs.Residual, data, err = graph.DecodeEdgeSet(data); err != nil {
+		return nil, nil, err
+	}
+	if cs.Residual == nil {
+		cs.Residual = []graph.Edge{}
+	}
+	return cs, data, nil
 }
 
 // VCCoresetSize returns the paper's size measure for a VC coreset: number

@@ -353,7 +353,8 @@ func (s *Subgraph) PeakSize() int { return s.peak }
 
 // Edges returns H as a sorted, always non-nil edge list — the machine's
 // coreset message. Sorting canonicalizes the set (arrival order is an
-// implementation detail) and compresses well under the delta wire codec.
+// implementation detail), and sorted is how the wire codec takes a set
+// (graph.AppendEdgeSet).
 func (s *Subgraph) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.size)
 	for r := ref(1); int(r) <= s.stored; r++ {

@@ -16,7 +16,7 @@ func init() {
 	register(Experiment{
 		ID:    "E20",
 		Title: "Simulated vs measured communication (cluster runtime, bytes per machine as n and k scale)",
-		Paper: "Deployment check: the communication the paper bounds per machine — O~(n) coreset messages — is measured on real TCP connections by the cluster runtime (internal/cluster) and compared against the simulated estimate the in-process pipelines report. The two must share one codec (graph.AppendEdgeBatch), so measured exceeds estimated only by the fixed frame overhead, and both scale with n while the per-machine maximum shrinks as k grows.",
+		Paper: "Deployment check: the communication the paper bounds per machine — O~(n) coreset messages — is measured on real TCP connections by the cluster runtime (internal/cluster) and compared against the simulated estimate the in-process pipelines report. The two must share one codec (the sorted-set codec, graph.AppendEdgeSet / AppendIDSet), so measured exceeds estimated only by the fixed frame overhead, and both scale with n while the per-machine maximum shrinks as k grows.",
 		Run:   runE20,
 	})
 }
@@ -66,7 +66,7 @@ func runE20(cfg Config) *Result {
 		}
 	}
 	notes := []string{
-		"measured and estimated sizes share one codec (graph.AppendEdgeBatch), so meas/est stays near 1: the gap is 5 B of frame header plus three stats varints per machine — largest in relative terms at large k, where messages are many and small",
+		"measured and estimated sizes share one codec (graph.AppendEdgeSet), so meas/est stays near 1: the gap is 5 B of frame header plus three stats varints per machine — largest in relative terms at large k, where messages are many and small",
 		"total coreset communication grows with n (the paper's O~(n) per machine times k) while the per-machine maximum falls as k grows: each machine's partition, and hence its maximum matching / residual, shrinks",
 		"shard traffic (coordinator to workers) is the edge stream itself and dwarfs the coreset messages — the asymmetry the simultaneous model is about",
 	}

@@ -37,9 +37,6 @@ func TestEdgeBatchRoundTrip(t *testing.T) {
 		} else if !reflect.DeepEqual(got, edges) {
 			t.Fatalf("case %d: got %v want %v", i, got, edges)
 		}
-		if want := EdgeBatchBytes(edges); want != len(buf)-1 {
-			t.Fatalf("case %d: EdgeBatchBytes %d, encoding is %d", i, want, len(buf)-1)
-		}
 	}
 }
 
@@ -133,15 +130,15 @@ func TestEdgeBatchDecodeInto(t *testing.T) {
 }
 
 // TestEdgeBatchSortedBeatsPlain: on a sorted edge list the delta encoding
-// must not be larger than the plain encoding (it is the accounting format
-// for coreset messages, which are produced sorted).
+// must not be larger than the plain encoding (generated and ingested edge
+// lists, hence most shards and dataset segments, are sorted).
 func TestEdgeBatchSortedBeatsPlain(t *testing.T) {
 	var edges []Edge
 	for u := ID(0); u < 3000; u += 3 {
 		edges = append(edges, Edge{u, u + 1}, Edge{u, u + 257})
 	}
 	SortEdges(edges)
-	if d, p := EdgeBatchBytes(edges), EncodedEdgeBytes(edges); d > p {
+	if d, p := len(AppendEdgeBatch(nil, edges)), EncodedEdgeBytes(edges); d > p {
 		t.Fatalf("delta %d bytes > plain %d bytes on sorted input", d, p)
 	}
 }
@@ -182,7 +179,6 @@ func TestEncodersRejectNegativeIDs(t *testing.T) {
 	badIDs := []ID{3, -7}
 	cases := map[string]func(){
 		"AppendEdgeBatch":  func() { AppendEdgeBatch(nil, badEdges) },
-		"EdgeBatchBytes":   func() { EdgeBatchBytes(badEdges) },
 		"AppendEdges":      func() { AppendEdges(nil, badEdges) },
 		"EncodedEdgeBytes": func() { EncodedEdgeBytes(badEdges) },
 		"AppendIDs":        func() { AppendIDs(nil, badIDs) },
@@ -235,8 +231,7 @@ func TestDecodersRejectOversizedIDs(t *testing.T) {
 // FuzzEdgeBatchCodec fuzzes both directions: arbitrary bytes must decode
 // without panicking, and anything that decodes must re-encode to a
 // round-trip-stable batch; arbitrary edge lists (derived from the input
-// bytes) must survive encode→decode exactly, with EdgeBatchBytes matching
-// the real encoding size.
+// bytes) must survive encode→decode exactly.
 func FuzzEdgeBatchCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -266,9 +261,6 @@ func FuzzEdgeBatchCodec(f *testing.F) {
 		}
 		if edges := dec; decErr == nil {
 			re := AppendEdgeBatch(nil, edges)
-			if len(re) != EdgeBatchBytes(edges) {
-				t.Fatalf("EdgeBatchBytes %d != encoding %d", EdgeBatchBytes(edges), len(re))
-			}
 			back, rest2, err := DecodeEdgeBatch(re)
 			if err != nil {
 				t.Fatalf("re-decode: %v", err)
@@ -286,9 +278,6 @@ func FuzzEdgeBatchCodec(f *testing.F) {
 			edges = append(edges, Edge{u, v})
 		}
 		buf := AppendEdgeBatch(nil, edges)
-		if len(buf) != EdgeBatchBytes(edges) {
-			t.Fatalf("EdgeBatchBytes %d != encoding %d", EdgeBatchBytes(edges), len(buf))
-		}
 		got, rest, err := DecodeEdgeBatch(buf)
 		if err != nil {
 			t.Fatalf("round trip: %v", err)

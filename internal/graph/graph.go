@@ -12,7 +12,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -116,14 +118,26 @@ func DedupEdges(edges []Edge) []Edge {
 	return out
 }
 
-// SortEdges sorts edges lexicographically by (U, V).
+// SortEdges sorts edges lexicographically by (U, V), endpoints as stored.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return edges[i].V < edges[j].V
+		return cmp.Compare(a.V, b.V)
 	})
+}
+
+// EdgesSorted reports whether edges are in the order SortEdges leaves them
+// in. It is a plain scan, a nanosecond an edge: what a caller that usually
+// holds sorted edges pays to find that out.
+func EdgesSorted(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		if a, b := edges[i-1], edges[i]; a.U > b.U || a.U == b.U && a.V > b.V {
+			return false
+		}
+	}
+	return true
 }
 
 // UnionEdges concatenates several edge sets into a fresh slice. It does NOT

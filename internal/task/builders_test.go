@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -171,36 +172,74 @@ func TestEDCSBuilderDeterministic(t *testing.T) {
 	}
 }
 
+// finish feeds part to a fresh builder of task d for a k-machine run over n
+// vertices and returns its summary, stamped as the runtimes stamp it.
+func finish(d *Descriptor, k, n int, part []graph.Edge) Summary {
+	p := Params{}
+	if d.UsesBeta {
+		p.EDCS = edcs.ParamsForBeta(8)
+	}
+	b := d.NewBuilder(k, n, p)
+	for _, e := range part {
+		b.Add(e)
+	}
+	s := b.Finish(n)
+	s.Edges = len(part)
+	return s
+}
+
+// codecShard is one machine's input: its shard of a k-machine run over n
+// vertices.
+type codecShard struct {
+	k, n int
+	part []graph.Edge
+}
+
+// codecCorpus is what the summary codec tests feed every task: G(n,p) shards
+// sparse and dense (several VC levels fire on the dense one), and shuffled
+// hub-noise shards whose arrival order is not sorted.
+func codecCorpus(t *testing.T) (shards []codecShard) {
+	for _, g := range []*graph.Graph{testGraph(t, 300, 8, 17), testGraph(t, 700, 40, 2)} {
+		shards = append(shards, codecShard{2, g.N, partition.HashK(g.Edges, 2, 5)[0]})
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		n, k, parts := hubShards(seed)
+		// Whole runs take graphs without self-loops (graph.Validate), and the
+		// matcher is entitled to that; the vc machine alone is held to the
+		// loops too, in TestVCPeelMatchesDefinition.
+		simple := slices.DeleteFunc(parts[0], func(e graph.Edge) bool { return e.U == e.V })
+		shards = append(shards, codecShard{k, n, simple})
+	}
+	return shards
+}
+
 // Every task's summary codec must round-trip a real builder summary exactly
-// — including the nil-versus-empty slice shapes seed parity depends on.
+// — including the nil-versus-empty slice shapes seed parity depends on — and
+// the byte charge every runtime's accounting sums, Summary.Bytes, must be the
+// length of the encoded body, not an estimate of it: on the sending machine
+// (Finish) and on the receiving one (DecodeBody).
 func TestSummaryCodecRoundTripAllTasks(t *testing.T) {
-	g := testGraph(t, 300, 8, 17)
-	part := partition.HashK(g.Edges, 2, 5)[0]
 	for _, name := range Names() {
 		d := MustGet(name)
-		p := Params{}
-		if d.UsesBeta {
-			p.EDCS = edcs.ParamsForBeta(8)
-		}
-		b := d.NewBuilder(2, g.N, p)
-		for _, e := range part {
-			b.Add(e)
-		}
-		s := b.Finish(g.N)
-		s.Edges = len(part) // the runtimes stamp this before encoding
+		for i, c := range codecCorpus(t) {
+			s := finish(d, c.k, c.n, c.part)
+			if body := d.AppendBody(nil, s); s.Bytes != len(body) {
+				t.Fatalf("%s shard %d: Finish charged %d bytes, the body is %d", name, i, s.Bytes, len(body))
+			}
 
-		buf := AppendSummary(nil, d, s)
-		got, err := DecodeSummary(d, buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("%s: round trip diverged:\n got %+v\nwant %+v", name, got, s)
-		}
+			buf := AppendSummary(nil, d, s)
+			got, err := DecodeSummary(d, buf)
+			if err != nil {
+				t.Fatalf("%s shard %d: decode: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(got, s) {
+				t.Fatalf("%s shard %d: round trip diverged:\n got %+v\nwant %+v", name, i, got, s)
+			}
 
-		// Trailing garbage must be an error, never silently ignored.
-		if _, err := DecodeSummary(d, append(buf, 0xff)); err == nil {
-			t.Fatalf("%s: trailing byte accepted", name)
+			// Trailing garbage must be an error, never silently ignored.
+			if _, err := DecodeSummary(d, append(buf, 0xff)); err == nil {
+				t.Fatalf("%s shard %d: trailing byte accepted", name, i)
+			}
 		}
 	}
 }
@@ -210,13 +249,11 @@ func TestSummaryCodecRoundTripAllTasks(t *testing.T) {
 func TestSummaryCodecRoundTripEmpty(t *testing.T) {
 	for _, name := range Names() {
 		d := MustGet(name)
-		p := Params{}
-		if d.UsesBeta {
-			p.EDCS = edcs.ParamsForBeta(8)
-		}
-		b := d.NewBuilder(2, 50, p)
-		s := b.Finish(50)
+		s := finish(d, 2, 50, nil)
 		buf := AppendSummary(nil, d, s)
+		if s.Bytes != len(d.AppendBody(nil, s)) {
+			t.Fatalf("%s: Finish charged %d bytes, the empty body is %d", name, s.Bytes, len(d.AppendBody(nil, s)))
+		}
 		got, err := DecodeSummary(d, buf)
 		if err != nil {
 			t.Fatalf("%s: decode empty: %v", name, err)
@@ -225,6 +262,88 @@ func TestSummaryCodecRoundTripEmpty(t *testing.T) {
 			t.Fatalf("%s: empty round trip diverged:\n got %+v\nwant %+v", name, got, s)
 		}
 	}
+}
+
+// Byte budgets of the summaries, as ordinary tests so that a regression names
+// its task: one machine's body on a shard of each benchmark shape. The
+// budgets sit about 12 % above what the sorted-set codec spends today (1.66,
+// 1.85 and 2.16 bytes an edge; 0.35 a fixed vertex) and far below what an
+// order-preserving list costs (3.2 to 3.7), so one more byte an edge fails.
+func TestSummaryBytesBudget(t *testing.T) {
+	for _, c := range []struct {
+		task      string
+		n, k      int
+		deg       float64
+		beta      int
+		perEdge   float64 // budget per coreset edge
+		perVertex float64 // budget per fixed vertex
+	}{
+		{"vc", 16384, 4, 256, 0, 1.9, 0.5},   // dense_vc_cluster
+		{"edcs", 32768, 4, 64, 16, 2.0, 0},   // dataset_edcs_stream
+		{"matching", 16384, 8, 8, 0, 2.4, 0}, // gnp_matching_stream
+	} {
+		d := MustGet(c.task)
+		g := testGraph(t, c.n, c.deg, 1)
+		p := Params{}
+		if d.UsesBeta {
+			p.EDCS = edcs.ParamsForBeta(c.beta)
+		}
+		b := d.NewBuilder(c.k, g.N, p)
+		for _, e := range partition.HashK(g.Edges, c.k, 7)[0] {
+			b.Add(e)
+		}
+		s := b.Finish(g.N)
+		edges, fixed := d.CoresetLen(s), 0
+		if d.FixedLen != nil {
+			fixed = d.FixedLen(s)
+		}
+		if edges < 1000 || c.perVertex > 0 && fixed < 1000 {
+			t.Fatalf("%s: the shard summarizes to %d edges and %d fixed vertices; too small to hold a budget", c.task, edges, fixed)
+		}
+		got := len(d.AppendBody(nil, s))
+		budget := int(c.perEdge*float64(edges) + c.perVertex*float64(fixed))
+		t.Logf("%s: %d edges, %d fixed vertices in %d bytes (budget %d)", c.task, edges, fixed, got, budget)
+		if got > budget {
+			t.Fatalf("task %s: summary body is %d bytes, budget %d (%.1f B/edge x %d + %.1f B/vertex x %d)",
+				c.task, got, budget, c.perEdge, edges, c.perVertex, fixed)
+		}
+	}
+}
+
+// FuzzDecodeSummary: a CORESET payload is bytes off a socket, whatever the
+// task. The first input byte picks the task; the rest must decode without
+// panicking, and anything accepted must carry the exact byte charge and
+// re-encode to something that decodes to the same summary.
+func FuzzDecodeSummary(f *testing.F) {
+	names := Names()
+	g := gen.GNP(120, 0.1, rng.New(4))
+	for i, name := range names {
+		d := MustGet(name)
+		f.Add(append([]byte{byte(i)}, AppendSummary(nil, d, finish(d, 2, g.N, g.Edges))...))
+		f.Add(append([]byte{byte(i)}, AppendSummary(nil, d, finish(d, 2, 50, nil))...))
+		f.Add([]byte{byte(i), 0x01, 0x02, 0x03})
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		d := MustGet(names[int(data[0])%len(names)])
+		sum, err := DecodeSummary(d, data[1:])
+		if err != nil {
+			return
+		}
+		if body := d.AppendBody(nil, sum); sum.Bytes != len(body) {
+			t.Fatalf("%s: decoded charge %d bytes, the body re-encodes to %d", d.Name, sum.Bytes, len(body))
+		}
+		got, err := DecodeSummary(d, AppendSummary(nil, d, sum))
+		if err != nil {
+			t.Fatalf("%s: re-decode of a re-encoded summary failed: %v", d.Name, err)
+		}
+		if !reflect.DeepEqual(got, sum) {
+			t.Fatalf("%s: decode/encode not a fixpoint:\n got %+v\nwant %+v", d.Name, got, sum)
+		}
+	})
 }
 
 // The Theorem 2 machine's allocation budget, as an ordinary test so that a

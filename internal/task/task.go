@@ -18,8 +18,11 @@
 // Wire compatibility: a descriptor's Wire byte is its identity in the
 // cluster protocol's HELLO frame. The bytes of the pre-registry protocol
 // are preserved verbatim (matching=1, vc=2, edcs=3, with 4 as the EDCS
-// multi-round assignment), so registry-dispatching coordinators and workers
-// interoperate with older peers without a protocol version bump.
+// multi-round assignment); registering a task never needs a protocol
+// version bump, since a peer that predates its byte refuses it by name. A
+// body codec is another matter: a CORESET body does not describe its own
+// format, so changing what AppendBody emits for a registered task is a new
+// cluster protocol version (internal/cluster, wire.go).
 package task
 
 import (
@@ -55,7 +58,7 @@ type Summary struct {
 	Edges   int             // edges routed to this machine
 	Stored  int             // edges (or distinct vertices) still held at end of stream
 	Live    int             // online telemetry: greedy size, peel count, repair removals
-	Bytes   int             // encoded message size (simulated estimate)
+	Bytes   int             // exact length of the encoded body (Descriptor.AppendBody)
 }
 
 // Builder is one machine's incremental coreset state. Add is called once
@@ -116,10 +119,11 @@ type Descriptor struct {
 	// AppendBody encodes the task-specific coreset body of s (everything
 	// after the shared stats prefix) and returns the extended buffer.
 	AppendBody func(dst []byte, s Summary) []byte
-	// DecodeBody decodes the coreset body into s — including the simulated
-	// byte charge and the exact nil-versus-empty slice shapes Finish
-	// produces, which the seed-parity guarantee depends on — and returns
-	// the unconsumed tail.
+	// DecodeBody decodes the coreset body into s — including the byte
+	// charge (Summary.Bytes: the length of the body, as Finish charged it)
+	// and the exact nil-versus-empty slice shapes Finish produces, which
+	// the seed-parity guarantee depends on — and returns the unconsumed
+	// tail.
 	DecodeBody func(s *Summary, data []byte) (rest []byte, err error)
 	// Validate rejects unusable task parameters before a run starts
 	// (nil: the task takes none).

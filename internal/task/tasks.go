@@ -1,9 +1,6 @@
 package task
 
 import (
-	"encoding/binary"
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/diversity"
 	"repro/internal/edcs"
@@ -132,17 +129,16 @@ func init() {
 	})
 }
 
-// appendEdgeBody/decodeEdgeBody is the shared body codec of the edge-list
-// coresets (Theorem 1 matchings and EDCSs): one varint delta edge batch —
-// the same graph codec the simulated accounting charges, so the measured
-// CORESET payload and core.CoresetSizeBytes are the same function of the
-// edge list.
+// appendEdgeBody/decodeEdgeBody is the shared body codec of the edge-set
+// coresets (Theorem 1 matchings and EDCSs): one sorted edge set — the same
+// graph codec the simulated accounting charges, so the measured CORESET body
+// and core.CoresetSizeBytes are the same function of the edge set.
 func appendEdgeBody(dst []byte, s Summary) []byte {
-	return graph.AppendEdgeBatch(dst, s.Coreset)
+	return graph.AppendEdgeSet(dst, s.Coreset)
 }
 
 func decodeEdgeBody(s *Summary, data []byte) ([]byte, error) {
-	edges, rest, err := graph.DecodeEdgeBatch(data)
+	edges, rest, err := graph.DecodeEdgeSet(data)
 	if err != nil {
 		return nil, err
 	}
@@ -150,52 +146,22 @@ func decodeEdgeBody(s *Summary, data []byte) ([]byte, error) {
 		edges = []graph.Edge{} // a maximum matching / H edge list is never nil
 	}
 	s.Coreset = edges
-	s.Bytes = core.CoresetSizeBytes(edges) // simulated estimate, for Est* stats
+	s.Bytes = len(data) - len(rest) // the encoding is canonical: what was read is what Finish charged
 	return rest, nil
 }
 
-// appendVCBody/decodeVCBody is the Theorem 2 body: the peeled levels (in
-// peel order; Fixed is their concatenation, so it is not sent), then the
-// residual subgraph.
-var errCorruptLevels = errors.New("task vc: corrupt CORESET levels")
-
+// appendVCBody/decodeVCBody is the Theorem 2 body, core's VC coreset message.
 func appendVCBody(dst []byte, s Summary) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s.VC.Levels)))
-	for _, level := range s.VC.Levels {
-		dst = graph.AppendIDs(dst, level)
-	}
-	return graph.AppendEdgeBatch(dst, s.VC.Residual)
+	return core.AppendVCCoreset(dst, s.VC)
 }
 
 func decodeVCBody(s *Summary, data []byte) ([]byte, error) {
-	nLevels, k := binary.Uvarint(data)
-	if k <= 0 || nLevels > uint64(len(data)) {
-		return nil, errCorruptLevels
-	}
-	data = data[k:]
-	vc := &core.VCCoreset{}
-	for i := uint64(0); i < nLevels; i++ {
-		ids, rest, err := graph.DecodeIDs(data)
-		if err != nil {
-			return nil, err
-		}
-		data = rest
-		if len(ids) == 0 {
-			ids = nil // RemoveAtLeast yields nil for an empty level
-		}
-		vc.Levels = append(vc.Levels, ids)
-		vc.Fixed = append(vc.Fixed, ids...)
-	}
-	residual, rest, err := graph.DecodeEdgeBatch(data)
+	vc, rest, err := core.DecodeVCCoreset(data)
 	if err != nil {
 		return nil, err
 	}
-	if residual == nil {
-		residual = []graph.Edge{} // Residual.LiveEdges allocates
-	}
-	vc.Residual = residual
 	s.VC = vc
-	s.Bytes = core.VCCoresetSizeBytes(vc) // simulated estimate, for Est* stats
+	s.Bytes = len(data) - len(rest) // canonical, as in decodeEdgeBody
 	return rest, nil
 }
 

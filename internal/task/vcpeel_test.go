@@ -18,7 +18,9 @@ import (
 // peeler: for each threshold in turn, every vertex's degree in the surviving
 // multigraph is recounted from scratch into a map (a parallel edge once per
 // copy, a self-loop twice), every vertex at or above the threshold is fixed
-// in ascending order, and the edges a fixed vertex covers leave.
+// in ascending order, and the edges a fixed vertex covers leave. What is left
+// at the end is the residual, sorted by (U, V) with each edge oriented as it
+// arrived.
 func refPeel(thresholds []int, edges []graph.Edge) *core.VCCoreset {
 	left := append([]graph.Edge{}, edges...)
 	out := &core.VCCoreset{}
@@ -49,6 +51,9 @@ func refPeel(thresholds []int, edges []graph.Edge) *core.VCCoreset {
 		out.Levels = append(out.Levels, level)
 		out.Fixed = append(out.Fixed, level...)
 	}
+	sort.SliceStable(left, func(i, j int) bool {
+		return left[i].U < left[j].U || left[i].U == left[j].U && left[i].V < left[j].V
+	})
 	out.Residual = left
 	return out
 }
