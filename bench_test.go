@@ -2,7 +2,7 @@
 // figures" plus the systems experiments) and micro-benchmarks of the hot
 // kernels. Each experiment benchmark executes the same code path as
 //
-//	go run ./cmd/experiments -quick -run E<n>
+//	go run ./cmd/coreset experiments -quick -run E<n>
 //
 // and reports that table's headline metric via b.ReportMetric, so
 //
@@ -341,7 +341,8 @@ func BenchmarkStreamVsBatchSharding(b *testing.B) {
 }
 
 // Ablation: per-partition maximum matching via blossom vs Hopcroft-Karp on
-// the same bipartite input (the auto-dispatch win called out in DESIGN.md).
+// the same bipartite input (the win matching.Maximum takes by dispatching
+// bipartite inputs to Hopcroft-Karp).
 func BenchmarkAblationHopcroftKarpVsBlossom(b *testing.B) {
 	bip := gen.BipartiteGNP(4096, 4096, 8.0/4096, rng.New(14))
 	g := bip.ToGraph()

@@ -18,15 +18,16 @@ import (
 	"repro/internal/task"
 )
 
-// workerProcEnv diverts the test binary into worker mode, which is how the
-// "-cluster local" tests below fork REAL worker processes: TestMain re-execs
-// this very binary, SpawnLocal passes "-worker", and the child serves runs
-// over TCP exactly as a deployed cmd/coreset would.
+// workerProcEnv diverts the test binary into the binary's own entry point,
+// which is how the "-cluster local" tests below fork REAL worker processes:
+// TestMain re-execs this very binary, SpawnLocal passes workerArgs
+// ("worker -exit-on-stdin-eof -q"), and the child serves runs over TCP
+// exactly as a deployed `coreset worker` would.
 const workerProcEnv = "CORESET_TEST_WORKER_PROC"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(workerProcEnv) == "1" {
-		os.Exit(run([]string{"-worker"}, os.Stdout, os.Stderr))
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
 }
@@ -147,7 +148,7 @@ func TestClusterChaosSIGKILL(t *testing.T) {
 	}
 	// Three processes: two fleet members plus one standby the replay engine
 	// may promote.
-	lw, err := cluster.SpawnLocal(exe, []string{"-worker"}, 3, os.Stderr)
+	lw, err := cluster.SpawnLocal(exe, workerArgs, 3, os.Stderr)
 	if err != nil {
 		t.Fatal(err)
 	}

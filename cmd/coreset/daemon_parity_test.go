@@ -40,7 +40,7 @@ func comparableJSON(t *testing.T, rep graph.RunReport) string {
 
 // TestCLIMatchesDaemon: the package comment's promise that "CLI runs and
 // service queries are interchangeable downstream" — the same (gen, task, k,
-// seed, mode) through coreset -json and through a coresetd job yields the
+// seed, mode) through coreset -json and through a service job yields the
 // same report, in every runtime, single- and multi-round.
 func TestCLIMatchesDaemon(t *testing.T) {
 	// The CLI's -seed seeds generator and partitioning alike; the daemon

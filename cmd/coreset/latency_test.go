@@ -78,8 +78,8 @@ func TestSummarizeWarmup(t *testing.T) {
 }
 
 // TestRejectsUnusableBetaAndRounds: the load generator must fail fast on
-// -beta/-rounds misuse with the same message shape as cmd/coreset and
-// coresetd — a silently ignored flag would mislabel every latency
+// -beta/-rounds misuse with the same message shape as coreset run and
+// the service — a silently ignored flag would mislabel every latency
 // percentile the tool prints.
 func TestRejectsUnusableBetaAndRounds(t *testing.T) {
 	for name, args := range map[string][]string{
@@ -90,7 +90,7 @@ func TestRejectsUnusableBetaAndRounds(t *testing.T) {
 		"rounds-cluster":    {"-target", "cluster", "-cluster", "127.0.0.1:1", "-task", "matching", "-rounds", "2"},
 	} {
 		var out, errb strings.Builder
-		if code := run(args, &out, &errb); code != 2 {
+		if code := runLoad(args, &out, &errb); code != 2 {
 			t.Fatalf("%s: exited %d (stderr %q), want 2", name, code, errb.String())
 		}
 	}

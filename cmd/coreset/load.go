@@ -1,14 +1,16 @@
-// Command coresetload is the load generator for coreset deployments. Its
-// default target is a coresetd daemon: it registers a graph, fires a stream
-// of jobs from concurrent clients, long-polls each to completion and reports
-// client-side latency percentiles plus the server's cache counters. Cycling
-// a small seed set (-seeds) makes repeated keys hit the result cache, so the
-// tool doubles as a demonstration that cached queries are orders of
-// magnitude cheaper than cold ones.
+package main
+
+// `coreset load` is the load generator for coreset deployments. Its
+// default target is a `coreset serve` service: it registers a graph, fires a
+// stream of jobs from concurrent clients, long-polls each to completion and
+// reports client-side latency percentiles plus the server's cache counters.
+// Cycling a small seed set (-seeds) makes repeated keys hit the result
+// cache, so the tool doubles as a demonstration that cached queries are
+// orders of magnitude cheaper than cold ones.
 //
 // With -target cluster it instead drives a coordinator+workers deployment
 // directly: each job is a full cluster run (shard over TCP to the
-// coresetworker fleet named by -cluster, compose the returned coresets),
+// `coreset worker` fleet named by -cluster, compose the returned coresets),
 // and the same workload is replayed through the in-process streaming
 // runtime, so the end-to-end cluster latency percentiles print next to the
 // in-process numbers they should be judged against.
@@ -22,27 +24,24 @@
 // before and after the run and prints the counter deltas attributable to the
 // workload next to the latency percentiles. The URLs are explicit so one run
 // can watch every metrics surface a deployment exposes side by side: the
-// coresetd daemon (-addr base; submitted/done totals, cache traffic, wire
-// byte counters) and each coresetworker's -admin listener (per-worker frame,
-// byte and phase counters), against either target.
+// service (-addr base; submitted/done totals, cache traffic, wire byte
+// counters) and each worker's -admin listener (per-worker frame, byte and
+// phase counters), against either target.
 //
 // With -dataset NAME the service workload runs against a stored dataset from
-// the daemon's -datasets store instead of a generator spec — jobs stream the
-// graph off the daemon's disk, and repeats are served from the hash-keyed
+// the service's -datasets store instead of a generator spec — jobs stream the
+// graph off the service's disk, and repeats are served from the hash-keyed
 // result cache. Adding -mix registers both the dataset and the -gen spec and
 // alternates jobs between them, reporting per-kind latency percentiles next
 // to the combined line, so disk-backed and generator-backed job costs can be
 // compared in one run.
 //
-// Usage:
-//
-//	coresetload -addr http://127.0.0.1:8440 -gen gnp -n 20000 -deg 8 \
-//	            -task matching -k 4 -jobs 32 -c 4 -seeds 4
-//	coresetload -addr http://127.0.0.1:8440 -dataset web -mix -gen gnp \
-//	            -n 20000 -deg 8 -task matching -jobs 32 -c 4
-//	coresetload -target cluster -cluster 127.0.0.1:9601,127.0.0.1:9602 \
-//	            -gen gnp -n 20000 -deg 8 -task matching -jobs 16 -c 2
-package main
+//	coreset load -addr http://127.0.0.1:8440 -gen gnp -n 20000 -deg 8 \
+//	             -task matching -k 4 -jobs 32 -c 4 -seeds 4
+//	coreset load -addr http://127.0.0.1:8440 -dataset web -mix -gen gnp \
+//	             -n 20000 -deg 8 -task matching -jobs 32 -c 4
+//	coreset load -target cluster -cluster 127.0.0.1:9601,127.0.0.1:9602 \
+//	             -gen gnp -n 20000 -deg 8 -task matching -jobs 16 -c 2
 
 import (
 	"bytes"
@@ -53,10 +52,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -66,20 +65,23 @@ import (
 	"repro/internal/task"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+// workload is the shape of a load run, whatever its target.
+type workload struct {
+	jobs, conc, seeds, warmup int
+	timeout                   time.Duration
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("coresetload", flag.ContinueOnError)
+// runLoad is the load subcommand.
+func runLoad(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("coreset load", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr     = fs.String("addr", "http://127.0.0.1:8440", "coresetd base URL (-target service)")
-		target   = fs.String("target", "service", "what to load: service (coresetd HTTP) | cluster (coordinator+workers)")
-		clusterW = fs.String("cluster", "", "comma-separated coresetworker addresses (-target cluster)")
-		retries  = fs.Int("max-retries", -1, "per-machine, per-round replay budget after a worker failure (-target cluster; -1 = default, 0 = fail fast)")
+		addr     = fs.String("addr", "http://127.0.0.1:8440", "service base URL (-target service)")
+		target   = fs.String("target", "service", "what to load: service (coreset serve over HTTP) | cluster (coordinator+workers)")
+		clusterW = fs.String("cluster", "", "comma-separated `coreset worker` addresses (-target cluster)")
+		retries  = fs.Int("max-retries", cluster.DefaultMaxRetries, "per-machine, per-round replay budget after a worker failure (-target cluster; 0 = fail fast)")
 		genName  = fs.String("gen", "gnp", "graph generator: gnp | star | powerlaw")
-		dsName   = fs.String("dataset", "", "dataset name in the daemon's store (coresetd -datasets); replaces -gen for -target service")
+		dsName   = fs.String("dataset", "", "dataset name in the service's store (serve -datasets); replaces -gen for -target service")
 		mix      = fs.Bool("mix", false, "with -dataset: alternate dataset-backed and gen-backed jobs and report per-kind latency percentiles")
 		n        = fs.Int("n", 20000, "vertices")
 		deg      = fs.Float64("deg", 8, "average degree (gnp)")
@@ -94,58 +96,79 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds    = fs.Int("seeds", 4, "distinct job seeds to cycle (repeats hit the service cache)")
 		warmup   = fs.Int("warmup", -1, "jobs excluded from latency percentiles as warmup (-1 = auto: one wave of clients for -target cluster, 0 for service)")
 		timeout  = fs.Duration("timeout", 5*time.Minute, "per-job completion timeout")
-		scrape   = fs.String("scrape", "", "comma-separated base URLs to snapshot GET /metrics around the run (coresetd -addr, coresetworker -admin); deltas print per URL")
+		scrape   = fs.String("scrape", "", "comma-separated base URLs to snapshot GET /metrics around the run (serve -addr, worker -admin); deltas print per URL")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := parseFlags(fs, args, ""); !ok {
+		return code
 	}
 	if *jobs <= 0 || *conc <= 0 || *seeds <= 0 {
-		fmt.Fprintln(stderr, "coresetload: -jobs, -c and -seeds must be > 0")
+		fmt.Fprintln(stderr, "coreset load: -jobs, -c and -seeds must be > 0")
 		return 2
 	}
-	// Fail fast on -beta/-rounds with the one shared validator cmd/coreset
-	// and coresetd's job API also use — silently benchmarking something
-	// other than what the flags claim would mislabel every latency
+	// Fail fast on -beta/-rounds with the one shared validator the run
+	// subcommand and the service's job API also use — silently benchmarking
+	// something other than what the flags claim would mislabel every latency
 	// percentile this tool prints.
 	if err := task.ValidateParams(*taskName, *beta, *rounds); err != nil {
-		fmt.Fprintln(stderr, "coresetload:", err)
+		fmt.Fprintln(stderr, "coreset load:", err)
 		return 2
 	}
 	scrapers, err := newScrapeSet(*scrape)
 	if err != nil {
-		fmt.Fprintln(stderr, "coresetload:", err)
+		fmt.Fprintln(stderr, "coreset load:", err)
 		return 2
 	}
 	if *mix && *dsName == "" {
-		fmt.Fprintln(stderr, "coresetload: -mix requires -dataset (it alternates dataset-backed and gen-backed jobs)")
+		fmt.Fprintln(stderr, "coreset load: -mix requires -dataset (it alternates dataset-backed and gen-backed jobs)")
 		return 2
 	}
+	if *target != "service" && *target != "cluster" {
+		fmt.Fprintf(stderr, "coreset load: unknown target %q\n", *target)
+		return 2
+	}
+	if err := checkMaxRetries(fs, *retries, *target == "cluster", "-target cluster"); err != nil {
+		fmt.Fprintln(stderr, "coreset load:", err)
+		return 2
+	}
+	wl := workload{jobs: *jobs, conc: *conc, seeds: *seeds, warmup: *warmup, timeout: *timeout}
 	if *target == "cluster" {
 		if *dsName != "" {
-			fmt.Fprintln(stderr, "coresetload: -dataset requires -target service (the store lives with coresetd)")
+			fmt.Fprintln(stderr, "coreset load: -dataset requires -target service (the store lives with the service)")
 			return 2
+		}
+		if *clusterW == "" {
+			fmt.Fprintln(stderr, "coreset load: -target cluster needs -cluster host:port,...")
+			return 2
+		}
+		addrs, err := cluster.ParseWorkerList(*clusterW)
+		if err != nil {
+			fmt.Fprintln(stderr, "coreset load:", err)
+			return 2
+		}
+		// Membership comes from the task registry — the same list the -task
+		// usage string advertises.
+		if _, ok := task.Get(*taskName); !ok {
+			fmt.Fprintf(stderr, "coreset load: unknown task %q (known tasks: %s)\n", *taskName, strings.Join(task.Names(), ", "))
+			return 2
+		}
+		input := &service.GenSpec{Name: *genName, N: *n, Deg: *deg, Seed: *gseed}
+		if err := input.Validate(); err != nil {
+			fmt.Fprintln(stderr, "coreset load:", err)
+			return 1
 		}
 		// Cluster cold-start (dials, worker first-touch) lands on the first
 		// wave of jobs; exclude one wave per client unless told otherwise.
-		w := *warmup
-		if w < 0 {
-			w = *conc
+		if wl.warmup < 0 {
+			wl.warmup = wl.conc
 		}
-		return runClusterTarget(*clusterW, *genName, *n, *deg, *gseed, *taskName, *beta, *rounds, *jobs, *conc, *seeds, w, *retries, *timeout, scrapers, stdout, stderr)
+		spec := engine.Spec{
+			Task: *taskName, Beta: *beta, Rounds: *rounds, K: len(addrs),
+			Cluster: cluster.Config{Workers: addrs, MaxRetries: *retries},
+		}
+		return runClusterTarget(spec, input, wl, scrapers, stdout, stderr)
 	}
-	if *target != "service" {
-		fmt.Fprintf(stderr, "coresetload: unknown target %q\n", *target)
-		return 2
-	}
-	if *retries >= 0 {
-		fmt.Fprintln(stderr, "coresetload: -max-retries requires -target cluster (replay only exists in the cluster runtime)")
-		return 2
-	}
-	if *warmup < 0 {
-		*warmup = 0 // service cold-vs-hit asymmetry is the point; keep all samples by default
+	if wl.warmup < 0 {
+		wl.warmup = 0 // service cold-vs-hit asymmetry is the point; keep all samples by default
 	}
 
 	lg := &loadgen{base: *addr, client: &http.Client{Timeout: 2 * time.Minute}}
@@ -158,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *dsName != "" {
 		var info service.GraphInfo
 		if err := lg.postJSON("/v1/graphs", service.CreateGraphRequest{Dataset: *dsName}, &info); err != nil {
-			fmt.Fprintln(stderr, "coresetload: registering dataset:", err)
+			fmt.Fprintln(stderr, "coreset load: registering dataset:", err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "graph %s: dataset %s n=%d m=%d\n", info.ID, *dsName, info.N, info.M)
@@ -168,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var info service.GraphInfo
 		req := service.CreateGraphRequest{Gen: &service.GenSpec{Name: *genName, N: *n, Deg: *deg, Seed: *gseed}}
 		if err := lg.postJSON("/v1/graphs", req, &info); err != nil {
-			fmt.Fprintln(stderr, "coresetload: registering graph:", err)
+			fmt.Fprintln(stderr, "coreset load: registering graph:", err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "graph %s: %s n=%d\n", info.ID, *genName, info.N)
@@ -177,57 +200,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	before, err := scrapers.snapshot()
 	if err != nil {
-		fmt.Fprintln(stderr, "coresetload: scraping /metrics:", err)
+		fmt.Fprintln(stderr, "coreset load: scraping /metrics:", err)
 		return 1
 	}
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		perKind   = make(map[string][]time.Duration)
-		failures  int
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		for i := 0; i < *jobs; i++ {
-			next <- i
-		}
-		close(next)
-	}()
-	for c := 0; c < *conc; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				kindIdx := i % len(graphIDs)
-				jr := service.CreateJobRequest{
-					Graph: graphIDs[kindIdx], Task: *taskName, K: *k,
-					Seed: uint64(i % *seeds), Mode: *mode,
-					Beta: *beta, Rounds: *rounds,
-				}
-				t0 := time.Now()
-				err := lg.runJob(jr, *timeout)
-				d := time.Since(t0)
-				mu.Lock()
-				if err != nil {
-					failures++
-					fmt.Fprintf(stderr, "coresetload: job %d: %v\n", i, err)
-				} else {
-					latencies = append(latencies, d)
-					perKind[kinds[kindIdx]] = append(perKind[kinds[kindIdx]], d)
-				}
-				mu.Unlock()
-			}
-		}()
+	done, failures, wall := fire(wl, "", stderr, func(i int) error {
+		return lg.runJob(service.CreateJobRequest{
+			Graph: graphIDs[i%len(graphIDs)], Task: *taskName, K: *k,
+			Seed: uint64(i % wl.seeds), Mode: *mode,
+			Beta: *beta, Rounds: *rounds,
+		}, wl.timeout)
+	})
+	var latencies []time.Duration
+	perKind := make(map[string][]time.Duration)
+	for _, j := range done {
+		kind := kinds[j.i%len(kinds)]
+		latencies = append(latencies, j.d)
+		perKind[kind] = append(perKind[kind], j.d)
 	}
-	wg.Wait()
-	wall := time.Since(start)
 
-	sum, ok := summarize(latencies, *warmup)
+	sum, ok := summarize(latencies, wl.warmup)
 	if !ok {
-		fmt.Fprintln(stderr, "coresetload: no job succeeded")
+		fmt.Fprintln(stderr, "coreset load: no job succeeded")
 		return 1
 	}
 	fmt.Fprintf(stdout, "%d jobs in %.2fs (%.1f jobs/sec), %d failed, %d excluded as warmup\n",
@@ -239,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// -mix: one percentile line per graph kind, over that kind's own
 		// samples (the shared warmup count applies to each series).
 		for _, kind := range kinds {
-			ks, ok := summarize(perKind[kind], *warmup)
+			ks, ok := summarize(perKind[kind], wl.warmup)
 			if !ok {
 				fmt.Fprintf(stdout, "%-8s no successful jobs\n", kind+":")
 				continue
@@ -253,14 +246,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var st service.StatsView
 	if err := lg.getJSON("/v1/stats", &st); err != nil {
-		fmt.Fprintln(stderr, "coresetload: stats:", err)
+		fmt.Fprintln(stderr, "coreset load: stats:", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "server: %d done / %d failed / %d canceled; cache %d hits / %d misses\n",
 		st.Jobs.Done, st.Jobs.Failed, st.Jobs.Canceled, st.Cache.Hits, st.Cache.Misses)
 	after, err := scrapers.snapshot()
 	if err != nil {
-		fmt.Fprintln(stderr, "coresetload: scraping /metrics:", err)
+		fmt.Fprintln(stderr, "coreset load: scraping /metrics:", err)
 		return 1
 	}
 	scrapers.printDeltas(stdout, before, after)
@@ -270,10 +263,53 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// timedJob is one successful job: its index and its latency.
+type timedJob struct {
+	i int
+	d time.Duration
+}
+
+// fire runs wl.jobs jobs across wl.conc concurrent clients. do runs job i;
+// a failure is logged under label. It returns the successes in completion
+// order, the failure count and the wall time.
+func fire(wl workload, label string, stderr io.Writer, do func(i int) error) (done []timedJob, failures int, wall time.Duration) {
+	var mu sync.Mutex
+	start := time.Now()
+	next := make(chan int)
+	go func() {
+		for i := 0; i < wl.jobs; i++ {
+			next <- i
+		}
+		close(next)
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < wl.conc; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				t0 := time.Now()
+				err := do(i)
+				d := time.Since(t0)
+				mu.Lock()
+				if err != nil {
+					failures++
+					fmt.Fprintf(stderr, "coreset load: %sjob %d: %v\n", label, i, err)
+				} else {
+					done = append(done, timedJob{i, d})
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return done, failures, time.Since(start)
+}
+
 // scrapeSet is the set of /metrics surfaces -scrape snapshots around a run:
-// each URL is a base (a coresetd -addr or a coresetworker -admin listener)
-// whose GET /metrics is fetched before and after the workload. A nil set —
-// the flag unset — costs nothing.
+// each URL is a base (a service -addr or a worker -admin listener) whose
+// GET /metrics is fetched before and after the workload. A nil set — the
+// flag unset — costs nothing.
 type scrapeSet struct {
 	urls   []string
 	client *http.Client
@@ -338,17 +374,13 @@ func (s *scrapeSet) printDeltas(w io.Writer, before, after map[string]map[string
 // server-side accounting (job totals, cache traffic, histogram sample counts,
 // cluster wire bytes) lines up next to the client-side latency percentiles.
 // Gauges and idle counters are suppressed: a delta of zero says nothing about
-// this workload.
+// this workload. So are histogram buckets: _count/_sum carry the story.
 func printMetricDeltas(w io.Writer, before, after map[string]float64) {
 	names := make([]string, 0, len(after))
 	for name := range after {
-		if !strings.Contains(name, "_total") && !strings.HasSuffix(metricBase(name), "_count") && !strings.HasSuffix(metricBase(name), "_sum") && !strings.Contains(name, "_bucket") {
-			continue // gauges: point-in-time values, deltas are noise
-		}
-		if strings.Contains(name, "_bucket") {
-			continue // bucket-level deltas overwhelm the summary; _count/_sum carry the story
-		}
-		if after[name]-before[name] != 0 {
+		base := metricBase(name)
+		counter := strings.Contains(name, "_total") || strings.HasSuffix(base, "_count") || strings.HasSuffix(base, "_sum")
+		if counter && !strings.Contains(name, "_bucket") && after[name] != before[name] {
 			names = append(names, name)
 		}
 	}
@@ -370,106 +402,48 @@ func metricBase(name string) string {
 }
 
 // runClusterTarget drives a coordinator+workers deployment directly: every
-// job is one full cluster run against the fleet, then the identical workload
-// replays through the in-process streaming runtime so the two latency
-// distributions print side by side. Concurrent clients exercise the workers'
-// many-runs-at-once path.
-func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64, taskName string, beta, roundCap, jobs, conc, seeds, warmup, maxRetries int, timeout time.Duration, scrapers *scrapeSet, stdout, stderr io.Writer) int {
-	if clusterW == "" {
-		fmt.Fprintln(stderr, "coresetload: -target cluster needs -cluster host:port,...")
-		return 2
-	}
-	if maxRetries < 0 {
-		maxRetries = cluster.DefaultMaxRetries // -1 means unset: replay on by default
-	}
-	addrs, err := cluster.ParseWorkerList(clusterW)
-	if err != nil {
-		fmt.Fprintln(stderr, "coresetload:", err)
-		return 2
-	}
-	// Membership comes from the task registry — the same list the -task
-	// usage string advertises.
-	if _, ok := task.Get(taskName); !ok {
-		fmt.Fprintf(stderr, "coresetload: unknown task %q (known tasks: %s)\n", taskName, strings.Join(task.Names(), ", "))
-		return 2
-	}
-	input := &service.GenSpec{Name: genName, N: n, Deg: deg, Seed: gseed}
-	if err := input.Validate(); err != nil {
-		fmt.Fprintln(stderr, "coresetload:", err)
-		return 1
-	}
+// job is one full cluster run of spec against the fleet, then the identical
+// workload replays through the in-process streaming runtime so the two
+// latency distributions print side by side. Concurrent clients exercise the
+// workers' many-runs-at-once path.
+func runClusterTarget(spec engine.Spec, input *service.GenSpec, wl workload, scrapers *scrapeSet, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "cluster: %d workers, %s n=%d, task %s, %d jobs x %d clients\n",
-		len(addrs), genName, n, taskName, jobs, conc)
+		spec.K, input.Name, input.N, spec.Task, wl.jobs, wl.conc)
 
 	before, err := scrapers.snapshot()
 	if err != nil {
-		fmt.Fprintln(stderr, "coresetload: scraping /metrics:", err)
+		fmt.Fprintln(stderr, "coreset load: scraping /metrics:", err)
 		return 1
 	}
 
 	// Both waves are the same engine.Spec, the runtime aside: what differs
 	// between the two latency lines is where the machines live, nothing else.
-	runOne := func(runtime string, seed uint64) (time.Duration, int, error) {
-		src, err := input.Source()
-		if err != nil {
-			return 0, 0, err
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		t0 := time.Now()
-		rep, err := engine.Run(ctx, engine.Spec{
-			Task: taskName, Beta: beta, Rounds: roundCap,
-			Runtime: runtime, K: len(addrs), Seed: seed,
-			Cluster: cluster.Config{Workers: addrs, MaxRetries: maxRetries},
-		}, src)
-		if err != nil {
-			return 0, 0, err
-		}
-		return time.Since(t0), rep.Retries, nil
-	}
-
-	fire := func(label, runtime string) ([]time.Duration, int, int, time.Duration) {
-		var (
-			mu        sync.Mutex
-			latencies []time.Duration
-			failures  int
-			retries   int
-		)
-		start := time.Now()
-		next := make(chan int)
-		go func() {
-			for i := 0; i < jobs; i++ {
-				next <- i
+	fireWave := func(label, runtime string) (latencies []time.Duration, failures int, retries int64, wall time.Duration) {
+		var replays atomic.Int64
+		done, failures, wall := fire(wl, label+" ", stderr, func(i int) error {
+			src, err := input.Source()
+			if err != nil {
+				return err
 			}
-			close(next)
-		}()
-		var wg sync.WaitGroup
-		for c := 0; c < conc; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					d, r, err := runOne(runtime, uint64(i%seeds))
-					mu.Lock()
-					retries += r
-					if err != nil {
-						failures++
-						fmt.Fprintf(stderr, "coresetload: %s job %d: %v\n", label, i, err)
-					} else {
-						latencies = append(latencies, d)
-					}
-					mu.Unlock()
-				}
-			}()
+			ctx, cancel := context.WithTimeout(context.Background(), wl.timeout)
+			defer cancel()
+			sp := spec
+			sp.Runtime, sp.Seed = runtime, uint64(i%wl.seeds)
+			rep, err := engine.Run(ctx, sp, src)
+			if err == nil {
+				replays.Add(int64(rep.Retries))
+			}
+			return err
+		})
+		for _, j := range done {
+			latencies = append(latencies, j.d)
 		}
-		wg.Wait()
-		return latencies, failures, retries, time.Since(start)
+		return latencies, failures, replays.Load(), wall
 	}
-
-	report := func(label string, latencies []time.Duration, failures, retries int, wall time.Duration) bool {
-		sum, ok := summarize(latencies, warmup)
+	report := func(label string, latencies []time.Duration, failures int, retries int64, wall time.Duration) bool {
+		sum, ok := summarize(latencies, wl.warmup)
 		if !ok {
-			fmt.Fprintf(stderr, "coresetload: no %s job succeeded\n", label)
+			fmt.Fprintf(stderr, "coreset load: no %s job succeeded\n", label)
 			return false
 		}
 		fmt.Fprintf(stdout, "%-10s %d jobs in %.2fs (%.1f jobs/sec), %d failed, %d warmup; latency p50 %s  p90 %s  p99 %s  max %s\n",
@@ -482,15 +456,15 @@ func runClusterTarget(clusterW, genName string, n int, deg float64, gseed uint64
 		return failures == 0
 	}
 
-	cl, cf, cr, cw := fire("cluster", engine.Cluster)
+	cl, cf, cr, cw := fireWave("cluster", engine.Cluster)
 	// Snapshot before the in-process replay: only the cluster wave touches
 	// the workers, so the window should close with it.
 	after, err := scrapers.snapshot()
 	if err != nil {
-		fmt.Fprintln(stderr, "coresetload: scraping /metrics:", err)
+		fmt.Fprintln(stderr, "coreset load: scraping /metrics:", err)
 		return 1
 	}
-	sl, sf, sr, sw := fire("in-process", engine.Stream)
+	sl, sf, sr, sw := fireWave("in-process", engine.Stream)
 	okC := report("cluster", cl, cf, cr, cw)
 	okS := report("in-process", sl, sf, sr, sw)
 	scrapers.printDeltas(stdout, before, after)

@@ -25,7 +25,7 @@ func TestClusterTarget(t *testing.T) {
 		"rounds=2":     {"-task", "edcs", "-beta", "8", "-rounds", "2"},
 	} {
 		var out, errb bytes.Buffer
-		code := run(append([]string{
+		code := runLoad(append([]string{
 			"-target", "cluster", "-cluster", strings.Join(addrs, ","),
 			"-gen", "gnp", "-n", "400", "-deg", "30", "-jobs", "6", "-c", "2", "-seeds", "3",
 		}, extra...), &out, &errb)

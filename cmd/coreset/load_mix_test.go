@@ -43,7 +43,7 @@ func TestMixScenario(t *testing.T) {
 	}()
 
 	var out, errb bytes.Buffer
-	code := run([]string{
+	code := runLoad([]string{
 		"-addr", ts.URL, "-dataset", "web", "-mix",
 		"-gen", "gnp", "-n", "500", "-deg", "8",
 		"-task", "matching", "-k", "2", "-jobs", "8", "-c", "2", "-seeds", "2",
@@ -62,11 +62,11 @@ func TestMixScenario(t *testing.T) {
 // -mix without -dataset and -dataset against -target cluster are flag errors.
 func TestMixFlagErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-mix"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-mix requires -dataset") {
+	if code := runLoad([]string{"-mix"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-mix requires -dataset") {
 		t.Fatalf("-mix alone: exit %d, stderr %q", code, errb.String())
 	}
 	errb.Reset()
-	if code := run([]string{"-target", "cluster", "-dataset", "web", "-cluster", "x:1"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-dataset requires -target service") {
+	if code := runLoad([]string{"-target", "cluster", "-dataset", "web", "-cluster", "x:1"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-dataset requires -target service") {
 		t.Fatalf("-dataset with cluster target: exit %d, stderr %q", code, errb.String())
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // fakeMetrics serves a /metrics exposition whose counter advances on every
-// scrape — a stand-in for a coresetworker -admin surface.
+// scrape — a stand-in for a `coreset worker -admin` surface.
 func fakeMetrics(t *testing.T, name string, step int64) *httptest.Server {
 	t.Helper()
 	var v atomic.Int64

@@ -1,9 +1,20 @@
-// Command coreset runs the randomized-composable-coreset pipeline on an
-// edge-list graph: it partitions the edges across k simulated machines,
-// computes per-machine coresets, composes the final solution and reports
-// quality plus communication cost.
+// Command coreset is the one binary of the randomized-composable-coreset
+// system. In the paper's simultaneous model every machine runs the same
+// summarizer and one coordinator composes what they send; the subcommands
+// are the roles a process can play in that model:
 //
-// Usage:
+//	coreset [run] [flags]        run one pipeline and print its report (the default)
+//	coreset ingest [flags]       store an edge list or a generator draw as a dataset
+//	coreset serve [flags]        the long-running HTTP service (internal/service)
+//	coreset worker [flags]       one cluster machine as a resident process
+//	coreset load [flags]         load-test a service or a worker fleet
+//	coreset experiments [flags]  regenerate the paper's tables (internal/expt)
+//
+// A command line that starts with a flag is a run. Every subcommand rejects
+// positional arguments: flag parsing stops at the first one, so a stray word
+// would otherwise drop every flag after it without a word.
+//
+// # run
 //
 //	coreset -task matching -k 8 -in graph.txt
 //	coreset -task vc -k 8 -in graph.txt
@@ -14,8 +25,7 @@
 //	coreset -task vc -k 8 -stream -in graph.txt       (streaming runtime)
 //	coreset -task vc -cluster host:p1,host:p2 -in g   (cluster runtime)
 //	coreset -task vc -cluster local -k 4 -in g        (self-spawned workers)
-//	coreset ingest -in web.txt -out data/web          (store a dataset)
-//	coreset -task matching -k 8 -dataset data/web     (run from the store)
+//	coreset -task matching -k 8 -dataset data/web     (run from a stored dataset)
 //
 // Tasks: matching and vc are the paper's Theorem 1/2 coresets; edcs is the
 // edge-degree constrained subgraph coreset of "Coresets Meet EDCS"
@@ -33,7 +43,7 @@
 // union stops shrinking; the report gains a per-round breakdown, and
 // -rounds 1 reproduces the single-round run exactly.
 //
-// This command is a frontend and nothing more: the flags become one
+// The run subcommand is a frontend and nothing more: the flags become one
 // engine.Spec, engine.Run (internal/engine) dispatches on runtime and rounds,
 // and every output format — the text lines, -json, -trace-out — is drawn
 // from the graph.RunReport it returns.
@@ -49,26 +59,28 @@
 // without ever building the edge list.
 //
 // With -cluster the machines are separate OS processes: either an existing
-// fleet of cmd/coresetworker processes named as comma-separated addresses
+// fleet of `coreset worker` processes named as comma-separated addresses
 // (one machine per address; -k is ignored), or "-cluster local", which
-// forks -k workers from this binary and tears them down after the run. The
-// sharding seed and per-machine algorithms are identical to -stream, so the
-// answers match bit for bit; what changes is that TotalCommBytes in the
-// report is measured off the TCP connections (the simulated estimate is
-// reported alongside as estCommBytes). The -worker flag is the internal
-// worker mode "-cluster local" forks; it serves runs until stdin closes.
+// forks -k `coreset worker -exit-on-stdin-eof` processes from this binary
+// and tears them down after the run. The sharding seed and per-machine
+// algorithms are identical to -stream, so the answers match bit for bit;
+// what changes is that TotalCommBytes in the report is measured off the TCP
+// connections (the simulated estimate is reported alongside as
+// estCommBytes). A lost worker is replayed for the current round, up to
+// -max-retries times per machine (default cluster.DefaultMaxRetries; 0 fails
+// fast).
 //
 // With -json the run report is emitted as a single JSON object — the very
-// report (graph.RunReport, built by the engine) a coresetd job returns for
-// the same request, so CLI runs and service queries are interchangeable
-// downstream (TestCLIMatchesDaemon).
+// report (graph.RunReport, built by the engine) a `coreset serve` job
+// returns for the same request, so CLI runs and service queries are
+// interchangeable downstream (TestCLIMatchesDaemon).
 //
 // With -trace the run logs span events to stderr (run.start/run.end, plus
 // per-round spans for -rounds and shard spans for -stream), each stamped
 // with a run ID derived deterministically from -seed; the run span's k is
 // the k that ran (the fleet size under -cluster). Cluster runs ship that
 // run ID to every worker in the HELLO frame, so a worker started with
-// coresetworker -trace logs spans carrying the same run ID and the two
+// `coreset worker -trace` logs spans carrying the same run ID and the two
 // streams can be joined by grep.
 //
 // With -cluster, -trace-out FILE additionally writes the run's timeline as
@@ -80,6 +92,11 @@
 // The input format is one "u v" edge per line, optionally preceded by a
 // header "p <n> <m>"; lines starting with '#' or '%' are comments.
 //
+// # ingest
+//
+//	coreset ingest -in web.txt -out data/web
+//	coreset ingest -gen gnp -n 100000 -deg 8 -seed 1 -out data/gnp
+//
 // The ingest subcommand converts an edge list (or a generator draw) into an
 // on-disk dataset (internal/dataset): segment files of varint-delta encoded
 // edge batches under a content-hashed manifest. Ingestion uses the lenient
@@ -88,7 +105,19 @@
 // replaces -in/-gen via -dataset DIR in every mode: edges stream off disk
 // segment by segment, so the graph is never materialized, and the source is
 // restartable, which cluster-mode round replay requires. The same directory
-// layout is what cmd/coresetd serves from its -datasets store.
+// layout is what `coreset serve -datasets` serves.
+//
+// # serve and worker
+//
+// serve and worker are the two resident roles (daemon.go); they share one
+// -admin surface (/metrics, /healthz, /debug/pprof/) and one drain sequence,
+// run when SIGINT or SIGTERM arrives.
+//
+// # load and experiments
+//
+// load is the load generator for a service or a worker fleet (load.go), and
+// experiments regenerates the table behind each of the paper's results
+// (experiments.go).
 package main
 
 import (
@@ -98,11 +127,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"os"
+	"os/signal"
+	"slices"
 	"strings"
-	"time"
+	"syscall"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
@@ -118,14 +147,81 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: it parses args, executes, and writes all
-// output to the given writers.
+// subcommands lists the roles this binary plays; run is the default.
+var subcommands = []string{"run", "ingest", "serve", "worker", "load", "experiments"}
+
+// workerArgs is the command line "-cluster local" forks: a worker that
+// drains and exits when its parent closes its stdin, and logs nothing, so a
+// successful run prints nothing on stderr.
+var workerArgs = []string{"worker", "-exit-on-stdin-eof", "-q"}
+
+// run is the testable entry point: it dispatches on the subcommand and
+// writes all output to the given writers. serve and worker stop on SIGINT or
+// SIGTERM; tests call runServe and runWorker with a context of their own.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "ingest" {
-		return runIngest(args[1:], stdout, stderr)
+	sub := "run"
+	if len(args) > 0 && slices.Contains(subcommands, args[0]) {
+		sub, args = args[0], args[1:]
 	}
+	switch sub {
+	case "ingest":
+		return runIngest(args, stdout, stderr)
+	case "serve", "worker":
+		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+		defer stop()
+		if sub == "serve" {
+			return runServe(ctx, args, stderr)
+		}
+		return runWorker(ctx, args, os.Stdin, stdout, stderr)
+	case "load":
+		return runLoad(args, stdout, stderr)
+	case "experiments":
+		return runExperiments(args, stdout, stderr)
+	}
+	return runPipeline(args, stdout, stderr)
+}
+
+// parseFlags is every subcommand's flag parse. ok is false when the
+// subcommand should exit with code: 0 after -h, 2 on a bad flag or on a
+// positional argument, which the error names with hint appended.
+func parseFlags(fs *flag.FlagSet, args []string, hint string) (code int, ok bool) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q%s\n", fs.Name(), fs.Arg(0), hint)
+		return 2, false
+	}
+	return 0, true
+}
+
+// checkMaxRetries is the one -max-retries rule of run, serve and load: the
+// budget defaults to cluster.DefaultMaxRetries, a negative one is an error,
+// and so is setting it with no worker fleet to replay on (fleetFlag names
+// the flag that supplies one).
+func checkMaxRetries(fs *flag.FlagSet, retries int, haveFleet bool, fleetFlag string) error {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "max-retries" })
+	switch {
+	case retries < 0:
+		return fmt.Errorf("-max-retries must be >= 0 (got %d)", retries)
+	case set && !haveFleet:
+		return fmt.Errorf("-max-retries requires %s (replay only exists in the cluster runtime)", fleetFlag)
+	}
+	return nil
+}
+
+// runPipeline is the run subcommand: one pipeline, one report.
+func runPipeline(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("coreset", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: coreset [%s] [flags]; the run flags are:\n", strings.Join(subcommands, "|"))
+		fs.PrintDefaults()
+	}
 	var (
 		taskName  = fs.String("task", "matching", "problem: "+strings.Join(task.Names(), " | "))
 		k         = fs.Int("k", 4, "number of machines")
@@ -140,23 +236,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "max goroutines in batch mode (0 = GOMAXPROCS)")
 		streaming = fs.Bool("stream", false, "use the streaming sharded runtime (never materializes the graph)")
 		clusterTo = fs.String("cluster", "", "use the cluster runtime: worker addresses host:p1,host:p2,... or 'local' to fork -k workers")
-		retries   = fs.Int("max-retries", -1, "cluster only: per-machine, per-round replay budget after a worker failure (-1 = default, 0 = fail fast)")
-		workerM   = fs.Bool("worker", false, "internal: run as a cluster worker until stdin closes (used by -cluster local)")
+		retries   = fs.Int("max-retries", cluster.DefaultMaxRetries, "cluster only: per-machine, per-round replay budget after a worker failure (0 = fail fast)")
 		batch     = fs.Int("batch", 0, "streaming batch size in edges (0 = default)")
 		quiet     = fs.Bool("q", false, "print only the summary line")
 		jsonOut   = fs.Bool("json", false, "emit the run report as JSON (graph.RunReport schema)")
 		traceF    = fs.Bool("trace", false, "log run and round spans to stderr (run ID derived from -seed)")
 		traceOut  = fs.String("trace-out", "", "cluster only: write the run timeline as Chrome trace-event JSON to FILE (view in Perfetto)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := parseFlags(fs, args, " (subcommands: "+strings.Join(subcommands, ", ")+")"); !ok {
+		return code
 	}
 
 	// One validator for -beta and -rounds across every surface
-	// (task.ValidateParams is also what coresetd's job API, cmd/coresetload
+	// (task.ValidateParams is also what the service's job API, coreset load
 	// and the engine call): the flags only mean something for tasks whose
 	// registry descriptor declares the capability, and each is an error —
 	// never a silent fallback or a silently ignored flag — outside its
@@ -164,9 +256,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := task.ValidateParams(*taskName, *beta, *rounds); err != nil {
 		fmt.Fprintln(stderr, "coreset:", err)
 		return 2
-	}
-	if *workerM {
-		return runWorker(stdout, stderr)
 	}
 	// The registry is the authority on which tasks exist; the usage string
 	// above and this error name the same list, so a newly registered task
@@ -184,8 +273,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "coreset: -dataset replaces -in/-gen; set only one input")
 		return 2
 	}
-	if *clusterTo == "" && *retries >= 0 {
-		fmt.Fprintln(stderr, "coreset: -max-retries requires -cluster (replay only exists in the cluster runtime)")
+	if err := checkMaxRetries(fs, *retries, *clusterTo != "", "-cluster"); err != nil {
+		fmt.Fprintln(stderr, "coreset:", err)
 		return 2
 	}
 	if *clusterTo == "" && *traceOut != "" {
@@ -215,9 +304,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if cleanup != nil {
 			defer cleanup()
-		}
-		if *retries < 0 {
-			*retries = cluster.DefaultMaxRetries // -1 means unset: replay on by default
 		}
 		// One machine per worker address: the fleet, not -k, is this run's k.
 		// The run ID shipped to every worker in the HELLO frame is the same
@@ -276,7 +362,7 @@ var modeWords = map[string][2]string{
 }
 
 // printReport is the CLI's text output, drawn from the run report alone —
-// the same object -json emits and coresetd serves. d supplies the task's
+// the same object -json emits and the service serves. d supplies the task's
 // display labels. With quiet only the summary line prints.
 func printReport(w io.Writer, d *task.Descriptor, rep *graph.RunReport, quiet bool) {
 	multiRound := rep.Rounds > 0
@@ -365,33 +451,9 @@ func printMachineStats(w io.Writer, ms []graph.MachineStats, indent string) {
 	}
 }
 
-// runWorker is the internal worker mode "-cluster local" forks: serve runs
-// on an ephemeral loopback port, announce it with the ready line, and drain
-// when the parent closes our stdin.
-func runWorker(stdout, stderr io.Writer) int {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(stderr, "coreset: worker listen:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "%s%s\n", cluster.ReadyPrefix, ln.Addr())
-	w := cluster.NewWorker(log.New(stderr, "coreset-worker: ", 0))
-	go func() {
-		_, _ = io.Copy(io.Discard, os.Stdin) // parent closing the pipe is our stop signal
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = w.Shutdown(ctx)
-	}()
-	if err := w.Serve(ln); err != nil {
-		fmt.Fprintln(stderr, "coreset: worker:", err)
-		return 1
-	}
-	return 0
-}
-
 // resolveCluster turns the -cluster flag into worker addresses, forking a
-// local fleet when asked. The returned cleanup (possibly nil) tears the
-// fleet down.
+// local fleet of `coreset worker` processes when asked. The returned
+// cleanup (possibly nil) tears the fleet down.
 func resolveCluster(spec string, k int, stderr io.Writer) (addrs []string, cleanup func(), err error) {
 	if spec != "local" {
 		addrs, err := cluster.ParseWorkerList(spec)
@@ -401,7 +463,7 @@ func resolveCluster(spec string, k int, stderr io.Writer) (addrs []string, clean
 	if err != nil {
 		return nil, nil, fmt.Errorf("-cluster local: %w", err)
 	}
-	lw, err := cluster.SpawnLocal(exe, []string{"-worker"}, k, stderr)
+	lw, err := cluster.SpawnLocal(exe, workerArgs, k, stderr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -433,7 +495,7 @@ func openSource(sp inputSpec) (stream.EdgeSource, func() error, error) {
 	}
 	if sp.genName != "" {
 		// The service's generator table is the only one: a -gen run and a
-		// coresetd generator spec with the same parameters name the same graph.
+		// service generator spec with the same parameters name the same graph.
 		src, err := (&service.GenSpec{Name: sp.genName, N: sp.n, Deg: sp.deg, Seed: sp.seed}).Source()
 		return src, nil, err
 	}
@@ -452,7 +514,7 @@ func openSource(sp inputSpec) (stream.EdgeSource, func() error, error) {
 }
 
 // runIngest implements the ingest subcommand: store an edge list (or a
-// generator draw) as an on-disk dataset that -dataset and coresetd -datasets
+// generator draw) as an on-disk dataset that -dataset and serve -datasets
 // can stream without re-parsing.
 func runIngest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("coreset ingest", flag.ContinueOnError)
@@ -467,11 +529,8 @@ func runIngest(args []string, stdout, stderr io.Writer) int {
 		segEdges = fs.Int("seg-edges", 0, "edges per segment block (0 = default)")
 		quiet    = fs.Bool("q", false, "print only the summary line")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := parseFlags(fs, args, ""); !ok {
+		return code
 	}
 	if *out == "" {
 		fmt.Fprintln(stderr, "coreset ingest: need -out DIR")

@@ -235,7 +235,7 @@ func normalizeReport(t *testing.T, jsonOut string) string {
 }
 
 // Golden tests for -json: fixed input, fixed seed, exact report (modulo
-// wall clock). The schema is shared with the coresetd service, so these
+// wall clock). The schema is shared with the coreset service, so these
 // also pin the service's result format.
 func TestJSONGoldenBatchMatching(t *testing.T) {
 	out, errOut, code := runCLI(t, "-task", "matching", "-k", "2", "-seed", "3", "-json", "-in", writePath10(t))
@@ -349,7 +349,7 @@ func TestJSONGoldenBatchEDCS(t *testing.T) {
 
 // A -beta the EDCS cannot use — or on a task it does not apply to — must be
 // rejected up front, never silently replaced by the default or silently
-// ignored, with the SAME message shape coresetd's job validation
+// ignored, with the SAME message shape the service's job validation
 // (service.CreateJobRequest.normalize) produces for the equivalent request,
 // so a user moving between the CLI and the service reads one vocabulary.
 // The expected strings are golden: they must track the service's text.

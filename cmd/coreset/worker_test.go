@@ -47,7 +47,7 @@ func startWorker(t *testing.T, args ...string) (workerAddr, adminAddr string, st
 	errBuf := &syncBuffer{}
 	code := make(chan int, 1)
 	go func() {
-		code <- run(append([]string{"-exit-on-stdin-eof"}, args...), stdinR, stdoutW, errBuf)
+		code <- runWorker(context.Background(), append([]string{"-exit-on-stdin-eof"}, args...), stdinR, stdoutW, errBuf)
 		stdoutW.Close()
 	}()
 	sc := bufio.NewScanner(stdoutR)
@@ -90,7 +90,7 @@ func path10() stream.EdgeSource {
 
 // TestAdminSurface: -admin serves /metrics, /healthz and pprof, and after a
 // real coordinator run the worker registry shows frames, bytes, phase
-// samples and the run count — the same operational contract as coresetd.
+// samples and the run count — the same operational contract as serve.
 func TestAdminSurface(t *testing.T) {
 	workerAddr, adminAddr, _, stop := startWorker(t, "-q", "-admin", "127.0.0.1:0")
 	defer stop()

@@ -14,20 +14,21 @@
 // lower bounds tight (Remarks 5.2 and 5.8), the negative baselines, the
 // hard input distributions behind the lower bounds (Theorems 3-6), the
 // 2-round MapReduce algorithms, and an experiment harness (internal/expt,
-// cmd/experiments) that regenerates a measurable table for every formal
-// claim. See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// `coreset experiments`) that regenerates a measurable table for every
+// formal claim, with notes on the observed against the predicted shape.
 //
 // Four runtimes execute the model over one core, trading realism for
 // convenience at each step, and one engine (internal/engine) sits between
 // them and every frontend: a frontend states what it wants as an
 // engine.Spec — task, β, rounds, runtime, k, seed, batch size, the resolved
 // worker fleet — and engine.Run holds the only runtime × rounds dispatch in
-// the repository and the only constructor of the run report.
+// the repository and the only constructor of the run report. Every
+// frontend is a subcommand of the one binary, cmd/coreset: run, ingest,
+// serve, worker, load and experiments.
 //
-//	cmd/coreset ────┐
-//	coresetd job ───┼─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
-//	coresetload ────┘           │ (-target cluster)
+//	coreset run ──────┐
+//	coreset serve job ┼─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
+//	coreset load ─────┘         │ (-target cluster)
 //	           ┌────────────────▼────────────────────────────────────┐
 //	batch      │ materialize edges → RandomK parts → map → compose   │ simulator's view
 //	stream     │ EdgeSource → hash sharder → k goroutines → compose  │ deployment shape
@@ -51,9 +52,9 @@
 // online level-1 peeling for Theorem 2, which discards already-covered
 // edges mid-stream), and a coordinator composes the final answer. Given the
 // same hash k-partitioning the runtimes agree bit for bit (internal/stream's
-// parity tests); cmd/coreset selects between them with -stream (the Spec's
-// Runtime), examples/streaming_pipeline demonstrates the pipeline, and
-// experiment E19 compares their throughput and quality at fixed k.
+// parity tests); coreset run selects between them with -stream (the Spec's
+// Runtime), stream.Solve's example walks the pipeline, and experiment E19
+// compares their throughput and quality at fixed k.
 //
 // Feeding every runtime is a disk-backed data plane (internal/dataset):
 // real graphs are ingested once — `coreset ingest` runs the lenient
@@ -75,12 +76,12 @@
 // not — a non-seekable reader — fail replay with a typed
 // stream.NotRestartableError naming the source kind instead of replaying
 // wrong data. The service layer registers datasets by name from a store
-// directory (coresetd -datasets) and keys cached results by the manifest's
+// directory (coreset serve -datasets) and keys cached results by the manifest's
 // content hash, so a repeated job on a stored graph is answered with zero
 // re-parse and zero re-read, regardless of the ID it was registered under.
 //
 // The cluster runtime (internal/cluster) makes the machines real: k worker
-// OS processes (cmd/coresetworker, or self-spawned by cmd/coreset -cluster
+// OS processes (`coreset worker`, or self-spawned by coreset -cluster
 // local) host the very same incremental builders behind a compact
 // length-prefixed wire protocol — HELLO/ACK/SHARD/EOS/CORESET/ERROR frames
 // over TCP. Two codecs carry edges (internal/graph, encode.go). A shard must
@@ -181,11 +182,11 @@
 // SHARD*/EOS/CORESET exchange with a fresh per-round EDCS machine, and
 // every round's communication is measured off the TCP connections into the
 // run report's per-round breakdown (graph.RunReport.RoundStats). The driver
-// is exposed as cmd/coreset -rounds N, the service job field "rounds"
-// (folded into the result-cache key), cmd/coresetload -rounds, experiment
+// is exposed as coreset -rounds N, the service job field "rounds"
+// (folded into the result-cache key), coreset load -rounds, experiment
 // E22 (rounds vs quality vs communication) and the rounds.* rows of the
-// benchmark ledger (bench/out/result.json); examples/multiround_mpc walks
-// the per-round shrink end to end.
+// benchmark ledger (bench/out/result.json); engine.Run's multi-round example
+// walks the per-round shrink end to end, in process and over TCP.
 //
 // Builder memory model. The model grants each machine O(m/k) space, and
 // each task's builder (internal/task) spends it differently. The matching
@@ -222,12 +223,12 @@
 // keeps the TELEM and CORESET payloads it reads, does not).
 //
 // Above both runtimes sits the service layer (internal/service, served by
-// cmd/coresetd): a long-running daemon that keeps graphs and their composed
+// coreset serve): a long-running daemon that keeps graphs and their composed
 // results resident, which is how the paper frames randomized composable
 // coresets in the first place — summaries computed once and reused across
 // many queries. Its architecture:
 //
-//	                   ┌──────────────────────── coresetd ────────────────────────┐
+//	                   ┌───────────────────── coreset serve ──────────────────────┐
 //	POST /v1/graphs ──▶│ Registry: id → uploaded edges | gen spec | dataset ref   │
 //	                   │           (ref-counted, LRU-evicted)                     │
 //	                   │      │ Acquire/Release                                   │
@@ -241,7 +242,7 @@
 // A job names a registered graph, a task (any registry entry — matching,
 // vc, edcs or diversity), k, a seed
 // and a mode (batch, stream, or — when the daemon was started with -cluster
-// — cluster, which dispatches the run to the configured coresetworker
+// — cluster, which dispatches the run to the configured `coreset worker`
 // fleet).
 // Because every runtime is a deterministic function of the seed, the
 // composed run report is cacheable: a repeated query is answered from
@@ -254,12 +255,12 @@
 // schema, and more than the schema: every runtime returns the one run-stats
 // struct (core.PipelineStats — stream.Stats and cluster.Stats are aliases
 // of it, a multi-round run carries one per round), and the engine's report
-// function is the single place that turns it into a RunReport, so cmd/coreset
-// -json and a coresetd job give the same report for the same request. The
-// batch runtime's self-checks (input structure, the task's verifier) live in
-// the engine too, so daemon batch jobs run them like CLI runs do.
-// cmd/coresetload is the matching load generator (-target service drives the HTTP API, -target cluster drives a
-// worker fleet directly).
+// function is the single place that turns it into a RunReport, so coreset
+// -json and a coreset serve job give the same report for the same request.
+// The batch runtime's self-checks (input structure, the task's verifier)
+// live in the engine too, so daemon batch jobs run them like CLI runs do.
+// coreset load is the matching load generator (-target service drives the
+// HTTP API, -target cluster drives a worker fleet directly).
 //
 // Observability (internal/obs) is dependency-free and off by default: the
 // runtimes report through an injected obs.Sink and a nil-safe *obs.Tracer,
@@ -274,9 +275,9 @@
 // the coordinator folds into the run report's per-machine breakdown
 // (graph.MachineStats; replayed machines report their replacement attempt).
 // The same breakdown exports as a Perfetto-loadable Chrome trace timeline
-// (cmd/coreset -trace-out). Both daemons expose the operational surface —
-// /metrics in Prometheus text exposition, /healthz, pprof — via -admin
-// (cmd/coresetd, cmd/coresetworker), and cmd/coresetload -scrape snapshots
-// any set of those surfaces around a load run and prints per-URL counter
-// deltas.
+// (coreset -trace-out). Both resident roles expose the operational surface —
+// /metrics in Prometheus text exposition, /healthz, pprof — through one
+// admin mux via -admin (coreset serve, coreset worker), and coreset load
+// -scrape snapshots any set of those surfaces around a load run and prints
+// per-URL counter deltas.
 package repro

@@ -43,10 +43,10 @@
 // exact shard from the seeded hash (retry.go), so a lost worker costs one
 // round, not the run.
 //
-// Deployment shapes: cmd/coresetworker is the resident worker binary (serves
-// many runs concurrently, drains gracefully); cmd/coreset -cluster
+// Deployment shapes: `coreset worker` is the resident worker process (serves
+// many runs concurrently, drains gracefully); coreset -cluster
 // host:port,... drives an existing deployment; -cluster local self-spawns k
-// worker processes (SpawnLocal) for single-machine use; and coresetd
+// worker processes (SpawnLocal) for single-machine use; and coreset serve
 // dispatches jobs with mode "cluster" to a configured worker fleet.
 package cluster
 
@@ -148,7 +148,7 @@ type Config struct {
 	// by machine index.
 	Obs obs.Sink
 	// RunID is the coordinator's trace run ID, shipped to every worker in
-	// the HELLO frame so worker-side spans (coresetworker -trace) join the
+	// the HELLO frame so worker-side spans (coreset worker -trace) join the
 	// coordinator's trace stream. Empty is fine: workers still return
 	// telemetry, their spans just carry no run attribute.
 	RunID string

@@ -16,8 +16,8 @@ import (
 
 // ReadyPrefix is the line a worker process prints on stdout once its
 // listener is bound, followed by the listen address. SpawnLocal blocks on it
-// so the returned addresses are immediately dialable. Both cmd/coresetworker
-// and cmd/coreset -worker emit it.
+// so the returned addresses are immediately dialable. `coreset worker`
+// prints it, in a self-spawned fleet and a resident deployment alike.
 const ReadyPrefix = "CORESETWORKER READY "
 
 // readyTimeout bounds how long SpawnLocal waits for a forked worker to bind.
@@ -34,8 +34,8 @@ type LocalWorkers struct {
 }
 
 // SpawnLocal forks k worker processes by running bin with args (plus
-// whatever the binary needs to enter worker mode — cmd/coreset uses
-// "-worker", cmd/coresetworker needs "-exit-on-stdin-eof") and collects
+// whatever the binary needs to enter worker mode — cmd/coreset passes
+// "worker -exit-on-stdin-eof", tying each worker to its stdin) and collects
 // their self-reported listen addresses. Worker stderr is forwarded to
 // stderr. On any failure the already-started workers are torn down.
 func SpawnLocal(bin string, args []string, k int, stderr io.Writer) (*LocalWorkers, error) {
@@ -133,7 +133,7 @@ func (l *LocalWorkers) Close() error {
 }
 
 // ParseWorkerList parses a comma-separated worker address list (the -cluster
-// flag shared by cmd/coreset, coresetd and cmd/coresetload), rejecting empty
+// flag shared by coreset run, coreset serve and coreset load), rejecting empty
 // entries up front so a trailing comma fails at configuration time instead
 // of surfacing later as a dial error against machine "".
 func ParseWorkerList(spec string) ([]string, error) {

@@ -61,7 +61,7 @@ type workerMetrics struct {
 // before Serve. A nil tracer keeps spans silent and a nil registry skips
 // metric registration entirely, so an uninstrumented worker pays nothing.
 // Worker spans are stamped with the run ID each coordinator ships in its
-// HELLO, which is what joins a `coresetworker -trace` log to the
+// HELLO, which is what joins a `coreset worker -trace` log to the
 // coordinator's trace stream.
 func (w *Worker) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	w.tracer = tr

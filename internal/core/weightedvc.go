@@ -13,7 +13,7 @@ import (
 // space; we omit the details."
 //
 // The paper omits the construction, so this implements the natural
-// instantiation (documented as a substitution in DESIGN.md): round vertex
+// instantiation (a substitution, measured by experiment E15): round vertex
 // weights to geometric classes with base (1+eps); assign every edge to the
 // class of its HEAVIER endpoint (so both endpoints of a class-l edge have
 // class <= l, and any cover of the class-l edge set may use only vertices

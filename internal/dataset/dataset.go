@@ -228,7 +228,7 @@ func (d *Dataset) Verify() error {
 }
 
 // Store is a root directory of named datasets, one subdirectory per name —
-// the layout coresetd serves with -datasets DIR and coreset ingest writes
+// the layout coreset serve reads with -datasets DIR and coreset ingest writes
 // into.
 type Store struct{ root string }
 

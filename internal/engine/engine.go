@@ -3,8 +3,8 @@
 // machine summarizes its share of a random k-partitioning, the coordinator
 // composes — and batch, stream and cluster, like the MPC rounds of "Coresets
 // Meet EDCS" (arXiv:1711.03076), are deployment choices for it. Run holds
-// that choice once: every frontend (cmd/coreset, the coresetd job manager,
-// cmd/coresetload) describes what it wants in a Spec, hands over an edge
+// that choice once: every frontend (coreset run, the service's job manager,
+// coreset load) describes what it wants in a Spec, hands over an edge
 // source and gets back the graph.RunReport all of them print or serve.
 //
 // The runtimes stay libraries (task.Descriptor.Batch, stream.Solve,

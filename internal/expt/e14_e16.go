@@ -24,7 +24,7 @@ func init() {
 	register(Experiment{
 		ID:    "E15",
 		Title: "Weighted vertex cover via weight classes (Section 1.1)",
-		Paper: "Section 1.1: grouping by weight extends the VC coreset to weighted vertex cover with an O(log n) factor loss in approximation and space (construction omitted in the paper; DESIGN.md documents our instantiation).",
+		Paper: "Section 1.1: grouping by weight extends the VC coreset to weighted vertex cover with an O(log n) factor loss in approximation and space (construction omitted in the paper; internal/core/weightedvc.go documents our instantiation).",
 		Run:   runE15,
 	})
 	register(Experiment{

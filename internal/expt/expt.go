@@ -1,8 +1,8 @@
 // Package expt is the experiment harness: every formal result of the paper
 // is mapped to a named, parameterised, seeded experiment that produces the
-// table the paper's claim predicts (DESIGN.md Section 3 is the index).
-// The cmd/experiments binary runs them; EXPERIMENTS.md records the measured
-// outcomes against the paper's statements.
+// table the paper's claim predicts (each Experiment's Paper field names the
+// result). `coreset experiments` runs them and prints every table with its
+// notes on the observed against the predicted shape.
 package expt
 
 import (

@@ -3,7 +3,7 @@ package graph
 // RunReport is the JSON-able record of one distributed coreset run: the
 // input shape, the partitioning parameters, the composed solution size and
 // the per-machine / communication accounting. It is the schema shared by
-// cmd/coreset's -json output and the coresetd service API, and both get it
+// coreset run's -json output and the service's job API, and both get it
 // from the same constructor (internal/engine), so a CLI run and a service
 // job describe themselves identically and downstream tooling can consume
 // either.

@@ -10,8 +10,8 @@
 // machines, cache hits, job latency. This package is how those numbers leave
 // the process while it runs, instead of being visible only in a single job's
 // JSON report after the fact. The service (internal/service) exposes its
-// registry at GET /metrics; cmd/coresetd adds net/http/pprof on an opt-in
-// admin listener; cmd/coresetload scrapes the endpoint mid-run and prints
+// registry at GET /metrics; coreset serve adds net/http/pprof on an opt-in
+// admin listener; coreset load scrapes the endpoint mid-run and prints
 // deltas next to its latency percentiles.
 //
 // Everything here is stdlib-only and safe for concurrent use: counters and
@@ -72,7 +72,7 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefLatencyBuckets is the default histogram bucket layout for job and round
-// latencies, in seconds: half-decade steps from 1ms to 60s. The coresetd
+// latencies, in seconds: half-decade steps from 1ms to 60s. The service's
 // workload spans ~0.05ms cache hits to multi-second cluster jobs, so the
 // range is deliberately wide.
 var DefLatencyBuckets = []float64{

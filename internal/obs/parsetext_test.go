@@ -18,7 +18,7 @@ func sampleLines(s string) int {
 	return n
 }
 
-// TestParseTextRoundTripsRender is the property pin behind coresetload
+// TestParseTextRoundTripsRender is the property pin behind coreset load
 // -scrape and the CI metrics validator: every sample line Registry.WriteTo
 // can emit — plain and function-backed counters, gauges, histograms with
 // their +Inf bucket and _sum/_count, labeled vectors with values needing

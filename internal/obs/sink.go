@@ -132,7 +132,7 @@ func (s *RegistrySink) Observe(name string, v float64) {
 // ParseText parses Prometheus text exposition into a flat map keyed by the
 // full sample name including its label set (exactly as rendered, e.g.
 // `jobs_total{task="edcs"}`). Comment and blank lines are skipped; a
-// malformed sample line is an error. It is the parser behind coresetload
+// malformed sample line is an error. It is the parser behind coreset load
 // -scrape and the CI metrics validator, and deliberately handles only the
 // subset WriteTo emits.
 func ParseText(r io.Reader) (map[string]float64, error) {

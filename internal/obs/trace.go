@@ -12,8 +12,8 @@ import (
 // that stamps every event with a run ID and emits span-style start/end pairs
 // (shard start/end, round start/end, replay attempt, compose). A nil *Tracer
 // is valid and silent — library code takes a *Tracer and never checks it for
-// nil, so tracing stays zero-cost until someone turns it on (cmd/coreset
-// -trace, coresetd -trace).
+// nil, so tracing stays zero-cost until someone turns it on (coreset
+// -trace, coreset serve -trace).
 type Tracer struct {
 	l     *slog.Logger
 	runID string

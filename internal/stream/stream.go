@@ -76,7 +76,7 @@ type Stats = core.PipelineStats
 // single dispatch point of the streaming runtime. Cancellation is cooperative:
 // when ctx is canceled the sharder stops routing at the next batch boundary,
 // the machine goroutines are torn down without emitting summaries, and the
-// ctx error is returned — the hook long-running callers (the coresetd job
+// ctx error is returned — the hook long-running callers (the service's job
 // manager) use to abandon a pipeline mid-stream without leaking goroutines.
 func Solve(ctx context.Context, src EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *Stats, error) {
 	start := time.Now()

@@ -8,7 +8,7 @@
 // The paper's framework is generic: ALG(G(i)) summaries over a random
 // k-partitioning, composed by any downstream solver. The runtimes reflect
 // that — batch (internal/core), stream (internal/stream), cluster
-// (internal/cluster) and the coresetd service (internal/service) all
+// (internal/cluster) and the coreset service (internal/service) all
 // dispatch through a *Descriptor instead of switching on task names, so a
 // new coreset family is a package plus one Register call: no runtime, wire
 // or service code changes, and the CLI task lists, the service's

@@ -18,7 +18,7 @@ const MaxBeta = edcs.MaxBeta
 
 // ValidateParams checks the task-scoped parameters — the EDCS degree bound
 // and the multi-round cap — against the registry's capability flags. Every
-// user-facing surface shares it: cmd/coreset's flags, cmd/coresetload's
+// user-facing surface shares it: coreset run's flags, coreset load's
 // flags, the service's job API and engine.Run all call it, so the surfaces
 // cannot drift on bounds or message text. Zero means "not set" for both
 // parameters; the returned error text is the canonical vocabulary, to which
