@@ -90,12 +90,16 @@
 // segment format too). A coreset is a set — a matching, an EDCS, the peeled
 // levels and the residual of Theorem 2 — and leaves every machine sorted, so
 // CORESET bodies send the set and not a list of it: Golomb–Rice coded gaps of
-// the sorted elements (graph.AppendEdgeSet / AppendIDSet), 13 to 17 bits an
-// edge on the benchmark inputs against an information bound within 2 % of
-// that, half what the list costs. The same functions price the messages in
-// every runtime (core.CoresetSizeBytes, core.VCCoresetSizeBytes), so the
-// communication a batch or stream run reports is the byte length the cluster
-// would have sent, exactly. The coordinator shards with
+// the sorted elements (graph.AppendEdgeSet / AppendIDSet), half what the list
+// costs. A Theorem 2 residual touches no vertex its machine fixed, and the
+// coordinator decodes the levels first, so its endpoints travel as ranks
+// among the unfixed vertices (graph.AppendRankedEdgeSet). That is 11 to 17
+// bits an edge on the benchmark inputs, each within 2 % of the information
+// bound given what the message has already sent. The same functions price
+// the messages in every runtime (core.CoresetSizeBytes,
+// core.VCCoresetSizeBytes), so the communication a batch or stream run
+// reports is the byte length the cluster would have sent, exactly. The
+// coordinator shards with
 // the same seeded hash, so a cluster run is bit-for-bit identical to the
 // in-process pipelines for the same (graph, seed, k) — the seed-parity
 // tests in internal/cluster assert deep-equal coresets — while

@@ -70,7 +70,8 @@ import (
 // stats (received, stored, live) and then the task's body (task.AppendSummary):
 // for every summary whose order is not information — matchings, EDCSs, the
 // peeled levels and the residual of a VC coreset — that is the sorted-set
-// codec (graph.AppendEdgeSet / AppendIDSet), Golomb–Rice coded gaps at about
+// codec (graph.AppendEdgeSet / AppendIDSet / AppendRankedEdgeSet),
+// Golomb–Rice coded gaps at about
 // half the bytes of an order-preserving list; the diversity centers keep
 // their selection order in graph.AppendIDs. The simulated accounting charges
 // the same functions, and Summary.Bytes is the exact length of the body, so
@@ -78,13 +79,15 @@ import (
 // the stats varints, to the byte.
 //
 // Version 2 is version 1 with the CORESET bodies moved from the delta batch
-// codec to the sorted-set codec. A body does not describe its own format, so
-// the version is compared for equality at the HELLO, the one place peers
-// meet: a worker answers any other version with an ERROR naming both, which
-// the coordinator reports as a KindHandshake failure — terminal, since every
-// replay would be refused the same way.
+// codec to the sorted-set codec; version 3 sends the vc residual in the rank
+// space of the vertices its levels did not fix (core.AppendVCCoreset). A
+// body does not describe its own format, so the version is compared for
+// equality at the HELLO, the one place peers meet: a worker answers any
+// other version with an ERROR naming both, which the coordinator reports as
+// a KindHandshake failure — terminal, since every replay would be refused
+// the same way.
 
-const protocolVersion = 2
+const protocolVersion = 3
 
 // Frame types.
 const (

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -245,6 +250,96 @@ func TestVCCoresetMessage(t *testing.T) {
 	padded := append([]byte{wire[0] | 0x80, 0x00}, wire[1:]...)
 	if _, _, err := DecodeVCCoreset(padded); err == nil {
 		t.Fatal("a padded level count was accepted")
+	}
+}
+
+// vcBody hand-builds a vc message: the levels, then ranked — the residual
+// already in rank space, whatever the encoder would have made of it.
+func vcBody(levels [][]graph.ID, ranked []graph.Edge) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(levels)))
+	for _, level := range levels {
+		b = graph.AppendIDSet(b, level)
+	}
+	return graph.AppendEdgeSet(b, ranked)
+}
+
+// decodeAllocating decodes data and reports the bytes the decoder allocated,
+// averaged over repeated decodes so that no stray allocation elsewhere in
+// the process counts against it.
+func decodeAllocating(data []byte) (cs *VCCoreset, allocated uint64, err error) {
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cs, _, err = DecodeVCCoreset(data)
+	}
+	runtime.ReadMemStats(&after)
+	return cs, (after.TotalAlloc - before.TotalAlloc) / runs, err
+}
+
+// Bodies no peel emits: a rank whose vertex would pass graph.MaxID is
+// refused, a lone residual edge at the top of the rank space decodes in a few
+// bytes, and a vertex that levels share counts once in the ranks, so the
+// message round-trips. Whichever way each goes, the decoder allocates for
+// the bytes in hand, never for the stride the residual claims.
+func TestVCCoresetMessageHostileBodies(t *testing.T) {
+	const budget = 2 << 10
+	for name, data := range map[string][]byte{
+		"rank MaxID behind one fixed":    vcBody([][]graph.ID{{0}}, []graph.Edge{{U: 0, V: graph.MaxID}}),
+		"rank MaxID-1 behind two fixed":  vcBody([][]graph.ID{{1}, {graph.MaxID - 1}}, []graph.Edge{{U: graph.MaxID - 1, V: 0}}),
+		"shared level, rank past MaxID":  vcBody([][]graph.ID{{7, 7}, {7}, {8}}, []graph.Edge{{U: 0, V: graph.MaxID - 1}}),
+		"lone edge, stride near MaxID+1": vcBody([][]graph.ID{{3}}, []graph.Edge{{U: graph.MaxID, V: graph.MaxID - 2}}),
+	} {
+		cs, allocated, err := decodeAllocating(data)
+		var ire *graph.IDRangeError
+		if cs != nil || !errors.As(err, &ire) || ire.ID != int64(graph.MaxID)+1 {
+			t.Errorf("%s (%d bytes): decoded %v, err %v; want *IDRangeError naming MaxID+1", name, len(data), cs, err)
+		}
+		if allocated > budget {
+			t.Errorf("%s: refusing %d bytes allocated %d", name, len(data), allocated)
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		levels [][]graph.ID
+		ranked []graph.Edge
+		want   []graph.Edge
+	}{
+		{"lone edge, stride MaxID", [][]graph.ID{{3}}, []graph.Edge{{U: graph.MaxID - 1, V: 2}}, []graph.Edge{{U: graph.MaxID, V: 2}}},
+		{"levels share a vertex", [][]graph.ID{{2, 5}, {5, 9}}, []graph.Edge{{U: 2, V: 2}, {U: 6, V: 1}}, []graph.Edge{{U: 3, V: 3}, {U: 8, V: 1}}},
+		{"a level repeats a vertex", [][]graph.ID{{4, 4}}, []graph.Edge{{U: 4, V: 0}}, []graph.Edge{{U: 5, V: 0}}},
+	} {
+		data := vcBody(c.levels, c.ranked)
+		cs, allocated, err := decodeAllocating(data)
+		if err != nil || !reflect.DeepEqual(cs.Residual, c.want) {
+			t.Fatalf("%s: err %v, residual %v, want %v", c.name, err, cs, c.want)
+		}
+		if allocated > budget {
+			t.Errorf("%s: decoding %d bytes allocated %d", c.name, len(data), allocated)
+		}
+		if re := AppendVCCoreset(nil, cs); !bytes.Equal(re, data) || VCCoresetSizeBytes(cs) != len(data) {
+			t.Fatalf("%s: %x re-encodes to %x (size %d)", c.name, data, re, VCCoresetSizeBytes(cs))
+		}
+	}
+}
+
+// A residual edge on a fixed vertex has no rank: the encoder and its size
+// function panic naming the vertex instead of emitting a message.
+func TestVCCoresetMessagePanicsOnFixedEndpoint(t *testing.T) {
+	cs := &VCCoreset{Levels: [][]graph.ID{{1}, {3}}, Fixed: []graph.ID{1, 3}, Residual: []graph.Edge{{U: 0, V: 2}, {U: 2, V: 3}}}
+	for name, fn := range map[string]func(){
+		"AppendVCCoreset":    func() { AppendVCCoreset(nil, cs) },
+		"VCCoresetSizeBytes": func() { VCCoresetSizeBytes(cs) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "endpoint 3 is an excluded ID") {
+					t.Fatalf("%s: recovered %q, want the panic naming fixed vertex 3", name, msg)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 

@@ -19,7 +19,9 @@ type VCCoreset struct {
 	Fixed []graph.ID
 	// Residual is the edge set of G_Delta^(i), the subgraph left after
 	// peeling, sorted by (U, V) with each edge oriented as it arrived; the
-	// paper bounds it by O(n log n) edges.
+	// paper bounds it by O(n log n) edges. No residual edge touches a
+	// vertex of Levels — the message relies on it, sending each endpoint as
+	// its rank among the vertices the levels did not fix.
 	Residual []graph.Edge
 	// Levels records the peeled set of each iteration j = 1..Delta-1
 	// (diagnostics; Lemma 3.6 sandwiches these sets between the
@@ -169,18 +171,25 @@ func ComposeVCGreedy(n int, coresets []*VCCoreset) []graph.ID {
 
 // A VC coreset message is the number of peeled levels, each level as an ID
 // set (in peel order; Fixed is their concatenation, so it is not sent), then
-// the residual as an edge set — the sorted-set codec of internal/graph
-// throughout. The three functions below are the whole definition: the
-// cluster wire sends AppendVCCoreset, and every runtime's communication
-// accounting charges VCCoresetSizeBytes, which is its exact length.
+// the residual as an edge set in the rank space of the vertices the levels
+// did not fix (graph.AppendRankedEdgeSet): the decoder holds the levels when
+// it reaches the residual, and no residual edge touches a fixed vertex, so a
+// residual endpoint v travels as v minus the number of fixed vertices below
+// it. Ranks are denser than IDs, which is what makes the residual cheaper
+// than a plain edge set on a shard where levels fire; where none does, the
+// two are the same bytes. The three functions below are the whole
+// definition: the cluster wire sends AppendVCCoreset, and every runtime's
+// communication accounting charges VCCoresetSizeBytes, which is its exact
+// length.
 
-// AppendVCCoreset appends the message of cs to dst and returns it.
+// AppendVCCoreset appends the message of cs to dst and returns it. Panics if
+// a residual edge touches a vertex of cs.Levels, which PeelVC never emits.
 func AppendVCCoreset(dst []byte, cs *VCCoreset) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Levels)))
 	for _, level := range cs.Levels {
 		dst = graph.AppendIDSet(dst, level)
 	}
-	return graph.AppendEdgeSet(dst, cs.Residual)
+	return graph.AppendRankedEdgeSet(dst, cs.Residual, cs.Levels)
 }
 
 // VCCoresetSizeBytes returns len(AppendVCCoreset(nil, cs)) without
@@ -190,14 +199,16 @@ func VCCoresetSizeBytes(cs *VCCoreset) int {
 	for _, level := range cs.Levels {
 		size += graph.IDSetBytes(level)
 	}
-	return size + graph.EdgeSetBytes(cs.Residual)
+	return size + graph.RankedEdgeSetBytes(cs.Residual, cs.Levels)
 }
 
 // DecodeVCCoreset decodes a message produced by AppendVCCoreset, with the
 // slice shapes PeelVC produces (a nil level where nobody was fixed, a non-nil
 // residual), and returns the remaining bytes. Like the set decoders it is
 // built from, it accepts only the encoder's own bytes, so what it consumes
-// is VCCoresetSizeBytes of what it returns.
+// is VCCoresetSizeBytes of what it returns. Levels that share a vertex, which
+// PeelVC never emits, decode as the encoder wrote them: ranks count the
+// vertex once, and Fixed, the levels' concatenation, lists it as they do.
 func DecodeVCCoreset(data []byte) (cs *VCCoreset, rest []byte, err error) {
 	nLevels, k := binary.Uvarint(data)
 	if k <= 0 || k != graph.UvarintLen(nLevels) || nLevels > uint64(len(data)) { // each level needs >= 1 byte
@@ -214,7 +225,7 @@ func DecodeVCCoreset(data []byte) (cs *VCCoreset, rest []byte, err error) {
 		cs.Levels = append(cs.Levels, level)
 		cs.Fixed = append(cs.Fixed, level...)
 	}
-	if cs.Residual, data, err = graph.DecodeEdgeSet(data); err != nil {
+	if cs.Residual, data, err = graph.DecodeRankedEdgeSet(data, cs.Levels); err != nil {
 		return nil, nil, err
 	}
 	if cs.Residual == nil {

@@ -260,7 +260,9 @@ func DecodeEdgeBatchInto(dst []Edge, data []byte) (edges []Edge, rest []byte, er
 // against an information bound near 1.5. Every coreset summary body
 // therefore travels in this codec, and the simulated accounting
 // (core.CoresetSizeBytes, core.VCCoresetSizeBytes) charges its size
-// functions, so estimated and measured bytes stay one definition. What must
+// functions, so estimated and measured bytes stay one definition (an edge
+// set whose receiver already knows IDs it cannot contain goes through
+// rankset.go, which is this codec over a denser numbering). What must
 // arrive in the order it was sent keeps the batch codec: SHARD frames and
 // dataset segments (a machine's result depends on its arrival order) and the
 // diversity centers (selection order, AppendIDs).

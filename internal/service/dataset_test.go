@@ -104,8 +104,12 @@ func TestDatasetRegisterAndJob(t *testing.T) {
 		t.Fatalf("missing dataset: status %d, want 404", code)
 	}
 	_, noStore := newTestService(t, Config{})
-	if code := noStore.postJSON("/v1/graphs", CreateGraphRequest{Dataset: "web"}, nil); code != http.StatusBadRequest {
+	var refusal map[string]string
+	if code := noStore.postJSON("/v1/graphs", CreateGraphRequest{Dataset: "web"}, &refusal); code != http.StatusBadRequest {
 		t.Fatalf("dataset without a store: status %d, want 400", code)
+	}
+	if !strings.Contains(refusal["error"], "coreset serve -datasets") {
+		t.Fatalf("dataset without a store: error %q does not name the flag that configures one", refusal["error"])
 	}
 	if code := c.postJSON("/v1/graphs", CreateGraphRequest{Dataset: "web", EdgeList: "0 1\n"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("dataset+edgeList: status %d, want 400", code)

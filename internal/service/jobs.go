@@ -20,7 +20,7 @@ var (
 	ErrShuttingDown = errors.New("service: shutting down")
 	ErrUnknownGraph = errors.New("service: unknown graph")
 	// ErrNoCluster rejects mode "cluster" jobs on a daemon started without
-	// a worker fleet (coresetd -cluster).
+	// a worker fleet (coreset serve -cluster).
 	ErrNoCluster = errors.New("service: no cluster workers configured")
 )
 

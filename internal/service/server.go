@@ -48,7 +48,7 @@ type Config struct {
 	// Tracer receives structured run-trace events (job spans with run IDs).
 	// Nil disables tracing; see internal/obs.
 	Tracer *obs.Tracer
-	// DatasetDir is the root of a dataset store (coresetd -datasets): POST
+	// DatasetDir is the root of a dataset store (coreset serve -datasets): POST
 	// /v1/graphs with {"dataset": NAME} registers DatasetDir/NAME. Empty
 	// rejects dataset registrations.
 	DatasetDir string
@@ -150,7 +150,7 @@ func (s *Server) Manager() *Manager { return s.mgr }
 // Registry exposes the graph registry (tests).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Metrics exposes the server's metrics registry — cmd/coresetd mounts it on
+// Metrics exposes the server's metrics registry — `coreset serve` mounts it on
 // the admin listener next to net/http/pprof.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
@@ -210,7 +210,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 // lifetime; the edges never leave disk here.
 func (s *Server) addDataset(w http.ResponseWriter, id, name string) {
 	if s.store == nil {
-		writeErr(w, http.StatusBadRequest, "this daemon has no dataset store configured (coresetd -datasets)")
+		writeErr(w, http.StatusBadRequest, "this daemon has no dataset store configured (coreset serve -datasets)")
 		return
 	}
 	ds, err := s.store.Open(name)

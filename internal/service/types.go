@@ -27,7 +27,7 @@
 // task×mode, queue depth, in-flight jobs, cache hit/miss and registry
 // add/eviction counters, and every cluster/rounds event (wire bytes, dial
 // attempts, retries, replays) reported through the injected obs.Sink.
-// cmd/coresetd can additionally mount the same registry together with
+// `coreset serve` can additionally mount the same registry together with
 // net/http/pprof on an opt-in admin listener (-admin), keeping profiling
 // endpoints off the public API port. /healthz returns "ok" while serving and
 // "draining" (HTTP 503) once shutdown begins.
@@ -64,7 +64,7 @@ const (
 
 // Execution modes accepted by the job API: the engine's runtimes, under the
 // names the API has always used. ModeCluster dispatches the job to the
-// worker fleet the daemon was configured with (coresetd -cluster); it is
+// worker fleet the daemon was configured with (coreset serve -cluster); it is
 // rejected when no fleet is configured.
 const (
 	ModeBatch   = engine.Batch
@@ -165,7 +165,7 @@ type CreateGraphRequest struct {
 	ID       string   `json:"id,omitempty"`
 	Gen      *GenSpec `json:"gen,omitempty"`
 	EdgeList string   `json:"edgeList,omitempty"` // inline text edge list (cmd/coreset format)
-	// Dataset names a dataset in the daemon's store (coresetd -datasets);
+	// Dataset names a dataset in the daemon's store (coreset serve -datasets);
 	// the edges stay on disk and jobs stream them segment by segment.
 	Dataset string `json:"dataset,omitempty"`
 }

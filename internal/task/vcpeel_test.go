@@ -146,6 +146,55 @@ func TestVCPeelMatchesDefinition(t *testing.T) {
 	}
 }
 
+// The vc message sends each residual endpoint as its rank among the vertices
+// the levels did not fix, which is only defined because no residual edge
+// touches a fixed vertex. Hold both peels to that — the batch one, and the
+// streaming builder whose level 1 is decided online as edges arrive — on
+// inputs built to break it: hubs at random IDs, arrival out of order,
+// endpoints either way round, self-loops and parallel copies.
+func TestVCResidualAvoidsFixed(t *testing.T) {
+	r := rng.New(17)
+	both, online := 0, 0
+	for i := 0; i < 300; i++ {
+		n, k := 2+r.Intn(300), 1+r.Intn(4)
+		edges := gen.HubNoise(n, r.Intn(min(n, 5)), r.Intn(2*n), r.Intn(8*n), r.Split(uint64(i)))
+		perm := r.Perm(n)
+		for j := range edges {
+			u, v := graph.ID(perm[edges[j].U]), graph.ID(perm[edges[j].V])
+			if r.Intn(2) == 0 {
+				u, v = v, u
+			}
+			edges[j] = graph.Edge{U: u, V: v}
+		}
+		r.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+		check := func(who string, cs *core.VCCoreset) {
+			fixed := make(map[graph.ID]bool)
+			for _, v := range cs.Fixed {
+				fixed[v] = true
+			}
+			for _, e := range cs.Residual {
+				if fixed[e.U] || fixed[e.V] {
+					t.Fatalf("case %d (n=%d k=%d m=%d), %s: residual edge %v touches a fixed vertex (%s)", i, n, k, len(edges), who, e, shape(cs))
+				}
+			}
+			if len(cs.Fixed) > 0 && len(cs.Residual) > 0 {
+				both++
+			}
+		}
+		check("ComputeVCCoreset", core.ComputeVCCoreset(n, k, edges))
+		// The builder's Finish sizes its message, so a residual edge on a
+		// fixed vertex would already have panicked there, naming it.
+		_, s := feed(k, n, n, edges)
+		check("builder", s.VC)
+		if s.Live > 0 && len(s.VC.Residual) > 0 {
+			online++ // level 1 fired while the shard arrived, and edges survived it
+		}
+	}
+	if both < 100 || online < 50 {
+		t.Fatalf("only %d of 600 peels left both fixed vertices and a residual, %d of 300 builders with an online level 1", both, online)
+	}
+}
+
 // A source that declared fewer vertices than it delivered takes the builder's
 // grow path: the tables extend to the ids seen, level 1 keeps the threshold
 // the declaration fixed, and the later levels use the final count.
