@@ -136,10 +136,11 @@ func BenchmarkKernelGreedyMatchCombine(b *testing.B) {
 
 func BenchmarkPipelineDistributedMatching(b *testing.B) {
 	g := benchGraph(16384, 8, 9)
+	d := task.MustGet("matching")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _ := core.DistributedMatching(g, 16, 0, uint64(i))
-		if m.Size() == 0 {
+		sol, _ := d.Batch(g, 16, 0, uint64(i), task.Params{})
+		if sol.Size == 0 {
 			b.Fatal("empty matching")
 		}
 	}
@@ -147,10 +148,11 @@ func BenchmarkPipelineDistributedMatching(b *testing.B) {
 
 func BenchmarkPipelineDistributedVC(b *testing.B) {
 	g := benchGraph(16384, 16, 10)
+	d := task.MustGet("vc")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cover, _ := core.DistributedVertexCover(g, 16, 0, uint64(i))
-		if len(cover) == 0 {
+		sol, _ := d.Batch(g, 16, 0, uint64(i), task.Params{})
+		if sol.Size == 0 {
 			b.Fatal("empty cover")
 		}
 	}

@@ -155,6 +155,15 @@ func TestCLIBatchStillWorks(t *testing.T) {
 	if !strings.Contains(out, "(distributed, 2 machines)") {
 		t.Fatalf("batch summary missing: %q", out)
 	}
+	// Batch and stream split with the same hash partitioning and feed the
+	// same builders, so the summary lines agree on the size.
+	sout, errOut, code := runCLI(t, "-task", "matching", "-k", "2", "-seed", "3", "-q", "-stream", "-in", writePath10(t))
+	if code != 0 {
+		t.Fatalf("stream: exit %d, stderr: %s", code, errOut)
+	}
+	if want := strings.Replace(sout, "(streamed,", "(distributed,", 1); out != want {
+		t.Fatalf("batch summary %q, stream summary %q: sizes differ", out, sout)
+	}
 }
 
 func TestCLIStreamRejectsBadInput(t *testing.T) {
@@ -249,18 +258,26 @@ func TestJSONGoldenBatchMatching(t *testing.T) {
   "m": 9,
   "k": 2,
   "seed": 3,
-  "solutionSize": 5,
+  "solutionSize": 4,
   "partEdges": [
     3,
     6
   ],
-  "coresetEdges": [
-    2,
-    3
+  "storedEdges": [
+    3,
+    6
   ],
-  "totalCommBytes": 11,
+  "live": [
+    3,
+    4
+  ],
+  "coresetEdges": [
+    3,
+    4
+  ],
+  "totalCommBytes": 12,
   "maxMachineBytes": 6,
-  "compositionEdges": 5,
+  "compositionEdges": 7,
   "durationMs": 0
 }`
 	if got := normalizeReport(t, out); got != want {
@@ -332,6 +349,14 @@ func TestJSONGoldenBatchEDCS(t *testing.T) {
   "partEdges": [
     3,
     6
+  ],
+  "storedEdges": [
+    3,
+    6
+  ],
+  "live": [
+    0,
+    0
   ],
   "coresetEdges": [
     3,
@@ -520,7 +545,7 @@ func TestEDCSStreamMatchesBatch(t *testing.T) {
 }
 
 // The streamed powerlaw generator must shard the exact same graph the batch
-// path materializes: same seed, same report modulo mode-specific fields.
+// path materializes, so the two runs compose the same answer.
 func TestPowerlawStreamMatchesBatch(t *testing.T) {
 	args := []string{"-task", "matching", "-gen", "powerlaw", "-n", "2000", "-seed", "11", "-k", "4", "-json"}
 	outBatch, errOut, code := runCLI(t, args...)
@@ -544,7 +569,7 @@ func TestPowerlawStreamMatchesBatch(t *testing.T) {
 	if b.M == 0 {
 		t.Fatal("powerlaw generated no edges")
 	}
-	if b.SolutionSize == 0 || s.SolutionSize == 0 {
-		t.Fatalf("degenerate solutions: batch %d, stream %d", b.SolutionSize, s.SolutionSize)
+	if b.SolutionSize == 0 || b.SolutionSize != s.SolutionSize {
+		t.Fatalf("solutions differ: batch %d, stream %d", b.SolutionSize, s.SolutionSize)
 	}
 }

@@ -30,31 +30,34 @@
 //	coreset serve job ┼─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
 //	coreset load ─────┘         │ (-target cluster)
 //	           ┌────────────────▼────────────────────────────────────┐
-//	batch      │ materialize edges → RandomK parts → map → compose   │ simulator's view
+//	batch      │ edge list → HashK parts → k builders → compose      │ materialized
 //	stream     │ EdgeSource → hash sharder → k goroutines → compose  │ deployment shape
 //	cluster    │ EdgeSource → hash sharder → k OS PROCESSES over TCP │ real machines,
 //	           │   (typed frames; shards as lists, coresets as sets) │ measured bytes
 //	service    │ resident daemon dispatching jobs to any of the above│ summaries reused
-//	           └──────────────── internal/core ──────────────────────┘
+//	           └──────── internal/task builders, internal/core ──────┘
 //	rounds     │ any of the above, iterated (task edcs, -rounds N):  │ multi-round MPC
 //	           │   ┌────────────────────────────────────────┐        │ (O(log log n)
 //	           │   └─▶ shard → k× EDCS → union ─▶ k ← ⌊√k⌋ ──┘        │  rounds)
 //
-// The batch pipeline (internal/core) materializes the edge list, partitions
-// it with a single sequential RNG (partition.RandomK) and maps over the
-// parts — the simulator's view. The streaming runtime (internal/stream) is
-// the deployment's shape: an EdgeSource streams edges in batches (from a
-// file, stdin or a generator, never holding the full graph), a seeded
-// position-independent hash sharder (partition.HashAssign) routes them to k
-// concurrent machine goroutines, each machine maintains its coreset
-// incrementally (one-pass greedy matching telemetry plus an exact
+// The batch runtime (task.Descriptor.Batch) materializes the edge list,
+// splits it with the seeded hash partitioning (partition.HashK) and feeds
+// each part, in order, to the task's own machine builder. The streaming
+// runtime (internal/stream) is the deployment's shape: an EdgeSource streams
+// edges in batches (from a file, stdin or a generator, never holding the
+// full graph), the same hash (partition.HashAssign, position-independent)
+// routes them to k concurrent machine goroutines, each machine maintains its
+// coreset incrementally (one-pass greedy matching telemetry plus an exact
 // end-of-stream summary for Theorem 1; incremental degree tracking with
 // online level-1 peeling for Theorem 2, which discards already-covered
-// edges mid-stream), and a coordinator composes the final answer. Given the
-// same hash k-partitioning the runtimes agree bit for bit (internal/stream's
-// parity tests); coreset run selects between them with -stream (the Spec's
-// Runtime), stream.Solve's example walks the pipeline, and experiment E19
-// compares their throughput and quality at fixed k.
+// edges mid-stream), and a coordinator composes the final answer. Every
+// runtime runs the same builders over the same k-partitioning and folds
+// their summaries with one function (task.Descriptor.FoldStats), so for a
+// fixed (graph, seed, k) they agree bit for bit by construction
+// (internal/engine's TestBatchMatchesStream); coreset run selects between
+// them with -stream (the Spec's Runtime), stream.Solve's example walks the
+// pipeline, and experiment E19 compares their throughput and quality at
+// fixed k.
 //
 // Feeding every runtime is a disk-backed data plane (internal/dataset):
 // real graphs are ingested once — `coreset ingest` runs the lenient

@@ -446,42 +446,24 @@ func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []grap
 }
 
 // fold turns a completed round's per-machine answers into its summaries and
-// Stats. Coresets are sized through the descriptor, so the accounting is the
-// task's own whatever the summary family.
+// Stats: the task's own fold (task.Descriptor.FoldStats), which charges each
+// summary's body, with the cluster's measurements layered on top — the body
+// lengths become the estimate, the CORESET frames measured off the wire the
+// reported bytes — plus per-machine telemetry and the shard traffic.
 func (s *Session) fold(res []workerResult, scan passResult, retries int, replayed []int) ([]stream.Summary, *Stats) {
 	k := len(res)
 	sums := make([]stream.Summary, k)
-	st := &Stats{
-		K:                k,
-		N:                scan.n,
-		EdgesTotal:       scan.total,
-		Batches:          scan.batches,
-		PartEdges:        make([]int, k),
-		StoredEdges:      make([]int, k),
-		Live:             make([]int, k),
-		Retries:          retries,
-		ReplayedMachines: replayed,
-		MachineStats:     make([]graph.MachineStats, k),
-	}
 	for m, r := range res {
 		sums[m] = r.sum
-		st.PartEdges[m] = r.sum.Edges
-		st.StoredEdges[m] = r.sum.Stored
-		st.Live[m] = r.sum.Live
-		n := s.d.CoresetLen(r.sum)
-		st.CoresetEdges = append(st.CoresetEdges, n)
-		if s.d.FixedLen != nil {
-			st.CoresetFixed = append(st.CoresetFixed, s.d.FixedLen(r.sum))
-		}
-		st.CompositionEdges += n
+	}
+	st := &Stats{N: scan.n, EdgesTotal: scan.total, Batches: scan.batches, Retries: retries, ReplayedMachines: replayed}
+	s.d.FoldStats(st, sums)
+	st.EstCommBytes, st.EstMaxMachineBytes = st.TotalCommBytes, st.MaxMachineBytes
+	st.TotalCommBytes, st.MaxMachineBytes = 0, 0
+	st.MachineStats = make([]graph.MachineStats, k)
+	for m, r := range res {
 		st.TotalCommBytes += r.wire
-		if r.wire > st.MaxMachineBytes {
-			st.MaxMachineBytes = r.wire
-		}
-		st.EstCommBytes += r.sum.Bytes
-		if r.sum.Bytes > st.EstMaxMachineBytes {
-			st.EstMaxMachineBytes = r.sum.Bytes
-		}
+		st.MaxMachineBytes = max(st.MaxMachineBytes, r.wire)
 		// Per-machine breakdown: a worker without the telemetry capability
 		// still gets an entry (edges from its Summary, phase fields zero).
 		ms := graph.MachineStats{Machine: m, EdgesIn: r.sum.Edges}

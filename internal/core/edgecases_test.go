@@ -12,51 +12,11 @@ import (
 	"repro/internal/vcover"
 )
 
-// Edge-case and property tests: the pipelines must stay correct (valid
-// matchings, feasible covers) under degenerate inputs — empty graphs, more
-// machines than edges, single vertices, duplicate edges — and under random
-// parameters drawn by testing/quick.
-
-func TestPipelinesOnEmptyGraph(t *testing.T) {
-	g := &graph.Graph{N: 10}
-	m, st := DistributedMatching(g, 4, 0, 1)
-	if m.Size() != 0 {
-		t.Fatal("matching on empty graph")
-	}
-	if st.TotalCommBytes <= 0 {
-		t.Fatal("even empty messages cost bytes (counts)")
-	}
-	cover, _ := DistributedVertexCover(g, 4, 0, 1)
-	if len(cover) != 0 {
-		t.Fatal("cover on empty graph")
-	}
-}
-
-func TestPipelinesWithMoreMachinesThanEdges(t *testing.T) {
-	g := graph.New(6, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	m, _ := DistributedMatching(g, 64, 0, 2)
-	if err := matching.Verify(g.N, g.Edges, m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Size() != 2 {
-		t.Fatalf("matching = %d, want 2 (edges are disjoint)", m.Size())
-	}
-	cover, _ := DistributedVertexCover(g, 64, 0, 2)
-	if err := vcover.Verify(g.N, g.Edges, cover); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPipelineSingleMachineIsExactMatching(t *testing.T) {
-	// k=1: the coreset IS a maximum matching of G; composition preserves it.
-	r := rng.New(3)
-	g := gen.GNP(300, 0.03, r)
-	opt := matching.Maximum(g.N, g.Edges).Size()
-	m, _ := DistributedMatching(g, 1, 0, 3)
-	if m.Size() != opt {
-		t.Fatalf("k=1 matching %d != opt %d", m.Size(), opt)
-	}
-}
+// Edge-case and property tests: the coresets and combiners must stay
+// correct (valid matchings, feasible covers) under degenerate inputs —
+// empty partitions, single vertices, duplicate edges — and under random
+// parameters drawn by testing/quick. The whole pipelines' degenerate inputs
+// are in pipeline_test.go.
 
 func TestComposeWithDuplicateCoresetEdges(t *testing.T) {
 	// The same edge may appear in several coresets (it exists in only one

@@ -4,9 +4,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/matching"
-	"repro/internal/partition"
-	"repro/internal/rng"
 )
 
 // PipelineStats is the one run-stats struct: what a distributed run did and
@@ -22,14 +19,12 @@ type PipelineStats struct {
 	Batches    int // batches read from the source (stream and cluster)
 
 	PartEdges []int // edges routed to each machine
-	// StoredEdges is how many edges each machine still held at end of stream
-	// (stream and cluster). For matching it equals PartEdges (the model's
-	// O(m/k) budget); for vertex cover online peeling makes it smaller on
-	// peel-heavy inputs.
+	// StoredEdges is how many edges each machine still held at end of
+	// stream. For matching it equals PartEdges (the model's O(m/k) budget);
+	// for vertex cover online peeling makes it smaller on peel-heavy inputs.
 	StoredEdges []int
-	// Live is each machine's online telemetry at end of stream (stream and
-	// cluster): the greedy matching size (matching) or the count of vertices
-	// peeled online (vc).
+	// Live is each machine's online telemetry at end of stream: the greedy
+	// matching size (matching) or the count of vertices peeled online (vc).
 	Live         []int
 	CoresetEdges []int // edges in each machine's coreset message
 	CoresetFixed []int // fixed vertices in each machine's message (vc only)
@@ -68,9 +63,8 @@ type PipelineStats struct {
 
 	CompositionEdges int // edges the coordinator processed
 	// Duration spans the whole pipeline: source + sharding + machines +
-	// composition (stream.Shard and Summaries, which compose nothing, span
-	// through drain). The batch pipelines do not time themselves; whoever
-	// calls them sets it.
+	// composition (the Summaries steps and stream.Shard, which compose
+	// nothing, span through the last summary).
 	Duration time.Duration
 }
 
@@ -80,51 +74,4 @@ func (st *PipelineStats) EdgesPerSec() float64 {
 		return 0
 	}
 	return float64(st.EdgesTotal) / st.Duration.Seconds()
-}
-
-// DistributedMatching runs the full Theorem 1 pipeline on g: random
-// k-partitioning (seeded), per-machine maximum matchings computed in
-// parallel (one goroutine per machine, capped at `workers`), and an exact
-// composition at the coordinator. Returns the final matching and stats.
-func DistributedMatching(g *graph.Graph, k, workers int, seed uint64) (*matching.Matching, *PipelineStats) {
-	root := rng.New(seed)
-	parts := partition.RandomK(g.Edges, k, root.Split(0))
-	coresets := MapParts(parts, workers, func(i int, part []graph.Edge) []graph.Edge {
-		return MatchingCoreset(g.N, part)
-	})
-	st := &PipelineStats{K: k}
-	for i, p := range parts {
-		st.PartEdges = append(st.PartEdges, len(p))
-		b := CoresetSizeBytes(coresets[i])
-		st.TotalCommBytes += b
-		if b > st.MaxMachineBytes {
-			st.MaxMachineBytes = b
-		}
-		st.CoresetEdges = append(st.CoresetEdges, len(coresets[i]))
-		st.CompositionEdges += len(coresets[i])
-	}
-	return ComposeMatching(g.N, coresets), st
-}
-
-// DistributedVertexCover runs the full Theorem 2 pipeline on g and returns
-// the final cover and stats.
-func DistributedVertexCover(g *graph.Graph, k, workers int, seed uint64) ([]graph.ID, *PipelineStats) {
-	root := rng.New(seed)
-	parts := partition.RandomK(g.Edges, k, root.Split(0))
-	coresets := MapParts(parts, workers, func(i int, part []graph.Edge) *VCCoreset {
-		return ComputeVCCoreset(g.N, k, part)
-	})
-	st := &PipelineStats{K: k}
-	for i, p := range parts {
-		st.PartEdges = append(st.PartEdges, len(p))
-		b := VCCoresetSizeBytes(coresets[i])
-		st.TotalCommBytes += b
-		if b > st.MaxMachineBytes {
-			st.MaxMachineBytes = b
-		}
-		st.CoresetEdges = append(st.CoresetEdges, len(coresets[i].Residual))
-		st.CoresetFixed = append(st.CoresetFixed, len(coresets[i].Fixed))
-		st.CompositionEdges += len(coresets[i].Residual)
-	}
-	return ComposeVC(g.N, coresets), st
 }

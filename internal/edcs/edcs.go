@@ -39,10 +39,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/matching"
-	"repro/internal/partition"
 )
 
 // DefaultBeta is the degree bound used when a caller does not choose one.
@@ -446,29 +443,4 @@ func Coreset(n int, part []graph.Edge, p Params) []graph.Edge {
 		s.Insert(e)
 	}
 	return s.Edges()
-}
-
-// Distributed runs the full EDCS pipeline on g: seeded hash k-partitioning
-// (the position-independent partition.HashK every runtime shards with, so
-// batch, stream and cluster runs over the same (graph, seed, k) produce
-// deep-equal coresets), one EDCS per machine, and an exact maximum matching
-// of the union of the coresets at the coordinator. Returns the composed
-// matching and batch-pipeline stats.
-func Distributed(g *graph.Graph, k int, workers int, seed uint64, p Params) (*matching.Matching, *core.PipelineStats) {
-	parts := partition.HashK(g.Edges, k, seed)
-	coresets := core.MapParts(parts, workers, func(i int, part []graph.Edge) []graph.Edge {
-		return Coreset(g.N, part, p)
-	})
-	st := &core.PipelineStats{K: k}
-	for i, part := range parts {
-		st.PartEdges = append(st.PartEdges, len(part))
-		b := core.CoresetSizeBytes(coresets[i])
-		st.TotalCommBytes += b
-		if b > st.MaxMachineBytes {
-			st.MaxMachineBytes = b
-		}
-		st.CoresetEdges = append(st.CoresetEdges, len(coresets[i]))
-		st.CompositionEdges += len(coresets[i])
-	}
-	return core.ComposeMatching(g.N, coresets), st
 }

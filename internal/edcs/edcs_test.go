@@ -133,23 +133,21 @@ func TestMatchingApproximation(t *testing.T) {
 			t.Fatal("degenerate instance")
 		}
 		const k = 4
-		m, st := Distributed(g, k, 0, seed, ParamsForBeta(DefaultBeta))
+		parts := partition.HashK(g.Edges, k, seed)
+		edcsCoresets := make([][]graph.Edge, k)
+		for i, part := range parts {
+			edcsCoresets[i] = Coreset(g.N, part, ParamsForBeta(DefaultBeta))
+		}
+		m := core.ComposeMatching(g.N, edcsCoresets)
 		if err := matching.Verify(g.N, g.Edges, m); err != nil {
 			t.Fatalf("seed %d: composed matching invalid: %v", seed, err)
 		}
 		if 2*m.Size() < opt {
 			t.Fatalf("seed %d: EDCS matching %d below half of optimum %d", seed, m.Size(), opt)
 		}
-		if len(st.PartEdges) != k || len(st.CoresetEdges) != k {
-			t.Fatalf("seed %d: stats not per-machine: %+v", seed, st)
-		}
-		if st.TotalCommBytes <= 0 {
-			t.Fatalf("seed %d: no communication accounted", seed)
-		}
 
 		// Same hash partitioning, SPAA'17 maximum-matching coresets, greedy
 		// combiner: the EDCS exact-compose must match or beat it.
-		parts := partition.HashK(g.Edges, k, seed)
 		coresets := make([][]graph.Edge, k)
 		for i, part := range parts {
 			coresets[i] = core.MatchingCoreset(g.N, part)

@@ -8,9 +8,10 @@
 // source and gets back the graph.RunReport all of them print or serve.
 //
 // The runtimes stay libraries (task.Descriptor.Batch, stream.Solve,
-// cluster.Solve, rounds.Batch/Stream/Cluster); each returns the shared
-// run-stats struct (core.PipelineStats), and report below is the single
-// stats→report path.
+// cluster.Solve, rounds.Batch/Stream/Cluster); each feeds the same hash
+// k-partitioning to the task's own builders, folds the summaries with
+// task.Descriptor.FoldStats into the shared run-stats struct
+// (core.PipelineStats), and report below is the single stats→report path.
 package engine
 
 import (
@@ -32,7 +33,7 @@ import (
 
 // Runtime names: where the k machines live. They are the report's "mode".
 const (
-	Batch   = "batch"   // materialized graph, internal/core pipelines
+	Batch   = "batch"   // materialized graph, task.Descriptor.Batch
 	Stream  = "stream"  // k goroutines behind a hash sharder
 	Cluster = "cluster" // k worker processes over TCP
 )
@@ -95,7 +96,7 @@ func (sp Spec) resolve() (d *task.Descriptor, p task.Params, err error) {
 // rounds dispatch below exists nowhere else.
 //
 // Cancellation follows the runtime: stream and cluster stop at the next
-// batch boundary; a batch pipeline call is uninterruptible, so ctx is
+// batch boundary; a batch runtime call is uninterruptible, so ctx is
 // checked around it and between rounds. The batch runtime, which has the
 // materialized graph in hand, also self-checks: the input must pass
 // graph.Validate and the composed solution the task's verifier.
@@ -154,9 +155,7 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 	)
 	switch sp.Runtime {
 	case Batch:
-		start := time.Now()
 		sol, st = d.Batch(g, sp.K, sp.Workers, sp.Seed, p)
-		st.N, st.EdgesTotal, st.Duration = g.N, g.M(), time.Since(start)
 		if err = ctx.Err(); err == nil && d.Verify != nil {
 			err = verified(d.Verify(g.N, g.Edges, sol))
 		}

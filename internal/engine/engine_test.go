@@ -97,7 +97,6 @@ func TestRunMatchesLibrary(t *testing.T) {
 						switch runtime {
 						case Batch:
 							sol, st = d.Batch(g, k, 0, seed, p)
-							st.N, st.EdgesTotal = g.N, g.M()
 						case Stream:
 							sol, st, err = stream.Solve(ctx, src(), stream.Config{K: k, Seed: seed}, d, p)
 						default:
@@ -149,6 +148,59 @@ func TestRunMatchesLibrary(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestBatchMatchesStream: batch and stream split with the same hash
+// k-partitioning and feed each part, in order, to the task's own builder, so
+// for every task their reports agree on everything but what is the
+// runtime's own — mode, the stream's batch count and the wall clock — on
+// one machine, on more machines than edges and on an empty graph too. The
+// batch goroutine cap never changes the report.
+func TestBatchMatchesStream(t *testing.T) {
+	gnp := gen.GNP(300, 12.0/300, rng.New(7))
+	dense := gen.GNP(200, 0.4, rng.New(8)) // peels: vc fixes vertices online
+	stars := gen.StarForest(12, 30)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		k    int
+		seed uint64
+	}{
+		{"gnp/k=1", gnp, 1, 3},
+		{"gnp/k=4", gnp, 4, 7},
+		{"gnp/k=7/seed=11", gnp, 7, 11},
+		{"gnp/k=7/seed=12", gnp, 7, 12},
+		{"dense/k=2", dense, 2, 5},
+		{"stars/k=3", stars, 3, 9},
+		{"k>m", graph.New(6, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}}), 16, 2},
+		{"empty", &graph.Graph{N: 10}, 4, 1},
+	}
+	runtimeFree := func(rep *graph.RunReport) *graph.RunReport {
+		rep.Mode, rep.Batches, rep.DurationMS, rep.EdgesPerSec = "", 0, 0, 0
+		return rep
+	}
+	for _, name := range task.Names() {
+		for _, tc := range cases {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				sp := Spec{Task: name, Runtime: Stream, K: tc.k, Seed: tc.seed}
+				want, err := Run(context.Background(), sp, stream.NewGraphSource(tc.g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtimeFree(want)
+				for _, workers := range []int{0, 1, 3} {
+					sp.Runtime, sp.Workers = Batch, workers
+					got, err := Run(context.Background(), sp, stream.NewGraphSource(tc.g))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(runtimeFree(got), want) {
+						t.Fatalf("workers=%d: batch report differs from stream:\n got %+v\nwant %+v", workers, got, want)
+					}
+				}
+			})
 		}
 	}
 }

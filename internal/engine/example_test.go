@@ -15,10 +15,10 @@ import (
 )
 
 // The smallest end-to-end use of the library: a random graph, k simulated
-// machines over a random edge partition, the paper's coresets — Theorem 1
-// for matching, Theorem 2 for vertex cover — composed into final answers,
-// and those answers next to centralized references. The batch runtime
-// verifies each composed solution before it reports it.
+// machines over a seeded hash partition of its edges, the paper's coresets
+// — Theorem 1 for matching, Theorem 2 for vertex cover — composed into final
+// answers, and those answers next to centralized references. The batch
+// runtime verifies each composed solution before it reports it.
 func ExampleRun() {
 	const n, k, seed = 2000, 8, 1
 	g := gen.GNP(n, 10.0/n, rng.New(seed))
@@ -39,8 +39,8 @@ func ExampleRun() {
 	fmt.Println("maximum matching:", matching.Maximum(g.N, g.Edges).Size())
 	// Output:
 	// input: G(n=2000, m=10068), k=8 machines
-	// matching: 998 edges, composed over 4930 coreset edges, 8684 bytes sent
-	// vertex cover: 1816 vertices, composed over 10068 coreset edges, 16500 bytes sent
+	// matching: 1000 edges, composed over 4966 coreset edges, 8729 bytes sent
+	// vertex cover: 1820 vertices, composed over 10068 coreset edges, 16494 bytes sent
 	// maximum matching: 1000
 }
 

@@ -61,7 +61,8 @@ func runE21(cfg Config) *Result {
 			}
 
 			// EDCS pipeline on the hash k-partitioning (batch runtime).
-			edcsM, edcsSt := edcs.Distributed(g, k, cfg.Workers, hashSeed, p)
+			edcsTask, edcsParams := task.MustGet("edcs"), task.Params{EDCS: p}
+			edcsM, edcsSt := edcsTask.Batch(g, k, cfg.Workers, hashSeed, edcsParams)
 
 			// Theorem-1 coresets on the SAME partitioning, composed both ways.
 			parts := partition.HashK(g.Edges, k, hashSeed)
@@ -81,16 +82,16 @@ func runE21(cfg Config) *Result {
 				panic(err) // experiments fail loudly
 			}
 			cm, cst, err := cluster.Solve(ctx, stream.NewGraphSource(g), cluster.Config{Workers: addrs, Seed: hashSeed},
-				task.MustGet("edcs"), task.Params{EDCS: p})
+				edcsTask, edcsParams)
 			shutdown()
 			if err != nil {
 				panic(err)
 			}
-			if cm.Size != edcsM.Size() || cst.EstCommBytes != edcsSt.TotalCommBytes {
+			if cm.Size != edcsM.Size || cst.EstCommBytes != edcsSt.TotalCommBytes {
 				violations++ // seed parity broke: the runtimes disagree
 			}
 
-			edcsRatio := ratio(float64(edcsM.Size()), float64(opt))
+			edcsRatio := ratio(float64(edcsM.Size), float64(opt))
 			greedyRatio := ratio(float64(t1Greedy), float64(opt))
 			// The acceptance envelope: the EDCS composition must not lose to
 			// the one-pass greedy combiner over the Theorem-1 coresets.

@@ -9,9 +9,9 @@ package graph
 // either.
 //
 // Slice fields are indexed by machine. Fields a runtime does not produce
-// (StoredEdges, Live and Batches outside stream and cluster mode, the
-// measured-versus-estimated split outside cluster mode; nothing is
-// batch-only) are omitted from the JSON encoding when empty.
+// (Batches outside stream and cluster mode, the measured-versus-estimated
+// split outside cluster mode; nothing is batch-only) are omitted from the
+// JSON encoding when empty.
 type RunReport struct {
 	Task string `json:"task"` // "matching" | "vc" | "edcs"
 	Mode string `json:"mode"` // "batch" | "stream" | "cluster"
@@ -30,10 +30,10 @@ type RunReport struct {
 
 	PartEdges []int `json:"partEdges,omitempty"` // edges routed to each machine
 	// StoredEdges is how many edges each machine still held at end of
-	// stream (streaming only; online peeling can make it < PartEdges).
+	// stream (online peeling can make it < PartEdges).
 	StoredEdges []int `json:"storedEdges,omitempty"`
-	// Live is each machine's online telemetry at end of stream (streaming
-	// only): greedy matching size (matching) or vertices peeled online (vc).
+	// Live is each machine's online telemetry at end of stream: greedy
+	// matching size (matching) or vertices peeled online (vc).
 	Live         []int `json:"live,omitempty"`
 	CoresetEdges []int `json:"coresetEdges"`           // edges per coreset message
 	CoresetFixed []int `json:"coresetFixed,omitempty"` // fixed vertices per message (vc)

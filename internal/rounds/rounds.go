@@ -53,7 +53,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
@@ -234,8 +233,8 @@ func union(coresets [][]graph.Edge) []graph.Edge {
 
 // runRound executes one round and returns its per-machine coresets and the
 // round's run stats (K, N, EdgesTotal, the coreset sizes and the
-// communication fields filled). Implementations: batch HashK + edcs.Coreset,
-// the streaming pipeline, one cluster.Session round.
+// communication fields filled). Implementations: the batch map stage, the
+// streaming pipeline, one cluster.Session round.
 type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, st *core.PipelineStats, err error)
 
 // drive is the schedule shared by the three runtimes: run rounds with
@@ -300,10 +299,10 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 }
 
 // Batch runs the multi-round driver over the materialized batch runtime:
-// every round partitions its input with partition.HashK and builds the
-// per-machine EDCSs in parallel (cfg.Workers goroutines), exactly as
-// edcs.Distributed does for a single round. A round is uninterruptible;
-// ctx is honored between rounds.
+// every round is the task's batch map stage (task.Descriptor.BatchSummaries:
+// partition.HashK, one builder per machine, cfg.Workers goroutines) over the
+// round's materialized input. A round is uninterruptible; ctx is honored
+// between rounds.
 func Batch(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
 	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
 		t0 := time.Now()
@@ -311,19 +310,9 @@ func Batch(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching,
 		if err != nil {
 			return nil, nil, err
 		}
-		parts := partition.HashK(in.Edges, k, seed)
-		coresets := core.MapParts(parts, cfg.Workers, func(i int, part []graph.Edge) []graph.Edge {
-			return edcs.Coreset(in.N, part, cfg.Params)
-		})
-		st := &core.PipelineStats{K: k, N: in.N, EdgesTotal: in.M()}
-		for _, cs := range coresets {
-			st.CoresetEdges = append(st.CoresetEdges, len(cs))
-			b := core.CoresetSizeBytes(cs)
-			st.TotalCommBytes += b
-			st.MaxMachineBytes = max(st.MaxMachineBytes, b)
-		}
+		sums, st := task.RoundsCapable().BatchSummaries(in, k, cfg.Workers, seed, task.Params{EDCS: cfg.Params})
 		st.Duration = time.Since(t0)
-		return coresets, st, nil
+		return coresetsOf(sums), st, nil
 	}
 	return drive(ctx, stream.NewGraphSource(g), cfg, exec)
 }

@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
@@ -75,7 +77,16 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := gen.GNP(500, 24.0/500, rng.New(seed))
 		const k = 4
-		wantM, wantSt := edcs.Distributed(g, k, 0, seed, p)
+		// The single-round oracle, independent of the runtimes: hash
+		// k-partitioning, one EDCS per part, exact compose of the union.
+		want := make([][]graph.Edge, k)
+		wantBytes, wantMax := 0, 0
+		for i, part := range partition.HashK(g.Edges, k, seed) {
+			want[i] = edcs.Coreset(g.N, part, p)
+			b := core.CoresetSizeBytes(want[i])
+			wantBytes, wantMax = wantBytes+b, max(wantMax, b)
+		}
+		wantM := core.ComposeMatching(g.N, want)
 
 		m, st, err := Batch(context.Background(), g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
 		if err != nil {
@@ -88,17 +99,17 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 			t.Fatalf("seed %d: %d coresets, want %d", seed, len(st.Coresets), k)
 		}
 		for i, cs := range st.Coresets {
-			if wantSt.CoresetEdges[i] != len(cs) {
-				t.Fatalf("seed %d machine %d: coreset %d edges, single-round had %d",
-					seed, i, len(cs), wantSt.CoresetEdges[i])
+			if !reflect.DeepEqual(cs, want[i]) {
+				t.Fatalf("seed %d machine %d: coreset (%d edges) differs from the single-round EDCS (%d edges)",
+					seed, i, len(cs), len(want[i]))
 			}
 		}
 		if !reflect.DeepEqual(m.Edges(), wantM.Edges()) {
-			t.Fatalf("seed %d: Rounds=1 matching differs from edcs.Distributed", seed)
+			t.Fatalf("seed %d: Rounds=1 matching differs from the single-round compose", seed)
 		}
-		if st.TotalCommBytes != wantSt.TotalCommBytes || st.MaxMachineBytes != wantSt.MaxMachineBytes {
+		if st.TotalCommBytes != wantBytes || st.MaxMachineBytes != wantMax {
 			t.Fatalf("seed %d: comm accounting diverged: %d/%d vs %d/%d", seed,
-				st.TotalCommBytes, st.MaxMachineBytes, wantSt.TotalCommBytes, wantSt.MaxMachineBytes)
+				st.TotalCommBytes, st.MaxMachineBytes, wantBytes, wantMax)
 		}
 
 		sm, sst, err := Stream(context.Background(), stream.NewGraphSource(g), Config{K: k, Rounds: 1, Seed: seed, Params: p})

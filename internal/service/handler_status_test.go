@@ -2,9 +2,12 @@ package service
 
 import (
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/graph"
+	"repro/internal/task"
 )
 
 // TestJobSubmissionStatusCodes pins the HTTP classification of every job
@@ -70,10 +73,13 @@ func TestJobSubmissionStatusCodes(t *testing.T) {
 	}
 }
 
-// TestEDCSJobsAcrossModes: task "edcs" runs in all three modes, the three
-// reports agree on the composed solution (seed parity through the service
-// layer), and a repeated query hits the cache.
-func TestEDCSJobsAcrossModes(t *testing.T) {
+// TestJobsAcrossModes: every registered task runs in all three modes, and
+// for the same (graph, seed, k) the three reports compose the identical
+// answer from identical per-machine summaries (seed parity through the
+// service layer). Only what a mode measures for itself may differ: batch
+// counts, wall clock, and the cluster's wire bytes, whose body-length
+// estimate is what batch and stream report. A repeated query hits the cache.
+func TestJobsAcrossModes(t *testing.T) {
 	const k = 2
 	addrs, shutdown, err := cluster.ServeLoopback(k)
 	if err != nil {
@@ -87,19 +93,39 @@ func TestEDCSJobsAcrossModes(t *testing.T) {
 		t.Fatalf("register graph: status %d", code)
 	}
 
-	sizes := map[string]int{}
-	for _, mode := range []string{ModeBatch, ModeStream, ModeCluster} {
-		v := c.runJob(CreateJobRequest{Graph: info.ID, Task: TaskEDCS, K: k, Seed: 4, Mode: mode, Beta: 16})
-		if v.State != string(JobDone) {
-			t.Fatalf("edcs %s job ended %s: %s", mode, v.State, v.Error)
+	// modeFree keeps what every mode must agree on.
+	modeFree := func(r *graph.RunReport) graph.RunReport {
+		out := *r
+		out.Mode, out.Batches, out.DurationMS, out.EdgesPerSec = "", 0, 0, 0
+		out.MachineStats, out.ShardBytes = nil, 0
+		if out.EstCommBytes != 0 { // cluster: compare the body lengths, as batch and stream report them
+			out.TotalCommBytes, out.MaxMachineBytes = out.EstCommBytes, out.EstMaxMachineBytes
+			out.EstCommBytes, out.EstMaxMachineBytes = 0, 0
 		}
-		if v.Result.Task != TaskEDCS || v.Result.SolutionSize == 0 {
-			t.Fatalf("edcs %s report: %+v", mode, v.Result)
-		}
-		sizes[mode] = v.Result.SolutionSize
+		return out
 	}
-	if sizes[ModeBatch] != sizes[ModeStream] || sizes[ModeStream] != sizes[ModeCluster] {
-		t.Fatalf("edcs solutions disagree across modes: %v", sizes)
+	for _, name := range task.Names() {
+		req := CreateJobRequest{Graph: info.ID, Task: name, K: k, Seed: 4}
+		if task.MustGet(name).UsesBeta {
+			req.Beta = 16
+		}
+		var want graph.RunReport
+		for _, mode := range []string{ModeBatch, ModeStream, ModeCluster} {
+			req.Mode = mode
+			v := c.runJob(req)
+			if v.State != string(JobDone) {
+				t.Fatalf("%s %s job ended %s: %s", name, mode, v.State, v.Error)
+			}
+			if v.Result.Task != name || v.Result.Mode != mode || v.Result.SolutionSize == 0 {
+				t.Fatalf("%s %s report: %+v", name, mode, v.Result)
+			}
+			got := modeFree(v.Result)
+			if mode == ModeBatch {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s report differs from batch:\n got %+v\nwant %+v", name, mode, got, want)
+			}
+		}
 	}
 
 	again := c.runJob(CreateJobRequest{Graph: info.ID, Task: TaskEDCS, K: k, Seed: 4, Mode: ModeStream, Beta: 16})

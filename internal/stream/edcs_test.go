@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -14,10 +15,11 @@ import (
 	"repro/internal/task"
 )
 
-// TestEDCSParity: the streaming EDCS pipeline must reproduce the batch
-// edcs.Distributed run on the same hash k-partitioning bit for bit —
-// identical per-machine coresets (via the oracle partition) and identical
-// composed matchings — across seeds and densities.
+// TestEDCSParity: the streaming EDCS pipeline must reproduce an independent
+// oracle on the same hash k-partitioning bit for bit — edcs.Coreset per
+// oracle part, core.ComposeMatching on their union — with identical
+// per-machine coresets, composed matchings and byte charges, across seeds
+// and densities.
 func TestEDCSParity(t *testing.T) {
 	p := edcs.ParamsForBeta(16)
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -33,24 +35,28 @@ func TestEDCSParity(t *testing.T) {
 		}
 
 		parts := batchHashParts(g, k, seed)
+		coresets := make([][]graph.Edge, k)
+		wantBytes, wantMax := 0, 0
 		for i, part := range parts {
-			want := edcs.Coreset(g.N, part, p)
-			if st.CoresetEdges[i] != len(want) {
-				t.Fatalf("seed %d machine %d: coreset size %d, batch %d", seed, i, st.CoresetEdges[i], len(want))
+			coresets[i] = edcs.Coreset(g.N, part, p)
+			if st.CoresetEdges[i] != len(coresets[i]) {
+				t.Fatalf("seed %d machine %d: coreset size %d, oracle %d", seed, i, st.CoresetEdges[i], len(coresets[i]))
 			}
 			if st.PartEdges[i] != len(part) || st.StoredEdges[i] != len(part) {
 				t.Fatalf("seed %d machine %d: routed/stored (%d, %d), oracle part has %d",
 					seed, i, st.PartEdges[i], st.StoredEdges[i], len(part))
 			}
+			b := core.CoresetSizeBytes(coresets[i])
+			wantBytes, wantMax = wantBytes+b, max(wantMax, b)
 		}
-		batchM, batchSt := edcs.Distributed(g, k, 0, seed, p)
-		if !reflect.DeepEqual(m.Edges(), batchM.Edges()) {
-			t.Fatalf("seed %d: streamed EDCS matching differs from batch (%d vs %d edges)",
-				seed, m.Size(), batchM.Size())
+		oracleM := core.ComposeMatching(g.N, coresets)
+		if !reflect.DeepEqual(m.Edges(), oracleM.Edges()) {
+			t.Fatalf("seed %d: streamed EDCS matching differs from the oracle (%d vs %d edges)",
+				seed, m.Size(), oracleM.Size())
 		}
-		if st.TotalCommBytes != batchSt.TotalCommBytes || st.MaxMachineBytes != batchSt.MaxMachineBytes {
-			t.Fatalf("seed %d: comm accounting (%d, %d) differs from batch (%d, %d)",
-				seed, st.TotalCommBytes, st.MaxMachineBytes, batchSt.TotalCommBytes, batchSt.MaxMachineBytes)
+		if st.TotalCommBytes != wantBytes || st.MaxMachineBytes != wantMax {
+			t.Fatalf("seed %d: comm accounting (%d, %d) differs from the oracle (%d, %d)",
+				seed, st.TotalCommBytes, st.MaxMachineBytes, wantBytes, wantMax)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package stream is the streaming, sharded coreset runtime: the deployment
-// shape of the paper's simultaneous model. Where the batch pipeline
-// (internal/core) materializes the edge list, partitions it with a single
-// sequential RNG and then maps over the parts, this runtime is a pipeline of
+// shape of the paper's simultaneous model. Where the batch runtime
+// (task.Descriptor.Batch) materializes the edge list, splits it with
+// partition.HashK and then maps over the parts, this runtime is a pipeline of
 // concurrent stages:
 //
 //	EdgeSource --> sharder --> k machine goroutines --> coordinator
@@ -9,20 +9,21 @@
 // An EdgeSource streams edges in batches from a file reader, a generator or
 // a slice, never holding the full graph. The sharder routes each edge with
 // partition.HashAssign — a seeded, position-independent hash, so the induced
-// random k-partitioning is reproducible and shardable in parallel, unlike
-// partition.RandomK. Each machine goroutine runs an incremental coreset
-// builder obtained from the task registry (internal/task) — the runtime
-// itself knows nothing about matchings, vertex covers, EDCSs or any other
-// summary family; a task.Descriptor supplies the builder and the composer,
-// and Solve drives them. Each machine emits its summary, with communication
-// accounting, to the coordinator, which composes the final answer exactly as
-// the batch pipeline does.
+// random k-partitioning is reproducible and shardable in parallel, and is
+// the one partition.HashK materializes. Each machine goroutine runs an
+// incremental coreset builder obtained from the task registry
+// (internal/task) — the runtime itself knows nothing about matchings, vertex
+// covers, EDCSs or any other summary family; a task.Descriptor supplies the
+// builder and the composer, and Solve drives them. Each machine emits its
+// summary, with communication accounting, to the coordinator, which composes
+// the final answer exactly as the batch runtime does.
 //
-// Given the same hash k-partitioning, the streaming runtime reproduces the
-// batch pipeline bit for bit (see the parity tests); what it changes is the
-// resource profile — O(batch) driver memory, per-machine state bounded by
-// the machine's own partition (less, for vertex cover, once online peeling
-// starts discarding covered edges), and all k machines consuming concurrently.
+// The streaming runtime therefore reproduces the batch runtime bit for bit
+// for the same (graph, seed, k) (see the parity tests); what it changes is
+// the resource profile — O(batch) driver memory, per-machine state bounded
+// by the machine's own partition (less, for vertex cover, once online
+// peeling starts discarding covered edges), and all k machines consuming
+// concurrently.
 package stream
 
 import (
@@ -93,8 +94,9 @@ func Solve(ctx context.Context, src EdgeSource, cfg Config, d *task.Descriptor, 
 // per-machine summaries (indexed by machine) without composing a solution.
 // It is the building block of the multi-round MPC driver (internal/rounds),
 // which unions the per-machine coresets into the next round's input instead
-// of composing; Solve is exactly this plus the composition. Coreset sizes
-// and communication accounting are already folded into the returned stats.
+// of composing; Solve is exactly this plus the composition. The summaries
+// are folded into the returned stats by task.Descriptor.FoldStats, the fold
+// every runtime shares.
 func Summaries(ctx context.Context, src EdgeSource, cfg Config, d *task.Descriptor, p task.Params) ([]Summary, *Stats, error) {
 	if d.Validate != nil {
 		if err := d.Validate(p); err != nil {
@@ -108,22 +110,16 @@ func Summaries(ctx context.Context, src EdgeSource, cfg Config, d *task.Descript
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, s := range sums {
-		n := d.CoresetLen(s)
-		st.CoresetEdges = append(st.CoresetEdges, n)
-		if d.FixedLen != nil {
-			st.CoresetFixed = append(st.CoresetFixed, d.FixedLen(s))
-		}
-		st.CompositionEdges += n
-	}
+	d.FoldStats(st, sums)
 	st.Duration = time.Since(start)
 	return sums, st, nil
 }
 
 // Shard runs only the source+sharder stages and returns the per-machine edge
-// lists (each in arrival order). It is the runtime's routing made observable:
-// parity tests compare it against the partition.ByAssignment oracle, and
-// alternative backends can use it to feed machines that live elsewhere.
+// lists (each in arrival order) with the run-level stats (K, N, EdgesTotal,
+// Batches). It is the runtime's routing made observable: parity tests compare
+// it against the partition.ByAssignment oracle, and alternative backends can
+// use it to feed machines that live elsewhere.
 func Shard(src EdgeSource, cfg Config) ([][]graph.Edge, *Stats, error) {
 	sums, st, err := run(context.Background(), src, cfg, func(machine, nHint int) task.Builder {
 		return &collectBuilder{}
@@ -298,25 +294,9 @@ shard:
 	}
 
 	sums := make([]Summary, k)
-	st := &Stats{
-		K:           k,
-		N:           nFinal,
-		EdgesTotal:  total,
-		Batches:     batches,
-		PartEdges:   make([]int, k),
-		StoredEdges: make([]int, k),
-		Live:        make([]int, k),
-	}
 	for r := range results {
 		sums[r.machine] = r.s
-		st.PartEdges[r.machine] = r.s.Edges
-		st.StoredEdges[r.machine] = r.s.Stored
-		st.Live[r.machine] = r.s.Live
-		st.TotalCommBytes += r.s.Bytes
-		if r.s.Bytes > st.MaxMachineBytes {
-			st.MaxMachineBytes = r.s.Bytes
-		}
 	}
-	st.Duration = time.Since(start)
+	st := &Stats{K: k, N: nFinal, EdgesTotal: total, Batches: batches, Duration: time.Since(start)}
 	return sums, st, nil
 }

@@ -12,11 +12,10 @@ import (
 // matchingBuilder is the Theorem 1 machine. It stores its partition — the
 // O(m/k) space the model grants each machine — while maintaining a one-pass
 // greedy matching as live telemetry (a 2-approximation of the partition's
-// maximum matching at every instant). At end of stream it emits exactly the
-// batch pipeline's summary: a maximum matching of the stored partition,
-// computed by the same core.MatchingCoreset call (which wants one flat
-// slice, so Finish flattens the store once), so streaming and batch runs
-// over the same k-partitioning are bit-for-bit identical.
+// maximum matching at every instant). At end of stream it emits the Theorem
+// 1 summary: a maximum matching of the stored partition, computed by
+// core.MatchingCoreset (which wants one flat slice, so Finish flattens the
+// store once).
 type matchingBuilder struct {
 	edges graph.EdgeStore
 	live  *matching.Incremental

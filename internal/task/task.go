@@ -7,13 +7,15 @@
 //
 // The paper's framework is generic: ALG(G(i)) summaries over a random
 // k-partitioning, composed by any downstream solver. The runtimes reflect
-// that — batch (internal/core), stream (internal/stream), cluster
-// (internal/cluster) and the coreset service (internal/service) all
-// dispatch through a *Descriptor instead of switching on task names, so a
-// new coreset family is a package plus one Register call: no runtime, wire
-// or service code changes, and the CLI task lists, the service's
-// task-labeled metrics and the worker's HELLO validation pick it up from
-// the registry.
+// that — batch (Descriptor.Batch, in this package), stream
+// (internal/stream), cluster (internal/cluster) and the coreset service
+// (internal/service) all dispatch through a *Descriptor instead of
+// switching on task names, and all of them split with the same seeded hash
+// partitioning and feed each part to the task's own builder, so they
+// compose the identical answer for a fixed (graph, seed, k). A new coreset
+// family is a package plus one Register call: no runtime, wire or service
+// code changes, and the CLI task lists, the service's task-labeled metrics
+// and the worker's HELLO validation pick it up from the registry.
 //
 // Wire compatibility: a descriptor's Wire byte is its identity in the
 // cluster protocol's HELLO frame. The bytes of the pre-registry protocol
@@ -48,7 +50,7 @@ type Params struct {
 // Summary is a machine's end-of-stream message to the coordinator: exactly
 // one of the coreset fields is set, plus accounting. It is the one message
 // type every runtime emits — the streaming goroutines, the cluster
-// runtime's worker processes and the batch pipeline's map stage — so the
+// runtime's worker processes and the batch runtime's map stage — so the
 // seed-parity guarantee (deep-equal summaries for the same (graph, seed,
 // k)) is a statement about a single struct.
 type Summary struct {
@@ -128,9 +130,6 @@ type Descriptor struct {
 	// Validate rejects unusable task parameters before a run starts
 	// (nil: the task takes none).
 	Validate func(p Params) error
-	// Batch runs the materialized batch pipeline on g (the simulator's
-	// view, internal/core) and returns the composed solution and stats.
-	Batch func(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats)
 	// Compose unions the per-machine summaries and solves on the union.
 	Compose func(n int, sums []Summary) Solution
 	// CoresetLen is the per-machine coreset size folded into run stats.
@@ -139,7 +138,7 @@ type Descriptor struct {
 	// fixed vertices; vc reports its peeled levels through it).
 	FixedLen func(s Summary) int
 	// Verify checks a composed solution against the full edge list
-	// (nil: no verifier). The engine's batch path runs it as a self-check.
+	// (nil: no verifier). The engine's batch runtime runs it as a self-check.
 	Verify func(n int, edges []graph.Edge, sol Solution) error
 
 	// CLI display metadata: how cmd/coreset labels this task's output.
@@ -205,7 +204,6 @@ func (r *registry) register(d *Descriptor) {
 		{"NewBuilder", d.NewBuilder != nil},
 		{"AppendBody", d.AppendBody != nil},
 		{"DecodeBody", d.DecodeBody != nil},
-		{"Batch", d.Batch != nil},
 		{"Compose", d.Compose != nil},
 		{"CoresetLen", d.CoresetLen != nil},
 	} {

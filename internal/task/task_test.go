@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -18,9 +17,6 @@ func minimalDescriptor(name string, wire byte) Descriptor {
 		NewBuilder: func(k, nHint int, p Params) Builder { return &collect{} },
 		AppendBody: func(dst []byte, s Summary) []byte { return dst },
 		DecodeBody: func(s *Summary, data []byte) ([]byte, error) { return data, nil },
-		Batch: func(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats) {
-			return Solution{}, nil
-		},
 		Compose:    func(n int, sums []Summary) Solution { return Solution{} },
 		CoresetLen: func(s Summary) int { return 0 },
 	}
@@ -86,7 +82,7 @@ func TestRegisterRejectsMisuse(t *testing.T) {
 		d := minimalDescriptor("", 2)
 		expectPanic(t, "empty name", func() { r.register(&d) })
 	})
-	for _, field := range []string{"NewBuilder", "AppendBody", "DecodeBody", "Batch", "Compose", "CoresetLen"} {
+	for _, field := range []string{"NewBuilder", "AppendBody", "DecodeBody", "Compose", "CoresetLen"} {
 		t.Run("nil "+field+" rejected", func(t *testing.T) {
 			r := fresh()
 			d := minimalDescriptor("b", 2)
@@ -97,8 +93,6 @@ func TestRegisterRejectsMisuse(t *testing.T) {
 				d.AppendBody = nil
 			case "DecodeBody":
 				d.DecodeBody = nil
-			case "Batch":
-				d.Batch = nil
 			case "Compose":
 				d.Compose = nil
 			case "CoresetLen":

@@ -3,10 +3,8 @@ package task
 import (
 	"repro/internal/core"
 	"repro/internal/diversity"
-	"repro/internal/edcs"
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/partition"
 	"repro/internal/vcover"
 )
 
@@ -24,10 +22,6 @@ func init() {
 		},
 		AppendBody: appendEdgeBody,
 		DecodeBody: decodeEdgeBody,
-		Batch: func(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats) {
-			m, st := core.DistributedMatching(g, k, workers, seed)
-			return Solution{Size: m.Size(), Matching: m}, st
-		},
 		Compose:    composeMatching,
 		CoresetLen: func(s Summary) int { return len(s.Coreset) },
 		Verify: func(n int, edges []graph.Edge, sol Solution) error {
@@ -47,10 +41,6 @@ func init() {
 		},
 		AppendBody: appendVCBody,
 		DecodeBody: decodeVCBody,
-		Batch: func(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats) {
-			cover, st := core.DistributedVertexCover(g, k, workers, seed)
-			return Solution{Size: len(cover), Cover: cover}, st
-		},
 		Compose: func(n int, sums []Summary) Solution {
 			coresets := make([]*core.VCCoreset, len(sums))
 			for i, s := range sums {
@@ -84,10 +74,6 @@ func init() {
 		Validate: func(p Params) error {
 			return p.EDCS.Validate()
 		},
-		Batch: func(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats) {
-			m, st := edcs.Distributed(g, k, workers, seed, p.EDCS)
-			return Solution{Size: m.Size(), Matching: m}, st
-		},
 		Compose:    composeMatching,
 		CoresetLen: func(s Summary) int { return len(s.Coreset) },
 		Verify: func(n int, edges []graph.Edge, sol Solution) error {
@@ -117,7 +103,6 @@ func init() {
 			s.Bytes = graph.EncodedIDBytes(verts)
 			return rest, nil
 		},
-		Batch:      batchDiversity,
 		Compose:    composeDiversity,
 		CoresetLen: func(s Summary) int { return len(s.Verts) },
 		Verify: func(n int, edges []graph.Edge, sol Solution) error {
@@ -215,32 +200,4 @@ func composeDiversity(n int, sums []Summary) Solution {
 	}
 	centers := diversity.Centers(union, diversity.DefaultK)
 	return Solution{Size: diversity.Dispersion(centers), Verts: centers}
-}
-
-// batchDiversity is the materialized batch pipeline for the diversity task,
-// shaped exactly like edcs.Distributed: seeded hash k-partitioning (the
-// position-independent partition.HashK every runtime shards with, so batch,
-// stream and cluster runs over the same (graph, seed, k) produce deep-equal
-// summaries), one builder per machine, compose on the union.
-func batchDiversity(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats) {
-	parts := partition.HashK(g.Edges, k, seed)
-	sums := core.MapParts(parts, workers, func(i int, part []graph.Edge) Summary {
-		b := newDiversityBuilder()
-		for _, e := range part {
-			b.Add(e)
-		}
-		return b.Finish(g.N)
-	})
-	st := &core.PipelineStats{K: k}
-	for i, part := range parts {
-		st.PartEdges = append(st.PartEdges, len(part))
-		bytes := sums[i].Bytes
-		st.TotalCommBytes += bytes
-		if bytes > st.MaxMachineBytes {
-			st.MaxMachineBytes = bytes
-		}
-		st.CoresetEdges = append(st.CoresetEdges, len(sums[i].Verts))
-		st.CompositionEdges += len(sums[i].Verts)
-	}
-	return composeDiversity(g.N, sums), st
 }
