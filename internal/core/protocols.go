@@ -84,7 +84,7 @@ func ComposeGroupedVC(n, groupSize int, coresets []*VCCoreset) []graph.ID {
 			out = append(out, graph.ID(v))
 		}
 	}
-	return vcover.Dedup(out)
+	return out // ascending groups expand to ascending, disjoint ranges
 }
 
 // GroupSizeFor returns the Remark 5.8 group size Θ(α/log₂ n), at least 1.

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/vcover"
 )
 
@@ -136,22 +137,45 @@ func PeelVC(n, k int, st *graph.EdgeStore, online []bool) *VCCoreset {
 // ComposeVC combines vertex-cover coresets into a feasible cover of G: the
 // union of the fixed sets, plus a vertex cover of the union of the residual
 // subgraphs. The paper composes with any 2-approximation; we use the
-// maximal-matching 2-approximation by default.
+// maximal-matching 2-approximation (vcover.FromMatching), greedy over the
+// residuals in machine order.
 //
 // Feasibility (as argued after the algorithm in Section 3.2): every edge of
 // G lives in some G(i); there it is either incident on a peeled vertex
 // (covered by that machine's fixed set) or survives into G_Delta^(i)
 // (covered by the residual cover).
+//
+// The cover is ascending and duplicate-free (nil if empty), and the work is
+// linear in n plus the union's size: the matching runs straight over each
+// residual, never copying the union, and the cover is one ascending pass
+// over the mate array with every fixed vertex marked on it.
 func ComposeVC(n int, coresets []*VCCoreset) []graph.ID {
-	var fixed []graph.ID
-	var residuals [][]graph.Edge
+	m := matching.NewEmpty(n)
 	for _, cs := range coresets {
-		fixed = append(fixed, cs.Fixed...)
-		residuals = append(residuals, cs.Residual)
+		m.AugmentGreedily(cs.Residual)
 	}
-	union := graph.UnionEdges(residuals...)
-	cover := append(fixed, vcover.FromMatching(n, union)...)
-	return vcover.Dedup(cover)
+	// Mark each fixed vertex on the mate array as its own mate, which no
+	// matched vertex is (the matcher drops self-loops): the cover is then
+	// every entry other than -1.
+	mark, size := m.Mate, 2*m.Size()
+	for _, cs := range coresets {
+		for _, v := range cs.Fixed {
+			if mark[v] == -1 {
+				mark[v] = v
+				size++
+			}
+		}
+	}
+	if size == 0 {
+		return nil
+	}
+	cover := make([]graph.ID, 0, size)
+	for v, w := range mark {
+		if w != -1 {
+			cover = append(cover, graph.ID(v))
+		}
+	}
+	return cover
 }
 
 // ComposeVCGreedy is ComposeVC with the greedy H_n-approximation on the

@@ -8,6 +8,8 @@
 package gen
 
 import (
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -37,11 +39,12 @@ func GNP(n int, p float64, r *rng.RNG) *graph.Graph {
 	}
 	// Walk the linear pair index space with geometric jumps; decode the
 	// monotonically increasing index to (u, v) with a row cursor.
+	logq := math.Log1p(-p)
 	cur := int64(-1)
 	u := 0
 	rowStart := int64(0) // linear index of pair (u, u+1)
 	for {
-		cur += int64(r.Geometric(p)) + 1
+		cur += int64(r.GeometricLog(logq)) + 1
 		if cur >= total {
 			break
 		}
@@ -67,12 +70,13 @@ func BipartiteGNP(nl, nr int, p float64, r *rng.RNG) *graph.Bipartite {
 		return b
 	}
 	total := int64(nl) * int64(nr)
+	logq := math.Log1p(-p)
 	cur := int64(-1)
 	for {
 		if p >= 1 {
 			cur++
 		} else {
-			cur += int64(r.Geometric(p)) + 1
+			cur += int64(r.GeometricLog(logq)) + 1
 		}
 		if cur >= total {
 			break
@@ -219,9 +223,10 @@ func ChungLu(n int, exponent float64, maxWeight int, r *rng.RNG) *graph.Graph {
 		if pMax > 1 {
 			pMax = 1
 		}
+		logq := math.Log1p(-pMax)
 		v := u // skip cursor; candidate edges are (u, v) for v > u
 		for {
-			v += r.Geometric(pMax) + 1
+			v += r.GeometricLog(logq) + 1
 			if v >= n {
 				break
 			}

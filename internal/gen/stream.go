@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -28,6 +30,7 @@ func GNPIter(n int, p float64, r *rng.RNG) EdgeIter {
 		return it
 	}
 	it.total = int64(n) * int64(n-1) / 2
+	it.logq = math.Log1p(-p)
 	it.cur = -1
 	return it
 }
@@ -35,6 +38,7 @@ func GNPIter(n int, p float64, r *rng.RNG) EdgeIter {
 type gnpIter struct {
 	n        int
 	p        float64
+	logq     float64 // math.Log1p(-p), for rng.GeometricLog
 	r        *rng.RNG
 	total    int64
 	cur      int64
@@ -65,7 +69,7 @@ func (it *gnpIter) Next() (graph.Edge, bool) {
 		it.dv++
 		return e, true
 	}
-	it.cur += int64(it.r.Geometric(it.p)) + 1
+	it.cur += int64(it.r.GeometricLog(it.logq)) + 1
 	if it.cur >= it.total {
 		it.done = true
 		return graph.Edge{}, false
@@ -130,6 +134,7 @@ type powerlawIter struct {
 	u      int       // current row (-1 before the first row)
 	v      int       // skip cursor within the row
 	pMax   float64   // row upper-bound probability
+	logq   float64   // math.Log1p(-pMax), for rng.GeometricLog
 	inRow  bool
 	done   bool
 }
@@ -154,11 +159,11 @@ func (it *powerlawIter) Next() (graph.Edge, bool) {
 			if pMax > 1 {
 				pMax = 1
 			}
-			it.pMax = pMax
+			it.pMax, it.logq = pMax, math.Log1p(-pMax)
 			it.v = it.u
 			it.inRow = true
 		}
-		it.v += it.r.Geometric(it.pMax) + 1
+		it.v += it.r.GeometricLog(it.logq) + 1
 		if it.v >= it.n {
 			it.inRow = false
 			continue

@@ -105,14 +105,24 @@ func MaximalGreedy(n int, edges []graph.Edge) *Matching {
 
 // Verify checks that m is a valid matching over (n, edges): the mate
 // relation is symmetric, every matched pair is an edge of the graph, and
-// the size field agrees. Returns nil on success.
+// the size field agrees. Returns nil on success. It takes one pass over the
+// edges and one over the vertices, with an n-sized mark and no edge set, so
+// parallel edges, self-loops and out-of-range edges cost a visit each and
+// count for nothing.
 func Verify(n int, edges []graph.Edge, m *Matching) error {
 	if len(m.Mate) != n {
 		return fmt.Errorf("matching: mate array has length %d, want %d", len(m.Mate), n)
 	}
-	have := make(map[graph.Edge]bool, len(edges))
+	// found[v], for v below its mate: some edge joins v and Mate[v].
+	found := make([]bool, n)
 	for _, e := range edges {
-		have[e.Canon()] = true
+		u, v := e.U, e.V
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && u >= 0 && int(v) < n && m.Mate[u] == v {
+			found[u] = true
+		}
 	}
 	count := 0
 	for v := 0; v < n; v++ {
@@ -127,7 +137,7 @@ func Verify(n int, edges []graph.Edge, m *Matching) error {
 			return fmt.Errorf("matching: mate relation not symmetric at %d<->%d", v, w)
 		}
 		if graph.ID(v) < w {
-			if !have[(graph.Edge{U: graph.ID(v), V: w}).Canon()] {
+			if !found[v] {
 				return fmt.Errorf("matching: pair (%d,%d) is not a graph edge", v, w)
 			}
 			count++

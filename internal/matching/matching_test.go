@@ -256,6 +256,50 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyEdgeLists: Verify judges a matched pair by whether any edge
+// joins it, in either orientation and however often; parallel edges,
+// self-loops and out-of-range edges neither validate a pair nor trip the
+// check, and each failure keeps its error text.
+func TestVerifyEdgeLists(t *testing.T) {
+	pairs := func(n int, es ...graph.Edge) *Matching { return FromEdges(n, es) }
+	cases := []struct {
+		name  string
+		n     int
+		edges []graph.Edge
+		m     *Matching
+		want  string // "" = valid
+	}{
+		{"parallel-edges", 4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 0, V: 1}, {U: 2, V: 3}, {U: 2, V: 3}},
+			pairs(4, graph.Edge{U: 0, V: 1}, graph.Edge{U: 2, V: 3}), ""},
+		{"reversed-orientation", 2, []graph.Edge{{U: 1, V: 0}}, pairs(2, graph.Edge{U: 0, V: 1}), ""},
+		{"self-loops-beside-pair", 3, []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 2, V: 2}},
+			pairs(3, graph.Edge{U: 0, V: 1}), ""},
+		{"self-loops-are-not-the-pair", 4, []graph.Edge{{U: 2, V: 2}, {U: 3, V: 3}, {U: 0, V: 1}},
+			pairs(4, graph.Edge{U: 0, V: 1}, graph.Edge{U: 2, V: 3}), "matching: pair (2,3) is not a graph edge"},
+		{"out-of-range-edges-ignored", 4, []graph.Edge{{U: 5, V: 7}, {U: -1, V: 2}, {U: 3, V: 2}},
+			pairs(4, graph.Edge{U: 2, V: 3}), ""},
+		{"pair-not-an-edge", 3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}},
+			pairs(3, graph.Edge{U: 0, V: 2}), "matching: pair (0,2) is not a graph edge"},
+		{"empty-edges", 2, nil, pairs(2, graph.Edge{U: 0, V: 1}), "matching: pair (0,1) is not a graph edge"},
+		{"wrong-size-field", 4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}},
+			&Matching{Mate: []graph.ID{1, 0, -1, -1}, size: 2}, "matching: size field 2, actual 1"},
+		{"mate-out-of-range", 2, nil, &Matching{Mate: []graph.ID{5, -1}}, "matching: mate[0] = 5 out of range"},
+		{"asymmetric", 3, []graph.Edge{{U: 0, V: 1}}, &Matching{Mate: []graph.ID{1, 2, 1}, size: 1},
+			"matching: mate relation not symmetric at 0<->1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Verify(tc.n, tc.edges, tc.m)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Verify rejected a valid matching: %v", err)
+			case tc.want != "" && (err == nil || err.Error() != tc.want):
+				t.Fatalf("Verify = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	m := NewEmpty(4)
 	m.Add(graph.Edge{U: 0, V: 1})

@@ -11,12 +11,24 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric with p out of (0, 1]")
 	}
-	if p == 1 {
+	return r.GeometricLog(math.Log1p(-p))
+}
+
+// GeometricLog is Geometric(p) for a caller that takes many samples at one
+// p: it takes logq = math.Log1p(-p), which a skip-sampling loop computes
+// once, instead of p. The divisor is the same float64, so for the same
+// generator state it returns what Geometric(p) returns, draw for draw; logq
+// = -Inf is p = 1, which consumes no draw. Panics unless logq < 0.
+func (r *RNG) GeometricLog(logq float64) int {
+	if !(logq < 0) {
+		panic("rng: GeometricLog with log1p(-p) out of [-Inf, 0)")
+	}
+	if math.IsInf(logq, -1) {
 		return 0
 	}
 	u := r.Float64()
 	// Avoid log(0); Float64 is in [0,1) so 1-u is in (0,1].
-	g := math.Floor(math.Log1p(-u) / math.Log1p(-p))
+	g := math.Floor(math.Log1p(-u) / logq)
 	if g < 0 {
 		return 0
 	}
@@ -45,10 +57,11 @@ func (r *RNG) Binomial(n int, p float64) int {
 	}
 	// Count successes by skipping over failures geometrically. The expected
 	// number of iterations is n*p + 1.
+	logq := math.Log1p(-p)
 	count := 0
 	pos := -1
 	for {
-		pos += r.Geometric(p) + 1
+		pos += r.GeometricLog(logq) + 1
 		if pos >= n {
 			return count
 		}

@@ -229,6 +229,73 @@ func TestGeometricP1(t *testing.T) {
 	}
 }
 
+// refGeometric is the closed-form geometric sampler as first written, one
+// logarithm of p per draw; the reference that both samplers must equal.
+func refGeometric(r *RNG, p float64) int {
+	if p == 1 {
+		return 0
+	}
+	g := math.Floor(math.Log1p(-r.Float64()) / math.Log1p(-p))
+	if g < 0 {
+		return 0
+	}
+	if g > math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int(g)
+}
+
+// TestGeometricLogMatchesGeometric: the hoisted-log sampler, given
+// math.Log1p(-p), returns what Geometric(p) returns, draw for draw and
+// leaving the stream in the same state, across p from 1e-9 up to 1 — which
+// is what lets every skip-sampling loop hoist the logarithm without moving
+// a generated edge.
+func TestGeometricLogMatchesGeometric(t *testing.T) {
+	ps := []float64{1e-9, 1e-6, 3e-5, 1e-3, 0.004, 0.01, 0.1, 1.0 / 3, 0.5, 0.9, 0.999999, 1}
+	for i := 1; i < 64; i++ {
+		ps = append(ps, float64(i)/64)
+	}
+	ref, geo, hoisted := New(71), New(71), New(71)
+	for _, p := range ps {
+		logq := math.Log1p(-p)
+		for i := 0; i < 2000; i++ {
+			want := refGeometric(ref, p)
+			if got := geo.Geometric(p); got != want {
+				t.Fatalf("Geometric(%v) draw %d = %d, reference %d", p, i, got, want)
+			}
+			if got := hoisted.GeometricLog(logq); got != want {
+				t.Fatalf("GeometricLog(log1p(-%v)) draw %d = %d, Geometric %d", p, i, got, want)
+			}
+		}
+	}
+	if a, b, c := ref.Uint64(), geo.Uint64(), hoisted.Uint64(); a != b || a != c {
+		t.Fatalf("streams diverged after the sweep: %d %d %d", a, b, c)
+	}
+}
+
+// TestBinomialMatchesGeometricSkips: Binomial, which hoists its logarithm,
+// counts the same skips as the one-logarithm-per-draw loop it replaced.
+func TestBinomialMatchesGeometricSkips(t *testing.T) {
+	a, b := New(73), New(73)
+	for _, n := range []int{1, 7, 100, 5000} {
+		for _, p := range []float64{1e-4, 0.01, 0.2, 0.5} {
+			for rep := 0; rep < 50; rep++ {
+				want, pos := 0, -1
+				for {
+					pos += refGeometric(b, p) + 1
+					if pos >= n {
+						break
+					}
+					want++
+				}
+				if got := a.Binomial(n, p); got != want {
+					t.Fatalf("Binomial(%d, %v) rep %d = %d, reference %d", n, p, rep, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBinomialMoments(t *testing.T) {
 	r := New(37)
 	const n, p, draws = 200, 0.1, 20000
@@ -333,6 +400,8 @@ func TestPanics(t *testing.T) {
 		{"Intn(-1)", func() { r.Intn(-1) }},
 		{"Geometric(0)", func() { r.Geometric(0) }},
 		{"Geometric(1.5)", func() { r.Geometric(1.5) }},
+		{"GeometricLog(0)", func() { r.GeometricLog(0) }},
+		{"GeometricLog(NaN)", func() { r.GeometricLog(math.NaN()) }},
 		{"Binomial(-1, .5)", func() { r.Binomial(-1, 0.5) }},
 		{"Binomial(1, 2)", func() { r.Binomial(1, 2) }},
 		{"Exp(0)", func() { r.Exp(0) }},

@@ -56,6 +56,18 @@ func TestJobSubmissionStatusCodes(t *testing.T) {
 		})
 	}
 
+	// The status says how a job was taken, not how far it has got: a fresh
+	// job is 202 even if a worker finishes it before the handler answers,
+	// and only a cache hit is 200.
+	repeat := CreateJobRequest{Graph: info.ID, Task: TaskVC, K: 2, Seed: 77}
+	if v := c.runJob(repeat); v.State != string(JobDone) || v.Cached {
+		t.Fatalf("fresh job ended %s (cached %v)", v.State, v.Cached)
+	}
+	var hit JobView
+	if code := c.postJSON("/v1/jobs", repeat, &hit); code != http.StatusOK || !hit.Cached {
+		t.Fatalf("repeat of a finished job: status %d, cached %v; want 200, cached", code, hit.Cached)
+	}
+
 	// The cluster k-mismatch needs a configured fleet to get past the
 	// ErrNoCluster check.
 	addrs, shutdown, err := cluster.ServeLoopback(2)

@@ -305,8 +305,11 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	// The status says how the job was taken, not how far it has got: a
+	// worker may finish a fresh job before View reads it, and it is still a
+	// 202. Only a cache hit is born done.
 	v := j.View()
-	if v.State == string(JobDone) {
+	if v.Cached {
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
