@@ -194,7 +194,7 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "coreset load: registering graph:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "graph %s: %s n=%d\n", info.ID, *genName, info.N)
+		fmt.Fprintf(stdout, "graph %s: %s n=%d m=%d\n", info.ID, *genName, info.N, info.M)
 		graphIDs, kinds = append(graphIDs, info.ID), append(kinds, "gen")
 	}
 

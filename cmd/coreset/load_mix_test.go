@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -52,7 +53,10 @@ func TestMixScenario(t *testing.T) {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	s := out.String()
-	for _, want := range []string{"graph web: dataset web n=500", "dataset: 4 jobs", "gen:     4 jobs", "latency: p50"} {
+	// The gen graph's line carries the count its registration drew, as the
+	// dataset's carries the manifest's (-graphseed defaults to 1).
+	genLine := fmt.Sprintf(": gnp n=500 m=%d\n", len(gen.GNP(500, 8.0/500.0, rng.New(1)).Edges))
+	for _, want := range []string{"graph web: dataset web n=500", genLine, "dataset: 4 jobs", "gen:     4 jobs", "latency: p50"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}

@@ -236,8 +236,8 @@
 // many queries. Its architecture:
 //
 //	                   ┌───────────────────── coreset serve ──────────────────────┐
-//	POST /v1/graphs ──▶│ Registry: id → uploaded edges | gen spec | dataset ref   │
-//	                   │           (ref-counted, LRU-evicted)                     │
+//	POST /v1/graphs ──▶│ Registry: id → resident edges (upload | gen spec drawn   │
+//	                   │           once) | dataset ref (ref-counted, LRU-evicted) │
 //	                   │      │ Acquire/Release                                   │
 //	POST /v1/jobs ────▶│ Manager: bounded queue ─▶ worker pool ─▶ engine.Run      │
 //	GET  /v1/jobs/{id} │          (cancel via context)    (batch|stream|cluster)  │

@@ -186,7 +186,7 @@ func TestRegistryEvictionVsDatasetPins(t *testing.T) {
 		return d
 	}
 
-	reg := NewRegistry(2)
+	reg := NewRegistry(2, 0)
 	if _, err := reg.AddDataset("pinned", open("pinned")); err != nil {
 		t.Fatal(err)
 	}

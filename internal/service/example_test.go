@@ -15,8 +15,8 @@ import (
 )
 
 // The service's HTTP API end to end, as `coreset serve` mounts it: register
-// a graph by generator spec (the registry keeps the parameters, jobs stream
-// the edges on demand), run jobs to completion with long polls, repeat one
+// a graph by generator spec (the registry draws it once and keeps the edges,
+// as it would an upload), run jobs to completion with long polls, repeat one
 // to have it answered from the result cache, and read the counters — first
 // from /v1/stats, then from the Prometheus exposition at /metrics.
 func ExampleServer() {

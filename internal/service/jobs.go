@@ -45,6 +45,9 @@ type Job struct {
 	Req CreateJobRequest
 	key Key // cache key, pinned at submission (includes the graph generation)
 
+	// ctx and cancel exist while the job is queued or running; a terminal
+	// job drops both. Once the job is submitted, cancel is only written and
+	// read under mu.
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -63,8 +66,15 @@ type Job struct {
 // Cancel requests cancellation: a queued job is dropped when dequeued, a
 // running streaming or cluster job stops at the next batch boundary, a batch
 // job at its next round boundary. Safe to call in any state, any number of
-// times.
-func (j *Job) Cancel() { j.cancel() }
+// times; on a terminal job, which has dropped its context, it does nothing.
+func (j *Job) Cancel() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -104,8 +114,12 @@ func (j *Job) finish(rep *graph.RunReport, err error) {
 	default:
 		j.state, j.err = JobFailed, err
 	}
+	// A retained terminal job holds no context: Cancel reads nil and does
+	// nothing, and the context's resources go with the call below.
+	cancel := j.cancel
+	j.ctx, j.cancel = nil, nil
 	j.mu.Unlock()
-	j.cancel() // release the context's resources in every path
+	cancel()
 	close(j.done)
 }
 
@@ -244,19 +258,16 @@ func (m *Manager) Submit(req CreateJobRequest) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	m.seq++
-	ctx, cancel := context.WithCancel(m.baseCtx)
 	j := &Job{
-		ID:     fmt.Sprintf("j-%d", m.seq),
-		Req:    req,
-		key:    key,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		state:  JobQueued,
+		ID:    fmt.Sprintf("j-%d", m.seq),
+		Req:   req,
+		key:   key,
+		done:  make(chan struct{}),
+		state: JobQueued,
 	}
 	if hit {
+		// Born terminal, so it never gets a context: Cancel is a no-op.
 		j.state, j.cached, j.result = JobDone, true, rep
-		cancel()
 		close(j.done)
 		m.jobs[j.ID] = j
 		m.submitted++
@@ -265,10 +276,11 @@ func (m *Manager) Submit(req CreateJobRequest) (*Job, error) {
 		m.noteTerminalLocked(j)
 		return j, nil
 	}
+	j.ctx, j.cancel = context.WithCancel(m.baseCtx)
 	select {
 	case m.queue <- j:
 	default:
-		cancel()
+		j.cancel()
 		return nil, ErrQueueFull
 	}
 	m.jobs[j.ID] = j
@@ -363,10 +375,6 @@ func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 		// its scope is the content hash, which did not change.
 		return nil, fmt.Errorf("service: graph %q was replaced while job %s was queued", j.Req.Graph, j.ID)
 	}
-	src, err := entry.Source()
-	if err != nil {
-		return nil, err
-	}
 	req := j.Req
 	return engine.Run(j.ctx, engine.Spec{
 		Task:      req.Task,
@@ -387,7 +395,7 @@ func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 			RunID:      j.runID,
 		},
 		Obs: m.ins.eventSink(),
-	}, src)
+	}, entry.Source())
 }
 
 // Stats counts jobs by state. Terminal counts are lifetime totals (they

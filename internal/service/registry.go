@@ -10,17 +10,21 @@ import (
 )
 
 // Registry holds the graphs the service can run jobs against, keyed by
-// string ID. An entry is one of three kinds: an uploaded graph (edges
-// resident in memory), a generator spec (edges re-derived on demand from
-// O(1) parameters — the registry's cheap tier), or a reference to a stored
-// dataset (internal/dataset — edges on disk, streamed segment by segment,
-// so a registered billion-edge graph costs the registry a file handle).
+// string ID. An entry is one of two kinds: resident edges in memory — an
+// uploaded edge list, or a generator spec drawn once at registration, just
+// as the paper's simultaneous model hands every machine an input that is
+// already there — or a reference to a stored dataset (internal/dataset —
+// edges on disk, streamed segment by segment, so a registered
+// billion-edge graph costs the registry a file handle). A generated draw is
+// bounded by the same resident budget one upload gets; larger synthetic
+// graphs are frozen with `coreset ingest -gen` and registered as datasets.
 // Entries are ref-counted: a job Acquires its graph for the duration of the
 // run, and eviction only ever removes zero-ref entries, least-recently-used
 // first, once the resident count exceeds the configured cap.
 type Registry struct {
 	mu          sync.Mutex
 	maxResident int // soft cap on entries (<= 0: unlimited)
+	maxDraw     int // cap on one generated draw, in edges (< 0: unlimited)
 	seq         int // for assigned IDs
 	tick        int64
 	entries     map[string]*GraphEntry
@@ -32,11 +36,11 @@ type Registry struct {
 // after creation; refs and lastUse are guarded by the registry mutex.
 type GraphEntry struct {
 	ID    string
-	Gen   *GenSpec         // non-nil for generator-backed entries
-	G     *graph.Graph     // non-nil for uploaded entries
+	Gen   *GenSpec         // the spec a generated entry was drawn from (source "gen")
+	G     *graph.Graph     // non-nil for resident entries (uploaded or generated)
 	DS    *dataset.Dataset // non-nil for dataset-backed entries
 	N     int
-	M     int // -1 when unknown (generator-backed)
+	M     int
 	Bytes int64
 
 	// generation is unique across every entry the registry has ever held.
@@ -52,9 +56,15 @@ type GraphEntry struct {
 func (e *GraphEntry) Generation() int64 { return e.generation }
 
 // NewRegistry returns a registry evicting idle graphs beyond maxResident
-// entries (<= 0 disables eviction).
-func NewRegistry(maxResident int) *Registry {
-	return &Registry{maxResident: maxResident, entries: make(map[string]*GraphEntry)}
+// entries (<= 0 disables eviction) and refusing a generator spec whose draw
+// needs more than maxDrawBytes of resident edges (<= 0: no bound). The
+// server passes Config.MaxUploadBytes, the budget one upload already gets.
+func NewRegistry(maxResident int, maxDrawBytes int64) *Registry {
+	r := &Registry{maxResident: maxResident, maxDraw: -1, entries: make(map[string]*GraphEntry)}
+	if maxDrawBytes > 0 {
+		r.maxDraw = int(maxDrawBytes / edgeBytes)
+	}
+	return r
 }
 
 // AddGraph registers an uploaded, already-validated graph under id (assigned
@@ -63,25 +73,62 @@ func (r *Registry) AddGraph(id string, g *graph.Graph) (GraphInfo, error) {
 	if g.N > MaxGraphN {
 		return GraphInfo{}, fmt.Errorf("service: n=%d exceeds the cap of %d vertices", g.N, MaxGraphN)
 	}
-	e := &GraphEntry{
-		G: g,
-		N: g.N,
-		M: g.M(),
-		// Edge{U,V int32} is 8 bytes; charge the slice plus a small fixed
-		// overhead for the entry itself.
-		Bytes: int64(g.M())*8 + 128,
-	}
-	return r.add(id, e)
+	return r.add(id, residentEntry(g))
 }
 
-// AddSpec registers a generator-backed graph under id (assigned when empty).
+// AddSpec draws a generator spec once and registers its edges under id
+// (assigned when empty), resident like an upload. The edges are the
+// iterator's own draw order, so a job over the entry partitions, summarises
+// and caches exactly as a run over spec.Source() does. A draw longer than
+// the registry's bound stops at the first edge past it and is refused.
 func (r *Registry) AddSpec(id string, spec *GenSpec) (GraphInfo, error) {
-	if err := spec.Validate(); err != nil {
+	edges, err := r.draw(spec)
+	if err != nil {
 		return GraphInfo{}, err
 	}
 	cp := *spec
-	e := &GraphEntry{Gen: &cp, N: spec.N, M: -1, Bytes: 128}
+	e := residentEntry(&graph.Graph{N: spec.N, Edges: edges})
+	e.Gen = &cp
 	return r.add(id, e)
+}
+
+// draw runs spec's iterator into an exactly-sized edge slice: one pass
+// counts the edges (stopping past the bound, so a refused spec allocates
+// nothing), a second replays the same draw sequence into the slice.
+func (r *Registry) draw(spec *GenSpec) ([]graph.Edge, error) {
+	it, err := spec.Iter()
+	if err != nil {
+		return nil, err
+	}
+	m := 0
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+		if m++; r.maxDraw >= 0 && m > r.maxDraw {
+			return nil, fmt.Errorf("service: %s spec (n=%d) draws more than %d edges, the resident budget one upload gets; "+
+				"for a graph this size run `coreset ingest -gen %s -n %d -deg %g -seed %d -out DIR/NAME` "+
+				"and register {\"dataset\": \"NAME\"} on a daemon serving -datasets DIR",
+				spec.Name, spec.N, r.maxDraw, spec.Name, spec.N, spec.Deg, spec.Seed)
+		}
+	}
+	edges := make([]graph.Edge, m)
+	it, _ = spec.Iter() // validated above; cannot fail
+	for i := range edges {
+		edges[i], _ = it.Next()
+	}
+	return edges, nil
+}
+
+// edgeBytes is the resident size of one graph.Edge{U, V int32}.
+const edgeBytes = 8
+
+// residentEntry builds the entry for edges held in memory, charging the
+// edge slice's capacity plus a small fixed overhead for the entry itself.
+func residentEntry(g *graph.Graph) *GraphEntry {
+	return &GraphEntry{
+		G:     g,
+		N:     g.N,
+		M:     g.M(),
+		Bytes: int64(cap(g.Edges))*edgeBytes + 128,
+	}
 }
 
 // AddDataset registers a stored dataset under id (the registry assigns one
@@ -158,9 +205,9 @@ func (r *Registry) Generation(id string) (int64, bool) {
 // this entry. Dataset entries key by content hash with generation 0:
 // identity follows the bytes, so re-registering the same dataset — under
 // the same ID after an eviction, or under a different ID entirely — keeps
-// hitting the results already computed for those bytes. Upload and
-// generator entries keep the (ID, registry generation) scope, where a
-// reused ID must never see the previous graph's results.
+// hitting the results already computed for those bytes. Resident entries
+// keep the (ID, registry generation) scope, where a reused ID must never see
+// the previous graph's results.
 func (e *GraphEntry) cacheScope() (string, int64) {
 	if e.DS != nil {
 		return "ds:" + e.DS.Hash(), 0
@@ -261,20 +308,16 @@ func (r *Registry) Stats() RegistryStats {
 	return st
 }
 
-// Source mints a fresh streaming edge source for a job. Uploaded entries
-// stream their resident edge slice (read-only, safe to share across
-// concurrent jobs); generator entries replay their draw sequence; dataset
-// entries stream segments off disk. All three are stream.Restartable, so
-// every registry-backed cluster job can replay a lost round. Batch-mode
-// jobs materialize the source (stream.Collect): an upload's slice is handed
-// over as is, generator and dataset entries become a transient edge list
-// dropped when the job finishes.
-func (e *GraphEntry) Source() (stream.EdgeSource, error) {
-	switch {
-	case e.Gen != nil:
-		return e.Gen.Source()
-	case e.DS != nil:
-		return stream.NewDatasetSource(e.DS), nil
+// Source mints a fresh streaming edge source for a job. Resident entries
+// (uploaded or generated) stream their edge slice, read-only and safe to
+// share across concurrent jobs; dataset entries stream segments off disk.
+// Both are stream.Restartable, so every registry-backed cluster job can
+// replay a lost round. Batch-mode jobs materialize the source
+// (stream.Collect): a resident slice is handed over as is, a dataset
+// becomes a transient edge list dropped when the job finishes.
+func (e *GraphEntry) Source() stream.EdgeSource {
+	if e.DS != nil {
+		return stream.NewDatasetSource(e.DS)
 	}
-	return stream.NewGraphSource(e.G), nil
+	return stream.NewGraphSource(e.G)
 }

@@ -29,7 +29,10 @@ type Config struct {
 	MaxGraphs int
 	// CacheSize caps cached run reports (default 256, < 0 for unlimited).
 	CacheSize int
-	// MaxUploadBytes caps a POST /v1/graphs body (default 256 MiB).
+	// MaxUploadBytes caps a POST /v1/graphs body (default 256 MiB). It is
+	// also the resident budget of a generator spec's draw: a spec with more
+	// than MaxUploadBytes/8 edges is refused (HTTP 400) and belongs in a
+	// dataset store (coreset ingest -gen, then {"dataset": NAME}).
 	MaxUploadBytes int64
 	// JobRetention is how many terminal jobs stay pollable before the
 	// oldest are pruned (default 4096, < 0 to keep everything).
@@ -97,7 +100,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		reg:     NewRegistry(cfg.MaxGraphs),
+		reg:     NewRegistry(cfg.MaxGraphs, cfg.MaxUploadBytes),
 		cache:   NewCache(cfg.CacheSize),
 		start:   time.Now(),
 		metrics: obs.NewRegistry(),

@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // client is a thin typed wrapper over the httptest server.
@@ -202,16 +204,24 @@ func TestMultiRoundJobs(t *testing.T) {
 
 // Batch and stream jobs on the same generator spec must agree with the CLI
 // parameter mapping: same spec, same seed, same composed answer per mode.
+// Registration draws the spec once, so its reply carries the drawn edge
+// count — the one the materializing generator gives — and charges the
+// resident edges.
 func TestGeneratorGraphJobs(t *testing.T) {
 	_, c := newTestService(t, Config{Workers: 2})
+	drawn := map[string]int{
+		"gnp":      len(gen.GNP(500, 6.0/500, rng.New(1)).Edges),
+		"star":     len(gen.Star(500).Edges),
+		"powerlaw": len(gen.ChungLu(500, 2.0, 500/16+1, rng.New(1)).Edges),
+	}
 	for _, name := range []string{"gnp", "star", "powerlaw"} {
 		var info GraphInfo
 		spec := CreateGraphRequest{Gen: &GenSpec{Name: name, N: 500, Deg: 6, Seed: 1}}
 		if code := c.postJSON("/v1/graphs", spec, &info); code != http.StatusCreated {
 			t.Fatalf("%s: create status %d", name, code)
 		}
-		if info.Source != "gen" || info.M != -1 {
-			t.Fatalf("%s: info %+v", name, info)
+		if info.Source != "gen" || info.M != drawn[name] || info.Bytes != 8*int64(drawn[name])+128 {
+			t.Fatalf("%s: info %+v, want m=%d bytes=%d", name, info, drawn[name], 8*drawn[name]+128)
 		}
 		stream := c.runJob(CreateJobRequest{Graph: info.ID, Task: TaskMatching, K: 3, Seed: 7, Mode: ModeStream})
 		batch := c.runJob(CreateJobRequest{Graph: info.ID, Task: TaskMatching, K: 3, Seed: 7, Mode: ModeBatch})
@@ -319,10 +329,35 @@ func TestCancelQueuedJob(t *testing.T) {
 	if got := j.State(); got != JobCanceled {
 		t.Fatalf("victim state %s, want canceled", got)
 	}
+
+	// A terminal job has dropped its context; canceling it, or a cache hit
+	// (born done), is a no-op that leaves it done.
+	b, ok := s.Manager().Get(blocker.ID)
+	if !ok {
+		t.Fatal("blocker vanished")
+	}
+	<-b.Done()
+	hit, err := s.Manager().Submit(CreateJobRequest{Graph: info.ID, Task: TaskVC, K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, done := range []*Job{b, hit} {
+		done.Cancel()
+		var v JobView
+		if code := c.do("DELETE", "/v1/jobs/"+done.ID, "", nil, &v); code != http.StatusAccepted {
+			t.Fatalf("cancel %s: status %d", done.ID, code)
+		}
+		if v.State != string(JobDone) || v.Result == nil {
+			t.Fatalf("canceling terminal job %s moved it: %+v", done.ID, v)
+		}
+	}
+	if v := hit.View(); !v.Cached {
+		t.Fatalf("repeat of the blocker was not a cache hit: %+v", v)
+	}
 }
 
 func TestRegistryEviction(t *testing.T) {
-	r := NewRegistry(2)
+	r := NewRegistry(2, 0)
 	for i := 0; i < 3; i++ {
 		if _, err := r.AddSpec(fmt.Sprintf("s-%d", i), &GenSpec{Name: "star", N: 10}); err != nil {
 			t.Fatal(err)
@@ -440,7 +475,7 @@ func TestCacheNotReusedAcrossGraphReplacement(t *testing.T) {
 // Adding a graph while every other entry is pinned must never evict the
 // entry being added.
 func TestEvictionSparesJustAddedEntry(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry(1, 0)
 	if _, err := r.AddSpec("a", &GenSpec{Name: "star", N: 10}); err != nil {
 		t.Fatal(err)
 	}

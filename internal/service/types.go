@@ -6,9 +6,10 @@
 //
 // The subsystem has four parts, each in its own file:
 //
-//   - Registry (registry.go): graphs ingested by upload (edge-list text) or
-//     by generator spec, held under string IDs with ref-counting and LRU
-//     eviction.
+//   - Registry (registry.go): graphs ingested by upload (edge-list text), by
+//     generator spec (drawn once at registration and kept like an upload)
+//     or by dataset reference, held under string IDs with ref-counting and
+//     LRU eviction.
 //   - Manager (jobs.go): an async job manager with a bounded worker pool;
 //     coreset jobs (task, k, seed, mode) run off a bounded queue with
 //     context cancellation and graceful drain. A job is one engine.Run
@@ -127,8 +128,9 @@ func (s *GenSpec) Validate() error {
 }
 
 // Iter mints a fresh edge iterator replaying the spec's draw sequence from
-// its seed. Every call returns an independent iterator, so concurrent jobs
-// can stream the same spec simultaneously.
+// its seed. Every call returns an independent iterator, so separate passes
+// (a restarted source, a registration's count and fill passes) see the same
+// edges in the same order.
 func (s *GenSpec) Iter() (gen.EdgeIter, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -145,7 +147,9 @@ func (s *GenSpec) Iter() (gen.EdgeIter, error) {
 
 // Source mints a fresh streaming edge source for the spec. The source is
 // restartable — each pass replays the spec's draw sequence from its seed —
-// so cluster jobs over generator graphs can replay a lost round.
+// so a single-pass CLI -gen run streams the graph without materializing it
+// and can still replay a lost cluster round. (The daemon draws a registered
+// spec once instead; see Registry.AddSpec.)
 func (s *GenSpec) Source() (stream.EdgeSource, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -170,14 +174,14 @@ type CreateGraphRequest struct {
 	Dataset string `json:"dataset,omitempty"`
 }
 
-// GraphInfo describes a registered graph. M is -1 for generator-backed
-// entries, whose edge count is not known until a job streams them.
+// GraphInfo describes a registered graph. M is its edge count; for a
+// generator spec, the count its registration drew.
 type GraphInfo struct {
 	ID     string   `json:"id"`
 	Source string   `json:"source"` // "upload" | "gen" | "dataset"
 	N      int      `json:"n"`
 	M      int      `json:"m"`
-	Bytes  int64    `json:"bytes"` // approximate resident size
+	Bytes  int64    `json:"bytes"` // resident size: 8 B per held edge slot + 128 (upload, gen)
 	Refs   int      `json:"refs"`  // jobs currently using the graph
 	Gen    *GenSpec `json:"gen,omitempty"`
 	Hash   string   `json:"hash,omitempty"` // dataset content hash (source "dataset")
