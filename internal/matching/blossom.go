@@ -1,12 +1,24 @@
 package matching
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // Blossom computes a maximum matching of a general graph using Edmonds'
-// blossom-shrinking algorithm (O(V^3) worst case, with greedy
-// initialization). It exists because the paper's coreset theorem applies to
-// arbitrary graphs, not just bipartite ones; partitions of non-bipartite
-// workloads (power-law, grid-with-chords) take this path.
+// blossom-shrinking algorithm, after a greedy initialization. It exists
+// because the paper's coreset theorem applies to arbitrary graphs, not just
+// bipartite ones; partitions of non-bipartite workloads (power-law,
+// grid-with-chords) take this path.
+//
+// Each exposed root costs an O(n) reset plus a near-linear search: blossom
+// bases live in a union–find with path halving, so a contraction costs the
+// length of the blossom's cycle, not a pass over all n vertices. The reset
+// stays on purpose. Clearing only what a search touched makes sparse inputs
+// several times faster, and the benchmark harness, which keeps every job's
+// mate array, would then report a peak RSS several times higher; that step
+// waits on the harness (ROADMAP.md, item 2).
 func Blossom(n int, edges []graph.Edge) *Matching {
 	return blossom(graph.BuildAdj(n, edges), edges)
 }
@@ -16,14 +28,16 @@ func Blossom(n int, edges []graph.Edge) *Matching {
 // not worth building twice.
 func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
 	n := adj.N
-	match := make([]graph.ID, n) // partner or -1
-	p := make([]graph.ID, n)     // BFS tree parent (on even vertices)
-	base := make([]graph.ID, n)  // blossom base of each vertex
-	used := make([]bool, n)
-	inBlossom := make([]bool, n)
-	usedLCA := make([]bool, n)
-	queue := make([]graph.ID, 0, n)
-
+	s := &blossomSearch{
+		adj:     adj,
+		match:   make([]graph.ID, n),
+		p:       make([]graph.ID, n),
+		up:      make([]graph.ID, n),
+		used:    make([]bool, n),
+		usedLCA: make([]bool, n),
+		queue:   make([]graph.ID, 0, n),
+	}
+	match := s.match
 	for i := range match {
 		match[i] = -1
 	}
@@ -36,95 +50,17 @@ func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
 		}
 	}
 
-	lca := func(a, b graph.ID) graph.ID {
-		for i := range usedLCA {
-			usedLCA[i] = false
-		}
-		// Climb from a to the root, marking bases.
-		cur := a
-		for {
-			cur = base[cur]
-			usedLCA[cur] = true
-			if match[cur] == -1 {
-				break
-			}
-			cur = p[match[cur]]
-		}
-		// Climb from b until a marked base is met.
-		cur = b
-		for !usedLCA[base[cur]] {
-			cur = p[match[cur]]
-		}
-		return base[cur]
-	}
-
-	markPath := func(v, b, child graph.ID) {
-		for base[v] != b {
-			inBlossom[base[v]] = true
-			inBlossom[base[match[v]]] = true
-			p[v] = child
-			child = match[v]
-			v = p[match[v]]
-		}
-	}
-
-	// findPath grows an alternating BFS tree from root; returns an exposed
-	// vertex ending an augmenting path, or -1.
-	findPath := func(root graph.ID) graph.ID {
-		for i := 0; i < n; i++ {
-			used[i] = false
-			p[i] = -1
-			base[i] = graph.ID(i)
-		}
-		used[root] = true
-		queue = append(queue[:0], root)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, to := range adj.Neighbors(v) {
-				if base[v] == base[to] || match[v] == to {
-					continue
-				}
-				if to == root || (match[to] != -1 && p[match[to]] != -1) {
-					// Odd cycle: contract the blossom.
-					curBase := lca(v, to)
-					for i := range inBlossom {
-						inBlossom[i] = false
-					}
-					markPath(v, curBase, to)
-					markPath(to, curBase, v)
-					for i := 0; i < n; i++ {
-						if inBlossom[base[i]] {
-							base[i] = curBase
-							if !used[i] {
-								used[i] = true
-								queue = append(queue, graph.ID(i))
-							}
-						}
-					}
-				} else if p[to] == -1 {
-					p[to] = v
-					if match[to] == -1 {
-						return to
-					}
-					used[match[to]] = true
-					queue = append(queue, match[to])
-				}
-			}
-		}
-		return -1
-	}
-
 	for v := graph.ID(0); int(v) < n; v++ {
 		if match[v] != -1 {
 			continue
 		}
-		u := findPath(v)
+		u := s.findPath(v)
 		if u == -1 {
 			continue
 		}
 		// Augment along parent pointers from the exposed endpoint.
 		for u != -1 {
-			pv := p[u]
+			pv := s.p[u]
 			ppv := match[pv]
 			match[u] = pv
 			match[pv] = u
@@ -139,4 +75,126 @@ func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
 		}
 	}
 	return m
+}
+
+// blossomSearch is the state of one Blossom call, shared by its per-root
+// searches.
+type blossomSearch struct {
+	adj     *graph.Adj
+	match   []graph.ID // partner or -1
+	p       []graph.ID // BFS tree parent (on even vertices)
+	up      []graph.ID // union–find parent; a root is its blossom's base
+	used    []bool     // queued: even, or inside a blossom
+	usedLCA []bool     // bases on the path from lca's first vertex to the root
+	queue   []graph.ID
+
+	climbed []graph.ID // bases with usedLCA set
+	marked  []graph.ID // bases on the current contraction's cycle, repeats allowed
+	fresh   []graph.ID // odd vertices the current contraction turns even
+}
+
+// find returns x's blossom base, halving the path it climbs.
+func (s *blossomSearch) find(x graph.ID) graph.ID {
+	up := s.up
+	for up[x] != x {
+		up[x] = up[up[x]]
+		x = up[x]
+	}
+	return x
+}
+
+// lca returns the base of the blossom where the tree paths from a and b
+// meet.
+func (s *blossomSearch) lca(a, b graph.ID) graph.ID {
+	// Climb from a to the root, marking bases.
+	cur := a
+	for {
+		cur = s.find(cur)
+		s.usedLCA[cur] = true
+		s.climbed = append(s.climbed, cur)
+		if s.match[cur] == -1 {
+			break
+		}
+		cur = s.p[s.match[cur]]
+	}
+	// Climb from b until a marked base is met.
+	cur = b
+	for !s.usedLCA[s.find(cur)] {
+		cur = s.p[s.match[cur]]
+	}
+	for _, x := range s.climbed {
+		s.usedLCA[x] = false
+	}
+	s.climbed = s.climbed[:0]
+	return s.find(cur)
+}
+
+// markPath walks from v up to the blossom base b, records the bases it
+// passes and the odd vertices that the contraction will make even, and
+// points the tree parents around the cycle.
+func (s *blossomSearch) markPath(v, b, child graph.ID) {
+	for bv := s.find(v); bv != b; bv = s.find(v) {
+		mv := s.match[v]
+		s.marked = append(s.marked, bv, s.find(mv))
+		if !s.used[mv] {
+			s.fresh = append(s.fresh, mv)
+		}
+		s.p[v] = child
+		child = mv
+		v = s.p[mv]
+	}
+}
+
+// contract shrinks the odd cycle closed by the edge v–to into one blossom
+// and enqueues its newly even vertices in ascending ID order, the order a
+// scan over all vertices would give.
+func (s *blossomSearch) contract(v, to graph.ID) {
+	curBase := s.lca(v, to)
+	s.markPath(v, curBase, to)
+	s.markPath(to, curBase, v)
+	for _, b := range s.marked {
+		s.up[b] = curBase
+	}
+	s.marked = s.marked[:0]
+	slices.Sort(s.fresh)
+	for _, x := range s.fresh {
+		if !s.used[x] {
+			s.used[x] = true
+			s.queue = append(s.queue, x)
+		}
+	}
+	s.fresh = s.fresh[:0]
+}
+
+// findPath grows an alternating BFS tree from root; returns an exposed
+// vertex ending an augmenting path, or -1.
+func (s *blossomSearch) findPath(root graph.ID) graph.ID {
+	match, p, up := s.match, s.p, s.up
+	clear(s.used)
+	for i := range up {
+		p[i] = -1
+		up[i] = graph.ID(i)
+	}
+	s.used[root] = true
+	s.queue = append(s.queue[:0], root)
+	for head := 0; head < len(s.queue); head++ {
+		v := s.queue[head]
+		for _, to := range s.adj.Neighbors(v) {
+			if match[v] == to || s.find(v) == s.find(to) {
+				continue
+			}
+			if to == root || (match[to] != -1 && p[match[to]] != -1) {
+				// Odd cycle: contract the blossom.
+				s.contract(v, to)
+			} else if p[to] == -1 {
+				p[to] = v
+				if match[to] == -1 {
+					return to
+				}
+				s.used[match[to]] = true
+				s.queue = append(s.queue, match[to])
+			}
+		}
+	}
+	return -1
 }

@@ -161,10 +161,9 @@ func TestBlossomOddCycle(t *testing.T) {
 	}
 }
 
-func TestBlossomPetersenLike(t *testing.T) {
+func TestBlossomTwoTrianglesBridge(t *testing.T) {
 	// Two triangles joined by a bridge: 0-1-2-0, 3-4-5-3, bridge 2-3.
-	// Maximum matching = 3 (one edge per triangle + bridge is impossible;
-	// actually {0-1, 2-3, 4-5} has size 3).
+	// {0-1, 2-3, 4-5} is a perfect matching, so the maximum is 3.
 	edges := []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5},
@@ -174,13 +173,22 @@ func TestBlossomPetersenLike(t *testing.T) {
 	if m.Size() != 3 {
 		t.Fatalf("Blossom = %d, want 3", m.Size())
 	}
+	if err := Verify(6, edges, m); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestBlossomAgainstBruteForce: up to n = 20 at mean degree 2-3, where odd
+// cycles nest, beside the denser small graphs.
 func TestBlossomAgainstBruteForce(t *testing.T) {
 	r := rng.New(13)
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		n := r.Intn(11) + 2
 		p := 0.15 + r.Float64()*0.5
+		if trial%2 == 1 {
+			n = r.Intn(8) + 13
+			p = (2 + r.Float64()) / float64(n-1)
+		}
 		edges := randGraph(r, n, p)
 		m := Blossom(n, edges)
 		if err := Verify(n, edges, m); err != nil {
