@@ -233,7 +233,6 @@ func runPipeline(args []string, stdout, stderr io.Writer) int {
 		deg       = fs.Float64("deg", 8, "average degree for -gen")
 		dsDir     = fs.String("dataset", "", "input dataset directory (coreset ingest); edges stream off disk")
 		seed      = fs.Uint64("seed", 1, "root seed")
-		workers   = fs.Int("workers", 0, "max goroutines in batch mode (0 = GOMAXPROCS)")
 		streaming = fs.Bool("stream", false, "use the streaming sharded runtime (never materializes the graph)")
 		clusterTo = fs.String("cluster", "", "use the cluster runtime: worker addresses host:p1,host:p2,... or 'local' to fork -k workers")
 		retries   = fs.Int("max-retries", cluster.DefaultMaxRetries, "cluster only: per-machine, per-round replay budget after a worker failure (0 = fail fast)")
@@ -293,7 +292,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) int {
 	spec := engine.Spec{
 		Task: *taskName, Beta: *beta, Rounds: *rounds,
 		Runtime: engine.Batch, K: *k, Seed: *seed,
-		BatchSize: *batch, Workers: *workers, Trace: tracer,
+		BatchSize: *batch, Trace: tracer,
 	}
 	switch {
 	case *clusterTo != "":

@@ -278,6 +278,7 @@ func TestJSONGoldenBatchMatching(t *testing.T) {
   "totalCommBytes": 12,
   "maxMachineBytes": 6,
   "compositionEdges": 7,
+  "batches": 1,
   "durationMs": 0
 }`
 	if got := normalizeReport(t, out); got != want {
@@ -365,6 +366,7 @@ func TestJSONGoldenBatchEDCS(t *testing.T) {
   "totalCommBytes": 13,
   "maxMachineBytes": 7,
   "compositionEdges": 9,
+  "batches": 1,
   "durationMs": 0
 }`
 	if got := normalizeReport(t, out); got != want {

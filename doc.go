@@ -30,9 +30,9 @@
 //	coreset serve job ┼─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
 //	coreset load ─────┘         │ (-target cluster)
 //	           ┌────────────────▼────────────────────────────────────┐
-//	batch      │ edge list → HashK parts → k builders → compose      │ materialized
-//	stream     │ EdgeSource → hash sharder → k goroutines → compose  │ deployment shape
-//	cluster    │ EdgeSource → hash sharder → k OS PROCESSES over TCP │ real machines,
+//	batch      │ edge list → validate → stream pipeline → verify     │ materialized
+//	stream     │ EdgeSource → stream.Route → k goroutines → compose  │ deployment shape
+//	cluster    │ EdgeSource → stream.Route → k OS PROCESSES over TCP │ real machines,
 //	           │   (typed frames; shards as lists, coresets as sets) │ measured bytes
 //	service    │ resident daemon dispatching jobs to any of the above│ summaries reused
 //	           └──────── internal/task builders, internal/core ──────┘
@@ -40,24 +40,26 @@
 //	           │   ┌────────────────────────────────────────┐        │ (O(log log n)
 //	           │   └─▶ shard → k× EDCS → union ─▶ k ← ⌊√k⌋ ──┘        │  rounds)
 //
-// The batch runtime (task.Descriptor.Batch) materializes the edge list,
-// splits it with the seeded hash partitioning (partition.HashK) and feeds
-// each part, in order, to the task's own machine builder. The streaming
-// runtime (internal/stream) is the deployment's shape: an EdgeSource streams
-// edges in batches (from a file, stdin or a generator, never holding the
-// full graph), the same hash (partition.HashAssign, position-independent)
-// routes them to k concurrent machine goroutines, each machine maintains its
-// coreset incrementally (one-pass greedy matching telemetry plus an exact
-// end-of-stream summary for Theorem 1; incremental degree tracking with
-// online level-1 peeling for Theorem 2, which discards already-covered
-// edges mid-stream), and a coordinator composes the final answer. Every
-// runtime runs the same builders over the same k-partitioning and folds
-// their summaries with one function (task.Descriptor.FoldStats), so for a
-// fixed (graph, seed, k) they agree bit for bit by construction
-// (internal/engine's TestBatchMatchesStream); coreset run selects between
-// them with -stream (the Spec's Runtime), stream.Solve's example walks the
-// pipeline, and experiment E19 compares their throughput and quality at
-// fixed k.
+// The streaming runtime (internal/stream) is the deployment's shape: an
+// EdgeSource streams edges in batches (from a file, stdin or a generator,
+// never holding the full graph), one router (stream.Route, the seeded,
+// position-independent partition.HashAssign) sends them to k concurrent
+// machine goroutines, each machine maintains its coreset incrementally
+// (one-pass greedy matching telemetry plus an exact end-of-stream summary
+// for Theorem 1; incremental degree tracking with online level-1 peeling for
+// Theorem 2, which discards already-covered edges mid-stream), and a
+// coordinator composes the final answer. The batch
+// runtime is that pipeline over the materialized edge list, bracketed by
+// self-checks; the cluster coordinator feeds its worker connections through
+// the same router. Every runtime runs the same builders over the same
+// k-partitioning and folds their summaries with one function
+// (task.Descriptor.FoldStats), so for a fixed (graph, seed, k) they agree bit
+// for bit with the materialized reference (task.Descriptor.Batch:
+// partition.HashK, then each part, in order, to the task's own builder);
+// coreset run selects the runtime with -stream and -cluster (the Spec's
+// Runtime), stream.Solve's example walks the pipeline, and experiment E19
+// compares the pipeline's throughput and quality with the reference at fixed
+// k.
 //
 // Feeding every runtime is a disk-backed data plane (internal/dataset):
 // real graphs are ingested once — `coreset ingest` runs the lenient
@@ -255,9 +257,8 @@
 // composed run report is cacheable: a repeated query is answered from
 // memory without re-running any pipeline (the cache-hit counters in
 // /v1/stats make this observable, and the benchmark's service_mix workload
-// records the cold-vs-hit latency gap in bench/out/result.json). Streaming
-// and cluster jobs honor cancellation at batch granularity, batch jobs at
-// round boundaries; on shutdown the daemon drains in-flight jobs before
+// records the cold-vs-hit latency gap in bench/out/result.json). Jobs of
+// every mode honor cancellation at batch granularity; on shutdown the daemon drains in-flight jobs before
 // exiting. The CLI and the service share graph.RunReport as their result
 // schema, and more than the schema: every runtime returns the one run-stats
 // struct (core.PipelineStats — stream.Stats and cluster.Stats are aliases

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"net"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -13,7 +11,7 @@ import (
 	"repro/internal/task"
 )
 
-// Allocation budgets of the wire's two steady-state loops, as ordinary tests
+// Allocation budget of the wire's steady-state worker loop, as ordinary tests
 // so that a regression names the layer instead of waiting for the benchmark.
 
 // nopBuilder discards its shard, so the worker-loop budget below measures the
@@ -77,53 +75,4 @@ func TestWorkerShardLoopAllocatesNothingPerFrame(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("serveRounds: %v", err)
 	}
-}
-
-// The sharder takes its routing batches back from the senders: a pass
-// allocates the batches that circulate — at most shardQueueDepth queued, one
-// with the sender and one filling per machine — and its fixed set-up, however
-// many batches it routes.
-func TestShardSourceAllocatesNothingPerBatch(t *testing.T) {
-	const (
-		k       = 4
-		bs      = 64
-		batches = 4000
-	)
-	edges := make([]graph.Edge, bs*batches)
-	for i := range edges {
-		edges[i] = graph.Edge{U: graph.ID(i % 5000), V: graph.ID(i % 4999)}
-	}
-	routed := 0
-	pass := func() {
-		chans := make([]chan []graph.Edge, k)
-		free := make(chan []graph.Edge, k*(shardQueueDepth+2))
-		var wg sync.WaitGroup
-		for m := range chans {
-			chans[m] = make(chan []graph.Edge, shardQueueDepth)
-			wg.Add(1)
-			go func() { // a sender: done with a batch as soon as it is encoded
-				defer wg.Done()
-				for b := range chans[m] {
-					free <- b[:0]
-				}
-			}()
-		}
-		total, _, err, aborted := shardSource(context.Background(), stream.NewSliceSource(5000, edges), chans, free, bs, 1)
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-		if err != nil || aborted || total != len(edges) {
-			t.Errorf("shardSource routed %d of %d edges (err %v, aborted %v)", total, len(edges), err, aborted)
-		}
-		routed = total / bs
-	}
-	perPass := testing.AllocsPerRun(5, pass)
-	// The set-up is the channels, goroutines and wait group above, the
-	// source, and shardSource's read buffer and pending table.
-	const setUp = 40
-	if limit := float64(k*(shardQueueDepth+2) + setUp); perPass > limit {
-		t.Errorf("a pass over %d batches allocates %.0f times, want at most %.0f", routed, perPass, limit)
-	}
-	t.Logf("%.0f allocations per pass of %d batches", perPass, routed)
 }

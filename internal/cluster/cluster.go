@@ -8,9 +8,9 @@
 //	              coordinator --------+---- CORESET frames --+--> composition
 //
 // The coordinator (Solve, for any registered task) consumes any
-// stream.EdgeSource, routes every edge with the same seeded
-// partition.HashAssign the in-process runtime uses — so a cluster run is
-// bit-for-bit identical to the streaming and batch pipelines for the same
+// stream.EdgeSource, routes every edge with the in-process runtime's own
+// router (stream.Route, the seeded partition.HashAssign) — so a cluster run
+// is bit-for-bit identical to the stream pipeline for the same
 // (graph, seed, k) — and fans edge batches out over a compact length-prefixed
 // binary protocol (wire.go: typed HELLO/ACK/SHARD/EOS/CORESET/ERROR frames,
 // SHARD payloads in the order-preserving graph.AppendEdgeBatch, CORESET
@@ -26,8 +26,8 @@
 // close. Solve is a session capped at one round plus the composition; the
 // multi-round MPC driver (internal/rounds) Dials a session under the task's
 // multi-round assignment and runs several rounds on shrinking inputs. Both
-// go through the same sharding loop, the same per-machine frame exchange and
-// the same replay waves.
+// go through the same router (stream.Route), the same per-machine frame
+// exchange and the same replay waves.
 //
 // Backpressure is per worker: every connection has a bounded batch channel
 // and a blocking TCP write path, so a slow worker throttles only its own
@@ -112,8 +112,8 @@ type Config struct {
 	// Workers lists the worker addresses, one machine per entry; k is
 	// len(Workers). Required, non-empty.
 	Workers []string
-	// Seed seeds the hash sharder: partition.HashAssign(e, k, Seed) decides
-	// every route, exactly as in the in-process runtimes.
+	// Seed seeds the router: stream.Route decides every route with it,
+	// exactly as in the in-process runtime.
 	Seed uint64
 	// BatchSize is the number of edges per SHARD frame (default
 	// DefaultBatchSize).

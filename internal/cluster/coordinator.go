@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
@@ -105,76 +102,6 @@ func countTelem(sink obs.Sink, machine, frameLen int) {
 	lbl := strconv.Itoa(machine)
 	obs.CountBy(sink, MetricFramesReceived, "machine", lbl, 1)
 	obs.CountBy(sink, MetricTelemBytes, "machine", lbl, int64(frameLen))
-}
-
-// shardSource reads src to exhaustion and routes every edge to the
-// per-machine channels with partition.HashAssign(e, len(chans), seed) —
-// identical routing to stream.run — flushing mini-batches of bs edges as
-// they fill. A machine with a nil channel is not taking part in this pass
-// (a replay wave serves only the failed machines) and its edges are dropped.
-// A batch is taken from free when one is waiting there — the senders return
-// each batch once they have encoded it — and allocated only otherwise. Sends
-// block on a machine's channel but never past cancellation. Returns
-// the edge and batch totals, a real source error (never a cancellation), and
-// whether the loop aborted on runCtx. The caller owns closing the channels.
-func shardSource(runCtx context.Context, src stream.EdgeSource, chans []chan []graph.Edge, free <-chan []graph.Edge, bs int, seed uint64) (total, batches int, srcErr error, aborted bool) {
-	k := len(chans)
-	buf := make([]graph.Edge, bs)
-	pending := make([][]graph.Edge, k)
-	send := func(i int) bool {
-		select {
-		case chans[i] <- pending[i]:
-			pending[i] = nil
-			return true
-		case <-runCtx.Done():
-			return false
-		}
-	}
-shard:
-	for {
-		if runCtx.Err() != nil {
-			aborted = true
-			break
-		}
-		c, err := src.Next(buf)
-		if c > 0 {
-			total += c
-			batches++
-			for _, e := range buf[:c] {
-				i := partition.HashAssign(e, k, seed)
-				if chans[i] == nil {
-					continue
-				}
-				if pending[i] == nil {
-					select {
-					case pending[i] = <-free:
-					default:
-						pending[i] = make([]graph.Edge, 0, bs)
-					}
-				}
-				pending[i] = append(pending[i], e)
-				if len(pending[i]) == bs && !send(i) {
-					aborted = true
-					break shard
-				}
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				srcErr = err
-			}
-			break
-		}
-	}
-	if srcErr == nil && !aborted {
-		for i, p := range pending {
-			if len(p) > 0 && !send(i) {
-				aborted = true
-				break
-			}
-		}
-	}
-	return total, batches, srcErr, aborted
 }
 
 // closeOnCancel force-closes conn when ctx is canceled; the returned stop

@@ -96,7 +96,7 @@ func TestDatasetStreamsUnderBudgetAllRuntimes(t *testing.T) {
 		t.Fatalf("stream run held %d bytes resident, budget %d", src.PeakResidentBytes(), budget)
 	}
 
-	// Batch runtime: materialize partitions from a second budgeted pass and
+	// Batch reference: materialize partitions from a second budgeted pass and
 	// build each machine's coreset the batch way; they must match the oracle
 	// machine for machine.
 	edges := drainBudgeted(t, d, budget)

@@ -187,9 +187,9 @@ func (s *Session) fail(m int, kind FailureKind, err error) *WorkerError {
 	return we
 }
 
-// Round runs one round over the first k workers: shard src's edges with
-// partition.HashAssign(e, k, seed) — the same seeded routing every runtime
-// uses, so the round reproduces an in-process round bit for bit — then
+// Round runs one round over the first k workers: route src's edges with
+// stream.Route under seed — the in-process runtime's own router, so the round
+// reproduces an in-process round bit for bit — then
 // collect each active machine's coreset. The returned summaries are indexed
 // by machine; the Stats are this round's alone.
 //
@@ -296,7 +296,7 @@ type passResult struct {
 }
 
 // pass is the round conversation for the given machines: the caller's
-// goroutine reads the source and shards by partition.HashAssign over all k
+// goroutine reads the source and routes it with stream.Route over all k
 // machines, skipping those not taking part, and one goroutine per machine
 // speaks roundTrip on its connection. The close(nReady) edge publishes the
 // final vertex count to those goroutines exactly as in stream.run. A machine
@@ -366,7 +366,7 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 
 	// Sends block on the machine's channel (and transitively on its TCP
 	// connection: per-worker backpressure) but never past cancellation.
-	p.total, p.batches, p.srcErr, p.aborted = shardSource(runCtx, src, chans, free, s.cfg.batchSize(), seed)
+	p.total, p.batches, p.srcErr, p.aborted = stream.Route(runCtx, src, chans, free, s.cfg.batchSize(), seed)
 	for _, ch := range chans {
 		if ch != nil {
 			close(ch)

@@ -14,7 +14,8 @@ import (
 
 // The full Theorem 1 and Theorem 2 pipelines — hash k-partitioning, one
 // coreset per machine, composition at the coordinator — run through the
-// registry's batch runtime, the one every frontend and runtime shares. The
+// registry's materialized reference, the one every runtime is checked
+// against. The
 // quality bounds are checked against exact optima computed here.
 
 var (

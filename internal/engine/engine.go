@@ -7,11 +7,13 @@
 // coreset load) describes what it wants in a Spec, hands over an edge
 // source and gets back the graph.RunReport all of them print or serve.
 //
-// The runtimes stay libraries (task.Descriptor.Batch, stream.Solve,
-// cluster.Solve, rounds.Batch/Stream/Cluster); each feeds the same hash
-// k-partitioning to the task's own builders, folds the summaries with
-// task.Descriptor.FoldStats into the shared run-stats struct
-// (core.PipelineStats), and report below is the single stats→report path.
+// There are two runtimes behind three names: the in-process pipeline
+// (stream.Solve, rounds.Stream) and the worker fleet (cluster.Solve,
+// rounds.Cluster). Batch is the in-process pipeline over the materialized
+// input, bracketed by self-checks. Both route with stream.Route, feed the
+// task's own builders, fold the summaries with task.Descriptor.FoldStats into
+// the shared run-stats struct (core.PipelineStats), and report below is the
+// single stats→report path.
 package engine
 
 import (
@@ -33,8 +35,8 @@ import (
 
 // Runtime names: where the k machines live. They are the report's "mode".
 const (
-	Batch   = "batch"   // materialized graph, task.Descriptor.Batch
-	Stream  = "stream"  // k goroutines behind a hash sharder
+	Batch   = "batch"   // the stream pipeline over the materialized, self-checked graph
+	Stream  = "stream"  // k goroutines behind stream.Route
 	Cluster = "cluster" // k worker processes over TCP
 )
 
@@ -51,8 +53,7 @@ type Spec struct {
 	K    int
 	Seed uint64 // partitioning seed, the run's only randomness
 
-	BatchSize int // edges per routed batch / SHARD frame (stream, cluster; 0 = default)
-	Workers   int // goroutine cap of the batch runtime (0 = GOMAXPROCS)
+	BatchSize int // edges per routed batch / SHARD frame (0 = default)
 
 	// Cluster is the resolved fleet for the cluster runtime: Workers, Spares,
 	// MaxRetries and RunID (plus the timeouts, when a caller sets them) are
@@ -95,10 +96,8 @@ func (sp Spec) resolve() (d *task.Descriptor, p task.Params, err error) {
 // Run executes the run sp describes over src and reports it. The runtime ×
 // rounds dispatch below exists nowhere else.
 //
-// Cancellation follows the runtime: stream and cluster stop at the next
-// batch boundary; a batch runtime call is uninterruptible, so ctx is
-// checked around it and between rounds. The batch runtime, which has the
-// materialized graph in hand, also self-checks: the input must pass
+// Every runtime stops at the next batch boundary when ctx is canceled. The
+// batch runtime materializes src first and self-checks: the input must pass
 // graph.Validate and the composed solution the task's verifier.
 func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport, error) {
 	d, p, err := sp.resolve()
@@ -113,9 +112,7 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 		if err := g.Validate(); err != nil {
 			return nil, fmt.Errorf("invalid input: %w", err)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		src = stream.NewGraphSource(g)
 	}
 	ccfg := sp.Cluster
 	ccfg.Seed, ccfg.BatchSize, ccfg.Obs = sp.Seed, sp.BatchSize, sp.Obs
@@ -123,20 +120,18 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 	if sp.Rounds >= 1 {
 		// resolve admitted Rounds, so d is the rounds-capable task.
 		rcfg := rounds.Config{K: sp.K, Rounds: sp.Rounds, Seed: sp.Seed, Params: p.EDCS,
-			BatchSize: sp.BatchSize, Workers: sp.Workers, Obs: sp.Obs, Trace: sp.Trace}
+			BatchSize: sp.BatchSize, Obs: sp.Obs, Trace: sp.Trace}
 		var (
 			m  *matching.Matching
 			st *rounds.Stats
 		)
-		switch sp.Runtime {
-		case Batch:
-			if m, st, err = rounds.Batch(ctx, g, rcfg); err == nil {
-				err = verified(matching.Verify(g.N, g.Edges, m))
-			}
-		case Stream:
-			m, st, err = rounds.Stream(ctx, src, rcfg)
-		default:
+		if sp.Runtime == Cluster {
 			m, st, err = rounds.Cluster(ctx, src, ccfg, rcfg)
+		} else {
+			m, st, err = rounds.Stream(ctx, src, rcfg)
+		}
+		if err == nil && g != nil {
+			err = verified(matching.Verify(g.N, g.Edges, m))
 		}
 		if err != nil {
 			return nil, err
@@ -153,16 +148,13 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 		sol task.Solution
 		st  *core.PipelineStats
 	)
-	switch sp.Runtime {
-	case Batch:
-		sol, st = d.Batch(g, sp.K, sp.Workers, sp.Seed, p)
-		if err = ctx.Err(); err == nil && d.Verify != nil {
-			err = verified(d.Verify(g.N, g.Edges, sol))
-		}
-	case Stream:
-		sol, st, err = stream.Solve(ctx, src, stream.Config{K: sp.K, Seed: sp.Seed, BatchSize: sp.BatchSize, Trace: sp.Trace}, d, p)
-	default:
+	if sp.Runtime == Cluster {
 		sol, st, err = cluster.Solve(ctx, src, ccfg, d, p)
+	} else {
+		sol, st, err = stream.Solve(ctx, src, stream.Config{K: sp.K, Seed: sp.Seed, BatchSize: sp.BatchSize, Trace: sp.Trace}, d, p)
+	}
+	if err == nil && g != nil && d.Verify != nil {
+		err = verified(d.Verify(g.N, g.Edges, sol))
 	}
 	if err != nil {
 		return nil, err

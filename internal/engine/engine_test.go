@@ -53,7 +53,9 @@ func checkStats(t *testing.T, rep *graph.RunReport, st *core.PipelineStats) {
 }
 
 // TestRunMatchesLibrary: for every registered task, runtime and round mode,
-// engine.Run reports exactly what the direct library call yields.
+// engine.Run reports exactly what the direct library call yields. The
+// single-round batch row is held to the materialized HashK reference
+// (task.Descriptor.Batch), not to a second runtime.
 func TestRunMatchesLibrary(t *testing.T) {
 	const k, seed = 4, 11
 	addrs, shutdown, err := cluster.ServeLoopback(k)
@@ -96,7 +98,10 @@ func TestRunMatchesLibrary(t *testing.T) {
 						)
 						switch runtime {
 						case Batch:
+							// The reference does not batch; the pipeline reads
+							// the graph in default-size batches.
 							sol, st = d.Batch(g, k, 0, seed, p)
+							st.Batches = (g.M() + stream.DefaultBatchSize - 1) / stream.DefaultBatchSize
 						case Stream:
 							sol, st, err = stream.Solve(ctx, src(), stream.Config{K: k, Seed: seed}, d, p)
 						default:
@@ -116,13 +121,10 @@ func TestRunMatchesLibrary(t *testing.T) {
 						m  *matching.Matching
 						st *rounds.Stats
 					)
-					switch runtime {
-					case Batch:
-						m, st, err = rounds.Batch(ctx, g, rcfg)
-					case Stream:
-						m, st, err = rounds.Stream(ctx, src(), rcfg)
-					default:
+					if runtime == Cluster {
 						m, st, err = rounds.Cluster(ctx, src(), ccfg, rcfg)
+					} else {
+						m, st, err = rounds.Stream(ctx, src(), rcfg)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -155,9 +157,8 @@ func TestRunMatchesLibrary(t *testing.T) {
 // TestBatchMatchesStream: batch and stream split with the same hash
 // k-partitioning and feed each part, in order, to the task's own builder, so
 // for every task their reports agree on everything but what is the
-// runtime's own — mode, the stream's batch count and the wall clock — on
-// one machine, on more machines than edges and on an empty graph too. The
-// batch goroutine cap never changes the report.
+// runtime's own — mode, the batch count and the wall clock — on one
+// machine, on more machines than edges and on an empty graph too.
 func TestBatchMatchesStream(t *testing.T) {
 	gnp := gen.GNP(300, 12.0/300, rng.New(7))
 	dense := gen.GNP(200, 0.4, rng.New(8)) // peels: vc fixes vertices online
@@ -189,16 +190,13 @@ func TestBatchMatchesStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				runtimeFree(want)
-				for _, workers := range []int{0, 1, 3} {
-					sp.Runtime, sp.Workers = Batch, workers
-					got, err := Run(context.Background(), sp, stream.NewGraphSource(tc.g))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(runtimeFree(got), want) {
-						t.Fatalf("workers=%d: batch report differs from stream:\n got %+v\nwant %+v", workers, got, want)
-					}
+				sp.Runtime = Batch
+				got, err := Run(context.Background(), sp, stream.NewGraphSource(tc.g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(runtimeFree(got), runtimeFree(want)) {
+					t.Fatalf("batch report differs from stream:\n got %+v\nwant %+v", got, want)
 				}
 			})
 		}
@@ -254,8 +252,8 @@ func TestBatchSelfChecks(t *testing.T) {
 	}
 }
 
-// TestBatchHonorsCancellation: a canceled context stops a batch run at the
-// next point the uninterruptible pipeline allows — here, before it starts.
+// TestBatchHonorsCancellation: a canceled context stops a batch run as it
+// stops a stream run — here, before the first batch is routed.
 func TestBatchHonorsCancellation(t *testing.T) {
 	g := gen.GNP(200, 0.1, rng.New(3))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -60,7 +60,7 @@ func runE21(cfg Config) *Result {
 				continue
 			}
 
-			// EDCS pipeline on the hash k-partitioning (batch runtime).
+			// EDCS pipeline on the hash k-partitioning (materialized reference).
 			edcsTask, edcsParams := task.MustGet("edcs"), task.Params{EDCS: p}
 			edcsM, edcsSt := edcsTask.Batch(g, k, cfg.Workers, hashSeed, edcsParams)
 

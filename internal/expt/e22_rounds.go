@@ -60,8 +60,8 @@ func runE22(cfg Config) *Result {
 			}
 			var prevRatio float64
 			for _, rc := range roundCaps {
-				rcfg := rounds.Config{K: k, Rounds: rc, Seed: hashSeed, Params: p, Workers: cfg.Workers}
-				m, st, err := rounds.Batch(ctx, g, rcfg)
+				rcfg := rounds.Config{K: k, Rounds: rc, Seed: hashSeed, Params: p}
+				m, st, err := rounds.Stream(ctx, stream.NewGraphSource(g), rcfg)
 				if err != nil {
 					panic(err) // experiments fail loudly
 				}

@@ -8,30 +8,29 @@
 // machines, builds one EDCS per machine, and composes a matching from the
 // union of the coresets. This package iterates that step: round r takes the
 // union of round r−1's per-machine EDCSs as its input graph, reshards it
-// with the same seeded hash partitioning every runtime uses
-// (partition.HashAssign / partition.HashK), and rebuilds. Because the union
-// of k EDCSs has at most k·n·β/2 edges — a geometric shrink for dense
-// inputs — the machine count can shrink with it: the schedule here is the
-// paper's recursion k_{r+1} = ⌊√k_r⌋, which reaches a single machine after
-// O(log log k) rounds while per-machine load stays within the space the
-// model grants (NextK). Each round draws a fresh seed from the root seed
+// with the seeded hash partitioning every runtime routes with
+// (stream.Route), and rebuilds. Because the union of k EDCSs has at most
+// k·n·β/2 edges — a geometric shrink for dense inputs — the machine count
+// can shrink with it: the schedule here is the paper's recursion
+// k_{r+1} = ⌊√k_r⌋, which reaches a single machine after O(log log k)
+// rounds while per-machine load stays within the space the model grants
+// (NextK). Each round draws a fresh seed from the root seed
 // (SeedForRound; round 0 uses the root seed itself, which is what makes a
 // Rounds=1 run reproduce today's single-round EDCS coresets bit for bit).
 //
-// The driver runs over all three execution runtimes:
+// The driver runs over the two round runtimes:
 //
-//   - Batch materializes each round's input and partitions with
-//     partition.HashK.
 //   - Stream feeds round 0 from any stream.EdgeSource (never materializing
 //     the original input) and later rounds from the in-memory union, which
-//     is coordinator state the MPC model already charges for.
+//     is coordinator state the MPC model already charges for. The engine's
+//     batch runtime is this driver over the materialized graph.
 //   - Cluster drives a real worker fleet through one cluster.Session — the
 //     same conversation a single-round cluster run speaks, opened with the
 //     task's multi-round assignment: the connections are dialed once, one
 //     HELLO carries the round cap, and every round's communication is
 //     MEASURED off the TCP connections.
 //
-// All three produce deep-equal per-machine coresets for the same
+// Both produce deep-equal per-machine coresets for the same
 // (graph, seed, k, β, rounds) — the multi-round extension of the seed
 // parity the single-round runtimes already guarantee — because each round
 // is itself a parity-checked single-round run and the union is concatenated
@@ -90,8 +89,6 @@ type Config struct {
 	// BatchSize is the per-shard-frame edge count for the stream and
 	// cluster runtimes (0 = their default).
 	BatchSize int
-	// Workers caps goroutine parallelism in batch mode (0 = GOMAXPROCS).
-	Workers int
 	// Obs receives per-round events (the Metric* names above). Nil keeps
 	// the driver silent.
 	Obs obs.Sink
@@ -152,8 +149,8 @@ func SeedForRound(seed uint64, round int) uint64 {
 // RoundStat is one round's accounting: the run stats of the single-round
 // run the round was, plus its place in the schedule. The byte fields follow
 // the runtime's convention: measured off the wire in cluster mode (with the
-// simulated estimate alongside), the simulated estimate itself in batch and
-// stream mode.
+// simulated estimate alongside), the simulated estimate itself in stream
+// mode.
 type RoundStat struct {
 	core.PipelineStats        // K is the machines active this round
 	Round              int    // 0-based
@@ -233,11 +230,11 @@ func union(coresets [][]graph.Edge) []graph.Edge {
 
 // runRound executes one round and returns its per-machine coresets and the
 // round's run stats (K, N, EdgesTotal, the coreset sizes and the
-// communication fields filled). Implementations: the batch map stage, the
-// streaming pipeline, one cluster.Session round.
+// communication fields filled). Implementations: the streaming pipeline and
+// one cluster.Session round.
 type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, st *core.PipelineStats, err error)
 
-// drive is the schedule shared by the three runtimes: run rounds with
+// drive is the schedule shared by the round runtimes: run rounds with
 // shrinking k and per-round seeds until the cap, or until the union stops
 // shrinking, then compose a maximum matching of the final union. src feeds
 // round 0; later rounds stream the previous union from memory. Cancellation
@@ -296,25 +293,6 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 	m := core.ComposeMatching(st.N, st.Coresets)
 	st.Duration = time.Since(start)
 	return m, st, nil
-}
-
-// Batch runs the multi-round driver over the materialized batch runtime:
-// every round is the task's batch map stage (task.Descriptor.BatchSummaries:
-// partition.HashK, one builder per machine, cfg.Workers goroutines) over the
-// round's materialized input. A round is uninterruptible; ctx is honored
-// between rounds.
-func Batch(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
-	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
-		t0 := time.Now()
-		in, err := stream.Collect(input)
-		if err != nil {
-			return nil, nil, err
-		}
-		sums, st := task.RoundsCapable().BatchSummaries(in, k, cfg.Workers, seed, task.Params{EDCS: cfg.Params})
-		st.Duration = time.Since(t0)
-		return coresetsOf(sums), st, nil
-	}
-	return drive(ctx, stream.NewGraphSource(g), cfg, exec)
 }
 
 // Stream runs the multi-round driver over the in-process streaming runtime:

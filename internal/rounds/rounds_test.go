@@ -15,7 +15,36 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/task"
 )
+
+// batchReference is the multi-round schedule over the materialized
+// reference the runtimes are checked against: every round collects its input,
+// splits it with partition.HashK and feeds each part, in order, to its own
+// builder of the rounds-capable task. It shares only drive with Stream and
+// Cluster, not their router.
+func batchReference(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
+	d, p := task.RoundsCapable(), task.Params{EDCS: cfg.Params}
+	exec := func(_ context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
+		in, err := stream.Collect(input)
+		if err != nil {
+			return nil, nil, err
+		}
+		sums := make([]task.Summary, k)
+		for i, part := range partition.HashK(in.Edges, k, seed) {
+			b := d.NewBuilder(k, in.N, p)
+			for _, e := range part {
+				b.Add(e)
+			}
+			sums[i] = b.Finish(in.N)
+			sums[i].Edges = len(part)
+		}
+		st := &core.PipelineStats{N: in.N, EdgesTotal: in.M()}
+		d.FoldStats(st, sums)
+		return coresetsOf(sums), st, nil
+	}
+	return drive(ctx, stream.NewGraphSource(g), cfg, exec)
+}
 
 func TestNextK(t *testing.T) {
 	for _, tc := range []struct{ k, want int }{
@@ -69,9 +98,9 @@ func TestConfigValidate(t *testing.T) {
 
 // TestRoundsOneMatchesSingleRound: a Rounds=1 run is the single-round EDCS
 // pipeline — deep-equal per-machine coresets and the identical composed
-// matching, in batch and stream mode alike. This is the spine of the
-// multi-round design: round 0 shards with the root seed through the very
-// same code path.
+// matching, for the batch reference and the stream runtime alike. This is
+// the spine of the multi-round design: round 0 shards with the root seed
+// through the very same code path.
 func TestRoundsOneMatchesSingleRound(t *testing.T) {
 	p := edcs.ParamsForBeta(16)
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -88,7 +117,7 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 		}
 		wantM := core.ComposeMatching(g.N, want)
 
-		m, st, err := Batch(context.Background(), g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
+		m, st, err := batchReference(context.Background(), g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -126,9 +155,9 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 }
 
 // TestMultiRoundParityAcrossRuntimes is the multi-round seed-parity gate:
-// batch, stream and a real TCP cluster must run the identical schedule and
-// produce deep-equal per-round breakdowns and final coresets for the same
-// (graph, seed, k, β, rounds).
+// the batch reference, stream and a real TCP cluster must run the identical
+// schedule and produce deep-equal per-round breakdowns and final coresets for
+// the same (graph, seed, k, β, rounds).
 func TestMultiRoundParityAcrossRuntimes(t *testing.T) {
 	addrs, shutdown, err := cluster.ServeLoopback(4)
 	if err != nil {
@@ -141,7 +170,7 @@ func TestMultiRoundParityAcrossRuntimes(t *testing.T) {
 		g := gen.GNP(400, 40.0/400, rng.New(seed))
 		cfg := Config{K: 4, Rounds: 3, Seed: seed, Params: p}
 
-		bm, bst, err := Batch(context.Background(), g, cfg)
+		bm, bst, err := batchReference(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("seed %d batch: %v", seed, err)
 		}
@@ -201,7 +230,7 @@ func TestScheduleShrinks(t *testing.T) {
 	g := gen.GNP(300, 0.4, rng.New(7))
 	opt := matching.Maximum(g.N, g.Edges).Size()
 	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8)}
-	m, st, err := Batch(context.Background(), g, cfg)
+	m, st, err := batchReference(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +268,7 @@ func TestEarlyExit(t *testing.T) {
 		path = append(path, graph.Edge{U: v, V: v + 1})
 	}
 	g := &graph.Graph{N: 200, Edges: path}
-	_, st, err := Batch(context.Background(), g, Config{K: 4, Rounds: 8, Seed: 1, Params: edcs.ParamsForBeta(8)})
+	_, st, err := batchReference(context.Background(), g, Config{K: 4, Rounds: 8, Seed: 1, Params: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +284,7 @@ func TestEarlyExit(t *testing.T) {
 // matching and a single zero-edge round.
 func TestEmptyGraph(t *testing.T) {
 	g := &graph.Graph{N: 10}
-	m, st, err := Batch(context.Background(), g, Config{K: 4, Rounds: 3, Seed: 1, Params: edcs.ParamsForBeta(8)})
+	m, st, err := batchReference(context.Background(), g, Config{K: 4, Rounds: 3, Seed: 1, Params: edcs.ParamsForBeta(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +312,10 @@ func (s *roundSink) Count(name string, _ int64) {
 }
 func (*roundSink) Observe(string, float64) {}
 
-// TestBatchHonorsCancellation: the batch driver runs under the caller's
-// context. A pre-canceled context runs no round at all; one canceled after
-// round 0 stops at that boundary (the input of TestScheduleShrinks keeps
+// TestBatchHonorsCancellation: drive checks the caller's context at every
+// round boundary, even over a round (the batch reference's) that never
+// looks at it. A pre-canceled context runs no round at all; one canceled
+// after round 0 stops at that boundary (the input of TestScheduleShrinks keeps
 // shrinking, so without the check the run would go on to round 1).
 func TestBatchHonorsCancellation(t *testing.T) {
 	g := gen.GNP(300, 0.4, rng.New(7))
@@ -304,7 +334,7 @@ func TestBatchHonorsCancellation(t *testing.T) {
 			cancel()
 		}
 		cfg.Obs = sink
-		_, _, err := Batch(ctx, g, cfg)
+		_, _, err := batchReference(ctx, g, cfg)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)

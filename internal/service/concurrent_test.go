@@ -162,3 +162,29 @@ func TestShutdownDeadlineCancelsJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitedJobsAreCounted: a job is counted in the lifetime totals before
+// its waiters wake, so whoever waits on a job and then reads the totals finds
+// it there — the order ExampleServer's "3 jobs done" line depends on.
+func TestWaitedJobsAreCounted(t *testing.T) {
+	s := New(Config{Workers: 4, QueueDepth: 64})
+	defer s.Shutdown(context.Background())
+	if _, err := s.Registry().AddSpec("g", &GenSpec{Name: "gnp", N: 200, Deg: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	jobs := make([]*Job, n)
+	for i := range jobs {
+		j, err := s.Manager().Submit(CreateJobRequest{Graph: "g", Task: TaskMatching, K: 2, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for i, j := range jobs {
+		<-j.Done()
+		if _, done, _, _ := s.Manager().lifetime(); done < int64(i+1) {
+			t.Fatalf("waited on %d done jobs, lifetime counts %d", i+1, done)
+		}
+	}
+}

@@ -64,9 +64,9 @@ type Job struct {
 }
 
 // Cancel requests cancellation: a queued job is dropped when dequeued, a
-// running streaming or cluster job stops at the next batch boundary, a batch
-// job at its next round boundary. Safe to call in any state, any number of
-// times; on a terminal job, which has dropped its context, it does nothing.
+// running job stops at the next batch boundary. Safe to call in any state,
+// any number of times; on a terminal job, which has dropped its context, it
+// does nothing.
 func (j *Job) Cancel() {
 	j.mu.Lock()
 	cancel := j.cancel
@@ -322,16 +322,16 @@ func (m *Manager) Get(id string) (*Job, bool) {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for j := range m.queue {
-		if j.ctx.Err() != nil {
-			j.finish(nil, j.ctx.Err())
-		} else {
+		var rep *graph.RunReport
+		err := j.ctx.Err()
+		if err == nil {
 			m.ins.jobStarted()
 			j.setRunning()
 			j.runID = obs.NewRunID()
 			tr := m.ins.trace().WithRun(j.runID)
 			end := tr.Span("job", "job", j.ID, "task", j.Req.Task, "mode", j.Req.Mode, "k", j.Req.K)
 			start := time.Now()
-			rep, err := m.execute(j)
+			rep, err = m.execute(j)
 			m.ins.observeJob(j.Req.Task, j.Req.Mode, time.Since(start))
 			m.ins.jobFinished()
 			if err == nil {
@@ -340,9 +340,12 @@ func (m *Manager) worker() {
 			} else {
 				end("state", "error", "err", err.Error())
 			}
-			j.finish(rep, err)
 		}
+		// finish makes j terminal and wakes its waiters; m.mu is held until
+		// j is counted, so whoever sees j terminal and then reads the
+		// lifetime totals finds j among them.
 		m.mu.Lock()
+		j.finish(rep, err)
 		m.noteTerminalLocked(j)
 		m.mu.Unlock()
 	}
@@ -358,10 +361,8 @@ func (m *Manager) lifetime() (submitted, done, failed, canceled int64) {
 
 // execute pins the job's graph and hands the run to the engine — the one
 // place that dispatches on mode and rounds, so a newly registered task or
-// runtime reaches the daemon without a service change. Cancellation follows
-// the runtime (engine.Run): streaming and cluster jobs honor the job context
-// at batch granularity, batch jobs around the uninterruptible pipeline call
-// and between rounds.
+// runtime reaches the daemon without a service change. Every mode honors the
+// job context at batch granularity (engine.Run).
 func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 	entry, err := m.reg.Acquire(j.Req.Graph)
 	if err != nil {

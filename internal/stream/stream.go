@@ -1,29 +1,28 @@
-// Package stream is the streaming, sharded coreset runtime: the deployment
-// shape of the paper's simultaneous model. Where the batch runtime
-// (task.Descriptor.Batch) materializes the edge list, splits it with
-// partition.HashK and then maps over the parts, this runtime is a pipeline of
-// concurrent stages:
+// Package stream is the in-process coreset runtime: the deployment shape of
+// the paper's simultaneous model, run as a pipeline of concurrent stages:
 //
-//	EdgeSource --> sharder --> k machine goroutines --> coordinator
+//	EdgeSource --> Route --> k machine goroutines --> coordinator
 //
-// An EdgeSource streams edges in batches from a file reader, a generator or
-// a slice, never holding the full graph. The sharder routes each edge with
-// partition.HashAssign — a seeded, position-independent hash, so the induced
-// random k-partitioning is reproducible and shardable in parallel, and is
-// the one partition.HashK materializes. Each machine goroutine runs an
-// incremental coreset builder obtained from the task registry
-// (internal/task) — the runtime itself knows nothing about matchings, vertex
-// covers, EDCSs or any other summary family; a task.Descriptor supplies the
-// builder and the composer, and Solve drives them. Each machine emits its
-// summary, with communication accounting, to the coordinator, which composes
-// the final answer exactly as the batch runtime does.
+// An EdgeSource streams edges in batches from a file reader, a generator, a
+// dataset or a slice, never holding the full graph. Route sends each edge to
+// machine partition.HashAssign(e, k, seed) — a seeded, position-independent
+// hash, so the induced random k-partitioning is reproducible and shardable in
+// parallel, and is the one partition.HashK materializes. Route is the one
+// router: the cluster coordinator feeds its worker connections with it too.
+// Each machine goroutine runs an incremental coreset builder obtained from
+// the task registry (internal/task) — the runtime itself knows nothing about
+// matchings, vertex covers, EDCSs or any other summary family; a
+// task.Descriptor supplies the builder and the composer, and Solve drives
+// them. Each machine emits its summary, with communication accounting, to the
+// coordinator, which composes the final answer.
 //
-// The streaming runtime therefore reproduces the batch runtime bit for bit
-// for the same (graph, seed, k) (see the parity tests); what it changes is
-// the resource profile — O(batch) driver memory, per-machine state bounded
-// by the machine's own partition (less, for vertex cover, once online
-// peeling starts discarding covered edges), and all k machines consuming
-// concurrently.
+// The engine's batch runtime is this pipeline over a materialized graph
+// (NewGraphSource). The pipeline reproduces the materialized reference
+// (task.Descriptor.Batch: partition.HashK, then one builder per part) bit for
+// bit for the same (graph, seed, k) (see the parity tests); its resource
+// profile is O(batch) driver memory, per-machine state bounded by the
+// machine's own partition (less, for vertex cover, once online peeling starts
+// discarding covered edges), and all k machines consuming concurrently.
 package stream
 
 import (
@@ -212,57 +211,13 @@ func run(ctx context.Context, src EdgeSource, cfg Config, mk func(machine, nHint
 		}
 	}
 
-	// Shard stage: read batches from the source, route each edge by hash,
-	// flush per-machine mini-batches as they fill. send blocks on the
-	// machine's channel but never past cancellation (for a background ctx,
-	// Done() is nil and the select degenerates to a plain send).
-	bs := cfg.batchSize()
-	buf := make([]graph.Edge, bs)
-	pending := make([][]graph.Edge, k)
-	total, batches := 0, 0
+	// Shard stage: Route reads the source and flushes per-machine
+	// mini-batches as they fill, blocking on a machine's channel but never
+	// past cancellation.
 	endShard := cfg.Trace.Span("shard", "k", k)
-	var srcErr error
-	send := func(i int) bool {
-		select {
-		case chans[i] <- pending[i]:
-			pending[i] = nil
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-shard:
-	for {
-		if err := ctx.Err(); err != nil {
-			srcErr = err
-			break
-		}
-		c, err := src.Next(buf)
-		if c > 0 {
-			total += c
-			batches++
-			for _, e := range buf[:c] {
-				i := partition.HashAssign(e, k, cfg.Seed)
-				if pending[i] == nil {
-					select {
-					case pending[i] = <-free:
-					default:
-						pending[i] = make([]graph.Edge, 0, bs)
-					}
-				}
-				pending[i] = append(pending[i], e)
-				if len(pending[i]) == bs && !send(i) {
-					srcErr = ctx.Err()
-					break shard
-				}
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				srcErr = err
-			}
-			break
-		}
+	total, batches, srcErr, aborted := Route(ctx, src, chans, free, cfg.batchSize(), cfg.Seed)
+	if aborted {
+		srcErr = ctx.Err()
 	}
 	if srcErr != nil {
 		endShard("err", srcErr.Error())
@@ -270,15 +225,6 @@ shard:
 		closeAll()
 		wg.Wait()
 		return nil, nil, srcErr
-	}
-	for i, p := range pending {
-		if len(p) > 0 && !send(i) {
-			endShard("err", "canceled")
-			close(abort)
-			closeAll()
-			wg.Wait()
-			return nil, nil, ctx.Err()
-		}
 	}
 	closeAll()
 	endShard("edges", total, "batches", batches)
@@ -299,4 +245,75 @@ shard:
 	}
 	st := &Stats{K: k, N: nFinal, EdgesTotal: total, Batches: batches, Duration: time.Since(start)}
 	return sums, st, nil
+}
+
+// Route reads src to exhaustion and routes every edge to the per-machine
+// channels with partition.HashAssign(e, len(chans), seed), flushing
+// mini-batches of bs edges as they fill. It is the one router: the stream
+// pipeline's shard stage and every cluster pass call it. A machine with a nil
+// channel is not taking part in this pass (a cluster replay wave serves only
+// the failed machines) and its edges are dropped. A batch is taken from free
+// when one is waiting there — consumers return each batch once they are done
+// with it — and allocated only otherwise. Sends block on a machine's channel
+// but never past cancellation. Returns the edge and batch totals, a real
+// source error (never a cancellation), and whether the loop aborted on ctx.
+// The caller owns closing the channels.
+func Route(ctx context.Context, src EdgeSource, chans []chan []graph.Edge, free <-chan []graph.Edge, bs int, seed uint64) (total, batches int, srcErr error, aborted bool) {
+	k := len(chans)
+	buf := make([]graph.Edge, bs)
+	pending := make([][]graph.Edge, k)
+	send := func(i int) bool {
+		select {
+		case chans[i] <- pending[i]:
+			pending[i] = nil
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+shard:
+	for {
+		if ctx.Err() != nil {
+			aborted = true
+			break
+		}
+		c, err := src.Next(buf)
+		if c > 0 {
+			total += c
+			batches++
+			for _, e := range buf[:c] {
+				i := partition.HashAssign(e, k, seed)
+				if chans[i] == nil {
+					continue
+				}
+				if pending[i] == nil {
+					select {
+					case pending[i] = <-free:
+					default:
+						pending[i] = make([]graph.Edge, 0, bs)
+					}
+				}
+				pending[i] = append(pending[i], e)
+				if len(pending[i]) == bs && !send(i) {
+					aborted = true
+					break shard
+				}
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				srcErr = err
+			}
+			break
+		}
+	}
+	if srcErr == nil && !aborted {
+		for i, p := range pending {
+			if len(p) > 0 && !send(i) {
+				aborted = true
+				break
+			}
+		}
+	}
+	return total, batches, srcErr, aborted
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -488,4 +489,54 @@ func TestMatchingContextBackgroundMatchesMatching(t *testing.T) {
 	if want.Size() != got.Size() {
 		t.Fatalf("sizes differ: %d vs %d", want.Size(), got.Size())
 	}
+}
+
+// Route takes its routing batches back from the consumers: a pass allocates
+// the batches that circulate — at most depth queued, one with the consumer
+// and one filling per machine — and its fixed set-up, however many batches it
+// routes.
+func TestRouteAllocatesNothingPerBatch(t *testing.T) {
+	const (
+		k       = 4
+		depth   = 4
+		bs      = 64
+		batches = 4000
+	)
+	edges := make([]graph.Edge, bs*batches)
+	for i := range edges {
+		edges[i] = graph.Edge{U: graph.ID(i % 5000), V: graph.ID(i % 4999)}
+	}
+	routed := 0
+	pass := func() {
+		chans := make([]chan []graph.Edge, k)
+		free := make(chan []graph.Edge, k*(depth+2))
+		var wg sync.WaitGroup
+		for m := range chans {
+			chans[m] = make(chan []graph.Edge, depth)
+			wg.Add(1)
+			go func() { // a consumer: done with a batch as soon as it has it
+				defer wg.Done()
+				for b := range chans[m] {
+					free <- b[:0]
+				}
+			}()
+		}
+		total, _, err, aborted := Route(context.Background(), NewSliceSource(5000, edges), chans, free, bs, 1)
+		for _, ch := range chans {
+			close(ch)
+		}
+		wg.Wait()
+		if err != nil || aborted || total != len(edges) {
+			t.Errorf("Route routed %d of %d edges (err %v, aborted %v)", total, len(edges), err, aborted)
+		}
+		routed = total / bs
+	}
+	perPass := testing.AllocsPerRun(5, pass)
+	// The set-up is the channels, goroutines and wait group above, the
+	// source, and Route's read buffer and pending table.
+	const setUp = 40
+	if limit := float64(k*(depth+2) + setUp); perPass > limit {
+		t.Errorf("a pass over %d batches allocates %.0f times, want at most %.0f", routed, perPass, limit)
+	}
+	t.Logf("%.0f allocations per pass of %d batches", perPass, routed)
 }

@@ -8,26 +8,14 @@ import (
 	"repro/internal/partition"
 )
 
-// Batch is the batch runtime: it runs the task over the materialized graph g
-// on k machines and returns the composed solution and the run stats. It is
-// BatchSummaries plus d.Compose, so for a fixed (g, seed, k) it answers
-// exactly what stream.Solve and cluster.Solve answer.
+// Batch is the materialized reference the runtimes are checked against, not
+// a runtime itself: it splits g with partition.HashK — the seeded hash
+// partitioning stream.Route routes with — feeds each part, in order, to its
+// own d.NewBuilder(k, g.N, p) under core.MapParts, at most workers machines at
+// a time (0 means GOMAXPROCS), and composes the summaries with d.Compose. For
+// a fixed (g, seed, k) it answers exactly what stream.Solve and cluster.Solve
+// answer, and its stats are theirs but for the batch count.
 func (d *Descriptor) Batch(g *graph.Graph, k, workers int, seed uint64, p Params) (Solution, *core.PipelineStats) {
-	start := time.Now()
-	sums, st := d.BatchSummaries(g, k, workers, seed, p)
-	sol := d.Compose(g.N, sums)
-	st.Duration = time.Since(start)
-	return sol, st
-}
-
-// BatchSummaries is the batch runtime's map stage. It splits g with
-// partition.HashK — the seeded hash partitioning the stream and cluster
-// sharders route with — and feeds each part, in order, to its own
-// d.NewBuilder(k, g.N, p), at most workers machines at a time (0 means
-// GOMAXPROCS). It returns the per-machine summaries, indexed by machine and
-// deep-equal to stream.Summaries' for the same (g, seed, k), with the run
-// stats folded.
-func (d *Descriptor) BatchSummaries(g *graph.Graph, k, workers int, seed uint64, p Params) ([]Summary, *core.PipelineStats) {
 	start := time.Now()
 	parts := partition.HashK(g.Edges, k, seed)
 	sums := core.MapParts(parts, workers, func(_ int, part []graph.Edge) Summary {
@@ -41,8 +29,9 @@ func (d *Descriptor) BatchSummaries(g *graph.Graph, k, workers int, seed uint64,
 	})
 	st := &core.PipelineStats{N: g.N, EdgesTotal: g.M()}
 	d.FoldStats(st, sums)
+	sol := d.Compose(g.N, sums)
 	st.Duration = time.Since(start)
-	return sums, st
+	return sol, st
 }
 
 // FoldStats is the one summaries→stats fold every runtime shares: it sets

@@ -7,12 +7,12 @@
 //
 // The paper's framework is generic: ALG(G(i)) summaries over a random
 // k-partitioning, composed by any downstream solver. The runtimes reflect
-// that — batch (Descriptor.Batch, in this package), stream
-// (internal/stream), cluster (internal/cluster) and the coreset service
-// (internal/service) all dispatch through a *Descriptor instead of
-// switching on task names, and all of them split with the same seeded hash
-// partitioning and feed each part to the task's own builder, so they
-// compose the identical answer for a fixed (graph, seed, k). A new coreset
+// that — stream (internal/stream), cluster (internal/cluster) and the
+// coreset service (internal/service) all dispatch through a *Descriptor
+// instead of switching on task names, and all of them route with the same
+// seeded hash partitioning and feed each part to the task's own builder, so
+// they compose the identical answer for a fixed (graph, seed, k) — the answer
+// of the materialized reference in this package, Descriptor.Batch. A new coreset
 // family is a package plus one Register call: no runtime, wire or service
 // code changes, and the CLI task lists, the service's task-labeled metrics
 // and the worker's HELLO validation pick it up from the registry.
@@ -50,7 +50,7 @@ type Params struct {
 // Summary is a machine's end-of-stream message to the coordinator: exactly
 // one of the coreset fields is set, plus accounting. It is the one message
 // type every runtime emits — the streaming goroutines, the cluster
-// runtime's worker processes and the batch runtime's map stage — so the
+// runtime's worker processes and the materialized reference (Batch) — so the
 // seed-parity guarantee (deep-equal summaries for the same (graph, seed,
 // k)) is a statement about a single struct.
 type Summary struct {
@@ -138,7 +138,8 @@ type Descriptor struct {
 	// fixed vertices; vc reports its peeled levels through it).
 	FixedLen func(s Summary) int
 	// Verify checks a composed solution against the full edge list
-	// (nil: no verifier). The engine's batch runtime runs it as a self-check.
+	// (nil: no verifier). The engine's batch runtime, which has the
+	// materialized graph in hand, runs it as a self-check.
 	Verify func(n int, edges []graph.Edge, sol Solution) error
 
 	// CLI display metadata: how cmd/coreset labels this task's output.
