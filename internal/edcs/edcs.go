@@ -29,10 +29,13 @@
 // sequence. Insertion applies edge hygiene first: self-loops (useless to a
 // matching, and a +2 skew on one endpoint's degree) and parallel duplicates
 // (two indices that could both enter H) are dropped before they can touch
-// the degree tables. All four
-// runtimes (batch, stream, cluster, service) feed a machine's partition in
-// the same order, which is what makes EDCS coresets bit-for-bit identical
-// across them (see TestSeedParityAcrossRuntimes in internal/cluster).
+// the degree tables. Each vertex keeps its incident edges in a chain of
+// cache-line blocks (see Subgraph), so a repair rescan reads a vertex's
+// edges 13 to a line and touches nothing per edge but the neighbour's
+// H-degree. All four runtimes (batch, stream, cluster, service) feed a
+// machine's partition in the same order, which is what makes EDCS coresets
+// bit-for-bit identical across them (see TestSeedParityAcrossRuntimes in
+// internal/cluster).
 package edcs
 
 import (
@@ -84,50 +87,71 @@ func ParamsForBeta(beta int) Params {
 	return Params{Beta: beta, BetaMinus: bm}
 }
 
-// Storage geometry. Stored edges live in fixed-size chunks that are never
-// copied, so the bytes the builder allocates are the bytes it holds: a slice
-// grown by doubling allocates (and discards) as much again whenever a shard
-// crosses a power of two.
+// Storage geometry. Each vertex keeps its incident edges in a chain of
+// 64-byte blocks. Blocks are handed out from 64 KiB chunks, which the
+// allocator page-aligns, so a block is one cache line. Chunks are never
+// copied, so the bytes the builder allocates are the bytes it holds: a
+// slice grown by doubling allocates (and discards) as much again whenever a
+// shard crosses a power of two.
 const (
-	chunkBits = 12
-	chunkSize = 1 << chunkBits // stored edges per chunk
-	minIndex  = 256            // slots in the smallest index table
+	blockCap    = 13 // entries per block
+	chunkBits   = 10
+	chunkBlocks = 1 << chunkBits // blocks per chunk
+	minIndex    = 256            // slots in the smallest index table
 )
 
-// ref names a stored edge: its arrival index plus one. The zero ref means
-// "none" — an empty index slot, the end of an incidence list — so freshly
-// allocated tables are valid as they come.
-type ref = uint32
+// block is one link of a vertex's chain. Its entries are the owner's
+// incident edges in arrival order, each named by the other endpoint w: w
+// itself when the owner is the edge's U, ^w when it is the edge's V. So a
+// stored edge has one U-side and one V-side entry, and both carry its H bit.
+type block struct {
+	owner graph.ID           // the vertex whose chain this is
+	next  uint32             // the owner's next block; 0 ends the chain
+	count uint16             // entries in use; only a chain's tail holds fewer than blockCap
+	inH   uint16             // bit j set: entry j's edge is in H
+	ent   [blockCap]graph.ID // w or ^w, see above
+}
 
-// slot is one stored edge together with everything repair reads about it,
-// side by side so that visiting an edge touches one place, not three tables.
-type slot struct {
-	e    graph.Edge
-	next [2]ref // the next stored edge incident to e.U and to e.V
-	inH  bool
+// loc names an entry: its block number times 16 plus its position. Block 0
+// is never handed out, so the zero loc means "none" (an empty index slot),
+// and so does block number 0 (the end of a chain); freshly allocated tables
+// are valid as they come.
+type loc = uint32
+
+// edgeOf returns the stored edge, as it arrived, that entry x of a block
+// owned by o names.
+func edgeOf(o, x graph.ID) graph.Edge {
+	if x < 0 {
+		return graph.Edge{U: ^x, V: o}
+	}
+	return graph.Edge{U: o, V: x}
 }
 
 // Subgraph is the dynamic EDCS state: edges are inserted one at a time and
 // the degree constraints are repaired after every mutation. The zero value
 // is not usable; construct with New.
 //
-// Storage is flat. Stored edges sit in arrival order in chunks of chunkSize
-// slots; each vertex threads its incident slots into an intrusive list
-// (head, tail, and one next link per endpoint inside the slot), appended at
-// the tail so that repair scans a vertex's edges in arrival order; and an
-// open-addressed table of refs, keyed by canonical endpoints, answers the
-// duplicate check. Per stored edge that is one 20-byte slot plus 5–11 bytes
-// of index, and an allocation once per chunk or table doubling, never per
-// edge.
+// Storage is flat. Each vertex threads its incident edges through a chain of
+// blocks (head and tail per vertex, a next-block number in each block),
+// appended at the tail so that repair scans a vertex's edges in arrival
+// order, 13 to a cache line, and reads nothing else but the neighbours'
+// H-degrees. An open-addressed table holding the loc of each stored edge's
+// U-side entry, keyed by canonical endpoints, answers the duplicate check.
+// A flip toggles the H bit in both entries; the other endpoint's entry is found
+// by scanning that endpoint's chain, which the flip marks dirty and so
+// rescans anyway. Per stored edge that is two 4-byte entries (plus a 12-byte
+// header per 13 entries and the tail blocks' slack) and 5–11 bytes of
+// index, and an allocation once per chunk or table doubling, never per edge.
 type Subgraph struct {
 	p      Params
-	chunks []*[chunkSize]slot // stored edges, arrival order (loops and duplicates dropped)
-	stored int
-	index  []ref // linear-probed set of stored edges; len is 0 or a power of two
-	shift  uint  // 64 − log2(len(index)): a hash's top bits are its home slot
+	chunks []*[chunkBlocks]block
+	blocks uint32 // blocks handed out, block 0 included
+	stored int    // edges held (loops and duplicates dropped)
+	index  []loc  // linear-probed set of stored edges; len is 0 or a power of two
+	shift  uint   // 64 − log2(len(index)): a hash's top bits are its home slot
 	deg    []int32
-	head   []ref // per vertex: first and last stored edge incident to it
-	tail   []ref
+	head   []uint32 // per vertex: first and last block of its chain, 0 if none
+	tail   []uint32
 	size   int // |H|
 
 	dirty       []graph.ID // vertices whose H-degree changed since last repair
@@ -150,8 +174,8 @@ func New(nHint int, p Params) *Subgraph {
 	return &Subgraph{
 		p:       p,
 		deg:     make([]int32, nHint),
-		head:    make([]ref, nHint),
-		tail:    make([]ref, nHint),
+		head:    make([]uint32, nHint),
+		tail:    make([]uint32, nHint),
 		isDirty: make([]bool, nHint),
 	}
 }
@@ -160,24 +184,20 @@ func New(nHint int, p Params) *Subgraph {
 func (s *Subgraph) grow(v graph.ID) {
 	if n := int(v) + 1 - len(s.deg); n > 0 {
 		s.deg = append(s.deg, make([]int32, n)...)
-		s.head = append(s.head, make([]ref, n)...)
-		s.tail = append(s.tail, make([]ref, n)...)
+		s.head = append(s.head, make([]uint32, n)...)
+		s.tail = append(s.tail, make([]uint32, n)...)
 		s.isDirty = append(s.isDirty, make([]bool, n)...)
 	}
 }
 
-// at returns the slot of stored edge r.
-func (s *Subgraph) at(r ref) *slot {
-	i := r - 1
-	return &s.chunks[i>>chunkBits][i&(chunkSize-1)]
+// at returns block b.
+func (s *Subgraph) at(b uint32) *block {
+	return &s.chunks[b>>chunkBits][b&(chunkBlocks-1)]
 }
 
-// nextIn returns the slot's link in the incidence list of its endpoint v.
-func (sl *slot) nextIn(v graph.ID) *ref {
-	if sl.e.U == v {
-		return &sl.next[0]
-	}
-	return &sl.next[1]
+// entry returns the block and position that l names.
+func (s *Subgraph) entry(l loc) (*block, uint) {
+	return s.at(l >> 4), uint(l & 15)
 }
 
 // hashEdge mixes canonical endpoints into 64 bits whose top bits are uniform
@@ -194,47 +214,77 @@ func hashEdge(c graph.Edge) uint64 {
 func (s *Subgraph) find(c graph.Edge) (i uint64, found bool) {
 	mask := uint64(len(s.index) - 1)
 	for i = hashEdge(c) >> s.shift; ; i = (i + 1) & mask {
-		r := s.index[i]
-		if r == 0 {
+		l := s.index[i]
+		if l == 0 {
 			return i, false
 		}
-		if s.at(r).e.Canon() == c {
+		if b, j := s.entry(l); (graph.Edge{U: b.owner, V: b.ent[j]}).Canon() == c {
 			return i, true
 		}
 	}
 }
 
-// growIndex doubles the index table and re-enters every stored edge. The
-// discarded tables sum to less than the live one, which bounds the
-// builder's garbage.
+// growIndex doubles the index table and re-enters every stored edge by
+// sweeping the blocks in memory order. The edges are distinct, so a probe
+// stops at the first empty slot without comparing. The discarded tables sum
+// to less than the live one, which bounds the builder's garbage.
 func (s *Subgraph) growIndex() {
 	n := max(2*len(s.index), minIndex)
-	s.index = make([]ref, n)
+	s.index = make([]loc, n)
 	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	for r := ref(1); int(r) <= s.stored; r++ {
-		i, _ := s.find(s.at(r).e.Canon())
-		s.index[i] = r
+	mask := uint64(n - 1)
+	for b := uint32(1); b < s.blocks; b++ {
+		blk := s.at(b)
+		for j, x := range blk.ent[:blk.count] {
+			if x < 0 {
+				continue
+			}
+			i := hashEdge(graph.Edge{U: blk.owner, V: x}.Canon()) >> s.shift
+			for s.index[i] != 0 {
+				i = (i + 1) & mask
+			}
+			s.index[i] = b<<4 | loc(j)
+		}
 	}
 }
 
-// store appends e to the chunked store and to both endpoints' incidence
-// lists, with no hygiene check and no index entry: Insert's second half.
-func (s *Subgraph) store(e graph.Edge) ref {
-	if s.stored == len(s.chunks)<<chunkBits {
-		s.chunks = append(s.chunks, new([chunkSize]slot))
+// newBlock hands out an empty block owned by v.
+func (s *Subgraph) newBlock(v graph.ID) uint32 {
+	if s.blocks == uint32(len(s.chunks))<<chunkBits {
+		s.chunks = append(s.chunks, new([chunkBlocks]block))
+		s.blocks = max(s.blocks, 1) // block 0 stays unused
 	}
-	s.stored++
-	r := ref(s.stored)
-	s.at(r).e = e
-	for _, v := range [2]graph.ID{e.U, e.V} {
-		if t := s.tail[v]; t == 0 {
-			s.head[v] = r
+	b := s.blocks
+	s.blocks++
+	s.at(b).owner = v
+	return b
+}
+
+// push appends entry x to v's chain and returns where it landed.
+func (s *Subgraph) push(v, x graph.ID) loc {
+	b := s.tail[v]
+	if b == 0 || s.at(b).count == blockCap {
+		nb := s.newBlock(v)
+		if b == 0 {
+			s.head[v] = nb
 		} else {
-			*s.at(t).nextIn(v) = r
+			s.at(b).next = nb
 		}
-		s.tail[v] = r
+		s.tail[v], b = nb, nb
 	}
-	return r
+	blk := s.at(b)
+	j := blk.count
+	blk.ent[j] = x
+	blk.count++
+	return b<<4 | loc(j)
+}
+
+// store appends e's two entries to its endpoints' chains, with no hygiene
+// check and no index entry: Insert's second half. It returns the U-side and
+// the V-side entry.
+func (s *Subgraph) store(e graph.Edge) (lu, lv loc) {
+	s.stored++
+	return s.push(e.U, e.V), s.push(e.V, ^e.U)
 }
 
 // Insert feeds one edge in arrival order and restores both invariants
@@ -263,41 +313,57 @@ func (s *Subgraph) Insert(e graph.Edge) {
 		return
 	}
 	s.grow(max(e.U, e.V))
-	r := s.store(e)
-	s.index[i] = r
+	lu, lv := s.store(e)
+	s.index[i] = lu
 	// P2: a new edge left out of H must already see β⁻ worth of H-degree.
 	if int(s.deg[e.U]+s.deg[e.V]) < s.p.BetaMinus {
-		s.addH(s.at(r))
+		s.flip(e, lu, lv)
 		s.repair()
 	}
 }
 
-func (s *Subgraph) addH(sl *slot) {
-	sl.inH = true
-	s.deg[sl.e.U]++
-	s.deg[sl.e.V]++
-	s.size++
-	if s.size > s.peak {
-		s.peak = s.size
+// flip moves stored edge e, whose U-side and V-side entries are lu and lv,
+// into H if it is out and out of H if it is in.
+func (s *Subgraph) flip(e graph.Edge, lu, lv loc) {
+	bu, ju := s.entry(lu)
+	bv, jv := s.entry(lv)
+	bu.inH ^= 1 << ju
+	bv.inH ^= 1 << jv
+	if bu.inH>>ju&1 != 0 {
+		s.deg[e.U]++
+		s.deg[e.V]++
+		s.size++
+		if s.size > s.peak {
+			s.peak = s.size
+		}
+	} else {
+		s.deg[e.U]--
+		s.deg[e.V]--
+		s.size--
+		s.removals++
 	}
-	s.markDirty(sl.e.U)
-	s.markDirty(sl.e.V)
-}
-
-func (s *Subgraph) removeH(sl *slot) {
-	sl.inH = false
-	s.deg[sl.e.U]--
-	s.deg[sl.e.V]--
-	s.size--
-	s.removals++
-	s.markDirty(sl.e.U)
-	s.markDirty(sl.e.V)
+	s.markDirty(e.U)
+	s.markDirty(e.V)
 }
 
 func (s *Subgraph) markDirty(v graph.ID) {
 	if !s.isDirty[v] {
 		s.isDirty[v] = true
 		s.dirty = append(s.dirty, v)
+	}
+}
+
+// twin returns the entry x of w's chain. The caller knows it is there: x is
+// the other entry of an edge it holds.
+func (s *Subgraph) twin(w, x graph.ID) loc {
+	for b := s.head[w]; ; {
+		blk := s.at(b)
+		for j, y := range blk.ent[:blk.count] {
+			if y == x {
+				return b<<4 | loc(j)
+			}
+		}
+		b = blk.next
 	}
 }
 
@@ -312,15 +378,21 @@ func (s *Subgraph) repair() {
 		v := s.dirty[len(s.dirty)-1]
 		s.dirty = s.dirty[:len(s.dirty)-1]
 		s.isDirty[v] = false
-		for r := s.head[v]; r != 0; {
-			sl := s.at(r)
-			sum := int(s.deg[sl.e.U] + s.deg[sl.e.V])
-			if sl.inH && sum > s.p.Beta {
-				s.removeH(sl)
-			} else if !sl.inH && sum < s.p.BetaMinus {
-				s.addH(sl)
+		for b := s.head[v]; b != 0; {
+			blk := s.at(b)
+			for j, x := range blk.ent[:blk.count] {
+				w := x ^ x>>31 // the neighbour: x, or ^x when x < 0
+				sum := int(s.deg[v] + s.deg[w])
+				if in := blk.inH>>j&1 != 0; in && sum > s.p.Beta || !in && sum < s.p.BetaMinus {
+					here := b<<4 | loc(j)
+					if x >= 0 {
+						s.flip(graph.Edge{U: v, V: w}, here, s.twin(w, ^v))
+					} else {
+						s.flip(graph.Edge{U: w, V: v}, s.twin(w, v), here)
+					}
+				}
 			}
-			r = *sl.nextIn(v)
+			b = blk.next
 		}
 	}
 }
@@ -351,84 +423,153 @@ func (s *Subgraph) PeakSize() int { return s.peak }
 // Edges returns H as a sorted, always non-nil edge list — the machine's
 // coreset message. Sorting canonicalizes the set (arrival order is an
 // implementation detail), and sorted is how the wire codec takes a set
-// (graph.AppendEdgeSet).
+// (graph.AppendEdgeSet). Each edge is read off its U-side entry, so it keeps
+// the orientation it arrived in. Walking the chains in vertex order lists the
+// edges by U, each U's in arrival order: on a shard that arrived sorted (a
+// generator's, an ingested file's) the list needs no sort.
 func (s *Subgraph) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.size)
-	for r := ref(1); int(r) <= s.stored; r++ {
-		if sl := s.at(r); sl.inH {
-			out = append(out, sl.e)
+	for _, b := range s.head {
+		for b != 0 {
+			blk := s.at(b)
+			for j, x := range blk.ent[:blk.count] {
+				if x >= 0 && blk.inH>>j&1 != 0 {
+					out = append(out, graph.Edge{U: blk.owner, V: x})
+				}
+			}
+			b = blk.next
 		}
 	}
-	graph.SortEdges(out)
+	if !graph.EdgesSorted(out) {
+		graph.SortEdges(out)
+	}
 	return out
 }
 
 // CheckInvariants verifies P1 and P2 over every stored edge, that the
 // store obeys edge hygiene (no self-loops, no parallel duplicates — both
 // classes of arrival Insert must drop), that the incremental H-degree
-// table matches a from-scratch recount of H, and that the flat storage is
-// coherent: the index finds every stored edge under its own ref and holds
-// nothing else, and each vertex's incidence list is exactly its stored
-// edges in arrival order. Tests use it as the ground-truth oracle for the
-// insertion and repair logic: the degree recount is what catches
-// bookkeeping skew (e.g. a self-loop charging +2 to one endpoint) even when
-// P1/P2 happen to hold on the skewed sums, and the duplicate check keeps a
-// map of its own instead of trusting the index it audits.
+// table matches a from-scratch recount of H, and that the block storage is
+// coherent: every handed-out block sits in exactly one chain, that of its
+// owner, with only the chain's tail partly filled and the tail pointer on
+// it; every stored edge has exactly one U-side and one V-side entry, with
+// equal H bits; the index names each edge's U-side entry and holds nothing
+// else; and the edge counter matches. Tests use it as the ground-truth
+// oracle for the insertion and repair logic: the degree recount is what
+// catches bookkeeping skew (e.g. a self-loop charging +2 to one endpoint)
+// even when P1/P2 happen to hold on the skewed sums, and the duplicate
+// check keeps a map of its own instead of trusting the index it audits.
 func (s *Subgraph) CheckInvariants() error {
-	seen := make(map[graph.Edge]struct{}, s.stored)
-	recount := make([]int32, len(s.deg))
-	last := make([]ref, len(s.deg)) // latest stored edge met at each vertex
-	for r := ref(1); int(r) <= s.stored; r++ {
-		j, sl := r-1, s.at(r)
-		e := sl.e
-		if e.U == e.V {
-			return fmt.Errorf("edcs: self-loop %v stored at index %d", e, j)
-		}
-		c := e.Canon()
-		if _, dup := seen[c]; dup {
-			return fmt.Errorf("edcs: duplicate edge %v stored at index %d", e, j)
-		}
-		seen[c] = struct{}{}
-		if i, found := s.find(c); !found || s.index[i] != r {
-			return fmt.Errorf("edcs: index does not map %v to its stored index %d", e, j)
-		}
-		for _, v := range [2]graph.ID{e.U, e.V} {
-			linked := s.head[v]
-			if last[v] != 0 {
-				linked = *s.at(last[v]).nextIn(v)
+	type twins struct {
+		e      graph.Edge // as it arrived
+		u      loc        // the U-side entry
+		nu, nv int        // U-side and V-side entries met
+		hu, hv bool       // their H bits
+	}
+	var edges []twins
+	at := make(map[graph.Edge]int) // edge as it arrived → its place in edges
+	inChain := make([]bool, s.blocks)
+	for v := range s.deg {
+		last := uint32(0)
+		for b := s.head[v]; b != 0; b = s.at(b).next {
+			if b >= s.blocks {
+				return fmt.Errorf("edcs: chain of vertex %d runs to block %d, past the %d handed out", v, b, s.blocks)
 			}
-			if linked != r {
-				return fmt.Errorf("edcs: incidence list of vertex %d skips stored edge %d=%v", v, j, e)
+			if inChain[b] {
+				return fmt.Errorf("edcs: block %d is linked twice (again in the chain of vertex %d)", b, v)
 			}
-			last[v] = r
+			inChain[b] = true
+			blk := s.at(b)
+			switch {
+			case blk.owner != graph.ID(v):
+				return fmt.Errorf("edcs: block %d in the chain of vertex %d is owned by %d", b, v, blk.owner)
+			case blk.count == 0 || blk.count > blockCap:
+				return fmt.Errorf("edcs: block %d of vertex %d holds %d entries (want 1 to %d)", b, v, blk.count, blockCap)
+			case blk.next != 0 && blk.count != blockCap:
+				return fmt.Errorf("edcs: block %d of vertex %d is partly filled but not its chain's tail", b, v)
+			case blk.inH>>blk.count != 0:
+				return fmt.Errorf("edcs: block %d of vertex %d has H bits past its %d entries", b, v, blk.count)
+			}
+			for j, x := range blk.ent[:blk.count] {
+				e := edgeOf(graph.ID(v), x)
+				if e.U == e.V {
+					return fmt.Errorf("edcs: self-loop %v stored in block %d", e, b)
+				}
+				k, ok := at[e]
+				if !ok {
+					k = len(edges)
+					at[e] = k
+					edges = append(edges, twins{e: e})
+				}
+				t, h := &edges[k], blk.inH>>j&1 != 0
+				if x >= 0 {
+					t.u, t.hu = b<<4|loc(j), h
+					t.nu++
+				} else {
+					t.hv = h
+					t.nv++
+				}
+			}
+			last = b
 		}
-		if sl.inH {
-			recount[e.U]++
-			recount[e.V]++
-		}
-		sum := int(s.deg[e.U] + s.deg[e.V])
-		if sl.inH && sum > s.p.Beta {
-			return fmt.Errorf("edcs: P1 violated at edge %d=%v (deg sum %d > beta %d)", j, e, sum, s.p.Beta)
-		}
-		if !sl.inH && sum < s.p.BetaMinus {
-			return fmt.Errorf("edcs: P2 violated at edge %d=%v (deg sum %d < betaMinus %d)", j, e, sum, s.p.BetaMinus)
+		if s.tail[v] != last {
+			return fmt.Errorf("edcs: tail of vertex %d is block %d, its chain ends at %d", v, s.tail[v], last)
 		}
 	}
+	for b := uint32(1); b < s.blocks; b++ {
+		if !inChain[b] {
+			return fmt.Errorf("edcs: block %d is in no chain", b)
+		}
+	}
+	if len(edges) != s.stored {
+		return fmt.Errorf("edcs: blocks hold %d edges, the counter says %d", len(edges), s.stored)
+	}
 	occupied := 0
-	for _, r := range s.index {
-		if r != 0 {
-			occupied++
+	for i, l := range s.index {
+		if l == 0 {
+			continue
+		}
+		occupied++
+		if b, j := l>>4, l&15; b == 0 || b >= s.blocks || uint16(j) >= s.at(b).count || s.at(b).ent[j] < 0 {
+			return fmt.Errorf("edcs: index slot %d names %#x, not a U-side entry", i, l)
 		}
 	}
 	if occupied != s.stored {
 		return fmt.Errorf("edcs: index holds %d entries for %d stored edges", occupied, s.stored)
 	}
+	seen := make(map[graph.Edge]struct{}, s.stored)
+	recount := make([]int32, len(s.deg))
+	for _, t := range edges {
+		e := t.e
+		if t.nu != 1 || t.nv != 1 {
+			return fmt.Errorf("edcs: edge %v has %d U-side and %d V-side entries, want one of each", e, t.nu, t.nv)
+		}
+		if t.hu != t.hv {
+			return fmt.Errorf("edcs: the two entries of edge %v disagree on its H bit", e)
+		}
+		c := e.Canon()
+		if _, dup := seen[c]; dup {
+			return fmt.Errorf("edcs: duplicate edge %v stored", e)
+		}
+		seen[c] = struct{}{}
+		if i, found := s.find(c); !found || s.index[i] != t.u {
+			return fmt.Errorf("edcs: index does not name the U-side entry of %v", e)
+		}
+		if t.hu {
+			recount[e.U]++
+			recount[e.V]++
+		}
+		sum := int(s.deg[e.U] + s.deg[e.V])
+		if t.hu && sum > s.p.Beta {
+			return fmt.Errorf("edcs: P1 violated at edge %v (deg sum %d > beta %d)", e, sum, s.p.Beta)
+		}
+		if !t.hu && sum < s.p.BetaMinus {
+			return fmt.Errorf("edcs: P2 violated at edge %v (deg sum %d < betaMinus %d)", e, sum, s.p.BetaMinus)
+		}
+	}
 	for v, d := range recount {
 		if d != s.deg[v] {
 			return fmt.Errorf("edcs: H-degree of vertex %d is tracked as %d but recounts to %d", v, s.deg[v], d)
-		}
-		if s.tail[v] != last[v] || (last[v] != 0 && *s.at(last[v]).nextIn(graph.ID(v)) != 0) {
-			return fmt.Errorf("edcs: incidence list of vertex %d does not end at its last stored edge", v)
 		}
 	}
 	return nil

@@ -274,21 +274,32 @@ func TestDuplicateEdgesDropped(t *testing.T) {
 // TestCheckInvariantsCatchesHygieneViolations: the oracle must reject a
 // store containing a self-loop or a duplicate, and a tracked degree table
 // that disagrees with a recount of H — the three symptoms the Insert
-// hygiene exists to prevent — and, now that the storage is flat, an index
-// or an incidence list that disagrees with the store. store is Insert minus
+// hygiene exists to prevent — and, now that the storage is blocks, an index,
+// a chain or an entry that disagrees with the rest. store is Insert minus
 // the hygiene check and the index entry, so it plants exactly the arrivals
-// Insert would have dropped.
+// Insert would have dropped. The fixture's hub, vertex 0, has a two-block
+// chain (13 + 7 entries), so chain shape faults have a link to break.
 func TestCheckInvariantsCatchesHygieneViolations(t *testing.T) {
 	p := ParamsForBeta(8)
 	corrupt := func(mutate func(s *Subgraph)) error {
-		s := New(4, p)
-		s.Insert(graph.Edge{U: 0, V: 1})
+		s := New(32, p)
+		for v := graph.ID(1); v <= 20; v++ {
+			s.Insert(graph.Edge{U: 0, V: v})
+		}
 		s.Insert(graph.Edge{U: 1, V: 2})
+		s.Insert(graph.Edge{U: 3, V: 2})
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("uncorrupted subgraph rejected: %v", err)
 		}
+		if s.head[0] == s.tail[0] || s.Size() == 0 || s.Size() == s.Stored() {
+			t.Fatal("fixture lost its shape: want a two-block hub chain and edges both in and out of H")
+		}
 		mutate(s)
 		return s.CheckInvariants()
+	}
+	uLoc := func(s *Subgraph, e graph.Edge) loc {
+		i, _ := s.find(e.Canon())
+		return s.index[i]
 	}
 	for _, tc := range []struct {
 		name   string
@@ -299,32 +310,49 @@ func TestCheckInvariantsCatchesHygieneViolations(t *testing.T) {
 		{"indexed duplicate", func(s *Subgraph) {
 			// Even a duplicate the index knows about (in the slot a probe
 			// for it ends on) is still a duplicate in the store.
-			r := s.store(graph.Edge{U: 1, V: 0})
+			lu, _ := s.store(graph.Edge{U: 1, V: 0})
 			i := hashEdge(graph.Edge{U: 0, V: 1}) >> s.shift
 			for s.index[i] != 0 {
 				i = (i + 1) & uint64(len(s.index)-1)
 			}
-			s.index[i] = r
+			s.index[i] = lu
 		}},
 		// Skewed bookkeeping, the pre-fix self-loop symptom.
-		{"skewed H-degree table", func(s *Subgraph) { s.deg[3] = 2 }},
+		{"skewed H-degree table", func(s *Subgraph) { s.deg[25] = 2 }},
+		{"edge counter off by one", func(s *Subgraph) { s.stored++ }},
 		{"stored edge missing from the index", func(s *Subgraph) {
 			i, _ := s.find(graph.Edge{U: 1, V: 2})
 			s.index[i] = 0
 		}},
 		{"index entry naming the wrong edge", func(s *Subgraph) {
 			i, _ := s.find(graph.Edge{U: 1, V: 2})
-			s.index[i] = 1
+			s.index[i] = uLoc(s, graph.Edge{U: 0, V: 1})
 		}},
 		{"stale index entry", func(s *Subgraph) {
-			i, _ := s.find(graph.Edge{U: 2, V: 3})
-			s.index[i] = 2
+			i, _ := s.find(graph.Edge{U: 5, V: 30})
+			s.index[i] = uLoc(s, graph.Edge{U: 0, V: 1})
 		}},
-		{"broken incidence link", func(s *Subgraph) { *s.at(1).nextIn(1) = 0 }},
-		{"incidence list running past its end", func(s *Subgraph) { *s.at(2).nextIn(1) = 1 }},
-		{"wrong list head", func(s *Subgraph) { s.head[1] = 2 }},
-		{"wrong list tail", func(s *Subgraph) { s.tail[1] = 1 }},
-		{"edge missing from an endpoint's list", func(s *Subgraph) { s.head[2], s.tail[2] = 0, 0 }},
+		{"index naming the V-side entry", func(s *Subgraph) {
+			i, _ := s.find(graph.Edge{U: 2, V: 3})
+			s.index[i] = s.twin(2, ^3)
+		}},
+		{"twins disagreeing on the H bit", func(s *Subgraph) {
+			b, j := s.entry(uLoc(s, graph.Edge{U: 1, V: 2}))
+			b.inH ^= 1 << j
+		}},
+		{"flipped orientation", func(s *Subgraph) {
+			b, j := s.entry(uLoc(s, graph.Edge{U: 1, V: 2}))
+			b.ent[j] = ^b.ent[j]
+		}},
+		{"lost entry", func(s *Subgraph) { s.at(s.tail[0]).count-- }},
+		{"wrong block owner", func(s *Subgraph) { s.at(s.head[0]).owner = 5 }},
+		{"count past capacity", func(s *Subgraph) { s.at(s.tail[0]).count = blockCap + 1 }},
+		{"partly filled block before the tail", func(s *Subgraph) { s.at(s.head[0]).count-- }},
+		{"H bit past the count", func(s *Subgraph) { s.at(s.tail[0]).inH |= 1 << (blockCap - 1) }},
+		{"broken chain link", func(s *Subgraph) { s.at(s.head[0]).next = 0 }},
+		{"chain running into another vertex's block", func(s *Subgraph) { s.at(s.tail[0]).next = s.head[1] }},
+		{"wrong tail pointer", func(s *Subgraph) { s.tail[0] = s.head[0] }},
+		{"edge missing from an endpoint's chain", func(s *Subgraph) { s.head[3], s.tail[3] = 0, 0 }},
 	} {
 		if err := corrupt(tc.mutate); err == nil {
 			t.Errorf("%s passed CheckInvariants", tc.name)
@@ -359,12 +387,31 @@ func arrivalStream(r *rng.RNG, count, nVerts int) []graph.Edge {
 	return edges
 }
 
-// TestDifferentialAgainstReference: the flat Subgraph and the map-based
-// reference it replaced must be indistinguishable from outside — same H,
-// same counters — on arrival sequences full of duplicates, self-loops and
-// vertices past the hint (and with no hint at all); on short runs the
-// comparison and the invariant oracle run after every prefix. Long runs
-// cross several chunk and index-doubling boundaries.
+// hubStream is arrivalStream with about half the edges moved onto hub vertex
+// 0, as their U or their V: the hub's chain grows long and holds entries of
+// both orientations, so flips look up twins in it from either side.
+func hubStream(r *rng.RNG, count, nVerts int) []graph.Edge {
+	edges := arrivalStream(r, count, nVerts)
+	for i := range edges {
+		switch r.Intn(4) {
+		case 0:
+			edges[i].U = 0
+		case 1:
+			edges[i].V = 0
+		}
+	}
+	return edges
+}
+
+// TestDifferentialAgainstReference: the block-chain Subgraph and the
+// map-based reference it replaced must be indistinguishable from outside —
+// same H, same counters — on arrival sequences full of duplicates,
+// self-loops and vertices past the hint (and with no hint at all); on short
+// runs the comparison and the invariant oracle run after every prefix. Long
+// runs cross several chunk and index-doubling boundaries; the sparse one with
+// a hint has about one edge per vertex, so nearly every block is a chain's
+// only, partly filled one, and the hub run walks chains hundreds of blocks
+// long.
 func TestDifferentialAgainstReference(t *testing.T) {
 	same := func(t *testing.T, s *Subgraph, ref *refSubgraph, at int) {
 		t.Helper()
@@ -387,17 +434,22 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		name                 string
 		count, nVerts, nHint int
 		p                    Params
-		everyPrefix          bool
+		everyPrefix, hub     bool
 	}{
-		{"short-no-hint", 400, 12, 0, Params{Beta: 4, BetaMinus: 3}, true},
-		{"short-hint", 400, 12, 12, ParamsForBeta(8), true},
-		{"short-small-hint", 600, 40, 7, Params{Beta: 2, BetaMinus: 1}, true},
-		{"long-dense", 3 * chunkSize, 150, 150, Params{Beta: 6, BetaMinus: 5}, false},
-		{"long-sparse-no-hint", 5 * chunkSize, 4000, 0, ParamsForBeta(16), false},
+		{"short-no-hint", 400, 12, 0, Params{Beta: 4, BetaMinus: 3}, true, false},
+		{"short-hint", 400, 12, 12, ParamsForBeta(8), true, false},
+		{"short-small-hint", 600, 40, 7, Params{Beta: 2, BetaMinus: 1}, true, false},
+		{"long-dense", 40000, 240, 240, Params{Beta: 6, BetaMinus: 5}, false, false},
+		{"long-sparse-no-hint", 20480, 4000, 0, ParamsForBeta(16), false, false},
+		{"long-sparse-hint", 20480, 40960, 40960, ParamsForBeta(16), false, false},
+		{"star-chords", 20480, 3000, 3000, ParamsForBeta(16), false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
 				arrivals := arrivalStream(rng.New(seed), tc.count, tc.nVerts)
+				if tc.hub {
+					arrivals = hubStream(rng.New(seed), tc.count, tc.nVerts)
+				}
 				s, ref := New(tc.nHint, tc.p), newRef(tc.nHint, tc.p)
 				for i, e := range arrivals {
 					s.Insert(e)
@@ -408,7 +460,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				}
 				same(t, s, ref, len(arrivals))
 				if !tc.everyPrefix && len(s.chunks) < 2 {
-					t.Fatalf("long run stored %d edges: no chunk boundary crossed", s.Stored())
+					t.Fatalf("long run stored %d edges in %d blocks: no chunk boundary crossed", s.Stored(), s.blocks)
 				}
 			}
 		})

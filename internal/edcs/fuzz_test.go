@@ -21,11 +21,12 @@ func decodeArrivals(data []byte) []graph.Edge {
 }
 
 // FuzzEDCSInsert feeds arbitrary arrival sequences — self-loops, duplicates,
-// any orientation — through Insert and checks the three properties every
-// runtime leans on: insertion terminates, the invariant oracle
-// (CheckInvariants: P1/P2, edge hygiene, degree recount) passes, and the
-// coreset is a pure function of the arrival order (a replay builds the
-// identical H).
+// any orientation — through Insert and checks the properties every runtime
+// leans on: insertion terminates, the invariant oracle (CheckInvariants:
+// P1/P2, edge hygiene, degree recount, block storage) passes, the coreset is
+// a pure function of the arrival order (a replay builds the identical H),
+// and the build is indistinguishable from the map-and-slices reference
+// (refSubgraph) fed the same arrivals: the same H and the same counters.
 func FuzzEDCSInsert(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 1}, uint8(8))         // duplicate both ways + loop
 	f.Add([]byte{3, 3, 3, 3, 3, 4, 4, 3}, uint8(2))         // loop spam around one vertex
@@ -38,9 +39,10 @@ func FuzzEDCSInsert(f *testing.F) {
 		p := ParamsForBeta(2 + int(betaRaw)%62)
 		edges := decodeArrivals(data)
 
-		s := New(0, p)
+		s, ref := New(0, p), newRef(0, p)
 		for _, e := range edges {
 			s.Insert(e)
+			ref.Insert(e)
 		}
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("params %+v, %d arrivals: %v", p, len(edges), err)
@@ -50,6 +52,14 @@ func FuzzEDCSInsert(f *testing.F) {
 		}
 		if s.Stored() > len(edges) {
 			t.Fatalf("stored %d of %d arrivals", s.Stored(), len(edges))
+		}
+		if !reflect.DeepEqual(s.Edges(), ref.Edges()) {
+			t.Fatalf("params %+v, %d arrivals: H differs from the reference's", p, len(edges))
+		}
+		got := [5]int{s.Size(), s.Stored(), s.Removals(), s.RepairIters(), s.PeakSize()}
+		want := [5]int{ref.size, len(ref.edges), ref.removals, ref.repairIters, ref.peak}
+		if got != want {
+			t.Fatalf("params %+v, %d arrivals: {size stored removals repairIters peak} = %v, reference %v", p, len(edges), got, want)
 		}
 
 		replay := New(0, p)
