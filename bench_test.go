@@ -28,7 +28,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/matching"
 	"repro/internal/partition"
-	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/rounds"
 	"repro/internal/stream"
@@ -155,18 +154,6 @@ func BenchmarkPipelineDistributedVC(b *testing.B) {
 		if sol.Size == 0 {
 			b.Fatal("empty cover")
 		}
-	}
-}
-
-func BenchmarkProtocolMatchingEndToEnd(b *testing.B) {
-	g := benchGraph(16384, 8, 11)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := protocol.Run(g, 16, protocol.MatchingCoresetProtocol{}, uint64(i), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.TotalBytes), "bytes/op")
 	}
 }
 

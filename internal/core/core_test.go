@@ -106,10 +106,6 @@ func TestVCCoresetFeasibility(t *testing.T) {
 	if err := vcover.Verify(g.N, g.Edges, cover); err != nil {
 		t.Fatalf("composed cover infeasible: %v", err)
 	}
-	coverG := ComposeVCGreedy(g.N, coresets)
-	if err := vcover.Verify(g.N, g.Edges, coverG); err != nil {
-		t.Fatalf("greedy-composed cover infeasible: %v", err)
-	}
 }
 
 func TestVCCoresetResidualSparse(t *testing.T) {
@@ -340,6 +336,66 @@ func TestGroupSizeFor(t *testing.T) {
 	}
 	if gs := GroupSizeFor(1<<16, 160); gs != 10 {
 		t.Fatalf("GroupSizeFor(2^16, 160) = %d, want 10", gs)
+	}
+}
+
+// subsampledBytes runs the Remark 5.2 protocol over a random k-partition of
+// g drawn from seed — machine i subsamples with stream i+1 — and returns the
+// set-codec bytes of the k messages and the composed matching.
+func subsampledBytes(g *graph.Graph, k, alpha int, seed uint64) (int, *matching.Matching) {
+	r := rng.New(seed)
+	parts := partition.RandomK(g.Edges, k, r.Split(0))
+	coresets := MapParts(parts, 0, func(i int, part []graph.Edge) []graph.Edge {
+		return SubsampledMatchingCoreset(g.N, part, alpha, r.Split(uint64(i)+1))
+	})
+	total := 0
+	for _, cs := range coresets {
+		total += CoresetSizeBytes(cs)
+	}
+	return total, ComposeMatching(g.N, coresets)
+}
+
+func TestSubsampledCoresetSavesBytes(t *testing.T) {
+	g := gen.GNP(600, 0.02, rng.New(3))
+	base, _ := subsampledBytes(g, 4, 1, 11)
+	sub, m := subsampledBytes(g, 4, 4, 11)
+	if sub >= base {
+		t.Fatalf("subsampling saved nothing: %d vs %d", sub, base)
+	}
+	if err := matching.Verify(g.N, g.Edges, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSubsampledBytesScaleWithAlpha(t *testing.T) {
+	// Remark 5.2 shape: per-machine matchings are subsampled at 1/alpha, so
+	// going from alpha 2 to 8 should cut the bytes at least in half.
+	g := gen.GNP(2000, 0.005, rng.New(19))
+	b2, _ := subsampledBytes(g, 4, 2, 37)
+	b8, _ := subsampledBytes(g, 4, 8, 37)
+	if ratio := float64(b2) / float64(b8); ratio < 2 {
+		t.Fatalf("alpha scaling too weak: bytes(2)/bytes(8) = %.2f, want >= 2", ratio)
+	}
+}
+
+func TestGroupedVCSavesBytes(t *testing.T) {
+	g := gen.GNP(512, 0.04, rng.New(7))
+	const k = 4
+	parts := partition.RandomK(g.Edges, k, rng.New(17).Split(0))
+	gs := GroupSizeFor(g.N, 32)
+	grouped, plain := 0, 0
+	coresets := make([]*VCCoreset, k)
+	for i, p := range parts {
+		cs := GroupedVCCoreset(g.N, k, gs, p)
+		grouped += graph.IDSetBytes(cs.Fixed) + graph.EdgeSetBytes(cs.Residual)
+		coresets[i] = cs
+		plain += VCCoresetSizeBytes(ComputeVCCoreset(g.N, k, p))
+	}
+	if err := vcover.Verify(g.N, g.Edges, ComposeGroupedVC(g.N, gs, coresets)); err != nil {
+		t.Fatalf("grouped cover infeasible: %v", err)
+	}
+	if grouped >= plain {
+		t.Fatalf("grouping saved nothing: %d vs %d", grouped, plain)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/vcover"
 )
 
 // VCCoreset is the vertex-cover coreset of one machine (Theorem 2): a set of
@@ -176,21 +175,6 @@ func ComposeVC(n int, coresets []*VCCoreset) []graph.ID {
 		}
 	}
 	return cover
-}
-
-// ComposeVCGreedy is ComposeVC with the greedy H_n-approximation on the
-// residual union instead of the 2-approximation; experiments use it to show
-// the composition is robust to the choice of the final cover algorithm.
-func ComposeVCGreedy(n int, coresets []*VCCoreset) []graph.ID {
-	var fixed []graph.ID
-	var residuals [][]graph.Edge
-	for _, cs := range coresets {
-		fixed = append(fixed, cs.Fixed...)
-		residuals = append(residuals, cs.Residual)
-	}
-	union := graph.UnionEdges(residuals...)
-	cover := append(fixed, vcover.GreedyDegree(n, union)...)
-	return vcover.Dedup(cover)
 }
 
 // A VC coreset message is the number of peeled levels, each level as an ID

@@ -83,14 +83,3 @@ func ComposeWeightedVC(n int, coresets []*WeightedVCCoreset) []graph.ID {
 	}
 	return vcover.Dedup(cover)
 }
-
-// WeightedVCCoresetSize returns the total size (fixed vertices plus residual
-// edges) across classes — the paper's O(log n)-factor space overhead shows
-// up as the number of classes.
-func WeightedVCCoresetSize(cs *WeightedVCCoreset) int {
-	total := 0
-	for _, k := range cs.Classes {
-		total += VCCoresetSize(k)
-	}
-	return total
-}

@@ -7,6 +7,7 @@ package expt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/stats"
@@ -84,4 +85,16 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
+}
+
+// logLogSlope returns the least-squares slope of ln(y) on ln(x): the
+// exponent e of the power law y ≈ c·x^e that best fits the points.
+func logLogSlope(xs, ys []float64) float64 {
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		lx, ly := math.Log(xs[i]), math.Log(ys[i])
+		sx, sy, sxx, sxy = sx+lx, sy+ly, sxx+lx*lx, sxy+lx*ly
+	}
+	n := float64(len(xs))
+	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }

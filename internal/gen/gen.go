@@ -89,17 +89,6 @@ func BipartiteGNP(nl, nr int, p float64, r *rng.RNG) *graph.Bipartite {
 	return b
 }
 
-// RandomPerfectMatching returns a bipartite graph on n+n vertices whose
-// edges form a uniformly random perfect matching.
-func RandomPerfectMatching(n int, r *rng.RNG) *graph.Bipartite {
-	perm := r.Perm32(n)
-	edges := make([]graph.Edge, n)
-	for i := 0; i < n; i++ {
-		edges[i] = graph.Edge{U: graph.ID(i), V: perm[i]}
-	}
-	return graph.NewBipartite(n, n, edges)
-}
-
 // RandomBipartiteRegular returns an (approximately) d-regular bipartite
 // graph on n+n vertices built as the union of d uniformly random perfect
 // matchings with duplicate edges removed. Every vertex has degree <= d and

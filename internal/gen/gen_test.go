@@ -88,28 +88,6 @@ func TestBipartiteGNP(t *testing.T) {
 	}
 }
 
-func TestRandomPerfectMatching(t *testing.T) {
-	r := rng.New(9)
-	b := RandomPerfectMatching(64, r)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if b.M() != 64 {
-		t.Fatalf("M = %d", b.M())
-	}
-	degL := make([]int, 64)
-	degR := make([]int, 64)
-	for _, e := range b.Edges {
-		degL[e.U]++
-		degR[e.V]++
-	}
-	for i := 0; i < 64; i++ {
-		if degL[i] != 1 || degR[i] != 1 {
-			t.Fatalf("vertex %d degrees (%d, %d), want (1,1)", i, degL[i], degR[i])
-		}
-	}
-}
-
 func TestRandomBipartiteRegular(t *testing.T) {
 	r := rng.New(11)
 	const n, d = 100, 5
@@ -337,24 +315,6 @@ func TestGreedyTrapStructure(t *testing.T) {
 	}
 	if hiddenCount != n {
 		t.Fatalf("hidden count = %d, want %d", hiddenCount, n)
-	}
-}
-
-func TestAdversarialMaximalOrderIsPermutation(t *testing.T) {
-	part := []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 5, V: 1}, {U: 6, V: 2}}
-	isHidden := func(e graph.Edge) bool { return e.U >= 5 }
-	out := AdversarialMaximalOrder(part, isHidden)
-	if len(out) != len(part) {
-		t.Fatal("order changed length")
-	}
-	// First edge must be the blocker (0,1): confuser sharing right
-	// endpoint 1 with hidden edge (5,1).
-	if out[0] != (graph.Edge{U: 0, V: 1}) {
-		t.Fatalf("first edge = %v, want blocker {0 1}", out[0])
-	}
-	// Hidden edges must come last.
-	if !isHidden(out[len(out)-1]) || !isHidden(out[len(out)-2]) {
-		t.Fatal("hidden edges not last")
 	}
 }
 

@@ -221,38 +221,6 @@ func GreedyTrap(n, k int, r *rng.RNG) *GreedyTrapInstance {
 	return inst
 }
 
-// AdversarialMaximalOrder orders a machine's edges so that a greedy maximal
-// matching falls into the trap: for every local hidden edge (p, q), some
-// confuser edge (p', q) with the same right endpoint is processed first,
-// consuming q. Remaining confuser edges come next and hidden edges last.
-// isHidden classifies edges of the local part (in bipartite coordinates).
-func AdversarialMaximalOrder(part []graph.Edge, isHidden func(graph.Edge) bool) []graph.Edge {
-	hiddenRight := make(map[graph.ID]bool)
-	for _, e := range part {
-		if isHidden(e) {
-			hiddenRight[e.V] = true
-		}
-	}
-	blockers := make([]graph.Edge, 0, len(part))
-	confusers := make([]graph.Edge, 0, len(part))
-	hiddens := make([]graph.Edge, 0, len(part))
-	for _, e := range part {
-		switch {
-		case isHidden(e):
-			hiddens = append(hiddens, e)
-		case hiddenRight[e.V]:
-			blockers = append(blockers, e)
-		default:
-			confusers = append(confusers, e)
-		}
-	}
-	out := make([]graph.Edge, 0, len(part))
-	out = append(out, blockers...)
-	out = append(out, confusers...)
-	out = append(out, hiddens...)
-	return out
-}
-
 // HubNoise is the hard arrival order for a vertex-cover machine with online
 // peeling: a multigraph on n vertices in which vertices 0..hubs-1 each get
 // hubDeg edges to uniform endpoints, over noise uniform edges, plus noise/16

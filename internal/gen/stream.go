@@ -178,25 +178,6 @@ func (it *powerlawIter) Next() (graph.Edge, bool) {
 	}
 }
 
-// SliceIter returns an iterator over a fixed edge slice, in order.
-func SliceIter(edges []graph.Edge) EdgeIter {
-	return &sliceIter{edges: edges}
-}
-
-type sliceIter struct {
-	edges []graph.Edge
-	pos   int
-}
-
-func (it *sliceIter) Next() (graph.Edge, bool) {
-	if it.pos >= len(it.edges) {
-		return graph.Edge{}, false
-	}
-	e := it.edges[it.pos]
-	it.pos++
-	return e, true
-}
-
 // Collect drains an iterator into a slice (testing and small inputs).
 func Collect(it EdgeIter) []graph.Edge {
 	var out []graph.Edge

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -51,16 +50,6 @@ func TestStarIterMatchesStar(t *testing.T) {
 		if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("n=%d: star iter differs", n)
 		}
-	}
-}
-
-func TestSliceIter(t *testing.T) {
-	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
-	if !reflect.DeepEqual(Collect(SliceIter(edges)), edges) {
-		t.Fatal("slice iter differs")
-	}
-	if got := Collect(SliceIter(nil)); got != nil {
-		t.Fatalf("empty slice iter yielded %v", got)
 	}
 }
 

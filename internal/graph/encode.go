@@ -6,18 +6,14 @@ import (
 	"math/bits"
 )
 
-// Binary edge encoding used for honest communication accounting in the
-// simultaneous protocols (internal/protocol). A message is charged the exact
-// number of bytes of its encoding, matching how the paper counts
-// communication in bits (up to the constant-factor slack the paper's O~
-// notation already absorbs).
-//
-// Format: uvarint count, then per edge uvarint(U) followed by uvarint(V).
-// This file holds three edge codecs, in this order: this plain one, which the
-// simultaneous protocols charge because their messages are not required to
-// be sorted; the delta batch codec, which preserves order and carries what
-// must arrive as sent (shards, dataset segments); and the sorted-set codec,
-// which does not, and carries every coreset summary.
+// Binary codecs. A message is charged the exact number of bytes of its
+// encoding, matching how the paper counts communication in bits (up to the
+// constant-factor slack the paper's O~ notation already absorbs). This file
+// holds, in this order: the ID-list codec, which keeps the order of a vertex
+// list and carries the diversity centres (selection order); the delta batch
+// codec, the edge codec that preserves order and carries what must arrive as
+// sent (shards, dataset segments); and the sorted-set codec, the edge and ID
+// codec that does not, and carries every coreset summary.
 
 // MaxID is the largest encodable vertex identifier. IDs are int32, so the
 // only out-of-range values are negative ones; every encoder rejects them
@@ -42,61 +38,9 @@ func checkID(v ID) {
 	}
 }
 
-// AppendEdges appends the encoding of edges to dst and returns it. Panics
-// with *IDRangeError on out-of-range endpoints.
-func AppendEdges(dst []byte, edges []Edge) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(edges)))
-	for _, e := range edges {
-		checkID(e.U)
-		checkID(e.V)
-		dst = binary.AppendUvarint(dst, uint64(uint32(e.U)))
-		dst = binary.AppendUvarint(dst, uint64(uint32(e.V)))
-	}
-	return dst
-}
-
-// EncodeEdges encodes an edge list.
-func EncodeEdges(edges []Edge) []byte {
-	return AppendEdges(make([]byte, 0, 1+5*len(edges)), edges)
-}
-
-// DecodeEdges decodes an edge list produced by EncodeEdges/AppendEdges and
-// returns the remaining bytes.
-func DecodeEdges(data []byte) (edges []Edge, rest []byte, err error) {
-	count, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("graph: corrupt edge encoding (count)")
-	}
-	data = data[k:]
-	if count > uint64(len(data)) { // each edge needs >= 2 bytes
-		return nil, nil, fmt.Errorf("graph: corrupt edge encoding (count %d too large)", count)
-	}
-	edges = make([]Edge, 0, count)
-	for i := uint64(0); i < count; i++ {
-		u, ku := binary.Uvarint(data)
-		if ku <= 0 {
-			return nil, nil, fmt.Errorf("graph: corrupt edge encoding (edge %d U)", i)
-		}
-		data = data[ku:]
-		v, kv := binary.Uvarint(data)
-		if kv <= 0 {
-			return nil, nil, fmt.Errorf("graph: corrupt edge encoding (edge %d V)", i)
-		}
-		data = data[kv:]
-		if u > uint64(MaxID) {
-			return nil, nil, fmt.Errorf("graph: corrupt edge encoding (edge %d): %w", i, &IDRangeError{ID: int64(u)})
-		}
-		if v > uint64(MaxID) {
-			return nil, nil, fmt.Errorf("graph: corrupt edge encoding (edge %d): %w", i, &IDRangeError{ID: int64(v)})
-		}
-		edges = append(edges, Edge{ID(u), ID(v)})
-	}
-	return edges, data, nil
-}
-
 // AppendIDs appends the encoding of a vertex-id list (uvarint count followed
-// by uvarint ids). Used for the "fixed solution" part of vertex-cover
-// coreset messages. Panics with *IDRangeError on out-of-range ids.
+// by uvarint ids), in the list's own order. Panics with *IDRangeError on
+// out-of-range ids.
 func AppendIDs(dst []byte, ids []ID) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, v := range ids {
@@ -106,12 +50,7 @@ func AppendIDs(dst []byte, ids []ID) []byte {
 	return dst
 }
 
-// EncodeIDs encodes a vertex-id list.
-func EncodeIDs(ids []ID) []byte {
-	return AppendIDs(make([]byte, 0, 1+3*len(ids)), ids)
-}
-
-// DecodeIDs decodes a list produced by EncodeIDs/AppendIDs and returns the
+// DecodeIDs decodes a list produced by AppendIDs and returns the
 // remaining bytes.
 func DecodeIDs(data []byte) (ids []ID, rest []byte, err error) {
 	count, k := binary.Uvarint(data)
@@ -137,21 +76,7 @@ func DecodeIDs(data []byte) (ids []ID, rest []byte, err error) {
 	return ids, data, nil
 }
 
-// EncodedEdgeBytes returns the exact byte size of EncodeEdges(edges) without
-// materializing the buffer; used on accounting-only paths. It applies the
-// same ID range check as the encoder, so accounting can never succeed on a
-// message the encoder would refuse.
-func EncodedEdgeBytes(edges []Edge) int {
-	n := UvarintLen(uint64(len(edges)))
-	for _, e := range edges {
-		checkID(e.U)
-		checkID(e.V)
-		n += UvarintLen(uint64(uint32(e.U))) + UvarintLen(uint64(uint32(e.V)))
-	}
-	return n
-}
-
-// EncodedIDBytes returns the exact byte size of EncodeIDs(ids).
+// EncodedIDBytes returns the exact byte size of AppendIDs(nil, ids).
 func EncodedIDBytes(ids []ID) int {
 	n := UvarintLen(uint64(len(ids)))
 	for _, v := range ids {
@@ -182,7 +107,7 @@ func UvarintLen(x uint64) int {
 // varint(V - U), where prevU starts at 0 and both deltas are zigzag-signed
 // (encoding/binary's Varint). Sorted edge lists have small nonnegative
 // deltas and compress well; arbitrary arrival-order batches pay at most one
-// extra bit per value over the plain encoding.
+// extra bit per value over plain uvarints of the IDs.
 
 // AppendEdgeBatch appends the delta encoding of edges to dst and returns it.
 // Panics with *IDRangeError on out-of-range endpoints — without the check a
@@ -263,9 +188,9 @@ func DecodeEdgeBatchInto(dst []Edge, data []byte) (edges []Edge, rest []byte, er
 // functions, so estimated and measured bytes stay one definition (an edge
 // set whose receiver already knows IDs it cannot contain goes through
 // rankset.go, which is this codec over a denser numbering). What must
-// arrive in the order it was sent keeps the batch codec: SHARD frames and
-// dataset segments (a machine's result depends on its arrival order) and the
-// diversity centers (selection order, AppendIDs).
+// arrive in the order it was sent keeps an order-preserving codec: SHARD
+// frames and dataset segments the batch codec (a machine's result depends on
+// its arrival order), the diversity centers AppendIDs (selection order).
 //
 // A set is its elements in ascending order, each coded as the gap to its
 // predecessor (the first to 0); gap 0 is legal, so a multiset keeps its

@@ -2,8 +2,8 @@
 // this repository: compact edge-list graphs, chunked per-machine edge stores,
 // CSR adjacency structures, mutable residual graphs with degree tracking (for
 // the vertex-at-a-time peeling algorithms), bipartite views, and the binary
-// edge encoding used to account for communication in the simultaneous
-// protocols.
+// codecs that carry shards, dataset segments and coreset messages and
+// measure the communication of every runtime.
 //
 // Vertices are dense integer identifiers 0..N-1 stored as int32 (the paper's
 // regime is n up to millions of vertices; 32-bit ids halve memory traffic on
@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // ID is a vertex identifier in [0, N).
@@ -174,31 +173,4 @@ func MaxDegree(n int, edges []Edge) int {
 		}
 	}
 	return int(max)
-}
-
-// VerticesOf returns the sorted set of distinct endpoints of the edge set.
-// This is V(E') in the paper's notation.
-func VerticesOf(edges []Edge) []ID {
-	seen := make(map[ID]struct{}, 2*len(edges))
-	for _, e := range edges {
-		seen[e.U] = struct{}{}
-		seen[e.V] = struct{}{}
-	}
-	out := make([]ID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// InducedSubgraph returns the edges of g whose both endpoints satisfy keep.
-func InducedSubgraph(edges []Edge, keep func(ID) bool) []Edge {
-	out := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		if keep(e.U) && keep(e.V) {
-			out = append(out, e)
-		}
-	}
-	return out
 }

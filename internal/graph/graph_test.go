@@ -84,24 +84,6 @@ func TestDegrees(t *testing.T) {
 	}
 }
 
-func TestVerticesOf(t *testing.T) {
-	vs := VerticesOf([]Edge{{5, 2}, {2, 5}, {0, 7}})
-	want := []ID{0, 2, 5, 7}
-	if !reflect.DeepEqual(vs, want) {
-		t.Fatalf("VerticesOf = %v, want %v", vs, want)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	edges := []Edge{{0, 1}, {1, 2}, {2, 3}}
-	keep := func(v ID) bool { return v != 2 }
-	got := InducedSubgraph(edges, keep)
-	want := []Edge{{0, 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("InducedSubgraph = %v, want %v", got, want)
-	}
-}
-
 func TestBuildAdjSmall(t *testing.T) {
 	a := BuildAdj(4, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}})
 	if a.M() != 4 {
@@ -292,40 +274,9 @@ func TestFromGraphSidesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeEdgesRoundTrip(t *testing.T) {
-	r := rng.New(2)
-	f := func(mRaw uint8) bool {
-		m := int(mRaw % 100)
-		edges := make([]Edge, m)
-		for i := range edges {
-			edges[i] = Edge{ID(r.Intn(1 << 20)), ID(r.Intn(1 << 20))}
-		}
-		enc := EncodeEdges(edges)
-		if len(enc) != EncodedEdgeBytes(edges) {
-			return false
-		}
-		dec, rest, err := DecodeEdges(enc)
-		if err != nil || len(rest) != 0 {
-			return false
-		}
-		if len(dec) != len(edges) {
-			return false
-		}
-		for i := range dec {
-			if dec[i] != edges[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEncodeDecodeIDsRoundTrip(t *testing.T) {
 	ids := []ID{0, 1, 127, 128, 1 << 20, 1<<31 - 1}
-	enc := EncodeIDs(ids)
+	enc := AppendIDs(nil, ids)
 	if len(enc) != EncodedIDBytes(ids) {
 		t.Fatal("EncodedIDBytes mismatch")
 	}
@@ -339,18 +290,15 @@ func TestEncodeDecodeIDsRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, _, err := DecodeEdges(nil); err == nil {
-		t.Fatal("decoding empty buffer should fail")
-	}
-	if _, _, err := DecodeEdges([]byte{0xff}); err == nil {
-		t.Fatal("decoding truncated varint should fail")
-	}
-	// Valid count but missing edges.
-	if _, _, err := DecodeEdges([]byte{5, 1}); err == nil {
-		t.Fatal("decoding short buffer should fail")
-	}
 	if _, _, err := DecodeIDs(nil); err == nil {
 		t.Fatal("decoding empty id buffer should fail")
+	}
+	if _, _, err := DecodeIDs([]byte{0xff}); err == nil {
+		t.Fatal("decoding truncated varint should fail")
+	}
+	// Valid count but missing ids.
+	if _, _, err := DecodeIDs([]byte{5, 1}); err == nil {
+		t.Fatal("decoding short buffer should fail")
 	}
 }
 

@@ -3,11 +3,11 @@ package graph
 // Residual is a mutable view of a graph supporting vertex removal with O(1)
 // amortized degree maintenance, over a CSR adjacency. It serves the peeling
 // algorithms that remove vertices one at a time or interleave removals with
-// degree queries: Parnas-Ron peeling and the greedy covers (internal/vcover),
-// the Buss kernel (internal/kernel) and the Lemma 3.6 analysis. The
-// Theorem 2 machine does not use it — VC-Coreset removes whole levels and
-// asks for degrees only between them, which EdgeStore.Prune answers from the
-// edge list alone, without the 2m-entry adjacency.
+// degree queries: the greedy cover (internal/vcover), the Buss kernel
+// (internal/kernel) and the Lemma 3.6 analysis. The Theorem 2 machine does
+// not use it — VC-Coreset removes whole levels and asks for degrees only
+// between them, which EdgeStore.Prune answers from the edge list alone,
+// without the 2m-entry adjacency.
 //
 // Removal is lazy on the adjacency side: neighbors are not unlinked, but
 // degrees are decremented eagerly and dead vertices are skipped on scans. An
@@ -34,12 +34,6 @@ func NewResidual(n int, edges []Edge) *Residual {
 	}
 	return r
 }
-
-// N returns the vertex-universe size (including removed vertices).
-func (r *Residual) N() int { return r.adj.N }
-
-// Alive reports whether v is still present.
-func (r *Residual) Alive(v ID) bool { return r.alive[v] }
 
 // Degree returns the residual degree of v (0 if removed).
 func (r *Residual) Degree(v ID) int {

@@ -24,7 +24,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/partition"
 	"repro/internal/rng"
-	"repro/internal/vcover"
 )
 
 // RunStats are the MapReduce cost measures of one job.
@@ -176,15 +175,4 @@ func FilteringMatching(g *graph.Graph, memLimit int, seed uint64) (*matching.Mat
 	st.observeLoad(len(alive))
 	m.AugmentGreedily(alive)
 	return m, st
-}
-
-// FilteringVC derives the 2-approximate vertex cover from the filtering
-// maximal matching (endpoints of matched edges), with the same costs.
-func FilteringVC(g *graph.Graph, memLimit int, seed uint64) ([]graph.ID, *RunStats) {
-	m, st := FilteringMatching(g, memLimit, seed)
-	var cover []graph.ID
-	for _, e := range m.Edges() {
-		cover = append(cover, e.U, e.V)
-	}
-	return vcover.Dedup(cover), st
 }

@@ -107,15 +107,6 @@ func TestFilteringSingleRoundWhenFits(t *testing.T) {
 	}
 }
 
-func TestFilteringVCFeasible(t *testing.T) {
-	r := rng.New(13)
-	g := gen.GNP(400, 0.04, r)
-	cover, _ := FilteringVC(g, 500, 29)
-	if err := vcover.Verify(g.N, g.Edges, cover); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFilteringRespectsMemory(t *testing.T) {
 	r := rng.New(17)
 	g := gen.GNP(600, 0.05, r)

@@ -89,11 +89,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform integer in [0, n). Panics if n == 0.
 // Uses Lemire's multiply-shift rejection method (unbiased).
 func (r *RNG) Uint64n(n uint64) uint64 {

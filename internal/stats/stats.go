@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds streaming moments of a sample.
@@ -15,7 +14,6 @@ type Summary struct {
 	n        int
 	mean, m2 float64 // Welford accumulators
 	min, max float64
-	values   []float64 // retained for quantiles
 }
 
 // Add inserts one observation.
@@ -34,7 +32,6 @@ func (s *Summary) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-	s.values = append(s.values, x)
 }
 
 // N returns the sample size.
@@ -67,29 +64,6 @@ func (s *Summary) CI95() float64 {
 		return 0
 	}
 	return 1.96 * s.Std() / math.Sqrt(float64(s.n))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func (s *Summary) Quantile(q float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	vs := append([]float64(nil), s.values...)
-	sort.Float64s(vs)
-	if q <= 0 {
-		return vs[0]
-	}
-	if q >= 1 {
-		return vs[len(vs)-1]
-	}
-	pos := q * float64(len(vs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return vs[lo]
-	}
-	frac := pos - float64(lo)
-	return vs[lo]*(1-frac) + vs[hi]*frac
 }
 
 // MeanCI formats "mean ± ci" compactly.

@@ -32,7 +32,7 @@ func TestSummaryBasics(t *testing.T) {
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.CI95() != 0 || s.Quantile(0.5) != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.CI95() != 0 {
 		t.Fatal("empty summary should be all zeros")
 	}
 	s.Add(7)
@@ -65,25 +65,6 @@ func TestSummaryAgainstDirectComputation(t *testing.T) {
 	}
 	if math.Abs(s.Var()-variance) > 1e-9 {
 		t.Fatalf("var %v vs %v", s.Var(), variance)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	var s Summary
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if q := s.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := s.Quantile(1); q != 100 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := s.Quantile(0.5); math.Abs(q-50.5) > 1e-9 {
-		t.Fatalf("median = %v, want 50.5", q)
-	}
-	if q := s.Quantile(0.25); math.Abs(q-25.75) > 1e-9 {
-		t.Fatalf("q25 = %v", q)
 	}
 }
 

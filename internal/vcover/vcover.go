@@ -1,9 +1,8 @@
 // Package vcover implements the vertex-cover substrate: the classic
 // 2-approximation via maximal matching, a bucket-queue greedy (H_n
 // approximation), an exact branch-and-bound reference for small instances,
-// Konig's-theorem exact minimum vertex cover for bipartite graphs (the test
-// suite's ground truth), and the Parnas-Ron global peeling baseline that the
-// paper's VC-Coreset (Theorem 2) modifies.
+// and Konig's-theorem exact minimum vertex cover for bipartite graphs (the
+// test suite's ground truth).
 package vcover
 
 import (
@@ -197,28 +196,6 @@ func KonigCover(b *graph.Bipartite) []graph.ID {
 // out so KonigCover and tests share one call.
 func HKAdapter(b *graph.Bipartite) (matchL, matchR []graph.ID, size int) {
 	return matching.HopcroftKarp(b)
-}
-
-// ParnasRon is the global peeling baseline the paper's coreset modifies
-// (Parnas & Ron 2007): iteratively remove all vertices with residual degree
-// at least n/2^j for j = 1, 2, ..., until the threshold reaches the floor
-// maxFloor (the removed vertices form the cover's core), then finish with
-// the 2-approximation on the sparse remainder. Returns the cover.
-func ParnasRon(n int, edges []graph.Edge, maxFloor int) []graph.ID {
-	if maxFloor < 1 {
-		maxFloor = 1
-	}
-	res := graph.NewResidual(n, edges)
-	var cover []graph.ID
-	for thr := n / 2; thr >= maxFloor; thr /= 2 {
-		cover = append(cover, res.RemoveAtLeast(thr)...)
-		if thr == 1 {
-			break
-		}
-	}
-	rest := res.LiveEdges()
-	cover = append(cover, FromMatching(n, rest)...)
-	return Dedup(cover)
 }
 
 // MinCoverSizeLowerBound returns a trivial lower bound on VC(G): the size of

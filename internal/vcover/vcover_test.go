@@ -164,37 +164,6 @@ func TestKonigMatchesExactAndMatching(t *testing.T) {
 	}
 }
 
-func TestParnasRonFeasible(t *testing.T) {
-	r := rng.New(11)
-	f := func(nRaw uint8, pRaw uint8) bool {
-		n := int(nRaw%40) + 2
-		p := float64(pRaw) / 510 // up to 0.5
-		edges := randGraph(r, n, p)
-		cover := ParnasRon(n, edges, 4)
-		return Verify(n, edges, cover) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParnasRonOnStarIsSmall(t *testing.T) {
-	// Star with 1000 leaves: peeling removes the center immediately; the
-	// cover should be tiny (1 vertex), not the leaves.
-	n := 1001
-	edges := make([]graph.Edge, 0, 1000)
-	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{U: 0, V: graph.ID(v)})
-	}
-	cover := ParnasRon(n, edges, 4)
-	if err := Verify(n, edges, cover); err != nil {
-		t.Fatal(err)
-	}
-	if len(cover) > 2 {
-		t.Fatalf("ParnasRon on star = %d vertices, want <= 2", len(cover))
-	}
-}
-
 func TestGreedyVsExactRatio(t *testing.T) {
 	// Greedy is an H_n approximation; on small instances the observed
 	// ratio should stay below ln(n)+1.
