@@ -48,13 +48,14 @@
 // and every output format — the text lines, -json, -trace-out — is drawn
 // from the graph.RunReport it returns.
 //
-// The default (batch) mode materializes the graph and partitions it with a
-// single sequential RNG; having the whole graph in hand, it also checks the
-// input's structure and verifies the composed solution. With -stream the
-// input is never materialized: edges flow from the source through a deterministic hash sharder to k
-// concurrent machine goroutines, each maintaining its coreset incrementally
-// — the shape of a real deployment, where every machine summarizes its share
-// in O(n)-ish space as data arrives. Streaming mode reads files and stdin
+// The default (batch) mode materializes the graph and runs the stream
+// pipeline over it, sharded by the same deterministic hash router
+// (stream.Route) every mode uses; having the whole graph in hand, it also
+// checks the input's structure and verifies the composed solution. With
+// -stream the input is never materialized: edges flow from the source
+// through the router to k concurrent machine goroutines, each maintaining its
+// coreset incrementally — the shape of a real deployment, where every
+// machine summarizes its share in O(n)-ish space as data arrives. Streaming mode reads files and stdin
 // incrementally and streams all three generators (gnp, star and powerlaw)
 // without ever building the edge list.
 //

@@ -88,8 +88,9 @@
 // The cluster runtime (internal/cluster) makes the machines real: k worker
 // OS processes (`coreset worker`, or self-spawned by coreset -cluster
 // local) host the very same incremental builders behind a compact
-// length-prefixed wire protocol — HELLO/ACK/SHARD/EOS/CORESET/ERROR frames
-// over TCP. Two codecs carry edges (internal/graph, encode.go). A shard must
+// length-prefixed wire protocol — HELLO/ACK/SHARD/EOS/TELEM/CORESET/ERROR
+// frames over TCP, one fixed layout per protocol version, each frame pinned
+// by a golden under internal/cluster/testdata/v4. Two codecs carry edges (internal/graph, encode.go). A shard must
 // arrive in the order it was routed, so SHARD frames use the
 // order-preserving varint delta batch (graph.AppendEdgeBatch, the dataset
 // segment format too). A coreset is a set — a matching, an EDCS, the peeled
@@ -186,9 +187,9 @@
 // stream and cluster. In cluster mode the coordinator's one conversation
 // (cluster.Session — a single-round cluster.Solve is the same session with a
 // round cap of 1) drives all rounds: the worker connections are dialed
-// once, a single HELLO carries the round cap (task byte 4 on the same
-// protocol version), each round is a
-// SHARD*/EOS/CORESET exchange with a fresh per-round EDCS machine, and
+// once, a single HELLO carries the round cap (every HELLO does; a
+// single-round run's cap is 1), each round is a
+// SHARD*/EOS/TELEM/CORESET exchange with a fresh per-round EDCS machine, and
 // every round's communication is measured off the TCP connections into the
 // run report's per-round breakdown (graph.RunReport.RoundStats). The driver
 // is exposed as coreset -rounds N, the service job field "rounds"

@@ -60,9 +60,12 @@ func TestWorkerShardLoopAllocatesNothingPerFrame(t *testing.T) {
 	if _, err := writeFrame(client, frameEOS, []byte{10}); err != nil {
 		t.Fatal(err)
 	}
+	if typ, _, _, err := readFrame(client); err != nil || typ != frameTelem {
+		t.Fatalf("EOS answered with frame 0x%02x, err %v; want TELEM", typ, err)
+	}
 	typ, payload, _, err := readFrame(client)
 	if err != nil || typ != frameCoreset {
-		t.Fatalf("EOS answered with frame 0x%02x, err %v", typ, err)
+		t.Fatalf("TELEM followed by frame 0x%02x, err %v; want CORESET", typ, err)
 	}
 	sum, err := task.DecodeSummary(vcTask, payload)
 	if err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,17 +33,17 @@ func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descr
 }
 
 // summaries is a single-round run without the composition: a session with a
-// round cap of 1 speaking the task's single-round HELLO (no rounds field),
-// one round over the whole fleet with the configured seed, and the close.
+// round cap of 1 under the task's Wire byte, one round over the whole fleet
+// with the configured seed, and the close.
 func summaries(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) ([]stream.Summary, *Stats, error) {
 	if src == nil {
 		return nil, nil, errors.New("cluster: nil source")
 	}
-	h := hello{task: d.Wire, known: src.KnownUpfront()}
-	if h.known {
-		h.n = src.NumVertices()
+	nHint := 0
+	if src.KnownUpfront() {
+		nHint = src.NumVertices()
 	}
-	s, err := open(ctx, cfg, d, p, h, 1)
+	s, err := open(ctx, cfg, d, p, d.Wire, 1, nHint)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,8 +53,9 @@ func summaries(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.D
 
 // readAck consumes the worker's handshake reply — an ACK, or the ERROR
 // frame it substituted — under the per-frame deadline, and classifies the
-// failure: transport errors are retryable kinds, a rejection or unexpected
-// frame is KindHandshake (replaying would fail identically).
+// failure: transport errors are retryable kinds, a rejection, an unexpected
+// frame or an ACK other than encodeAck's bytes is KindHandshake (replaying
+// would fail identically).
 func readAck(conn net.Conn, iot time.Duration) (FailureKind, error) {
 	typ, payload, _, err := readFrameDeadline(conn, iot)
 	if err != nil {
@@ -61,6 +63,9 @@ func readAck(conn net.Conn, iot time.Duration) (FailureKind, error) {
 	}
 	switch typ {
 	case frameAck:
+		if !bytes.Equal(payload, encodeAck()) {
+			return KindHandshake, fmt.Errorf("handshake: ACK % x, want % x", payload, encodeAck())
+		}
 		return KindUnknown, nil
 	case frameError:
 		return KindHandshake, fmt.Errorf("remote: %s", payload)
@@ -83,25 +88,16 @@ func countSent(sink obs.Sink, machine, n int, err error) {
 	}
 }
 
-// countReceived reports one CORESET frame read off a worker connection.
-func countReceived(sink obs.Sink, machine, frameLen int) {
+// countReceived reports one frame read off a worker connection, its bytes
+// under bytesMetric: MetricCoresetBytes for a CORESET, MetricTelemBytes for a
+// TELEM, whose bytes never enter the coreset communication accounting.
+func countReceived(sink obs.Sink, machine int, bytesMetric string, frameLen int) {
 	if sink == nil {
 		return
 	}
 	lbl := strconv.Itoa(machine)
 	obs.CountBy(sink, MetricFramesReceived, "machine", lbl, 1)
-	obs.CountBy(sink, MetricCoresetBytes, "machine", lbl, int64(frameLen))
-}
-
-// countTelem reports one TELEM frame read off a worker connection. Its bytes
-// land in their own metric, never in the coreset communication accounting.
-func countTelem(sink obs.Sink, machine, frameLen int) {
-	if sink == nil {
-		return
-	}
-	lbl := strconv.Itoa(machine)
-	obs.CountBy(sink, MetricFramesReceived, "machine", lbl, 1)
-	obs.CountBy(sink, MetricTelemBytes, "machine", lbl, int64(frameLen))
+	obs.CountBy(sink, bytesMetric, "machine", lbl, int64(frameLen))
 }
 
 // closeOnCancel force-closes conn when ctx is canceled; the returned stop

@@ -46,6 +46,6 @@ func ExampleSolve() {
 	fmt.Printf("in-process: matching %d edges, simulated %d B\n", sm.Size, sst.TotalCommBytes)
 	// Output:
 	// cluster:    matching 2493 edges over 20092 input edges
-	//             measured 14794 B of coresets (bodies 14750 B), 60030 B of shards
+	//             measured 14794 B of coresets (bodies 14750 B), 60034 B of shards
 	// in-process: matching 2493 edges, simulated 14750 B
 }

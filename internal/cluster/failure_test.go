@@ -303,7 +303,7 @@ func TestWorkerShutdownRacesShardFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	h := hello{version: protocolVersion, task: taskMatching, machine: 0, k: 1, known: true, n: 1000}
+	h := hello{version: protocolVersion, task: taskMatching, machine: 0, k: 1, known: true, n: 1000, rounds: 1}
 	if _, err := writeFrame(conn, frameHello, encodeHello(h)); err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +339,12 @@ func TestWorkerShutdownRacesShardFrames(t *testing.T) {
 	if _, err := writeFrame(conn, frameEOS, eos[:binary.PutUvarint(eos[:], 1000)]); err != nil {
 		t.Fatal(err)
 	}
+	if typ, _, _, err := readFrame(conn); err != nil || typ != frameTelem {
+		t.Fatalf("want TELEM after drain, got typ 0x%02x err %v", typ, err)
+	}
 	typ, payload, _, err := readFrame(conn)
 	if err != nil || typ != frameCoreset {
-		t.Fatalf("want CORESET after drain, got typ 0x%02x err %v", typ, err)
+		t.Fatalf("want CORESET after TELEM, got typ 0x%02x err %v", typ, err)
 	}
 	sum, err := task.DecodeSummary(matchingTask, payload)
 	if err != nil {

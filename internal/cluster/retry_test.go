@@ -285,8 +285,8 @@ func TestReplayRecovery(t *testing.T) {
 }
 
 // sessionShape is one way of holding the coordinator's conversation: a
-// single-round run (round cap 1, the task's single-round HELLO) or a session
-// round (the multi-round assignment). Tables over sessionShapes pin that a
+// single-round run (round cap 1, under the task's Wire byte) or a session
+// round (under its WireRounds byte). Tables over sessionShapes pin that a
 // behavior belongs to the one conversation, not to one of its entry points.
 type sessionShape struct {
 	name string

@@ -22,9 +22,8 @@ import (
 // frame per active machine, and leaves the connections open for the next
 // round. A single-round run (Solve) is a session with a round cap of 1; the
 // multi-round MPC driver of arXiv:1711.03076 (internal/rounds) opens one with
-// the task's multi-round assignment and its cap. Workers dropped by a
-// shrinking schedule (k decreases between rounds) simply see no frames until
-// Close ends the run at a round boundary.
+// its cap. Workers dropped by a shrinking schedule (k decreases between
+// rounds) simply see no frames until Close ends the run at a round boundary.
 //
 // Communication is measured per round off the live connections: each Round's
 // Stats carries the measured CORESET frame bytes (TotalCommBytes /
@@ -73,14 +72,15 @@ const shardQueueDepth = 4
 // workerResult is what one machine answered in a round.
 type workerResult struct {
 	sum   stream.Summary
-	wire  int          // measured CORESET frame bytes
-	telem *workerTelem // decoded TELEM payload; nil when the worker omitted it
+	wire  int         // measured CORESET frame bytes
+	telem workerTelem // the TELEM payload that preceded the CORESET
 }
 
-// Dial opens a session speaking d's multi-round assignment: one connection
-// and one HELLO per worker of cfg's fleet, carrying the task parameters and
-// the round cap (the most rounds the session may run; the worker pins it, the
-// driver's early exit may stop sooner). nHint > 0 declares the vertex count
+// Dial opens a multi-round session for d: one connection and one HELLO per
+// worker of cfg's fleet, carrying the task parameters and the round cap (the
+// most rounds the session may run; the worker pins it, the driver's early
+// exit may stop sooner). The HELLO names the task by its WireRounds byte,
+// which labels the workers' spans. nHint > 0 declares the vertex count
 // upfront — it only pre-sizes worker tables and never changes the result. A
 // worker that cannot be reached is not an error here: it is a failed machine
 // of the first round it takes part in.
@@ -88,13 +88,13 @@ func Dial(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, ro
 	if d.WireRounds == 0 {
 		return nil, fmt.Errorf("cluster: task %q has no multi-round assignment", d.Name)
 	}
-	return open(ctx, cfg, d, p, hello{task: d.WireRounds, known: nHint > 0, n: nHint}, roundCap)
+	return open(ctx, cfg, d, p, d.WireRounds, roundCap, nHint)
 }
 
-// open validates the run and handshakes with every worker concurrently. h
-// supplies the HELLO's task byte and vertex-count declaration; the rest of
-// the template is filled in here.
-func open(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, h hello, roundCap int) (*Session, error) {
+// open validates the run and handshakes with every worker concurrently; the
+// HELLO names the task by taskByte and declares the vertex count iff
+// nHint > 0.
+func open(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, taskByte byte, roundCap, nHint int) (*Session, error) {
 	if d.Validate != nil {
 		if err := d.Validate(p); err != nil {
 			return nil, err
@@ -107,7 +107,7 @@ func open(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, h 
 	if roundCap < 1 || roundCap > maxWireRounds {
 		return nil, fmt.Errorf("cluster: round cap %d outside [1, %d]", roundCap, maxWireRounds)
 	}
-	h.version, h.k, h.edcs, h.telem, h.runID = protocolVersion, k, p.EDCS, true, cfg.RunID
+	h := hello{version: protocolVersion, task: taskByte, k: k, known: nHint > 0, n: nHint, edcs: p.EDCS, runID: cfg.RunID}
 	s := &Session{
 		cfg: cfg, d: d, hello: h, iot: cfg.ioTimeout(), roundCap: roundCap,
 		links:  make([]link, k),
@@ -385,14 +385,14 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 // roundTrip speaks one round on machine m's connection: SHARD frames off the
 // batch channel (with TCP backpressure; each batch goes back on free as soon
 // as it is encoded, before the write that may block), EOS once the sharder
-// publishes the final vertex count through the nReady edge, then the CORESET
-// reply, which lands in res. A failure is returned with its FailureKind;
-// cancellation while parked on nReady returns nil with res unset. Every frame
-// exchange runs under the per-frame IOTimeout, so a stalled worker surfaces
-// as a retryable KindDeadline failure rather than a hang.
+// publishes the final vertex count through the nReady edge, then the TELEM
+// and CORESET replies, which land in res. A failure is returned with its
+// FailureKind; cancellation while parked on nReady returns nil with res
+// unset. Every frame exchange runs under the per-frame IOTimeout, so a
+// stalled worker surfaces as a retryable KindDeadline failure rather than a
+// hang.
 func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []graph.Edge, free chan<- []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult) (FailureKind, error) {
-	l := &s.links[m]
-	conn, sink := l.conn, s.cfg.Obs
+	l, sink := &s.links[m], s.cfg.Obs
 	for batch := range batches {
 		l.enc = graph.AppendEdgeBatch(l.enc[:0], batch)
 		free <- batch[:0]
@@ -409,39 +409,42 @@ func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []grap
 		return ioKind(err), fmt.Errorf("EOS: %w", err)
 	}
 
-	typ, payload, frameLen, err := readFrameDeadline(conn, s.iot)
+	// A corrupt TELEM is KindProtocol, like any corrupt frame: a peer that
+	// garbles telemetry cannot be trusted about the coreset either.
+	payload, frameLen, kind, err := s.await(m, frameTelem, "TELEM")
 	if err != nil {
-		return ioKind(err), fmt.Errorf("awaiting CORESET: %w", err)
+		return kind, err
 	}
-	// A telemetry-capable worker answers EOS with TELEM then CORESET; an old
-	// worker sends a bare CORESET and the machine's phase telemetry stays
-	// zero. A corrupt TELEM is KindProtocol, like any corrupt frame: a peer
-	// that garbles telemetry cannot be trusted about the coreset either.
-	if typ == frameTelem {
-		t, terr := decodeTelem(payload)
-		if terr != nil {
-			return KindProtocol, terr
-		}
-		res.telem = &t
-		countTelem(sink, m, frameLen)
-		typ, payload, frameLen, err = readFrameDeadline(conn, s.iot)
-		if err != nil {
-			return ioKind(err), fmt.Errorf("awaiting CORESET: %w", err)
-		}
+	if res.telem, err = decodeTelem(payload); err != nil {
+		return KindProtocol, err
 	}
-	switch typ {
-	case frameCoreset:
-		sum, err := task.DecodeSummary(s.d, payload)
-		if err != nil {
-			return KindProtocol, err
-		}
-		res.sum, res.wire = sum, frameLen
-		countReceived(sink, m, frameLen)
-		return KindUnknown, nil
-	case frameError:
-		return KindProtocol, fmt.Errorf("remote: %s", payload)
+	countReceived(sink, m, MetricTelemBytes, frameLen)
+	if payload, frameLen, kind, err = s.await(m, frameCoreset, "CORESET"); err != nil {
+		return kind, err
+	}
+	sum, err := task.DecodeSummary(s.d, payload)
+	if err != nil {
+		return KindProtocol, err
+	}
+	res.sum, res.wire = sum, frameLen
+	countReceived(sink, m, MetricCoresetBytes, frameLen)
+	return KindUnknown, nil
+}
+
+// await reads machine m's next frame under the per-frame deadline; it must
+// be of type want (named name in errors). An ERROR in its place carries the
+// worker's message and any other frame is a protocol violation.
+func (s *Session) await(m int, want byte, name string) ([]byte, int, FailureKind, error) {
+	typ, payload, frameLen, err := readFrameDeadline(s.links[m].conn, s.iot)
+	switch {
+	case err != nil:
+		return nil, 0, ioKind(err), fmt.Errorf("awaiting %s: %w", name, err)
+	case typ == want:
+		return payload, frameLen, KindUnknown, nil
+	case typ == frameError:
+		return nil, 0, KindProtocol, fmt.Errorf("remote: %s", payload)
 	default:
-		return KindProtocol, fmt.Errorf("unexpected frame 0x%02x, want CORESET", typ)
+		return nil, 0, KindProtocol, fmt.Errorf("unexpected frame 0x%02x, want %s", typ, name)
 	}
 }
 
@@ -449,7 +452,7 @@ func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []grap
 // Stats: the task's own fold (task.Descriptor.FoldStats), which charges each
 // summary's body, with the cluster's measurements layered on top — the body
 // lengths become the estimate, the CORESET frames measured off the wire the
-// reported bytes — plus per-machine telemetry and the shard traffic.
+// reported bytes — plus each machine's TELEM and the shard traffic.
 func (s *Session) fold(res []workerResult, scan passResult, retries int, replayed []int) ([]stream.Summary, *Stats) {
 	k := len(res)
 	sums := make([]stream.Summary, k)
@@ -464,13 +467,7 @@ func (s *Session) fold(res []workerResult, scan passResult, retries int, replaye
 	for m, r := range res {
 		st.TotalCommBytes += r.wire
 		st.MaxMachineBytes = max(st.MaxMachineBytes, r.wire)
-		// Per-machine breakdown: a worker without the telemetry capability
-		// still gets an entry (edges from its Summary, phase fields zero).
-		ms := graph.MachineStats{Machine: m, EdgesIn: r.sum.Edges}
-		if r.telem != nil {
-			ms = r.telem.machineStats(m)
-		}
-		st.MachineStats[m] = ms
+		st.MachineStats[m] = r.telem.machineStats(m)
 	}
 	for _, m := range replayed {
 		st.MachineStats[m].Replayed = true

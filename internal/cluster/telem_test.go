@@ -46,109 +46,10 @@ func TestTelemCodec(t *testing.T) {
 	}
 }
 
-// legacyWorker emulates a pre-telemetry worker: a valid handshake with the
-// old one-byte ACK (no capability bits), the telemetry request in HELLO
-// ignored, and EOS answered with a bare CORESET — no TELEM frame. The HELLO
-// it decoded lands in sawHello so the test can assert what the coordinator
-// asked for.
-func legacyWorker(t *testing.T, sawHello chan<- hello) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		typ, payload, _, err := readFrame(conn)
-		if err != nil || typ != frameHello {
-			return
-		}
-		h, err := decodeHello(payload)
-		if err != nil {
-			return
-		}
-		sawHello <- h
-		if _, err := writeFrame(conn, frameAck, []byte{protocolVersion}); err != nil {
-			return
-		}
-		var edges []graph.Edge
-		for {
-			typ, payload, _, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			if typ == frameEOS {
-				break
-			}
-			batch, _, err := graph.DecodeEdgeBatch(payload)
-			if err != nil {
-				return
-			}
-			edges = append(edges, batch...)
-		}
-		sum := stream.Summary{Edges: len(edges), Stored: len(edges), Coreset: edges}
-		_, _ = writeFrame(conn, frameCoreset, task.AppendSummary(nil, matchingTask, sum))
-	}()
-	return ln.Addr().String()
-}
-
-// TestBareCoresetTolerated: a mixed fleet — one telemetry-capable worker, one
-// legacy worker that never sends TELEM — must complete, with the legacy
-// machine's MachineStats entry present but zeroed in its phase fields. The
-// capability is negotiated, never assumed.
-func TestBareCoresetTolerated(t *testing.T) {
-	capable := startWorkers(t, 1)
-	sawHello := make(chan hello, 1)
-	legacy := legacyWorker(t, sawHello)
-
-	g := gen.GNP(1500, 12.0/1500, rng.New(51))
-	cfg := Config{Workers: []string{capable[0], legacy}, Seed: 51, BatchSize: 64, RunID: "r-telmtest"}
-	var sums []stream.Summary
-	var st *Stats
-	err := runWithTimeout(t, 30*time.Second, func() error {
-		var err error
-		sums, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
-		return err
-	})
-	if err != nil {
-		t.Fatalf("mixed fleet run failed: %v", err)
-	}
-
-	// The coordinator always asks: the legacy worker saw the telemetry bit
-	// and the run ID, and simply did not reciprocate.
-	h := <-sawHello
-	if !h.telem || h.runID != cfg.RunID {
-		t.Fatalf("legacy worker saw telem=%v runID=%q, want telem=true runID=%q", h.telem, h.runID, cfg.RunID)
-	}
-
-	if len(st.MachineStats) != 2 {
-		t.Fatalf("MachineStats has %d entries, want one per machine", len(st.MachineStats))
-	}
-	cap0, leg1 := st.MachineStats[0], st.MachineStats[1]
-	if cap0.DecodeMS+cap0.BuildMS+cap0.EncodeMS <= 0 {
-		t.Errorf("capable machine reported no phase time: %+v", cap0)
-	}
-	if cap0.EdgesIn != sums[0].Edges {
-		t.Errorf("capable machine EdgesIn = %d, want its summary's %d", cap0.EdgesIn, sums[0].Edges)
-	}
-	if leg1.DecodeMS != 0 || leg1.BuildMS != 0 || leg1.EncodeMS != 0 || leg1.RepairIters != 0 || leg1.PeakCoreset != 0 {
-		t.Errorf("legacy machine has nonzero phase telemetry: %+v", leg1)
-	}
-	// Edge accounting still comes from the CORESET summary, TELEM or not.
-	if leg1.Machine != 1 || leg1.EdgesIn != sums[1].Edges || sums[1].Edges == 0 {
-		t.Errorf("legacy machine entry = %+v, want EdgesIn = %d > 0", leg1, sums[1].Edges)
-	}
-}
-
-// telemCorruptingWorker speaks a full valid run but answers EOS with a TELEM
-// frame carrying the given payload (then a well-formed CORESET, which the
-// coordinator must never reach).
-func telemCorruptingWorker(t *testing.T, telemPayload []byte) string {
+// telemCorruptingWorker speaks a full valid run but answers EOS with a frame
+// of type telemType carrying the given payload in TELEM's place (then a
+// well-formed CORESET, which the coordinator must never reach).
+func telemCorruptingWorker(t *testing.T, telemType byte, telemPayload []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -166,7 +67,7 @@ func telemCorruptingWorker(t *testing.T, telemPayload []byte) string {
 				if typ, _, _, err := readFrame(conn); err != nil || typ != frameHello {
 					return
 				}
-				if _, err := writeFrame(conn, frameAck, []byte{protocolVersion, ackCapTelem}); err != nil {
+				if _, err := writeFrame(conn, frameAck, encodeAck()); err != nil {
 					return
 				}
 				for {
@@ -178,32 +79,39 @@ func telemCorruptingWorker(t *testing.T, telemPayload []byte) string {
 						break
 					}
 				}
-				if _, err := writeFrame(conn, frameTelem, telemPayload); err != nil {
+				if _, err := writeFrame(conn, telemType, telemPayload); err != nil {
 					return
 				}
-				sum := stream.Summary{Coreset: []graph.Edge{}}
-				_, _ = writeFrame(conn, frameCoreset, task.AppendSummary(nil, matchingTask, sum))
+				_, _ = writeFrame(conn, frameCoreset, emptyMatchingCoreset)
 			}(conn)
 		}
 	}()
 	return ln.Addr().String()
 }
 
+// emptyMatchingCoreset is a well-formed CORESET payload: an empty matching.
+var emptyMatchingCoreset = task.AppendSummary(nil, matchingTask, stream.Summary{Coreset: []graph.Edge{}})
+
 // TestCorruptTelemIsTerminal: a garbled TELEM frame — truncated mid-field or
-// carrying trailing bytes — must fail the run as KindProtocol, non-retryable,
-// even when the run is configured for replay: a peer that corrupts telemetry
+// carrying trailing bytes — or a CORESET where TELEM belongs must fail the
+// run as KindProtocol, non-retryable, even when the run is configured for
+// replay: every EOS is answered by TELEM, a peer that corrupts telemetry
 // cannot be trusted about the coreset, and replaying it would fail
 // identically.
 func TestCorruptTelemIsTerminal(t *testing.T) {
 	full := appendTelem(nil, workerTelem{decodeNS: 1, buildNS: 2, encodeNS: 3, edgesIn: 4})
-	for name, payload := range map[string][]byte{
-		"truncated":     full[:3],
-		"trailing-junk": append(append([]byte{}, full...), 0x07),
-		"empty-payload": {},
+	for name, frame := range map[string]struct {
+		typ     byte
+		payload []byte
+	}{
+		"truncated":     {frameTelem, full[:3]},
+		"trailing-junk": {frameTelem, append(append([]byte{}, full...), 0x07)},
+		"empty-payload": {frameTelem, []byte{}},
+		"bare-coreset":  {frameCoreset, emptyMatchingCoreset},
 	} {
 		t.Run(name, func(t *testing.T) {
 			healthy := startWorkers(t, 1)
-			corrupt := telemCorruptingWorker(t, payload)
+			corrupt := telemCorruptingWorker(t, frame.typ, frame.payload)
 			g := gen.GNP(800, 0.01, rng.New(57))
 			cfg := Config{
 				Workers: []string{healthy[0], corrupt},

@@ -20,46 +20,34 @@ import (
 // one HELLO on each, and then up to the session's round cap of rounds on the
 // same connections. A connection therefore speaks
 //
-//	coordinator -> worker   HELLO      task, machine index, k, optional n
-//	                                   (+ degree constraints for UsesBeta tasks)
-//	                                   (+ round cap under a multi-round task byte)
-//	                                   (+ run ID when telemetry is requested)
-//	worker -> coordinator   ACK        protocol version echo + capability byte
+//	coordinator -> worker   HELLO      version, task byte, flags (bit 0: n
+//	                                   known upfront), machine, k, n,
+//	                                   [β, β⁻ for UsesBeta tasks], round cap,
+//	                                   run ID (length-prefixed, may be empty)
+//	worker -> coordinator   ACK        the protocol version, nothing else
 //
 // followed by one or more rounds, each with a fresh machine on the worker:
 //
 //	coordinator -> worker   SHARD*     varint delta edge batch (graph codec)
 //	coordinator -> worker   EOS        final vertex count
-//	worker -> coordinator   TELEM      phase timings + build counters (optional)
+//	worker -> coordinator   TELEM      phase timings + build counters
 //	worker -> coordinator   CORESET    per-machine stats + coreset body (task codec)
 //
-// A single-round run is the session with a cap of 1: it is announced by the
-// task's single-round byte, whose HELLO has no rounds field, and the worker
-// closes the connection after its one CORESET. Under a task's multi-round
-// byte the HELLO carries the cap, and because the coordinator cannot know the
-// final round count upfront (its early exit fires when the union stops
-// shrinking) and may drop a machine from later rounds (the schedule shrinks
-// k), it ends the assignment by closing the connection at a round boundary,
-// which the worker treats as a clean end.
-//
-// TELEM is capability-negotiated, no version bump: the coordinator sets the
-// telemetry bit in the HELLO flag byte (and appends its run ID, which old
-// workers ignore as trailing bytes), and a capable worker both echoes the
-// capability in its ACK and emits one TELEM frame immediately before each
-// CORESET. A coordinator reading from an old worker sees a bare CORESET and
-// records zeroed phase telemetry for that machine; an old coordinator never
-// sets the bit, so it never sees a TELEM frame. TELEM bytes are deliberately
-// excluded from the coreset communication accounting (TotalCommBytes) — they
-// are measurement overhead, not algorithm traffic — and are tracked under
-// their own metric instead.
+// There is one layout and nothing is negotiated: every HELLO carries every
+// field but the UsesBeta pair, and every EOS is answered by TELEM and then
+// CORESET. A single-round run is the session with a round cap of 1. Because
+// the coordinator of a multi-round run cannot know the final round count
+// upfront (its early exit fires when the union stops shrinking) and may drop
+// a machine from later rounds (the schedule shrinks k), it ends an
+// assignment by closing the connection at a round boundary, which the worker
+// treats as a clean end. TELEM bytes are excluded from the coreset
+// communication accounting (TotalCommBytes) — they are measurement overhead,
+// not algorithm traffic — and are tracked under their own metric instead.
 //
 // Retry is a re-handshake, not a frame: workers are stateless across
 // connections, so a coordinator replaying a lost round simply dials again
-// and speaks a fresh HELLO for the same machine index (under a multi-round
-// byte, with the rounds field reduced to the rounds still owed, current
-// round included). The frame set is unchanged and no version bump
-// is needed; a pre-replay worker serves a replayed round exactly like a
-// fresh run.
+// and speaks a fresh HELLO for the same machine index, with the round cap
+// reduced to the rounds still owed, current round included.
 //
 // Either side may substitute ERROR (UTF-8 message) for its next frame and
 // close.
@@ -80,14 +68,17 @@ import (
 //
 // Version 2 is version 1 with the CORESET bodies moved from the delta batch
 // codec to the sorted-set codec; version 3 sends the vc residual in the rank
-// space of the vertices its levels did not fix (core.AppendVCCoreset). A
+// space of the vertices its levels did not fix (core.AppendVCCoreset);
+// version 4 drops the telemetry negotiation and gives HELLO one layout. A
 // body does not describe its own format, so the version is compared for
 // equality at the HELLO, the one place peers meet: a worker answers any
 // other version with an ERROR naming both, which the coordinator reports as
 // a KindHandshake failure — terminal, since every replay would be refused
-// the same way.
+// the same way. Every frame's bytes are pinned per version by the goldens
+// in testdata/v<protocolVersion>/ (TestWireGoldens), so a layout change
+// without a bump, or a bump without regenerated goldens, fails a test.
 
-const protocolVersion = 3
+const protocolVersion = 4
 
 // Frame types.
 const (
@@ -100,17 +91,9 @@ const (
 	frameTelem
 )
 
-// HELLO flag bits (byte 2 of the payload). Old peers wrote 0x00/0x01 for the
-// known-n boolean, so bit 0 keeps that meaning and bit 1 is the telemetry
-// capability request.
-const (
-	helloFlagKnown byte = 1 << 0
-	helloFlagTelem byte = 1 << 1
-)
-
-// ACK capability bits. A pre-telemetry worker sends a 1-byte ACK (version
-// only), which the coordinator reads as "no capabilities".
-const ackCapTelem byte = 1 << 0
+// helloFlagKnown is the one HELLO flag bit (byte 2 of the payload): the
+// vertex count was declared upfront. Every other bit must be clear.
+const helloFlagKnown byte = 1 << 0
 
 // maxRunIDLen bounds the run ID a worker accepts in HELLO; run IDs here are
 // "r-%08x" (10 bytes), so the cap exists purely against hostile frames.
@@ -118,13 +101,12 @@ const maxRunIDLen = 128
 
 // Task bytes carried in HELLO. The byte assignments live in the task registry
 // (internal/task): Descriptor.Wire is the HELLO task byte and
-// Descriptor.WireRounds its multi-round variant, and both encodeHello and
-// decodeHello dispatch through task.ByWire rather than a task switch
-// (TestTaskBytesMatchRegistry pins the assigned values). A task byte extends
-// the HELLO payload per its descriptor's capabilities (UsesBeta appends the
-// two EDCS degree constraints; a WireRounds byte additionally carries the
-// round cap); peers that predate a byte reject the unknown task, so no
-// protocol version bump is needed.
+// Descriptor.WireRounds the byte a multi-round session announces, which
+// differs from it only in the worker's span label; both encodeHello and
+// decodeHello resolve the byte through task.ByWire rather than a task switch
+// (TestTaskBytesMatchRegistry pins the assigned values), and only UsesBeta
+// changes what the HELLO carries. Peers that predate a byte reject the
+// unknown task, so registering one needs no protocol version bump.
 
 // taskName returns a task byte's human name for logs and trace spans.
 func taskName(tb byte) string {
@@ -168,8 +150,7 @@ const maxVertices = 1 << 28
 // maxK bounds the machine count in HELLO; far above any deployment here.
 const maxK = 1 << 20
 
-// maxWireRounds bounds the round cap a worker accepts in a multi-round
-// HELLO. The paper's schedule needs O(log log n) rounds, so anything near
+// maxWireRounds bounds the round cap a worker accepts in a HELLO. The paper's schedule needs O(log log n) rounds, so anything near
 // this cap is already nonsense; it exists so a corrupt frame cannot promise
 // an absurd run length.
 const maxWireRounds = 1 << 10
@@ -264,38 +245,25 @@ type hello struct {
 	known   bool // vertex count declared upfront (enables online peeling)
 	n       int
 	edcs    edcs.Params // UsesBeta tasks
-	rounds  int         // multi-round task bytes only: round cap for this connection (>= 1)
-	telem   bool        // request per-round TELEM frames from the worker
-	runID   string      // coordinator's trace run ID (sent iff telem)
+	rounds  int         // round cap for this connection (>= 1; 1 for a single-round run)
+	runID   string      // coordinator's trace run ID (may be empty)
 }
 
 func encodeHello(h hello) []byte {
 	buf := []byte{h.version, h.task, 0}
 	if h.known {
-		buf[2] |= helloFlagKnown
-	}
-	if h.telem {
-		buf[2] |= helloFlagTelem
+		buf[2] = helloFlagKnown
 	}
 	buf = binary.AppendUvarint(buf, uint64(h.machine))
 	buf = binary.AppendUvarint(buf, uint64(h.k))
 	buf = binary.AppendUvarint(buf, uint64(h.n))
-	if d, multiRound, ok := task.ByWire(h.task); ok {
-		if d.UsesBeta {
-			buf = binary.AppendUvarint(buf, uint64(h.edcs.Beta))
-			buf = binary.AppendUvarint(buf, uint64(h.edcs.BetaMinus))
-		}
-		if multiRound {
-			buf = binary.AppendUvarint(buf, uint64(h.rounds))
-		}
+	if d, _, ok := task.ByWire(h.task); ok && d.UsesBeta {
+		buf = binary.AppendUvarint(buf, uint64(h.edcs.Beta))
+		buf = binary.AppendUvarint(buf, uint64(h.edcs.BetaMinus))
 	}
-	if h.telem {
-		// Length-prefixed run ID at the tail: a pre-telemetry worker stops
-		// parsing before it and ignores the trailing bytes.
-		buf = binary.AppendUvarint(buf, uint64(len(h.runID)))
-		buf = append(buf, h.runID...)
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(h.rounds))
+	buf = binary.AppendUvarint(buf, uint64(len(h.runID)))
+	return append(buf, h.runID...)
 }
 
 func decodeHello(data []byte) (hello, error) {
@@ -308,8 +276,10 @@ func decodeHello(data []byte) (hello, error) {
 		// Before anything else is read: another version may lay it out differently.
 		return h, fmt.Errorf("cluster: protocol version %d, want %d", h.version, protocolVersion)
 	}
-	h.known = data[2]&helloFlagKnown != 0
-	h.telem = data[2]&helloFlagTelem != 0
+	if data[2]&^helloFlagKnown != 0 {
+		return h, fmt.Errorf("cluster: unknown HELLO flags 0x%02x", data[2])
+	}
+	h.known = data[2] == helloFlagKnown
 	data = data[3:]
 	uvarint := func() (uint64, error) {
 		v, k := binary.Uvarint(data)
@@ -328,7 +298,7 @@ func decodeHello(data []byte) (hello, error) {
 		vals[i] = v
 	}
 	h.machine, h.k, h.n = int(vals[0]), int(vals[1]), int(vals[2])
-	d, multiRound, ok := task.ByWire(h.task)
+	d, _, ok := task.ByWire(h.task)
 	if !ok {
 		return h, &UnknownTaskError{Task: h.task, Known: task.WireRange()}
 	}
@@ -349,37 +319,40 @@ func decodeHello(data []byte) (hello, error) {
 			return h, err
 		}
 	}
-	if multiRound {
-		rounds, err := uvarint()
-		if err != nil {
-			return h, err
-		}
-		if rounds < 1 || rounds > maxWireRounds {
-			return h, fmt.Errorf("cluster: round cap %d outside [1, %d]", rounds, maxWireRounds)
-		}
-		h.rounds = int(rounds)
+	rounds, err := uvarint()
+	if err != nil {
+		return h, err
 	}
+	if rounds < 1 || rounds > maxWireRounds {
+		return h, fmt.Errorf("cluster: round cap %d outside [1, %d]", rounds, maxWireRounds)
+	}
+	h.rounds = int(rounds)
 	if h.k <= 0 || h.k > maxK || h.machine < 0 || h.machine >= h.k {
 		return h, fmt.Errorf("cluster: machine %d of k=%d out of range", h.machine, h.k)
 	}
 	if h.n < 0 || h.n > maxVertices {
 		return h, fmt.Errorf("cluster: vertex count %d exceeds the cap of %d", h.n, maxVertices)
 	}
-	if h.telem {
-		idLen, err := uvarint()
-		if err != nil {
-			return h, err
-		}
-		if idLen > maxRunIDLen {
-			return h, fmt.Errorf("cluster: run ID length %d exceeds the cap of %d", idLen, maxRunIDLen)
-		}
-		if uint64(len(data)) < idLen {
-			return h, fmt.Errorf("cluster: truncated HELLO run ID")
-		}
-		h.runID = string(data[:idLen])
+	idLen, err := uvarint()
+	if err != nil {
+		return h, err
+	}
+	if idLen > maxRunIDLen {
+		return h, fmt.Errorf("cluster: run ID length %d exceeds the cap of %d", idLen, maxRunIDLen)
+	}
+	if uint64(len(data)) < idLen {
+		return h, fmt.Errorf("cluster: truncated HELLO run ID")
+	}
+	h.runID = string(data[:idLen])
+	if rest := len(data) - int(idLen); rest != 0 {
+		return h, fmt.Errorf("cluster: %d trailing bytes after HELLO", rest)
 	}
 	return h, nil
 }
+
+// encodeAck is the whole ACK payload: the protocol version the worker
+// speaks. readAck accepts exactly these bytes.
+func encodeAck() []byte { return []byte{protocolVersion} }
 
 // workerTelem is the TELEM payload: the worker's phase wall times (its own
 // clock, nanoseconds) and build counters for one round. The counters are a

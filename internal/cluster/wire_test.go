@@ -64,38 +64,53 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
-// helloVectors are well-formed HELLOs covering every optional part of the
-// payload: the UsesBeta tail, the rounds field, the telemetry bit with and
-// without a run ID.
+// helloVectors are well-formed HELLOs covering every part of the payload:
+// the known-n flag, the UsesBeta tail, round caps of 1 and more, and run IDs
+// empty and not.
 var helloVectors = []hello{
-	{version: protocolVersion, task: taskMatching, machine: 0, k: 1},
-	{version: protocolVersion, task: taskVC, machine: 7, k: 8, known: true, n: 1 << 20},
-	{version: protocolVersion, task: taskEDCS, machine: 2, k: 4, known: true, n: 1 << 10, edcs: edcs.ParamsForBeta(32)},
-	{version: protocolVersion, task: taskMatching, machine: 1, k: 2, telem: true, runID: "r-00c0ffee"},
-	{version: protocolVersion, task: taskEDCS, machine: 0, k: 2, known: true, n: 1 << 8,
-		edcs: edcs.ParamsForBeta(16), telem: true}, // telemetry requested with an empty run ID
+	{version: protocolVersion, task: taskMatching, machine: 0, k: 1, rounds: 1},
+	{version: protocolVersion, task: taskVC, machine: 7, k: 8, known: true, n: 1 << 20, rounds: 1},
+	{version: protocolVersion, task: taskEDCS, machine: 2, k: 4, known: true, n: 1 << 10, edcs: edcs.ParamsForBeta(32), rounds: 1},
+	{version: protocolVersion, task: taskMatching, machine: 1, k: 2, rounds: 1, runID: "r-00c0ffee"},
 	{version: protocolVersion, task: taskEDCSRounds, machine: 1, k: 2, known: true, n: 1 << 8,
-		edcs: edcs.ParamsForBeta(16), rounds: 3, telem: true, runID: "r-00c0ffee"},
+		edcs: edcs.ParamsForBeta(16), rounds: 3, runID: "r-00c0ffee"},
+	{version: protocolVersion, task: taskDiversity, machine: 2, k: 3, rounds: maxWireRounds},
 }
 
-// badHellos are HELLOs a worker must reject.
+// badHellos are HELLOs a worker must reject, each for the one field named.
 var badHellos = map[string]hello{
-	"version":     {version: 99, task: taskMatching, k: 1},
-	"task":        {version: protocolVersion, task: 9, k: 1},
-	"machine-oob": {version: protocolVersion, task: taskVC, machine: 3, k: 3},
-	"zero-k":      {version: protocolVersion, task: taskVC, machine: 0, k: 0},
-	"huge-k":      {version: protocolVersion, task: taskVC, machine: 0, k: maxK + 1},
+	"version":     {version: 99, task: taskMatching, k: 1, rounds: 1},
+	"task":        {version: protocolVersion, task: 9, k: 1, rounds: 1},
+	"machine-oob": {version: protocolVersion, task: taskVC, machine: 3, k: 3, rounds: 1},
+	"zero-k":      {version: protocolVersion, task: taskVC, machine: 0, k: 0, rounds: 1},
+	"huge-k":      {version: protocolVersion, task: taskVC, machine: 0, k: maxK + 1, rounds: 1},
 	// n drives an O(n) allocation in the VC machine; a worker that
 	// accepted an unbounded count could be crashed by one frame.
-	"huge-n": {version: protocolVersion, task: taskVC, k: 1, known: true, n: maxVertices + 1},
+	"huge-n": {version: protocolVersion, task: taskVC, k: 1, known: true, n: maxVertices + 1, rounds: 1},
 	// EDCS params the dynamic subgraph cannot satisfy, or absurdly large.
-	"edcs-invalid": {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: 4, BetaMinus: 4}},
-	"edcs-huge":    {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: edcs.MaxBeta + 1, BetaMinus: 1}},
-	// A round cap outside [1, maxWireRounds] promises a nonsense run length.
-	"rounds-zero": {version: protocolVersion, task: taskEDCSRounds, k: 1, edcs: edcs.ParamsForBeta(16)},
-	"rounds-huge": {version: protocolVersion, task: taskEDCSRounds, k: 1, edcs: edcs.ParamsForBeta(16), rounds: maxWireRounds + 1},
+	"edcs-invalid": {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: 4, BetaMinus: 4}, rounds: 1},
+	"edcs-huge":    {version: protocolVersion, task: taskEDCS, k: 1, edcs: edcs.Params{Beta: edcs.MaxBeta + 1, BetaMinus: 1}, rounds: 1},
+	// A round cap outside [1, maxWireRounds] promises a nonsense run length;
+	// every task byte carries one.
+	"rounds-zero":      {version: protocolVersion, task: taskMatching, k: 1},
+	"rounds-zero-edcs": {version: protocolVersion, task: taskEDCSRounds, k: 1, edcs: edcs.ParamsForBeta(16)},
+	"rounds-huge":      {version: protocolVersion, task: taskEDCSRounds, k: 1, edcs: edcs.ParamsForBeta(16), rounds: maxWireRounds + 1},
 	// A hostile run ID length must be rejected before allocation.
-	"runid-huge": {version: protocolVersion, task: taskMatching, k: 1, telem: true, runID: strings.Repeat("x", maxRunIDLen+1)},
+	"runid-huge": {version: protocolVersion, task: taskMatching, k: 1, rounds: 1, runID: strings.Repeat("x", maxRunIDLen+1)},
+}
+
+// badHelloBytes are HELLO payloads no encodeHello call produces.
+func badHelloBytes() map[string][]byte {
+	valid := encodeHello(helloVectors[3])
+	return map[string][]byte{
+		"short":    {protocolVersion},
+		"trailing": append(bytes.Clone(valid), 0x00),
+		// The layout of a single-round HELLO before version 4: no round cap,
+		// and nothing after n.
+		"no-round-cap": {protocolVersion, taskMatching, 0, 0, 1, 0},
+		"run-id-cut":   valid[:len(valid)-1],
+		"flags":        append([]byte{protocolVersion, taskMatching, 0x02}, valid[3:]...),
+	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -116,23 +131,53 @@ func TestHelloRejectsBadFields(t *testing.T) {
 			t.Fatalf("%s: bad HELLO accepted", name)
 		}
 	}
-	if _, err := decodeHello([]byte{protocolVersion}); err == nil {
-		t.Fatal("short HELLO accepted")
+	for name, data := range badHelloBytes() {
+		if h, err := decodeHello(data); err == nil {
+			t.Fatalf("%s: HELLO % x accepted as %+v", name, data, h)
+		}
+	}
+}
+
+// TestAckIsExactlyTheVersion: the ACK is one byte, the protocol version. An
+// ACK still carrying the capability byte of version 3, or naming another
+// version, is a terminal handshake failure.
+func TestAckIsExactlyTheVersion(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"capability-byte": {protocolVersion, 0x01},
+		"other-version":   {protocolVersion - 1},
+		"empty":           {},
+	} {
+		coord, worker := net.Pipe()
+		go func() {
+			_, _ = writeFrame(worker, frameAck, payload)
+			worker.Close()
+		}()
+		kind, err := readAck(coord, 0)
+		coord.Close()
+		if err == nil || kind != KindHandshake {
+			t.Errorf("%s: ACK % x read as kind %s, err %v; want a KindHandshake failure", name, payload, kind, err)
+		}
 	}
 }
 
 // FuzzDecodeHello: the HELLO decoder reads bytes straight off a socket. It
 // must absorb anything, and whatever it accepts must survive a re-encode
-// unchanged — the capability tail, the run-ID length, the rounds field and
-// the UsesBeta tail included.
+// unchanged — the run ID, the round cap and the UsesBeta tail included. The
+// seeds are the golden HELLOs, the round-trip vectors and the rejection
+// vectors.
 func FuzzDecodeHello(f *testing.F) {
+	for _, p := range goldenPayloads(f, frameHello) {
+		f.Add(p)
+	}
 	for _, h := range helloVectors {
 		f.Add(encodeHello(h))
 	}
 	for _, h := range badHellos {
 		f.Add(encodeHello(h))
 	}
-	f.Add([]byte{protocolVersion})
+	for _, data := range badHelloBytes() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := decodeHello(data)
 		if err != nil {
@@ -149,15 +194,14 @@ func FuzzDecodeHello(f *testing.F) {
 }
 
 // FuzzDecodeTelem: same contract for the TELEM payload, whose decoder is
-// strict (no truncation, no trailing bytes).
+// strict (no truncation, no trailing bytes). The seeds are the golden TELEM,
+// a truncation of it and it with a trailing byte.
 func FuzzDecodeTelem(f *testing.F) {
-	full := appendTelem(nil, workerTelem{
-		decodeNS: 1_500_000, buildNS: 92_000_000, encodeNS: 310_000,
-		edgesIn: 4096, repairIters: 17, removals: 9, peakCoreset: 801,
-	})
-	f.Add(full)
-	f.Add(full[:3])
-	f.Add(append(append([]byte{}, full...), 0x07))
+	for _, full := range goldenPayloads(f, frameTelem) {
+		f.Add(full)
+		f.Add(full[:3])
+		f.Add(append(bytes.Clone(full), 0x07))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tm, err := decodeTelem(data)
@@ -256,10 +300,11 @@ func TestKeptFramesAreNeverRecycled(t *testing.T) {
 // into a dirty reused one, as the worker's SHARD loop does — and the two
 // must agree: no stale byte of the longer frame the buffer last held may
 // show, and an oversized length prefix must leave the buffer as it was.
+// Every golden frame seeds it, beside the malformed frames below.
 func FuzzReadFrame(f *testing.F) {
-	var ok bytes.Buffer
-	_, _ = writeFrame(&ok, frameShard, []byte{0x01, 0x02, 0x03})
-	f.Add(ok.Bytes())
+	for _, g := range readGoldens(f) {
+		f.Add(g.frame)
+	}
 	f.Add([]byte{frameShard, 0xFF, 0xFF, 0xFF, 0xFF})           // oversized length prefix
 	f.Add([]byte{frameShard, 0x00})                             // truncated header
 	f.Add([]byte{frameShard, 0x00, 0x00, 0x00, 0x05, 0x01})     // truncated payload
@@ -314,8 +359,9 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // TestWorkerSurvivesHostileFrames: frames that could drive unbounded
-// allocations (huge HELLO n, huge EOS n) must be answered with ERROR and
-// must not take down the resident worker — it keeps serving honest runs.
+// allocations (huge HELLO n, huge EOS n) or carry bytes past their fields
+// must be answered with ERROR and must not take down the resident worker —
+// it keeps serving honest runs.
 func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	addrs, shutdown, err := ServeLoopback(1)
 	if err != nil {
@@ -337,18 +383,27 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 	}
 	// Huge vertex count in HELLO (would allocate O(n) VC state).
 	attack(func(conn net.Conn) {
-		h := hello{version: protocolVersion, task: taskVC, k: 1, known: true, n: maxVertices + 1}
+		h := hello{version: protocolVersion, task: taskVC, k: 1, known: true, n: maxVertices + 1, rounds: 1}
 		_, _ = writeFrame(conn, frameHello, encodeHello(h))
 	})
 	// Valid handshake, then a huge EOS count (would allocate at Finish).
 	attack(func(conn net.Conn) {
-		h := hello{version: protocolVersion, task: taskMatching, k: 1}
+		h := hello{version: protocolVersion, task: taskMatching, k: 1, rounds: 1}
 		_, _ = writeFrame(conn, frameHello, encodeHello(h))
 		if typ, _, _, err := readFrame(conn); err != nil || typ != frameAck {
 			t.Fatalf("handshake failed: type 0x%02x err %v", typ, err)
 		}
 		var eos [10]byte
 		_, _ = writeFrame(conn, frameEOS, eos[:binary.PutUvarint(eos[:], 1<<40)])
+	})
+	// Valid handshake, then an EOS with a byte after its count.
+	attack(func(conn net.Conn) {
+		h := hello{version: protocolVersion, task: taskMatching, k: 1, rounds: 1}
+		_, _ = writeFrame(conn, frameHello, encodeHello(h))
+		if typ, _, _, err := readFrame(conn); err != nil || typ != frameAck {
+			t.Fatalf("handshake failed: type 0x%02x err %v", typ, err)
+		}
+		_, _ = writeFrame(conn, frameEOS, []byte{10, 0})
 	})
 
 	// The worker is still alive and serves an honest run.

@@ -21,10 +21,10 @@ import (
 // Worker is a resident coreset worker: it accepts any number of concurrent
 // run-assignment connections, hosts one stream.Machine per connection and
 // round — the same incremental builders the in-process runtime uses — and
-// answers each round with a single CORESET frame. A worker is stateless between runs: all
-// per-run state lives on the connection's goroutine and is discarded the
-// moment the connection ends, so a coordinator that vanishes mid-shard costs
-// the worker nothing but a logged line.
+// answers each round with a TELEM and a CORESET frame. A worker is stateless
+// between runs: all per-run state lives on the connection's goroutine and is
+// discarded the moment the connection ends, so a coordinator that vanishes
+// mid-shard costs the worker nothing but a logged line.
 type Worker struct {
 	logger *log.Logger
 	tracer *obs.Tracer    // nil: silent (Instrument)
@@ -201,13 +201,12 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	}
 }
 
-// handle speaks one run-assignment: the HELLO/ACK handshake, then the
-// assignment's rounds (serveRounds) — one for a single-round task byte, up
-// to the HELLO's round cap for a multi-round one. Protocol and decode
-// failures are answered with a best-effort ERROR frame before the connection
-// drops. A panic while serving one run (a malformed input the validations
-// missed) is confined to that connection: the worker is resident and must
-// outlive any single coordinator.
+// handle speaks one run-assignment: the HELLO/ACK handshake, then up to the
+// HELLO's round cap of rounds (serveRounds). Protocol and decode failures
+// are answered with a best-effort ERROR frame before the connection drops.
+// A panic while serving one run (a malformed input the validations missed)
+// is confined to that connection: the worker is resident and must outlive
+// any single coordinator.
 func (w *Worker) handle(conn net.Conn) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -236,9 +235,7 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	if h.known {
 		nHint = h.n
 	}
-	// The ACK advertises the worker's capabilities (it always supports
-	// telemetry); the HELLO's telem bit is what asks it to emit TELEM.
-	nw, err := writeFrame(conn, frameAck, []byte{protocolVersion, ackCapTelem})
+	nw, err := writeFrame(conn, frameAck, encodeAck())
 	if err != nil {
 		return fmt.Errorf("writing ACK: %w", err)
 	}
@@ -251,22 +248,18 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	// decodeHello already rejected unknown task bytes, so the registry lookup
 	// cannot miss; the descriptor supplies the machine's builder, so the
 	// worker itself is task-agnostic.
-	d, multiRound, _ := task.ByWire(h.task)
-	if !multiRound {
-		h.rounds = 1
-	}
+	d, _, _ := task.ByWire(h.task)
 	return w.serveRounds(conn, h, tr, func() *stream.Machine {
 		return stream.NewMachine(d.NewBuilder(h.k, nHint, task.Params{EDCS: h.edcs}))
 	})
 }
 
 // consumeFrame handles one mid-run frame for the given machine: SHARD feeds
-// the builder, EOS finishes it and answers with the CORESET frame (done =
-// true), preceded by a TELEM frame when the HELLO requested telemetry. tm
-// accumulates the round's phase
-// times and build counters; the caller resets it at round boundaries. shard
-// is the connection's SHARD decode buffer: builders copy what they keep of an
-// Add, so every frame decodes into the same array. payload may alias the
+// the builder, EOS finishes it and answers with a TELEM and then the CORESET
+// frame (done = true). tm accumulates the round's phase times and build
+// counters; the caller resets it at round boundaries. shard is the
+// connection's SHARD decode buffer: builders copy what they keep of an Add,
+// so every frame decodes into the same array. payload may alias the
 // connection's read buffer; nothing of it is kept past the call.
 func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem, shard *[]graph.Edge) (done bool, err error) {
 	fail := func(err error) error {
@@ -294,9 +287,10 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		return false, nil
 	case frameEOS:
 		n, k := binary.Uvarint(payload)
-		if k <= 0 || n > maxVertices {
+		if k <= 0 || k != len(payload) || n > maxVertices {
 			// Finish allocates O(n) state; an unvalidated count is the
-			// one allocation maxFramePayload cannot bound.
+			// one allocation maxFramePayload cannot bound. The count is
+			// the whole payload, like every other frame's fields.
 			return false, fail(errors.New("cluster: corrupt EOS"))
 		}
 		t0 := time.Now()
@@ -315,14 +309,12 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		// the CORESET never finds this round missing from the worker's
 		// counters.
 		w.served.Add(1)
-		if h.telem {
-			nw, err := writeFrame(conn, frameTelem, appendTelem(nil, *tm))
-			if err != nil {
-				return false, fmt.Errorf("machine %d round %d: writing TELEM: %w", h.machine, round, err)
-			}
-			w.countOut(nw)
+		nw, err := writeFrame(conn, frameTelem, appendTelem(nil, *tm))
+		if err != nil {
+			return false, fmt.Errorf("machine %d round %d: writing TELEM: %w", h.machine, round, err)
 		}
-		nw, err := writeFrame(conn, frameCoreset, body)
+		w.countOut(nw)
+		nw, err = writeFrame(conn, frameCoreset, body)
 		if err != nil {
 			return false, fmt.Errorf("machine %d round %d: writing CORESET: %w", h.machine, round, err)
 		}
@@ -334,10 +326,10 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 }
 
 // serveRounds speaks an assignment's rounds: up to h.rounds rounds of
-// SHARD*/EOS on this one connection, each answered by one CORESET, with a
-// FRESH machine per round (built by mk) — round r's input is a different
-// graph (the union of round r-1's coresets across all machines), so nothing
-// may carry over. The coordinator cannot know the final round count upfront
+// SHARD*/EOS on this one connection, each answered by TELEM and CORESET,
+// with a FRESH machine per round (built by mk) — round r's input is a
+// different graph (the union of round r-1's coresets across all machines), so
+// nothing may carry over. The coordinator cannot know the final round count upfront
 // (its early exit fires when the union stops shrinking) and may also drop
 // this machine from later rounds (the schedule shrinks k), so it ends the
 // assignment by closing the connection at a round boundary; a read error

@@ -55,10 +55,9 @@ type PipelineStats struct {
 
 	// MachineStats is the per-machine telemetry breakdown (cluster only), one
 	// entry per machine in index order: the worker's phase wall times and
-	// build counters from its TELEM frame. A worker without the telemetry
-	// capability still gets an entry with the phase fields zero; a replayed
-	// machine's entry describes the replacement attempt and is marked
-	// Replayed.
+	// build counters from the TELEM frame every worker sends with its
+	// CORESET. A replayed machine's entry describes the replacement attempt
+	// and is marked Replayed.
 	MachineStats []graph.MachineStats
 
 	CompositionEdges int // edges the coordinator processed

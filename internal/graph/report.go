@@ -80,8 +80,7 @@ type RunReport struct {
 	// one entry per machine, populated from the TELEM payload each worker
 	// returns at round end. For multi-round runs this describes the FINAL
 	// round, mirroring the per-machine slices above; the per-round breakdown
-	// lives in RoundStats[*].MachineStats. Workers without the telemetry
-	// capability still get an entry, with the phase fields left zero.
+	// lives in RoundStats[*].MachineStats.
 	MachineStats []MachineStats `json:"machineStats,omitempty"`
 }
 

@@ -133,22 +133,20 @@ type family struct {
 	labels []string // empty for unlabeled metrics
 
 	// Exactly one of the following is used, matching kind/labels.
-	counter     *Counter
-	counterFn   func() float64
-	gauge       *Gauge
-	gaugeFn     func() float64
-	hist        *Histogram
-	buckets     []float64 // bucket layout for histogram vec children
-	mu          sync.Mutex
-	children    map[string]*child
-	childOrder  []string
-	renderOrder int
+	counter    *Counter
+	counterFn  func() float64
+	gauge      *Gauge
+	gaugeFn    func() float64
+	hist       *Histogram
+	buckets    []float64 // bucket layout for histogram vec children
+	mu         sync.Mutex
+	children   map[string]*child
+	childOrder []string
 }
 
 type child struct {
 	values  []string
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 }
 
@@ -244,20 +242,12 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // concrete label-value tuple, creating it on first use.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.family(name, help, kindCounter, labels)}
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, kindGauge, labels)}
 }
 
 // HistogramVec registers a labeled histogram family with the given bucket
@@ -288,8 +278,6 @@ func (f *family) child(values []string) *child {
 		switch f.kind {
 		case kindCounter:
 			c.counter = &Counter{}
-		case kindGauge:
-			c.gauge = &Gauge{}
 		case kindHist:
 			c.hist = newHistogram(f.buckets)
 		}
@@ -302,9 +290,6 @@ func (f *family) child(values []string) *child {
 
 // With returns the child counter for the label values (in declaration order).
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).counter }
-
-// With returns the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).gauge }
 
 // With returns the child histogram for the label values.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.f.child(values).hist }
@@ -368,8 +353,6 @@ func (f *family) render(b *strings.Builder) {
 		switch f.kind {
 		case kindCounter:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, lbl, formatFloat(float64(c.counter.Value())))
-		case kindGauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, lbl, formatFloat(float64(c.gauge.Value())))
 		case kindHist:
 			renderHistogram(b, f.name, lbl, c.hist)
 		}

@@ -107,7 +107,8 @@ type Descriptor struct {
 	Wire byte
 	// WireRounds, when nonzero, is the HELLO task byte of this task's
 	// multi-round assignment (internal/rounds); zero means the task is not
-	// rounds-capable.
+	// rounds-capable. The HELLO layout is the same under either byte; this
+	// one only labels the worker's spans.
 	WireRounds byte
 	// UsesBeta declares that the task consumes the EDCS degree constraints:
 	// the HELLO frame carries them, the CLI/service accept -beta for it,
