@@ -20,30 +20,15 @@ package main
 // equal the fleet size) runs the coordinator against them and its report
 // carries measured wire bytes next to the simulated estimate.
 //
-// API (JSON unless noted):
-//
-//	POST   /v1/graphs     register a graph: JSON {"gen": {...}},
-//	                      {"edgeList": "..."} or {"dataset": "name"} (a stored
-//	                      dataset from the -datasets store, streamed off disk);
-//	                      any other content type is raw edge-list text
-//	                      (optional ?id=NAME)
-//	GET    /v1/graphs/{id}  describe a registered graph
-//	DELETE /v1/graphs/{id}  drop an idle graph
-//	POST   /v1/jobs       submit a job: {"graph","task","k","seed","mode"}
-//	                      (any task registered in internal/task — currently
-//	                      matching | vc | edcs | diversity; edcs takes "beta")
-//	GET    /v1/jobs/{id}  poll a job; ?wait=2s long-polls until terminal
-//	DELETE /v1/jobs/{id}  cancel a job
-//	GET    /v1/stats      registry / job / cache counters
-//	GET    /healthz       liveness probe (text); 503 "draining" during shutdown
-//	GET    /metrics       Prometheus text exposition
+// The HTTP API is documented with the service package (internal/service);
+// Go callers, coreset load among them, reach it through service.Client.
 //
 // `coreset worker` is one of the paper's k machines as a long-running OS
 // process. It accepts run-assignment connections from any coordinator
-// (coreset -cluster, coreset serve -cluster or coreset load -target
-// cluster), hosts the same incremental coreset builders the in-process
-// runtimes use, and answers each run with a single CORESET frame over the
-// measured wire protocol (internal/cluster). It serves any number of
+// (coreset -cluster, or coreset serve -cluster for its mode "cluster" jobs),
+// hosts the same incremental coreset builders the in-process runtimes use,
+// and answers each run with a single CORESET frame over the measured wire
+// protocol (internal/cluster). It serves any number of
 // concurrent runs and keeps no state between them. Once the listener is
 // bound it prints
 //
@@ -124,7 +109,7 @@ func runServe(ctx context.Context, args []string, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if err := checkMaxRetries(fs, *retries, len(fleet) > 0, "-cluster"); err != nil {
+	if err := checkMaxRetries(fs, *retries, len(fleet) > 0); err != nil {
 		logger.Print(err)
 		return 2
 	}

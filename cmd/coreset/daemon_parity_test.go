@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,9 +53,14 @@ func TestCLIMatchesDaemon(t *testing.T) {
 	}
 	t.Cleanup(shutdown)
 	srv := service.New(service.Config{ClusterWorkers: addrs})
-	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	api := service.NewClient(ts.URL, ts.Client())
 	gen := service.GenSpec{Name: "gnp", N: 600, Deg: 40, Seed: seed}
-	info, err := srv.Registry().AddSpec("", &gen)
+	info, err := api.AddGraph(context.Background(), service.CreateGraphRequest{Gen: &gen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +89,12 @@ func TestCLIMatchesDaemon(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		job, err := srv.Manager().Submit(service.CreateJobRequest{
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		view, err := api.Run(ctx, service.CreateJobRequest{
 			Graph: info.ID, Task: tc.task, K: k, Seed: seed, Mode: tc.mode, Rounds: tc.rounds})
+		cancel()
 		if err != nil {
-			t.Fatalf("%s/%s: submit: %v", tc.task, tc.mode, err)
-		}
-		select {
-		case <-job.Done():
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s/%s: job did not finish", tc.task, tc.mode)
-		}
-		view := job.View()
-		if view.Result == nil {
-			t.Fatalf("%s/%s: job ended %s: %s", tc.task, tc.mode, view.State, view.Error)
+			t.Fatalf("%s/%s: %v", tc.task, tc.mode, err)
 		}
 		if tc.mode == service.ModeCluster && (cli.ShardBytes <= 0 || view.Result.ShardBytes <= 0) {
 			t.Fatalf("%s/%s: no shard traffic measured (CLI %d, daemon %d)", tc.task, tc.mode, cli.ShardBytes, view.Result.ShardBytes)

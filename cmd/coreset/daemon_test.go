@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/stream"
 	"repro/internal/task"
@@ -56,35 +55,31 @@ func TestServeJobAdminAndDrain(t *testing.T) {
 	go func() {
 		code <- runServe(ctx, []string{"-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-workers", "1"}, stderr)
 	}()
-	api := &loadgen{base: "http://" + logAddr(t, stderr, "serving on"), client: http.DefaultClient}
+	api := service.NewClient("http://"+logAddr(t, stderr, "serving on"), nil)
 	admin := "http://" + logAddr(t, stderr, "admin surface on")
 
-	var info service.GraphInfo
-	req := service.CreateGraphRequest{Gen: &service.GenSpec{Name: "gnp", N: 300, Deg: 6, Seed: 1}}
-	if err := api.postJSON("/v1/graphs", req, &info); err != nil {
+	info, err := api.AddGraph(ctx, service.CreateGraphRequest{Gen: &service.GenSpec{Name: "gnp", N: 300, Deg: 6, Seed: 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := api.runJob(service.CreateJobRequest{Graph: info.ID, Task: "matching", K: 2, Seed: 3}, 30*time.Second); err != nil {
+	jobCtx, jobCancel := context.WithTimeout(ctx, 30*time.Second)
+	defer jobCancel()
+	if _, err := api.Run(jobCtx, service.CreateJobRequest{Graph: info.ID, Task: "matching", K: 2, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(admin + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
+	resp, err := http.Get(admin + "/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if status, body := get("/healthz"); status != http.StatusOK || !strings.Contains(body, "ok") {
-		t.Fatalf("admin /healthz: %d %q", status, body)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "ok") {
+		t.Fatalf("admin /healthz: %d %q", resp.StatusCode, body)
 	}
-	status, body := get("/metrics")
-	m, err := obs.ParseText(strings.NewReader(body))
-	if status != http.StatusOK || err != nil {
-		t.Fatalf("admin /metrics: %d, parse error %v", status, err)
+	m, err := service.NewClient(admin, nil).Metrics(ctx)
+	if err != nil {
+		t.Fatalf("admin /metrics: %v", err)
 	}
 	if m["service_jobs_done_total"] != 1 {
 		t.Fatalf("service_jobs_done_total = %v, want 1", m["service_jobs_done_total"])

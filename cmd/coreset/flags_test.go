@@ -38,7 +38,6 @@ func TestStrayArgumentRejected(t *testing.T) {
 func TestMaxRetriesNegativeRejected(t *testing.T) {
 	for name, args := range map[string][]string{
 		"run":   {"-task", "matching", "-gen", "gnp", "-n", "200", "-cluster", "local", "-k", "2", "-max-retries", "-7"},
-		"load":  {"load", "-target", "cluster", "-cluster", "127.0.0.1:1", "-max-retries", "-7"},
 		"serve": {"serve", "-addr", "127.0.0.1:0", "-cluster", "127.0.0.1:1", "-max-retries", "-7"},
 	} {
 		_, errOut, code := runCLI(t, args...)
@@ -48,8 +47,8 @@ func TestMaxRetriesNegativeRejected(t *testing.T) {
 	}
 }
 
-// TestServeMaxRetriesRequiresCluster: serve follows the rule run and load
-// already keep — a replay budget without a fleet to replay on is an error.
+// TestServeMaxRetriesRequiresCluster: serve follows the rule run already
+// keeps — a replay budget without a fleet to replay on is an error.
 func TestServeMaxRetriesRequiresCluster(t *testing.T) {
 	_, errOut, code := runCLI(t, "serve", "-addr", "127.0.0.1:0", "-max-retries", "1")
 	if code != 2 || !strings.Contains(errOut, "-max-retries requires -cluster") {

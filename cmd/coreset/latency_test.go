@@ -87,7 +87,6 @@ func TestRejectsUnusableBetaAndRounds(t *testing.T) {
 		"beta-too-small":    {"-task", "edcs", "-beta", "1"},
 		"rounds-wrong-task": {"-task", "vc", "-rounds", "2"},
 		"rounds-too-large":  {"-task", "edcs", "-rounds", "100"},
-		"rounds-cluster":    {"-target", "cluster", "-cluster", "127.0.0.1:1", "-task", "matching", "-rounds", "2"},
 	} {
 		var out, errb strings.Builder
 		if code := runLoad(args, &out, &errb); code != 2 {

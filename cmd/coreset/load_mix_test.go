@@ -63,14 +63,10 @@ func TestMixScenario(t *testing.T) {
 	}
 }
 
-// -mix without -dataset and -dataset against -target cluster are flag errors.
+// -mix without -dataset is a flag error.
 func TestMixFlagErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := runLoad([]string{"-mix"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-mix requires -dataset") {
 		t.Fatalf("-mix alone: exit %d, stderr %q", code, errb.String())
-	}
-	errb.Reset()
-	if code := runLoad([]string{"-target", "cluster", "-dataset", "web", "-cluster", "x:1"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "-dataset requires -target service") {
-		t.Fatalf("-dataset with cluster target: exit %d, stderr %q", code, errb.String())
 	}
 }

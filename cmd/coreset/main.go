@@ -7,7 +7,7 @@
 //	coreset ingest [flags]       store an edge list or a generator draw as a dataset
 //	coreset serve [flags]        the long-running HTTP service (internal/service)
 //	coreset worker [flags]       one cluster machine as a resident process
-//	coreset load [flags]         load-test a service or a worker fleet
+//	coreset load [flags]         load-test a service (and the fleet behind it)
 //	coreset experiments [flags]  regenerate the paper's tables (internal/expt)
 //
 // A command line that starts with a flag is a run. Every subcommand rejects
@@ -116,9 +116,9 @@
 //
 // # load and experiments
 //
-// load is the load generator for a service or a worker fleet (load.go), and
-// experiments regenerates the table behind each of the paper's results
-// (experiments.go).
+// load is the load generator for a service and the fleet behind it
+// (load.go), and experiments regenerates the table behind each of the
+// paper's results (experiments.go).
 package main
 
 import (
@@ -199,18 +199,17 @@ func parseFlags(fs *flag.FlagSet, args []string, hint string) (code int, ok bool
 	return 0, true
 }
 
-// checkMaxRetries is the one -max-retries rule of run, serve and load: the
-// budget defaults to cluster.DefaultMaxRetries, a negative one is an error,
-// and so is setting it with no worker fleet to replay on (fleetFlag names
-// the flag that supplies one).
-func checkMaxRetries(fs *flag.FlagSet, retries int, haveFleet bool, fleetFlag string) error {
+// checkMaxRetries is the one -max-retries rule of run and serve: the budget
+// defaults to cluster.DefaultMaxRetries, a negative one is an error, and so
+// is setting it with no -cluster fleet to replay on.
+func checkMaxRetries(fs *flag.FlagSet, retries int, haveFleet bool) error {
 	set := false
 	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "max-retries" })
 	switch {
 	case retries < 0:
 		return fmt.Errorf("-max-retries must be >= 0 (got %d)", retries)
 	case set && !haveFleet:
-		return fmt.Errorf("-max-retries requires %s (replay only exists in the cluster runtime)", fleetFlag)
+		return errors.New("-max-retries requires -cluster (replay only exists in the cluster runtime)")
 	}
 	return nil
 }
@@ -273,7 +272,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "coreset: -dataset replaces -in/-gen; set only one input")
 		return 2
 	}
-	if err := checkMaxRetries(fs, *retries, *clusterTo != "", "-cluster"); err != nil {
+	if err := checkMaxRetries(fs, *retries, *clusterTo != ""); err != nil {
 		fmt.Fprintln(stderr, "coreset:", err)
 		return 2
 	}

@@ -47,6 +47,23 @@ func TestLoadGraphUnknownGenerator(t *testing.T) {
 	}
 }
 
+// TestHostileGenSpecRefused: a -gen spec whose gnp p = deg/n leaves [0, 1],
+// or whose -deg is NaN, exits 1 with the validator's message in every mode
+// instead of panicking in the generator.
+func TestHostileGenSpecRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-gen", "gnp", "-n", "0", "-deg", "8"},
+		{"-gen", "gnp", "-deg", "NaN"},
+		{"-gen", "gnp", "-deg", "NaN", "-stream"},
+		{"-gen", "powerlaw", "-n", "0", "-deg", "1", "-stream"},
+	} {
+		_, errOut, code := runCLI(t, append([]string{"-task", "matching", "-q"}, args...)...)
+		if code != 1 || !strings.Contains(errOut, "coreset: service: invalid") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 with the validator's message", args, code, errOut)
+		}
+	}
+}
+
 func TestLoadGraphMissingArgs(t *testing.T) {
 	if _, err := loadGraph(inputSpec{n: 10, deg: 2, seed: 1}); err == nil {
 		t.Fatal("no input source accepted")

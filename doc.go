@@ -27,8 +27,8 @@
 // serve, worker, load and experiments.
 //
 //	coreset run ──────┐
-//	coreset serve job ┼─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
-//	coreset load ─────┘         │ (-target cluster)
+//	coreset serve job ┴─▶ engine.Run(ctx, Spec, EdgeSource) ─▶ graph.RunReport
+//	  ▲ coreset load            │
 //	           ┌────────────────▼────────────────────────────────────┐
 //	batch      │ edge list → validate → stream pipeline → verify     │ materialized
 //	stream     │ EdgeSource → stream.Route → k goroutines → compose  │ deployment shape
@@ -244,14 +244,14 @@
 // coresets in the first place — summaries computed once and reused across
 // many queries. Its architecture:
 //
-//	                   ┌───────────────────── coreset serve ──────────────────────┐
-//	POST /v1/graphs ──▶│ Registry: id → resident edges (upload | gen spec drawn   │
+//	service.Client     ┌───────────────────── coreset serve ──────────────────────┐
+//	AddGraph ─────────▶│ Registry: id → resident edges (upload | gen spec drawn   │
 //	                   │           once) | dataset ref (ref-counted, LRU-evicted) │
 //	                   │      │ Acquire/Release                                   │
-//	POST /v1/jobs ────▶│ Manager: bounded queue ─▶ worker pool ─▶ engine.Run      │
-//	GET  /v1/jobs/{id} │          (cancel via context)    (batch|stream|cluster)  │
+//	Submit ───────────▶│ Manager: bounded queue ─▶ worker pool ─▶ engine.Run      │
+//	Wait (long-poll)   │          (cancel via context)    (batch|stream|cluster)  │
 //	                   │      │ publish on success                                │
-//	GET  /v1/stats ───▶│ Cache: (graph, task, k, seed, mode, beta, rounds)        │
+//	Stats, Metrics ───▶│ Cache: (graph, task, k, seed, mode, beta, rounds)        │
 //	                   │        (LRU, hit/miss counters)                          │
 //	                   └──────────────────────────────────────────────────────────┘
 //
@@ -262,9 +262,9 @@
 // fleet).
 // Because every runtime is a deterministic function of the seed, the
 // composed run report is cacheable: a repeated query is answered from
-// memory without re-running any pipeline (the cache-hit counters in
-// /v1/stats make this observable, and the benchmark's service_mix workload
-// records the cold-vs-hit latency gap in bench/out/result.json). Jobs of
+// memory without re-running any pipeline (the service's cache-hit counters
+// make this observable, and the benchmark's service_mix workload records
+// the cold-vs-hit latency gap in bench/out/result.json). Jobs of
 // every mode honor cancellation at batch granularity; on shutdown the daemon drains in-flight jobs before
 // exiting. The CLI and the service share graph.RunReport as their result
 // schema, and more than the schema: every runtime returns the one run-stats
@@ -274,8 +274,9 @@
 // -json and a coreset serve job give the same report for the same request.
 // The batch runtime's self-checks (input structure, the task's verifier)
 // live in the engine too, so daemon batch jobs run them like CLI runs do.
-// coreset load is the matching load generator (-target service drives the
-// HTTP API, -target cluster drives a worker fleet directly).
+// coreset load is the matching load generator: it drives the HTTP API
+// through service.Client, and a worker fleet through the service's
+// cluster-mode jobs.
 //
 // Observability (internal/obs) is dependency-free and off by default: the
 // runtimes report through an injected obs.Sink and a nil-safe *obs.Tracer,

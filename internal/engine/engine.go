@@ -3,9 +3,9 @@
 // machine summarizes its share of a random k-partitioning, the coordinator
 // composes — and batch, stream and cluster, like the MPC rounds of "Coresets
 // Meet EDCS" (arXiv:1711.03076), are deployment choices for it. Run holds
-// that choice once: every frontend (coreset run, the service's job manager,
-// coreset load) describes what it wants in a Spec, hands over an edge
-// source and gets back the graph.RunReport all of them print or serve.
+// that choice once: both frontends (coreset run and the service's job
+// manager) describe what they want in a Spec, hand over an edge source and
+// get back the graph.RunReport they print or serve.
 //
 // There are two runtimes behind three names: the in-process pipeline
 // (stream.Solve, rounds.Stream) and the worker fleet (cluster.Solve,

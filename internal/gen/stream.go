@@ -125,6 +125,14 @@ func PowerlawIter(n int, exponent float64, maxWeight int, r *rng.RNG) EdgeIter {
 	return it
 }
 
+// PowerlawSetupBytes is what PowerlawIter allocates before its first edge:
+// 20 B per vertex (its drawn weight, the sorted copy and its label in the
+// permutation) and 16 B per weight value (the Zipf table and the weight
+// histogram).
+func PowerlawSetupBytes(n, maxWeight int) int64 {
+	return 20*int64(n) + 16*int64(maxWeight)
+}
+
 type powerlawIter struct {
 	n      int
 	r      *rng.RNG

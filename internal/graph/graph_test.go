@@ -334,11 +334,12 @@ func TestReadEdgeListNoHeader(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"p 2\n",             // malformed header
-		"0 x\n",             // malformed edge
-		"p 2 1\n0 1\n0 1\n", // count mismatch
-		"p 1 1\n0 5\n",      // edge out of declared range
-		"-1 0\n",            // negative id
+		"p 2\n",                          // malformed header
+		"0 x\n",                          // malformed edge
+		"p 2 1\n0 1\n0 1\n",              // count mismatch
+		"p 1 1\n0 5\n",                   // edge out of declared range
+		"-1 0\n",                         // negative id
+		"p 2 4611686018427387904\n0 1\n", // a count no allocation can hold: was a makeslice panic
 	}
 	for i, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

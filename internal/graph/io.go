@@ -244,7 +244,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	p := NewEdgeListParser(r)
 	var edges []Edge
 	if p.HasHeader() {
-		edges = make([]Edge, 0, p.Declared())
+		// The declared count comes from the input: it sizes the first
+		// allocation only up to a bound, so "p 2 4611686018427387904" is
+		// refused at EOF instead of panicking in make.
+		edges = make([]Edge, 0, min(p.Declared(), 1<<16))
 	}
 	for {
 		e, err := p.Next()

@@ -84,13 +84,13 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	s := New(Config{Workers: 2, QueueDepth: 32})
-	reg := s.Registry()
+	reg := s.reg
 	if _, err := reg.AddSpec("g", &GenSpec{Name: "gnp", N: 100000, Deg: 8, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
-		j, err := s.Manager().Submit(CreateJobRequest{Graph: "g", Task: TaskVC, K: 4, Seed: uint64(i)})
+		j, err := s.mgr.Submit(CreateJobRequest{Graph: "g", Task: TaskVC, K: 4, Seed: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 			t.Fatalf("job %s drained to %s, want done", j.ID, st)
 		}
 	}
-	if _, err := s.Manager().Submit(CreateJobRequest{Graph: "g", Task: TaskMatching, K: 4, Seed: 99}); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.mgr.Submit(CreateJobRequest{Graph: "g", Task: TaskMatching, K: 4, Seed: 99}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown submit: %v", err)
 	}
 
@@ -132,12 +132,12 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 // no goroutine behind.
 func TestShutdownDeadlineCancelsJobs(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 8})
-	if _, err := s.Registry().AddSpec("g", &GenSpec{Name: "gnp", N: 1000000, Deg: 8, Seed: 1}); err != nil {
+	if _, err := s.reg.AddSpec("g", &GenSpec{Name: "gnp", N: 1000000, Deg: 8, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		j, err := s.Manager().Submit(CreateJobRequest{Graph: "g", Task: TaskVC, K: 4, Seed: uint64(i), Batch: 256})
+		j, err := s.mgr.Submit(CreateJobRequest{Graph: "g", Task: TaskVC, K: 4, Seed: uint64(i), Batch: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,13 +169,13 @@ func TestShutdownDeadlineCancelsJobs(t *testing.T) {
 func TestWaitedJobsAreCounted(t *testing.T) {
 	s := New(Config{Workers: 4, QueueDepth: 64})
 	defer s.Shutdown(context.Background())
-	if _, err := s.Registry().AddSpec("g", &GenSpec{Name: "gnp", N: 200, Deg: 4, Seed: 1}); err != nil {
+	if _, err := s.reg.AddSpec("g", &GenSpec{Name: "gnp", N: 200, Deg: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
 	jobs := make([]*Job, n)
 	for i := range jobs {
-		j, err := s.Manager().Submit(CreateJobRequest{Graph: "g", Task: TaskMatching, K: 2, Seed: uint64(i + 1)})
+		j, err := s.mgr.Submit(CreateJobRequest{Graph: "g", Task: TaskMatching, K: 2, Seed: uint64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestWaitedJobsAreCounted(t *testing.T) {
 	}
 	for i, j := range jobs {
 		<-j.Done()
-		if _, done, _, _ := s.Manager().lifetime(); done < int64(i+1) {
+		if _, done, _, _ := s.mgr.lifetime(); done < int64(i+1) {
 			t.Fatalf("waited on %d done jobs, lifetime counts %d", i+1, done)
 		}
 	}

@@ -17,22 +17,11 @@ import (
 // scrape fetches and parses GET /metrics.
 func (c *client) scrape() map[string]float64 {
 	c.t.Helper()
-	resp, err := c.srv.Client().Get(c.srv.URL + "/metrics")
+	m, err := c.api.Metrics(context.Background())
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		c.t.Fatalf("GET /metrics: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		c.t.Fatalf("GET /metrics Content-Type = %q", ct)
-	}
-	parsed, err := obs.ParseText(resp.Body)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return parsed
+	return m
 }
 
 // TestMetricsEndpoint runs jobs (one executed, one cache hit) and checks the
@@ -203,7 +192,7 @@ func TestJobTracing(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	c := &client{t: t, srv: ts}
+	c := &client{t: t, srv: ts, api: NewClient(ts.URL, ts.Client())}
 	c.postJSON("/v1/graphs", CreateGraphRequest{ID: "g", Gen: &GenSpec{Name: "gnp", N: 200, Deg: 4, Seed: 1}}, nil)
 	c.runJob(CreateJobRequest{Graph: "g", Task: TaskMatching, K: 2, Seed: 3})
 

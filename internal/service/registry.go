@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/stream"
 )
@@ -96,6 +97,12 @@ func (r *Registry) AddSpec(id string, spec *GenSpec) (GraphInfo, error) {
 // counts the edges (stopping past the bound, so a refused spec allocates
 // nothing), a second replays the same draw sequence into the slice.
 func (r *Registry) draw(spec *GenSpec) ([]graph.Edge, error) {
+	// A powerlaw iterator draws every vertex's weight and label before its
+	// first edge; a spec whose setup alone is over the budget is refused
+	// before it is paid for.
+	if spec.Name == "powerlaw" && r.maxDraw >= 0 && gen.PowerlawSetupBytes(spec.N, powerlawCap(spec.N)) > int64(r.maxDraw)*edgeBytes {
+		return nil, r.overBudget(spec)
+	}
 	it, err := spec.Iter()
 	if err != nil {
 		return nil, err
@@ -103,10 +110,7 @@ func (r *Registry) draw(spec *GenSpec) ([]graph.Edge, error) {
 	m := 0
 	for _, ok := it.Next(); ok; _, ok = it.Next() {
 		if m++; r.maxDraw >= 0 && m > r.maxDraw {
-			return nil, fmt.Errorf("service: %s spec (n=%d) draws more than %d edges, the resident budget one upload gets; "+
-				"for a graph this size run `coreset ingest -gen %s -n %d -deg %g -seed %d -out DIR/NAME` "+
-				"and register {\"dataset\": \"NAME\"} on a daemon serving -datasets DIR",
-				spec.Name, spec.N, r.maxDraw, spec.Name, spec.N, spec.Deg, spec.Seed)
+			return nil, r.overBudget(spec)
 		}
 	}
 	edges := make([]graph.Edge, m)
@@ -115,6 +119,15 @@ func (r *Registry) draw(spec *GenSpec) ([]graph.Edge, error) {
 		edges[i], _ = it.Next()
 	}
 	return edges, nil
+}
+
+// overBudget refuses a spec that needs more than the resident budget one
+// upload gets, and names the dataset path such a graph belongs on.
+func (r *Registry) overBudget(spec *GenSpec) error {
+	return fmt.Errorf("service: %s spec (n=%d) needs more than the %d B resident budget one upload gets; "+
+		"for a graph this size run `coreset ingest -gen %s -n %d -deg %g -seed %d -out DIR/NAME` "+
+		"and register {\"dataset\": \"NAME\"} on a daemon serving -datasets DIR",
+		spec.Name, spec.N, int64(r.maxDraw)*edgeBytes, spec.Name, spec.N, spec.Deg, spec.Seed)
 }
 
 // edgeBytes is the resident size of one graph.Edge{U, V int32}.

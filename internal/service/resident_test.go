@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestSpecOverDrawBudgetRefused(t *testing.T) {
 			}
 		}
 	}
-	if st := s.Registry().Stats(); st.Count != 0 || st.Adds != 0 || st.Bytes != 0 {
+	if st := s.reg.Stats(); st.Count != 0 || st.Adds != 0 || st.Bytes != 0 {
 		t.Fatalf("refused specs left registry state: %+v", st)
 	}
 
@@ -122,6 +123,24 @@ func TestSpecOverDrawBudgetRefused(t *testing.T) {
 	}
 	if info.M != budget/8 || info.Bytes != budget+128 {
 		t.Fatalf("budget-sized draw: %+v", info)
+	}
+}
+
+// TestPowerlawRefusedBeforeSetup: a powerlaw spec whose setup alone is over
+// the draw budget is refused before its iterator draws a weight. At n = 2^22
+// under a 1 KiB budget that is under 1 MiB allocated, where minting the
+// iterator first cost 21 B per vertex (84 MiB).
+func TestPowerlawRefusedBeforeSetup(t *testing.T) {
+	r := NewRegistry(0, 1<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.AddSpec("", &GenSpec{Name: "powerlaw", N: 1 << 22, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "coreset ingest -gen powerlaw") {
+		t.Fatalf("err = %v; want a refusal naming the ingest path", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("the refusal allocated %d B", got)
 	}
 }
 
@@ -145,7 +164,7 @@ func TestResidentBytesChargeCapacity(t *testing.T) {
 		}
 	}
 
-	r := s.Registry()
+	r := s.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.entries) != 5 {

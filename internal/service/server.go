@@ -147,12 +147,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.mgr.Shutdown(ctx)
 }
 
-// Manager exposes the job manager (load tools and tests).
-func (s *Server) Manager() *Manager { return s.mgr }
-
-// Registry exposes the graph registry (tests).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Metrics exposes the server's metrics registry — `coreset serve` mounts it on
 // the admin listener next to net/http/pprof.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }

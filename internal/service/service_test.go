@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -18,10 +19,12 @@ import (
 	"repro/internal/rng"
 )
 
-// client is a thin typed wrapper over the httptest server.
+// client drives the httptest server: through the typed Client for whole
+// flows, through do/postJSON where a test checks a status code.
 type client struct {
 	t   testing.TB
 	srv *httptest.Server
+	api *Client
 }
 
 func newTestService(t testing.TB, cfg Config) (*Server, *client) {
@@ -36,7 +39,7 @@ func newTestService(t testing.TB, cfg Config) (*Server, *client) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return s, &client{t: t, srv: ts}
+	return s, &client{t: t, srv: ts, api: NewClient(ts.URL, ts.Client())}
 }
 
 func (c *client) do(method, path, contentType string, body []byte, out any) int {
@@ -74,31 +77,23 @@ func (c *client) postJSON(path string, body any, out any) int {
 	return c.do("POST", path, "application/json", data, out)
 }
 
-// runJob submits a job and long-polls it to a terminal state.
+// runJob runs a job to done; any other end fails the test.
 func (c *client) runJob(req CreateJobRequest) JobView {
 	c.t.Helper()
-	var v JobView
-	code := c.postJSON("/v1/jobs", req, &v)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		c.t.Fatalf("POST /v1/jobs: status %d (%+v)", code, v)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for v.State == string(JobQueued) || v.State == string(JobRunning) {
-		if time.Now().After(deadline) {
-			c.t.Fatalf("job %s stuck in state %s", v.ID, v.State)
-		}
-		if code := c.do("GET", "/v1/jobs/"+v.ID+"?wait=1s", "", nil, &v); code != http.StatusOK {
-			c.t.Fatalf("GET job: status %d", code)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	v, err := c.api.Run(ctx, req)
+	if err != nil {
+		c.t.Fatal(err)
 	}
 	return v
 }
 
 func (c *client) stats() StatsView {
 	c.t.Helper()
-	var st StatsView
-	if code := c.do("GET", "/v1/stats", "", nil, &st); code != http.StatusOK {
-		c.t.Fatalf("GET /v1/stats: status %d", code)
+	st, err := c.api.Stats(context.Background())
+	if err != nil {
+		c.t.Fatal(err)
 	}
 	return st
 }
@@ -269,6 +264,37 @@ func TestGraphAPIErrors(t *testing.T) {
 	}
 }
 
+// TestHostileGenSpecRefused: a spec whose gnp p = deg/n leaves [0, 1], or
+// whose deg is not a finite number, fails validation, and the daemon answers
+// 400 where the generator used to panic in the handler.
+func TestHostileGenSpecRefused(t *testing.T) {
+	_, c := newTestService(t, Config{})
+	for _, spec := range []GenSpec{
+		{Name: "gnp", N: 0, Deg: 8},
+		{Name: "gnp", N: 10, Deg: 10.5},
+		{Name: "gnp", N: 10, Deg: -1},
+		{Name: "powerlaw", N: 0, Deg: 1e308},
+		{Name: "gnp", N: 10, Deg: math.NaN()},
+		{Name: "gnp", N: 10, Deg: math.Inf(1)},
+	} {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%+v: accepted", spec)
+		}
+		if math.IsNaN(spec.Deg) || math.IsInf(spec.Deg, 0) {
+			continue // JSON cannot spell them
+		}
+		var errBody map[string]string
+		if code := c.postJSON("/v1/graphs", CreateGraphRequest{Gen: &spec}, &errBody); code != http.StatusBadRequest || !strings.Contains(errBody["error"], "invalid") {
+			t.Errorf("%+v: status %d, body %v; want 400", spec, code, errBody)
+		}
+	}
+	for _, spec := range []GenSpec{{Name: "gnp", N: 0, Deg: 0}, {Name: "gnp", N: 10, Deg: 10}} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%+v: %v", spec, err)
+		}
+	}
+}
+
 func TestJobAPIErrors(t *testing.T) {
 	_, c := newTestService(t, Config{})
 	var info GraphInfo
@@ -321,7 +347,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("cancel: status %d", code)
 	}
 
-	j, ok := s.Manager().Get(victim.ID)
+	j, ok := s.mgr.Get(victim.ID)
 	if !ok {
 		t.Fatal("victim vanished")
 	}
@@ -332,12 +358,12 @@ func TestCancelQueuedJob(t *testing.T) {
 
 	// A terminal job has dropped its context; canceling it, or a cache hit
 	// (born done), is a no-op that leaves it done.
-	b, ok := s.Manager().Get(blocker.ID)
+	b, ok := s.mgr.Get(blocker.ID)
 	if !ok {
 		t.Fatal("blocker vanished")
 	}
 	<-b.Done()
-	hit, err := s.Manager().Submit(CreateJobRequest{Graph: info.ID, Task: TaskVC, K: 4, Seed: 1})
+	hit, err := s.mgr.Submit(CreateJobRequest{Graph: info.ID, Task: TaskVC, K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,27 @@
 //     (graph, task, k, seed, mode) with hit/miss counters, so repeated
 //     queries are served from memory.
 //   - Server (server.go): the stdlib HTTP/JSON API wiring the three
-//     together — POST /v1/graphs, POST /v1/jobs, GET /v1/jobs/{id},
-//     GET /v1/stats, plus /healthz.
+//     together, and Client (client.go), its typed caller.
+//
+// The API (JSON unless noted):
+//
+//	POST   /v1/graphs       register a graph: JSON {"gen": {...}},
+//	                        {"edgeList": "..."} or {"dataset": "name"} (a
+//	                        stored dataset from the -datasets store, streamed
+//	                        off disk); any other content type is raw
+//	                        edge-list text (optional ?id=NAME)
+//	GET    /v1/graphs/{id}  describe a registered graph
+//	DELETE /v1/graphs/{id}  drop an idle graph
+//	POST   /v1/jobs         submit a job: {"graph","task","k","seed","mode"}
+//	                        (any task registered in internal/task; edcs
+//	                        takes "beta" and "rounds")
+//	GET    /v1/jobs/{id}    poll a job; ?wait=2s long-polls until terminal
+//	DELETE /v1/jobs/{id}    cancel a job
+//	GET    /v1/stats        registry / job / cache counters
+//	GET    /healthz         liveness probe (text); 503 "draining" in shutdown
+//	GET    /metrics         Prometheus text exposition
+//
+// A non-2xx reply carries {"error": "..."}.
 //
 // The server is also instrumented end to end (metrics.go): an internal/obs
 // registry rendered at GET /metrics carries job latency histograms per
@@ -114,7 +133,9 @@ func (s *GenSpec) Validate() error {
 	}
 	switch s.Name {
 	case "gnp", "powerlaw":
-		if s.N < 0 || s.Deg < 0 || (s.N > 0 && s.Deg > float64(s.N)) {
+		// 0 <= deg <= n keeps gnp's p = deg/n in [0, 1]; the comparison
+		// fails for NaN too, and n = 0 admits only deg = 0.
+		if s.N < 0 || !(s.Deg >= 0 && s.Deg <= float64(s.N)) {
 			return fmt.Errorf("service: invalid %s spec (n=%d deg=%g)", s.Name, s.N, s.Deg)
 		}
 	case "star":
@@ -141,9 +162,12 @@ func (s *GenSpec) Iter() (gen.EdgeIter, error) {
 	case "star":
 		return gen.StarIter(s.N), nil
 	default: // powerlaw
-		return gen.PowerlawIter(s.N, 2.0, s.N/16+1, rng.New(s.Seed)), nil
+		return gen.PowerlawIter(s.N, 2.0, powerlawCap(s.N), rng.New(s.Seed)), nil
 	}
 }
+
+// powerlawCap is the weight cap of a powerlaw spec over n vertices.
+func powerlawCap(n int) int { return n/16 + 1 }
 
 // Source mints a fresh streaming edge source for the spec. The source is
 // restartable — each pass replays the spec's draw sequence from its seed —
