@@ -63,10 +63,11 @@
 //
 // Feeding every runtime is a disk-backed data plane (internal/dataset):
 // real graphs are ingested once — `coreset ingest` runs the lenient
-// SNAP-style parser (tabs, CRLF, comments tolerated; self-loops and
-// duplicate edges dropped and recorded) — and stored as segment files of
-// varint-delta encoded edge batches under a JSON manifest carrying n, m,
-// per-segment offsets and a sha256 content hash:
+// SNAP-style parser (tabs, CRLF, comments tolerated; self-loops dropped)
+// and drops repeated edges after their first occurrence, found by one sort
+// of 8-byte keys after the last line, recording both counts — and stored as
+// segment files of varint-delta encoded edge batches under a JSON manifest
+// carrying n, m, per-segment offsets and a sha256 content hash:
 //
 //	edge list ─▶ coreset ingest ─▶ ┌ manifest.json (n, m, offsets, sha256) ┐
 //	generator ─▶                   └ edges.seg (varint-delta batches)      ┘

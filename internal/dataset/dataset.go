@@ -67,26 +67,29 @@ type Manifest struct {
 	Hash     string    `json:"hash"`  // sha256 hex of the data file
 	Segments []Segment `json:"segments"`
 	// Ingestion provenance: where the edges came from and what the lenient
-	// parser dropped on the way in.
+	// parser and the duplicate pass dropped on the way in.
 	Source     string `json:"source,omitempty"`
 	SelfLoops  int    `json:"selfLoops,omitempty"`
 	Duplicates int    `json:"duplicates,omitempty"`
 }
 
-// validate cross-checks the manifest's internal consistency.
+// validate cross-checks the manifest's internal consistency. Every sum is
+// bounded as it is taken — each segment must fit in what remains of Bytes
+// and of M — so hostile lengths cannot wrap around to a consistent total.
 func (m *Manifest) validate() error {
 	if m.Format != FormatVersion {
 		return fmt.Errorf("dataset: unsupported format %d (want %d)", m.Format, FormatVersion)
 	}
-	if m.N < 0 || m.M < 0 {
-		return fmt.Errorf("dataset: negative sizes in manifest (n=%d m=%d)", m.N, m.M)
+	if m.N < 0 || m.M < 0 || m.Bytes < 0 {
+		return fmt.Errorf("dataset: negative sizes in manifest (n=%d m=%d bytes=%d)", m.N, m.M, m.Bytes)
 	}
 	var off int64
 	edges := 0
 	for i, s := range m.Segments {
-		if s.Offset != off || s.Length <= 0 || s.Edges < 0 {
-			return fmt.Errorf("dataset: segment %d malformed (offset %d want %d, length %d, edges %d)",
-				i, s.Offset, off, s.Length, s.Edges)
+		if s.Offset != off || s.Length <= 0 || int64(s.Length) > m.Bytes-off ||
+			s.Edges < 0 || s.Edges > m.M-edges {
+			return fmt.Errorf("dataset: segment %d malformed (offset %d want %d, length %d of %d bytes left, edges %d of %d left)",
+				i, s.Offset, off, s.Length, m.Bytes-off, s.Edges, m.M-edges)
 		}
 		off += int64(s.Length)
 		edges += s.Edges

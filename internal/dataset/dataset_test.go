@@ -110,15 +110,20 @@ func TestIngestFixture(t *testing.T) {
 	}
 	defer d.Close()
 	edges := readAll(t, d)
-	// The stored edges must equal a direct lenient parse of the same bytes.
+	// The stored edges must equal a direct lenient parse of the same bytes
+	// with each repeated edge kept at its first occurrence.
 	p := graph.NewLenientEdgeListParser(strings.NewReader(string(raw)))
 	var want []graph.Edge
+	seen := make(map[graph.Edge]bool)
 	for {
 		e, err := p.Next()
 		if err != nil {
 			break
 		}
-		want = append(want, e)
+		if !seen[e] {
+			seen[e] = true
+			want = append(want, e)
+		}
 	}
 	if !reflect.DeepEqual(edges, want) {
 		t.Fatalf("stored edges %v != parsed edges %v", edges, want)

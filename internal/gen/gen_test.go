@@ -41,6 +41,25 @@ func TestGNPEdgeCountConcentration(t *testing.T) {
 	}
 }
 
+// TestGNPIterTinyP: once 1/p exceeds 2^31 pairs a geometric skip must not
+// be clamped to 2^31, or the sampler over-draws. At n = 2^24 and p =
+// 0.001/2^24 a draw holds about 8389 edges; a clamp at 2^31 gave 69 813.
+func TestGNPIterTinyP(t *testing.T) {
+	const n = 1 << 24
+	p := 0.001 / n
+	total := float64(n) * float64(n-1) / 2
+	want, sigma := total*p, math.Sqrt(total*p*(1-p))
+	got := 0
+	for it := GNPIter(n, p, rng.New(1)); ; got++ {
+		if _, ok := it.Next(); !ok {
+			break
+		}
+	}
+	if math.Abs(float64(got)-want) > 5*sigma {
+		t.Fatalf("GNPIter(2^24, 0.001/2^24) drew %d edges, want %.0f ± %.0f (5 sigma)", got, want, 5*sigma)
+	}
+}
+
 func TestGNPExtremes(t *testing.T) {
 	r := rng.New(5)
 	if g := GNP(0, 0.5, r); g.M() != 0 {

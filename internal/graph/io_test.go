@@ -26,8 +26,9 @@ func drain(p *EdgeListParser) ([]Edge, error) {
 
 // TestLenientParserFixture pins the lenient parse of the checked-in
 // SNAP-style fixture: tabs, multi-space runs, CRLF endings and both comment
-// styles all parse; the two self-loops and two duplicates are dropped and
-// counted, never yielded and never an error.
+// styles all parse; the two self-loops are dropped and counted, never
+// yielded and never an error, and the two repeated edges are yielded
+// canonicalized (dataset.Ingest drops them).
 func TestLenientParserFixture(t *testing.T) {
 	data, err := os.ReadFile("testdata/snap_sample.txt")
 	if err != nil {
@@ -38,14 +39,11 @@ func TestLenientParserFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lenient parse of the fixture failed: %v", err)
 	}
-	if len(edges) != 16 {
-		t.Fatalf("kept %d edges, want 16", len(edges))
+	if len(edges) != 18 {
+		t.Fatalf("yielded %d edges, want 18", len(edges))
 	}
 	if p.SelfLoops() != 2 {
 		t.Fatalf("SelfLoops() = %d, want 2", p.SelfLoops())
-	}
-	if p.Duplicates() != 2 {
-		t.Fatalf("Duplicates() = %d, want 2", p.Duplicates())
 	}
 	if p.NumVertices() != 12 {
 		t.Fatalf("NumVertices() = %d, want 12", p.NumVertices())
@@ -62,11 +60,10 @@ func TestLenientParserFixture(t *testing.T) {
 
 func TestLenientParserSemantics(t *testing.T) {
 	cases := []struct {
-		name       string
-		in         string
-		edges      []Edge
-		selfLoops  int
-		duplicates int
+		name      string
+		in        string
+		edges     []Edge
+		selfLoops int
 	}{
 		{
 			name:  "tabs and multiple spaces",
@@ -74,10 +71,14 @@ func TestLenientParserSemantics(t *testing.T) {
 			edges: []Edge{{0, 1}, {2, 3}, {4, 5}},
 		},
 		{
-			name:       "reversed duplicate collapses",
-			in:         "1 2\n2 1\n",
-			edges:      []Edge{{1, 2}},
-			duplicates: 1,
+			name:  "reversed duplicate canonicalized",
+			in:    "1 2\n2 1\n",
+			edges: []Edge{{1, 2}, {1, 2}},
+		},
+		{
+			name:  "unicode whitespace separates",
+			in:    "0\u00a01\n\u30002\u20033\u2028\n\v4\f5\n",
+			edges: []Edge{{0, 1}, {2, 3}, {4, 5}},
 		},
 		{
 			name:      "self-loops counted not fatal",
@@ -91,9 +92,10 @@ func TestLenientParserSemantics(t *testing.T) {
 			edges: []Edge{{0, 1}, {2, 3}},
 		},
 		{
-			name:  "header with dropped lines tolerated",
-			in:    "p 4 3\n0 1\n0 1\n2 3\n",
-			edges: []Edge{{0, 1}, {2, 3}}, duplicates: 1,
+			name:      "header with dropped lines tolerated",
+			in:        "p 4 3\n0 1\n1 1\n2 3\n",
+			edges:     []Edge{{0, 1}, {2, 3}},
+			selfLoops: 1,
 		},
 	}
 	for _, tc := range cases {
@@ -106,9 +108,8 @@ func TestLenientParserSemantics(t *testing.T) {
 			if !reflect.DeepEqual(edges, tc.edges) {
 				t.Fatalf("edges = %v, want %v", edges, tc.edges)
 			}
-			if p.SelfLoops() != tc.selfLoops || p.Duplicates() != tc.duplicates {
-				t.Fatalf("counts = %d loops / %d dups, want %d / %d",
-					p.SelfLoops(), p.Duplicates(), tc.selfLoops, tc.duplicates)
+			if p.SelfLoops() != tc.selfLoops {
+				t.Fatalf("SelfLoops() = %d, want %d", p.SelfLoops(), tc.selfLoops)
 			}
 		})
 	}

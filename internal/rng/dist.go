@@ -18,7 +18,9 @@ func (r *RNG) Geometric(p float64) int {
 // p: it takes logq = math.Log1p(-p), which a skip-sampling loop computes
 // once, instead of p. The divisor is the same float64, so for the same
 // generator state it returns what Geometric(p) returns, draw for draw; logq
-// = -Inf is p = 1, which consumes no draw. Panics unless logq < 0.
+// = -Inf is p = 1, which consumes no draw. A skip is capped at
+// maxGeometricSkip, so a skip-sampling cursor below 2^62 can add skip+1
+// without overflowing int64. Panics unless logq < 0.
 func (r *RNG) GeometricLog(logq float64) int {
 	if !(logq < 0) {
 		panic("rng: GeometricLog with log1p(-p) out of [-Inf, 0)")
@@ -32,11 +34,17 @@ func (r *RNG) GeometricLog(logq float64) int {
 	if g < 0 {
 		return 0
 	}
-	if g > math.MaxInt32 {
-		return math.MaxInt32
+	if g > maxGeometricSkip {
+		return maxGeometricSkip
 	}
 	return int(g)
 }
+
+// maxGeometricSkip caps a geometric draw: 2^62 where int has 64 bits. That
+// is beyond any index space a skip-sampling loop here walks (n(n-1)/2 <
+// 2^61 pairs for 31-bit IDs), so the cap never moves a sampled position
+// that lies inside one.
+const maxGeometricSkip = math.MaxInt>>1 + 1
 
 // Binomial returns a sample from Binomial(n, p). For the moderate n·p values
 // used in this repository an exact O(n·p) expected-time algorithm (counting

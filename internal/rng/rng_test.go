@@ -239,8 +239,8 @@ func refGeometric(r *RNG, p float64) int {
 	if g < 0 {
 		return 0
 	}
-	if g > math.MaxInt32 {
-		return math.MaxInt32
+	if g > math.MaxInt>>1+1 {
+		return math.MaxInt>>1 + 1
 	}
 	return int(g)
 }
