@@ -235,9 +235,15 @@
 // dataset segments and SHARD frames decode into reused buffers
 // (graph.DecodeEdgeBatchInto), the stream and cluster sharders take their
 // routing batches back from the machines and senders that drained them, a
-// cluster link encodes every SHARD payload into one buffer, and a worker
+// cluster link encodes every SHARD frame into one buffer, and a worker
 // reads every mid-run frame into one per connection (the coordinator, which
-// keeps the TELEM and CORESET payloads it reads, does not).
+// keeps the TELEM and CORESET payloads it reads, does not). Every frame,
+// from either side, leaves in one write: its sender reserves the 5 header
+// bytes in front of the payload it encodes, so header and payload share one
+// TCP segment without a copy. A worker reads each connection through one
+// buffered reader, the HELLO included, so one read brings in several SHARD
+// frames. Neither granularity is part of the protocol: the bytes are
+// version 4's whichever way they are cut.
 //
 // Above both runtimes sits the service layer (internal/service, served by
 // coreset serve): a long-running daemon that keeps graphs and their composed

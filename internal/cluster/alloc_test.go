@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"testing"
@@ -33,7 +34,8 @@ func TestWorkerShardLoopAllocatesNothingPerFrame(t *testing.T) {
 	h := hello{version: protocolVersion, task: taskVC, k: 1, rounds: 1}
 	served := make(chan error, 1)
 	go func() {
-		served <- w.serveRounds(server, h, nil, func() *stream.Machine { return stream.NewMachine(nopBuilder{}) })
+		rd := bufio.NewReaderSize(server, workerReadBuffer)
+		served <- w.serveRounds(server, rd, h, nil, func() *stream.Machine { return stream.NewMachine(nopBuilder{}) })
 	}()
 
 	batch := make([]graph.Edge, DefaultBatchSize)

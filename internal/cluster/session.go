@@ -60,7 +60,14 @@ type link struct {
 	conn net.Conn     // nil while the machine is down
 	down *WorkerError // what took the connection down
 	sent int          // coordinator-to-worker bytes not yet folded into a round's Stats
-	enc  []byte       // SHARD payload encode buffer, reused across frames and rounds
+	enc  []byte       // SHARD frame encode buffer, reused across frames and rounds
+}
+
+// shardFrame encodes batch into the link's SHARD frame buffer and returns
+// the frame, ready for send; it is valid until the next call.
+func (l *link) shardFrame(batch []graph.Edge) []byte {
+	l.enc = graph.AppendEdgeBatch(newFrame(l.enc), batch)
+	return l.enc
 }
 
 // shardQueueDepth is how many routed batches may wait on one machine's
@@ -155,7 +162,7 @@ func (s *Session) handshake(ctx context.Context, m int) {
 	defer stopWatch()
 	h := s.hello
 	h.machine, h.rounds = m, s.roundCap-s.roundsRun
-	if err := s.send(m, frameHello, encodeHello(h)); err != nil {
+	if err := s.send(m, frameHello, append(newFrame(nil), encodeHello(h)...)); err != nil {
 		s.fail(m, ioKind(err), fmt.Errorf("handshake: %w", err))
 		return
 	}
@@ -164,11 +171,11 @@ func (s *Session) handshake(ctx context.Context, m int) {
 	}
 }
 
-// send writes one frame to machine m under the per-frame deadline and
-// accounts for the bytes that made it onto the wire.
-func (s *Session) send(m int, typ byte, payload []byte) error {
+// send writes one frame, built with newFrame, to machine m under the
+// per-frame deadline and accounts for the bytes that made it onto the wire.
+func (s *Session) send(m int, typ byte, frame []byte) error {
 	l := &s.links[m]
-	n, err := writeFrameDeadline(l.conn, s.iot, typ, payload)
+	n, err := writeFrameDeadline(l.conn, s.iot, typ, frame)
 	l.sent += n
 	countSent(s.cfg.Obs, m, n, err)
 	return err
@@ -394,9 +401,9 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []graph.Edge, free chan<- []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult) (FailureKind, error) {
 	l, sink := &s.links[m], s.cfg.Obs
 	for batch := range batches {
-		l.enc = graph.AppendEdgeBatch(l.enc[:0], batch)
+		frame := l.shardFrame(batch)
 		free <- batch[:0]
-		if err := s.send(m, frameShard, l.enc); err != nil {
+		if err := s.send(m, frameShard, frame); err != nil {
 			return ioKind(err), fmt.Errorf("shard stream: %w", err)
 		}
 	}
@@ -405,7 +412,7 @@ func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []grap
 	case <-runCtx.Done():
 		return KindUnknown, nil
 	}
-	if err := s.send(m, frameEOS, binary.AppendUvarint(nil, uint64(*nFinal))); err != nil {
+	if err := s.send(m, frameEOS, binary.AppendUvarint(newFrame(nil), uint64(*nFinal))); err != nil {
 		return ioKind(err), fmt.Errorf("EOS: %w", err)
 	}
 

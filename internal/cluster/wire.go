@@ -52,6 +52,13 @@ import (
 // Either side may substitute ERROR (UTF-8 message) for its next frame and
 // close.
 //
+// The protocol is the byte stream, not how it is cut. Each side writes a
+// frame with one Write, header and payload together (newFrame reserves the
+// header in front of the payload's encode buffer, writeFramed fills it in),
+// and a worker reads its connection through one buffered reader; but a peer
+// may split or merge frames across writes and reads in any way, and the bytes
+// are exactly version 4's either way (TestGoldenStreamInHalfReads).
+//
 // Two codecs carry edges. SHARD payloads are graph.AppendEdgeBatch, which
 // preserves order: a machine's coreset is a function of its arrival order, so
 // a shard must arrive as it was routed. A CORESET payload is three uvarint
@@ -157,32 +164,45 @@ const maxWireRounds = 1 << 10
 
 const frameHeaderLen = 5
 
-// writeFrame writes one frame and returns the exact bytes put on the wire.
+// newFrame empties buf and reserves a frame header at its front. The caller
+// appends the payload behind it and hands the result to writeFramed, which
+// fills the header in: a frame built this way leaves in one Write, with no
+// copy and, once buf has grown to the largest frame, no allocation.
+func newFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0, 0) }
+
+// writeFramed writes frame, a header reserved by newFrame followed by the
+// payload, as one frame of type typ in a single Write, and returns the exact
+// bytes put on the wire.
+func writeFramed(w io.Writer, typ byte, frame []byte) (int, error) {
+	size := len(frame) - frameHeaderLen
+	if size > maxFramePayload {
+		return 0, fmt.Errorf("cluster: frame payload %d exceeds limit", size)
+	}
+	frame[0] = typ
+	binary.BigEndian.PutUint32(frame[1:], uint32(size))
+	return w.Write(frame)
+}
+
+// writeFrame is writeFramed for a payload built without a reserved header:
+// it copies the payload behind one first, so it is for the frames a
+// connection sends once (a worker's ACK or ERROR); the per-round frames are
+// built with newFrame.
 func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 	if len(payload) > maxFramePayload {
 		return 0, fmt.Errorf("cluster: frame payload %d exceeds limit", len(payload))
 	}
-	var hdr [frameHeaderLen]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return frameHeaderLen, err
-	}
-	return frameHeaderLen + len(payload), nil
+	return writeFramed(w, typ, append(newFrame(make([]byte, 0, frameHeaderLen+len(payload))), payload...))
 }
 
-// writeFrameDeadline writes one frame under a per-frame write deadline
+// writeFrameDeadline is writeFramed under a per-frame write deadline
 // (0 disables the deadline). Every coordinator-side frame write goes
 // through it, so a worker that stops draining its connection surfaces as a
 // timeout instead of a hang.
-func writeFrameDeadline(conn net.Conn, d time.Duration, typ byte, payload []byte) (int, error) {
+func writeFrameDeadline(conn net.Conn, d time.Duration, typ byte, frame []byte) (int, error) {
 	if d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	return writeFrame(conn, typ, payload)
+	return writeFramed(conn, typ, frame)
 }
 
 // readFrameDeadline reads one frame under a per-frame read deadline
@@ -201,6 +221,11 @@ func readFrameDeadline(conn net.Conn, d time.Duration) (typ byte, payload []byte
 func readFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
 	return readFrameInto(r, new(frameBuf))
 }
+
+// workerReadBuffer sizes the buffered reader a worker reads each connection
+// through: room for several 1 024-edge SHARD frames, so that one read
+// syscall brings in a few of them rather than each frame taking two.
+const workerReadBuffer = 32 << 10
 
 // frameBuf is a connection's reusable read buffer: the header scratch and a
 // payload buffer that grows to the largest frame seen and is then reused, so

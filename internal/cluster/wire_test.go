@@ -1,14 +1,18 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/edcs"
 	"repro/internal/gen"
@@ -61,6 +65,169 @@ func TestFrameLimits(t *testing.T) {
 	}
 	if _, _, _, err := readFrame(bytes.NewReader([]byte{frameShard, 0x00, 0x00, 0x00, 0x05, 0x01})); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// countingWriter counts the Write calls that reach it.
+type countingWriter struct {
+	io.Writer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Writer.Write(p)
+}
+
+// countingConn is a connection that counts the Read and Write calls made on
+// it.
+type countingConn struct {
+	net.Conn
+	reads, writes int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// shardBatch is a full routed batch with the dense benchmark shape's deltas:
+// runs of 32 edges per U, V spread over 16 000 IDs above it.
+func shardBatch() []graph.Edge {
+	batch := make([]graph.Edge, DefaultBatchSize)
+	for i := range batch {
+		batch[i] = graph.Edge{U: graph.ID(i / 32), V: graph.ID(i/32 + 1 + (i*7919)%16000)}
+	}
+	return batch
+}
+
+// TestOneWritePerFrame: a frame reaches its writer in one Write, header and
+// payload together — on a TCP connection, where Go sets TCP_NODELAY, every
+// Write leaves as a segment of its own. A frame built with newFrame over a
+// dirty buffer is byte for byte the one writeFrame copies together.
+func TestOneWritePerFrame(t *testing.T) {
+	dirty := bytes.Repeat([]byte{0xEE}, 64)
+	for _, p := range [][]byte{nil, {0x01}, bytes.Repeat([]byte{0xAB}, 1<<16)} {
+		var copied, framed bytes.Buffer
+		cw := &countingWriter{Writer: &copied}
+		n, err := writeFrame(cw, frameShard, p)
+		if err != nil || cw.writes != 1 || n != frameHeaderLen+len(p) || n != copied.Len() {
+			t.Fatalf("%d-byte payload: writeFrame made %d writes of %d bytes (%d on the wire), err %v; want 1 of %d",
+				len(p), cw.writes, n, copied.Len(), err, frameHeaderLen+len(p))
+		}
+		fw := &countingWriter{Writer: &framed}
+		n, err = writeFramed(fw, frameShard, append(newFrame(dirty), p...))
+		if err != nil || fw.writes != 1 || n != framed.Len() {
+			t.Fatalf("%d-byte payload: writeFramed made %d writes of %d bytes, err %v; want 1", len(p), fw.writes, n, err)
+		}
+		if !bytes.Equal(framed.Bytes(), copied.Bytes()) {
+			t.Fatalf("%d-byte payload: a newFrame frame differs from writeFrame's", len(p))
+		}
+	}
+}
+
+// TestShardSendAllocatesNothing: the coordinator's steady-state SHARD send
+// — encode a routed batch into the link's frame buffer, then one Write under
+// the per-frame deadline — allocates nothing per frame once the buffer has
+// grown to a full batch, writes each frame with one Write, and accounts for
+// every byte the worker side receives.
+func TestShardSendAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan int64, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			received <- -1
+			return
+		}
+		defer conn.Close()
+		n, _ := io.Copy(io.Discard, conn)
+		received <- n
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: conn}
+	s := &Session{iot: Config{}.ioTimeout(), links: []link{{conn: cc}}}
+
+	batch := shardBatch()
+	l := &s.links[0]
+	send := func() {
+		if err := s.send(0, frameShard, l.shardFrame(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // grows the link's frame buffer to a full batch
+	const frames = 200
+	if perFrame := testing.AllocsPerRun(frames, send); perFrame != 0 {
+		t.Errorf("a steady-state SHARD send allocates %.0f times per frame, want 0", perFrame)
+	}
+	conn.Close()
+	// AllocsPerRun calls once more than it counts, to warm up.
+	sent := frames + 2
+	frameLen := frameHeaderLen + len(graph.AppendEdgeBatch(nil, batch))
+	if got := <-received; cc.writes != sent || l.sent != sent*frameLen || got != int64(l.sent) {
+		t.Fatalf("%d frames of %d bytes took %d writes; the link counted %d bytes and the worker side read %d",
+			sent, frameLen, cc.writes, l.sent, got)
+	}
+}
+
+// TestWorkerReadsThroughOneBuffer: a worker reads a connection through one
+// buffered reader, the HELLO included. A coordinator that sends its HELLO,
+// every SHARD frame and the EOS in one Write, without waiting for the ACK,
+// gets the same answer as one that does not, and the worker takes far fewer
+// reads than the two per frame an unbuffered reader needs.
+func TestWorkerReadsThroughOneBuffer(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	conn := &countingConn{Conn: server}
+	served := make(chan error, 1)
+	go func() {
+		defer server.Close()
+		served <- NewWorker(nil).handle(conn)
+	}()
+
+	batch := shardBatch()
+	const frames = 64
+	var wire bytes.Buffer
+	_, _ = writeFrame(&wire, frameHello, encodeHello(hello{version: protocolVersion, task: taskVC, k: 1, rounds: 1}))
+	shard := graph.AppendEdgeBatch(nil, batch)
+	for range frames {
+		_, _ = writeFrame(&wire, frameShard, shard)
+	}
+	_, _ = writeFrame(&wire, frameEOS, binary.AppendUvarint(nil, 16384))
+	go func() { _, _ = client.Write(wire.Bytes()) }()
+
+	for _, want := range []byte{frameAck, frameTelem} {
+		if typ, payload, _, err := readFrame(client); err != nil || typ != want {
+			t.Fatalf("read frame 0x%02x (%q), err %v; want 0x%02x", typ, payload, err, want)
+		}
+	}
+	typ, payload, _, err := readFrame(client)
+	if err != nil || typ != frameCoreset {
+		t.Fatalf("read frame 0x%02x, err %v; want CORESET", typ, err)
+	}
+	sum, err := task.DecodeSummary(vcTask, payload)
+	if err != nil || sum.Edges != frames*len(batch) {
+		t.Fatalf("the worker counted %d edges of %d, err %v", sum.Edges, frames*len(batch), err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("handle: %v", err)
+	}
+	// Every read but the last (the end of the connection) fills up to a
+	// whole buffer.
+	if most := wire.Len()/workerReadBuffer + 2; conn.reads > most {
+		t.Fatalf("%d frames (%d bytes) took %d reads, want at most %d", frames+2, wire.Len(), conn.reads, most)
 	}
 }
 
@@ -299,8 +466,11 @@ func TestKeptFramesAreNeverRecycled(t *testing.T) {
 // input is read twice — into a fresh buffer, as the coordinator reads, and
 // into a dirty reused one, as the worker's SHARD loop does — and the two
 // must agree: no stale byte of the longer frame the buffer last held may
-// show, and an oversized length prefix must leave the buffer as it was.
-// Every golden frame seeds it, beside the malformed frames below.
+// show, and an oversized length prefix must leave the buffer as it was. A
+// third read goes through the worker's buffered reader over a source that
+// yields one byte per Read, so the frame arrives in the smallest pieces a
+// connection can deliver; it must agree with the other two, error text
+// included. Every golden frame seeds it, beside the malformed frames below.
 func FuzzReadFrame(f *testing.F) {
 	for _, g := range readGoldens(f) {
 		f.Add(g.frame)
@@ -333,6 +503,14 @@ func FuzzReadFrame(f *testing.F) {
 				rtyp, rn, rpayload, rerr, typ, n, payload, err)
 		}
 
+		bfb, _ := dirtyFrameBuf(t)
+		br := bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), workerReadBuffer)
+		btyp, bpayload, bn, berr := readFrameInto(br, bfb)
+		if fmt.Sprint(berr) != fmt.Sprint(err) || btyp != typ || bn != n || !bytes.Equal(bpayload, payload) || (berr != nil && bpayload != nil) {
+			t.Fatalf("a buffered one-byte read (type 0x%02x, %d bytes, % x, err %v), a fresh one (type 0x%02x, %d bytes, % x, err %v)",
+				btyp, bn, bpayload, berr, typ, n, payload, err)
+		}
+
 		if len(data) < frameHeaderLen {
 			if err == nil {
 				t.Fatal("truncated header accepted")
@@ -356,6 +534,44 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("frame type 0x%02x len %d differs from the bytes on the wire", typ, n)
 		}
 	})
+}
+
+// TestGoldenStreamInHalfReads: neither write nor read granularity is part of
+// the protocol. Every golden frame, written back to back into one stream,
+// reads back as the same (type, payload, size) sequence when each Read
+// delivers only half of what it asks for: directly, as the coordinator
+// reads, and through the worker's buffered reader into one reused frame
+// buffer, at its own size and at bufio's smallest, where frames straddle
+// the buffer's refills.
+func TestGoldenStreamInHalfReads(t *testing.T) {
+	gs := readGoldens(t)
+	var wire []byte
+	for _, g := range gs {
+		wire = append(wire, g.frame...)
+	}
+	type reader func() (typ byte, payload []byte, n int, err error)
+	buffered := func(size int) func(io.Reader) reader {
+		return func(r io.Reader) reader {
+			br, fb := bufio.NewReaderSize(r, size), new(frameBuf)
+			return func() (byte, []byte, int, error) { return readFrameInto(br, fb) }
+		}
+	}
+	for name, open := range map[string]func(io.Reader) reader{
+		"direct":      func(r io.Reader) reader { return func() (byte, []byte, int, error) { return readFrame(r) } },
+		"buffered":    buffered(workerReadBuffer),
+		"buffered-16": buffered(16),
+	} {
+		next := open(iotest.HalfReader(bytes.NewReader(wire)))
+		for _, g := range gs {
+			typ, payload, n, err := next()
+			if err != nil || typ != g.frame[0] || n != len(g.frame) || !bytes.Equal(payload, g.frame[frameHeaderLen:]) {
+				t.Fatalf("%s: %s read back as type 0x%02x, %d bytes, err %v", name, g.name, typ, n, err)
+			}
+		}
+		if _, _, _, err := next(); err != io.EOF {
+			t.Fatalf("%s: after the last golden: err %v, want io.EOF", name, err)
+		}
+	}
 }
 
 // TestWorkerSurvivesHostileFrames: frames that could drive unbounded

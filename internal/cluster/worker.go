@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -219,7 +220,10 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 		return err
 	}
 
-	typ, payload, nr, err := readFrame(conn)
+	// Every frame of the connection, the HELLO included, is read through
+	// one buffered reader, so a read syscall brings in several SHARD frames.
+	rd := bufio.NewReaderSize(conn, workerReadBuffer)
+	typ, payload, nr, err := readFrame(rd)
 	if err != nil {
 		return fmt.Errorf("reading HELLO: %w", err)
 	}
@@ -249,7 +253,7 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	// cannot miss; the descriptor supplies the machine's builder, so the
 	// worker itself is task-agnostic.
 	d, _, _ := task.ByWire(h.task)
-	return w.serveRounds(conn, h, tr, func() *stream.Machine {
+	return w.serveRounds(conn, rd, h, tr, func() *stream.Machine {
 		return stream.NewMachine(d.NewBuilder(h.k, nHint, task.Params{EDCS: h.edcs}))
 	})
 }
@@ -260,7 +264,7 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 // counters; the caller resets it at round boundaries. shard is the
 // connection's SHARD decode buffer: builders copy what they keep of an Add,
 // so every frame decodes into the same array. payload may alias the
-// connection's read buffer; nothing of it is kept past the call.
+// connection's frame buffer; nothing of it is kept past the call.
 func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem, shard *[]graph.Edge) (done bool, err error) {
 	fail := func(err error) error {
 		_, _ = writeFrame(conn, frameError, []byte(err.Error()))
@@ -297,10 +301,10 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		sum := m.Finish(int(n))
 		d, _, _ := task.ByWire(h.task) // cannot miss: decodeHello accepted the byte
 		// sum.Bytes is the length of the coreset body; sized to it plus the
-		// stats prefix (three uvarints, 30 bytes at most) the buffer is
-		// allocated once instead of doubling its way up to a coreset-sized
-		// frame.
-		body := task.AppendSummary(make([]byte, 0, sum.Bytes+3*binary.MaxVarintLen64), d, sum)
+		// frame header and the stats prefix (three uvarints, 30 bytes at
+		// most) the frame is allocated once instead of doubling its way up
+		// to a coreset-sized one, and leaves without a copy.
+		coreset := task.AppendSummary(newFrame(make([]byte, 0, frameHeaderLen+3*binary.MaxVarintLen64+sum.Bytes)), d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		bt := m.Telem()
 		tm.repairIters, tm.removals, tm.peakCoreset = bt.RepairIters, bt.Removals, bt.PeakCoreset
@@ -309,12 +313,12 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		// the CORESET never finds this round missing from the worker's
 		// counters.
 		w.served.Add(1)
-		nw, err := writeFrame(conn, frameTelem, appendTelem(nil, *tm))
+		nw, err := writeFramed(conn, frameTelem, appendTelem(newFrame(nil), *tm))
 		if err != nil {
 			return false, fmt.Errorf("machine %d round %d: writing TELEM: %w", h.machine, round, err)
 		}
 		w.countOut(nw)
-		nw, err = writeFrame(conn, frameCoreset, body)
+		nw, err = writeFramed(conn, frameCoreset, coreset)
 		if err != nil {
 			return false, fmt.Errorf("machine %d round %d: writing CORESET: %w", h.machine, round, err)
 		}
@@ -334,8 +338,10 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 // this machine from later rounds (the schedule shrinks k), so it ends the
 // assignment by closing the connection at a round boundary; a read error
 // before any frame of a new round is therefore a clean end of run, while one
-// mid-round — or before the first round — is a real abort.
-func (w *Worker) serveRounds(conn net.Conn, h hello, tr *obs.Tracer, mk func() *stream.Machine) error {
+// mid-round — or before the first round — is a real abort. Frames are read
+// from rd, the connection's buffered reader (handle read the HELLO through
+// it too, so nothing it buffered is lost), and answers written to conn.
+func (w *Worker) serveRounds(conn net.Conn, rd io.Reader, h hello, tr *obs.Tracer, mk func() *stream.Machine) error {
 	var shard []graph.Edge
 	var fb frameBuf // every mid-run frame is consumed before the next read
 	for round := 0; round < h.rounds; round++ {
@@ -344,7 +350,7 @@ func (w *Worker) serveRounds(conn net.Conn, h hello, tr *obs.Tracer, mk func() *
 		inRound := false
 		endRound := func(...any) {}
 		for {
-			typ, payload, nr, err := readFrameInto(conn, &fb)
+			typ, payload, nr, err := readFrameInto(rd, &fb)
 			if err != nil {
 				// Only an orderly close (clean EOF before any frame of a new
 				// round) is the documented end-of-run signal; resets,

@@ -144,38 +144,67 @@ func DecodeEdgeBatchInto(dst []Edge, data []byte) (edges []Edge, rest []byte, er
 		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count)")
 	}
 	data = data[k:]
-	if count > uint64(len(data)) { // each edge needs >= 2 bytes
+	if count > uint64(len(data))/2 { // each edge needs >= 2 bytes
 		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count %d too large)", count)
 	}
 	if uint64(cap(dst)) < count {
-		dst = make([]Edge, 0, count)
+		dst = make([]Edge, count)
 	}
-	edges = dst[:0]
+	edges = dst[:count]
 	prev := int64(0)
-	for i := uint64(0); i < count; i++ {
-		du, ku := binary.Varint(data)
-		if ku <= 0 {
-			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d U)", i)
+	for i := range edges {
+		du, ku := shortUvarint(data)
+		if ku == 0 {
+			if du, ku = binary.Uvarint(data); ku <= 0 {
+				return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d U)", i)
+			}
 		}
 		data = data[ku:]
-		dv, kv := binary.Varint(data)
-		if kv <= 0 {
-			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d V)", i)
+		dv, kv := shortUvarint(data)
+		if kv == 0 {
+			if dv, kv = binary.Uvarint(data); kv <= 0 {
+				return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d V)", i)
+			}
 		}
 		data = data[kv:]
-		u := prev + du
-		v := u + dv
+		u := prev + unzigzag(du)
+		v := u + unzigzag(dv)
 		if u < 0 || u > int64(MaxID) {
 			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d): %w", i, &IDRangeError{ID: u})
 		}
 		if v < 0 || v > int64(MaxID) {
 			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d): %w", i, &IDRangeError{ID: v})
 		}
-		edges = append(edges, Edge{ID(u), ID(v)})
+		edges[i] = Edge{ID(u), ID(v)}
 		prev = u
 	}
 	return edges, data, nil
 }
+
+// shortUvarint decodes the uvarint at the front of data when it is one, two
+// or three bytes long and at least three bytes remain, which covers nearly
+// every delta of a batch; otherwise it returns n = 0 and the caller asks
+// binary.Uvarint. On what it decodes it agrees with binary.Uvarint,
+// non-minimal encodings such as 0x80 0x00 included.
+func shortUvarint(data []byte) (x uint64, n int) {
+	if len(data) < 3 {
+		return 0, 0
+	}
+	x, b1, b2 := uint64(data[0]), uint64(data[1]), uint64(data[2])
+	switch {
+	case x < 0x80:
+		return x, 1
+	case b1 < 0x80:
+		return x&0x7f | b1<<7, 2
+	case b2 < 0x80:
+		return x&0x7f | (b1&0x7f)<<7 | b2<<14, 3
+	}
+	return 0, 0
+}
+
+// unzigzag maps a zigzag-coded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
 
 // Sorted-set codec: Golomb–Rice coding of the gaps of a sorted multiset. The
 // codecs above preserve order, and pay for it: a message whose order is not

@@ -4,9 +4,49 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
+
+// decodeEdgeBatchReference is the plain decoder loop DecodeEdgeBatchInto
+// replaced: one binary.Varint call per delta. FuzzEdgeBatchCodec holds the
+// two to the same verdict, edges, remainder and error text on every input.
+func decodeEdgeBatchReference(data []byte) (edges []Edge, rest []byte, err error) {
+	count, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count)")
+	}
+	data = data[k:]
+	if count > uint64(len(data))/2 { // each edge needs >= 2 bytes
+		return nil, nil, fmt.Errorf("graph: corrupt edge batch (count %d too large)", count)
+	}
+	prev := int64(0)
+	for i := uint64(0); i < count; i++ {
+		du, ku := binary.Varint(data)
+		if ku <= 0 {
+			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d U)", i)
+		}
+		data = data[ku:]
+		dv, kv := binary.Varint(data)
+		if kv <= 0 {
+			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d V)", i)
+		}
+		data = data[kv:]
+		u := prev + du
+		v := u + dv
+		if u < 0 || u > int64(MaxID) {
+			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d): %w", i, &IDRangeError{ID: u})
+		}
+		if v < 0 || v > int64(MaxID) {
+			return nil, nil, fmt.Errorf("graph: corrupt edge batch (edge %d): %w", i, &IDRangeError{ID: v})
+		}
+		edges = append(edges, Edge{ID(u), ID(v)})
+		prev = u
+	}
+	return edges, data, nil
+}
 
 // TestEdgeBatchRoundTrip: encode→decode must reproduce the batch exactly and
 // consume exactly the encoded bytes, for sorted, unsorted and empty inputs.
@@ -160,6 +200,15 @@ func TestEdgeBatchCorrupt(t *testing.T) {
 			t.Fatalf("corrupt input %v accepted", data)
 		}
 	}
+	// Each edge takes at least two bytes, so a count above half the bytes
+	// left is refused as such before anything is allocated for it: three
+	// bytes cannot hold two edges.
+	if _, _, err := DecodeEdgeBatch([]byte{0x02, 0x02, 0x02, 0x02}); err == nil || err.Error() != "graph: corrupt edge batch (count 2 too large)" {
+		t.Fatalf("two edges in three bytes: err = %v, want the count refused", err)
+	}
+	if got, _, err := DecodeEdgeBatch([]byte{0x02, 0x02, 0x02, 0x02, 0x02}); err != nil || len(got) != 2 {
+		t.Fatalf("two edges in four bytes: %v, err %v", got, err)
+	}
 	// Negative endpoint: U delta -1 from prev 0. The rejection carries the
 	// typed range error.
 	neg := binary.AppendVarint(binary.AppendUvarint(nil, 1), -1)
@@ -222,44 +271,91 @@ func TestDecodersRejectOversizedIDs(t *testing.T) {
 	}
 }
 
+// edgeBatchSeeds are hand-built batches at the edges of the decoder's fast
+// path: deltas of every varint length from 1 to 5 bytes, non-minimal
+// encodings (a continuation byte followed by zeros), every prefix of a batch
+// with 3-byte deltas, and deltas that land on either side of MaxID.
+func edgeBatchSeeds() [][]byte {
+	batch := func(deltas ...[]byte) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(deltas)/2))
+		for _, d := range deltas {
+			b = append(b, d...)
+		}
+		return b
+	}
+	zz := func(x int64) []byte { return binary.AppendVarint(nil, x) }
+	seeds := [][]byte{
+		batch(zz(1), zz(-1)),                                                        // 1-byte deltas
+		batch(zz(100), zz(-8000)),                                                   // 2-byte
+		batch(zz(8192), zz(-1<<20)),                                                 // 3-byte, the widest the fast path decodes
+		batch(zz(1<<20), zz(-(1 << 27))),                                            // 4-byte
+		batch(zz(1<<27), zz(int64(MaxID))),                                          // 5-byte
+		batch(zz(3), zz(1<<20), zz(5), zz(2), zz(0), zz(-1)),                        // mixed lengths, three edges
+		batch([]byte{0x80, 0x00}, []byte{0x82, 0x00}),                               // 2-byte non-minimal: 0 and 1
+		batch([]byte{0x80, 0x80, 0x00}, []byte{0x81, 0x80, 0x00}),                   // 3-byte non-minimal
+		batch([]byte{0x80, 0x80, 0x80, 0x00}, []byte{0x80, 0x80, 0x80, 0x80, 0x00}), // 4 and 5 bytes of zero
+		batch(zz(int64(MaxID)), zz(0)),                                              // U = MaxID
+		batch(zz(int64(MaxID)), zz(1)),                                              // V one past MaxID
+		batch(zz(0), zz(int64(MaxID))),                                              // V = MaxID
+		batch(zz(-1), zz(0)),                                                        // U one below 0
+		batch(zz(int64(MaxID)+1), zz(-1)),                                           // U one past MaxID, V back in range
+	}
+	two := batch(zz(2), zz(9000), zz(1), zz(-9000)) // 3-byte V deltas
+	for cut := range len(two) + 1 {
+		seeds = append(seeds, two[:cut])
+	}
+	return seeds
+}
+
 // FuzzEdgeBatchCodec fuzzes both directions: arbitrary bytes must decode
-// without panicking, and anything that decodes must re-encode to a
-// round-trip-stable batch; arbitrary edge lists (derived from the input
-// bytes) must survive encode→decode exactly.
+// exactly as decodeEdgeBatchReference decodes them — the same verdict,
+// edges, remainder and error text — whether into a fresh or a dirty buffer,
+// and anything that decodes must re-encode to a round-trip-stable batch;
+// arbitrary edge lists (derived from the input bytes) must survive
+// encode→decode exactly.
 func FuzzEdgeBatchCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x01, 0x02, 0x02})
 	f.Add(AppendEdgeBatch(nil, []Edge{{0, 1}, {5, 2}, {1 << 30, 0}}))
+	f.Add(AppendEdgeBatch(nil, denseBatch()[:64]))
 	// ID range boundary seeds: MaxID endpoints (largest legal values, the
 	// widest deltas the zigzag codec must carry) and hand-built payloads
 	// whose deltas land exactly one past the range in each direction.
 	f.Add(AppendEdgeBatch(nil, []Edge{{MaxID, 0}, {0, MaxID}, {MaxID, MaxID}}))
 	f.Add(binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(nil, 1), int64(MaxID)), 1))
 	f.Add(binary.AppendVarint(binary.AppendVarint(binary.AppendUvarint(nil, 1), -1), 0))
+	for _, seed := range edgeBatchSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direction 1: decode arbitrary bytes; on success the decoded batch
-		// must round-trip through the codec. Decoding into a dirty buffer
-		// larger than any batch these bytes can declare must reach the same
-		// verdict, edges and remainder.
-		dec, decRest, decErr := DecodeEdgeBatch(data)
-		into, intoRest, intoErr := DecodeEdgeBatchInto(dirtyDst(len(data)/2, len(data)+3), data)
-		if (decErr == nil) != (intoErr == nil) || len(into) != len(dec) || !bytes.Equal(decRest, intoRest) {
-			t.Fatalf("Into diverged: %d edges, rest %d, err %v; want %d, %d, %v",
-				len(into), len(intoRest), intoErr, len(dec), len(decRest), decErr)
-		}
-		for i := range dec {
-			if into[i] != dec[i] {
-				t.Fatalf("Into diverged at edge %d: %v vs %v", i, into[i], dec[i])
+		// Direction 1: decode arbitrary bytes as the reference does, into a
+		// fresh buffer and into a dirty one larger than any batch these
+		// bytes can declare; on success the decoded batch must round-trip
+		// through the codec.
+		ref, refRest, refErr := decodeEdgeBatchReference(data)
+		for _, dst := range [][]Edge{nil, dirtyDst(len(data)/2, len(data)+3)} {
+			got, rest, err := DecodeEdgeBatchInto(dst, data)
+			if fmt.Sprint(err) != fmt.Sprint(refErr) || len(got) != len(ref) || !bytes.Equal(rest, refRest) {
+				t.Fatalf("diverged from the reference (dst cap %d): %d edges, rest % x, err %v; want %d, % x, %v",
+					cap(dst), len(got), rest, err, len(ref), refRest, refErr)
+			}
+			if err != nil && got != nil {
+				t.Fatalf("error %v came with %d edges", err, len(got))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("diverged from the reference at edge %d: %v vs %v", i, got[i], ref[i])
+				}
 			}
 		}
-		if edges := dec; decErr == nil {
+		if edges := ref; refErr == nil {
 			re := AppendEdgeBatch(nil, edges)
 			back, rest2, err := DecodeEdgeBatch(re)
 			if err != nil {
 				t.Fatalf("re-decode: %v", err)
 			}
-			if len(rest2) != 0 || !reflect.DeepEqual(back, edges) {
+			if len(rest2) != 0 || len(back) != len(edges) || (len(edges) > 0 && !reflect.DeepEqual(back, edges)) {
 				t.Fatalf("re-decode mismatch: %v vs %v", back, edges)
 			}
 		}
@@ -288,5 +384,53 @@ func FuzzEdgeBatchCodec(f *testing.F) {
 		if !reflect.DeepEqual(got, edges) {
 			t.Fatalf("round trip mismatch")
 		}
+	})
+}
+
+// denseBatch is one routed SHARD batch of the dense benchmark shape: G(n, p)
+// with n = 16 384 and mean degree 256 in the generator's row order (U
+// ascending, then V > U ascending), of which a hash router sends about one
+// edge in k = 4 to each machine. It is the first 1 024 edges such a machine
+// receives, drawn from a fixed seed, so every call returns the same batch.
+func denseBatch() []Edge {
+	const n, deg, k, size = 16384, 256, 4, 1024
+	r := rand.New(rand.NewPCG(41, 1))
+	p := float64(deg) / n / k
+	edges := make([]Edge, 0, size)
+	for u := ID(0); len(edges) < size; u++ {
+		for v := u + 1; v < n && len(edges) < size; v++ {
+			if r.Float64() < p {
+				edges = append(edges, Edge{u, v})
+			}
+		}
+	}
+	return edges
+}
+
+// BenchmarkEdgeBatchCodec times the SHARD codec on one dense-shape batch and
+// reports ns/edge for each direction: go test -run '^$' -bench EdgeBatchCodec
+// ./internal/graph.
+func BenchmarkEdgeBatchCodec(b *testing.B) {
+	batch := denseBatch()
+	wire := AppendEdgeBatch(nil, batch)
+	perEdge := func(b *testing.B) { // after b.Loop, b.N is the iterations it ran
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/edge")
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(wire))
+		for b.Loop() {
+			buf = AppendEdgeBatch(buf[:0], batch)
+		}
+		perEdge(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		dst := make([]Edge, 0, len(batch))
+		for b.Loop() {
+			var err error
+			if dst, _, err = DecodeEdgeBatchInto(dst, wire); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEdge(b)
 	})
 }
