@@ -222,15 +222,19 @@
 // is one cache line holding its owner, the next block's number, an entry
 // count with the entries' H bits, and 13 entries in arrival order, each the
 // neighbour with the edge's orientation. Blocks come from 1024-block chunks
-// that are never copied. Next to them sit 5–11 bytes of open-addressed
-// dedup index per edge (4-byte locations of the edges' U-side entries, load
-// between 3/8 and 3/4) and four small per-vertex tables (H-degree, chain
-// head and tail, dirty flag). Chunks instead of doubling make the bytes
+// that are never copied. Next to them sit five small per-vertex tables
+// (H-degree, stored degree, chain head and tail, dirty flag) and an
+// open-addressed dedup index that holds only the edges between two heavy
+// vertices, those whose chains hold at least 26 entries, at 5–11 bytes each
+// (the 4-byte location of either entry, load between 3/8 and 3/4). An
+// arrival with a light endpoint is checked against its lighter endpoint's
+// chain, at most two blocks, instead. Chunks instead of doubling make the bytes
 // allocated the bytes held, and an insert allocates once per chunk or index
-// doubling, not once per edge. A mostly empty block costs more than the
-// per-edge record it replaced below a per-machine average degree of about
-// 8; above it the builder allocates less per stored edge (31.7 B at 16,
-// 27.2 B at 64). The
+// doubling, not once per edge. Per stored edge the builder allocates 111 B
+// at a per-machine average degree of 1, where nearly every block is a
+// chain's only, mostly empty one, 15.8 B at 16, where few vertices are
+// heavy and the index stays small, and 27.3 B at 64, where the index holds
+// nearly every edge. The
 // data plane around the builders is allocation-free in the steady state:
 // dataset segments and SHARD frames decode into reused buffers
 // (graph.DecodeEdgeBatchInto), the stream and cluster sharders take their

@@ -227,6 +227,13 @@ func readFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
 // syscall brings in a few of them rather than each frame taking two.
 const workerReadBuffer = 32 << 10
 
+// frameReadStep is the most a frame read allocates ahead of the bytes that
+// have arrived: the payload buffer starts at min(size, frameReadStep) and
+// doubles as it fills, so a length prefix that claims 64 MiB on a
+// connection that then closes costs frameReadStep, not the claim. Every
+// frame this repository sends at the benchmark scales fits in one step.
+const frameReadStep = 256 << 10
+
 // frameBuf is a connection's reusable read buffer: the header scratch and a
 // payload buffer that grows to the largest frame seen and is then reused, so
 // a read loop over it allocates nothing per frame.
@@ -238,25 +245,36 @@ type frameBuf struct {
 // readFrameInto is readFrame into fb. The returned payload aliases fb and is
 // valid only until the next read into it, so it is for frames consumed on
 // the spot (the worker's SHARD and EOS frames). The length prefix is checked
-// before fb's payload buffer is touched, and the payload returned is exactly
+// before fb's payload buffer is touched, the buffer grows only as the
+// payload arrives (see frameReadStep), and the payload returned is exactly
 // the bytes of this frame: what an earlier, longer frame left behind lies
 // beyond its length.
 func readFrameInto(r io.Reader, fb *frameBuf) (typ byte, payload []byte, n int, err error) {
 	if _, err := io.ReadFull(r, fb.hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	size := binary.BigEndian.Uint32(fb.hdr[1:])
-	if size > maxFramePayload {
-		return 0, nil, 0, fmt.Errorf("cluster: frame payload %d exceeds limit", size)
+	prefix := binary.BigEndian.Uint32(fb.hdr[1:])
+	if prefix > maxFramePayload {
+		return 0, nil, 0, fmt.Errorf("cluster: frame payload %d exceeds limit", prefix)
 	}
-	if uint32(cap(fb.payload)) < size {
-		fb.payload = make([]byte, size)
+	size := int(prefix)
+	payload = fb.payload[:0]
+	for len(payload) < size {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), min(size, max(2*len(payload), frameReadStep)))
+			copy(grown, payload)
+			payload, fb.payload = grown, grown[:cap(grown)]
+		}
+		m, err := io.ReadFull(r, payload[len(payload):min(size, cap(payload))])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			if err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
+		}
 	}
-	payload = fb.payload[:size]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
-	}
-	return fb.hdr[0], payload, frameHeaderLen + int(size), nil
+	return fb.hdr[0], payload, frameHeaderLen + size, nil
 }
 
 // hello is the HELLO payload: which machine of which run this connection

@@ -459,10 +459,34 @@ func TestKeptFramesAreNeverRecycled(t *testing.T) {
 	}
 }
 
+// TestReadFrameAllocatesByArrival: a header that declares the largest legal
+// payload and then ends, or delivers only part of it, costs what arrived,
+// not what it claimed. Each read fails as a truncated frame and allocates
+// under four times the payload bytes sent plus 1 MiB.
+func TestReadFrameAllocatesByArrival(t *testing.T) {
+	for _, sent := range []int{0, 1, frameReadStep, 3 << 20} {
+		data := binary.BigEndian.AppendUint32([]byte{frameCoreset}, maxFramePayload)
+		data = append(data, bytes.Repeat([]byte{0xAB}, sent)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, payload, _, err := readFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated frame") || payload != nil {
+			t.Fatalf("%d of %d payload bytes sent: payload of %d bytes, err %v; want a truncated frame", sent, maxFramePayload, len(payload), err)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*sent+1<<20); grew >= limit {
+			t.Errorf("%d of %d payload bytes sent: the read allocated %d bytes, want under %d", sent, maxFramePayload, grew, limit)
+		}
+	}
+}
+
 // FuzzReadFrame: the frame reader sees a peer's bytes before any other
 // validation. Truncated headers and payloads and oversized length prefixes
 // must come back as errors, a frame it accepts must be exactly the bytes on
-// the wire, and in no case may one read allocate past maxFramePayload. Every
+// the wire, and no read may allocate more than four times the bytes that
+// arrived plus frameReadStep, whatever its length prefix claims (the buffer
+// doubles as it fills, so the buffers it discards sum to less than the live
+// one, which is under twice what arrived). Every
 // input is read twice — into a fresh buffer, as the coordinator reads, and
 // into a dirty reused one, as the worker's SHARD loop does — and the two
 // must agree: no stale byte of the longer frame the buffer last held may
@@ -491,8 +515,8 @@ func FuzzReadFrame(f *testing.F) {
 		typ, payload, n, err := readFrame(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		// Slack for whatever else the test process allocates meanwhile.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFramePayload+1<<20 {
-			t.Fatalf("one readFrame allocated %d bytes, limit %d", grew, maxFramePayload)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+frameReadStep+1<<20); grew > limit {
+			t.Fatalf("one readFrame of %d bytes allocated %d bytes, limit %d", len(data), grew, limit)
 		}
 
 		fb, stale := dirtyFrameBuf(t)

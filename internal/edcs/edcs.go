@@ -32,10 +32,12 @@
 // the degree tables. Each vertex keeps its incident edges in a chain of
 // cache-line blocks (see Subgraph), so a repair rescan reads a vertex's
 // edges 13 to a line and touches nothing per edge but the neighbour's
-// H-degree. All four runtimes (batch, stream, cluster, service) feed a
-// machine's partition in the same order, which is what makes EDCS coresets
-// bit-for-bit identical across them (see TestSeedParityAcrossRuntimes in
-// internal/cluster).
+// H-degree. A duplicate is found on the chain of its lighter endpoint, at
+// most two blocks, or, when both endpoints are heavy, in an index of the
+// edges between heavy vertices. All four runtimes (batch, stream, cluster,
+// service) feed a machine's partition in the same order, which is what
+// makes EDCS coresets bit-for-bit identical across them (see
+// TestSeedParityAcrossRuntimes in internal/cluster).
 package edcs
 
 import (
@@ -93,8 +95,14 @@ func ParamsForBeta(beta int) Params {
 // copied, so the bytes the builder allocates are the bytes it holds: a
 // slice grown by doubling allocates (and discards) as much again whenever a
 // shard crosses a power of two.
+//
+// A vertex is heavy once its chain holds heavyDeg entries. A light vertex's
+// chain is at most two blocks, so scanning it answers a duplicate check in
+// the lines the arrival is about to write anyway; only an edge between two
+// heavy vertices needs the index.
 const (
 	blockCap    = 13 // entries per block
+	heavyDeg    = 2 * blockCap
 	chunkBits   = 10
 	chunkBlocks = 1 << chunkBits // blocks per chunk
 	minIndex    = 256            // slots in the smallest index table
@@ -135,24 +143,31 @@ func edgeOf(o, x graph.ID) graph.Edge {
 // blocks (head and tail per vertex, a next-block number in each block),
 // appended at the tail so that repair scans a vertex's edges in arrival
 // order, 13 to a cache line, and reads nothing else but the neighbours'
-// H-degrees. An open-addressed table holding the loc of each stored edge's
-// U-side entry, keyed by canonical endpoints, answers the duplicate check.
-// A flip toggles the H bit in both entries; the other endpoint's entry is found
-// by scanning that endpoint's chain, which the flip marks dirty and so
-// rescans anyway. Per stored edge that is two 4-byte entries (plus a 12-byte
-// header per 13 entries and the tail blocks' slack) and 5–11 bytes of
-// index, and an allocation once per chunk or table doubling, never per edge.
+// H-degrees. The duplicate check of an arrival with a light endpoint (see
+// heavyDeg) scans that endpoint's chain, at most two blocks. Only edges
+// between two heavy vertices go into an open-addressed table, keyed by
+// canonical endpoints, which holds the loc of one of the edge's two entries
+// (either: edgeOf recovers the edge from it). A vertex that turns heavy
+// enters its edges to heavy vertices once, so every heavy–heavy edge is in
+// the table exactly once. A flip toggles the H bit in both entries; the
+// other endpoint's entry is found by scanning that endpoint's chain, which
+// the flip marks dirty and so rescans anyway. Per stored edge that is two
+// 4-byte entries (plus a 12-byte header per 13 entries and the tail blocks'
+// slack), 5–11 bytes of index per heavy–heavy edge only, and an allocation
+// once per chunk or table doubling, never per edge.
 type Subgraph struct {
-	p      Params
-	chunks []*[chunkBlocks]block
-	blocks uint32 // blocks handed out, block 0 included
-	stored int    // edges held (loops and duplicates dropped)
-	index  []loc  // linear-probed set of stored edges; len is 0 or a power of two
-	shift  uint   // 64 − log2(len(index)): a hash's top bits are its home slot
-	deg    []int32
-	head   []uint32 // per vertex: first and last block of its chain, 0 if none
-	tail   []uint32
-	size   int // |H|
+	p       Params
+	chunks  []*[chunkBlocks]block
+	blocks  uint32 // blocks handed out, block 0 included
+	stored  int    // edges held (loops and duplicates dropped)
+	index   []loc  // linear-probed set of heavy–heavy edges; len is 0 or a power of two
+	indexed int    // edges in index
+	shift   uint   // 64 − log2(len(index)): a hash's top bits are its home slot
+	deg     []int32
+	sdeg    []uint8  // per vertex: stored degree, the entries in its chain, counted up to heavyDeg
+	head    []uint32 // per vertex: first and last block of its chain, 0 if none
+	tail    []uint32
+	size    int // |H|
 
 	dirty       []graph.ID // vertices whose H-degree changed since last repair
 	isDirty     []bool
@@ -174,6 +189,7 @@ func New(nHint int, p Params) *Subgraph {
 	return &Subgraph{
 		p:       p,
 		deg:     make([]int32, nHint),
+		sdeg:    make([]uint8, nHint),
 		head:    make([]uint32, nHint),
 		tail:    make([]uint32, nHint),
 		isDirty: make([]bool, nHint),
@@ -184,6 +200,7 @@ func New(nHint int, p Params) *Subgraph {
 func (s *Subgraph) grow(v graph.ID) {
 	if n := int(v) + 1 - len(s.deg); n > 0 {
 		s.deg = append(s.deg, make([]int32, n)...)
+		s.sdeg = append(s.sdeg, make([]uint8, n)...)
 		s.head = append(s.head, make([]uint32, n)...)
 		s.tail = append(s.tail, make([]uint32, n)...)
 		s.isDirty = append(s.isDirty, make([]bool, n)...)
@@ -218,34 +235,97 @@ func (s *Subgraph) find(c graph.Edge) (i uint64, found bool) {
 		if l == 0 {
 			return i, false
 		}
-		if b, j := s.entry(l); (graph.Edge{U: b.owner, V: b.ent[j]}).Canon() == c {
+		// l may name either entry of its edge, so the owner and the
+		// neighbour are compared with c as an unordered pair.
+		b, j := s.entry(l)
+		o, x := b.owner, b.ent[j]
+		if w := x ^ x>>31; min(o, w) == c.U && max(o, w) == c.V {
 			return i, true
 		}
 	}
 }
 
-// growIndex doubles the index table and re-enters every stored edge by
-// sweeping the blocks in memory order. The edges are distinct, so a probe
-// stops at the first empty slot without comparing. The discarded tables sum
-// to less than the live one, which bounds the builder's garbage.
+// enter puts entry l of canonical edge c, which the index does not hold, in
+// the first empty slot of c's probe sequence: the edge is new to the table,
+// so the probe compares nothing. The caller counts it in indexed.
+func (s *Subgraph) enter(c graph.Edge, l loc) {
+	index := s.index
+	mask := uint64(len(index) - 1)
+	i := hashEdge(c) >> s.shift
+	for index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	index[i] = l
+}
+
+// growIndex doubles the index table and re-enters every heavy–heavy edge,
+// once, from its U-side entry, by sweeping the heavy vertices' blocks in
+// memory order. The discarded tables sum to less than the live one, which
+// bounds the builder's garbage.
 func (s *Subgraph) growIndex() {
 	n := max(2*len(s.index), minIndex)
 	s.index = make([]loc, n)
 	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	mask := uint64(n - 1)
+	entered := 0
 	for b := uint32(1); b < s.blocks; b++ {
 		blk := s.at(b)
+		if s.sdeg[blk.owner] != heavyDeg {
+			continue
+		}
 		for j, x := range blk.ent[:blk.count] {
-			if x < 0 {
-				continue
+			if x >= 0 && s.sdeg[x] == heavyDeg {
+				s.enter(graph.Edge{U: blk.owner, V: x}.Canon(), b<<4|loc(j))
+				entered++
 			}
-			i := hashEdge(graph.Edge{U: blk.owner, V: x}.Canon()) >> s.shift
-			for s.index[i] != 0 {
-				i = (i + 1) & mask
-			}
-			s.index[i] = b<<4 | loc(j)
 		}
 	}
+	s.indexed = entered
+}
+
+// count adds one to v's stored degree, which stops at heavyDeg: past it only
+// heaviness matters, and an edge between two heavy vertices then writes no
+// counter.
+func (s *Subgraph) count(v graph.ID) {
+	if d := s.sdeg[v]; d < heavyDeg-1 {
+		s.sdeg[v] = d + 1
+	} else if d == heavyDeg-1 {
+		s.turnHeavy(v)
+	}
+}
+
+// turnHeavy adds the entry that makes v heavy to its stored degree, walks
+// v's chain once and indexes v's edges to vertices that are already heavy.
+// The table is grown first, while v is still light, so growIndex does not
+// enter the edges the walk is about to.
+func (s *Subgraph) turnHeavy(v graph.ID) {
+	if 4*(s.indexed+heavyDeg) > 3*len(s.index) {
+		s.growIndex()
+	}
+	s.sdeg[v] = heavyDeg
+	for b := s.head[v]; b != 0; {
+		blk := s.at(b)
+		for j, x := range blk.ent[:blk.count] {
+			if s.sdeg[x^x>>31] == heavyDeg {
+				s.enter(edgeOf(v, x).Canon(), b<<4|loc(j))
+				s.indexed++
+			}
+		}
+		b = blk.next
+	}
+}
+
+// linked reports whether v's chain holds an edge to w, in either orientation.
+func (s *Subgraph) linked(v, w graph.ID) bool {
+	for b := s.head[v]; b != 0; {
+		blk := s.at(b)
+		for _, x := range blk.ent[:blk.count] {
+			if x^x>>31 == w {
+				return true
+			}
+		}
+		b = blk.next
+	}
+	return false
 }
 
 // newBlock hands out an empty block owned by v.
@@ -280,11 +360,16 @@ func (s *Subgraph) push(v, x graph.ID) loc {
 }
 
 // store appends e's two entries to its endpoints' chains, with no hygiene
-// check and no index entry: Insert's second half. It returns the U-side and
-// the V-side entry.
+// check, and counts them in the stored degrees: Insert's second half. An
+// endpoint that turns heavy indexes e along with its other heavy–heavy
+// edges; an edge whose endpoints were both heavy already is left for the
+// caller to index. It returns the U-side and the V-side entry.
 func (s *Subgraph) store(e graph.Edge) (lu, lv loc) {
 	s.stored++
-	return s.push(e.U, e.V), s.push(e.V, ^e.U)
+	lu, lv = s.push(e.U, e.V), s.push(e.V, ^e.U)
+	s.count(e.U)
+	s.count(e.V)
+	return lu, lv
 }
 
 // Insert feeds one edge in arrival order and restores both invariants
@@ -305,16 +390,30 @@ func (s *Subgraph) Insert(e graph.Edge) {
 	if e.U == e.V {
 		return
 	}
-	if 4*(s.stored+1) > 3*len(s.index) {
-		s.growIndex()
-	}
-	i, dup := s.find(e.Canon())
-	if dup {
-		return
-	}
 	s.grow(max(e.U, e.V))
-	lu, lv := s.store(e)
-	s.index[i] = lu
+	var lu, lv loc
+	if s.sdeg[e.U] == heavyDeg && s.sdeg[e.V] == heavyDeg {
+		if 4*(s.indexed+1) > 3*len(s.index) {
+			s.growIndex()
+		}
+		i, dup := s.find(e.Canon())
+		if dup {
+			return
+		}
+		// No walk indexes e: it takes the slot the probe ended on.
+		lu, lv = s.store(e)
+		s.index[i] = lu
+		s.indexed++
+	} else {
+		light, other := e.U, e.V
+		if s.sdeg[other] < s.sdeg[light] {
+			light, other = other, light
+		}
+		if s.linked(light, other) {
+			return
+		}
+		lu, lv = s.store(e)
+	}
 	// P2: a new edge left out of H must already see β⁻ worth of H-degree.
 	if int(s.deg[e.U]+s.deg[e.V]) < s.p.BetaMinus {
 		s.flip(e, lu, lv)
@@ -448,13 +547,14 @@ func (s *Subgraph) Edges() []graph.Edge {
 
 // CheckInvariants verifies P1 and P2 over every stored edge, that the
 // store obeys edge hygiene (no self-loops, no parallel duplicates — both
-// classes of arrival Insert must drop), that the incremental H-degree
-// table matches a from-scratch recount of H, and that the block storage is
-// coherent: every handed-out block sits in exactly one chain, that of its
-// owner, with only the chain's tail partly filled and the tail pointer on
-// it; every stored edge has exactly one U-side and one V-side entry, with
-// equal H bits; the index names each edge's U-side entry and holds nothing
-// else; and the edge counter matches. Tests use it as the ground-truth
+// classes of arrival Insert must drop), that the incremental H-degree and
+// stored-degree tables match a from-scratch recount, and that the block
+// storage is coherent: every handed-out block sits in exactly one chain,
+// that of its owner, with only the chain's tail partly filled and the tail
+// pointer on it; every stored edge has exactly one U-side and one V-side
+// entry, with equal H bits; the index holds exactly the edges between two
+// heavy vertices, each once and where a probe for it finds it, under 3/4
+// load; and the edge counters match. Tests use it as the ground-truth
 // oracle for the insertion and repair logic: the degree recount is what
 // catches bookkeeping skew (e.g. a self-loop charging +2 to one endpoint)
 // even when P1/P2 happen to hold on the skewed sums, and the duplicate
@@ -462,7 +562,6 @@ func (s *Subgraph) Edges() []graph.Edge {
 func (s *Subgraph) CheckInvariants() error {
 	type twins struct {
 		e      graph.Edge // as it arrived
-		u      loc        // the U-side entry
 		nu, nv int        // U-side and V-side entries met
 		hu, hv bool       // their H bits
 	}
@@ -470,7 +569,7 @@ func (s *Subgraph) CheckInvariants() error {
 	at := make(map[graph.Edge]int) // edge as it arrived → its place in edges
 	inChain := make([]bool, s.blocks)
 	for v := range s.deg {
-		last := uint32(0)
+		last, entries := uint32(0), 0
 		for b := s.head[v]; b != 0; b = s.at(b).next {
 			if b >= s.blocks {
 				return fmt.Errorf("edcs: chain of vertex %d runs to block %d, past the %d handed out", v, b, s.blocks)
@@ -503,17 +602,20 @@ func (s *Subgraph) CheckInvariants() error {
 				}
 				t, h := &edges[k], blk.inH>>j&1 != 0
 				if x >= 0 {
-					t.u, t.hu = b<<4|loc(j), h
+					t.hu = h
 					t.nu++
 				} else {
 					t.hv = h
 					t.nv++
 				}
 			}
-			last = b
+			last, entries = b, entries+int(blk.count)
 		}
 		if s.tail[v] != last {
 			return fmt.Errorf("edcs: tail of vertex %d is block %d, its chain ends at %d", v, s.tail[v], last)
+		}
+		if int(s.sdeg[v]) != min(entries, heavyDeg) {
+			return fmt.Errorf("edcs: stored degree of vertex %d is tracked as %d but its chain holds %d entries (counted up to %d)", v, s.sdeg[v], entries, heavyDeg)
 		}
 	}
 	for b := uint32(1); b < s.blocks; b++ {
@@ -524,18 +626,30 @@ func (s *Subgraph) CheckInvariants() error {
 	if len(edges) != s.stored {
 		return fmt.Errorf("edcs: blocks hold %d edges, the counter says %d", len(edges), s.stored)
 	}
-	occupied := 0
+	heavy := func(c graph.Edge) bool { return s.sdeg[c.U] == heavyDeg && s.sdeg[c.V] == heavyDeg }
+	indexed := make(map[graph.Edge]bool) // canonical edges the index names
 	for i, l := range s.index {
 		if l == 0 {
 			continue
 		}
-		occupied++
-		if b, j := l>>4, l&15; b == 0 || b >= s.blocks || uint16(j) >= s.at(b).count || s.at(b).ent[j] < 0 {
-			return fmt.Errorf("edcs: index slot %d names %#x, not a U-side entry", i, l)
+		b, j := l>>4, l&15
+		if b == 0 || b >= s.blocks || uint16(j) >= s.at(b).count {
+			return fmt.Errorf("edcs: index slot %d names %#x, not an entry", i, l)
 		}
+		c := edgeOf(s.at(b).owner, s.at(b).ent[j]).Canon()
+		if !heavy(c) {
+			return fmt.Errorf("edcs: index slot %d names edge %v, which has a light endpoint", i, c)
+		}
+		if indexed[c] {
+			return fmt.Errorf("edcs: edge %v is in the index twice", c)
+		}
+		indexed[c] = true
 	}
-	if occupied != s.stored {
-		return fmt.Errorf("edcs: index holds %d entries for %d stored edges", occupied, s.stored)
+	if len(indexed) != s.indexed {
+		return fmt.Errorf("edcs: index holds %d entries, the counter says %d", len(indexed), s.indexed)
+	}
+	if 4*s.indexed > 3*len(s.index) {
+		return fmt.Errorf("edcs: index holds %d entries in %d slots, over 3/4", s.indexed, len(s.index))
 	}
 	seen := make(map[graph.Edge]struct{}, s.stored)
 	recount := make([]int32, len(s.deg))
@@ -552,8 +666,13 @@ func (s *Subgraph) CheckInvariants() error {
 			return fmt.Errorf("edcs: duplicate edge %v stored", e)
 		}
 		seen[c] = struct{}{}
-		if i, found := s.find(c); !found || s.index[i] != t.u {
-			return fmt.Errorf("edcs: index does not name the U-side entry of %v", e)
+		if heavy(c) {
+			if !indexed[c] {
+				return fmt.Errorf("edcs: edge %v between heavy vertices is missing from the index", e)
+			}
+			if _, found := s.find(c); !found {
+				return fmt.Errorf("edcs: edge %v is in the index where a probe for it does not reach", e)
+			}
 		}
 		if t.hu {
 			recount[e.U]++

@@ -273,33 +273,48 @@ func TestDuplicateEdgesDropped(t *testing.T) {
 
 // TestCheckInvariantsCatchesHygieneViolations: the oracle must reject a
 // store containing a self-loop or a duplicate, and a tracked degree table
-// that disagrees with a recount of H — the three symptoms the Insert
-// hygiene exists to prevent — and, now that the storage is blocks, an index,
-// a chain or an entry that disagrees with the rest. store is Insert minus
-// the hygiene check and the index entry, so it plants exactly the arrivals
-// Insert would have dropped. The fixture's hub, vertex 0, has a two-block
-// chain (13 + 7 entries), so chain shape faults have a link to break.
+// that disagrees with a recount — the symptoms the Insert hygiene exists to
+// prevent — and, now that the storage is blocks, an index, a chain or an
+// entry that disagrees with the rest. store is Insert minus the hygiene
+// check and the index entry of an edge between two vertices that were
+// already heavy, so it plants exactly the arrivals Insert would have
+// dropped. The fixture's hubs 0, 1 and 2 are joined pairwise and then each
+// gain heavyDeg leaves, so their chains run to three blocks and the index
+// holds exactly the three joins, entered by the walks as the hubs turned
+// heavy.
 func TestCheckInvariantsCatchesHygieneViolations(t *testing.T) {
 	p := ParamsForBeta(8)
 	corrupt := func(mutate func(s *Subgraph)) error {
-		s := New(32, p)
-		for v := graph.ID(1); v <= 20; v++ {
-			s.Insert(graph.Edge{U: 0, V: v})
-		}
+		s := New(64, p)
+		s.Insert(graph.Edge{U: 0, V: 1})
+		s.Insert(graph.Edge{U: 2, V: 0})
 		s.Insert(graph.Edge{U: 1, V: 2})
-		s.Insert(graph.Edge{U: 3, V: 2})
+		for v := graph.ID(3); v < 3+heavyDeg; v++ {
+			for h := graph.ID(0); h < 3; h++ {
+				s.Insert(graph.Edge{U: h, V: v})
+			}
+		}
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("uncorrupted subgraph rejected: %v", err)
 		}
-		if s.head[0] == s.tail[0] || s.Size() == 0 || s.Size() == s.Stored() {
-			t.Fatal("fixture lost its shape: want a two-block hub chain and edges both in and out of H")
+		if s.head[0] == s.tail[0] || s.Size() == 0 || s.Size() == s.Stored() || s.indexed != 3 {
+			t.Fatal("fixture lost its shape: want multi-block hub chains, three indexed joins and edges both in and out of H")
 		}
 		mutate(s)
 		return s.CheckInvariants()
 	}
-	uLoc := func(s *Subgraph, e graph.Edge) loc {
-		i, _ := s.find(e.Canon())
-		return s.index[i]
+	// slotAfter returns the empty slot that a probe for c ends on.
+	slotAfter := func(s *Subgraph, c graph.Edge) uint64 {
+		i, found := s.find(c)
+		for found {
+			i = (i + 1) & uint64(len(s.index)-1)
+			found = s.index[i] != 0
+		}
+		return i
+	}
+	plant := func(s *Subgraph, i uint64, l loc) {
+		s.index[i] = l
+		s.indexed++
 	}
 	for _, tc := range []struct {
 		name   string
@@ -308,40 +323,48 @@ func TestCheckInvariantsCatchesHygieneViolations(t *testing.T) {
 		{"stored self-loop", func(s *Subgraph) { s.store(graph.Edge{U: 3, V: 3}) }},
 		{"stored duplicate", func(s *Subgraph) { s.store(graph.Edge{U: 1, V: 0}) }},
 		{"indexed duplicate", func(s *Subgraph) {
-			// Even a duplicate the index knows about (in the slot a probe
-			// for it ends on) is still a duplicate in the store.
+			// A stored duplicate that the index knows about too (in the
+			// slot a probe for it ends on) names its edge a second time.
 			lu, _ := s.store(graph.Edge{U: 1, V: 0})
-			i := hashEdge(graph.Edge{U: 0, V: 1}) >> s.shift
-			for s.index[i] != 0 {
-				i = (i + 1) & uint64(len(s.index)-1)
-			}
-			s.index[i] = lu
+			plant(s, slotAfter(s, graph.Edge{U: 0, V: 1}), lu)
 		}},
 		// Skewed bookkeeping, the pre-fix self-loop symptom.
-		{"skewed H-degree table", func(s *Subgraph) { s.deg[25] = 2 }},
+		{"skewed H-degree table", func(s *Subgraph) { s.deg[60] = 2 }},
+		{"skewed stored-degree table", func(s *Subgraph) { s.sdeg[3]++ }},
 		{"edge counter off by one", func(s *Subgraph) { s.stored++ }},
-		{"stored edge missing from the index", func(s *Subgraph) {
+		{"index counter off by one", func(s *Subgraph) { s.indexed++ }},
+		{"heavy–heavy edge missing from the index", func(s *Subgraph) {
 			i, _ := s.find(graph.Edge{U: 1, V: 2})
 			s.index[i] = 0
+			s.indexed--
 		}},
 		{"index entry naming the wrong edge", func(s *Subgraph) {
 			i, _ := s.find(graph.Edge{U: 1, V: 2})
-			s.index[i] = uLoc(s, graph.Edge{U: 0, V: 1})
+			j, _ := s.find(graph.Edge{U: 0, V: 1})
+			s.index[i] = s.index[j]
+		}},
+		{"heavy–heavy edge indexed from both sides", func(s *Subgraph) {
+			plant(s, slotAfter(s, graph.Edge{U: 0, V: 1}), s.twin(1, ^0))
 		}},
 		{"stale index entry", func(s *Subgraph) {
-			i, _ := s.find(graph.Edge{U: 5, V: 30})
-			s.index[i] = uLoc(s, graph.Edge{U: 0, V: 1})
+			// The entry sits half the table away from where it was put, past
+			// empty slots a probe for its edge stops at.
+			i, _ := s.find(graph.Edge{U: 0, V: 1})
+			far := (i + uint64(len(s.index))/2) & uint64(len(s.index)-1)
+			if s.index[far] != 0 || s.index[(i+1)&uint64(len(s.index)-1)] != 0 {
+				t.Fatal("fixture lost its shape: want empty slots after and across from the 0–1 entry")
+			}
+			s.index[i], s.index[far] = 0, s.index[i]
 		}},
-		{"index naming the V-side entry", func(s *Subgraph) {
-			i, _ := s.find(graph.Edge{U: 2, V: 3})
-			s.index[i] = s.twin(2, ^3)
+		{"light edge in the index", func(s *Subgraph) {
+			plant(s, slotAfter(s, graph.Edge{U: 0, V: 5}), s.twin(0, 5))
 		}},
 		{"twins disagreeing on the H bit", func(s *Subgraph) {
-			b, j := s.entry(uLoc(s, graph.Edge{U: 1, V: 2}))
+			b, j := s.entry(s.twin(1, 2))
 			b.inH ^= 1 << j
 		}},
 		{"flipped orientation", func(s *Subgraph) {
-			b, j := s.entry(uLoc(s, graph.Edge{U: 1, V: 2}))
+			b, j := s.entry(s.twin(1, 2))
 			b.ent[j] = ^b.ent[j]
 		}},
 		{"lost entry", func(s *Subgraph) { s.at(s.tail[0]).count-- }},
@@ -356,6 +379,8 @@ func TestCheckInvariantsCatchesHygieneViolations(t *testing.T) {
 	} {
 		if err := corrupt(tc.mutate); err == nil {
 			t.Errorf("%s passed CheckInvariants", tc.name)
+		} else if testing.Verbose() {
+			t.Logf("%s: %v", tc.name, err)
 		}
 	}
 }
@@ -403,15 +428,82 @@ func hubStream(r *rng.RNG, count, nVerts int) []graph.Edge {
 	return edges
 }
 
+// crossingStream drives vertices across heavyDeg with duplicates, in both
+// orientations, before, at and after each crossing. Hubs 0 and 1 gain
+// heavyDeg−1 edges each, one of them to hub 2; duplicates of their edges
+// arrive while they sit one short of heavy; then the edge 0–1 turns both
+// heavy on one arrival (crossingJoin is its place in the stream) and comes
+// again both ways. Hub 2 turns heavy next, its walk indexing its edges to
+// the two heavy hubs, and a tail of random edges over 60 vertices takes
+// more of them across. Every new edge is followed by a random earlier
+// arrival, reversed half the time. All IDs are below 64, so the stream is a
+// FuzzEDCSInsert seed as it stands.
+func crossingStream(r *rng.RNG) []graph.Edge {
+	var edges []graph.Edge
+	feed := func(u, v graph.ID) {
+		edges = append(edges, graph.Edge{U: u, V: v})
+		d := edges[r.Intn(len(edges))]
+		if r.Intn(2) == 0 {
+			d = graph.Edge{U: d.V, V: d.U}
+		}
+		edges = append(edges, d)
+	}
+	feed(2, 0)
+	feed(1, 2)
+	for i := graph.ID(0); i < heavyDeg-2; i++ {
+		feed(0, 3+2*i)
+		feed(4+2*i, 1)
+	}
+	edges = append(edges, graph.Edge{U: 0, V: 2}, graph.Edge{U: 2, V: 0}, graph.Edge{U: 1, V: 2}, graph.Edge{U: 2, V: 1})
+	edges = append(edges, graph.Edge{U: 1, V: 0}, graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 0})
+	for i := graph.ID(0); i < heavyDeg-2; i++ {
+		feed(2, 3+i)
+	}
+	edges = append(edges, graph.Edge{U: 0, V: 2}, graph.Edge{U: 2, V: 1})
+	for range 400 {
+		feed(graph.ID(r.Intn(60)), graph.ID(r.Intn(60)))
+	}
+	return edges
+}
+
+// crossingJoin is the place of the arrival 1–0 in crossingStream: two
+// leading edges and heavyDeg−2 leaves per hub, each followed by a
+// duplicate, then four duplicates at the crossing.
+const crossingJoin = 2*(2+2*(heavyDeg-2)) + 4
+
+// TestCrossingStreamShape: the arrival at crossingJoin turns hubs 0 and 1
+// heavy together, and the one after it is dropped as a duplicate by the
+// index.
+func TestCrossingStreamShape(t *testing.T) {
+	arrivals := crossingStream(rng.New(1))
+	s := New(0, ParamsForBeta(16))
+	for _, e := range arrivals[:crossingJoin] {
+		s.Insert(e)
+	}
+	if s.sdeg[0] != heavyDeg-1 || s.sdeg[1] != heavyDeg-1 || s.indexed != 0 {
+		t.Fatalf("before the join: stored degrees %d and %d, %d indexed; want %d, %d, 0", s.sdeg[0], s.sdeg[1], s.indexed, heavyDeg-1, heavyDeg-1)
+	}
+	s.Insert(arrivals[crossingJoin])
+	if s.sdeg[0] != heavyDeg || s.sdeg[1] != heavyDeg || s.indexed != 1 {
+		t.Fatalf("after the join: stored degrees %d and %d, %d indexed; want %d, %d, 1", s.sdeg[0], s.sdeg[1], s.indexed, heavyDeg, heavyDeg)
+	}
+	stored := s.Stored()
+	s.Insert(arrivals[crossingJoin+1])
+	if s.Stored() != stored {
+		t.Fatal("the join's duplicate was stored")
+	}
+}
+
 // TestDifferentialAgainstReference: the block-chain Subgraph and the
 // map-based reference it replaced must be indistinguishable from outside —
 // same H, same counters — on arrival sequences full of duplicates,
 // self-loops and vertices past the hint (and with no hint at all); on short
 // runs the comparison and the invariant oracle run after every prefix. Long
-// runs cross several chunk and index-doubling boundaries; the sparse one with
-// a hint has about one edge per vertex, so nearly every block is a chain's
-// only, partly filled one, and the hub run walks chains hundreds of blocks
-// long.
+// runs cross several chunk boundaries, and the dense one index doublings;
+// the sparse one with a hint has about one edge per vertex, so nearly every
+// block is a chain's only, partly filled one, and the hub run walks chains
+// hundreds of blocks long. The crossing run re-feeds edges in both
+// orientations as their endpoints turn heavy, one at a time and two at once.
 func TestDifferentialAgainstReference(t *testing.T) {
 	same := func(t *testing.T, s *Subgraph, ref *refSubgraph, at int) {
 		t.Helper()
@@ -430,26 +522,27 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			t.Fatalf("after %d arrivals: %v", at, err)
 		}
 	}
+	crossing := func(r *rng.RNG, _, _ int) []graph.Edge { return crossingStream(r) }
 	for _, tc := range []struct {
 		name                 string
 		count, nVerts, nHint int
 		p                    Params
-		everyPrefix, hub     bool
+		everyPrefix          bool
+		draw                 func(r *rng.RNG, count, nVerts int) []graph.Edge
 	}{
-		{"short-no-hint", 400, 12, 0, Params{Beta: 4, BetaMinus: 3}, true, false},
-		{"short-hint", 400, 12, 12, ParamsForBeta(8), true, false},
-		{"short-small-hint", 600, 40, 7, Params{Beta: 2, BetaMinus: 1}, true, false},
-		{"long-dense", 40000, 240, 240, Params{Beta: 6, BetaMinus: 5}, false, false},
-		{"long-sparse-no-hint", 20480, 4000, 0, ParamsForBeta(16), false, false},
-		{"long-sparse-hint", 20480, 40960, 40960, ParamsForBeta(16), false, false},
-		{"star-chords", 20480, 3000, 3000, ParamsForBeta(16), false, true},
+		{"short-no-hint", 400, 12, 0, Params{Beta: 4, BetaMinus: 3}, true, arrivalStream},
+		{"short-hint", 400, 12, 12, ParamsForBeta(8), true, arrivalStream},
+		{"short-small-hint", 600, 40, 7, Params{Beta: 2, BetaMinus: 1}, true, arrivalStream},
+		{"long-dense", 40000, 240, 240, Params{Beta: 6, BetaMinus: 5}, false, arrivalStream},
+		{"long-sparse-no-hint", 20480, 4000, 0, ParamsForBeta(16), false, arrivalStream},
+		{"long-sparse-hint", 20480, 40960, 40960, ParamsForBeta(16), false, arrivalStream},
+		{"star-chords", 20480, 3000, 3000, ParamsForBeta(16), false, hubStream},
+		{"crossing", 0, 0, 0, ParamsForBeta(16), true, crossing},
+		{"crossing-small-beta", 0, 0, 8, Params{Beta: 4, BetaMinus: 3}, true, crossing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
-				arrivals := arrivalStream(rng.New(seed), tc.count, tc.nVerts)
-				if tc.hub {
-					arrivals = hubStream(rng.New(seed), tc.count, tc.nVerts)
-				}
+				arrivals := tc.draw(rng.New(seed), tc.count, tc.nVerts)
 				s, ref := New(tc.nHint, tc.p), newRef(tc.nHint, tc.p)
 				for i, e := range arrivals {
 					s.Insert(e)
@@ -468,9 +561,10 @@ func TestDifferentialAgainstReference(t *testing.T) {
 }
 
 // TestInsertAllocations guards the builder's memory model: storage grows by
-// whole chunks and index doublings, so 100k inserts (with repair churn) must
-// cost fewer than one allocation per hundred edges. The map-and-slices
-// builder this replaced paid more than one per edge.
+// whole chunks, and the index, which holds only edges between two heavy
+// vertices, by doublings, so 100k inserts (with repair churn) must cost
+// fewer than one allocation per hundred edges. The map-and-slices builder
+// this replaced paid more than one per edge.
 func TestInsertAllocations(t *testing.T) {
 	g := gen.GNP(4000, 50.0/4000, rng.New(5))
 	if g.M() < 100000 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // decodeArrivals turns fuzz bytes into an edge arrival sequence over a small
@@ -32,6 +33,11 @@ func FuzzEDCSInsert(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 3, 3, 4, 4, 3}, uint8(2))         // loop spam around one vertex
 	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, uint8(200)) // path, large beta
 	f.Add([]byte{}, uint8(0))
+	var crossing []byte // hubs turning heavy, two on one arrival, amid duplicates
+	for _, e := range crossingStream(rng.New(1)) {
+		crossing = append(crossing, byte(e.U), byte(e.V))
+	}
+	f.Add(crossing, uint8(14))
 	f.Fuzz(func(t *testing.T, data []byte, betaRaw uint8) {
 		if len(data) > 1<<12 {
 			t.Skip("bound the per-input work")
