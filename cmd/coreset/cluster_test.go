@@ -165,7 +165,7 @@ func TestClusterChaosSIGKILL(t *testing.T) {
 		RetryBackoff: 10 * time.Millisecond,
 	}
 	d := task.MustGet("edcs")
-	sess, err := cluster.Dial(context.Background(), cfg, d, task.Params{EDCS: p}, 2, g.N)
+	sess, err := cluster.Open(context.Background(), cfg, d, task.Params{EDCS: p}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}

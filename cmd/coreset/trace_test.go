@@ -16,7 +16,8 @@ var traceDurRe = regexp.MustCompile(`dur_ms=[0-9.e+-]+`)
 
 // TestTraceGolden pins the -trace output of a fixed-seed multi-round batch
 // run verbatim: the run ID is derived from -seed, the round breakdown and
-// edge counts are deterministic, and only dur_ms varies between runs.
+// edge counts are deterministic, and only dur_ms varies between runs. Every
+// in-process round emits its shard span, as a single-round run does.
 func TestTraceGolden(t *testing.T) {
 	runTraced := func() string {
 		t.Helper()
@@ -31,6 +32,8 @@ func TestTraceGolden(t *testing.T) {
 	got := runTraced()
 	want := `level=INFO msg=run.start run=r-a389c35a task=edcs mode=batch k=4 seed=5
 level=INFO msg=round.start run=r-a389c35a round=0 k=4
+level=INFO msg=shard.start run=r-a389c35a k=4
+level=INFO msg=shard.end run=r-a389c35a k=4 edges=1210 batches=2 dur_ms=*
 level=INFO msg=round.end run=r-a389c35a round=0 k=4 input_edges=1210 union_edges=1210 dur_ms=*
 level=INFO msg=compose run=r-a389c35a machines=4 union_edges=1210
 level=INFO msg=run.end run=r-a389c35a task=edcs mode=batch k=4 seed=5 code=0 dur_ms=*

@@ -21,8 +21,10 @@
 // convenience at each step, and one engine (internal/engine) sits between
 // them and every frontend: a frontend states what it wants as an
 // engine.Spec — task, β, rounds, runtime, k, seed, batch size, the resolved
-// worker fleet — and engine.Run holds the only runtime × rounds dispatch in
-// the repository and the only constructor of the run report. Every
+// worker fleet — and engine.Run holds the only runtime switch in the
+// repository (it yields the runtime's round function, which a single-round
+// run calls once and a multi-round run hands to the round driver) and the
+// only constructor of the run report. Every
 // frontend is a subcommand of the one binary, cmd/coreset: run, ingest,
 // serve, worker, load and experiments.
 //
@@ -31,8 +33,8 @@
 //	  ▲ coreset load            │
 //	           ┌────────────────▼────────────────────────────────────┐
 //	batch      │ edge list → validate → stream pipeline → verify     │ materialized
-//	stream     │ EdgeSource → stream.Route → k goroutines → compose  │ deployment shape
-//	cluster    │ EdgeSource → stream.Route → k OS PROCESSES over TCP │ real machines,
+//	stream     │ EdgeSource → stream.Pass → k goroutines → compose   │ deployment shape
+//	cluster    │ EdgeSource → stream.Pass → k OS PROCESSES over TCP  │ real machines,
 //	           │   (typed frames; shards as lists, coresets as sets) │ measured bytes
 //	service    │ resident daemon dispatching jobs to any of the above│ summaries reused
 //	           └──────── internal/task builders, internal/core ──────┘
@@ -48,10 +50,13 @@
 // (one-pass greedy matching telemetry plus an exact end-of-stream summary
 // for Theorem 1; incremental degree tracking with online level-1 peeling for
 // Theorem 2, which discards already-covered edges mid-stream), and a
-// coordinator composes the final answer. The batch
-// runtime is that pipeline over the materialized edge list, bracketed by
-// self-checks; the cluster coordinator feeds its worker connections through
-// the same router. Every runtime runs the same builders over the same
+// coordinator composes the final answer. One pass (stream.Pass) holds that
+// loop — route the source over the machines taking part, serve each on its
+// own goroutine, publish the final vertex count once the source is drained —
+// and both runtimes run it: the batch runtime is the pipeline over the
+// materialized edge list, bracketed by self-checks, and the cluster
+// coordinator serves each machine of the same pass with a worker
+// connection. Every runtime runs the same builders over the same
 // k-partitioning and folds their summaries with one function
 // (task.Descriptor.FoldStats), so for a fixed (graph, seed, k) they agree bit
 // for bit with the materialized reference (task.Descriptor.Batch:
@@ -185,11 +190,13 @@
 // matching is composed over the last (much smaller) union. Round 0 uses the
 // root seed, so a rounds=1 run reproduces the single-round EDCS pipeline
 // bit for bit, and the whole schedule is seed-parity-checked across batch,
-// stream and cluster. In cluster mode the coordinator's one conversation
-// (cluster.Session — a single-round cluster.Solve is the same session with a
-// round cap of 1) drives all rounds: the worker connections are dialed
-// once, a single HELLO carries the round cap (every HELLO does; a
-// single-round run's cap is 1), each round is a
+// stream and cluster. The driver (rounds.Drive) does not know its runtime:
+// the engine hands it the same round function a single-round run calls —
+// stream.Summaries in process, or Session.Round on the coordinator's one
+// conversation with the fleet (cluster.Session, which a single-round run
+// opens with a round cap of 1). In cluster mode that session drives all
+// rounds: the worker connections are dialed once, a single HELLO carries
+// the round cap, each round is a
 // SHARD*/EOS/TELEM/CORESET exchange with a fresh per-round EDCS machine, and
 // every round's communication is measured off the TCP connections into the
 // run report's per-round breakdown (graph.RunReport.RoundStats). The driver
@@ -279,10 +286,10 @@
 // every mode honor cancellation at batch granularity; on shutdown the daemon drains in-flight jobs before
 // exiting. The CLI and the service share graph.RunReport as their result
 // schema, and more than the schema: every runtime returns the one run-stats
-// struct (core.PipelineStats — stream.Stats and cluster.Stats are aliases
-// of it, a multi-round run carries one per round), and the engine's report
-// function is the single place that turns it into a RunReport, so coreset
-// -json and a coreset serve job give the same report for the same request.
+// struct (core.PipelineStats; a multi-round run carries one per round), and
+// the engine's report function is the single place that turns it into a
+// RunReport, so coreset -json and a coreset serve job give the same report
+// for the same request.
 // The batch runtime's self-checks (input structure, the task's verifier)
 // live in the engine too, so daemon batch jobs run them like CLI runs do.
 // coreset load is the matching load generator: it drives the HTTP API

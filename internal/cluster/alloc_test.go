@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -35,7 +34,7 @@ func TestWorkerShardLoopAllocatesNothingPerFrame(t *testing.T) {
 	served := make(chan error, 1)
 	go func() {
 		rd := bufio.NewReaderSize(server, workerReadBuffer)
-		served <- w.serveRounds(server, rd, h, nil, func() *stream.Machine { return stream.NewMachine(nopBuilder{}) })
+		served <- w.serveRounds(server, rd, h, nil, func() task.Builder { return nopBuilder{} })
 	}()
 
 	batch := make([]graph.Edge, DefaultBatchSize)

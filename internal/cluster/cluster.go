@@ -8,26 +8,28 @@
 //	              coordinator --------+---- CORESET frames --+--> composition
 //
 // The coordinator (Solve, for any registered task) consumes any
-// stream.EdgeSource, routes every edge with the in-process runtime's own
-// router (stream.Route, the seeded partition.HashAssign) — so a cluster run
+// stream.EdgeSource, routes every edge in the in-process runtime's own pass
+// (stream.Pass around the seeded partition.HashAssign) — so a cluster run
 // is bit-for-bit identical to the stream pipeline for the same
 // (graph, seed, k) — and fans edge batches out over a compact length-prefixed
 // binary protocol (wire.go: typed HELLO/ACK/SHARD/EOS/CORESET/ERROR frames,
 // SHARD payloads in the order-preserving graph.AppendEdgeBatch, CORESET
 // bodies in each task's set codec).
-// Each worker hosts a stream.Machine — the very builders the in-process
-// pipeline runs — and answers with one CORESET frame. The coordinator
+// Each worker hosts the task's builder (task.Builder) — the very builders
+// the in-process pipeline runs — and answers with one CORESET frame. The coordinator
 // composes the summaries with the same core composition and reports both the
 // measured wire bytes (TotalCommBytes/MaxMachineBytes) and the simulated
 // estimate (EstCommBytes) side by side.
 //
-// There is one conversation, held by a Session: dial and greet every worker
-// once, then run rounds of shard-and-collect on the open connections, then
-// close. Solve is a session capped at one round plus the composition; the
-// multi-round MPC driver (internal/rounds) Dials a session under the task's
-// multi-round assignment and runs several rounds on shrinking inputs. Both
-// go through the same router (stream.Route), the same per-machine frame
-// exchange and the same replay waves.
+// There is one conversation, held by a Session: Open dials and greets every
+// worker once, then each Round shards an input and collects the coresets on
+// the open connections, then Close ends the run. Session.Round is the
+// runtime's round function: a single-round run (Solve, or internal/engine
+// with rounds 0) opens a session capped at one round and calls it once; a
+// multi-round run opens one under the task's multi-round assignment and
+// hands it to the round driver (rounds.Drive), which calls it on shrinking
+// inputs. Both go through the same pass (stream.Pass), the same per-machine
+// frame exchange and the same replay waves.
 //
 // Backpressure is per worker: every connection has a bounded batch channel
 // and a blocking TCP write path, so a slow worker throttles only its own
@@ -55,7 +57,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -264,8 +265,3 @@ func (e *WorkerError) Error() string {
 }
 
 func (e *WorkerError) Unwrap() error { return e.Err }
-
-// Stats reports what a cluster run did and cost: the run-stats struct every
-// runtime shares, with the communication fields split into measured wire
-// bytes and the simulated estimate the in-process runtimes report.
-type Stats = core.PipelineStats

@@ -142,7 +142,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 				// in-process streaming oracle for the same (input, k, seed) —
 				// including round 1, whose input is round 0's union — and every
 				// round's bytes are measured.
-				sess, err := Dial(ctx, cfg, edcsTask, task.Params{EDCS: edcsP}, 2, g.N)
+				sess, err := Open(ctx, cfg, edcsTask, task.Params{EDCS: edcsP}, 2, g.N)
 				if err != nil {
 					t.Fatalf("edcs-rounds seed %d: %v", seed, err)
 				}
@@ -220,7 +220,7 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 // measured bytes are that plus, per machine, the CORESET frame's header and
 // its three stats varints — to the byte, because the estimate is the length
 // of the encoded bodies and not an approximation of it.
-func checkMeasuredBytes(t *testing.T, st *Stats, streamEstimate int) {
+func checkMeasuredBytes(t *testing.T, st *core.PipelineStats, streamEstimate int) {
 	t.Helper()
 	if st.EstCommBytes != streamEstimate {
 		t.Fatalf("cluster estimate %d differs from stream accounting %d", st.EstCommBytes, streamEstimate)

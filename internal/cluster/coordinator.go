@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/task"
@@ -19,9 +20,8 @@ import (
 // workers: hash-shard the source's edges over the k worker connections,
 // collect the per-machine summaries the descriptor's builders produced on
 // the other side of the wire, and compose the final solution from their
-// union — exactly the in-process stream.Solve, with the machines remote. It
-// is the single dispatch point of the cluster runtime.
-func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *Stats, error) {
+// union — exactly the in-process stream.Solve, with the machines remote.
+func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *core.PipelineStats, error) {
 	start := time.Now()
 	sums, st, err := summaries(ctx, src, cfg, d, p)
 	if err != nil {
@@ -32,10 +32,10 @@ func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descr
 	return sol, st, nil
 }
 
-// summaries is a single-round run without the composition: a session with a
-// round cap of 1 under the task's Wire byte, one round over the whole fleet
-// with the configured seed, and the close.
-func summaries(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) ([]stream.Summary, *Stats, error) {
+// summaries is a single-round run without the composition: a session opened
+// with rounds 0, one round over the whole fleet with the configured seed,
+// and the close.
+func summaries(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) ([]task.Summary, *core.PipelineStats, error) {
 	if src == nil {
 		return nil, nil, errors.New("cluster: nil source")
 	}
@@ -43,7 +43,7 @@ func summaries(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.D
 	if src.KnownUpfront() {
 		nHint = src.NumVertices()
 	}
-	s, err := open(ctx, cfg, d, p, d.Wire, 1, nHint)
+	s, err := Open(ctx, cfg, d, p, 0, nHint)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/edcs"
 	"repro/internal/gen"
@@ -117,7 +118,7 @@ func TestDatasetStreamsUnderBudgetAllRuntimes(t *testing.T) {
 	// Cluster runtime, single round, fed from disk under the budget.
 	backends := startWorkers(t, k)
 	csrc := budgeted(d, budget)
-	var csums []stream.Summary
+	var csums []task.Summary
 	err = runWithTimeout(t, 30*time.Second, func() error {
 		var err error
 		csums, _, err = summaries(context.Background(), csrc,
@@ -152,7 +153,7 @@ func TestDatasetClusterRoundsWithReplay(t *testing.T) {
 
 	const rounds = 2
 	p := edcs.ParamsForBeta(16)
-	sess, err := Dial(context.Background(), Config{
+	sess, err := Open(context.Background(), Config{
 		Workers:      []string{backends[0], proxyAddr},
 		BatchSize:    64,
 		MaxRetries:   2,
@@ -176,8 +177,8 @@ func TestDatasetClusterRoundsWithReplay(t *testing.T) {
 		} else {
 			src = stream.NewSliceSource(g.N, oracleInput)
 		}
-		var sums []stream.Summary
-		var st *Stats
+		var sums []task.Summary
+		var st *core.PipelineStats
 		err := runWithTimeout(t, 30*time.Second, func() error {
 			var err error
 			sums, st, err = sess.Round(context.Background(), src, 2, seed)

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/edcs"
 	"repro/internal/graph"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -87,12 +86,14 @@ func currentFrames(t testing.TB) []goldenFrame {
 	}
 	for _, name := range task.Names() {
 		d := task.MustGet(name)
-		m := stream.NewMachine(d.NewBuilder(1, goldenN, task.Params{EDCS: edcs.ParamsForBeta(4)}))
+		b := d.NewBuilder(1, goldenN, task.Params{EDCS: edcs.ParamsForBeta(4)})
 		for _, e := range goldenEdges {
-			m.Add(e)
+			b.Add(e)
 		}
+		sum := b.Finish(goldenN)
+		sum.Edges = len(goldenEdges)
 		fs = append(fs, goldenFrame{name: "coreset-" + name, d: d,
-			frame: frame(frameCoreset, task.AppendSummary(nil, d, m.Finish(goldenN)))})
+			frame: frame(frameCoreset, task.AppendSummary(nil, d, sum))})
 	}
 	return fs
 }

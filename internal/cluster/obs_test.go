@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/stream"
@@ -88,7 +89,7 @@ func TestObsReplayCounters(t *testing.T) {
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 		Obs: sink,
 	}
-	var st *Stats
+	var st *core.PipelineStats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
 		_, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})

@@ -202,7 +202,7 @@ func FuzzDiversityCodec(f *testing.F) {
 	s := b.Finish(100)
 	s.Edges = 2
 	f.Add(task.AppendSummary(nil, diversityTask, s))
-	f.Add(task.AppendSummary(nil, diversityTask, stream.Summary{}))
+	f.Add(task.AppendSummary(nil, diversityTask, task.Summary{}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {

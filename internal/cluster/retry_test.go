@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -194,7 +195,7 @@ func deadAddr(t *testing.T) string {
 // assertSummariesEqual is the replay acceptance bar: the disturbed run's
 // summaries must be deep-equal to the undisturbed run's — same coresets, same
 // per-machine accounting — because replay reproduces the exact shard.
-func assertSummariesEqual(t *testing.T, got, want []stream.Summary) {
+func assertSummariesEqual(t *testing.T, got, want []task.Summary) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("machine count %d, want %d", len(got), len(want))
@@ -243,8 +244,8 @@ func TestReplayRecovery(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			var sums []stream.Summary
-			var st *Stats
+			var sums []task.Summary
+			var st *core.PipelineStats
 			err := runWithTimeout(t, 30*time.Second, func() error {
 				var err error
 				sums, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
@@ -293,22 +294,22 @@ type sessionShape struct {
 	// rounds runs the shape over g under cfg and returns every round's
 	// summaries and Stats: one round for a single-round run, two for a
 	// session (round 1's input is round 0's union, as in internal/rounds).
-	rounds func(ctx context.Context, g *graph.Graph, cfg Config) ([][]stream.Summary, []*Stats, error)
+	rounds func(ctx context.Context, g *graph.Graph, cfg Config) ([][]task.Summary, []*core.PipelineStats, error)
 }
 
 var sessionShapes = []sessionShape{
-	{"single-round", func(ctx context.Context, g *graph.Graph, cfg Config) ([][]stream.Summary, []*Stats, error) {
+	{"single-round", func(ctx context.Context, g *graph.Graph, cfg Config) ([][]task.Summary, []*core.PipelineStats, error) {
 		sums, st, err := summaries(ctx, stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
-		return [][]stream.Summary{sums}, []*Stats{st}, err
+		return [][]task.Summary{sums}, []*core.PipelineStats{st}, err
 	}},
-	{"session-round", func(ctx context.Context, g *graph.Graph, cfg Config) ([][]stream.Summary, []*Stats, error) {
-		sess, err := Dial(ctx, cfg, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
+	{"session-round", func(ctx context.Context, g *graph.Graph, cfg Config) ([][]task.Summary, []*core.PipelineStats, error) {
+		sess, err := Open(ctx, cfg, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer sess.Close()
-		var allSums [][]stream.Summary
-		var allSt []*Stats
+		var allSums [][]task.Summary
+		var allSt []*core.PipelineStats
 		input := []graph.Edge(g.Edges)
 		for r := 0; r < 2; r++ {
 			sums, st, err := sess.Round(ctx, stream.NewSliceSource(g.N, input), len(cfg.Workers), cfg.Seed+uint64(r))
@@ -342,8 +343,8 @@ func TestReplayDialRefusedUsesSpare(t *testing.T) {
 				Seed:    13, BatchSize: 64,
 				MaxRetries: 2, RetryBackoff: time.Millisecond,
 			}
-			var sums [][]stream.Summary
-			var sts []*Stats
+			var sums [][]task.Summary
+			var sts []*core.PipelineStats
 			err := runWithTimeout(t, 30*time.Second, func() error {
 				var err error
 				sums, sts, err = shape.rounds(context.Background(), g, cfg)
@@ -656,7 +657,7 @@ func TestSessionReplayEveryRound(t *testing.T) {
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
 	}
-	sess, err := Dial(context.Background(), cfg, edcsTask, task.Params{EDCS: p}, rounds, g.N)
+	sess, err := Open(context.Background(), cfg, edcsTask, task.Params{EDCS: p}, rounds, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,8 +666,8 @@ func TestSessionReplayEveryRound(t *testing.T) {
 	input := []graph.Edge(g.Edges)
 	for r := 0; r < rounds; r++ {
 		seed := sessionSeeds[r]
-		var sums []stream.Summary
-		var st *Stats
+		var sums []task.Summary
+		var st *core.PipelineStats
 		err := runWithTimeout(t, 30*time.Second, func() error {
 			var err error
 			sums, st, err = sess.Round(context.Background(), stream.NewSliceSource(g.N, input), 2, seed)
@@ -706,7 +707,7 @@ func TestSessionReplayEveryRound(t *testing.T) {
 func TestSessionCloseIdempotent(t *testing.T) {
 	backends := startWorkers(t, 2)
 	g := gen.GNP(400, 0.05, rng.New(41))
-	sess, err := Dial(context.Background(), Config{Workers: backends}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
+	sess, err := Open(context.Background(), Config{Workers: backends}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -733,7 +734,7 @@ func TestSessionCloseAfterFailure(t *testing.T) {
 	t.Cleanup(closeProxy)
 	g := gen.GNP(2000, 16.0/2000, rng.New(43))
 	// Replay disabled: the mid-round failure must poison the session.
-	sess, err := Dial(context.Background(), Config{Workers: []string{backends[0], proxyAddr}, BatchSize: 64}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
+	sess, err := Open(context.Background(), Config{Workers: []string{backends[0], proxyAddr}, BatchSize: 64}, edcsTask, task.Params{EDCS: edcs.ParamsForBeta(16)}, 2, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -20,13 +21,15 @@ import (
 // worker is dialed once and told its assignment in a single HELLO, and then
 // each Round shards an input over the first k workers, collects one CORESET
 // frame per active machine, and leaves the connections open for the next
-// round. A single-round run (Solve) is a session with a round cap of 1; the
-// multi-round MPC driver of arXiv:1711.03076 (internal/rounds) opens one with
-// its cap. Workers dropped by a shrinking schedule (k decreases between
-// rounds) simply see no frames until Close ends the run at a round boundary.
+// round. Session.Round is the cluster runtime's round function: the engine
+// calls it once for a single-round run (Open with rounds 0: a round cap of
+// 1) and hands it to the multi-round MPC driver of arXiv:1711.03076
+// (rounds.Drive) otherwise. Workers dropped by a shrinking schedule (k
+// decreases between rounds) simply see no frames until Close ends the run at
+// a round boundary.
 //
 // Communication is measured per round off the live connections: each Round's
-// Stats carries the measured CORESET frame bytes (TotalCommBytes /
+// run stats carry the measured CORESET frame bytes (TotalCommBytes /
 // MaxMachineBytes), the simulated estimate (EstCommBytes /
 // EstMaxMachineBytes) and the coordinator-to-worker traffic since the
 // previous round (ShardBytes: HELLO, SHARD and EOS frames, failed attempts
@@ -70,42 +73,35 @@ func (l *link) shardFrame(batch []graph.Edge) []byte {
 	return l.enc
 }
 
-// shardQueueDepth is how many routed batches may wait on one machine's
-// connection. It only has to cover the sharder while a sender is inside a
-// blocking TCP write; past that, a deeper queue is memory a slow worker
-// holds for nothing, since backpressure must reach the source anyway.
-const shardQueueDepth = 4
-
 // workerResult is what one machine answered in a round.
 type workerResult struct {
-	sum   stream.Summary
+	sum   task.Summary
 	wire  int         // measured CORESET frame bytes
 	telem workerTelem // the TELEM payload that preceded the CORESET
 }
 
-// Dial opens a multi-round session for d: one connection and one HELLO per
-// worker of cfg's fleet, carrying the task parameters and the round cap (the
-// most rounds the session may run; the worker pins it, the driver's early
-// exit may stop sooner). The HELLO names the task by its WireRounds byte,
-// which labels the workers' spans. nHint > 0 declares the vertex count
-// upfront — it only pre-sizes worker tables and never changes the result. A
-// worker that cannot be reached is not an error here: it is a failed machine
-// of the first round it takes part in.
-func Dial(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, roundCap, nHint int) (*Session, error) {
-	if d.WireRounds == 0 {
-		return nil, fmt.Errorf("cluster: task %q has no multi-round assignment", d.Name)
-	}
-	return open(ctx, cfg, d, p, d.WireRounds, roundCap, nHint)
-}
-
-// open validates the run and handshakes with every worker concurrently; the
-// HELLO names the task by taskByte and declares the vertex count iff
-// nHint > 0.
-func open(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, taskByte byte, roundCap, nHint int) (*Session, error) {
+// Open dials every worker of cfg's fleet for a run of task d: one connection
+// and one HELLO per worker, carrying the task parameters and the round cap.
+// rounds is the run's multi-round cap: 0 opens a single-round session (the
+// HELLO names the task by its Wire byte, round cap 1), a positive value a
+// multi-round one (the task's WireRounds byte, which labels the workers'
+// spans, and the cap rounds; the driver's early exit may stop sooner).
+// nHint > 0 declares the vertex count upfront — it only pre-sizes worker
+// tables and never changes the result. A worker that cannot be reached is
+// not an error here: it is a failed machine of the first round it takes part
+// in.
+func Open(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, rounds, nHint int) (*Session, error) {
 	if d.Validate != nil {
 		if err := d.Validate(p); err != nil {
 			return nil, err
 		}
+	}
+	taskByte, roundCap := d.Wire, 1
+	if rounds != 0 {
+		if d.WireRounds == 0 {
+			return nil, fmt.Errorf("cluster: task %q has no multi-round assignment", d.Name)
+		}
+		taskByte, roundCap = d.WireRounds, rounds
 	}
 	k := len(cfg.Workers)
 	if k == 0 {
@@ -194,11 +190,11 @@ func (s *Session) fail(m int, kind FailureKind, err error) *WorkerError {
 	return we
 }
 
-// Round runs one round over the first k workers: route src's edges with
-// stream.Route under seed — the in-process runtime's own router, so the round
-// reproduces an in-process round bit for bit — then
-// collect each active machine's coreset. The returned summaries are indexed
-// by machine; the Stats are this round's alone.
+// Round runs one round over the first k workers: a stream.Pass routes src's
+// edges under seed — the in-process runtime's own pass and router, so the
+// round reproduces an in-process round bit for bit — and each active machine
+// answers with its coreset. The returned summaries are indexed by machine;
+// the run stats are this round's alone.
 //
 // Failure handling depends on the failure. A retryable worker failure (dial,
 // connection drop, stalled frame) in a round that allows replay lets the
@@ -211,7 +207,7 @@ func (s *Session) fail(m int, kind FailureKind, err error) *WorkerError {
 // connections). Cancellation force-closes the connections in every wave, so
 // no goroutine can stay blocked on the network, and every exit path waits
 // for the connection goroutines.
-func (s *Session) Round(ctx context.Context, src stream.EdgeSource, k int, seed uint64) (sums []stream.Summary, st *Stats, err error) {
+func (s *Session) Round(ctx context.Context, src stream.EdgeSource, k int, seed uint64) (sums []task.Summary, st *core.PipelineStats, err error) {
 	switch {
 	case s.closed || s.broken:
 		return nil, nil, errors.New("cluster: session is no longer usable")
@@ -257,20 +253,20 @@ func (s *Session) Round(ctx context.Context, src stream.EdgeSource, k int, seed 
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if p.srcErr != nil {
-			return nil, nil, p.srcErr
+		if p.Err != nil {
+			return nil, nil, p.Err
 		}
-		if len(p.fails) > 0 && (!replayable || !allRetryable(p.fails) || p.aborted) {
+		if len(p.fails) > 0 && (!replayable || !allRetryable(p.fails) || p.Aborted) {
 			ferr := joinFailures(p.fails)
 			// Replay was asked for and every failure was replayable, but the
 			// source cannot rewind: name the source kind so the caller knows
 			// what to fix, rather than a generic worker failure.
-			if s.cfg.MaxRetries > 0 && !restartable && allRetryable(p.fails) && !p.aborted {
+			if s.cfg.MaxRetries > 0 && !restartable && allRetryable(p.fails) && !p.Aborted {
 				ferr = notRestartable(ferr, src)
 			}
 			return nil, nil, ferr
 		}
-		if p.aborted { // canceled with no surviving cause: report it as such
+		if p.Aborted { // canceled with no surviving cause: report it as such
 			return nil, nil, context.Canceled
 		}
 		var failed []int
@@ -295,20 +291,15 @@ func (s *Session) Round(ctx context.Context, src stream.EdgeSource, k int, seed 
 
 // passResult is what one pass over the round input observed.
 type passResult struct {
-	total, batches int            // edges and batches read from the source
-	n              int            // final vertex count
-	fails          []*WorkerError // causal order; fails[0] is the primary
-	srcErr         error          // a real source error, never a cancellation
-	aborted        bool           // the sharder stopped on cancellation
+	stream.PassResult
+	fails []*WorkerError // causal order; fails[0] is the primary
 }
 
-// pass is the round conversation for the given machines: the caller's
-// goroutine reads the source and routes it with stream.Route over all k
-// machines, skipping those not taking part, and one goroutine per machine
-// speaks roundTrip on its connection. The close(nReady) edge publishes the
-// final vertex count to those goroutines exactly as in stream.run. A machine
-// that is down when the pass starts fails with its recorded error; rescan
-// marks a replay wave, which has nothing to do when every machine is down.
+// pass is the round conversation for the given machines: a stream.Pass over
+// all k machines in which those still owing the round take part, one
+// goroutine per machine speaking roundTrip on its connection. A machine that
+// is down when the pass starts fails with its recorded error; rescan marks a
+// replay wave, which has nothing to do when every machine is down.
 //
 // fails collects worker failures in causal order. On a fatal failure
 // cancelRun force-closes every other connection, so the secondary I/O errors
@@ -319,11 +310,7 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 	// by the first fatal worker failure, whichever comes first.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	var (
-		nReady = make(chan struct{})
-		wg     sync.WaitGroup
-		failMu sync.Mutex
-	)
+	var failMu sync.Mutex
 	note := func(we *WorkerError) {
 		failMu.Lock()
 		p.fails = append(p.fails, we)
@@ -335,84 +322,56 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 			cancelRun()
 		}
 	}
-	chans := make([]chan []graph.Edge, k) // nil: the sharder skips the machine
-	// Routing batches circulate as in stream.run: a sender hands each batch
-	// back on free once it has encoded it and the sharder refills it. A
-	// machine has at most shardQueueDepth queued, one being encoded and one
-	// being filled, so free never overflows and a pass allocates O(k)
-	// batches however long the source.
-	free := make(chan []graph.Edge, len(machines)*(shardQueueDepth+2))
-	live := 0
+	live := make([]int, 0, len(machines))
 	for _, m := range machines {
-		l := &s.links[m]
-		if l.conn == nil {
-			note(l.down)
+		if s.links[m].conn == nil {
+			note(s.links[m].down)
 			continue
 		}
-		live++
-		ch := make(chan []graph.Edge, shardQueueDepth)
-		chans[m], res[m] = ch, workerResult{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stopWatch := closeOnCancel(runCtx, l.conn)
-			defer stopWatch()
-			if kind, err := s.roundTrip(runCtx, m, ch, free, nReady, &p.n, &res[m]); err != nil {
-				note(s.fail(m, kind, err))
-			}
-			// Discard whatever the sharder still queues for a machine that
-			// stopped early, so it can never block on a dead connection (the
-			// sharder owns the close, so this drain always terminates).
-			for range ch {
-			}
-		}()
+		live = append(live, m)
+		res[m] = workerResult{}
 	}
-	if rescan && live == 0 {
+	if rescan && len(live) == 0 {
 		return p
 	}
-
-	// Sends block on the machine's channel (and transitively on its TCP
-	// connection: per-worker backpressure) but never past cancellation.
-	p.total, p.batches, p.srcErr, p.aborted = stream.Route(runCtx, src, chans, free, s.cfg.batchSize(), seed)
-	for _, ch := range chans {
-		if ch != nil {
-			close(ch)
+	// Sends block on the machine's queue (and transitively on its TCP
+	// connection: per-worker backpressure) but never past cancellation,
+	// which — the pass's own on a source error included — force-closes the
+	// connections, so no goroutine can stay blocked on the network.
+	cfg := stream.Config{K: k, Seed: seed, BatchSize: s.cfg.batchSize()}
+	p.PassResult = stream.Pass(runCtx, src, cfg, live, func(ctx context.Context, f *stream.Feed) {
+		stopWatch := closeOnCancel(ctx, s.links[f.Machine].conn)
+		defer stopWatch()
+		if kind, err := s.roundTrip(f, &res[f.Machine]); err != nil {
+			note(s.fail(f.Machine, kind, err))
 		}
-	}
-	if p.srcErr != nil || p.aborted {
-		cancelRun() // release goroutines parked on nReady or blocked I/O
-	} else {
-		p.n = src.NumVertices()
-		close(nReady)
-	}
-	wg.Wait()
+	})
 	return p
 }
 
-// roundTrip speaks one round on machine m's connection: SHARD frames off the
-// batch channel (with TCP backpressure; each batch goes back on free as soon
-// as it is encoded, before the write that may block), EOS once the sharder
-// publishes the final vertex count through the nReady edge, then the TELEM
-// and CORESET replies, which land in res. A failure is returned with its
-// FailureKind; cancellation while parked on nReady returns nil with res
-// unset. Every frame exchange runs under the per-frame IOTimeout, so a
+// roundTrip speaks one round on the feed's machine's connection: SHARD
+// frames off the feed (with TCP backpressure; each batch is recycled as soon
+// as it is encoded, before the write that may block), EOS once the pass
+// publishes the final vertex count, then the TELEM and CORESET replies, which
+// land in res. A failure is returned with its FailureKind; a pass that stops
+// before the vertex count is published returns nil with res unset. Every frame exchange runs under the per-frame IOTimeout, so a
 // stalled worker surfaces as a retryable KindDeadline failure rather than a
 // hang.
-func (s *Session) roundTrip(runCtx context.Context, m int, batches <-chan []graph.Edge, free chan<- []graph.Edge, nReady <-chan struct{}, nFinal *int, res *workerResult) (FailureKind, error) {
+func (s *Session) roundTrip(f *stream.Feed, res *workerResult) (FailureKind, error) {
+	m := f.Machine
 	l, sink := &s.links[m], s.cfg.Obs
-	for batch := range batches {
+	for batch := range f.Batches {
 		frame := l.shardFrame(batch)
-		free <- batch[:0]
+		f.Recycle(batch)
 		if err := s.send(m, frameShard, frame); err != nil {
 			return ioKind(err), fmt.Errorf("shard stream: %w", err)
 		}
 	}
-	select {
-	case <-nReady:
-	case <-runCtx.Done():
+	n, ok := f.N()
+	if !ok {
 		return KindUnknown, nil
 	}
-	if err := s.send(m, frameEOS, binary.AppendUvarint(newFrame(nil), uint64(*nFinal))); err != nil {
+	if err := s.send(m, frameEOS, binary.AppendUvarint(newFrame(nil), uint64(n))); err != nil {
 		return ioKind(err), fmt.Errorf("EOS: %w", err)
 	}
 
@@ -460,13 +419,13 @@ func (s *Session) await(m int, want byte, name string) ([]byte, int, FailureKind
 // summary's body, with the cluster's measurements layered on top — the body
 // lengths become the estimate, the CORESET frames measured off the wire the
 // reported bytes — plus each machine's TELEM and the shard traffic.
-func (s *Session) fold(res []workerResult, scan passResult, retries int, replayed []int) ([]stream.Summary, *Stats) {
+func (s *Session) fold(res []workerResult, scan passResult, retries int, replayed []int) ([]task.Summary, *core.PipelineStats) {
 	k := len(res)
-	sums := make([]stream.Summary, k)
+	sums := make([]task.Summary, k)
 	for m, r := range res {
 		sums[m] = r.sum
 	}
-	st := &Stats{N: scan.n, EdgesTotal: scan.total, Batches: scan.batches, Retries: retries, ReplayedMachines: replayed}
+	st := &core.PipelineStats{N: scan.N, EdgesTotal: scan.Edges, Batches: scan.Batches, Retries: retries, ReplayedMachines: replayed}
 	s.d.FoldStats(st, sums)
 	st.EstCommBytes, st.EstMaxMachineBytes = st.TotalCommBytes, st.MaxMachineBytes
 	st.TotalCommBytes, st.MaxMachineBytes = 0, 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -90,7 +91,7 @@ func telemCorruptingWorker(t *testing.T, telemType byte, telemPayload []byte) st
 }
 
 // emptyMatchingCoreset is a well-formed CORESET payload: an empty matching.
-var emptyMatchingCoreset = task.AppendSummary(nil, matchingTask, stream.Summary{Coreset: []graph.Edge{}})
+var emptyMatchingCoreset = task.AppendSummary(nil, matchingTask, task.Summary{Coreset: []graph.Edge{}})
 
 // TestCorruptTelemIsTerminal: a garbled TELEM frame — truncated mid-field or
 // carrying trailing bytes — or a CORESET where TELEM belongs must fail the
@@ -152,8 +153,8 @@ func TestReplayedMachineTelemetry(t *testing.T) {
 		Seed:    53, BatchSize: 64,
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 	}
-	var sums []stream.Summary
-	var st *Stats
+	var sums []task.Summary
+	var st *core.PipelineStats
 	err := runWithTimeout(t, 30*time.Second, func() error {
 		var err error
 		sums, st, err = summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})

@@ -660,11 +660,13 @@ func TestWorkerSurvivesHostileFrames(t *testing.T) {
 // needs (nil levels, non-nil empty coresets and residuals).
 func TestSummaryCodecParity(t *testing.T) {
 	g := gen.GNP(500, 40.0/500, rng.New(3))
-	feed := func(m *stream.Machine, edges []graph.Edge) stream.Summary {
+	feed := func(b task.Builder, edges []graph.Edge) task.Summary {
 		for _, e := range edges {
-			m.Add(e)
+			b.Add(e)
 		}
-		return m.Finish(g.N)
+		sum := b.Finish(g.N)
+		sum.Edges = len(edges)
+		return sum
 	}
 	cases := []struct {
 		name     string
@@ -682,7 +684,7 @@ func TestSummaryCodecParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := tc.d.NewBuilder(tc.k, tc.nHint, task.Params{EDCS: edcs.ParamsForBeta(8)})
-		sum := feed(stream.NewMachine(b), tc.edges)
+		sum := feed(b, tc.edges)
 		got, err := task.DecodeSummary(tc.d, task.AppendSummary(nil, tc.d, sum))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -703,7 +705,7 @@ func TestSummaryCodecCorrupt(t *testing.T) {
 		}
 	}
 	// Trailing garbage after a valid body must be rejected.
-	valid := task.AppendSummary(nil, matchingTask, stream.NewMachine(matchingTask.NewBuilder(0, 0, task.Params{})).Finish(0))
+	valid := task.AppendSummary(nil, matchingTask, matchingTask.NewBuilder(0, 0, task.Params{}).Finish(0))
 	if _, err := task.DecodeSummary(matchingTask, append(valid, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}

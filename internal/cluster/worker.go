@@ -15,12 +15,11 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/stream"
 	"repro/internal/task"
 )
 
 // Worker is a resident coreset worker: it accepts any number of concurrent
-// run-assignment connections, hosts one stream.Machine per connection and
+// run-assignment connections, hosts one task.Builder per connection and
 // round — the same incremental builders the in-process runtime uses — and
 // answers each round with a TELEM and a CORESET frame. A worker is stateless
 // between runs: all per-run state lives on the connection's goroutine and is
@@ -253,19 +252,19 @@ func (w *Worker) handle(conn net.Conn) (err error) {
 	// cannot miss; the descriptor supplies the machine's builder, so the
 	// worker itself is task-agnostic.
 	d, _, _ := task.ByWire(h.task)
-	return w.serveRounds(conn, rd, h, tr, func() *stream.Machine {
-		return stream.NewMachine(d.NewBuilder(h.k, nHint, task.Params{EDCS: h.edcs}))
+	return w.serveRounds(conn, rd, h, tr, func() task.Builder {
+		return d.NewBuilder(h.k, nHint, task.Params{EDCS: h.edcs})
 	})
 }
 
-// consumeFrame handles one mid-run frame for the given machine: SHARD feeds
-// the builder, EOS finishes it and answers with a TELEM and then the CORESET
-// frame (done = true). tm accumulates the round's phase times and build
-// counters; the caller resets it at round boundaries. shard is the
+// consumeFrame handles one mid-run frame for the machine's builder b: SHARD
+// feeds it, EOS finishes it and answers with a TELEM and then the CORESET
+// frame (done = true). tm accumulates the round's phase times, edge count and
+// build counters; the caller resets it at round boundaries. shard is the
 // connection's SHARD decode buffer: builders copy what they keep of an Add,
 // so every frame decodes into the same array. payload may alias the
 // connection's frame buffer; nothing of it is kept past the call.
-func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round int, typ byte, payload []byte, tm *workerTelem, shard *[]graph.Edge) (done bool, err error) {
+func (w *Worker) consumeFrame(conn net.Conn, h hello, b task.Builder, round int, typ byte, payload []byte, tm *workerTelem, shard *[]graph.Edge) (done bool, err error) {
 	fail := func(err error) error {
 		_, _ = writeFrame(conn, frameError, []byte(err.Error()))
 		return err
@@ -283,7 +282,7 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		*shard = edges
 		t1 := time.Now()
 		for _, e := range edges {
-			m.Add(e)
+			b.Add(e)
 		}
 		tm.decodeNS += uint64(t1.Sub(t0))
 		tm.buildNS += uint64(time.Since(t1))
@@ -298,7 +297,8 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 			return false, fail(errors.New("cluster: corrupt EOS"))
 		}
 		t0 := time.Now()
-		sum := m.Finish(int(n))
+		sum := b.Finish(int(n))
+		sum.Edges = tm.edgesIn
 		d, _, _ := task.ByWire(h.task) // cannot miss: decodeHello accepted the byte
 		// sum.Bytes is the length of the coreset body; sized to it plus the
 		// frame header and the stats prefix (three uvarints, 30 bytes at
@@ -306,8 +306,10 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 		// to a coreset-sized one, and leaves without a copy.
 		coreset := task.AppendSummary(newFrame(make([]byte, 0, frameHeaderLen+3*binary.MaxVarintLen64+sum.Bytes)), d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
-		bt := m.Telem()
-		tm.repairIters, tm.removals, tm.peakCoreset = bt.RepairIters, bt.Removals, bt.PeakCoreset
+		if bt, ok := b.(task.Telemetered); ok {
+			t := bt.Telem()
+			tm.repairIters, tm.removals, tm.peakCoreset = t.RepairIters, t.Removals, t.PeakCoreset
+		}
 		w.observePhases(tm)
 		// Counted before the answer goes out, so a coordinator that has read
 		// the CORESET never finds this round missing from the worker's
@@ -331,7 +333,7 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 
 // serveRounds speaks an assignment's rounds: up to h.rounds rounds of
 // SHARD*/EOS on this one connection, each answered by TELEM and CORESET,
-// with a FRESH machine per round (built by mk) — round r's input is a
+// with a FRESH builder per round (made by mk) — round r's input is a
 // different graph (the union of round r-1's coresets across all machines), so
 // nothing may carry over. The coordinator cannot know the final round count upfront
 // (its early exit fires when the union stops shrinking) and may also drop
@@ -341,12 +343,12 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, m *stream.Machine, round i
 // mid-round — or before the first round — is a real abort. Frames are read
 // from rd, the connection's buffered reader (handle read the HELLO through
 // it too, so nothing it buffered is lost), and answers written to conn.
-func (w *Worker) serveRounds(conn net.Conn, rd io.Reader, h hello, tr *obs.Tracer, mk func() *stream.Machine) error {
+func (w *Worker) serveRounds(conn net.Conn, rd io.Reader, h hello, tr *obs.Tracer, mk func() task.Builder) error {
 	var shard []graph.Edge
 	var fb frameBuf // every mid-run frame is consumed before the next read
 	for round := 0; round < h.rounds; round++ {
-		m := mk()
-		tm := new(workerTelem) // fresh per round, like the machine
+		b := mk()
+		tm := new(workerTelem) // fresh per round, like the builder
 		inRound := false
 		endRound := func(...any) {}
 		for {
@@ -366,12 +368,12 @@ func (w *Worker) serveRounds(conn net.Conn, rd io.Reader, h hello, tr *obs.Trace
 				inRound = true
 				endRound = tr.Span("worker.round", "machine", h.machine, "round", round)
 			}
-			done, err := w.consumeFrame(conn, h, m, round, typ, payload, tm, &shard)
+			done, err := w.consumeFrame(conn, h, b, round, typ, payload, tm, &shard)
 			if err != nil {
 				return err
 			}
 			if done {
-				endRound("edges", m.Received())
+				endRound("edges", tm.edgesIn)
 				break
 			}
 		}

@@ -7,10 +7,10 @@ import (
 )
 
 // PipelineStats is the one run-stats struct: what a distributed run did and
-// cost, in whichever runtime ran it. stream.Stats and cluster.Stats are
-// aliases of it and a multi-round run (internal/rounds) carries one per round
-// plus one of aggregates, so a single constructor (internal/engine) turns
-// any run into a graph.RunReport. A runtime fills the fields it can observe
+// cost, in whichever runtime ran it. Every round function (stream.Summaries,
+// cluster.Session.Round) returns one and a multi-round run (internal/rounds)
+// carries one per round plus one of aggregates, so a single constructor
+// (internal/engine) turns any run into a graph.RunReport. A runtime fills the fields it can observe
 // and leaves the rest zero; per-machine slices are indexed by machine.
 type PipelineStats struct {
 	K          int // number of machines

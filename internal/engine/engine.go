@@ -7,13 +7,18 @@
 // manager) describe what they want in a Spec, hand over an edge source and
 // get back the graph.RunReport they print or serve.
 //
-// There are two runtimes behind three names: the in-process pipeline
-// (stream.Solve, rounds.Stream) and the worker fleet (cluster.Solve,
-// rounds.Cluster). Batch is the in-process pipeline over the materialized
-// input, bracketed by self-checks. Both route with stream.Route, feed the
-// task's own builders, fold the summaries with task.Descriptor.FoldStats into
-// the shared run-stats struct (core.PipelineStats), and report below is the
-// single stats→report path.
+// There are two runtimes behind three names, and Run picks one in a single
+// switch that yields a round function (rounds.Round): stream.Summaries for
+// the in-process pipeline, or Session.Round on one cluster.Session for the
+// worker fleet. Batch is the in-process pipeline over the materialized
+// input, bracketed by self-checks. A single-round run calls the round
+// function once; a multi-round run hands it to rounds.Drive, which knows the
+// schedule but not the runtime. Either way the task's Compose turns the
+// final summaries into the answer and its Verify self-checks a batch run.
+// Both runtimes route with stream.Pass, feed the task's own builders, fold
+// the summaries with task.Descriptor.FoldStats into the shared run-stats
+// struct (core.PipelineStats), and report below is the single stats→report
+// path.
 package engine
 
 import (
@@ -26,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/edcs"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/obs"
 	"repro/internal/rounds"
 	"repro/internal/stream"
@@ -57,7 +61,8 @@ type Spec struct {
 
 	// Cluster is the resolved fleet for the cluster runtime: Workers, Spares,
 	// MaxRetries and RunID (plus the timeouts, when a caller sets them) are
-	// taken as given; Seed, BatchSize and Obs are filled from this Spec.
+	// taken as given; BatchSize and Obs are filled from this Spec, whose
+	// Seed every round routes with.
 	Cluster cluster.Config
 
 	Obs   obs.Sink    // wire-level and per-round events (nil: silent)
@@ -93,8 +98,9 @@ func (sp Spec) resolve() (d *task.Descriptor, p task.Params, err error) {
 	return d, p, nil
 }
 
-// Run executes the run sp describes over src and reports it. The runtime ×
-// rounds dispatch below exists nowhere else.
+// Run executes the run sp describes over src and reports it. The runtime
+// switch (Spec.runtime) and the choice between one round and the round
+// driver exist nowhere else.
 //
 // Every runtime stops at the next batch boundary when ctx is canceled. The
 // batch runtime materializes src first and self-checks: the input must pass
@@ -114,61 +120,71 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 		}
 		src = stream.NewGraphSource(g)
 	}
-	ccfg := sp.Cluster
-	ccfg.Seed, ccfg.BatchSize, ccfg.Obs = sp.Seed, sp.BatchSize, sp.Obs
-
-	if sp.Rounds >= 1 {
-		// resolve admitted Rounds, so d is the rounds-capable task.
-		rcfg := rounds.Config{K: sp.K, Rounds: sp.Rounds, Seed: sp.Seed, Params: p.EDCS,
-			BatchSize: sp.BatchSize, Obs: sp.Obs, Trace: sp.Trace}
-		var (
-			m  *matching.Matching
-			st *rounds.Stats
-		)
-		if sp.Runtime == Cluster {
-			m, st, err = rounds.Cluster(ctx, src, ccfg, rcfg)
-		} else {
-			m, st, err = rounds.Stream(ctx, src, rcfg)
-		}
-		if err == nil && g != nil {
-			err = verified(matching.Verify(g.N, g.Edges, m))
-		}
-		if err != nil {
-			return nil, err
-		}
-		rep := report(sp, p, &st.PipelineStats, m.Size())
-		rep.Rounds, rep.RoundsRun = st.RoundCap, st.RoundsRun
-		for _, rs := range st.Rounds {
-			rep.RoundStats = append(rep.RoundStats, roundReport(rs))
-		}
-		return rep, nil
+	start := time.Now()
+	round, closeRuntime, err := sp.runtime(ctx, d, p, src)
+	if err != nil {
+		return nil, err
 	}
+	defer closeRuntime()
 
 	var (
-		sol task.Solution
-		st  *core.PipelineStats
+		sums []task.Summary
+		st   *core.PipelineStats
+		rst  *rounds.Stats
 	)
-	if sp.Runtime == Cluster {
-		sol, st, err = cluster.Solve(ctx, src, ccfg, d, p)
+	if sp.Rounds == 0 {
+		sums, st, err = round(ctx, src, sp.K, sp.Seed)
 	} else {
-		sol, st, err = stream.Solve(ctx, src, stream.Config{K: sp.K, Seed: sp.Seed, BatchSize: sp.BatchSize, Trace: sp.Trace}, d, p)
-	}
-	if err == nil && g != nil && d.Verify != nil {
-		err = verified(d.Verify(g.N, g.Edges, sol))
+		// resolve admitted Rounds, so d is the rounds-capable task.
+		rcfg := rounds.Config{K: sp.K, Rounds: sp.Rounds, Seed: sp.Seed, Params: p.EDCS, Obs: sp.Obs, Trace: sp.Trace}
+		if sums, rst, err = rounds.Drive(ctx, src, rcfg, round); err == nil {
+			st = &rst.PipelineStats
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return report(sp, p, st, sol.Size), nil
+	sol := d.Compose(st.N, sums)
+	st.Duration = time.Since(start)
+	if g != nil && d.Verify != nil {
+		if err := d.Verify(g.N, g.Edges, sol); err != nil {
+			// The input was valid, so an invalid solution is a bug in this
+			// program.
+			return nil, fmt.Errorf("internal error: %w", err)
+		}
+	}
+	rep := report(sp, p, st, sol.Size)
+	if rst != nil {
+		rep.Rounds, rep.RoundsRun = rst.RoundCap, rst.RoundsRun
+		for _, rs := range rst.Rounds {
+			rep.RoundStats = append(rep.RoundStats, roundReport(rs))
+		}
+	}
+	return rep, nil
 }
 
-// verified marks a failed self-check as what it is: the input was valid, so
-// an invalid solution is a bug in this program.
-func verified(err error) error {
-	if err != nil {
-		return fmt.Errorf("internal error: %w", err)
+// runtime is the one runtime switch: it returns the round function of sp's
+// runtime and the call that releases it. In process that is
+// stream.Summaries; on a fleet, Session.Round on a session opened for the
+// whole run, so a multi-round run dials and greets every worker once.
+func (sp Spec) runtime(ctx context.Context, d *task.Descriptor, p task.Params, src stream.EdgeSource) (rounds.Round, func() error, error) {
+	if sp.Runtime != Cluster {
+		round := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error) {
+			return stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: sp.BatchSize, Trace: sp.Trace}, d, p)
+		}
+		return round, func() error { return nil }, nil
 	}
-	return nil
+	ccfg := sp.Cluster
+	ccfg.BatchSize, ccfg.Obs = sp.BatchSize, sp.Obs
+	nHint := 0
+	if src != nil && src.KnownUpfront() {
+		nHint = src.NumVertices()
+	}
+	sess, err := cluster.Open(ctx, ccfg, d, p, sp.Rounds, nHint)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sess.Round, sess.Close, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/edcs"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -72,12 +73,13 @@ func runE22(cfg Config) *Result {
 				if err != nil {
 					panic(err)
 				}
-				cm, cst, err := rounds.Cluster(ctx, stream.NewGraphSource(g), cluster.Config{Workers: addrs, Seed: hashSeed}, rcfg)
+				crep, err := engine.Run(ctx, engine.Spec{Task: "edcs", Beta: beta, Rounds: rc, Runtime: engine.Cluster, K: k, Seed: hashSeed,
+					Cluster: cluster.Config{Workers: addrs}}, stream.NewGraphSource(g))
 				shutdown()
 				if err != nil {
 					panic(err)
 				}
-				if cm.Size() != m.Size() || cst.EstCommBytes != st.TotalCommBytes || cst.RoundsRun != st.RoundsRun {
+				if crep.SolutionSize != m.Size() || crep.EstCommBytes != st.TotalCommBytes || crep.RoundsRun != st.RoundsRun {
 					violations++ // seed parity broke: the runtimes disagree
 				}
 
@@ -93,8 +95,8 @@ func runE22(cfg Config) *Result {
 					st.CompositionEdges,
 					fmt.Sprintf("%.1f", float64(st.TotalCommBytes)/1024),
 					fmt.Sprintf("%.1f", float64(st.MaxMachineBytes)/1024),
-					fmt.Sprintf("%.1f", float64(cst.TotalCommBytes)/1024),
-					fmt.Sprintf("%.3f", ratio(float64(cst.TotalCommBytes), float64(cst.EstCommBytes))))
+					fmt.Sprintf("%.1f", float64(crep.TotalCommBytes)/1024),
+					fmt.Sprintf("%.3f", ratio(float64(crep.TotalCommBytes), float64(crep.EstCommBytes))))
 			}
 		}
 	}

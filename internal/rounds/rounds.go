@@ -18,19 +18,19 @@
 // (SeedForRound; round 0 uses the root seed itself, which is what makes a
 // Rounds=1 run reproduce today's single-round EDCS coresets bit for bit).
 //
-// The driver runs over the two round runtimes:
+// Drive is the schedule and nothing else: it does not know its runtime. It
+// calls a Round function — one single-round run over k machines with a
+// given seed — feeding round 0 from any stream.EdgeSource (never
+// materializing the original input) and later rounds from the in-memory
+// union, which is coordinator state the MPC model already charges for.
+// internal/engine supplies the round function of its runtime:
+// stream.Summaries in process (the batch runtime is that over the
+// materialized graph), or Session.Round on one cluster.Session, whose
+// connections are dialed once, whose one HELLO carries the round cap, and
+// whose every round's communication is MEASURED off the TCP connections.
+// Stream is the in-process driver for callers that hold only a Config.
 //
-//   - Stream feeds round 0 from any stream.EdgeSource (never materializing
-//     the original input) and later rounds from the in-memory union, which
-//     is coordinator state the MPC model already charges for. The engine's
-//     batch runtime is this driver over the materialized graph.
-//   - Cluster drives a real worker fleet through one cluster.Session — the
-//     same conversation a single-round cluster run speaks, opened with the
-//     task's multi-round assignment: the connections are dialed once, one
-//     HELLO carries the round cap, and every round's communication is
-//     MEASURED off the TCP connections.
-//
-// Both produce deep-equal per-machine coresets for the same
+// Every runtime produces deep-equal per-machine coresets for the same
 // (graph, seed, k, β, rounds) — the multi-round extension of the seed
 // parity the single-round runtimes already guarantee — because each round
 // is itself a parity-checked single-round run and the union is concatenated
@@ -46,7 +46,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/edcs"
 	"repro/internal/graph"
@@ -86,8 +85,8 @@ type Config struct {
 	Seed uint64
 	// Params are the EDCS degree constraints, fixed across rounds.
 	Params edcs.Params
-	// BatchSize is the per-shard-frame edge count for the stream and
-	// cluster runtimes (0 = their default).
+	// BatchSize is the routed batch size Stream runs with (0 = the
+	// default); the engine's round functions take it from its Spec.
 	BatchSize int
 	// Obs receives per-round events (the Metric* names above). Nil keeps
 	// the driver silent.
@@ -160,9 +159,7 @@ type RoundStat struct {
 }
 
 // Stats reports a whole multi-round run: aggregates plus per-round
-// breakdowns. The final round's coresets — whose union the coordinator
-// composed — are retained so callers (parity tests) can inspect exactly
-// what was composed.
+// breakdowns.
 type Stats struct {
 	// PipelineStats holds the run-level figures: K, N and EdgesTotal
 	// describe round 0's input; TotalCommBytes, EstCommBytes, ShardBytes and
@@ -170,22 +167,18 @@ type Stats struct {
 	// are the largest single message of any round, ReplayedMachines is the
 	// ascending union of the machines any round replayed; CoresetEdges,
 	// MachineStats and CompositionEdges describe the final round (what
-	// composition saw).
+	// composition saw). Duration is left to the caller, which counts the
+	// compose in it.
 	core.PipelineStats
 	RoundCap  int // configured cap
 	RoundsRun int
 	Rounds    []RoundStat
-
-	// Coresets are the final round's per-machine EDCS edge lists, indexed
-	// by machine.
-	Coresets [][]graph.Edge
 }
 
 // accumulate folds one finished round into the aggregates.
-func (s *Stats) accumulate(rs RoundStat, coresets [][]graph.Edge) {
+func (s *Stats) accumulate(rs RoundStat) {
 	s.Rounds = append(s.Rounds, rs)
 	s.RoundsRun++
-	s.Coresets = coresets
 	s.TotalCommBytes += rs.TotalCommBytes
 	s.MaxMachineBytes = max(s.MaxMachineBytes, rs.MaxMachineBytes)
 	s.EstCommBytes += rs.EstCommBytes
@@ -215,63 +208,67 @@ func mergeMachines(acc, add []int) []int {
 // deterministic next-round input every runtime reproduces identically. Each
 // coreset is already sorted and the per-round shards are disjoint edge sets
 // (edge hygiene in edcs.Insert guarantees no machine stores a duplicate),
-// so the union is a simple graph.
-func union(coresets [][]graph.Edge) []graph.Edge {
-	total := 0
-	for _, cs := range coresets {
-		total += len(cs)
-	}
-	out := make([]graph.Edge, 0, total)
-	for _, cs := range coresets {
-		out = append(out, cs...)
+// so the union is a simple graph of size edges.
+func union(sums []task.Summary, size int) []graph.Edge {
+	out := make([]graph.Edge, 0, size)
+	for _, s := range sums {
+		out = append(out, s.Coreset...)
 	}
 	return out
 }
 
-// runRound executes one round and returns its per-machine coresets and the
-// round's run stats (K, N, EdgesTotal, the coreset sizes and the
-// communication fields filled). Implementations: the streaming pipeline and
-// one cluster.Session round.
-type runRound func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) (coresets [][]graph.Edge, st *core.PipelineStats, err error)
+// Round executes one single-round run over k machines with the given seed
+// and returns the per-machine summaries (indexed by machine) and the round's
+// run stats (K, N, EdgesTotal, the coreset sizes and the communication
+// fields filled). internal/engine builds one per runtime: stream.Summaries
+// in process, Session.Round on a cluster session.
+type Round func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error)
 
-// drive is the schedule shared by the round runtimes: run rounds with
-// shrinking k and per-round seeds until the cap, or until the union stops
-// shrinking, then compose a maximum matching of the final union. src feeds
-// round 0; later rounds stream the previous union from memory. Cancellation
-// is checked at every round boundary, on top of whatever the runtime's own
-// round honors.
-func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound) (*matching.Matching, *Stats, error) {
+// Drive runs the schedule: rounds with shrinking k and per-round seeds until
+// the cap, or until the union stops shrinking. src feeds round 0; later
+// rounds stream the previous union from memory, which is built only when
+// another round follows. It returns the final round's summaries, whose
+// union the caller composes (the task's Compose), and the run's stats.
+// Cancellation is checked at every round boundary, on top of whatever the
+// round function itself honors.
+func Drive(ctx context.Context, src stream.EdgeSource, cfg Config, round Round) ([]task.Summary, *Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if src == nil {
 		return nil, nil, errors.New("rounds: nil source")
 	}
-	start := time.Now()
 	st := &Stats{PipelineStats: core.PipelineStats{K: cfg.K}, RoundCap: cfg.Rounds}
 	k := cfg.K
-	var prevUnion []graph.Edge
-	for round := 0; round < cfg.Rounds; round++ {
+	var (
+		sums      []task.Summary
+		prevUnion []graph.Edge
+	)
+	for r := 0; r < cfg.Rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		input := src
-		if round > 0 {
+		if r > 0 {
 			input = stream.NewSliceSource(st.N, prevUnion)
 		}
-		seed := SeedForRound(cfg.Seed, round)
-		endRound := cfg.Trace.Span("round", "round", round, "k", k)
-		coresets, rst, err := exec(ctx, input, k, seed)
+		seed := SeedForRound(cfg.Seed, r)
+		endRound := cfg.Trace.Span("round", "round", r, "k", k)
+		out, rst, err := round(ctx, input, k, seed)
 		if err != nil {
 			endRound("err", err.Error())
 			return nil, nil, err
 		}
-		prevUnion = union(coresets)
-		rs := RoundStat{PipelineStats: *rst, Round: round, Seed: seed, InputEdges: rst.EdgesTotal, UnionEdges: len(prevUnion)}
-		if round == 0 {
+		sums = out
+		unionEdges := 0
+		for _, s := range sums {
+			unionEdges += len(s.Coreset)
+		}
+		rs := RoundStat{PipelineStats: *rst, Round: r, Seed: seed, InputEdges: rst.EdgesTotal, UnionEdges: unionEdges}
+		if r == 0 {
 			st.EdgesTotal, st.N = rs.InputEdges, rs.N
 		}
-		st.accumulate(rs, coresets)
+		st.accumulate(rs)
 		shrink := 1.0
 		if rs.InputEdges > 0 {
 			shrink = float64(rs.UnionEdges) / float64(rs.InputEdges)
@@ -281,73 +278,34 @@ func drive(ctx context.Context, src stream.EdgeSource, cfg Config, exec runRound
 		obs.Count(cfg.Obs, MetricCommBytes, int64(rs.TotalCommBytes))
 		obs.Observe(cfg.Obs, MetricUnionEdges, float64(rs.UnionEdges))
 		obs.Observe(cfg.Obs, MetricShrinkRatio, shrink)
-		if rs.UnionEdges >= rs.InputEdges {
-			break // the sketch converged; further rounds only burn communication
+		if rs.UnionEdges >= rs.InputEdges || r+1 == cfg.Rounds {
+			break // the cap, or the sketch converged: further rounds only burn communication
 		}
+		prevUnion = union(sums, unionEdges)
 		k = NextK(k)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	cfg.Trace.Event("compose", "machines", len(st.Coresets), "union_edges", st.CompositionEdges)
-	m := core.ComposeMatching(st.N, st.Coresets)
-	st.Duration = time.Since(start)
-	return m, st, nil
+	cfg.Trace.Event("compose", "machines", len(sums), "union_edges", st.CompositionEdges)
+	return sums, st, nil
 }
 
-// Stream runs the multi-round driver over the in-process streaming runtime:
-// round 0 shards src through the concurrent pipeline without materializing
-// it; later rounds stream the in-memory union. Cancellation is cooperative
-// at batch granularity, as in stream.Solve.
+// Stream runs the multi-round driver over the in-process runtime and
+// composes a maximum matching of the final round's union: round 0 shards src
+// through the concurrent pipeline without materializing it; later rounds
+// stream the in-memory union. Cancellation is cooperative at batch
+// granularity, as in stream.Solve. The run's Duration counts the compose.
 func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.Matching, *Stats, error) {
-	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
-		sums, st, err := stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize},
-			task.RoundsCapable(), task.Params{EDCS: cfg.Params})
-		return coresetsOf(sums), st, err
-	}
-	return drive(ctx, src, cfg, exec)
-}
-
-// Cluster runs the multi-round driver over a real worker fleet through one
-// cluster.Session: the worker connections are dialed once and reused
-// across rounds, one HELLO per run carries the round cap, and every round's
-// communication lands in the round breakdown as MEASURED wire bytes. The
-// fleet size overrides cfg.K (one machine per worker, as everywhere in the
-// cluster runtime).
-func Cluster(ctx context.Context, src stream.EdgeSource, ccfg cluster.Config, cfg Config) (*matching.Matching, *Stats, error) {
-	cfg.K = len(ccfg.Workers)
-	if cfg.BatchSize > 0 && ccfg.BatchSize == 0 {
-		ccfg.BatchSize = cfg.BatchSize
-	}
-	if ccfg.Obs == nil {
-		// One sink covers the whole run: a caller that wired the driver's
-		// events gets the session's wire-level events too.
-		ccfg.Obs = cfg.Obs
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	nHint := 0
-	if src != nil && src.KnownUpfront() {
-		nHint = src.NumVertices()
-	}
-	sess, err := cluster.Dial(ctx, ccfg, task.RoundsCapable(), task.Params{EDCS: cfg.Params}, cfg.Rounds, nHint)
+	start := time.Now()
+	d, p := task.MustGet("edcs"), task.Params{EDCS: cfg.Params}
+	sums, st, err := Drive(ctx, src, cfg, func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error) {
+		return stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize, Trace: cfg.Trace}, d, p)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sess.Close()
-	exec := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
-		sums, st, err := sess.Round(ctx, input, k, seed)
-		return coresetsOf(sums), st, err
-	}
-	return drive(ctx, src, cfg, exec)
-}
-
-// coresetsOf projects a round's summaries onto their edge-list coresets.
-func coresetsOf(sums []stream.Summary) [][]graph.Edge {
-	coresets := make([][]graph.Edge, len(sums))
-	for i, s := range sums {
-		coresets[i] = s.Coreset
-	}
-	return coresets
+	m := d.Compose(st.N, sums).Matching
+	st.Duration = time.Since(start)
+	return m, st, nil
 }

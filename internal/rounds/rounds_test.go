@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/edcs"
 	"repro/internal/gen"
@@ -18,21 +17,21 @@ import (
 	"repro/internal/task"
 )
 
-// batchReference is the multi-round schedule over the materialized
-// reference the runtimes are checked against: every round collects its input,
-// splits it with partition.HashK and feeds each part, in order, to its own
-// builder of the rounds-capable task. It shares only drive with Stream and
-// Cluster, not their router.
-func batchReference(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
-	d, p := task.RoundsCapable(), task.Params{EDCS: cfg.Params}
-	exec := func(_ context.Context, input stream.EdgeSource, k int, seed uint64) ([][]graph.Edge, *core.PipelineStats, error) {
+var edcsTask = task.MustGet("edcs")
+
+// batchRound is the round function of the materialized reference the
+// runtimes are checked against: it collects its input, splits it with
+// partition.HashK and feeds each part, in order, to its own builder of the
+// edcs task. It shares only Drive with the runtimes, not their router.
+func batchRound(p task.Params) Round {
+	return func(_ context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error) {
 		in, err := stream.Collect(input)
 		if err != nil {
 			return nil, nil, err
 		}
 		sums := make([]task.Summary, k)
 		for i, part := range partition.HashK(in.Edges, k, seed) {
-			b := d.NewBuilder(k, in.N, p)
+			b := edcsTask.NewBuilder(k, in.N, p)
 			for _, e := range part {
 				b.Add(e)
 			}
@@ -40,10 +39,42 @@ func batchReference(ctx context.Context, g *graph.Graph, cfg Config) (*matching.
 			sums[i].Edges = len(part)
 		}
 		st := &core.PipelineStats{N: in.N, EdgesTotal: in.M()}
-		d.FoldStats(st, sums)
-		return coresetsOf(sums), st, nil
+		edcsTask.FoldStats(st, sums)
+		return sums, st, nil
 	}
-	return drive(ctx, stream.NewGraphSource(g), cfg, exec)
+}
+
+// streamRound is the in-process round function, as the engine builds it.
+func streamRound(p task.Params) Round {
+	return func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error) {
+		return stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed}, edcsTask, p)
+	}
+}
+
+// drive runs the schedule over g with round and composes the final round's
+// union as the engine does.
+func drive(ctx context.Context, g *graph.Graph, cfg Config, round Round) ([]task.Summary, *matching.Matching, *Stats, error) {
+	sums, st, err := Drive(ctx, stream.NewGraphSource(g), cfg, round)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return sums, edcsTask.Compose(st.N, sums).Matching, st, nil
+}
+
+// batchReference is the multi-round schedule over the materialized
+// reference.
+func batchReference(ctx context.Context, g *graph.Graph, cfg Config) (*matching.Matching, *Stats, error) {
+	_, m, st, err := drive(ctx, g, cfg, batchRound(task.Params{EDCS: cfg.Params}))
+	return m, st, err
+}
+
+// coresets projects summaries onto their edge-list coresets.
+func coresets(sums []task.Summary) [][]graph.Edge {
+	out := make([][]graph.Edge, len(sums))
+	for i, s := range sums {
+		out[i] = s.Coreset
+	}
+	return out
 }
 
 func TestNextK(t *testing.T) {
@@ -117,17 +148,18 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 		}
 		wantM := core.ComposeMatching(g.N, want)
 
-		m, st, err := batchReference(context.Background(), g, Config{K: k, Rounds: 1, Seed: seed, Params: p})
+		cfg := Config{K: k, Rounds: 1, Seed: seed, Params: p}
+		sums, m, st, err := drive(context.Background(), g, cfg, batchRound(task.Params{EDCS: p}))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if st.RoundsRun != 1 || len(st.Rounds) != 1 {
 			t.Fatalf("seed %d: Rounds=1 ran %d rounds", seed, st.RoundsRun)
 		}
-		if len(st.Coresets) != k {
-			t.Fatalf("seed %d: %d coresets, want %d", seed, len(st.Coresets), k)
+		if len(sums) != k {
+			t.Fatalf("seed %d: %d coresets, want %d", seed, len(sums), k)
 		}
-		for i, cs := range st.Coresets {
+		for i, cs := range coresets(sums) {
 			if !reflect.DeepEqual(cs, want[i]) {
 				t.Fatalf("seed %d machine %d: coreset (%d edges) differs from the single-round EDCS (%d edges)",
 					seed, i, len(cs), len(want[i]))
@@ -141,12 +173,16 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 				st.TotalCommBytes, st.MaxMachineBytes, wantBytes, wantMax)
 		}
 
-		sm, sst, err := Stream(context.Background(), stream.NewGraphSource(g), Config{K: k, Rounds: 1, Seed: seed, Params: p})
+		ssums, _, _, err := drive(context.Background(), g, cfg, streamRound(task.Params{EDCS: p}))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !reflect.DeepEqual(sst.Coresets, st.Coresets) {
+		if !reflect.DeepEqual(coresets(ssums), coresets(sums)) {
 			t.Fatalf("seed %d: stream Rounds=1 coresets differ from batch", seed)
+		}
+		sm, _, err := Stream(context.Background(), stream.NewGraphSource(g), cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !reflect.DeepEqual(sm.Edges(), m.Edges()) {
 			t.Fatalf("seed %d: stream Rounds=1 matching differs from batch", seed)
@@ -155,69 +191,49 @@ func TestRoundsOneMatchesSingleRound(t *testing.T) {
 }
 
 // TestMultiRoundParityAcrossRuntimes is the multi-round seed-parity gate:
-// the batch reference, stream and a real TCP cluster must run the identical
-// schedule and produce deep-equal per-round breakdowns and final coresets for
-// the same (graph, seed, k, β, rounds).
+// the batch reference and the in-process round function — through Drive and
+// through Stream — must run the identical schedule and produce deep-equal
+// per-round breakdowns and final coresets for the same
+// (graph, seed, k, β, rounds). The cluster runtime's leg runs through
+// engine.Run (internal/engine), which owns the session.
 func TestMultiRoundParityAcrossRuntimes(t *testing.T) {
-	addrs, shutdown, err := cluster.ServeLoopback(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
 	p := edcs.ParamsForBeta(8) // aggressive trimming so several rounds shrink
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := gen.GNP(400, 40.0/400, rng.New(seed))
 		cfg := Config{K: 4, Rounds: 3, Seed: seed, Params: p}
 
-		bm, bst, err := batchReference(context.Background(), g, cfg)
+		bsums, bm, bst, err := drive(context.Background(), g, cfg, batchRound(task.Params{EDCS: p}))
 		if err != nil {
 			t.Fatalf("seed %d batch: %v", seed, err)
 		}
-		sm, sst, err := Stream(context.Background(), stream.NewGraphSource(g), cfg)
+		ssums, _, sst, err := drive(context.Background(), g, cfg, streamRound(task.Params{EDCS: p}))
 		if err != nil {
 			t.Fatalf("seed %d stream: %v", seed, err)
 		}
-		cm, cst, err := Cluster(context.Background(), stream.NewGraphSource(g), cluster.Config{Workers: addrs, Seed: seed}, cfg)
+		sm, _, err := Stream(context.Background(), stream.NewGraphSource(g), cfg)
 		if err != nil {
-			t.Fatalf("seed %d cluster: %v", seed, err)
+			t.Fatalf("seed %d Stream: %v", seed, err)
 		}
 
-		if !reflect.DeepEqual(bst.Coresets, sst.Coresets) || !reflect.DeepEqual(bst.Coresets, cst.Coresets) {
+		if !reflect.DeepEqual(coresets(bsums), coresets(ssums)) {
 			t.Fatalf("seed %d: final coresets differ across runtimes", seed)
 		}
-		if !reflect.DeepEqual(bm.Edges(), sm.Edges()) || !reflect.DeepEqual(bm.Edges(), cm.Edges()) {
+		if !reflect.DeepEqual(bm.Edges(), sm.Edges()) {
 			t.Fatalf("seed %d: composed matchings differ across runtimes", seed)
 		}
-		if err := matching.Verify(g.N, g.Edges, bm); err == nil {
-			// The final matching uses only coreset edges, all of which are
-			// input edges, so it must verify against the input graph.
-		} else {
+		// The final matching uses only coreset edges, all of which are input
+		// edges, so it must verify against the input graph.
+		if err := matching.Verify(g.N, g.Edges, bm); err != nil {
 			t.Fatalf("seed %d: composed matching invalid: %v", seed, err)
 		}
-		if bst.RoundsRun != sst.RoundsRun || bst.RoundsRun != cst.RoundsRun {
-			t.Fatalf("seed %d: round counts differ: batch %d stream %d cluster %d",
-				seed, bst.RoundsRun, sst.RoundsRun, cst.RoundsRun)
+		if bst.RoundsRun != sst.RoundsRun {
+			t.Fatalf("seed %d: round counts differ: batch %d stream %d", seed, bst.RoundsRun, sst.RoundsRun)
 		}
 		for r := range bst.Rounds {
-			b, s, c := bst.Rounds[r], sst.Rounds[r], cst.Rounds[r]
-			for _, o := range []RoundStat{s, c} {
-				if b.K != o.K || b.Seed != o.Seed || b.InputEdges != o.InputEdges ||
-					b.UnionEdges != o.UnionEdges || !reflect.DeepEqual(b.CoresetEdges, o.CoresetEdges) {
-					t.Fatalf("seed %d round %d: breakdown differs: batch %+v vs %+v", seed, r, b, o)
-				}
-			}
-			// Cluster rounds measure the wire; the measured bytes must cover
-			// the simulated estimate and stay within frame-header slack.
-			if c.TotalCommBytes < c.EstCommBytes {
-				t.Fatalf("seed %d round %d: measured %d below estimate %d", seed, r, c.TotalCommBytes, c.EstCommBytes)
-			}
-			if c.EstCommBytes > 0 && float64(c.TotalCommBytes) > 1.1*float64(c.EstCommBytes) {
-				t.Fatalf("seed %d round %d: measured %d not ~= estimate %d", seed, r, c.TotalCommBytes, c.EstCommBytes)
-			}
-			if b.TotalCommBytes != c.EstCommBytes {
-				t.Fatalf("seed %d round %d: batch estimate %d differs from cluster estimate %d",
-					seed, r, b.TotalCommBytes, c.EstCommBytes)
+			b, s := bst.Rounds[r], sst.Rounds[r]
+			if b.K != s.K || b.Seed != s.Seed || b.InputEdges != s.InputEdges || b.UnionEdges != s.UnionEdges ||
+				!reflect.DeepEqual(b.CoresetEdges, s.CoresetEdges) || b.TotalCommBytes != s.TotalCommBytes {
+				t.Fatalf("seed %d round %d: breakdown differs: batch %+v vs %+v", seed, r, b, s)
 			}
 		}
 	}
@@ -342,39 +358,5 @@ func TestBatchHonorsCancellation(t *testing.T) {
 		if sink.rounds != tc.wantRounds {
 			t.Fatalf("%s: %d rounds ran, want %d", tc.name, sink.rounds, tc.wantRounds)
 		}
-	}
-}
-
-// TestClusterSessionReuse: one session serves every round over the same
-// connections — the per-round shard accounting proves the conversation
-// shape (one HELLO, several rounds) rather than per-round redials.
-func TestClusterSessionReuse(t *testing.T) {
-	addrs, shutdown, err := cluster.ServeLoopback(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	g := gen.GNP(300, 0.4, rng.New(9))
-	_, st, err := Cluster(context.Background(), stream.NewGraphSource(g),
-		cluster.Config{Workers: addrs, Seed: 9}, Config{K: 4, Rounds: 3, Seed: 9, Params: edcs.ParamsForBeta(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RoundsRun < 2 {
-		t.Fatalf("expected a multi-round run, got %d rounds", st.RoundsRun)
-	}
-	// Only round 0 pays the handshake: later rounds' shard traffic must not
-	// re-include HELLO bytes (ShardBytes strictly dominated by round 0 per
-	// sharded edge is hard to assert; instead check every round charged some
-	// shard traffic and the sum matches the aggregate).
-	sum := 0
-	for _, rs := range st.Rounds {
-		if rs.ShardBytes <= 0 {
-			t.Fatalf("round %d has no shard traffic", rs.Round)
-		}
-		sum += rs.ShardBytes
-	}
-	if sum != st.ShardBytes {
-		t.Fatalf("per-round shard bytes %d do not sum to %d", sum, st.ShardBytes)
 	}
 }

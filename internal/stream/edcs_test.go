@@ -70,7 +70,7 @@ func TestEDCSBuilderDeepParity(t *testing.T) {
 		const k = 3
 		parts := batchHashParts(g, k, seed)
 		for i, part := range parts {
-			b := NewMachine(edcsTask.NewBuilder(0, g.N, task.Params{EDCS: p}))
+			b := edcsTask.NewBuilder(0, g.N, task.Params{EDCS: p})
 			for _, e := range part {
 				b.Add(e)
 			}
@@ -145,7 +145,7 @@ func TestZeroEdgeMachines(t *testing.T) {
 
 // assertEmptyMachineStats checks that at least one machine received zero
 // edges and that its summary fields are all-zero (but present).
-func assertEmptyMachineStats(t *testing.T, st *Stats, k int) {
+func assertEmptyMachineStats(t *testing.T, st *core.PipelineStats, k int) {
 	t.Helper()
 	if len(st.PartEdges) != k || len(st.CoresetEdges) != k {
 		t.Fatalf("stats not sized to k=%d: %+v", k, st)

@@ -8,10 +8,10 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -189,11 +189,11 @@ func TestVertexCoverParity(t *testing.T) {
 // on G(n,p) shards and on hub-heavy ones, where every machine must have
 // peeled online and dropped edges it had stored. (The threshold-selection
 // internals are pinned by internal/task's tests; here we check the hosted
-// Machine facade end to end.)
+// builder end to end.)
 func TestVCBuilderDeepParity(t *testing.T) {
 	check := func(name string, n, k int, parts [][]graph.Edge) (live []int) {
 		for i, p := range parts {
-			m := NewMachine(vcTask.NewBuilder(k, n, task.Params{}))
+			m := vcTask.NewBuilder(k, n, task.Params{})
 			for _, e := range p {
 				m.Add(e)
 			}
@@ -491,14 +491,13 @@ func TestMatchingContextBackgroundMatchesMatching(t *testing.T) {
 	}
 }
 
-// Route takes its routing batches back from the consumers: a pass allocates
-// the batches that circulate — at most depth queued, one with the consumer
-// and one filling per machine — and its fixed set-up, however many batches it
-// routes.
+// A pass takes its routing batches back from the machines: it allocates the
+// batches that circulate — at most queueDepth queued, one with the machine
+// and one filling per machine — and its fixed set-up, however many batches
+// it routes.
 func TestRouteAllocatesNothingPerBatch(t *testing.T) {
 	const (
 		k       = 4
-		depth   = 4
 		bs      = 64
 		batches = 4000
 	)
@@ -506,37 +505,79 @@ func TestRouteAllocatesNothingPerBatch(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{U: graph.ID(i % 5000), V: graph.ID(i % 4999)}
 	}
+	machines := []int{0, 1, 2, 3}
 	routed := 0
 	pass := func() {
-		chans := make([]chan []graph.Edge, k)
-		free := make(chan []graph.Edge, k*(depth+2))
-		var wg sync.WaitGroup
-		for m := range chans {
-			chans[m] = make(chan []graph.Edge, depth)
-			wg.Add(1)
-			go func() { // a consumer: done with a batch as soon as it has it
-				defer wg.Done()
-				for b := range chans[m] {
-					free <- b[:0]
+		res := Pass(context.Background(), NewSliceSource(5000, edges), Config{K: k, Seed: 1, BatchSize: bs}, machines,
+			func(_ context.Context, f *Feed) { // done with a batch as soon as it has it
+				for b := range f.Batches {
+					f.Recycle(b)
 				}
-			}()
+			})
+		if res.Err != nil || res.Aborted || res.Edges != len(edges) {
+			t.Errorf("Pass routed %d of %d edges (err %v, aborted %v)", res.Edges, len(edges), res.Err, res.Aborted)
 		}
-		total, _, err, aborted := Route(context.Background(), NewSliceSource(5000, edges), chans, free, bs, 1)
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-		if err != nil || aborted || total != len(edges) {
-			t.Errorf("Route routed %d of %d edges (err %v, aborted %v)", total, len(edges), err, aborted)
-		}
-		routed = total / bs
+		routed = res.Edges / bs
 	}
 	perPass := testing.AllocsPerRun(5, pass)
-	// The set-up is the channels, goroutines and wait group above, the
+	// The set-up is the pass's context, channels, feeds and goroutines, the
 	// source, and Route's read buffer and pending table.
-	const setUp = 40
-	if limit := float64(k*(depth+2) + setUp); perPass > limit {
+	const setUp = 50
+	if limit := float64(k*(queueDepth+2) + setUp); perPass > limit {
 		t.Errorf("a pass over %d batches allocates %.0f times, want at most %.0f", routed, perPass, limit)
 	}
 	t.Logf("%.0f allocations per pass of %d batches", perPass, routed)
+}
+
+// TestPassOverSubset: a pass over machines {1, 3} of k = 4 gives those
+// machines exactly the summaries they have in the full run, for every
+// registered task, and drops the other machines' edges — the property a
+// cluster replay wave relies on.
+func TestPassOverSubset(t *testing.T) {
+	const k, seed = 4, 5
+	g := parityGraph(seed, 400, 30)
+	for _, name := range task.Names() {
+		d := task.MustGet(name)
+		var p task.Params
+		if d.UsesBeta {
+			p.EDCS = edcs.ParamsForBeta(8)
+		}
+		full, _, err := Summaries(context.Background(), NewGraphSource(g), Config{K: k, Seed: seed}, d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]task.Summary, k)
+		routed := make([]int, k)
+		res := Pass(context.Background(), NewGraphSource(g), Config{K: k, Seed: seed}, []int{1, 3}, func(_ context.Context, f *Feed) {
+			b := d.NewBuilder(k, g.N, p)
+			for batch := range f.Batches {
+				routed[f.Machine] += len(batch)
+				for _, e := range batch {
+					b.Add(e)
+				}
+				f.Recycle(batch)
+			}
+			if n, ok := f.N(); ok {
+				got[f.Machine] = b.Finish(n)
+				got[f.Machine].Edges = routed[f.Machine]
+			}
+		})
+		if res.Err != nil || res.Aborted || res.Edges != g.M() || res.N != g.N {
+			t.Fatalf("%s: pass read %d of %d edges, n %d of %d (err %v, aborted %v)", name, res.Edges, g.M(), res.N, g.N, res.Err, res.Aborted)
+		}
+		for m := range k {
+			if m == 1 || m == 3 {
+				if !reflect.DeepEqual(got[m], full[m]) {
+					t.Fatalf("%s machine %d: subset-pass summary differs from the full run's", name, m)
+				}
+				continue
+			}
+			if routed[m] != 0 || !reflect.DeepEqual(got[m], task.Summary{}) {
+				t.Fatalf("%s machine %d: not taking part, yet served %d edges", name, m, routed[m])
+			}
+		}
+		if routed[1]+routed[3] >= g.M() {
+			t.Fatalf("%s: machines 1 and 3 got all %d edges; the others' were not dropped", name, g.M())
+		}
+	}
 }

@@ -1,6 +1,6 @@
 // Package task is the pluggable task registry: one descriptor per coreset
 // family, bundling everything a runtime needs to execute it — the
-// per-machine incremental builder (the stream.Machine contract), the wire
+// per-machine incremental builder (the Builder contract), the wire
 // codec for its summary body (byte layout and simulated byte charge), the
 // composer that turns a set of summaries into a final solution, and the
 // parameter validation every user-facing surface shares.
@@ -284,26 +284,17 @@ func ByWire(b byte) (d *Descriptor, multiRound, ok bool) {
 // WireRange lists every registered wire byte (for unknown-task errors).
 func WireRange() string { return defaultRegistry.wireRange() }
 
-// RoundsCapable returns the descriptor of the (single) rounds-capable task,
-// or nil if none is registered. The multi-round driver (internal/rounds)
-// is EDCS-shaped, so exactly one task may declare WireRounds today.
-func RoundsCapable() *Descriptor {
+// firstWith returns the first registered descriptor with the given
+// capability (nil if none): the task named in "beta only applies to" and
+// "rounds only applies to" validation errors.
+func firstWith(capable func(*Descriptor) bool) *Descriptor {
 	for _, name := range defaultRegistry.names {
-		if d := defaultRegistry.byName[name]; d.WireRounds != 0 {
+		if d := defaultRegistry.byName[name]; capable(d) {
 			return d
 		}
 	}
 	return nil
 }
 
-// betaCapable returns the first registered descriptor that consumes the
-// EDCS degree constraints (nil if none): the task named in "beta only
-// applies to" validation errors.
-func betaCapable() *Descriptor {
-	for _, name := range defaultRegistry.names {
-		if d := defaultRegistry.byName[name]; d.UsesBeta {
-			return d
-		}
-	}
-	return nil
-}
+func usesBeta(d *Descriptor) bool      { return d.UsesBeta }
+func roundsCapable(d *Descriptor) bool { return d.WireRounds != 0 }

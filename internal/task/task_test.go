@@ -162,11 +162,11 @@ func TestDefaultRegistryContents(t *testing.T) {
 	if got, want := WireRange(), "0x01, 0x02, 0x03, 0x04, 0x05"; got != want {
 		t.Fatalf("WireRange() = %q, want %q", got, want)
 	}
-	if d := RoundsCapable(); d == nil || d.Name != "edcs" {
-		t.Fatalf("RoundsCapable() = %v, want edcs", d)
+	if d := firstWith(roundsCapable); d == nil || d.Name != "edcs" {
+		t.Fatalf("firstWith(roundsCapable) = %v, want edcs", d)
 	}
-	if d := betaCapable(); d == nil || d.Name != "edcs" {
-		t.Fatalf("betaCapable() = %v, want edcs", d)
+	if d := firstWith(usesBeta); d == nil || d.Name != "edcs" {
+		t.Fatalf("firstWith(usesBeta) = %v, want edcs", d)
 	}
 }
 

@@ -29,16 +29,16 @@ const MaxBeta = edcs.MaxBeta
 // beta-consuming task automatically widens what these checks admit.
 func ValidateParams(task string, beta, rounds int) error {
 	if beta != 0 {
-		if d, ok := Get(task); !ok || !d.UsesBeta {
-			return fmt.Errorf("beta only applies to task %q (got task %q)", betaCapable().Name, task)
+		if d, ok := Get(task); !ok || !usesBeta(d) {
+			return fmt.Errorf("beta only applies to task %q (got task %q)", firstWith(usesBeta).Name, task)
 		}
 		if beta < 2 || beta > MaxBeta {
 			return fmt.Errorf("beta must be in [2, %d] (got %d)", MaxBeta, beta)
 		}
 	}
 	if rounds != 0 {
-		if d, ok := Get(task); !ok || d.WireRounds == 0 {
-			return fmt.Errorf("rounds only applies to task %q (got task %q)", RoundsCapable().Name, task)
+		if d, ok := Get(task); !ok || !roundsCapable(d) {
+			return fmt.Errorf("rounds only applies to task %q (got task %q)", firstWith(roundsCapable).Name, task)
 		}
 		if rounds < 0 || rounds > MaxRounds {
 			return fmt.Errorf("rounds must be in [0, %d] (got %d)", MaxRounds, rounds)
