@@ -20,11 +20,11 @@ func TestChromeTraceGolden(t *testing.T) {
 		Task: "edcs", Mode: "cluster", K: 2, DurationMS: 10,
 		RoundStats: []graph.RoundReport{
 			{Round: 0, DurationMS: 6, MachineStats: []graph.MachineStats{
-				{Machine: 0, DecodeMS: 1, BuildMS: 2, EncodeMS: 0.5, EdgesIn: 40, RepairIters: 3, Removals: 1, PeakCoreset: 20},
-				{Machine: 1, DecodeMS: 1.5, BuildMS: 1, EncodeMS: 0.25, EdgesIn: 38, PeakCoreset: 19, Replayed: true},
+				{Machine: 0, DecodeMS: 1, BuildMS: 2, EncodeMS: 0.5, EdgesIn: 40, BuildCounters: graph.BuildCounters{RepairIters: 3, Removals: 1, PeakCoreset: 20}},
+				{Machine: 1, DecodeMS: 1.5, BuildMS: 1, EncodeMS: 0.25, EdgesIn: 38, BuildCounters: graph.BuildCounters{PeakCoreset: 19}, Replayed: true},
 			}},
 			{Round: 1, DurationMS: 4, MachineStats: []graph.MachineStats{
-				{Machine: 0, DecodeMS: 0.5, BuildMS: 1, EncodeMS: 0.5, EdgesIn: 20, PeakCoreset: 12},
+				{Machine: 0, DecodeMS: 0.5, BuildMS: 1, EncodeMS: 0.5, EdgesIn: 20, BuildCounters: graph.BuildCounters{PeakCoreset: 12}},
 			}},
 		},
 	}

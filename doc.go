@@ -289,7 +289,12 @@
 // struct (core.PipelineStats; a multi-round run carries one per round), and
 // the engine's report function is the single place that turns it into a
 // RunReport, so coreset -json and a coreset serve job give the same report
-// for the same request.
+// for the same request. Each counter is declared once: the per-machine and
+// communication accounting is graph.RunCounts, embedded in both the stats
+// and the report, so report copies it as one block, and the EDCS build
+// counters are graph.BuildCounters, which the builder returns, the TELEM
+// frame carries and graph.MachineStats embeds. CI's "One report" step keeps
+// every RunReport and RoundReport literal inside internal/engine.
 // The batch runtime's self-checks (input structure, the task's verifier)
 // live in the engine too, so daemon batch jobs run them like CLI runs do.
 // coreset load is the matching load generator: it drives the HTTP API

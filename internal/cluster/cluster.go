@@ -113,8 +113,8 @@ type Config struct {
 	// Workers lists the worker addresses, one machine per entry; k is
 	// len(Workers). Required, non-empty.
 	Workers []string
-	// Seed seeds the router: stream.Route decides every route with it,
-	// exactly as in the in-process runtime.
+	// Seed is the routing seed of Solve's one round. Only Solve reads it: a
+	// Session takes its seed per call, in Round, so Open ignores this field.
 	Seed uint64
 	// BatchSize is the number of edges per SHARD frame (default
 	// DefaultBatchSize).

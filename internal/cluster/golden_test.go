@@ -81,7 +81,7 @@ func currentFrames(t testing.TB) []goldenFrame {
 		{name: "eos", frame: frame(frameEOS, binary.AppendUvarint(nil, goldenN))},
 		{name: "telem", frame: frame(frameTelem, appendTelem(nil, workerTelem{
 			decodeNS: 1_500_000, buildNS: 92_000_000, encodeNS: 310_000,
-			edgesIn: 4096, repairIters: 17, removals: 9, peakCoreset: 801}))},
+			edgesIn: 4096, BuildCounters: graph.BuildCounters{RepairIters: 17, Removals: 9, PeakCoreset: 801}}))},
 		{name: "error", frame: frame(frameError, []byte(skew.Error()))},
 	}
 	for _, name := range task.Names() {
@@ -162,9 +162,9 @@ func decodeGolden(frame []byte, d *task.Descriptor) (fields []string, again []by
 		add("build-ns %d", tm.buildNS)
 		add("encode-ns %d", tm.encodeNS)
 		add("edges-in %d", tm.edgesIn)
-		add("repair-iters %d", tm.repairIters)
-		add("removals %d", tm.removals)
-		add("peak-coreset %d", tm.peakCoreset)
+		add("repair-iters %d", tm.RepairIters)
+		add("removals %d", tm.Removals)
+		add("peak-coreset %d", tm.PeakCoreset)
 		body = appendTelem(nil, tm)
 	case frameError:
 		add("message %q", payload)

@@ -425,7 +425,8 @@ func (s *Session) fold(res []workerResult, scan passResult, retries int, replaye
 	for m, r := range res {
 		sums[m] = r.sum
 	}
-	st := &core.PipelineStats{N: scan.N, EdgesTotal: scan.Edges, Batches: scan.Batches, Retries: retries, ReplayedMachines: replayed}
+	st := &core.PipelineStats{N: scan.N, EdgesTotal: scan.Edges,
+		RunCounts: graph.RunCounts{Batches: scan.Batches, Retries: retries, ReplayedMachines: replayed}}
 	s.d.FoldStats(st, sums)
 	st.EstCommBytes, st.EstMaxMachineBytes = st.TotalCommBytes, st.MaxMachineBytes
 	st.TotalCommBytes, st.MaxMachineBytes = 0, 0

@@ -22,7 +22,7 @@ import (
 func TestTelemCodec(t *testing.T) {
 	want := workerTelem{
 		decodeNS: 1_500_000, buildNS: 92_000_000, encodeNS: 310_000,
-		edgesIn: 4096, repairIters: 17, removals: 9, peakCoreset: 801,
+		edgesIn: 4096, BuildCounters: graph.BuildCounters{RepairIters: 17, Removals: 9, PeakCoreset: 801},
 	}
 	full := appendTelem(nil, want)
 	got, err := decodeTelem(full)

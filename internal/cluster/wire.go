@@ -402,13 +402,11 @@ func encodeAck() []byte { return []byte{protocolVersion} }
 // pure function of the machine's shard, so they are seed-deterministic even
 // though the times are not.
 type workerTelem struct {
-	decodeNS    uint64 // shard frame decode
-	buildNS     uint64 // insert + repair
-	encodeNS    uint64 // finish + coreset encode
-	edgesIn     int    // edges ingested this round
-	repairIters int    // EDCS fixpoint rescans (0 for matching/vc)
-	removals    int    // EDCS H evictions (0 for matching/vc)
-	peakCoreset int    // peak |H| (0 for matching/vc)
+	decodeNS uint64 // shard frame decode
+	buildNS  uint64 // insert + repair
+	encodeNS uint64 // finish + coreset encode
+	edgesIn  int    // edges ingested this round
+	graph.BuildCounters
 }
 
 func appendTelem(dst []byte, t workerTelem) []byte {
@@ -416,9 +414,9 @@ func appendTelem(dst []byte, t workerTelem) []byte {
 	dst = binary.AppendUvarint(dst, t.buildNS)
 	dst = binary.AppendUvarint(dst, t.encodeNS)
 	dst = binary.AppendUvarint(dst, uint64(t.edgesIn))
-	dst = binary.AppendUvarint(dst, uint64(t.repairIters))
-	dst = binary.AppendUvarint(dst, uint64(t.removals))
-	dst = binary.AppendUvarint(dst, uint64(t.peakCoreset))
+	dst = binary.AppendUvarint(dst, uint64(t.RepairIters))
+	dst = binary.AppendUvarint(dst, uint64(t.Removals))
+	dst = binary.AppendUvarint(dst, uint64(t.PeakCoreset))
 	return dst
 }
 
@@ -440,20 +438,18 @@ func decodeTelem(data []byte) (workerTelem, error) {
 	}
 	t.decodeNS, t.buildNS, t.encodeNS = vals[0], vals[1], vals[2]
 	t.edgesIn = int(vals[3])
-	t.repairIters, t.removals, t.peakCoreset = int(vals[4]), int(vals[5]), int(vals[6])
+	t.RepairIters, t.Removals, t.PeakCoreset = int(vals[4]), int(vals[5]), int(vals[6])
 	return t, nil
 }
 
 // machineStats folds a TELEM payload into the report schema for machine m.
 func (t workerTelem) machineStats(m int) graph.MachineStats {
 	return graph.MachineStats{
-		Machine:     m,
-		DecodeMS:    float64(t.decodeNS) / 1e6,
-		BuildMS:     float64(t.buildNS) / 1e6,
-		EncodeMS:    float64(t.encodeNS) / 1e6,
-		EdgesIn:     t.edgesIn,
-		RepairIters: t.repairIters,
-		Removals:    t.removals,
-		PeakCoreset: t.peakCoreset,
+		Machine:       m,
+		DecodeMS:      float64(t.decodeNS) / 1e6,
+		BuildMS:       float64(t.buildNS) / 1e6,
+		EncodeMS:      float64(t.encodeNS) / 1e6,
+		EdgesIn:       t.edgesIn,
+		BuildCounters: t.BuildCounters,
 	}
 }

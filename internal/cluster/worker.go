@@ -307,8 +307,7 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, b task.Builder, round int,
 		coreset := task.AppendSummary(newFrame(make([]byte, 0, frameHeaderLen+3*binary.MaxVarintLen64+sum.Bytes)), d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		if bt, ok := b.(task.Telemetered); ok {
-			t := bt.Telem()
-			tm.repairIters, tm.removals, tm.peakCoreset = t.RepairIters, t.Removals, t.PeakCoreset
+			tm.BuildCounters = bt.Telem()
 		}
 		w.observePhases(tm)
 		// Counted before the answer goes out, so a coordinator that has read

@@ -210,34 +210,22 @@ func roundReport(rs rounds.RoundStat) graph.RoundReport {
 }
 
 // report is the one stats→report constructor: whatever the runtime observed
-// lands in the report, and what it could not observe stays zero and is
-// omitted from the JSON. Multi-round runs add their round breakdown on top.
+// lands in the report — the accounting as one RunCounts block — and what it
+// could not observe stays zero and is omitted from the JSON. Multi-round runs
+// add their round breakdown on top.
 func report(sp Spec, p task.Params, st *core.PipelineStats, solutionSize int) *graph.RunReport {
 	return &graph.RunReport{
-		Task:               sp.Task,
-		Mode:               sp.Runtime,
-		N:                  st.N,
-		M:                  st.EdgesTotal,
-		K:                  st.K,
-		Seed:               sp.Seed,
-		Beta:               p.EDCS.Beta, // zero unless the task uses it
-		SolutionSize:       solutionSize,
-		PartEdges:          st.PartEdges,
-		StoredEdges:        st.StoredEdges,
-		Live:               st.Live,
-		CoresetEdges:       st.CoresetEdges,
-		CoresetFixed:       st.CoresetFixed,
-		TotalCommBytes:     st.TotalCommBytes,
-		MaxMachineBytes:    st.MaxMachineBytes,
-		EstCommBytes:       st.EstCommBytes,
-		EstMaxMachineBytes: st.EstMaxMachineBytes,
-		ShardBytes:         st.ShardBytes,
-		CompositionEdges:   st.CompositionEdges,
-		Batches:            st.Batches,
-		Retries:            st.Retries,
-		ReplayedMachines:   st.ReplayedMachines,
-		DurationMS:         ms(st.Duration),
-		EdgesPerSec:        st.EdgesPerSec(),
-		MachineStats:       st.MachineStats,
+		Task:         sp.Task,
+		Mode:         sp.Runtime,
+		N:            st.N,
+		M:            st.EdgesTotal,
+		K:            st.K,
+		Seed:         sp.Seed,
+		Beta:         p.EDCS.Beta, // zero unless the task uses it
+		SolutionSize: solutionSize,
+		RunCounts:    st.RunCounts,
+		DurationMS:   ms(st.Duration),
+		EdgesPerSec:  st.EdgesPerSec(),
+		MachineStats: st.MachineStats,
 	}
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -29,19 +31,11 @@ func zeroPhases(ms []graph.MachineStats) []graph.MachineStats {
 	return out
 }
 
-// checkStats asserts that every run-stats field reached the report — the
-// one constructor must not drop what a runtime observed.
+// checkStats asserts that the report carries the run stats: the header
+// counts, the RunCounts block and the machine telemetry.
 func checkStats(t *testing.T, rep *graph.RunReport, st *core.PipelineStats) {
 	t.Helper()
-	got := core.PipelineStats{
-		K: rep.K, N: rep.N, EdgesTotal: rep.M, Batches: rep.Batches,
-		PartEdges: rep.PartEdges, StoredEdges: rep.StoredEdges, Live: rep.Live,
-		CoresetEdges: rep.CoresetEdges, CoresetFixed: rep.CoresetFixed,
-		TotalCommBytes: rep.TotalCommBytes, MaxMachineBytes: rep.MaxMachineBytes,
-		EstCommBytes: rep.EstCommBytes, EstMaxMachineBytes: rep.EstMaxMachineBytes,
-		ShardBytes: rep.ShardBytes, Retries: rep.Retries, ReplayedMachines: rep.ReplayedMachines,
-		MachineStats: zeroPhases(rep.MachineStats), CompositionEdges: rep.CompositionEdges,
-	}
+	got := core.PipelineStats{K: rep.K, N: rep.N, EdgesTotal: rep.M, RunCounts: rep.RunCounts, MachineStats: zeroPhases(rep.MachineStats)}
 	want := *st
 	want.MachineStats, want.Duration = zeroPhases(st.MachineStats), 0
 	if !reflect.DeepEqual(got, want) {
@@ -414,4 +408,75 @@ func TestReport(t *testing.T) {
 	if last := rep.RoundStats[rep.RoundsRun-1]; len(rep.CoresetEdges) != last.K {
 		t.Fatalf("top-level coreset slice describes %d machines, final round had %d", len(rep.CoresetEdges), last.K)
 	}
+}
+
+// TestClusterReportLayout pins the JSON layout of a cluster-mode report, the
+// one shape the CLI's JSON goldens (batch, stream and multi-round runs) never
+// print: the measured-versus-estimated byte split, the shard traffic and the
+// per-machine telemetry with the EDCS build counters. Times are zeroed first;
+// what is pinned is the key order a consumer of -json output reads.
+func TestClusterReportLayout(t *testing.T) {
+	addrs, shutdown, err := cluster.ServeLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	g := gen.GNP(300, 0.3, rng.New(4))
+	rep, err := Run(context.Background(), Spec{Task: "edcs", Beta: 8, Runtime: Cluster, K: 2, Seed: 4,
+		Cluster: cluster.Config{Workers: addrs}}, stream.NewGraphSource(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.DurationMS, rep.EdgesPerSec = 0, 0
+	rep.MachineStats = zeroPhases(rep.MachineStats)
+	buf, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, vals := objectKeys(t, buf)
+	wantKeys := []string{"task", "mode", "n", "m", "k", "seed", "beta", "solutionSize",
+		"partEdges", "storedEdges", "live", "coresetEdges",
+		"totalCommBytes", "maxMachineBytes", "estCommBytes", "estMaxMachineBytes", "shardBytes",
+		"compositionEdges", "batches", "durationMs", "machineStats"}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Fatalf("report keys:\n got %q\nwant %q", keys, wantKeys)
+	}
+	var machines []json.RawMessage
+	if err := json.Unmarshal(vals["machineStats"], &machines); err != nil {
+		t.Fatal(err)
+	}
+	if len(machines) != 2 {
+		t.Fatalf("%d machineStats entries, want one per machine", len(machines))
+	}
+	wantMachine := []string{"machine", "decodeMs", "buildMs", "encodeMs", "edgesIn", "repairIters", "removals", "peakCoreset"}
+	for i, m := range machines {
+		if got, _ := objectKeys(t, m); !reflect.DeepEqual(got, wantMachine) {
+			t.Fatalf("machineStats[%d] keys:\n got %q\nwant %q", i, got, wantMachine)
+		}
+	}
+}
+
+// objectKeys returns a JSON object's keys in encoding order and its values
+// by key.
+func objectKeys(t *testing.T, obj []byte) ([]string, map[string]json.RawMessage) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", obj)
+	}
+	var keys []string
+	vals := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		vals[tok.(string)] = v
+	}
+	return keys, vals
 }

@@ -15,48 +15,10 @@ import (
 )
 
 // GNP samples an Erdos-Renyi graph G(n, p): each of the n(n-1)/2 possible
-// edges appears independently with probability p. Generation uses geometric
-// skip-sampling, so the cost is O(n + m), not O(n^2).
+// edges appears independently with probability p. It collects GNPIter, so
+// the cost is O(n + m), not O(n^2). Panics on invalid parameters.
 func GNP(n int, p float64, r *rng.RNG) *graph.Graph {
-	if n < 0 || p < 0 || p > 1 {
-		panic("gen: GNP with invalid parameters")
-	}
-	g := &graph.Graph{N: n}
-	if n < 2 || p == 0 {
-		return g
-	}
-	total := int64(n) * int64(n-1) / 2
-	var edges []graph.Edge
-	if p >= 1 {
-		edges = make([]graph.Edge, 0, total)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				edges = append(edges, graph.Edge{U: graph.ID(u), V: graph.ID(v)})
-			}
-		}
-		g.Edges = edges
-		return g
-	}
-	// Walk the linear pair index space with geometric jumps; decode the
-	// monotonically increasing index to (u, v) with a row cursor.
-	logq := math.Log1p(-p)
-	cur := int64(-1)
-	u := 0
-	rowStart := int64(0) // linear index of pair (u, u+1)
-	for {
-		cur += int64(r.GeometricLog(logq)) + 1
-		if cur >= total {
-			break
-		}
-		for cur >= rowStart+int64(n-1-u) {
-			rowStart += int64(n - 1 - u)
-			u++
-		}
-		v := u + 1 + int(cur-rowStart)
-		edges = append(edges, graph.Edge{U: graph.ID(u), V: graph.ID(v)})
-	}
-	g.Edges = edges
-	return g
+	return &graph.Graph{N: n, Edges: Collect(GNPIter(n, p, r))}
 }
 
 // BipartiteGNP samples a random bipartite graph: each of the nl*nr pairs is
@@ -112,17 +74,11 @@ func RandomBipartiteRegular(n, d int, r *rng.RNG) *graph.Bipartite {
 	return graph.NewBipartite(n, n, edges)
 }
 
-// Star returns a star K_{1,n-1} with center 0. The paper uses the star to
-// show that a minimum vertex cover is NOT a composable coreset (Section 3.2).
+// Star returns a star K_{1,n-1} with center 0, collected from StarIter. The
+// paper uses the star to show that a minimum vertex cover is NOT a
+// composable coreset (Section 3.2). Panics if n < 1.
 func Star(n int) *graph.Graph {
-	if n < 1 {
-		panic("gen: Star with n < 1")
-	}
-	edges := make([]graph.Edge, 0, n-1)
-	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{U: 0, V: graph.ID(v)})
-	}
-	return &graph.Graph{N: n, Edges: edges}
+	return &graph.Graph{N: n, Edges: Collect(StarIter(n))}
 }
 
 // StarForest returns a disjoint union of `count` stars with `leaves` leaves
@@ -187,80 +143,11 @@ func Grid(rows, cols int) *graph.Graph {
 
 // ChungLu samples a power-law graph: vertex v gets weight w_v drawn from a
 // bounded Zipf with the given exponent and cap, and each pair (u, v) is an
-// edge with probability min(1, w_u*w_v/W) where W is the total weight.
-// Generation sorts weights in decreasing order and skip-samples per row with
-// an upper-bound probability, then filters by the exact one (Miller-Hagberg),
-// for O(n + m) expected time. Vertex ids are randomly relabeled so that
-// vertex id carries no degree information.
+// edge with probability min(1, w_u*w_v/W) where W is the total weight. It
+// collects PowerlawIter, in O(n + m) expected time. Panics on invalid
+// parameters.
 func ChungLu(n int, exponent float64, maxWeight int, r *rng.RNG) *graph.Graph {
-	if n < 0 || maxWeight < 1 {
-		panic("gen: ChungLu with invalid parameters")
-	}
-	g := &graph.Graph{N: n}
-	if n < 2 {
-		return g
-	}
-	sorted, total, perm := chungLuWeights(n, exponent, maxWeight, r)
-	var edges []graph.Edge
-	for u := 0; u < n-1; u++ {
-		// Upper bound for this row: weights are sorted, so the largest
-		// pair probability in row u is with v = u+1.
-		pMax := sorted[u] * sorted[u+1] / total
-		if pMax <= 0 {
-			continue
-		}
-		if pMax > 1 {
-			pMax = 1
-		}
-		logq := math.Log1p(-pMax)
-		v := u // skip cursor; candidate edges are (u, v) for v > u
-		for {
-			v += r.GeometricLog(logq) + 1
-			if v >= n {
-				break
-			}
-			p := sorted[u] * sorted[v] / total
-			if p > 1 {
-				p = 1
-			}
-			if r.Bernoulli(p / pMax) {
-				edges = append(edges, graph.Edge{U: graph.ID(u), V: graph.ID(v)})
-			}
-		}
-	}
-	// Random relabeling.
-	for i, e := range edges {
-		edges[i] = graph.Edge{U: perm[e.U], V: perm[e.V]}.Canon()
-	}
-	g.Edges = edges
-	return g
-}
-
-// chungLuWeights performs the Chung-Lu setup draws: the Zipf weight
-// sequence (sorted descending via counting sort), its total, and the vertex
-// relabeling permutation. The permutation is drawn before any edge is
-// sampled so the whole draw sequence is a prefix-replayable function of
-// (n, params). ChungLu and PowerlawIter both build on this one helper — the
-// iterator's exact-replay guarantee depends on the two consuming the RNG
-// identically, so the shared prep must never fork.
-func chungLuWeights(n int, exponent float64, maxWeight int, r *rng.RNG) (sorted []float64, total float64, perm []int32) {
-	z := rng.NewZipf(maxWeight, exponent)
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = float64(z.Sample(r))
-		total += w[i]
-	}
-	cnt := make([]int, maxWeight+1)
-	for _, x := range w {
-		cnt[int(x)]++
-	}
-	sorted = make([]float64, 0, n)
-	for x := maxWeight; x >= 1; x-- {
-		for j := 0; j < cnt[x]; j++ {
-			sorted = append(sorted, float64(x))
-		}
-	}
-	return sorted, total, r.Perm32(n)
+	return &graph.Graph{N: n, Edges: Collect(PowerlawIter(n, exponent, maxWeight, r))}
 }
 
 // WeightedGNP samples G(n, p) and assigns each edge an independent weight

@@ -16,10 +16,10 @@ type EdgeIter interface {
 	Next() (graph.Edge, bool)
 }
 
-// GNPIter returns an iterator over the edges of G(n, p) using the same
-// geometric skip-sampling and the same RNG draw sequence as GNP: for any
-// seed, collecting GNPIter(n, p, rng.New(seed)) yields exactly
-// GNP(n, p, rng.New(seed)).Edges. Panics on invalid parameters, like GNP.
+// GNPIter returns an iterator over the edges of G(n, p): it walks the
+// linear pair index space with geometric jumps, O(n + m) in all, and
+// decodes each index to (u, v) with a row cursor; at p = 1 it enumerates
+// every pair. GNP is this iterator collected. Panics on invalid parameters.
 func GNPIter(n int, p float64, r *rng.RNG) EdgeIter {
 	if n < 0 || p < 0 || p > 1 {
 		panic("gen: GNPIter with invalid parameters")
@@ -53,7 +53,7 @@ func (it *gnpIter) Next() (graph.Edge, bool) {
 		return graph.Edge{}, false
 	}
 	if it.p >= 1 {
-		// Dense mode: enumerate every pair in GNP's row order.
+		// Dense mode: enumerate every pair in row order.
 		if it.dv <= it.u {
 			it.dv = it.u + 1
 		}
@@ -83,7 +83,7 @@ func (it *gnpIter) Next() (graph.Edge, bool) {
 }
 
 // StarIter returns an iterator over the edges of the star K_{1,n-1} with
-// center 0, in the same order as Star. Panics if n < 1, like Star.
+// center 0, leaves in increasing order. Panics if n < 1.
 func StarIter(n int) EdgeIter {
 	if n < 1 {
 		panic("gen: StarIter with n < 1")
@@ -103,14 +103,14 @@ func (it *starIter) Next() (graph.Edge, bool) {
 }
 
 // PowerlawIter returns an iterator over the edges of a Chung-Lu power-law
-// graph using the same Miller-Hagberg row skip-sampling and the same RNG
-// draw sequence as ChungLu: for any seed, collecting
-// PowerlawIter(n, exponent, maxWeight, rng.New(seed)) yields exactly
-// ChungLu(n, exponent, maxWeight, rng.New(seed)).Edges. The iterator holds
-// O(n) state (the sorted weight sequence and the relabeling permutation) but
-// never the O(m) edge list, closing the one streaming gap the CLI used to
-// have: powerlaw workloads now shard without being materialized. Panics on
-// invalid parameters, like ChungLu.
+// graph (see ChungLu, which is this iterator collected). Setup draws the Zipf
+// weights, sorts them descending by counting sort and draws the relabeling
+// permutation, all before the first edge, so vertex ids carry no degree
+// information; each row is then skip-sampled at its upper-bound probability
+// and filtered by the exact one (Miller-Hagberg), O(n + m) expected time.
+// The iterator holds O(n) state (the sorted weights and the permutation) but
+// never the O(m) edge list, so powerlaw workloads shard without being
+// materialized. Panics on invalid parameters.
 func PowerlawIter(n int, exponent float64, maxWeight int, r *rng.RNG) EdgeIter {
 	if n < 0 || maxWeight < 1 {
 		panic("gen: PowerlawIter with invalid parameters")
@@ -120,7 +120,23 @@ func PowerlawIter(n int, exponent float64, maxWeight int, r *rng.RNG) EdgeIter {
 		it.done = true
 		return it
 	}
-	it.sorted, it.total, it.perm = chungLuWeights(n, exponent, maxWeight, r)
+	z := rng.NewZipf(maxWeight, exponent)
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(z.Sample(r))
+		it.total += w[i]
+	}
+	cnt := make([]int, maxWeight+1)
+	for _, x := range w {
+		cnt[int(x)]++
+	}
+	it.sorted = make([]float64, 0, n)
+	for x := maxWeight; x >= 1; x-- {
+		for j := 0; j < cnt[x]; j++ {
+			it.sorted = append(it.sorted, float64(x))
+		}
+	}
+	it.perm = r.Perm32(n)
 	it.u = -1 // first Next advances to row 0
 	return it
 }
@@ -159,7 +175,7 @@ func (it *powerlawIter) Next() (graph.Edge, bool) {
 				return graph.Edge{}, false
 			}
 			// Row upper bound: weights are sorted descending, so the largest
-			// pair probability in row u is with v = u+1 (as in ChungLu).
+			// pair probability in row u is with v = u+1.
 			pMax := it.sorted[it.u] * it.sorted[it.u+1] / it.total
 			if pMax <= 0 {
 				continue

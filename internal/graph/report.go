@@ -11,7 +11,9 @@ package graph
 // Slice fields are indexed by machine. Fields a runtime does not produce
 // (Batches outside stream and cluster mode, the measured-versus-estimated
 // split outside cluster mode; nothing is batch-only) are omitted from the
-// JSON encoding when empty.
+// JSON encoding when empty. The per-machine and communication accounting is
+// the embedded RunCounts, the block core.PipelineStats carries, so the
+// report copies it whole.
 type RunReport struct {
 	Task string `json:"task"` // "matching" | "vc" | "edcs"
 	Mode string `json:"mode"` // "batch" | "stream" | "cluster"
@@ -28,37 +30,7 @@ type RunReport struct {
 	// size (vertices).
 	SolutionSize int `json:"solutionSize"`
 
-	PartEdges []int `json:"partEdges,omitempty"` // edges routed to each machine
-	// StoredEdges is how many edges each machine still held at end of
-	// stream (online peeling can make it < PartEdges).
-	StoredEdges []int `json:"storedEdges,omitempty"`
-	// Live is each machine's online telemetry at end of stream: greedy
-	// matching size (matching) or vertices peeled online (vc).
-	Live         []int `json:"live,omitempty"`
-	CoresetEdges []int `json:"coresetEdges"`           // edges per coreset message
-	CoresetFixed []int `json:"coresetFixed,omitempty"` // fixed vertices per message (vc)
-
-	// TotalCommBytes/MaxMachineBytes are the encoded sizes of the coreset
-	// messages. In batch and stream mode they are a simulated estimate; in
-	// cluster mode they are MEASURED off the TCP connections, and the
-	// simulated estimate is carried alongside in EstCommBytes /
-	// EstMaxMachineBytes for comparison (experiment E20).
-	TotalCommBytes     int `json:"totalCommBytes"`
-	MaxMachineBytes    int `json:"maxMachineBytes"`
-	EstCommBytes       int `json:"estCommBytes,omitempty"`       // cluster only
-	EstMaxMachineBytes int `json:"estMaxMachineBytes,omitempty"` // cluster only
-	// ShardBytes is the measured coordinator-to-worker traffic (cluster only),
-	// including the traffic of any replayed rounds.
-	ShardBytes       int `json:"shardBytes,omitempty"`
-	CompositionEdges int `json:"compositionEdges"`
-	Batches          int `json:"batches,omitempty"` // source batches (streaming)
-
-	// Retries counts worker-failure replay attempts across the run (cluster
-	// only; 0 on an undisturbed run) and ReplayedMachines the machines whose
-	// round was successfully replayed — for multi-round runs, aggregated and
-	// deduplicated across rounds (the per-round breakdown is in RoundStats).
-	Retries          int   `json:"retries,omitempty"`
-	ReplayedMachines []int `json:"replayedMachines,omitempty"`
+	RunCounts
 
 	DurationMS  float64 `json:"durationMs"`
 	EdgesPerSec float64 `json:"edgesPerSec,omitempty"`
@@ -84,6 +56,50 @@ type RunReport struct {
 	MachineStats []MachineStats `json:"machineStats,omitempty"`
 }
 
+// RunCounts is a run's per-machine and communication accounting, in the
+// report's key order. It is declared once: core.PipelineStats, which every
+// runtime fills, and RunReport, which prints it, both embed it. Slices are
+// indexed by machine; a runtime fills what it can observe and leaves the
+// rest zero.
+type RunCounts struct {
+	PartEdges []int `json:"partEdges,omitempty"` // edges routed to each machine
+	// StoredEdges is how many edges each machine still held at end of
+	// stream. For matching it equals PartEdges (the model's O(m/k) budget);
+	// for vertex cover online peeling makes it smaller on peel-heavy inputs.
+	StoredEdges []int `json:"storedEdges,omitempty"`
+	// Live is each machine's online telemetry at end of stream: the greedy
+	// matching size (matching) or the count of vertices peeled online (vc).
+	Live         []int `json:"live,omitempty"`
+	CoresetEdges []int `json:"coresetEdges"`           // edges in each machine's coreset message
+	CoresetFixed []int `json:"coresetFixed,omitempty"` // fixed vertices in each machine's message (vc)
+
+	// TotalCommBytes and MaxMachineBytes are the coreset messages' sizes: in
+	// batch and stream mode the exact length of each message's encoded body,
+	// simulated in that nothing is sent; in cluster mode the MEASURED bytes
+	// of each worker's CORESET frame as read off its TCP connection — the
+	// same body plus the frame header and the stats varints — with the body
+	// lengths alongside in EstCommBytes / EstMaxMachineBytes so the two can
+	// be compared on every run (experiment E20).
+	TotalCommBytes     int `json:"totalCommBytes"`
+	MaxMachineBytes    int `json:"maxMachineBytes"`
+	EstCommBytes       int `json:"estCommBytes,omitempty"`       // cluster only
+	EstMaxMachineBytes int `json:"estMaxMachineBytes,omitempty"` // cluster only
+	// ShardBytes is the measured coordinator-to-worker traffic (cluster
+	// only): HELLO, SHARD and EOS frames summed over all workers, including
+	// the traffic of replayed rounds.
+	ShardBytes       int `json:"shardBytes,omitempty"`
+	CompositionEdges int `json:"compositionEdges"`  // edges the coordinator processed
+	Batches          int `json:"batches,omitempty"` // batches read from the source (stream and cluster)
+
+	// Retries counts worker-failure replay attempts across the run (cluster
+	// only; 0 on an undisturbed run) and ReplayedMachines the machines whose
+	// round was successfully replayed, in ascending order — for multi-round
+	// runs, aggregated and deduplicated across rounds (the per-round
+	// breakdown is in RunReport.RoundStats).
+	Retries          int   `json:"retries,omitempty"`
+	ReplayedMachines []int `json:"replayedMachines,omitempty"`
+}
+
 // MachineStats is one worker machine's round telemetry: where its wall time
 // went (shard decode, insert/repair, coreset encode) and what the build did
 // (edges ingested, EDCS repair fixpoint iterations and removals, peak |H|).
@@ -98,16 +114,22 @@ type MachineStats struct {
 	EncodeMS float64 `json:"encodeMs"` // finish + coreset encode wall time
 
 	EdgesIn int `json:"edgesIn"` // edges routed to the machine this round
-	// RepairIters/Removals/PeakCoreset are EDCS fixpoint telemetry (zero for
-	// matching/vc tasks): dirty-vertex rescans, H evictions, and the largest
-	// |H| the machine ever held.
-	RepairIters int `json:"repairIters,omitempty"`
-	Removals    int `json:"removals,omitempty"`
-	PeakCoreset int `json:"peakCoreset,omitempty"`
+	BuildCounters
 
 	// Replayed marks a machine whose telemetry describes a replacement
 	// attempt after a worker failure, not the original assignment.
 	Replayed bool `json:"replayed,omitempty"`
+}
+
+// BuildCounters are a machine's EDCS fixpoint counters (zero for builders
+// without incremental repair): dirty-vertex rescans, H evictions and the
+// largest |H| the machine ever held. They are a pure function of the
+// machine's shard, kept out of the summary whose wire shape the codec tests
+// pin; a worker ships them in its TELEM frame.
+type BuildCounters struct {
+	RepairIters int `json:"repairIters,omitempty"`
+	Removals    int `json:"removals,omitempty"`
+	PeakCoreset int `json:"peakCoreset,omitempty"`
 }
 
 // RoundReport is one round of a multi-round EDCS run: how many machines were

@@ -12,7 +12,6 @@ package partition
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -153,27 +152,6 @@ func AdversarialByVertex(edges []graph.Edge, k int) [][]graph.Edge {
 	return parts
 }
 
-// AdversarialMatchingHiding spreads every vertex's incident edges across as
-// many machines as possible: edges incident to a vertex v are dealt to
-// machines (v + j) mod k in rotation. Each machine then sees a near-regular
-// sparse slice of every neighborhood, so a machine-local maximum matching
-// carries almost no information about which edges are globally critical.
-func AdversarialMatchingHiding(edges []graph.Edge, k int) [][]graph.Edge {
-	if k <= 0 {
-		panic("partition: AdversarialMatchingHiding with k <= 0")
-	}
-	sorted := append([]graph.Edge(nil), edges...)
-	graph.SortEdges(sorted)
-	parts := make([][]graph.Edge, k)
-	rot := map[graph.ID]int{}
-	for _, e := range sorted {
-		i := (int(e.U) + rot[e.U]) % k
-		rot[e.U]++
-		parts[i] = append(parts[i], e)
-	}
-	return parts
-}
-
 // Verify checks that parts form an exact multiset partition of edges:
 // every input edge appears in exactly one part, and no part contains an
 // edge that was not in the input. Returns true iff the partition is valid.
@@ -230,31 +208,11 @@ func LoadStats(parts [][]graph.Edge) (min, max int, mean float64) {
 	return min, max, float64(total) / float64(len(parts))
 }
 
-// SplitMatchingAcross reports, for each part, how many edges of the given
-// matching (an edge set) landed in it. This measures |M*_{<i}|-style
-// quantities from Claim 3.3.
-func SplitMatchingAcross(parts [][]graph.Edge, matching []graph.Edge) []int {
-	in := make(map[graph.Edge]bool, len(matching))
-	for _, e := range matching {
-		in[e.Canon()] = true
-	}
-	counts := make([]int, len(parts))
-	for i, p := range parts {
-		for _, e := range p {
-			if in[e.Canon()] {
-				counts[i]++
-			}
-		}
-	}
-	return counts
-}
-
-// Names of the adversarial strategies, for experiment tables.
+// Names of the partitioning strategies, for experiment tables.
 const (
-	StrategyRandom         = "random"
-	StrategyChunks         = "chunks"
-	StrategyByVertex       = "by-vertex"
-	StrategyMatchingHiding = "matching-hiding"
+	StrategyRandom   = "random"
+	StrategyChunks   = "chunks"
+	StrategyByVertex = "by-vertex"
 )
 
 // ByName partitions edges with the named strategy. Random uses r; the
@@ -267,15 +225,6 @@ func ByName(name string, edges []graph.Edge, k int, r *rng.RNG) [][]graph.Edge {
 		return AdversarialChunks(edges, k)
 	case StrategyByVertex:
 		return AdversarialByVertex(edges, k)
-	case StrategyMatchingHiding:
-		return AdversarialMatchingHiding(edges, k)
 	}
 	panic("partition: unknown strategy " + name)
-}
-
-// Strategies lists all partitioning strategies in table order.
-func Strategies() []string {
-	s := []string{StrategyRandom, StrategyChunks, StrategyByVertex, StrategyMatchingHiding}
-	sort.Strings(s[1:]) // keep random first, adversarial alphabetical
-	return s
 }

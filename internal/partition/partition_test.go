@@ -151,23 +151,6 @@ func TestAdversarialByVertexGroupsNeighborhoods(t *testing.T) {
 	}
 }
 
-func TestAdversarialMatchingHidingSpreads(t *testing.T) {
-	// Star around vertex 0 with k=4 and 8 edges: every machine gets 2.
-	var edges []graph.Edge
-	for v := graph.ID(1); v <= 8; v++ {
-		edges = append(edges, graph.Edge{U: 0, V: v})
-	}
-	parts := AdversarialMatchingHiding(edges, 4)
-	if !Verify(edges, parts) {
-		t.Fatal("matching-hiding is not a partition")
-	}
-	for i, p := range parts {
-		if len(p) != 2 {
-			t.Fatalf("machine %d got %d edges, want 2", i, len(p))
-		}
-	}
-}
-
 func TestVerifyRejectsBadPartitions(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
 	// Missing edge.
@@ -184,23 +167,10 @@ func TestVerifyRejectsBadPartitions(t *testing.T) {
 	}
 }
 
-func TestSplitMatchingAcross(t *testing.T) {
-	matching := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
-	parts := [][]graph.Edge{
-		{{U: 0, V: 1}, {U: 4, V: 5}},
-		{{U: 2, V: 3}},
-		{},
-	}
-	counts := SplitMatchingAcross(parts, matching)
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 0 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 func TestByNameAndStrategies(t *testing.T) {
 	r := rng.New(23)
 	edges := randEdges(r, 30, 90)
-	for _, s := range Strategies() {
+	for _, s := range []string{StrategyRandom, StrategyChunks, StrategyByVertex} {
 		parts := ByName(s, edges, 3, r)
 		if !Verify(edges, parts) {
 			t.Errorf("strategy %q does not partition", s)
@@ -219,7 +189,6 @@ func TestPanicsOnBadK(t *testing.T) {
 		func() { RandomK(nil, 0, rng.New(1)) },
 		func() { AdversarialChunks(nil, 0) },
 		func() { AdversarialByVertex(nil, -1) },
-		func() { AdversarialMatchingHiding(nil, 0) },
 		func() { Assignment(3, 0, rng.New(1)) },
 	} {
 		func() {
@@ -243,8 +212,7 @@ func TestClaim33Concentration(t *testing.T) {
 	for i := range matching {
 		matching[i] = graph.Edge{U: graph.ID(2 * i), V: graph.ID(2*i + 1)}
 	}
-	parts := RandomK(matching, k, r)
-	counts := SplitMatchingAcross(parts, matching)
+	parts := RandomK(matching, k, r) // every part holds matching edges only
 	prefix := 0
 	for i := 1; i <= k; i++ {
 		want := float64(i-1) / k * mm
@@ -252,6 +220,6 @@ func TestClaim33Concentration(t *testing.T) {
 		if sigma > 0 && math.Abs(float64(prefix)-want) > 6*sigma {
 			t.Errorf("|M*_<%d| = %d, want ~%.0f (sigma %.1f)", i, prefix, want, sigma)
 		}
-		prefix += counts[i-1]
+		prefix += len(parts[i-1])
 	}
 }

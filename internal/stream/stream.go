@@ -176,6 +176,6 @@ func run(ctx context.Context, src EdgeSource, cfg Config, mk func(machine, nHint
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	st := &core.PipelineStats{K: k, N: res.N, EdgesTotal: res.Edges, Batches: res.Batches, Duration: time.Since(start)}
+	st := &core.PipelineStats{K: k, N: res.N, EdgesTotal: res.Edges, RunCounts: graph.RunCounts{Batches: res.Batches}, Duration: time.Since(start)}
 	return sums, st, nil
 }

@@ -148,11 +148,11 @@ func newEDCSBuilder(nHint int, p edcs.Params) *edcsBuilder {
 
 func (b *edcsBuilder) Add(e graph.Edge) { b.sub.Insert(e) }
 
-// Telem exposes the subgraph's fixpoint counters for MachineTelem; it is the
-// Telemetered hook and deliberately NOT part of Summary, whose shape is
-// pinned by the cross-runtime seed-parity codec tests.
-func (b *edcsBuilder) Telem() MachineTelem {
-	return MachineTelem{
+// Telem exposes the subgraph's fixpoint counters; it is the Telemetered
+// hook and deliberately NOT part of Summary, whose shape is pinned by the
+// cross-runtime seed-parity codec tests.
+func (b *edcsBuilder) Telem() graph.BuildCounters {
+	return graph.BuildCounters{
 		RepairIters: b.sub.RepairIters(),
 		Removals:    b.sub.Removals(),
 		PeakCoreset: b.sub.PeakSize(),

@@ -155,7 +155,7 @@ func TestEDCSBuilderDeterministic(t *testing.T) {
 	g := testGraph(t, 400, 10, 7)
 	part := partition.HashK(g.Edges, 2, 3)[0]
 	p := edcs.ParamsForBeta(8)
-	run := func() (Summary, MachineTelem) {
+	run := func() (Summary, graph.BuildCounters) {
 		b := newEDCSBuilder(g.N, p)
 		for _, e := range part {
 			b.Add(e)

@@ -72,19 +72,11 @@ type Builder interface {
 	Finish(n int) Summary
 }
 
-// MachineTelem is a machine's build-phase telemetry, separate from Summary
-// (whose wire shape is pinned by the seed-parity codec tests): EDCS
-// fixpoint counters that describe how much repair work the build did. All
-// fields are zero for builders without incremental repair.
-type MachineTelem struct {
-	RepairIters int // dirty-vertex rescans in the EDCS repair fixpoint
-	Removals    int // H evictions (overfull edges removed by repair)
-	PeakCoreset int // largest |H| the machine ever held
-}
-
-// Telemetered is the optional Builder extension for build telemetry.
+// Telemetered is the optional Builder extension for build telemetry: the
+// EDCS fixpoint counters, kept apart from Summary, whose wire shape is
+// pinned by the seed-parity codec tests.
 type Telemetered interface {
-	Telem() MachineTelem
+	Telem() graph.BuildCounters
 }
 
 // Solution is a composed final answer. Size is always set (it is the
