@@ -212,8 +212,9 @@
 // up to 32768 edges and are never copied or re-grown, so a shard costs the 8
 // bytes per edge it holds plus under one chunk of slack (an append-grown
 // slice allocates about five times what it ends up holding). The matching
-// builder adds a 4-byte greedy-mate entry per vertex ID and flattens the
-// store once, for the matcher, at Finish. The vc builder keeps a 4-byte
+// builder adds a 4-byte greedy-mate entry per vertex ID, sized once from the
+// declared n, and its Finish hands the store's chunks to matching.Maximum,
+// which reads them in place. The vc builder keeps a 4-byte
 // degree and a peeled flag per vertex and stores only the edges that no
 // level-1 vertex covers yet (every edge, when the source cannot declare n);
 // its Finish is the edge-list peel (core.PeelVC), which needs no adjacency:

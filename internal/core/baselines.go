@@ -79,7 +79,7 @@ func AdversarialMaximalCoreset(n int, part []graph.Edge, isHidden func(graph.Edg
 func MinVCCoreset(n int, part []graph.Edge) *VCCoreset {
 	adj := graph.BuildAdj(n, part)
 	var cover []graph.ID
-	if side, ok := adj.IsBipartiteWithSides(); ok {
+	if side, ok := adj.IsBipartiteWithSides(nil); ok {
 		b, left, right := graph.FromGraphSides(n, part, side)
 		for _, v := range vcover.KonigCover(b) {
 			if int(v) < b.NL {

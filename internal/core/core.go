@@ -31,17 +31,20 @@ import (
 // the edge set of a maximum matching of G(i). Any maximum matching works —
 // the theorem is algorithm-agnostic and requires no coordination between
 // machines — so this uses the fastest applicable exact matcher
-// (Hopcroft-Karp on bipartite partitions, blossom otherwise).
-func MatchingCoreset(n int, part []graph.Edge) []graph.Edge {
-	return matching.Maximum(n, part).Edges()
+// (Hopcroft-Karp on bipartite partitions, blossom otherwise). The partition
+// may come in pieces, such as a machine's chunked store; they are read in
+// place.
+func MatchingCoreset(n int, part ...[]graph.Edge) []graph.Edge {
+	return matching.Maximum(n, part...).Edges()
 }
 
 // ComposeMatching computes the final solution from matching coresets: a
 // maximum matching of the union of the coreset edge sets. Per Theorem 1 any
 // (approximation) algorithm may be applied to the union; using an exact
-// matcher isolates the coreset's own loss in experiments.
+// matcher isolates the coreset's own loss in experiments. The matcher reads
+// the coresets where they are; the union is never copied into one slice.
 func ComposeMatching(n int, coresets [][]graph.Edge) *matching.Matching {
-	return matching.Maximum(n, graph.UnionEdges(coresets...))
+	return matching.Maximum(n, coresets...)
 }
 
 // GreedyMatchCombine implements GreedyMatch from Section 3.1: scan the

@@ -143,7 +143,7 @@ func TestAdjDegreeSumProperty(t *testing.T) {
 func TestIsBipartite(t *testing.T) {
 	// Even cycle: bipartite.
 	c4 := BuildAdj(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
-	if side, ok := c4.IsBipartiteWithSides(); !ok {
+	if side, ok := c4.IsBipartiteWithSides(nil); !ok {
 		t.Fatal("C4 should be bipartite")
 	} else {
 		for _, e := range []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}} {
@@ -154,12 +154,12 @@ func TestIsBipartite(t *testing.T) {
 	}
 	// Odd cycle: not bipartite.
 	c5 := BuildAdj(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
-	if _, ok := c5.IsBipartiteWithSides(); ok {
+	if _, ok := c5.IsBipartiteWithSides(nil); ok {
 		t.Fatal("C5 should not be bipartite")
 	}
 	// Disconnected graph with isolated vertices.
 	g := BuildAdj(6, []Edge{{0, 1}, {3, 4}})
-	if _, ok := g.IsBipartiteWithSides(); !ok {
+	if _, ok := g.IsBipartiteWithSides(nil); !ok {
 		t.Fatal("forest should be bipartite")
 	}
 }
@@ -250,7 +250,7 @@ func TestBipartiteValidateAndConvert(t *testing.T) {
 func TestFromGraphSidesRoundTrip(t *testing.T) {
 	edges := []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}}
 	a := BuildAdj(4, edges)
-	side, ok := a.IsBipartiteWithSides()
+	side, ok := a.IsBipartiteWithSides(nil)
 	if !ok {
 		t.Fatal("C4 bipartite")
 	}

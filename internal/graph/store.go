@@ -76,6 +76,12 @@ func (s *EdgeStore) Edges() []Edge {
 	return out
 }
 
+// Chunks returns the held edges, in arrival order, as the store's own
+// chunks, for a reader that takes its edges in pieces (BuildAdj,
+// matching.Maximum). The chunks must not be written, and are valid until the
+// next Append or Prune.
+func (s *EdgeStore) Chunks() [][]Edge { return s.chunks }
+
 // AddDegrees adds every held edge to the degree table deg, counted as
 // BuildAdj counts it: a parallel edge once per copy, a self-loop twice.
 func (s *EdgeStore) AddDegrees(deg []int32) {

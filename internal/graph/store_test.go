@@ -47,6 +47,9 @@ func TestEdgeStoreAppendKeepsArrivalOrder(t *testing.T) {
 		if got == nil || len(got) != cap(got) || !slices.Equal(got, want) {
 			t.Fatalf("m=%d: Edges is not the exact-sized arrival sequence (len %d cap %d)", m, len(got), cap(got))
 		}
+		if !slices.Equal(slices.Concat(s.Chunks()...), want) {
+			t.Fatalf("m=%d: Chunks do not hold the arrival sequence", m)
+		}
 		held := 0
 		for _, c := range s.chunks {
 			if cap(c) > maxChunk {

@@ -15,18 +15,24 @@ import (
 // Each exposed root costs an O(n) reset plus a near-linear search: blossom
 // bases live in a union–find with path halving, so a contraction costs the
 // length of the blossom's cycle, not a pass over all n vertices. The reset
-// stays on purpose. Clearing only what a search touched makes sparse inputs
-// several times faster, and the benchmark harness, which keeps every job's
-// mate array, would then report a peak RSS several times higher; that step
-// waits on the harness (ROADMAP.md, item 2).
+// stays on purpose: the benchmark harness keeps every job's mate array, so a
+// faster matcher finishes more jobs in a run and holds more arrays at its
+// end. Even skipping the exposed roots of degree 0, which changes no output,
+// took gnp_matching_stream's job_p50_s from 0.488 to 0.153 s and its
+// peak_rss_mb from 21.7 to 31.9 MB (medians of 3 alternating 20 s runs on a
+// 2-vCPU VM), past that metric's 25 % bound. That skip, and clearing only
+// what a search touched, wait until the harness stops keeping the arrays
+// (ROADMAP.md, item 1(a)).
 func Blossom(n int, edges []graph.Edge) *Matching {
-	return blossom(graph.BuildAdj(n, edges), edges)
+	return blossom(graph.BuildAdj(n, edges), make([]graph.ID, 0, n), edges)
 }
 
-// blossom is Blossom over a caller-built adjacency of edges. Maximum already
-// holds one from its 2-colouring attempt, and the CSR is two 2m-entry tables
-// not worth building twice.
-func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
+// blossom is Blossom over a caller-built adjacency of the concatenated
+// parts. Maximum already holds one from its 2-colouring attempt, and the CSR
+// is two 2m-entry tables not worth building twice; the colouring's stack
+// comes along as queue, which a capacity of n keeps from growing. The
+// search's own match array is the returned Matching's mate array.
+func blossom(adj *graph.Adj, queue []graph.ID, parts ...[]graph.Edge) *Matching {
 	n := adj.N
 	s := &blossomSearch{
 		adj:     adj,
@@ -35,18 +41,22 @@ func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
 		up:      make([]graph.ID, n),
 		used:    make([]bool, n),
 		usedLCA: make([]bool, n),
-		queue:   make([]graph.ID, 0, n),
+		queue:   queue,
 	}
 	match := s.match
 	for i := range match {
 		match[i] = -1
 	}
+	size := 0
 
 	// Greedy initialization: cheap and removes most augmentation phases.
-	for _, e := range edges {
-		if e.U != e.V && match[e.U] == -1 && match[e.V] == -1 {
-			match[e.U] = e.V
-			match[e.V] = e.U
+	for _, part := range parts {
+		for _, e := range part {
+			if e.U != e.V && match[e.U] == -1 && match[e.V] == -1 {
+				match[e.U] = e.V
+				match[e.V] = e.U
+				size++
+			}
 		}
 	}
 
@@ -66,15 +76,9 @@ func blossom(adj *graph.Adj, edges []graph.Edge) *Matching {
 			match[pv] = u
 			u = ppv
 		}
+		size++
 	}
-
-	m := NewEmpty(n)
-	for v := 0; v < n; v++ {
-		if match[v] != -1 && graph.ID(v) < match[v] {
-			m.Add(graph.Edge{U: graph.ID(v), V: match[v]})
-		}
-	}
-	return m
+	return &Matching{Mate: match, size: size}
 }
 
 // blossomSearch is the state of one Blossom call, shared by its per-root

@@ -92,7 +92,7 @@ func relabel(g *graph.Graph, r *rng.RNG) []graph.Edge {
 func checkAgainstReference(t testing.TB, name string, n int, edges []graph.Edge) {
 	t.Helper()
 	adj := graph.BuildAdj(n, edges)
-	got, want := blossom(adj, edges), blossomReference(adj, edges)
+	got, want := blossom(adj, nil, edges), blossomReference(adj, edges)
 	if !slices.Equal(got.Mate, want.Mate) || got.Size() != want.Size() {
 		t.Fatalf("%s (n=%d m=%d): Mate differs from the reference: size %d, want %d",
 			name, n, len(edges), got.Size(), want.Size())

@@ -7,8 +7,20 @@ import (
 	"repro/internal/rng"
 )
 
+// incrementalEdges returns im's matched edges in canonical form, read off its
+// mate table.
+func incrementalEdges(im *Incremental) []graph.Edge {
+	out := make([]graph.Edge, 0, im.size)
+	for u, w := range im.mate {
+		if v := int(w) - 1; u < v {
+			out = append(out, graph.Edge{U: graph.ID(u), V: graph.ID(v)})
+		}
+	}
+	return out
+}
+
 func TestIncrementalBasics(t *testing.T) {
-	im := NewIncremental()
+	im := NewIncremental(0)
 	if !im.Add(graph.Edge{U: 0, V: 1}) {
 		t.Fatal("first edge rejected")
 	}
@@ -27,8 +39,8 @@ func TestIncrementalBasics(t *testing.T) {
 	if !im.Covers(0) || !im.Covers(3) || im.Covers(4) {
 		t.Fatal("Covers wrong")
 	}
-	if len(im.Edges()) != 2 {
-		t.Fatalf("Edges() has %d, want 2", len(im.Edges()))
+	if len(incrementalEdges(im)) != 2 {
+		t.Fatalf("Edges() has %d, want 2", len(incrementalEdges(im)))
 	}
 }
 
@@ -45,7 +57,7 @@ func TestIncrementalMatchesMaximalGreedy(t *testing.T) {
 				edges = append(edges, graph.Edge{U: u, V: v}.Canon())
 			}
 		}
-		im := NewIncremental()
+		im := NewIncremental(n)
 		for _, e := range edges {
 			im.Add(e)
 		}
@@ -57,32 +69,35 @@ func TestIncrementalMatchesMaximalGreedy(t *testing.T) {
 		if 2*im.Size() < opt {
 			t.Fatalf("seed %d: greedy %d below half of maximum %d", seed, im.Size(), opt)
 		}
-		m := im.Matching(n)
+		m := FromEdges(n, incrementalEdges(im))
 		if err := Verify(n, edges, m); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// The mate table grows to the largest matched ID, in either orientation, and
-// vertices beyond it read as free.
+// The mate table grows to the largest matched ID, in either orientation,
+// whether it started empty or sized below that ID, and vertices beyond it
+// read as free.
 func TestIncrementalGrowsOnDemand(t *testing.T) {
-	im := NewIncremental()
-	if im.Covers(1 << 20) {
-		t.Fatal("empty matcher covers a vertex")
-	}
-	if !im.Add(graph.Edge{U: 900, V: 5}) || !im.Add(graph.Edge{U: 0, V: 70000}) {
-		t.Fatal("free endpoints rejected")
-	}
-	if im.Add(graph.Edge{U: 70000, V: 80000}) || im.Covers(80000) {
-		t.Fatal("matched endpoint accepted")
-	}
-	got := im.Edges()
-	graph.SortEdges(got)
-	if want := []graph.Edge{{U: 0, V: 70000}, {U: 5, V: 900}}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Edges() = %v, want %v", got, want)
-	}
-	if m := im.Matching(70001); m.Size() != 2 || m.Mate[900] != 5 {
-		t.Fatalf("Matching: size %d, mate[900] = %d", m.Size(), m.Mate[900])
+	for _, n := range []int{0, 1000} {
+		im := NewIncremental(n)
+		if im.Covers(1<<20) || im.Covers(999) {
+			t.Fatalf("n=%d: empty matcher covers a vertex", n)
+		}
+		if !im.Add(graph.Edge{U: 900, V: 5}) || !im.Add(graph.Edge{U: 0, V: 70000}) {
+			t.Fatalf("n=%d: free endpoints rejected", n)
+		}
+		if im.Add(graph.Edge{U: 70000, V: 80000}) || im.Covers(80000) {
+			t.Fatalf("n=%d: matched endpoint accepted", n)
+		}
+		got := incrementalEdges(im)
+		graph.SortEdges(got)
+		if want := []graph.Edge{{U: 0, V: 70000}, {U: 5, V: 900}}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("n=%d: edges = %v, want %v", n, got, want)
+		}
+		if m := FromEdges(70001, got); m.Size() != 2 || m.Mate[900] != 5 {
+			t.Fatalf("n=%d: matching size %d, mate[900] = %d", n, m.Size(), m.Mate[900])
+		}
 	}
 }

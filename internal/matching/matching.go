@@ -159,21 +159,20 @@ func IsMaximal(edges []graph.Edge, m *Matching) bool {
 	return true
 }
 
-// Maximum computes a maximum matching of the graph. If the graph is
-// bipartite (checked by 2-coloring) it runs Hopcroft-Karp in
-// O(m*sqrt(n)); otherwise it runs Edmonds' blossom algorithm.
-func Maximum(n int, edges []graph.Edge) *Matching {
-	adj := graph.BuildAdj(n, edges)
-	if side, ok := adj.IsBipartiteWithSides(); ok {
-		b, left, right := graph.FromGraphSides(n, edges, side)
-		matchL, _, _ := HopcroftKarp(b)
-		m := NewEmpty(n)
-		for l, r := range matchL {
-			if r != -1 {
-				m.Add(graph.Edge{U: left[l], V: right[r]}.Canon())
-			}
-		}
-		return m
+// Maximum computes a maximum matching of the multigraph on n vertices whose
+// edges are the concatenation of parts. The parts are read in place, so a
+// caller holding its edges in pieces (a machine's chunked store, the k
+// coresets a composer receives) passes them as they are. If the graph is
+// bipartite (checked by 2-coloring) it runs Hopcroft-Karp in O(m*sqrt(n)) on
+// the same adjacency; otherwise it runs Edmonds' blossom algorithm. Either
+// way the call allocates the adjacency, the coloring, the mate array it
+// returns and the matcher's own O(n) tables, and nothing else the size of
+// the edges.
+func Maximum(n int, parts ...[]graph.Edge) *Matching {
+	adj := graph.BuildAdj(n, parts...)
+	queue := make([]graph.ID, 0, n) // the coloring's stack, then the matcher's queue
+	if side, ok := adj.IsBipartiteWithSides(queue); ok {
+		return hopcroftKarp(adj, side, queue)
 	}
-	return blossom(adj, edges)
+	return blossom(adj, queue, parts...)
 }

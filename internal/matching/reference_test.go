@@ -135,3 +135,152 @@ func blossomReference(adj *graph.Adj, edges []graph.Edge) *Matching {
 	}
 	return m
 }
+
+// maximumReference is the composition Maximum replaced, kept as a test-only
+// oracle: the CSR built through a cursor table, the 2-colouring, and on a
+// bipartite graph a relabelling into a graph.Bipartite (FromGraphSides), a
+// second, left-side CSR inside the Hopcroft–Karp loop and a copy of its
+// matchL into a fresh NewEmpty; otherwise blossomReference, which copies its
+// answer the same way. TestMaximumMatchesReference and
+// FuzzMaximumMatchesReference demand that Maximum return the same Mate
+// array, bit for bit.
+func maximumReference(n int, edges []graph.Edge) *Matching {
+	adj := buildAdjReference(n, edges)
+	if side, ok := adj.IsBipartiteWithSides(nil); ok {
+		b, left, right := graph.FromGraphSides(n, edges, side)
+		matchL, _, _ := hopcroftKarpReference(b)
+		m := NewEmpty(n)
+		for l, r := range matchL {
+			if r != -1 {
+				m.Add(graph.Edge{U: left[l], V: right[r]}.Canon())
+			}
+		}
+		return m
+	}
+	return blossomReference(adj, edges)
+}
+
+// buildAdjReference is the two-pass CSR construction with a cursor table
+// that graph.BuildAdj replaced.
+func buildAdjReference(n int, edges []graph.Edge) *graph.Adj {
+	off := make([]int32, n+1)
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	nbr := make([]graph.ID, 2*len(edges))
+	cur := make([]int32, n)
+	copy(cur, off[:n])
+	for _, e := range edges {
+		nbr[cur[e.U]] = e.V
+		cur[e.U]++
+		nbr[cur[e.V]] = e.U
+		cur[e.V]++
+	}
+	return &graph.Adj{N: n, Off: off, Nbr: nbr}
+}
+
+// hopcroftKarpReference is the Hopcroft–Karp loop over a left-side CSR of
+// its own that hopcroftKarp replaced, with separate matchL and matchR.
+func hopcroftKarpReference(b *graph.Bipartite) (matchL, matchR []graph.ID, size int) {
+	nl, nr := b.NL, b.NR
+	// Build left-side CSR adjacency.
+	off := make([]int32, nl+1)
+	for _, e := range b.Edges {
+		off[e.U+1]++
+	}
+	for i := 0; i < nl; i++ {
+		off[i+1] += off[i]
+	}
+	nbr := make([]graph.ID, len(b.Edges))
+	cur := make([]int32, nl)
+	copy(cur, off[:nl])
+	for _, e := range b.Edges {
+		nbr[cur[e.U]] = e.V
+		cur[e.U]++
+	}
+
+	matchL = make([]graph.ID, nl)
+	matchR = make([]graph.ID, nr)
+	for i := range matchL {
+		matchL[i] = -1
+	}
+	for i := range matchR {
+		matchR[i] = -1
+	}
+
+	// Greedy initialization typically matches most vertices and saves
+	// several BFS/DFS phases.
+	for u := 0; u < nl; u++ {
+		for i := off[u]; i < off[u+1]; i++ {
+			v := nbr[i]
+			if matchR[v] == -1 {
+				matchL[u] = v
+				matchR[v] = graph.ID(u)
+				size++
+				break
+			}
+		}
+	}
+
+	const inf = int32(1) << 30
+	dist := make([]int32, nl)
+	queue := make([]graph.ID, 0, nl)
+	// iter[u] is the scan position of u's adjacency during the DFS phase,
+	// giving the standard "current-arc" optimization.
+	iter := make([]int32, nl)
+
+	bfs := func() bool {
+		queue = queue[:0]
+		for u := 0; u < nl; u++ {
+			if matchL[u] == -1 {
+				dist[u] = 0
+				queue = append(queue, graph.ID(u))
+			} else {
+				dist[u] = inf
+			}
+		}
+		found := false
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for i := off[u]; i < off[u+1]; i++ {
+				w := matchR[nbr[i]]
+				if w == -1 {
+					found = true
+				} else if dist[w] == inf {
+					dist[w] = dist[u] + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+		return found
+	}
+
+	var dfs func(u graph.ID) bool
+	dfs = func(u graph.ID) bool {
+		for ; iter[u] < off[u+1]; iter[u]++ {
+			v := nbr[iter[u]]
+			w := matchR[v]
+			if w == -1 || (dist[w] == dist[u]+1 && dfs(w)) {
+				matchL[u] = v
+				matchR[v] = u
+				return true
+			}
+		}
+		dist[u] = inf
+		return false
+	}
+
+	for bfs() {
+		copy(iter, off[:nl])
+		for u := 0; u < nl; u++ {
+			if matchL[u] == -1 && dfs(graph.ID(u)) {
+				size++
+			}
+		}
+	}
+	return matchL, matchR, size
+}

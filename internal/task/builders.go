@@ -14,15 +14,15 @@ import (
 // greedy matching as live telemetry (a 2-approximation of the partition's
 // maximum matching at every instant). At end of stream it emits the Theorem
 // 1 summary: a maximum matching of the stored partition, computed by
-// core.MatchingCoreset (which wants one flat slice, so Finish flattens the
-// store once).
+// core.MatchingCoreset straight off the store's chunks, which are never
+// flattened.
 type matchingBuilder struct {
 	edges graph.EdgeStore
 	live  *matching.Incremental
 }
 
-func newMatchingBuilder() *matchingBuilder {
-	return &matchingBuilder{live: matching.NewIncremental()}
+func newMatchingBuilder(nHint int) *matchingBuilder {
+	return &matchingBuilder{live: matching.NewIncremental(nHint)}
 }
 
 func (b *matchingBuilder) Add(e graph.Edge) {
@@ -31,13 +31,13 @@ func (b *matchingBuilder) Add(e graph.Edge) {
 }
 
 func (b *matchingBuilder) Finish(n int) Summary {
-	part := b.edges.Edges()
-	b.edges = graph.EdgeStore{} // the matcher's working set should not sit beside a second copy of the shard
-	cs := core.MatchingCoreset(n, part)
+	live := b.live.Size()
+	b.live = nil // telemetry only: its table should not sit beside the matcher's
+	cs := core.MatchingCoreset(n, b.edges.Chunks()...)
 	return Summary{
 		Coreset: cs,
-		Stored:  len(part),
-		Live:    b.live.Size(),
+		Stored:  b.edges.Len(),
+		Live:    live,
 		Bytes:   core.CoresetSizeBytes(cs),
 	}
 }

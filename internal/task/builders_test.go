@@ -32,7 +32,8 @@ func TestMatchingBuilderDeepParity(t *testing.T) {
 	g := testGraph(t, 600, 8, 3)
 	parts := partition.HashK(g.Edges, 4, 7)
 	for i, part := range parts {
-		b := newMatchingBuilder()
+		// The store reaches several chunks, which the matcher reads in place.
+		b := newMatchingBuilder(g.N)
 		for _, e := range part {
 			b.Add(e)
 		}
@@ -40,6 +41,9 @@ func TestMatchingBuilderDeepParity(t *testing.T) {
 		want := core.MatchingCoreset(g.N, part)
 		if !reflect.DeepEqual(s.Coreset, want) {
 			t.Fatalf("machine %d: builder coreset diverges from batch", i)
+		}
+		if len(b.edges.Chunks()) < 3 {
+			t.Fatalf("machine %d: store holds %d chunks, want several", i, len(b.edges.Chunks()))
 		}
 		if s.Stored != len(part) {
 			t.Fatalf("machine %d: stored %d, want %d", i, s.Stored, len(part))

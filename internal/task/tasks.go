@@ -18,7 +18,7 @@ func init() {
 		Name: "matching",
 		Wire: 1,
 		NewBuilder: func(k, nHint int, p Params) Builder {
-			return newMatchingBuilder()
+			return newMatchingBuilder(nHint)
 		},
 		AppendBody: appendEdgeBody,
 		DecodeBody: decodeEdgeBody,

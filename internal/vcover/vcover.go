@@ -146,7 +146,7 @@ func ExactSmall(n int, edges []graph.Edge) []graph.ID {
 // It returns cover vertex ids in the combined space of b.ToGraph()
 // (left ids [0,NL), right ids NL+r).
 func KonigCover(b *graph.Bipartite) []graph.ID {
-	matchL, matchR, _ := HKAdapter(b)
+	matchL, matchR, _ := matching.HopcroftKarp(b)
 	nl := b.NL
 	// Right adjacency of each left vertex.
 	adjL := make([][]graph.ID, nl)
@@ -190,12 +190,6 @@ func KonigCover(b *graph.Bipartite) []graph.ID {
 		}
 	}
 	return cover
-}
-
-// HKAdapter exposes the Hopcroft-Karp result in bipartite-local ids; split
-// out so KonigCover and tests share one call.
-func HKAdapter(b *graph.Bipartite) (matchL, matchR []graph.ID, size int) {
-	return matching.HopcroftKarp(b)
 }
 
 // MinCoverSizeLowerBound returns a trivial lower bound on VC(G): the size of

@@ -153,7 +153,7 @@ func TestKonigMatchesExactAndMatching(t *testing.T) {
 		if err := Verify(g.N, g.Edges, cover); err != nil {
 			t.Fatalf("trial %d: Konig cover infeasible: %v", trial, err)
 		}
-		_, _, mm := HKAdapter(b)
+		_, _, mm := matching.HopcroftKarp(b)
 		if len(cover) != mm {
 			t.Fatalf("trial %d: |Konig| = %d, MM = %d", trial, len(cover), mm)
 		}
