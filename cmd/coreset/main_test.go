@@ -460,7 +460,8 @@ func TestCLIRejectsUnusableRounds(t *testing.T) {
 // (P2 keeps every edge), so the driver early-exits after round 0 with a cap
 // of 3, and the report carries the per-round breakdown. The single-round
 // fields (solutionSize, coresetEdges, comm bytes) must match
-// TestJSONGoldenBatchEDCS exactly — rounds=N never changes round 0.
+// TestJSONGoldenBatchEDCS exactly — rounds=N never changes round 0 — and so
+// must round 0's accounting block, which is that run's RunCounts.
 func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
 	out, errOut, code := runCLI(t, "-task", "edcs", "-k", "2", "-seed", "3", "-beta", "8",
 		"-rounds", "3", "-json", "-in", writePath10(t))
@@ -493,8 +494,26 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
       "seed": 3,
       "inputEdges": 9,
       "unionEdges": 9,
+      "partEdges": [
+        3,
+        6
+      ],
+      "storedEdges": [
+        3,
+        6
+      ],
+      "live": [
+        0,
+        0
+      ],
+      "coresetEdges": [
+        3,
+        6
+      ],
       "totalCommBytes": 13,
       "maxMachineBytes": 7,
+      "compositionEdges": 9,
+      "batches": 1,
       "durationMs": 0
     }
   ]

@@ -291,8 +291,9 @@
 // the engine's report function is the single place that turns it into a
 // RunReport, so coreset -json and a coreset serve job give the same report
 // for the same request. Each counter is declared once: the per-machine and
-// communication accounting is graph.RunCounts, embedded in both the stats
-// and the report, so report copies it as one block, and the EDCS build
+// communication accounting is graph.RunCounts, embedded in the stats, the
+// report and each round's graph.RoundReport, so the engine copies it as one
+// block, and the EDCS build
 // counters are graph.BuildCounters, which the builder returns, the TELEM
 // frame carries and graph.MachineStats embeds. CI's "One report" step keeps
 // every RunReport and RoundReport literal inside internal/engine.
@@ -303,8 +304,10 @@
 // cluster-mode jobs.
 //
 // Observability (internal/obs) is dependency-free and off by default: the
-// runtimes report through an injected obs.Sink and a nil-safe *obs.Tracer,
-// both free when unset (BenchmarkObsOverhead asserts 0 allocs/op).
+// runtimes write to the *obs.Registry their caller passes (Spec.Metrics;
+// nil is silent), resolving their counters once per session or run, and
+// trace through a nil-safe *obs.Tracer (BenchmarkObsOverhead asserts
+// 0 allocs/op for the tracer off and the per-frame counter add).
 // Tracing is cross-process: the coordinator derives a run ID from the root
 // seed (deterministic, so fixed-seed traces reproduce) or mints one per
 // daemon job, ships it to every worker in the HELLO frame, and a worker

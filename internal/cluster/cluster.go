@@ -60,15 +60,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric names this package reports through Config.Obs (see internal/obs).
-// Counts are events and bytes measured on the live connections; a run with a
-// nil Sink reports nothing. cluster_replays_total is the acceptance signal
-// for fault tolerance: it advances once per machine whose round was
-// successfully replayed after a worker loss.
-// The per-connection names (frames, shard/coreset/telem bytes) are reported
-// through obs.CountBy with a "machine" label, so a KeyedSink sees a
-// per-machine breakdown while a plain Sink sees the same totals unlabeled.
-// MetricTelemBytes counts TELEM frame traffic separately from
+// Metric names this package writes to Config.Metrics. Counts are events and
+// bytes measured on the live connections; each family's HELP text is given
+// where the coordinator registers it (newCoordMetrics). The per-connection
+// families (frames, shard/coreset/telem bytes) carry a "machine" label;
+// the dial, failure, backoff, retry and replay counters are unlabeled.
+// cluster_replays_total is the acceptance signal for fault tolerance: it
+// advances once per machine whose round was successfully replayed after a
+// worker loss. MetricTelemBytes counts TELEM frame traffic separately from
 // MetricCoresetBytes: telemetry is measurement overhead, never part of the
 // coreset communication the paper's model charges.
 const (
@@ -142,12 +141,11 @@ type Config struct {
 	// the failed one — so a worker whose process is gone for good costs one
 	// round, not the run.
 	Spares []string
-	// Obs receives wire-level events (frames, bytes, dial attempts, backoff
-	// sleeps, retries, replays — the Metric* names above) as they happen.
-	// Nil, the zero value, keeps the library silent. Sinks implementing
-	// obs.KeyedSink additionally see the per-connection counters broken down
-	// by machine index.
-	Obs obs.Sink
+	// Metrics receives wire-level counts (frames, bytes, dial attempts,
+	// backoff sleeps, retries, replays — the Metric* names above) as they
+	// happen, the per-connection ones by machine index. Nil, the zero
+	// value, keeps the library silent.
+	Metrics *obs.Registry
 	// RunID is the coordinator's trace run ID, shipped to every worker in
 	// the HELLO frame so worker-side spans (coreset worker -trace) join the
 	// coordinator's trace stream. Empty is fine: workers still return

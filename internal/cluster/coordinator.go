@@ -74,30 +74,76 @@ func readAck(conn net.Conn, iot time.Duration) (FailureKind, error) {
 	}
 }
 
-// countSent reports one coordinator-to-worker frame write to the sink, under
-// the writing machine's label: the bytes that made it onto the wire always
-// count, the frame only when the write fully succeeded.
-func countSent(sink obs.Sink, machine, n int, err error) {
-	if sink == nil {
-		return
+// coordMetrics is the coordinator's registry wiring (Config.Metrics),
+// resolved once per Open; a nil *coordMetrics reports nothing. The
+// per-connection counters live on each link (linkMetrics), so a frame pays
+// an atomic add and no lookup.
+type coordMetrics struct {
+	dials, failures, backoffs, retries, replays *obs.Counter
+}
+
+// linkMetrics is one machine's children of the "machine"-labelled families.
+type linkMetrics struct {
+	framesSent, framesReceived *obs.Counter
+	shardBytes                 *obs.Counter
+	coresetBytes, telemBytes   *obs.Counter
+}
+
+// newCoordMetrics registers the coordinator's families on reg and hands each
+// link its machine's children; a nil reg returns nil and leaves the links
+// silent.
+func newCoordMetrics(reg *obs.Registry, links []link) *coordMetrics {
+	if reg == nil {
+		return nil
 	}
-	lbl := strconv.Itoa(machine)
-	obs.CountBy(sink, MetricShardBytes, "machine", lbl, int64(n))
-	if err == nil {
-		obs.CountBy(sink, MetricFramesSent, "machine", lbl, 1)
+	byMachine := func(name, help string) *obs.CounterVec { return reg.CounterVec(name, help, "machine") }
+	sent := byMachine(MetricFramesSent, "Frames the coordinator wrote to workers (HELLO, SHARD, EOS), by machine.")
+	received := byMachine(MetricFramesReceived, "TELEM and CORESET frames the coordinator read from workers, by machine.")
+	shard := byMachine(MetricShardBytes, "Coordinator-to-worker wire bytes (HELLO, SHARD and EOS frames, partial writes included), by machine.")
+	coreset := byMachine(MetricCoresetBytes, "CORESET frame bytes measured off the worker connections: the coreset communication the paper bounds, by machine.")
+	telem := byMachine(MetricTelemBytes, "TELEM frame bytes read off the worker connections (measurement overhead, not coreset communication), by machine.")
+	for m := range links {
+		lbl := strconv.Itoa(m)
+		links[m].mx = &linkMetrics{
+			framesSent: sent.With(lbl), framesReceived: received.With(lbl),
+			shardBytes: shard.With(lbl), coresetBytes: coreset.With(lbl), telemBytes: telem.With(lbl),
+		}
+	}
+	return &coordMetrics{
+		dials:    reg.Counter(MetricDialAttempts, "Worker connection attempts, replay re-dials included."),
+		failures: reg.Counter(MetricWorkerFailures, "Machines taken down by a worker failure (dial, connection, deadline, handshake or protocol)."),
+		backoffs: reg.Counter(MetricBackoffSleeps, "Backoff sleeps before a replay wave."),
+		retries:  reg.Counter(MetricRetries, "Replay attempts of a machine's round after a retryable worker failure."),
+		replays:  reg.Counter(MetricReplays, "Machines whose round was successfully replayed after a worker loss."),
 	}
 }
 
-// countReceived reports one frame read off a worker connection, its bytes
-// under bytesMetric: MetricCoresetBytes for a CORESET, MetricTelemBytes for a
-// TELEM, whose bytes never enter the coreset communication accounting.
-func countReceived(sink obs.Sink, machine int, bytesMetric string, frameLen int) {
-	if sink == nil {
+// countSent records one coordinator-to-worker frame write: the bytes that
+// made it onto the wire always count, the frame only when the write fully
+// succeeded.
+func (l *link) countSent(n int, err error) {
+	if l.mx == nil {
 		return
 	}
-	lbl := strconv.Itoa(machine)
-	obs.CountBy(sink, MetricFramesReceived, "machine", lbl, 1)
-	obs.CountBy(sink, bytesMetric, "machine", lbl, int64(frameLen))
+	l.mx.shardBytes.Add(int64(n))
+	if err == nil {
+		l.mx.framesSent.Inc()
+	}
+}
+
+// countReceived records one frame read off the link's connection, its bytes
+// under the TELEM counter or the CORESET one: telemetry never enters the
+// coreset communication accounting.
+func (l *link) countReceived(telem bool, frameLen int) {
+	if l.mx == nil {
+		return
+	}
+	l.mx.framesReceived.Inc()
+	if telem {
+		l.mx.telemBytes.Add(int64(frameLen))
+	} else {
+		l.mx.coresetBytes.Add(int64(frameLen))
+	}
 }
 
 // closeOnCancel force-closes conn when ctx is canceled; the returned stop

@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -113,7 +112,9 @@ func (s *Session) rearm(ctx context.Context, src stream.Restartable, failed, att
 			})
 		}
 	}
-	obs.Count(s.cfg.Obs, MetricBackoffSleeps, 1)
+	if s.mx != nil {
+		s.mx.backoffs.Inc()
+	}
 	if err := sleepCtx(ctx, backoff); err != nil {
 		return err
 	}
@@ -130,7 +131,9 @@ func (s *Session) rearm(ctx context.Context, src stream.Restartable, failed, att
 			s.links[m].addr, s.spares = s.spares[0], s.spares[1:]
 		}
 		attempts[m]++
-		obs.Count(s.cfg.Obs, MetricRetries, 1)
+	}
+	if s.mx != nil {
+		s.mx.retries.Add(int64(len(failed)))
 	}
 	s.connect(ctx, failed)
 	return nil

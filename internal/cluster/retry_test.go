@@ -852,7 +852,7 @@ func TestVersionSkewIsTerminal(t *testing.T) {
 	for _, shape := range sessionShapes {
 		t.Run("coordinator/"+shape.name, func(t *testing.T) {
 			older, dials := olderWorker(t)
-			sink := newMemSink()
+			probe := newMetricsProbe(t)
 			g := gen.GNP(2000, 16.0/2000, rng.New(29))
 			const ioTimeout = 5 * time.Second
 			cfg := Config{
@@ -860,7 +860,7 @@ func TestVersionSkewIsTerminal(t *testing.T) {
 				Spares:  startWorkers(t, 1), // a replay would find a healthy standby
 				Seed:    29, BatchSize: 64,
 				MaxRetries: 3, RetryBackoff: ioTimeout, // one backoff sleep would blow the deadline below
-				IOTimeout: ioTimeout, Obs: sink,
+				IOTimeout: ioTimeout, Metrics: probe.reg,
 			}
 			start := time.Now()
 			err := runWithTimeout(t, 30*time.Second, func() error {
@@ -884,11 +884,11 @@ func TestVersionSkewIsTerminal(t *testing.T) {
 			if got := dials.Load(); got != 1 {
 				t.Fatalf("the refusing worker was dialed %d times, want 1", got)
 			}
-			if got := sink.get(MetricDialAttempts); got != 2 {
+			if got := probe.get(MetricDialAttempts); got != 2 {
 				t.Fatalf("%s = %d, want 2 (one per machine)", MetricDialAttempts, got)
 			}
 			for _, name := range []string{MetricRetries, MetricReplays, MetricBackoffSleeps} {
-				if got := sink.get(name); got != 0 {
+				if got := probe.get(name); got != 0 {
 					t.Fatalf("%s = %d, want 0", name, got)
 				}
 			}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/task"
 )
@@ -51,6 +50,7 @@ type Session struct {
 	roundCap  int
 	roundsRun int
 	links     []link
+	mx        *coordMetrics // nil: silent (Config.Metrics)
 	spares    []string
 	broken    bool
 	closed    bool
@@ -64,6 +64,7 @@ type link struct {
 	down *WorkerError // what took the connection down
 	sent int          // coordinator-to-worker bytes not yet folded into a round's Stats
 	enc  []byte       // SHARD frame encode buffer, reused across frames and rounds
+	mx   *linkMetrics // this machine's wire counters (nil: silent)
 }
 
 // shardFrame encodes batch into the link's SHARD frame buffer and returns
@@ -121,6 +122,7 @@ func Open(ctx context.Context, cfg Config, d *task.Descriptor, p task.Params, ro
 		s.links[m].addr = addr
 		all[m] = m
 	}
+	s.mx = newCoordMetrics(cfg.Metrics, s.links)
 	s.connect(ctx, all)
 	return s, nil
 }
@@ -144,7 +146,9 @@ func (s *Session) connect(ctx context.Context, machines []int) {
 // a replacement worker's bookkeeping matches the coordinator's.
 func (s *Session) handshake(ctx context.Context, m int) {
 	l := &s.links[m]
-	obs.Count(s.cfg.Obs, MetricDialAttempts, 1)
+	if s.mx != nil {
+		s.mx.dials.Inc()
+	}
 	dialer := net.Dialer{Timeout: s.cfg.dialTimeout()}
 	conn, err := dialer.DialContext(ctx, "tcp", l.addr)
 	if err != nil {
@@ -173,7 +177,7 @@ func (s *Session) send(m int, typ byte, frame []byte) error {
 	l := &s.links[m]
 	n, err := writeFrameDeadline(l.conn, s.iot, typ, frame)
 	l.sent += n
-	countSent(s.cfg.Obs, m, n, err)
+	l.countSent(n, err)
 	return err
 }
 
@@ -186,7 +190,9 @@ func (s *Session) fail(m int, kind FailureKind, err error) *WorkerError {
 		l.conn.Close()
 	}
 	l.conn, l.down = nil, we
-	obs.Count(s.cfg.Obs, MetricWorkerFailures, 1)
+	if s.mx != nil {
+		s.mx.failures.Inc()
+	}
 	return we
 }
 
@@ -276,7 +282,9 @@ func (s *Session) Round(ctx context.Context, src stream.EdgeSource, k int, seed 
 				failed = append(failed, m)
 			case wave > 0:
 				replayed = append(replayed, m)
-				obs.Count(s.cfg.Obs, MetricReplays, 1)
+				if s.mx != nil {
+					s.mx.replays.Inc()
+				}
 			}
 		}
 		todo = failed
@@ -359,7 +367,7 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 // hang.
 func (s *Session) roundTrip(f *stream.Feed, res *workerResult) (FailureKind, error) {
 	m := f.Machine
-	l, sink := &s.links[m], s.cfg.Obs
+	l := &s.links[m]
 	for batch := range f.Batches {
 		frame := l.shardFrame(batch)
 		f.Recycle(batch)
@@ -384,7 +392,7 @@ func (s *Session) roundTrip(f *stream.Feed, res *workerResult) (FailureKind, err
 	if res.telem, err = decodeTelem(payload); err != nil {
 		return KindProtocol, err
 	}
-	countReceived(sink, m, MetricTelemBytes, frameLen)
+	l.countReceived(true, frameLen)
 	if payload, frameLen, kind, err = s.await(m, frameCoreset, "CORESET"); err != nil {
 		return kind, err
 	}
@@ -393,7 +401,7 @@ func (s *Session) roundTrip(f *stream.Feed, res *workerResult) (FailureKind, err
 		return KindProtocol, err
 	}
 	res.sum, res.wire = sum, frameLen
-	countReceived(sink, m, MetricCoresetBytes, frameLen)
+	l.countReceived(false, frameLen)
 	return KindUnknown, nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/edcs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/task"
@@ -135,50 +136,68 @@ func TestOneWritePerFrame(t *testing.T) {
 // — encode a routed batch into the link's frame buffer, then one Write under
 // the per-frame deadline — allocates nothing per frame once the buffer has
 // grown to a full batch, writes each frame with one Write, and accounts for
-// every byte the worker side receives.
+// every byte the worker side receives. With a registry attached the frame
+// also lands in the link's pre-resolved counters, still without allocating.
 func TestShardSendAllocatesNothing(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	received := make(chan int64, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			received <- -1
-			return
-		}
-		defer conn.Close()
-		n, _ := io.Copy(io.Discard, conn)
-		received <- n
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := &countingConn{Conn: conn}
-	s := &Session{iot: Config{}.ioTimeout(), links: []link{{conn: cc}}}
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{
+		{"silent", nil},
+		{"registry", obs.NewRegistry()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			received := make(chan int64, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					received <- -1
+					return
+				}
+				defer conn.Close()
+				n, _ := io.Copy(io.Discard, conn)
+				received <- n
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cc := &countingConn{Conn: conn}
+			s := &Session{iot: Config{}.ioTimeout(), links: []link{{conn: cc}}}
+			s.mx = newCoordMetrics(tc.reg, s.links)
 
-	batch := shardBatch()
-	l := &s.links[0]
-	send := func() {
-		if err := s.send(0, frameShard, l.shardFrame(batch)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send() // grows the link's frame buffer to a full batch
-	const frames = 200
-	if perFrame := testing.AllocsPerRun(frames, send); perFrame != 0 {
-		t.Errorf("a steady-state SHARD send allocates %.0f times per frame, want 0", perFrame)
-	}
-	conn.Close()
-	// AllocsPerRun calls once more than it counts, to warm up.
-	sent := frames + 2
-	frameLen := frameHeaderLen + len(graph.AppendEdgeBatch(nil, batch))
-	if got := <-received; cc.writes != sent || l.sent != sent*frameLen || got != int64(l.sent) {
-		t.Fatalf("%d frames of %d bytes took %d writes; the link counted %d bytes and the worker side read %d",
-			sent, frameLen, cc.writes, l.sent, got)
+			batch := shardBatch()
+			l := &s.links[0]
+			send := func() {
+				if err := s.send(0, frameShard, l.shardFrame(batch)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send() // grows the link's frame buffer to a full batch
+			const frames = 200
+			if perFrame := testing.AllocsPerRun(frames, send); perFrame != 0 {
+				t.Errorf("a steady-state SHARD send allocates %.0f times per frame, want 0", perFrame)
+			}
+			conn.Close()
+			// AllocsPerRun calls once more than it counts, to warm up.
+			sent := frames + 2
+			frameLen := frameHeaderLen + len(graph.AppendEdgeBatch(nil, batch))
+			if got := <-received; cc.writes != sent || l.sent != sent*frameLen || got != int64(l.sent) {
+				t.Fatalf("%d frames of %d bytes took %d writes; the link counted %d bytes and the worker side read %d",
+					sent, frameLen, cc.writes, l.sent, got)
+			}
+			if tc.reg == nil {
+				return
+			}
+			if f, b := l.mx.framesSent.Value(), l.mx.shardBytes.Value(); f != int64(sent) || b != int64(l.sent) {
+				t.Fatalf("machine 0's counters read %d frames and %d bytes, want %d and %d", f, b, sent, l.sent)
+			}
+		})
 	}
 }
 

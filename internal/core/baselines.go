@@ -9,14 +9,6 @@ import (
 // Negative baselines: the coresets the paper explains do NOT work, kept so
 // the experiments can reproduce the Ω(k) separations of Sections 1.2/3.2.
 
-// MaximalMatchingCoreset returns an arbitrary maximal matching of the
-// partition, scanning edges in the given order. "Greedy and local search
-// algorithms are the typical choices for composable coresets" (Section 1.2)
-// — but for matching this is only an Ω(k)-approximate randomized coreset.
-func MaximalMatchingCoreset(n int, part []graph.Edge) []graph.Edge {
-	return matching.MaximalGreedy(n, part).Edges()
-}
-
 // AdversarialMaximalCoreset returns the *worst-case* maximal matching of the
 // partition with respect to a known set of critical ("hidden") edges: it
 // first computes a maximum matching on the blocker edges — non-hidden edges

@@ -11,16 +11,6 @@ import (
 	"repro/internal/vcover"
 )
 
-func TestMaximalMatchingCoresetIsMaximal(t *testing.T) {
-	r := rng.New(1)
-	g := gen.GNP(100, 0.1, r)
-	cs := MaximalMatchingCoreset(g.N, g.Edges)
-	m := matching.FromEdges(g.N, cs)
-	if !matching.IsMaximal(g.Edges, m) {
-		t.Fatal("baseline coreset not maximal")
-	}
-}
-
 func TestAdversarialMaximalCoresetIsMaximalMatching(t *testing.T) {
 	// Whatever the adversary does, the output must still be a maximal
 	// matching of the partition — that is what makes the Ω(k) result fair.

@@ -61,12 +61,12 @@ type Spec struct {
 
 	// Cluster is the resolved fleet for the cluster runtime: Workers, Spares,
 	// MaxRetries and RunID (plus the timeouts, when a caller sets them) are
-	// taken as given; BatchSize and Obs are filled from this Spec, whose
-	// Seed every round routes with.
+	// taken as given; BatchSize and Metrics are filled from this Spec,
+	// whose Seed every round routes with.
 	Cluster cluster.Config
 
-	Obs   obs.Sink    // wire-level and per-round events (nil: silent)
-	Trace *obs.Tracer // shard and round spans (nil: off)
+	Metrics *obs.Registry // wire-level and per-round metrics (nil: silent)
+	Trace   *obs.Tracer   // shard and round spans (nil: off)
 }
 
 // resolve checks the Spec and looks up what every path needs: the task
@@ -136,7 +136,7 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 		sums, st, err = round(ctx, src, sp.K, sp.Seed)
 	} else {
 		// resolve admitted Rounds, so d is the rounds-capable task.
-		rcfg := rounds.Config{K: sp.K, Rounds: sp.Rounds, Seed: sp.Seed, Params: p.EDCS, Obs: sp.Obs, Trace: sp.Trace}
+		rcfg := rounds.Config{K: sp.K, Rounds: sp.Rounds, Seed: sp.Seed, Params: p.EDCS, Metrics: sp.Metrics, Trace: sp.Trace}
 		if sums, rst, err = rounds.Drive(ctx, src, rcfg, round); err == nil {
 			st = &rst.PipelineStats
 		}
@@ -175,7 +175,7 @@ func (sp Spec) runtime(ctx context.Context, d *task.Descriptor, p task.Params, s
 		return round, func() error { return nil }, nil
 	}
 	ccfg := sp.Cluster
-	ccfg.BatchSize, ccfg.Obs = sp.BatchSize, sp.Obs
+	ccfg.BatchSize, ccfg.Metrics = sp.BatchSize, sp.Metrics
 	nHint := 0
 	if src != nil && src.KnownUpfront() {
 		nHint = src.NumVertices()
@@ -192,20 +192,14 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // roundReport is one round of a multi-round run in the report schema.
 func roundReport(rs rounds.RoundStat) graph.RoundReport {
 	return graph.RoundReport{
-		Round:              rs.Round,
-		K:                  rs.K,
-		Seed:               rs.Seed,
-		InputEdges:         rs.InputEdges,
-		UnionEdges:         rs.UnionEdges,
-		TotalCommBytes:     rs.TotalCommBytes,
-		MaxMachineBytes:    rs.MaxMachineBytes,
-		EstCommBytes:       rs.EstCommBytes,
-		EstMaxMachineBytes: rs.EstMaxMachineBytes,
-		ShardBytes:         rs.ShardBytes,
-		Retries:            rs.Retries,
-		ReplayedMachines:   rs.ReplayedMachines,
-		MachineStats:       rs.MachineStats,
-		DurationMS:         ms(rs.Duration),
+		Round:        rs.Round,
+		K:            rs.K,
+		Seed:         rs.Seed,
+		InputEdges:   rs.InputEdges,
+		UnionEdges:   rs.UnionEdges,
+		RunCounts:    rs.RunCounts,
+		DurationMS:   ms(rs.Duration),
+		MachineStats: rs.MachineStats,
 	}
 }
 

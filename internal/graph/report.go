@@ -133,11 +133,12 @@ type BuildCounters struct {
 }
 
 // RoundReport is one round of a multi-round EDCS run: how many machines were
-// active, what the round consumed and produced, and what its coreset
-// messages cost. In cluster mode TotalCommBytes/MaxMachineBytes are measured
-// off the TCP connections per round (the estimate rides alongside, as in the
-// top-level fields); in batch and stream mode they are the simulated
-// estimate and the Est* fields are omitted.
+// active, what the round consumed and produced, and its accounting — the
+// RunCounts block of the single-round run the round was, with the same field
+// semantics as in RunReport. In cluster mode TotalCommBytes/MaxMachineBytes
+// are measured off the TCP connections per round (the estimate rides
+// alongside, as in the top-level fields); in batch and stream mode they are
+// the simulated estimate and the Est* fields are omitted.
 type RoundReport struct {
 	Round      int    `json:"round"`      // 0-based round index
 	K          int    `json:"k"`          // machines active this round
@@ -145,18 +146,9 @@ type RoundReport struct {
 	InputEdges int    `json:"inputEdges"` // edges fed into the round
 	UnionEdges int    `json:"unionEdges"` // edges in the union of the round's coresets
 
-	TotalCommBytes     int     `json:"totalCommBytes"`
-	MaxMachineBytes    int     `json:"maxMachineBytes"`
-	EstCommBytes       int     `json:"estCommBytes,omitempty"`       // cluster only
-	EstMaxMachineBytes int     `json:"estMaxMachineBytes,omitempty"` // cluster only
-	ShardBytes         int     `json:"shardBytes,omitempty"`         // cluster only
-	DurationMS         float64 `json:"durationMs"`
+	RunCounts
 
-	// Retries counts this round's worker-failure replay attempts and
-	// ReplayedMachines the machines recovered by replay (cluster only;
-	// omitted on an undisturbed round).
-	Retries          int   `json:"retries,omitempty"`
-	ReplayedMachines []int `json:"replayedMachines,omitempty"`
+	DurationMS float64 `json:"durationMs"`
 
 	// MachineStats is this round's per-machine telemetry breakdown (cluster
 	// only; see RunReport.MachineStats for field semantics).

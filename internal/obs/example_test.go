@@ -15,15 +15,15 @@ import (
 	"repro/internal/stream"
 )
 
-// The library side of observability, no HTTP in between: the runtimes report
-// through an injected obs.Sink, and a RegistrySink turns those events into
-// registered counters and histograms on a Registry the caller renders — here
-// a multi-round run's per-round families, read back with ParseText the way
-// a scraper would.
-func ExampleRegistrySink() {
+// The library side of observability, no HTTP in between: the runtimes take
+// the caller's Registry (engine.Spec.Metrics) and register their families on
+// it, with bucket layouts of their own; the caller renders it — here a
+// multi-round run's per-round families, read back with ParseText the way a
+// scraper would.
+func ExampleRegistry() {
 	reg := obs.NewRegistry()
 	g := gen.GNP(2000, 24.0/2000, rng.New(7))
-	spec := engine.Spec{Task: "edcs", Beta: 8, Rounds: 3, Runtime: engine.Stream, K: 16, Seed: 7, Obs: obs.NewRegistrySink(reg)}
+	spec := engine.Spec{Task: "edcs", Beta: 8, Rounds: 3, Runtime: engine.Stream, K: 16, Seed: 7, Metrics: reg}
 	if _, err := engine.Run(context.Background(), spec, stream.NewGraphSource(g)); err != nil {
 		log.Fatal(err)
 	}

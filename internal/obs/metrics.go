@@ -1,9 +1,11 @@
 // Package obs is the repository's observability layer: a dependency-free
 // metrics core (atomic counters, gauges and fixed-bucket latency histograms
 // behind a Registry that renders the Prometheus text exposition format), a
-// log/slog-based structured run-trace layer (trace.go) and a Sink interface
-// (sink.go) through which library packages — cluster, rounds, stream — report
-// low-level events without ever owning a registry themselves.
+// log/slog-based structured run-trace layer (trace.go) and ParseText
+// (parsetext.go), which reads the exposition back. Library packages —
+// cluster, rounds — take a *Registry from their caller (nil keeps them
+// silent) and resolve their collectors once, so a hot path adds to a
+// pre-resolved counter and never looks a metric up by name.
 //
 // The paper's whole trade — coreset quality bought with communication and
 // rounds — lives or dies by numbers: per-round wire bytes, retries, replayed

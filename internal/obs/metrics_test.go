@@ -174,29 +174,3 @@ func TestIdempotentRegistration(t *testing.T) {
 	}()
 	r.Gauge("x_total", "")
 }
-
-// TestRegistrySink routes Count and Observe events into registry metrics.
-func TestRegistrySink(t *testing.T) {
-	r := NewRegistry()
-	s := NewRegistrySink(r)
-	Count(s, "cluster_retries_total", 2)
-	Count(s, "cluster_retries_total", 1)
-	Observe(s, "rounds_shrink_ratio", 0.25)
-	Count(nil, "ignored_total", 1) // nil sink is a no-op
-	Observe(nil, "ignored", 1)
-
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseText(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed["cluster_retries_total"] != 3 {
-		t.Errorf("cluster_retries_total = %v", parsed["cluster_retries_total"])
-	}
-	if parsed["rounds_shrink_ratio_count"] != 1 {
-		t.Errorf("rounds_shrink_ratio_count = %v", parsed["rounds_shrink_ratio_count"])
-	}
-}

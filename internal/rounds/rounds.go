@@ -55,16 +55,42 @@ import (
 	"repro/internal/task"
 )
 
-// Metric names this package reports through Config.Obs (see internal/obs):
-// one event per completed round carrying the union size, the shrink ratio
-// (union edges over input edges — < 1 while the sketch is still shrinking)
-// and the round's communication bytes.
+// Metric names this package writes to Config.Metrics: per completed round,
+// the round itself, its communication bytes, the union size and the shrink
+// ratio (union edges over input edges — < 1 while the sketch is still
+// shrinking). The two distributions carry bucket layouts of their own.
 const (
 	MetricRounds      = "rounds_completed_total"
 	MetricUnionEdges  = "rounds_union_edges"
 	MetricShrinkRatio = "rounds_shrink_ratio"
 	MetricCommBytes   = "rounds_comm_bytes_total"
 )
+
+// unionEdgeBuckets spans a round's union size, in edges: 1-3 steps per
+// decade from 100 to 10⁹.
+var unionEdgeBuckets = []float64{1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9}
+
+// shrinkBuckets covers the shrink ratio's range, [0, 1].
+var shrinkBuckets = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
+
+// roundMetrics is the driver's registry wiring (Config.Metrics), resolved
+// once per Drive; a nil *roundMetrics reports nothing.
+type roundMetrics struct {
+	completed, commBytes *obs.Counter
+	unionEdges, shrink   *obs.Histogram
+}
+
+func newRoundMetrics(reg *obs.Registry) *roundMetrics {
+	if reg == nil {
+		return nil
+	}
+	return &roundMetrics{
+		completed:  reg.Counter(MetricRounds, "Rounds the multi-round driver completed."),
+		commBytes:  reg.Counter(MetricCommBytes, "Coreset communication bytes of completed rounds."),
+		unionEdges: reg.Histogram(MetricUnionEdges, "Edges in the union of a round's coresets.", unionEdgeBuckets),
+		shrink:     reg.Histogram(MetricShrinkRatio, "A round's union edges over its input edges.", shrinkBuckets),
+	}
+}
 
 // MaxRounds is the sanity cap every user-facing surface (CLI flag, service
 // request) applies to the round cap. The paper's schedule needs
@@ -85,12 +111,9 @@ type Config struct {
 	Seed uint64
 	// Params are the EDCS degree constraints, fixed across rounds.
 	Params edcs.Params
-	// BatchSize is the routed batch size Stream runs with (0 = the
-	// default); the engine's round functions take it from its Spec.
-	BatchSize int
-	// Obs receives per-round events (the Metric* names above). Nil keeps
-	// the driver silent.
-	Obs obs.Sink
+	// Metrics receives per-round counts and distributions (the Metric*
+	// names above). Nil keeps the driver silent.
+	Metrics *obs.Registry
 	// Trace receives span-style round events (round.start/round.end with
 	// union size and shrink ratio, plus a compose event). Nil disables
 	// tracing.
@@ -239,6 +262,7 @@ func Drive(ctx context.Context, src stream.EdgeSource, cfg Config, round Round) 
 		return nil, nil, errors.New("rounds: nil source")
 	}
 	st := &Stats{PipelineStats: core.PipelineStats{K: cfg.K}, RoundCap: cfg.Rounds}
+	mx := newRoundMetrics(cfg.Metrics)
 	k := cfg.K
 	var (
 		sums      []task.Summary
@@ -274,10 +298,12 @@ func Drive(ctx context.Context, src stream.EdgeSource, cfg Config, round Round) 
 			shrink = float64(rs.UnionEdges) / float64(rs.InputEdges)
 		}
 		endRound("input_edges", rs.InputEdges, "union_edges", rs.UnionEdges)
-		obs.Count(cfg.Obs, MetricRounds, 1)
-		obs.Count(cfg.Obs, MetricCommBytes, int64(rs.TotalCommBytes))
-		obs.Observe(cfg.Obs, MetricUnionEdges, float64(rs.UnionEdges))
-		obs.Observe(cfg.Obs, MetricShrinkRatio, shrink)
+		if mx != nil {
+			mx.completed.Inc()
+			mx.commBytes.Add(int64(rs.TotalCommBytes))
+			mx.unionEdges.Observe(float64(rs.UnionEdges))
+			mx.shrink.Observe(shrink)
+		}
 		if rs.UnionEdges >= rs.InputEdges || r+1 == cfg.Rounds {
 			break // the cap, or the sketch converged: further rounds only burn communication
 		}
@@ -300,7 +326,7 @@ func Stream(ctx context.Context, src stream.EdgeSource, cfg Config) (*matching.M
 	start := time.Now()
 	d, p := task.MustGet("edcs"), task.Params{EDCS: cfg.Params}
 	sums, st, err := Drive(ctx, src, cfg, func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error) {
-		return stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, BatchSize: cfg.BatchSize, Trace: cfg.Trace}, d, p)
+		return stream.Summaries(ctx, input, stream.Config{K: k, Seed: seed, Trace: cfg.Trace}, d, p)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -1,9 +1,11 @@
 package rounds
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/stream"
@@ -309,30 +312,12 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-// roundSink counts the rounds the driver reports and, when cancel is set,
-// cancels on the first one — a cancellation landing exactly on the round
-// boundary.
-type roundSink struct {
-	rounds int
-	cancel context.CancelFunc
-}
-
-func (s *roundSink) Count(name string, _ int64) {
-	if name != MetricRounds {
-		return
-	}
-	s.rounds++
-	if s.cancel != nil {
-		s.cancel()
-	}
-}
-func (*roundSink) Observe(string, float64) {}
-
 // TestBatchHonorsCancellation: drive checks the caller's context at every
 // round boundary, even over a round (the batch reference's) that never
 // looks at it. A pre-canceled context runs no round at all; one canceled
-// after round 0 stops at that boundary (the input of TestScheduleShrinks keeps
-// shrinking, so without the check the run would go on to round 1).
+// as round 0 returns stops at that boundary (the input of
+// TestScheduleShrinks keeps shrinking, so without the check the run would
+// go on to round 1).
 func TestBatchHonorsCancellation(t *testing.T) {
 	g := gen.GNP(300, 0.4, rng.New(7))
 	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8)}
@@ -345,18 +330,68 @@ func TestBatchHonorsCancellation(t *testing.T) {
 		{"canceled after round 0", false, 1},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
-		sink := &roundSink{cancel: cancel}
 		if tc.preCancel {
 			cancel()
 		}
-		cfg.Obs = sink
-		_, _, err := batchReference(ctx, g, cfg)
+		inner, rounds := batchRound(task.Params{EDCS: cfg.Params}), 0
+		round := func(ctx context.Context, input stream.EdgeSource, k int, seed uint64) ([]task.Summary, *core.PipelineStats, error) {
+			rounds++
+			defer cancel() // the cancellation lands exactly on the round boundary
+			return inner(ctx, input, k, seed)
+		}
+		_, _, _, err := drive(ctx, g, cfg, round)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
 		}
-		if sink.rounds != tc.wantRounds {
-			t.Fatalf("%s: %d rounds ran, want %d", tc.name, sink.rounds, tc.wantRounds)
+		if rounds != tc.wantRounds {
+			t.Fatalf("%s: %d rounds ran, want %d", tc.name, rounds, tc.wantRounds)
+		}
+	}
+}
+
+// TestRoundMetricsLandInFiniteBuckets: the driver's two distributions are
+// readable. After a multi-round run with a registry attached, each round's
+// union size and shrink ratio fall in a finite bucket of their histogram,
+// not only in +Inf, and the counters agree with the run's stats.
+func TestRoundMetricsLandInFiniteBuckets(t *testing.T) {
+	g := gen.GNP(300, 0.4, rng.New(7))
+	reg := obs.NewRegistry()
+	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8), Metrics: reg}
+	_, st, err := batchReference(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RoundsRun < 2 {
+		t.Fatalf("dense input ran only %d rounds", st.RoundsRun)
+	}
+	var text bytes.Buffer
+	if _, err := reg.WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseText(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := samples[MetricRounds]; got != float64(st.RoundsRun) {
+		t.Errorf("%s = %g, want %d", MetricRounds, got, st.RoundsRun)
+	}
+	if got := samples[MetricCommBytes]; got != float64(st.TotalCommBytes) {
+		t.Errorf("%s = %g, want %d", MetricCommBytes, got, st.TotalCommBytes)
+	}
+	for _, name := range []string{MetricUnionEdges, MetricShrinkRatio} {
+		count := samples[name+"_count"]
+		if count != float64(st.RoundsRun) {
+			t.Fatalf("%s_count = %g, want %d", name, count, st.RoundsRun)
+		}
+		finite := 0.0 // the largest cumulative count of a finite bucket
+		for key, v := range samples {
+			if strings.HasPrefix(key, name+"_bucket{") && !strings.Contains(key, `le="+Inf"`) {
+				finite = max(finite, v)
+			}
+		}
+		if finite != count {
+			t.Errorf("%s: finite buckets hold %g of %g observations", name, finite, count)
 		}
 	}
 }

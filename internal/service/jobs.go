@@ -395,7 +395,7 @@ func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 			MaxRetries: m.cluster.maxRetries(),
 			RunID:      j.runID,
 		},
-		Obs: m.ins.eventSink(),
+		Metrics: m.ins.registry(),
 	}, entry.Source())
 }
 

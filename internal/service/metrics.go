@@ -30,12 +30,12 @@ const (
 	MetricUptime        = "service_uptime_seconds"
 )
 
-// Instruments bundles the collectors the job pipeline writes to directly plus
-// the Sink the cluster and rounds layers report through. A nil *Instruments
-// is valid and silent, so Manager never nil-checks it mid-loop.
+// Instruments bundles the collectors the job pipeline writes to directly and
+// the registry the cluster and rounds layers register their own families on.
+// A nil *Instruments is valid and silent, so Manager never nil-checks it
+// mid-loop.
 type Instruments struct {
 	reg    *obs.Registry
-	sink   obs.Sink
 	tracer *obs.Tracer
 
 	jobDur    *obs.HistogramVec // label values: task, mode
@@ -49,7 +49,6 @@ type Instruments struct {
 func newInstruments(reg *obs.Registry, tracer *obs.Tracer) *Instruments {
 	ins := &Instruments{
 		reg:    reg,
-		sink:   obs.NewRegistrySink(reg),
 		tracer: tracer,
 		jobDur: reg.HistogramVec(MetricJobDuration,
 			"Wall-clock seconds per executed job (cache hits never reach the pipeline).",
@@ -94,13 +93,13 @@ func (ins *Instruments) jobFinished() {
 	}
 }
 
-// eventSink returns the Sink the cluster and rounds runtimes report through
+// registry returns the registry the cluster and rounds runtimes write to
 // (nil when instrumentation is off — library code stays silent).
-func (ins *Instruments) eventSink() obs.Sink {
+func (ins *Instruments) registry() *obs.Registry {
 	if ins == nil {
 		return nil
 	}
-	return ins.sink
+	return ins.reg
 }
 
 func (ins *Instruments) trace() *obs.Tracer {

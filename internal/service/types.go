@@ -46,7 +46,7 @@
 // registry rendered at GET /metrics carries job latency histograms per
 // task×mode, queue depth, in-flight jobs, cache hit/miss and registry
 // add/eviction counters, and every cluster/rounds event (wire bytes, dial
-// attempts, retries, replays) reported through the injected obs.Sink.
+// attempts, retries, replays) the runtimes write to that same registry.
 // `coreset serve` can additionally mount the same registry together with
 // net/http/pprof on an opt-in admin listener (-admin), keeping profiling
 // endpoints off the public API port. /healthz returns "ok" while serving and

@@ -191,9 +191,3 @@ func KonigCover(b *graph.Bipartite) []graph.ID {
 	}
 	return cover
 }
-
-// MinCoverSizeLowerBound returns a trivial lower bound on VC(G): the size of
-// any maximal matching (each matched edge needs a distinct cover vertex).
-func MinCoverSizeLowerBound(n int, edges []graph.Edge) int {
-	return matching.MaximalGreedy(n, edges).Size()
-}

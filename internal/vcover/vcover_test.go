@@ -59,7 +59,7 @@ func TestFromMatchingFeasibleAnd2Approx(t *testing.T) {
 		}
 		// 2-approximation: |cover| <= 2 * MM(G) <= 2 * VC(G) * ... but
 		// MM <= VC always, so |cover| = 2*|maximal matching| <= 2*VC.
-		lb := MinCoverSizeLowerBound(n, edges)
+		lb := matching.MaximalGreedy(n, edges).Size()
 		return len(cover) <= 2*lb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
