@@ -458,10 +458,11 @@ func TestCLIRejectsUnusableRounds(t *testing.T) {
 
 // Golden test for a multi-round -json report: the path graph cannot shrink
 // (P2 keeps every edge), so the driver early-exits after round 0 with a cap
-// of 3, and the report carries the per-round breakdown. The single-round
-// fields (solutionSize, coresetEdges, comm bytes) must match
-// TestJSONGoldenBatchEDCS exactly — rounds=N never changes round 0 — and so
-// must round 0's accounting block, which is that run's RunCounts.
+// of 3, and the report carries the per-round breakdown. With one round run,
+// the top level must match TestJSONGoldenBatchEDCS field for field —
+// rounds=N never changes round 0, the per-machine slices describe the final
+// round and batches sum over the rounds — and so must round 0's accounting
+// block, which is that run's RunCounts.
 func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
 	out, errOut, code := runCLI(t, "-task", "edcs", "-k", "2", "-seed", "3", "-beta", "8",
 		"-rounds", "3", "-json", "-in", writePath10(t))
@@ -477,6 +478,18 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
   "seed": 3,
   "beta": 8,
   "solutionSize": 5,
+  "partEdges": [
+    3,
+    6
+  ],
+  "storedEdges": [
+    3,
+    6
+  ],
+  "live": [
+    0,
+    0
+  ],
   "coresetEdges": [
     3,
     6
@@ -484,6 +497,7 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
   "totalCommBytes": 13,
   "maxMachineBytes": 7,
   "compositionEdges": 9,
+  "batches": 1,
   "durationMs": 0,
   "rounds": 3,
   "roundsRun": 1,

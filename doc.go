@@ -209,21 +209,24 @@
 // Builder memory model. The model grants each machine O(m/k) space, and
 // each task's builder (internal/task) spends it differently. The matching
 // and vc builders keep their shard in a graph.EdgeStore: chunks that double
-// up to 32768 edges and are never copied or re-grown, so a shard costs the 8
-// bytes per edge it holds plus under one chunk of slack (an append-grown
+// up to 4096 edges and are never copied or re-grown, so a shard costs the 8
+// bytes per edge it holds plus at most 32 KiB of slack (an append-grown
 // slice allocates about five times what it ends up holding). The matching
 // builder adds a 4-byte greedy-mate entry per vertex ID, sized once from the
 // declared n, and its Finish hands the store's chunks to matching.Maximum,
-// which reads them in place. The vc builder keeps a 4-byte
-// degree and a peeled flag per vertex and stores only the edges that no
-// level-1 vertex covers yet (every edge, when the source cannot declare n);
-// its Finish is the edge-list peel (core.PeelVC), which needs no adjacency:
+// which reads them in place. The vc builder keeps a 4-byte running degree
+// per vertex — level 1 is every vertex whose degree reached its threshold —
+// and stores only the edges that no level-1 vertex covers yet (every edge,
+// when the source cannot declare n); its Finish is the edge-list peel
+// (core.PeelVC), which runs in that degree table and needs no adjacency:
 // per level that fixed a vertex, one sweep over the store drops the covered
 // edges, compacts the chunks in place and recounts the survivors' degrees,
-// and the next level is selected from that table in ascending vertex order.
-// The peel allocates two O(n) tables and the residual, sized to what
-// survives — the batch core.ComputeVCCoreset runs the same loop over a
-// borrowed slice it never writes. The
+// and the next level is selected from that table in ascending vertex order
+// (a level above every degree left is recorded without a scan). The peel
+// allocates a dead flag per vertex once a level fixes someone, and the
+// residual, sized to what survives and sorted only if the store saw an edge
+// out of order — the batch core.ComputeVCCoreset runs the same loop over a
+// borrowed slice it never writes, in a degree table of its own. The
 // diversity builder holds no edges, only the set of vertex IDs it saw. The
 // edcs builder (edcs.Subgraph) stores each distinct non-loop edge as two
 // 4-byte entries, one in each endpoint's chain of 64-byte blocks: a block

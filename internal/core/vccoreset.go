@@ -50,7 +50,7 @@ func PeelingDepth(n, k int) int {
 // peeling thresholds n/(k*2^(j+1)). part is only read: the peel borrows it
 // and copies out what survives the first level that removes anything.
 func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
-	return PeelVC(n, k, graph.BorrowEdges(part), nil)
+	return PeelVC(n, k, graph.BorrowEdges(part), nil, 0)
 }
 
 // PeelVC is the level loop of VC-Coreset, run straight off a machine's edge
@@ -61,15 +61,22 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 // so the peel is one sweep per level that removed something: Prune drops the
 // edges the last level killed and recounts the survivors' degrees in the same
 // pass. The cost is what the sweeps visit, on a store that shrinks with every
-// one; levels that fix nobody (the high thresholds, on a shard with no
-// heavy vertex) cost a scan of the degree table and nothing else.
+// one. Each scan of the degree table also notes the largest degree it leaves
+// alive, and the thresholds only fall, so a level whose threshold is above
+// that (the high thresholds, on a shard with no heavy vertex) is recorded as
+// empty without a scan.
 //
-// online, when non-nil, is the level-1 decision a streaming machine took
-// while its shard arrived (online[v]: v's degree in the full shard reached
-// the level-1 threshold, and the machine stopped storing v's edges from then
-// on). Level 1 is then taken from it rather than recomputed — the store no
-// longer holds the edges that decided it — and is reported even if n leaves
-// no level to run, since edges were discarded on its account.
+// online, when positive, is the level-1 threshold a streaming machine
+// applied while its shard arrived, and deg the degree table it kept: deg[v]
+// is v's degree in the full shard (the table covers every vertex the store
+// holds), level 1 is every v with deg[v] >= online, and the machine stopped
+// storing an edge once an endpoint got there. Level 1 is then taken from the
+// table rather than recounted — the store no longer holds the edges that
+// decided it — and is reported even if n leaves no level to run, since edges
+// were discarded on its account. The peel runs in deg: when level 1 fixed
+// nobody, every edge was stored and deg already holds their degrees;
+// otherwise the first sweep recounts into it. With online zero deg is
+// ignored, and the peel counts the store into a table of its own.
 //
 // The result is that of the paper's definition field for field: Levels
 // ascending (nil for a level that fixed nobody), Residual sorted by (U, V)
@@ -77,57 +84,58 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 // counts them. The residual is a set — its message is coded as one
 // (AppendVCCoreset) — so it leaves in the one order every runtime agrees on
 // whatever order the shard arrived in; on a shard that arrived sorted, which
-// is what every generator and ingested dataset delivers, the sort is a scan.
-func PeelVC(n, k int, st *graph.EdgeStore, online []bool) *VCCoreset {
+// is what every generator and ingested dataset delivers, the store knows it
+// and nothing is sorted.
+func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 	delta := PeelingDepth(n, k)
 	out := &VCCoreset{}
-	deg := make([]int32, n)
-	dead := make([]bool, n)
+	var dead []bool
 	// killed: vertices died since the last sweep, so the store still holds
-	// the edges they cover and deg still counts them.
-	killed := false
-	fix := func(level []graph.ID) {
+	// the edges they cover and deg still counts them. alive bounds the degree
+	// of every vertex the last scan left alive.
+	killed, alive := false, int32(math.MaxInt32)
+	peel := func(threshold int) {
+		var level []graph.ID
+		if threshold <= int(alive) {
+			// A dead vertex has degree 0 after the sweep and the threshold
+			// is at least 1, so the scan needs no liveness test.
+			alive = 0
+			for v, d := range deg {
+				if int(d) >= threshold {
+					level = append(level, graph.ID(v))
+				} else {
+					alive = max(alive, d)
+				}
+			}
+		}
+		if killed = len(level) > 0; killed && dead == nil {
+			dead = make([]bool, len(deg))
+		}
 		for _, v := range level {
 			dead[v] = true
 		}
 		out.Levels = append(out.Levels, level)
 		out.Fixed = append(out.Fixed, level...)
-		killed = len(level) > 0
 	}
 	first := 1
-	if online != nil {
-		var level []graph.ID
-		for v, fixed := range online {
-			if fixed {
-				level = append(level, graph.ID(v))
-			}
-		}
-		fix(level)
+	if online > 0 {
+		peel(online)
 		first = 2
-	}
-	if !killed && first <= delta-1 {
+	} else if delta > 1 {
+		deg = make([]int32, n)
 		st.AddDegrees(deg) // nothing to drop yet: count, and leave the store be
 	}
 	for j := first; j <= delta-1; j++ {
 		if killed {
 			st.Prune(dead, deg)
 		}
-		threshold := int(math.Ceil(float64(n) / (float64(k) * math.Pow(2, float64(j+1)))))
-		// A dead vertex has degree 0 after the sweep and the threshold is at
-		// least 1, so the scan needs no liveness test.
-		var level []graph.ID
-		for v, d := range deg {
-			if int(d) >= threshold {
-				level = append(level, graph.ID(v))
-			}
-		}
-		fix(level)
+		peel(int(math.Ceil(float64(n) / (float64(k) * math.Pow(2, float64(j+1))))))
 	}
 	if killed {
 		st.Prune(dead, deg)
 	}
 	out.Residual = st.Edges()
-	if !graph.EdgesSorted(out.Residual) {
+	if !st.Sorted() {
 		graph.SortEdges(out.Residual)
 	}
 	return out

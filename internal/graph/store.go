@@ -4,23 +4,27 @@ package graph
 // an edge it has stored: edges go into fixed chunks, and a full chunk is
 // followed by a new one instead of being re-grown. It is what the per-machine
 // builders keep their O(m/k) partition in — an append-grown slice of the
-// same edges allocates about five times what it ends up holding.
+// same edges allocates about five times what it ends up holding. It also
+// knows, without a pass, whether what it appended is in SortEdges order: each
+// Append compares the edge with the one before it.
 //
 // The zero value is an empty store.
 type EdgeStore struct {
 	chunks   [][]Edge // arrival order; every chunk but the last is full
 	spare    [][]Edge // own chunks Prune is compacting into: grow takes these first
 	borrowed bool     // chunks[0] is a caller's slice and must never be written
+	last     Edge     // the last edge held (the zero edge, the least, when empty)
+	unsorted bool     // an appended edge precedes the one before it in SortEdges order
 }
 
 // Chunk capacities in edges. The first chunk is small so that a ten-edge
 // shard (most tests, the tail machines of a multi-round schedule) does not
 // pay for a large one; capacities then double up to maxChunk, which keeps the
-// unused tail of the last chunk under 256 KiB however large the shard — a few
-// per cent of a shard big enough to reach it.
+// unused tail of the last chunk under 32 KiB however large the shard: a
+// 20 000-edge shard holds room for 20 448 edges.
 const (
 	minChunk = 32
-	maxChunk = 1 << 15
+	maxChunk = 1 << 12
 )
 
 // BorrowEdges returns a store over part without copying it. The store only
@@ -29,6 +33,7 @@ func BorrowEdges(part []Edge) *EdgeStore {
 	s := &EdgeStore{borrowed: true}
 	if len(part) > 0 {
 		s.chunks = [][]Edge{part[:len(part):len(part)]}
+		s.last = part[len(part)-1]
 	}
 	return s
 }
@@ -41,6 +46,8 @@ func (s *EdgeStore) Append(e Edge) {
 		t++
 	}
 	s.chunks[t] = append(s.chunks[t], e)
+	s.unsorted = s.unsorted || e.U < s.last.U || e.U == s.last.U && e.V < s.last.V
+	s.last = e
 }
 
 // grow opens the next chunk.
@@ -76,6 +83,13 @@ func (s *EdgeStore) Edges() []Edge {
 	return out
 }
 
+// Sorted reports whether the held edges are in the order SortEdges leaves
+// them in. Append and Prune keep the answer as they go; only a borrowed
+// slice, until the first prune moves it out, is scanned when asked.
+func (s *EdgeStore) Sorted() bool {
+	return !s.unsorted && (!s.borrowed || len(s.chunks) == 0 || EdgesSorted(s.chunks[0]))
+}
+
 // Chunks returns the held edges, in arrival order, as the store's own
 // chunks, for a reader that takes its edges in pieces (BuildAdj,
 // matching.Maximum). The chunks must not be written, and are valid until the
@@ -98,11 +112,12 @@ func (s *EdgeStore) AddDegrees(deg []int32) {
 // store compacts into its own chunks — the k-th survivor lands where the
 // k-th edge was, so a write never passes the read cursor — and releases the
 // chunks it empties. A borrowed store moves the survivors into chunks of its
-// own instead, and owns them from then on.
+// own instead, and owns them from then on. The survivors are appended anew,
+// which tests their order.
 func (s *EdgeStore) Prune(dead []bool, deg []int32) {
 	clear(deg)
 	old := s.chunks
-	s.chunks = nil
+	s.chunks, s.last, s.unsorted = nil, Edge{}, false
 	if s.borrowed {
 		s.borrowed = false
 	} else {

@@ -154,3 +154,88 @@ func TestEdgeStoreBorrowedIsNeverWritten(t *testing.T) {
 		t.Fatal("an empty borrowed store must read as empty")
 	}
 }
+
+// The store's order test is tracked as edges arrive, never by a pass; it must
+// agree with a pass over what the store holds after any Append and Prune,
+// on a borrowed slice, and once a prune takes the one edge out of order out.
+func TestEdgeStoreTracksOrder(t *testing.T) {
+	const n = 64
+	agree := func(what string, s *EdgeStore) {
+		t.Helper()
+		if s.Sorted() != EdgesSorted(s.Edges()) {
+			t.Fatalf("%s: Sorted() = %v over %d edges that a pass finds otherwise", what, s.Sorted(), s.Len())
+		}
+	}
+	sorted := storeEdges(n, 3*maxChunk+5)
+	SortEdges(sorted)
+	unsorted := storeEdges(n, 2000)
+	for _, part := range [][]Edge{nil, sorted[:1], sorted, unsorted} {
+		agree("borrowed", BorrowEdges(part))
+	}
+
+	var s EdgeStore
+	agree("empty", &s)
+	dead, deg := make([]bool, n), make([]int32, n)
+	x := uint32(7)
+	for step := range 400 {
+		x = x*1664525 + 1013904223
+		switch r := x >> 24; {
+		case r < 8:
+			for v := range dead {
+				dead[v] = false
+			}
+			dead[x>>8%n] = true
+			s.Prune(dead, deg)
+		case r < 200:
+			s.Append(sorted[step*37%len(sorted)]) // in order most of the time
+		default:
+			s.Append(Edge{U: ID(x >> 8 % n), V: ID(x >> 16 % n)})
+		}
+		agree("after step", &s)
+	}
+
+	// One edge out of order, then a prune that drops it.
+	s = EdgeStore{}
+	for _, e := range []Edge{{U: 1, V: 2}, {U: 5, V: 0}, {U: 2, V: 3}, {U: 2, V: 9}} {
+		s.Append(e)
+	}
+	agree("one inversion", &s)
+	if s.Sorted() {
+		t.Fatal("a store holding (5,0) before (2,3) reports sorted")
+	}
+	clear(dead)
+	dead[5] = true
+	s.Prune(dead, deg)
+	agree("inversion pruned", &s)
+	if !s.Sorted() {
+		t.Fatal("the prune took the inversion out, yet the store reports unsorted")
+	}
+	b := BorrowEdges([]Edge{{U: 1, V: 2}, {U: 5, V: 0}, {U: 2, V: 3}})
+	b.Prune(dead, deg)
+	agree("borrowed inversion pruned", b)
+	// Equal first endpoints order by the second.
+	s = EdgeStore{}
+	s.Append(Edge{U: 2, V: 5})
+	s.Append(Edge{U: 2, V: 5})
+	agree("a parallel copy", &s)
+	s.Append(Edge{U: 2, V: 3})
+	agree("second endpoints out of order", &s)
+}
+
+// However large the shard, the store holds room for at most one full chunk
+// (4096 edges, 32 KiB) beyond what it stores.
+func TestEdgeStoreSlack(t *testing.T) {
+	for _, m := range []int{1, 31, 33, 5_000, 20_000, 525_000} {
+		var s EdgeStore
+		for range m {
+			s.Append(Edge{})
+		}
+		held := 0
+		for _, c := range s.chunks {
+			held += cap(c)
+		}
+		if held > m+4096 {
+			t.Fatalf("%d edges: chunks hold room for %d", m, held)
+		}
+	}
+}

@@ -168,7 +168,10 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help, kind string, labels []string) *family {
+// family returns the family registered under name, registering it first if
+// there is none; create, when non-nil, makes a new family's collector under
+// the registry's lock, so concurrent first uses get one collector.
+func (r *Registry) family(name, help, kind string, labels []string, create func(*family)) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
@@ -182,6 +185,9 @@ func (r *Registry) family(name, help, kind string, labels []string) *family {
 	if len(labels) > 0 {
 		f.children = make(map[string]*child)
 	}
+	if create != nil {
+		create(f)
+	}
 	r.families[name] = f
 	r.order = append(r.order, name)
 	return f
@@ -189,10 +195,7 @@ func (r *Registry) family(name, help, kind string, labels []string) *family {
 
 // Counter returns the registered counter, creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.family(name, help, kindCounter, nil)
-	if f.counter == nil && f.counterFn == nil {
-		f.counter = &Counter{}
-	}
+	f := r.family(name, help, kindCounter, nil, func(f *family) { f.counter = &Counter{} })
 	if f.counter == nil {
 		panic(fmt.Sprintf("obs: counter %q is function-backed", name))
 	}
@@ -204,16 +207,13 @@ func (r *Registry) Counter(name, help string) *Counter {
 // counts) are exposed without double bookkeeping; fn must be monotonic and
 // safe for concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, kindCounter, nil)
+	f := r.family(name, help, kindCounter, nil, nil)
 	f.counterFn = fn
 }
 
 // Gauge returns the registered gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, kindGauge, nil)
-	if f.gauge == nil && f.gaugeFn == nil {
-		f.gauge = &Gauge{}
-	}
+	f := r.family(name, help, kindGauge, nil, func(f *family) { f.gauge = &Gauge{} })
 	if f.gauge == nil {
 		panic(fmt.Sprintf("obs: gauge %q is function-backed", name))
 	}
@@ -223,20 +223,19 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge read from fn at render time (queue depth,
 // resident bytes — values some other structure already tracks).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, kindGauge, nil)
+	f := r.family(name, help, kindGauge, nil, nil)
 	f.gaugeFn = fn
 }
 
 // Histogram returns the registered histogram, creating it with the given
 // bucket upper bounds on first use (nil buckets = DefLatencyBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.family(name, help, kindHist, nil)
-	if f.hist == nil {
+	f := r.family(name, help, kindHist, nil, func(f *family) {
 		if buckets == nil {
 			buckets = DefLatencyBuckets
 		}
 		f.hist = newHistogram(buckets)
-	}
+	})
 	return f.hist
 }
 
@@ -249,13 +248,13 @@ type HistogramVec struct{ f *family }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: r.family(name, help, kindCounter, labels)}
+	return &CounterVec{f: r.family(name, help, kindCounter, labels, nil)}
 }
 
 // HistogramVec registers a labeled histogram family with the given bucket
 // layout (nil = DefLatencyBuckets).
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	f := r.family(name, help, kindHist, labels)
+	f := r.family(name, help, kindHist, labels, nil)
 	f.mu.Lock()
 	if f.buckets == nil {
 		if buckets == nil {

@@ -158,6 +158,32 @@ func TestRegistryConcurrentRender(t *testing.T) {
 	wg.Wait()
 }
 
+// Two goroutines that ask for the same new metric at once (two jobs opening
+// their first cluster session) must get one collector; under -race this also
+// pins that the collector is made under the registry's lock.
+func TestConcurrentFirstUseMakesOneCollector(t *testing.T) {
+	for range 50 {
+		r := NewRegistry()
+		var counters [2]*Counter
+		var gauges [2]*Gauge
+		var hists [2]*Histogram
+		var wg sync.WaitGroup
+		for i := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				counters[i] = r.Counter("c_total", "")
+				gauges[i] = r.Gauge("g", "")
+				hists[i] = r.Histogram("h_seconds", "", nil)
+			}()
+		}
+		wg.Wait()
+		if counters[0] != counters[1] || gauges[0] != gauges[1] || hists[0] != hists[1] {
+			t.Fatal("concurrent first use made two collectors for one metric")
+		}
+	}
+}
+
 // TestIdempotentRegistration: same name and kind returns the same collector;
 // a kind mismatch panics.
 func TestIdempotentRegistration(t *testing.T) {

@@ -185,13 +185,14 @@ type RoundStat struct {
 // breakdowns.
 type Stats struct {
 	// PipelineStats holds the run-level figures: K, N and EdgesTotal
-	// describe round 0's input; TotalCommBytes, EstCommBytes, ShardBytes and
-	// Retries sum over the rounds, MaxMachineBytes and EstMaxMachineBytes
-	// are the largest single message of any round, ReplayedMachines is the
-	// ascending union of the machines any round replayed; CoresetEdges,
-	// MachineStats and CompositionEdges describe the final round (what
-	// composition saw). Duration is left to the caller, which counts the
-	// compose in it.
+	// describe round 0's input; TotalCommBytes, EstCommBytes, ShardBytes,
+	// Batches and Retries sum over the rounds, MaxMachineBytes and
+	// EstMaxMachineBytes are the largest single message of any round,
+	// ReplayedMachines is the ascending union of the machines any round
+	// replayed; the per-machine slices (PartEdges, StoredEdges, Live,
+	// CoresetEdges, CoresetFixed, MachineStats) and CompositionEdges describe
+	// the final round (what composition saw). Duration is left to the caller,
+	// which counts the compose in it.
 	core.PipelineStats
 	RoundCap  int // configured cap
 	RoundsRun int
@@ -207,9 +208,11 @@ func (s *Stats) accumulate(rs RoundStat) {
 	s.EstCommBytes += rs.EstCommBytes
 	s.EstMaxMachineBytes = max(s.EstMaxMachineBytes, rs.EstMaxMachineBytes)
 	s.ShardBytes += rs.ShardBytes
+	s.Batches += rs.Batches
 	s.Retries += rs.Retries
 	s.ReplayedMachines = mergeMachines(s.ReplayedMachines, rs.ReplayedMachines)
-	s.CoresetEdges, s.MachineStats, s.CompositionEdges = rs.CoresetEdges, rs.MachineStats, rs.UnionEdges
+	s.PartEdges, s.StoredEdges, s.Live, s.CoresetEdges, s.CoresetFixed = rs.PartEdges, rs.StoredEdges, rs.Live, rs.CoresetEdges, rs.CoresetFixed
+	s.MachineStats, s.CompositionEdges = rs.MachineStats, rs.UnionEdges
 }
 
 // mergeMachines folds a round's replayed machines into the run-level list,

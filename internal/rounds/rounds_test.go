@@ -278,6 +278,35 @@ func TestScheduleShrinks(t *testing.T) {
 	}
 }
 
+// The run-level stats of a run of several rounds: the per-machine slices are
+// the final round's, as graph.RunReport documents, and batches sum over the
+// rounds like the byte counts do.
+func TestStatsDescribeFinalRound(t *testing.T) {
+	g := gen.GNP(300, 0.4, rng.New(7))
+	cfg := Config{K: 16, Rounds: 4, Seed: 7, Params: edcs.ParamsForBeta(8)}
+	_, _, st, err := drive(context.Background(), g, cfg, streamRound(task.Params{EDCS: cfg.Params}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RoundsRun < 2 {
+		t.Fatalf("dense input ran only %d rounds", st.RoundsRun)
+	}
+	last := st.Rounds[len(st.Rounds)-1].RunCounts
+	if !reflect.DeepEqual(st.PartEdges, last.PartEdges) || !reflect.DeepEqual(st.StoredEdges, last.StoredEdges) ||
+		!reflect.DeepEqual(st.Live, last.Live) || !reflect.DeepEqual(st.CoresetEdges, last.CoresetEdges) ||
+		!reflect.DeepEqual(st.CoresetFixed, last.CoresetFixed) || st.CompositionEdges != st.Rounds[len(st.Rounds)-1].UnionEdges {
+		t.Fatalf("run-level per-machine stats are not the final round's:\n got %+v\nwant %+v", st.RunCounts, last)
+	}
+	batches, shardBytes := 0, 0
+	for _, rs := range st.Rounds {
+		batches += rs.Batches
+		shardBytes += rs.ShardBytes
+	}
+	if batches <= st.Rounds[0].Batches || st.Batches != batches || st.ShardBytes != shardBytes {
+		t.Fatalf("batches %d, want the rounds' sum %d (round 0 read %d)", st.Batches, batches, st.Rounds[0].Batches)
+	}
+}
+
 // TestEarlyExit: a bounded-degree input the EDCS keeps whole (P2 forces
 // every edge in) cannot shrink, so the driver must stop after round 0
 // regardless of the cap.

@@ -43,30 +43,31 @@ func (b *matchingBuilder) Finish(n int) Summary {
 }
 
 // vcBuilder is the Theorem 2 machine: a chunked edge store that never copies
-// what it holds, incremental degree tracking with online level-1 peeling,
-// and at Finish the edge-list peel (core.PeelVC) run in place on the store.
+// what it holds, a running degree table that decides level 1 online, and at
+// Finish the edge-list peel (core.PeelVC) run in place on the store and in
+// that table.
 //
 // Degrees only grow as edges arrive, so a vertex belongs to the first peeled
-// level iff its running degree ever reaches the level-1 threshold n/(4k) —
-// the builder detects this the moment it happens, fixes the vertex into the
-// cover immediately, and discards every subsequent edge incident to it (such
-// edges are already covered and can never reach the residual). Edges stored
-// before an endpoint crossed the threshold are dropped by the first sweep of
-// Finish, which hands PeelVC the level-1 set and lets it run levels
-// 2..Delta-1: the same level loop the batch core.ComputeVCCoreset runs from
-// level 1, so the emitted coreset is field-for-field identical to the batch
-// one on the same partition; online peeling only reduces the edges held in
-// memory.
+// level iff its running degree reaches the level-1 threshold n/(4k): the
+// level-1 set is exactly the vertices with deg[v] >= threshold, at any point
+// of the stream. From the arrival that takes a vertex there, the builder
+// discards every edge incident to it (such edges are already covered and can
+// never reach the residual). Edges stored before an endpoint crossed the
+// threshold are dropped by the first sweep of Finish, which hands PeelVC the
+// table and the threshold and lets it run levels 2..Delta-1: the same level
+// loop the batch core.ComputeVCCoreset runs from level 1, so the emitted
+// coreset is field-for-field identical to the batch one on the same
+// partition; online peeling only reduces the edges held in memory.
 //
 // Online peeling needs the thresholds — hence n — upfront; when the source
 // cannot declare n (headerless edge lists), the builder degrades to storing
-// its partition and leaving every level to Finish.
+// its partition and leaving every level to Finish. A source that delivers ids
+// past the n it declared grows the table; level 1 keeps the declared-n
+// threshold.
 type vcBuilder struct {
 	k         int
-	threshold int // level-1 peel threshold; 0 disables online peeling
-	deg       []int32
-	peeled    []bool // nil iff online peeling is disabled
-	nPeeled   int
+	threshold int     // level-1 peel threshold; 0 disables online peeling
+	deg       []int32 // degrees in the shard so far; nil iff online peeling is disabled
 	stored    graph.EdgeStore
 }
 
@@ -76,18 +77,8 @@ func newVCBuilder(k, nHint int) *vcBuilder {
 		// Level j = 1 peels at residual degree >= ceil(n / (k * 2^(j+1))).
 		b.threshold = int(math.Ceil(float64(nHint) / (float64(k) * 4)))
 		b.deg = make([]int32, nHint)
-		b.peeled = make([]bool, nHint)
 	}
 	return b
-}
-
-// grow extends the degree tables to cover vertex v (defensive: sources that
-// declare n upfront should never exceed it).
-func (b *vcBuilder) grow(v graph.ID) {
-	for int(v) >= len(b.deg) {
-		b.deg = append(b.deg, 0)
-		b.peeled = append(b.peeled, false)
-	}
 }
 
 func (b *vcBuilder) Add(e graph.Edge) {
@@ -96,35 +87,32 @@ func (b *vcBuilder) Add(e graph.Edge) {
 		b.stored.Append(e)
 		return
 	}
-	b.grow(e.U)
-	b.grow(e.V)
+	if v := int(max(e.U, e.V)); v >= len(b.deg) {
+		// Defensive: a source that declared n should never exceed it.
+		b.deg = append(b.deg, make([]int32, v+1-len(b.deg))...)
+	}
 	// Every arrival counts toward both endpoint degrees — including edges
 	// that are then discarded — because the batch level-1 set is defined by
 	// degrees in the machine's FULL partition.
 	b.deg[e.U]++
 	b.deg[e.V]++
-	b.peel(e.U)
-	b.peel(e.V)
-	if b.peeled[e.U] || b.peeled[e.V] {
-		return // covered by a fixed vertex; never reaches the residual
+	if int(b.deg[e.U]) >= b.threshold || int(b.deg[e.V]) >= b.threshold {
+		return // covered by a level-1 vertex; never reaches the residual
 	}
 	b.stored.Append(e)
 }
 
-func (b *vcBuilder) peel(v graph.ID) {
-	if !b.peeled[v] && int(b.deg[v]) >= b.threshold {
-		b.peeled[v] = true
-		b.nPeeled++
-	}
-}
-
 func (b *vcBuilder) Finish(n int) Summary {
-	stored := b.stored.Len() // the peel consumes the store
-	cs := core.PeelVC(n, b.k, &b.stored, b.peeled)
+	stored := b.stored.Len() // the peel consumes the store and the table
+	cs := core.PeelVC(n, b.k, &b.stored, b.deg, b.threshold)
+	live := 0
+	if b.threshold > 0 {
+		live = len(cs.Levels[0])
+	}
 	return Summary{
 		VC:     cs,
 		Stored: stored,
-		Live:   b.nPeeled,
+		Live:   live,
 		Bytes:  core.VCCoresetSizeBytes(cs),
 	}
 }

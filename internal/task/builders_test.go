@@ -392,3 +392,75 @@ func TestVCBuilderAllocationBudget(t *testing.T) {
 		t.Fatalf("Add x %d + Finish allocated %d bytes, budget %d", len(part), got, budget)
 	}
 }
+
+// vcShard is one machine's shard of G(n, deg/n) hashed k ways: deg/k edges
+// per vertex on the machine.
+func vcShard(tb testing.TB, n int, deg float64, k int) []graph.Edge {
+	tb.Helper()
+	g := gen.GNP(n, deg/float64(n), rng.New(1))
+	return partition.HashK(g.Edges, k, 7)[0]
+}
+
+// vc Finish peels in the degree table the builder kept while the shard
+// arrived. On the service shard shape (n = 20 000, four machines, degree 2
+// per machine), where no level fixes anybody, it may allocate the residual
+// (8 bytes an edge), one byte per vertex and a small constant: a second
+// degree table or a recount of the store does not fit.
+func TestVCFinishAllocationBudget(t *testing.T) {
+	const n, k = 20_000, 4
+	part := vcShard(t, n, 8, k)
+	if len(part) < 19_000 || len(part) > 21_000 {
+		t.Fatalf("shard has %d edges, want about 20 000", len(part))
+	}
+	b := newVCBuilder(k, n)
+	for _, e := range part {
+		b.Add(e)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := b.Finish(n)
+	runtime.ReadMemStats(&after)
+	if len(s.VC.Fixed) != 0 || len(s.VC.Residual) != len(part) {
+		t.Fatalf("a level fired: %d fixed, %d of %d edges left", len(s.VC.Fixed), len(s.VC.Residual), len(part))
+	}
+	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(8*len(part)+n+1024)
+	t.Logf("Finish allocated %d bytes on %d edges (budget %d)", got, len(part), budget)
+	if got > budget {
+		t.Fatalf("Finish allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// BenchmarkVCFinish runs a vc machine, Add and Finish, on the service shard
+// shape (n = 20 000, degree 2 per machine, where no level fires) and on the
+// dense cluster shape (n = 16 384, degree 64 per machine, where levels do).
+func BenchmarkVCFinish(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		deg  float64
+	}{
+		{"service", 20_000, 8},
+		{"dense", 16_384, 256},
+	} {
+		const k = 4
+		part := vcShard(b, c.n, c.deg, k)
+		b.Run(c.name, func(b *testing.B) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			alloc := ms.TotalAlloc
+			b.ResetTimer()
+			for range b.N {
+				vb := newVCBuilder(k, c.n)
+				for _, e := range part {
+					vb.Add(e)
+				}
+				vb.Finish(c.n)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			edges := float64(b.N * len(part))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+			b.ReportMetric(float64(ms.TotalAlloc-alloc)/edges, "B/edge")
+		})
+	}
+}

@@ -216,3 +216,111 @@ func TestVCBuilderGrowsPastHint(t *testing.T) {
 		}
 	}
 }
+
+// vcFuzzInput packs a shard for FuzzVCPeel: a byte choosing n, one for k,
+// one for the short hint, then one (U, V) byte pair per edge.
+func vcFuzzInput(nSel, k, hint byte, edges ...graph.Edge) []byte {
+	out := []byte{nSel, k - 1, hint}
+	for _, e := range edges {
+		out = append(out, byte(e.U), byte(e.V))
+	}
+	return out
+}
+
+// star returns copies of the star from hub to its leaves, each edge
+// repeated copies times.
+func star(hub graph.ID, leaves []graph.ID, copies int) []graph.Edge {
+	var out []graph.Edge
+	for _, w := range leaves {
+		for range copies {
+			out = append(out, graph.Edge{U: hub, V: w})
+		}
+	}
+	return out
+}
+
+// ids returns lo, lo+1, ..., hi-1.
+func ids(lo, hi graph.ID) []graph.ID {
+	var out []graph.ID
+	for v := lo; v < hi; v++ {
+		out = append(out, v)
+	}
+	return out
+}
+
+// FuzzVCPeel holds every entry point of the peel to the definition (refPeel)
+// on fuzzed shards with self-loops, parallel copies and out-of-order arrival:
+// the batch ComputeVCCoreset, the builder with n declared, the builder
+// without n, and the builder declared fewer vertices than arrive (the grow
+// path, whose level 1 keeps the declared threshold). Every vertex id is below
+// 64. n is at most 64 or one of 128..1024: n <= 64 leaves at most one level,
+// and the larger counts give the two to four levels that exercise the skip of
+// a level whose threshold is above every degree left alive.
+func FuzzVCPeel(f *testing.F) {
+	// n = 64, k = 1: level 1 at 16, met exactly by vertex 0.
+	f.Add(vcFuzzInput(62, 1, 10, star(0, ids(1, 17), 1)...))
+	// n = 256, k = 1: levels at 64 and 32. Nobody reaches 64, vertex 5 has
+	// exactly 32 (sixteen leaves, two copies each), so level 2 must scan.
+	f.Add(vcFuzzInput(0xc1, 1, 100, append(star(5, ids(20, 36), 2), graph.Edge{U: 40, V: 40}, graph.Edge{U: 1, V: 2})...))
+	// The same with one edge fewer: 31 < 32, both levels empty.
+	f.Add(vcFuzzInput(0xc1, 1, 100, star(5, ids(20, 36), 2)[1:]...))
+	// n = 512, k = 1: levels at 128, 64 and 32, arriving in reverse. Vertex 9
+	// (64 copies of the edge to 10, one to 3) and vertex 10 (exactly 64) are
+	// fixed at level 2; vertex 3 keeps exactly 32 edges and is fixed at
+	// level 3.
+	hub := append(star(9, []graph.ID{10}, 64), star(3, ids(40, 56), 2)...)
+	hub = append(hub, graph.Edge{U: 3, V: 9}, graph.Edge{U: 7, V: 7}, graph.Edge{U: 2, V: 1})
+	slices.Reverse(hub)
+	f.Add(vcFuzzInput(0xc2, 1, 200, hub...))
+	// n = 1024, k = 2: levels at 128, 64 and 32; a self-loop counts twice.
+	f.Add(vcFuzzInput(0xc3, 2, 0, star(4, []graph.ID{4}, 16)...))
+	f.Add(vcFuzzInput(30, 3, 7, graph.Edge{U: 3, V: 1}, graph.Edge{U: 1, V: 3}, graph.Edge{U: 1, V: 3}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := int(data[0])%63 + 2
+		if data[0] >= 0xc0 {
+			n = 128 << (data[0] & 3)
+		}
+		k := int(data[1])%8 + 1
+		nHint := int(data[2])%(n-1) + 1
+		ids := min(n, 64)
+		var edges []graph.Edge
+		for i := 3; i+1 < len(data); i += 2 {
+			edges = append(edges, graph.Edge{U: graph.ID(int(data[i]) % ids), V: graph.ID(int(data[i+1]) % ids)})
+		}
+		name := fmt.Sprintf("n=%d k=%d hint=%d m=%d", n, k, nHint, len(edges))
+		thresholds := refThresholds(n, k)
+		want := refPeel(thresholds, edges)
+		checkAgainstOracle(t, name, n, k, edges)
+		level1 := 0
+		if len(want.Levels) > 0 {
+			level1 = len(want.Levels[0])
+		}
+		if _, s := feed(k, n, n, edges); s.Live != level1 {
+			t.Fatalf("%s: builder reports %d vertices peeled online, level 1 has %d", name, s.Live, level1)
+		}
+		if _, s := feed(k, 0, n, edges); s.Live != 0 {
+			t.Fatalf("%s: builder without n reports %d vertices peeled online", name, s.Live)
+		}
+		// The grow path: level 1 at the declared count's threshold, if that
+		// count leaves a level to run at all, and the later levels at n's.
+		// Otherwise nothing is peeled online and the answer is n's.
+		b, s := feed(k, nHint, n, edges)
+		level1 = 0
+		if b.threshold > 0 {
+			thresholds = slices.Clone(thresholds)
+			thresholds[0] = b.threshold
+			want = refPeel(thresholds, edges)
+			level1 = len(want.Levels[0])
+		}
+		if !reflect.DeepEqual(s.VC, want) {
+			t.Fatalf("%s: builder declared %d vertices diverges from the definition:\n got %s\nwant %s", name, nHint, shape(s.VC), shape(want))
+		}
+		if s.Live != level1 {
+			t.Fatalf("%s: builder declared %d vertices reports %d peeled online, level 1 has %d", name, nHint, s.Live, level1)
+		}
+	})
+}
