@@ -34,14 +34,11 @@ package main
 //
 //	CORESETWORKER READY <host:port>
 //
-// on stdout, which is how self-spawn deployments (coreset -cluster local,
-// cluster.SpawnLocal) learn the address when -addr ends in :0; with -admin
-// a second line, CORESETWORKER ADMIN <host:port>, names the admin surface.
-// With -exit-on-stdin-eof the worker also stops when its stdin closes, the
-// lifetime contract SpawnLocal uses so orphaned workers die with their
-// parent. With -trace it logs run and round spans stamped with the run ID
-// the coordinator shipped in its HELLO, so worker streams join the
-// coordinator's -trace stream by run ID.
+// on stdout, which is how a harness that starts workers with -addr ending in
+// :0 learns the address; with -admin a second line, CORESETWORKER ADMIN
+// <host:port>, names the admin surface. With -trace it logs run and round
+// spans stamped with the run ID the coordinator shipped in its HELLO, so
+// worker streams join the coordinator's -trace stream by run ID.
 //
 // Both roles share one -admin surface — GET /metrics (Prometheus text),
 // GET /healthz and net/http/pprof under /debug/pprof/, on a listener kept
@@ -113,10 +110,6 @@ func runServe(ctx context.Context, args []string, stderr io.Writer) int {
 		logger.Print(err)
 		return 2
 	}
-	maxRetries := *retries
-	if maxRetries == 0 {
-		maxRetries = -1 // service convention: negative disables replay
-	}
 	var tracer *obs.Tracer
 	if *trace {
 		tracer = obs.NewTracer(slog.New(slog.NewTextHandler(stderr, nil)), "")
@@ -128,7 +121,7 @@ func runServe(ctx context.Context, args []string, stderr io.Writer) int {
 		CacheSize:         *cacheCap,
 		ClusterWorkers:    fleet,
 		ClusterSpares:     spareFleet,
-		ClusterMaxRetries: maxRetries,
+		ClusterMaxRetries: *retries,
 		DatasetDir:        *datasets,
 		Tracer:            tracer,
 	})
@@ -171,18 +164,16 @@ func runServe(ctx context.Context, args []string, stderr io.Writer) int {
 	return 0
 }
 
-// runWorker is the worker subcommand; it drains and returns when ctx ends,
-// or when stdin closes under -exit-on-stdin-eof.
-func runWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+// runWorker is the worker subcommand; it drains and returns when ctx ends.
+func runWorker(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("coreset worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
-		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight runs")
-		stdinEOF = fs.Bool("exit-on-stdin-eof", false, "shut down when stdin closes (set by self-spawn parents)")
-		quiet    = fs.Bool("q", false, "log nothing: no lifecycle lines, no per-run abort lines")
-		admin    = fs.String("admin", "", "optional admin listener address serving /metrics, /healthz and /debug/pprof/")
-		trace    = fs.Bool("trace", false, "log run and round spans to stderr (run IDs join the coordinator's trace stream)")
+		addr  = fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
+		drain = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight runs")
+		quiet = fs.Bool("q", false, "log nothing: no lifecycle lines, no per-run abort lines")
+		admin = fs.String("admin", "", "optional admin listener address serving /metrics, /healthz and /debug/pprof/")
+		trace = fs.Bool("trace", false, "log run and round spans to stderr (run IDs join the coordinator's trace stream)")
 	)
 	if code, ok := parseFlags(fs, args, ""); !ok {
 		return code
@@ -197,8 +188,9 @@ func runWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 		fmt.Fprintln(stderr, "coreset worker: listen:", err)
 		return 1
 	}
-	// The ready line is the machine-readable contract with SpawnLocal; print
-	// it only after the listener is bound so the address is dialable.
+	// The ready line is the machine-readable contract with whatever started
+	// the worker; print it only after the listener is bound so the address
+	// is dialable.
 	fmt.Fprintf(stdout, "%s%s\n", cluster.ReadyPrefix, ln.Addr())
 	logger.Printf("serving on %s", ln.Addr())
 
@@ -231,16 +223,6 @@ func runWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- w.Serve(ln) }()
 
-	if *stdinEOF {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		go func() {
-			_, _ = io.Copy(io.Discard, stdin)
-			logger.Printf("stdin closed")
-			cancel()
-		}()
-	}
 	// Worker.Shutdown both stops accepting and waits for in-flight runs.
 	if err := d.serveUntil(ctx, serveErr, nil, w.Shutdown); err != nil {
 		logger.Printf("%v (served %d runs)", err, w.Served())

@@ -106,10 +106,10 @@ func (s *gateSource) Next(buf []graph.Edge) (int, error) {
 	return s.EdgeSource.Next(buf)
 }
 
-// TestWorkerDrainsInFlightRunOnStdinEOF: when the parent closes a worker's
-// stdin mid-run, the drain helper stops accepting but lets the in-flight run
+// TestWorkerDrainsInFlightRunOnShutdown: when a worker is told to shut down
+// mid-run, the drain helper stops accepting but lets the in-flight run
 // finish — the coordinator gets its answer — before the worker exits 0.
-func TestWorkerDrainsInFlightRunOnStdinEOF(t *testing.T) {
+func TestWorkerDrainsInFlightRunOnShutdown(t *testing.T) {
 	workerAddr, _, stderr, stop := startWorker(t)
 	src := &gateSource{EdgeSource: path10(), started: make(chan struct{}), release: make(chan struct{})}
 	solved := make(chan error, 1)
@@ -121,7 +121,7 @@ func TestWorkerDrainsInFlightRunOnStdinEOF(t *testing.T) {
 	<-src.started
 
 	stopped := make(chan struct{})
-	go func() { stop(); close(stopped) }() // closes stdin, then waits for exit 0
+	go func() { stop(); close(stopped) }() // cancels the worker, then waits for exit 0
 	// The drain has begun once the listener refuses new connections; the
 	// run it must wait for is still parked in the gate.
 	for {

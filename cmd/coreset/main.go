@@ -24,7 +24,7 @@
 //	coreset -task matching -gen gnp -n 10000 -deg 8   (synthetic input)
 //	coreset -task vc -k 8 -stream -in graph.txt       (streaming runtime)
 //	coreset -task vc -cluster host:p1,host:p2 -in g   (cluster runtime)
-//	coreset -task vc -cluster local -k 4 -in g        (self-spawned workers)
+//	coreset -task vc -cluster local -k 4 -in g        (loopback workers)
 //	coreset -task matching -k 8 -dataset data/web     (run from a stored dataset)
 //
 // Tasks: matching and vc are the paper's Theorem 1/2 coresets; edcs is the
@@ -59,11 +59,11 @@
 // incrementally and streams all three generators (gnp, star and powerlaw)
 // without ever building the edge list.
 //
-// With -cluster the machines are separate OS processes: either an existing
-// fleet of `coreset worker` processes named as comma-separated addresses
-// (one machine per address; -k is ignored), or "-cluster local", which
-// forks -k `coreset worker -exit-on-stdin-eof` processes from this binary
-// and tears them down after the run. The sharding seed and per-machine
+// With -cluster every machine's shard and coreset cross a TCP connection:
+// either to an existing fleet of `coreset worker` processes named as
+// comma-separated addresses (one machine per address; -k is ignored), or,
+// with "-cluster local", to -k workers this process serves on loopback
+// listeners for the length of the run. The sharding seed and per-machine
 // algorithms are identical to -stream, so the answers match bit for bit;
 // what changes is that TotalCommBytes in the report is measured off the TCP
 // connections (the simulated estimate is reported alongside as
@@ -151,11 +151,6 @@ func main() {
 // subcommands lists the roles this binary plays; run is the default.
 var subcommands = []string{"run", "ingest", "serve", "worker", "load", "experiments"}
 
-// workerArgs is the command line "-cluster local" forks: a worker that
-// drains and exits when its parent closes its stdin, and logs nothing, so a
-// successful run prints nothing on stderr.
-var workerArgs = []string{"worker", "-exit-on-stdin-eof", "-q"}
-
 // run is the testable entry point: it dispatches on the subcommand and
 // writes all output to the given writers. serve and worker stop on SIGINT or
 // SIGTERM; tests call runServe and runWorker with a context of their own.
@@ -173,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if sub == "serve" {
 			return runServe(ctx, args, stderr)
 		}
-		return runWorker(ctx, args, os.Stdin, stdout, stderr)
+		return runWorker(ctx, args, stdout, stderr)
 	case "load":
 		return runLoad(args, stdout, stderr)
 	case "experiments":
@@ -234,7 +229,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) int {
 		dsDir     = fs.String("dataset", "", "input dataset directory (coreset ingest); edges stream off disk")
 		seed      = fs.Uint64("seed", 1, "root seed")
 		streaming = fs.Bool("stream", false, "use the streaming sharded runtime (never materializes the graph)")
-		clusterTo = fs.String("cluster", "", "use the cluster runtime: worker addresses host:p1,host:p2,... or 'local' to fork -k workers")
+		clusterTo = fs.String("cluster", "", "use the cluster runtime: worker addresses host:p1,host:p2,... or 'local' for -k loopback workers in this process")
 		retries   = fs.Int("max-retries", cluster.DefaultMaxRetries, "cluster only: per-machine, per-round replay budget after a worker failure (0 = fail fast)")
 		batch     = fs.Int("batch", 0, "streaming batch size in edges (0 = default)")
 		quiet     = fs.Bool("q", false, "print only the summary line")
@@ -296,7 +291,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) int {
 	}
 	switch {
 	case *clusterTo != "":
-		addrs, cleanup, err := resolveCluster(*clusterTo, *k, stderr)
+		addrs, cleanup, err := resolveCluster(*clusterTo, *k)
 		if err != nil {
 			fmt.Fprintln(stderr, "coreset:", err)
 			return 1
@@ -393,7 +388,7 @@ func printReport(w io.Writer, d *task.Descriptor, rep *graph.RunReport, quiet bo
 				fmt.Fprintf(w, "%s: %v\n", d.LiveLabel, rep.Live)
 			}
 		default:
-			fmt.Fprintf(w, "cluster: n=%d, %d edges in %d batches, k=%d worker processes\n", rep.N, rep.M, rep.Batches, rep.K)
+			fmt.Fprintf(w, "cluster: n=%d, %d edges in %d batches, k=%d workers\n", rep.N, rep.M, rep.Batches, rep.K)
 			fmt.Fprintf(w, "communication (measured): total %d bytes, max machine %d bytes; simulated estimate %d bytes\n",
 				rep.TotalCommBytes, rep.MaxMachineBytes, rep.EstCommBytes)
 			fmt.Fprintf(w, "shard traffic: %d bytes to workers; throughput %.0f edges/sec (%.1f ms)\n",
@@ -450,23 +445,15 @@ func printMachineStats(w io.Writer, ms []graph.MachineStats, indent string) {
 	}
 }
 
-// resolveCluster turns the -cluster flag into worker addresses, forking a
-// local fleet of `coreset worker` processes when asked. The returned
-// cleanup (possibly nil) tears the fleet down.
-func resolveCluster(spec string, k int, stderr io.Writer) (addrs []string, cleanup func(), err error) {
-	if spec != "local" {
-		addrs, err := cluster.ParseWorkerList(spec)
-		return addrs, nil, err
+// resolveCluster turns the -cluster flag into worker addresses, serving k
+// loopback workers in this process for "local". The returned cleanup
+// (possibly nil) shuts that fleet down.
+func resolveCluster(spec string, k int) (addrs []string, cleanup func(), err error) {
+	if spec == "local" {
+		return cluster.ServeLoopback(k)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, nil, fmt.Errorf("-cluster local: %w", err)
-	}
-	lw, err := cluster.SpawnLocal(exe, workerArgs, k, stderr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lw.Addrs(), func() { _ = lw.Close() }, nil
+	addrs, err = cluster.ParseWorkerList(spec)
+	return addrs, nil, err
 }
 
 // inputSpec bundles the CLI flags that name an input graph: an edge-list

@@ -38,16 +38,17 @@ func (s *syncBuffer) String() string {
 }
 
 // startWorker runs the CLI in a goroutine and parses the machine-readable
-// ready lines off stdout. Closing the returned stop function triggers the
-// stdin-EOF shutdown path and waits for a clean exit.
+// ready lines off stdout. The returned stop function cancels the worker's
+// context — the path SIGINT and SIGTERM take — and waits for a clean exit.
 func startWorker(t *testing.T, args ...string) (workerAddr, adminAddr string, stderr *syncBuffer, stop func()) {
 	t.Helper()
-	stdinR, stdinW := io.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	stdoutR, stdoutW := io.Pipe()
 	errBuf := &syncBuffer{}
 	code := make(chan int, 1)
 	go func() {
-		code <- runWorker(context.Background(), append([]string{"-exit-on-stdin-eof"}, args...), stdinR, stdoutW, errBuf)
+		code <- runWorker(ctx, args, stdoutW, errBuf)
 		stdoutW.Close()
 	}()
 	sc := bufio.NewScanner(stdoutR)
@@ -76,7 +77,7 @@ func startWorker(t *testing.T, args ...string) (workerAddr, adminAddr string, st
 	}
 	go io.Copy(io.Discard, stdoutR) // keep the pipe drained
 	return workerAddr, adminAddr, errBuf, func() {
-		stdinW.Close()
+		cancel()
 		if c := <-code; c != 0 {
 			t.Errorf("worker exited %d (stderr: %s)", c, errBuf.String())
 		}

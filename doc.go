@@ -34,7 +34,7 @@
 //	           ┌────────────────▼────────────────────────────────────┐
 //	batch      │ edge list → validate → stream pipeline → verify     │ materialized
 //	stream     │ EdgeSource → stream.Pass → k goroutines → compose   │ deployment shape
-//	cluster    │ EdgeSource → stream.Pass → k OS PROCESSES over TCP  │ real machines,
+//	cluster    │ EdgeSource → stream.Pass → k WORKERS over TCP       │ real sockets,
 //	           │   (typed frames; shards as lists, coresets as sets) │ measured bytes
 //	service    │ resident daemon dispatching jobs to any of the above│ summaries reused
 //	           └──────── internal/task builders, internal/core ──────┘
@@ -91,9 +91,9 @@
 // content hash, so a repeated job on a stored graph is answered with zero
 // re-parse and zero re-read, regardless of the ID it was registered under.
 //
-// The cluster runtime (internal/cluster) makes the machines real: k worker
-// OS processes (`coreset worker`, or self-spawned by coreset -cluster
-// local) host the very same incremental builders behind a compact
+// The cluster runtime (internal/cluster) makes the machines real: k workers
+// (`coreset worker` processes, or loopback listeners inside the coordinator
+// under coreset -cluster local) host the very same incremental builders behind a compact
 // length-prefixed wire protocol — HELLO/ACK/SHARD/EOS/TELEM/CORESET/ERROR
 // frames over TCP, one fixed layout per protocol version, each frame pinned
 // by a golden under internal/cluster/testdata/v4. Two codecs carry edges (internal/graph, encode.go). A shard must

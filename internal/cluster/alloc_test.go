@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/stream"
 	"repro/internal/task"
 )
 
@@ -37,7 +38,7 @@ func TestWorkerShardLoopAllocatesNothingPerFrame(t *testing.T) {
 		served <- w.serveRounds(server, rd, h, nil, func() task.Builder { return nopBuilder{} })
 	}()
 
-	batch := make([]graph.Edge, DefaultBatchSize)
+	batch := make([]graph.Edge, stream.DefaultBatchSize)
 	for i := range batch {
 		batch[i] = graph.Edge{U: graph.ID(i), V: graph.ID(3*i + 1)}
 	}

@@ -1,9 +1,9 @@
 // Package cluster is the distributed deployment of the paper's simultaneous
-// model: the k machines are separate OS processes, and the coreset messages
-// cross a real TCP connection, so the communication the paper bounds is
-// *measured* on the wire instead of estimated from encoded sizes.
+// model: the k machines are workers behind TCP listeners, and the coreset
+// messages cross a real TCP connection, so the communication the paper
+// bounds is *measured* on the wire instead of estimated from encoded sizes.
 //
-//	EdgeSource --> sharder --> k TCP connections --> k worker processes
+//	EdgeSource --> sharder --> k TCP connections --> k workers
 //	                                  ^                      |
 //	              coordinator --------+---- CORESET frames --+--> composition
 //
@@ -47,9 +47,10 @@
 //
 // Deployment shapes: `coreset worker` is the resident worker process (serves
 // many runs concurrently, drains gracefully); coreset -cluster
-// host:port,... drives an existing deployment; -cluster local self-spawns k
-// worker processes (SpawnLocal) for single-machine use; and coreset serve
-// dispatches jobs with mode "cluster" to a configured worker fleet.
+// host:port,... drives an existing deployment; -cluster local serves k
+// workers on loopback listeners inside the coordinator's process
+// (ServeLoopback) for single-machine use; and coreset serve dispatches jobs
+// with mode "cluster" to a configured worker fleet.
 package cluster
 
 import (
@@ -83,9 +84,6 @@ const (
 	MetricWorkerFailures = "cluster_worker_failures_total"
 )
 
-// DefaultBatchSize matches the in-process streaming runtime's batch size.
-const DefaultBatchSize = 1024
-
 // DefaultDialTimeout bounds each worker connection attempt.
 const DefaultDialTimeout = 5 * time.Second
 
@@ -116,7 +114,7 @@ type Config struct {
 	// Session takes its seed per call, in Round, so Open ignores this field.
 	Seed uint64
 	// BatchSize is the number of edges per SHARD frame (default
-	// DefaultBatchSize).
+	// stream.DefaultBatchSize).
 	BatchSize int
 	// DialTimeout bounds each worker connection attempt (default
 	// DefaultDialTimeout).
@@ -151,13 +149,6 @@ type Config struct {
 	// coordinator's trace stream. Empty is fine: workers still return
 	// telemetry, their spans just carry no run attribute.
 	RunID string
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return DefaultBatchSize
 }
 
 func (c Config) dialTimeout() time.Duration {

@@ -702,6 +702,82 @@ func TestSessionReplayEveryRound(t *testing.T) {
 	}
 }
 
+// TestSessionWorkerKilledBetweenRounds is the chaos drill: a fleet member
+// vanishes between rounds of a live EDCS session — its connection drops and
+// its address refuses dials from then on. The coordinator must absorb the
+// loss — burn one replay attempt on the dead address, recover on the spare —
+// and the disturbed session's per-round coresets must be deep-equal to the
+// in-process streaming oracle.
+func TestSessionWorkerKilledBetweenRounds(t *testing.T) {
+	// Three workers: two fleet members, machine 1 behind a faithful proxy
+	// whose closer is the kill, plus one standby the replay may promote.
+	backends := startWorkers(t, 3)
+	proxyAddr, kill := flakyProxy(t, backends[1], []proxyPlan{{}})
+	t.Cleanup(kill)
+
+	g := gen.GNP(600, 30.0/600, rng.New(7))
+	p := edcs.ParamsForBeta(16)
+	cfg := Config{
+		Workers:      []string{backends[0], proxyAddr},
+		Spares:       backends[2:],
+		BatchSize:    64,
+		MaxRetries:   3,
+		RetryBackoff: 10 * time.Millisecond,
+	}
+	sess, err := Open(context.Background(), cfg, edcsTask, task.Params{EDCS: p}, 2, g.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	seeds := []uint64{7, 8}
+	input := []graph.Edge(g.Edges)
+	for r := 0; r < 2; r++ {
+		if r == 1 {
+			kill()
+		}
+		var sums []task.Summary
+		var st *core.PipelineStats
+		err := runWithTimeout(t, 30*time.Second, func() error {
+			var err error
+			sums, st, err = sess.Round(context.Background(), stream.NewSliceSource(g.N, input), 2, seeds[r])
+			return err
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if r == 1 {
+			// At least two attempts: the dead address, then the spare.
+			if st.Retries < 2 {
+				t.Fatalf("round 1 Retries = %d, want >= 2 (dead re-dial, then spare)", st.Retries)
+			}
+			if !reflect.DeepEqual(st.ReplayedMachines, []int{1}) {
+				t.Fatalf("round 1 ReplayedMachines = %v, want [1]", st.ReplayedMachines)
+			}
+		} else if st.Retries != 0 {
+			t.Fatalf("round 0 Retries = %d, want 0 (undisturbed)", st.Retries)
+		}
+
+		want, _, err := stream.Summaries(context.Background(),
+			stream.NewSliceSource(g.N, input), stream.Config{K: 2, Seed: seeds[r], BatchSize: 64}, edcsTask, task.Params{EDCS: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(sums[i].Coreset, want[i].Coreset) {
+				t.Fatalf("round %d machine %d coreset diverged from the in-process oracle", r, i)
+			}
+		}
+		input = nil
+		for _, s := range sums {
+			input = append(input, s.Coreset...)
+		}
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("Close after chaos session: %v", err)
+	}
+}
+
 // TestSessionCloseIdempotent: Close must be safe to call twice on a healthy
 // session, and the session must be unusable afterwards.
 func TestSessionCloseIdempotent(t *testing.T) {

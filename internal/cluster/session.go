@@ -346,7 +346,7 @@ func (s *Session) pass(ctx context.Context, src stream.EdgeSource, k int, seed u
 	// connection: per-worker backpressure) but never past cancellation,
 	// which — the pass's own on a source error included — force-closes the
 	// connections, so no goroutine can stay blocked on the network.
-	cfg := stream.Config{K: k, Seed: seed, BatchSize: s.cfg.batchSize()}
+	cfg := stream.Config{K: k, Seed: seed, BatchSize: s.cfg.BatchSize}
 	p.PassResult = stream.Pass(runCtx, src, cfg, live, func(ctx context.Context, f *stream.Feed) {
 		stopWatch := closeOnCancel(ctx, s.links[f.Machine].conn)
 		defer stopWatch()

@@ -100,7 +100,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // shardBatch is a full routed batch with the dense benchmark shape's deltas:
 // runs of 32 edges per U, V spread over 16 000 IDs above it.
 func shardBatch() []graph.Edge {
-	batch := make([]graph.Edge, DefaultBatchSize)
+	batch := make([]graph.Edge, stream.DefaultBatchSize)
 	for i := range batch {
 		batch[i] = graph.Edge{U: graph.ID(i / 32), V: graph.ID(i/32 + 1 + (i*7919)%16000)}
 	}

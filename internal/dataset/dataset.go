@@ -152,9 +152,6 @@ func Open(dir string) (*Dataset, error) {
 // Close releases the data file handle. Reads after Close fail.
 func (d *Dataset) Close() error { return d.f.Close() }
 
-// Dir returns the dataset directory.
-func (d *Dataset) Dir() string { return d.dir }
-
 // Manifest returns a copy of the manifest (segments shared read-only).
 func (d *Dataset) Manifest() Manifest { return d.man }
 
@@ -242,9 +239,6 @@ func OpenStore(dir string) (*Store, error) {
 	}
 	return &Store{root: dir}, nil
 }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
 
 // Path returns the directory a named dataset lives in. The name must be a
 // single path element — no separators, no traversal — so a store name can

@@ -41,7 +41,7 @@ import (
 const (
 	Batch   = "batch"   // the stream pipeline over the materialized, self-checked graph
 	Stream  = "stream"  // k goroutines behind stream.Route
-	Cluster = "cluster" // k worker processes over TCP
+	Cluster = "cluster" // k workers over TCP
 )
 
 // Spec is one run's full description. Every field is a CLI flag or a job

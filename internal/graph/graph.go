@@ -95,12 +95,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Dedup sorts the edge list and removes parallel edges in place, returning g.
-func (g *Graph) Dedup() *Graph {
-	g.Edges = DedupEdges(g.Edges)
-	return g
-}
-
 // DedupEdges canonicalizes, sorts and removes duplicate edges. The input
 // slice is modified and the (possibly shorter) deduplicated slice returned.
 func DedupEdges(edges []Edge) []Edge {

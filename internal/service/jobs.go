@@ -162,24 +162,12 @@ type Manager struct {
 }
 
 // ClusterConfig configures the worker fleet mode "cluster" jobs dispatch
-// to. Zero MaxRetries means the service default (cluster.DefaultMaxRetries
-// — a daemon-dispatched job rides out a transient worker loss and reports
-// the retries instead of failing); negative disables replay entirely.
+// to. MaxRetries is cluster.Config.MaxRetries: the per-machine, per-round
+// replay budget, 0 failing fast.
 type ClusterConfig struct {
 	Workers    []string
 	Spares     []string
 	MaxRetries int
-}
-
-// maxRetries resolves the service-level retry default.
-func (c ClusterConfig) maxRetries() int {
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	if c.MaxRetries == 0 {
-		return cluster.DefaultMaxRetries
-	}
-	return c.MaxRetries
 }
 
 // NewManager starts workers goroutines consuming a queue of queueDepth
@@ -385,14 +373,14 @@ func (m *Manager) execute(j *Job) (*graph.RunReport, error) {
 		K:         req.K,
 		Seed:      req.Seed,
 		BatchSize: req.Batch,
-		// Replay is on by default for daemon-dispatched jobs: registry
-		// sources are restartable, so a worker lost mid-round costs the job
-		// one round replay (reported in the result's retry fields) instead
-		// of a 500.
+		// Registry sources are restartable, so with a replay budget (coreset
+		// serve's -max-retries, cluster.DefaultMaxRetries unless set) a
+		// worker lost mid-round costs the job one round replay, reported in
+		// the result's retry fields, instead of a failed job.
 		Cluster: cluster.Config{
 			Workers:    m.cluster.Workers,
 			Spares:     m.cluster.Spares,
-			MaxRetries: m.cluster.maxRetries(),
+			MaxRetries: m.cluster.MaxRetries,
 			RunID:      j.runID,
 		},
 		Metrics: m.ins.registry(),

@@ -53,9 +53,6 @@ type GraphEntry struct {
 	lastUse int64
 }
 
-// Generation returns the entry's registry-unique generation number.
-func (e *GraphEntry) Generation() int64 { return e.generation }
-
 // NewRegistry returns a registry evicting idle graphs beyond maxResident
 // entries (<= 0 disables eviction) and refusing a generator spec whose draw
 // needs more than maxDrawBytes of resident edges (<= 0: no bound). The
@@ -201,17 +198,6 @@ func (r *Registry) evictLocked(just *GraphEntry) {
 		delete(r.entries, victim.ID)
 		r.evictions++
 	}
-}
-
-// Generation returns the current generation of id.
-func (r *Registry) Generation(id string) (int64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[id]
-	if !ok {
-		return 0, false
-	}
-	return e.generation, true
 }
 
 // cacheScope returns the (graph, generation) pair result-cache keys use for

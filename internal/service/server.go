@@ -45,8 +45,9 @@ type Config struct {
 	// substitute for a failed fleet member.
 	ClusterSpares []string
 	// ClusterMaxRetries is the per-machine, per-round replay budget for
-	// cluster jobs. 0 means the service default (cluster.DefaultMaxRetries);
-	// negative disables replay, restoring fail-fast cluster jobs.
+	// cluster jobs, with cluster.Config.MaxRetries's meaning: 0 fails fast.
+	// coreset serve sets it from -max-retries (default
+	// cluster.DefaultMaxRetries).
 	ClusterMaxRetries int
 	// Tracer receives structured run-trace events (job spans with run IDs).
 	// Nil disables tracing; see internal/obs.
