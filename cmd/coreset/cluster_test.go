@@ -60,10 +60,11 @@ func TestClusterJSONReport(t *testing.T) {
 		t.Fatalf("wire accounting missing: measured %d, est %d", rep.TotalCommBytes, rep.EstCommBytes)
 	}
 	// The estimate is the exact length of the CORESET bodies, so a measured
-	// frame exceeds it by its 5-byte header and the three one-byte stats
-	// varints of a 10-vertex shard, and by nothing else.
-	if want := rep.EstCommBytes + rep.K*(5+3); rep.TotalCommBytes != want {
-		t.Fatalf("measured %d, want est %d + %d frames * 8 = %d", rep.TotalCommBytes, rep.EstCommBytes, rep.K, want)
+	// frame exceeds it by its 5-byte header, its 4-byte checksum trailer and
+	// the three one-byte stats varints of a 10-vertex shard, and by nothing
+	// else.
+	if want := rep.EstCommBytes + rep.K*(5+4+3); rep.TotalCommBytes != want {
+		t.Fatalf("measured %d, want est %d + %d frames * 12 = %d", rep.TotalCommBytes, rep.EstCommBytes, rep.K, want)
 	}
 	if rep.ShardBytes <= 0 {
 		t.Fatal("no shard traffic measured")

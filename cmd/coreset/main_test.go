@@ -151,7 +151,7 @@ func TestStreamGoldenSyntheticGNP(t *testing.T) {
 		// Byte counts are pinned to the sorted-set codec
 		// (graph.AppendEdgeSet), the shared wire/accounting encoding of
 		// every coreset body; 7946 / 2071 under the delta batch codec.
-		"communication: total 4712 bytes, max machine 1220 bytes",
+		"communication: total 4403 bytes, max machine 1140 bytes",
 		"coreset edges per machine: [679 705 655 671]",
 		"live greedy per machine: [621 627 591 614]",
 		"matching: 980 edges (streamed, 4 machines)",
@@ -292,7 +292,7 @@ func TestJSONGoldenBatchMatching(t *testing.T) {
     3,
     4
   ],
-  "totalCommBytes": 12,
+  "totalCommBytes": 11,
   "maxMachineBytes": 6,
   "compositionEdges": 7,
   "batches": 1,
@@ -336,7 +336,7 @@ func TestJSONGoldenStreamVC(t *testing.T) {
     0,
     0
   ],
-  "totalCommBytes": 15,
+  "totalCommBytes": 14,
   "maxMachineBytes": 8,
   "compositionEdges": 9,
   "batches": 1,
@@ -380,7 +380,7 @@ func TestJSONGoldenBatchEDCS(t *testing.T) {
     3,
     6
   ],
-  "totalCommBytes": 13,
+  "totalCommBytes": 12,
   "maxMachineBytes": 7,
   "compositionEdges": 9,
   "batches": 1,
@@ -494,7 +494,7 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
     3,
     6
   ],
-  "totalCommBytes": 13,
+  "totalCommBytes": 12,
   "maxMachineBytes": 7,
   "compositionEdges": 9,
   "batches": 1,
@@ -524,7 +524,7 @@ func TestJSONGoldenMultiRoundEDCS(t *testing.T) {
         3,
         6
       ],
-      "totalCommBytes": 13,
+      "totalCommBytes": 12,
       "maxMachineBytes": 7,
       "compositionEdges": 9,
       "batches": 1,

@@ -96,18 +96,24 @@
 // under coreset -cluster local) host the very same incremental builders behind a compact
 // length-prefixed wire protocol — HELLO/ACK/SHARD/EOS/TELEM/CORESET/ERROR
 // frames over TCP, one fixed layout per protocol version, each frame pinned
-// by a golden under internal/cluster/testdata/v4. Two codecs carry edges (internal/graph, encode.go). A shard must
-// arrive in the order it was routed, so SHARD frames use the
-// order-preserving varint delta batch (graph.AppendEdgeBatch, the dataset
-// segment format too). A coreset is a set — a matching, an EDCS, the peeled
+// by a golden under internal/cluster/testdata/v5 and closed by a CRC-32C
+// trailer, so a damaged frame is refused whole (and replayed) rather than
+// read as a different one. Two codecs carry edges (internal/graph,
+// encode.go). A shard must arrive in the order it was routed, so SHARD
+// frames use the order-preserving varint delta batch (graph.AppendEdgeBatch,
+// the dataset segment format too). A coreset is a set — a matching, an EDCS, the peeled
 // levels and the residual of Theorem 2 — and leaves every machine sorted, so
 // CORESET bodies send the set and not a list of it: Golomb–Rice coded gaps of
 // the sorted elements (graph.AppendEdgeSet / AppendIDSet), half what the list
-// costs. A Theorem 2 residual touches no vertex its machine fixed, and the
-// coordinator decodes the levels first, so its endpoints travel as ranks
-// among the unfixed vertices (graph.AppendRankedEdgeSet). That is 11 to 17
-// bits an edge on the benchmark inputs, each within 2 % of the information
-// bound given what the message has already sent. The same functions price
+// costs. An edge is undirected, so it is numbered in the upper triangle
+// U <= V of the stride×stride square, which spares the bit an edge an
+// orientation would cost. A Theorem 2 residual touches no vertex its machine
+// fixed, and the coordinator decodes the levels first, so its endpoints
+// travel as ranks among the unfixed vertices (graph.AppendRankedEdgeSet).
+// That is 10 to 16.5 bits an edge on the benchmark inputs, each body within
+// 1 % of the information bound of its edge set given what the message has
+// already sent — 4 % for the dense vc body, whose peeled levels it counts
+// against its residual's bound. The same functions price
 // the messages in every runtime (core.CoresetSizeBytes,
 // core.VCCoresetSizeBytes), so the communication a batch or stream run
 // reports is the byte length the cluster would have sent, exactly. The
@@ -117,7 +123,7 @@
 // tests in internal/cluster assert deep-equal coresets — while
 // TotalCommBytes/MaxMachineBytes in the run report are measured off the
 // sockets, with the body lengths alongside (EstCommBytes): the difference
-// is the frame headers and the stats varints, to the byte. Failures
+// is the frame headers and trailers and the stats varints, to the byte. Failures
 // surface as typed *cluster.WorkerError values carrying a FailureKind
 // taxonomy, and the retryable kinds — dial refused, connection drop, a
 // frame stalled past Config.IOTimeout — do not abort the run: because the
@@ -254,11 +260,12 @@
 // reads every mid-run frame into one per connection (the coordinator, which
 // keeps the TELEM and CORESET payloads it reads, does not). Every frame,
 // from either side, leaves in one write: its sender reserves the 5 header
-// bytes in front of the payload it encodes, so header and payload share one
-// TCP segment without a copy. A worker reads each connection through one
-// buffered reader, the HELLO included, so one read brings in several SHARD
-// frames. Neither granularity is part of the protocol: the bytes are
-// version 4's whichever way they are cut.
+// bytes in front of the payload it encodes and appends the 4-byte checksum
+// trailer behind it, so the frame shares one TCP segment without a copy. A
+// worker reads each connection through one buffered reader, the HELLO
+// included, so one read brings in several SHARD frames. Neither granularity
+// is part of the protocol: the bytes are version 5's whichever way they are
+// cut.
 //
 // Above both runtimes sits the service layer (internal/service, served by
 // coreset serve): a long-running daemon that keeps graphs and their composed

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"slices"
@@ -218,8 +219,8 @@ func TestSeedParityAcrossRuntimes(t *testing.T) {
 // checkMeasuredBytes asserts the acceptance criterion on wire accounting:
 // the estimate is the in-process runtime's accounting exactly, and the
 // measured bytes are that plus, per machine, the CORESET frame's header and
-// its three stats varints — to the byte, because the estimate is the length
-// of the encoded bodies and not an approximation of it.
+// trailer and its three stats varints — to the byte, because the estimate is
+// the length of the encoded bodies and not an approximation of it.
 func checkMeasuredBytes(t *testing.T, st *core.PipelineStats, streamEstimate int) {
 	t.Helper()
 	if st.EstCommBytes != streamEstimate {
@@ -227,13 +228,13 @@ func checkMeasuredBytes(t *testing.T, st *core.PipelineStats, streamEstimate int
 	}
 	overhead := 0
 	for m := 0; m < st.K; m++ {
-		overhead += frameHeaderLen
+		overhead += frameOverhead
 		for _, stat := range []int{st.PartEdges[m], st.StoredEdges[m], st.Live[m]} {
 			overhead += graph.UvarintLen(uint64(stat))
 		}
 	}
 	if st.TotalCommBytes-overhead != st.EstCommBytes {
-		t.Fatalf("measured %d bytes less %d of frame headers and stats is %d, estimate %d",
+		t.Fatalf("measured %d bytes less %d of frame headers, trailers and stats is %d, estimate %d",
 			st.TotalCommBytes, overhead, st.TotalCommBytes-overhead, st.EstCommBytes)
 	}
 	if st.MaxMachineBytes < st.EstMaxMachineBytes {
@@ -329,6 +330,89 @@ func TestCanonicalOrderParity(t *testing.T) {
 			t.Fatalf("seed %d: stream cover differs from batch (%d vs %d vertices)", seed, len(sc.Cover), len(want))
 		}
 		checkMeasuredBytes(t, cst, sst.TotalCommBytes)
+	}
+}
+
+// TestOrientationIsNotInformation: an undirected edge's orientation is not
+// part of the input. Every task fed one shard — a sorted, canonical
+// hub-and-noise graph — the same shard with every edge reversed, and the
+// same shard with a random half reversed, through the batch reference (the
+// hash parts fed to the builders), the stream runtime and loopback cluster
+// workers, must emit deep-equal summaries and byte-identical CORESET bodies
+// in all nine runs.
+func TestOrientationIsNotInformation(t *testing.T) {
+	const n, k, seed = 2000, 3, 7
+	ctx := context.Background()
+	addrs := startWorkers(t, k)
+	r := rng.New(seed)
+	seen := make(map[graph.Edge]bool)
+	var sorted []graph.Edge
+	for _, e := range gen.HubNoise(n, 4, n/2, 5*n, r) {
+		if e = e.Canon(); e.U != e.V && !seen[e] {
+			seen[e] = true
+			sorted = append(sorted, e)
+		}
+	}
+	graph.SortEdges(sorted)
+	reversed, half := slices.Clone(sorted), slices.Clone(sorted)
+	for i, e := range sorted {
+		reversed[i] = graph.Edge{U: e.V, V: e.U}
+		if r.Intn(2) == 0 {
+			half[i] = reversed[i]
+		}
+	}
+	inputs := map[string][]graph.Edge{"sorted": sorted, "reversed": reversed, "half reversed": half}
+	// A small β keeps the EDCS repairing, where the order endpoints turn
+	// dirty in would show.
+	p := task.Params{EDCS: edcs.ParamsForBeta(4)}
+
+	for _, name := range task.Names() {
+		d := task.MustGet(name)
+		runs := map[string]func(edges []graph.Edge) []task.Summary{
+			"batch": func(edges []graph.Edge) []task.Summary {
+				sums := make([]task.Summary, k)
+				for i, part := range partition.HashK(edges, k, seed) {
+					b := d.NewBuilder(k, n, p)
+					for _, e := range part {
+						b.Add(e)
+					}
+					sums[i] = b.Finish(n)
+					sums[i].Edges = len(part)
+				}
+				return sums
+			},
+			"stream": func(edges []graph.Edge) []task.Summary {
+				sums, _, err := stream.Summaries(ctx, stream.NewSliceSource(n, edges), stream.Config{K: k, Seed: seed}, d, p)
+				if err != nil {
+					t.Fatalf("%s stream: %v", name, err)
+				}
+				return sums
+			},
+			"cluster": func(edges []graph.Edge) []task.Summary {
+				sums, _, err := summaries(ctx, stream.NewSliceSource(n, edges), Config{Workers: addrs, Seed: seed}, d, p)
+				if err != nil {
+					t.Fatalf("%s cluster: %v", name, err)
+				}
+				return sums
+			},
+		}
+		want := runs["batch"](sorted)
+		for input, edges := range inputs {
+			for runtime, run := range runs {
+				got := run(edges)
+				for m := range want {
+					if !reflect.DeepEqual(got[m], want[m]) {
+						t.Fatalf("%s, %s input, %s: machine %d's summary differs from the sorted batch run's", name, input, runtime, m)
+					}
+					if a, b := task.AppendSummary(nil, d, got[m]), task.AppendSummary(nil, d, want[m]); !bytes.Equal(a, b) {
+						t.Fatalf("%s, %s input, %s: machine %d's CORESET body differs", name, input, runtime, m)
+					}
+				}
+			}
+		}
+		if name == "vc" && len(want[0].VC.Fixed) == 0 {
+			t.Fatal("vc: no vertex peeled; the input is too tame")
+		}
 	}
 }
 

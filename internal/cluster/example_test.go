@@ -17,8 +17,8 @@ import (
 // and composes a maximum matching whose communication is measured off the
 // connections. The same run through the in-process streaming runtime gives
 // the same answer, and its simulated bytes are exactly the coreset bodies the
-// workers sent; each CORESET frame adds a 5-byte header and three stats
-// varints on top.
+// workers sent; each CORESET frame adds a 5-byte header, a 4-byte checksum
+// trailer and three stats varints on top.
 func ExampleSolve() {
 	const n, k, seed = 5000, 4, 42
 	addrs, shutdown, err := cluster.ServeLoopback(k)
@@ -46,6 +46,6 @@ func ExampleSolve() {
 	fmt.Printf("in-process: matching %d edges, simulated %d B\n", sm.Size, sst.TotalCommBytes)
 	// Output:
 	// cluster:    matching 2493 edges over 20092 input edges
-	//             measured 14794 B of coresets (bodies 14750 B), 60034 B of shards
-	// in-process: matching 2493 edges, simulated 14750 B
+	//             measured 13877 B of coresets (bodies 13817 B), 60146 B of shards
+	// in-process: matching 2493 edges, simulated 13817 B
 }

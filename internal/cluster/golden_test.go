@@ -276,7 +276,7 @@ func goldenPayloads(t testing.TB, typ byte) [][]byte {
 	var ps [][]byte
 	for _, g := range readGoldens(t) {
 		if g.frame[0] == typ {
-			ps = append(ps, g.frame[frameHeaderLen:])
+			ps = append(ps, g.frame[frameHeaderLen:len(g.frame)-frameTrailerLen])
 		}
 	}
 	return ps
@@ -340,5 +340,29 @@ func TestWireGoldens(t *testing.T) {
 		if !bytes.Equal(again, g.frame) {
 			t.Errorf("%s: re-encodes to % x, not its own bytes % x", g.name, again, g.frame)
 		}
+	}
+}
+
+// TestBitFlipsAreRefused: the checksum trailer makes a frame all or nothing.
+// Every single-bit flip of the golden SHARD frame and of the vc CORESET
+// frame — in the header, the payload or the trailer — is refused: none reads
+// back as a frame, whatever the flipped length prefix makes of the rest.
+func TestBitFlipsAreRefused(t *testing.T) {
+	checked := 0
+	for _, g := range readGoldens(t) {
+		if g.name != "shard" && g.name != "coreset-vc" {
+			continue
+		}
+		checked++
+		for bit := 0; bit < 8*len(g.frame); bit++ {
+			flipped := bytes.Clone(g.frame)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if typ, payload, _, err := readFrame(bytes.NewReader(flipped)); err == nil {
+				t.Errorf("%s: with bit %d flipped it reads back as a 0x%02x frame of %d payload bytes", g.name, bit, typ, len(payload))
+			}
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("found %d of the SHARD and vc CORESET goldens", checked)
 	}
 }

@@ -32,7 +32,8 @@ import (
 
 // ioKind classifies a transport error: deadline expiries are KindDeadline
 // (a stalled peer), everything else that broke a live connection is
-// KindConn.
+// KindConn — a frame that failed its checksum (*ChecksumError) included,
+// since the connection it arrived on cannot be read past it.
 func ioKind(err error) FailureKind {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -45,6 +46,11 @@ type proxyPlan struct {
 	// worker-to-coordinator CORESET frames (0 = no limit) — a worker that
 	// survives exactly one round of a session.
 	dropAfterCoreset int
+	// corruptShard and corruptCoreset flip one payload bit of the first
+	// SHARD frame the coordinator sends and of the first CORESET frame the
+	// worker sends, behind the checksum the sender computed: a link that
+	// damages a frame and keeps going.
+	corruptShard, corruptCoreset bool
 }
 
 // flakyProxy fronts a real worker at backend and misbehaves per connection:
@@ -114,9 +120,25 @@ func (p *proxy) close() {
 	})
 }
 
+// forward writes one frame to w; with corrupt set, one bit of its payload
+// is flipped after the trailer was computed.
+func forward(w io.Writer, typ byte, payload []byte, corrupt bool) error {
+	var b bytes.Buffer
+	if _, err := writeFrame(&b, typ, payload); err != nil {
+		return err
+	}
+	frame := b.Bytes()
+	if corrupt {
+		frame[frameHeaderLen] ^= 0x04
+	}
+	_, err := w.Write(frame)
+	return err
+}
+
 // pipeToWorker relays coordinator-to-worker frames under the plan.
 func (p *proxy) pipeToWorker(client, up net.Conn, plan proxyPlan, muted *atomic.Bool) {
 	frames := 0
+	corrupt := plan.corruptShard
 	for {
 		typ, payload, _, err := readFrame(client)
 		if err != nil {
@@ -128,9 +150,10 @@ func (p *proxy) pipeToWorker(client, up net.Conn, plan proxyPlan, muted *atomic.
 			// EOS is read by the other pipe after the flag is set.
 			muted.Store(true)
 		}
-		if _, err := writeFrame(up, typ, payload); err != nil {
+		if err := forward(up, typ, payload, corrupt && typ == frameShard); err != nil {
 			return
 		}
+		corrupt = corrupt && typ != frameShard
 		frames++
 		if dropNow {
 			client.Close()
@@ -154,10 +177,14 @@ func (p *proxy) pipeToCoordinator(client, up net.Conn, plan proxyPlan, muted *at
 	coresets := 0
 	for {
 		typ, payload, _, err := readFrame(up)
-		if err != nil || muted.Load() {
+		if muted.Load() {
 			return
 		}
-		if _, err := writeFrame(client, typ, payload); err != nil {
+		if err != nil {
+			client.Close() // the worker hung up (or sent garbage): so does the proxy
+			return
+		}
+		if err := forward(client, typ, payload, plan.corruptCoreset && typ == frameCoreset && coresets == 0); err != nil {
 			return
 		}
 		if typ == frameCoreset {
@@ -214,7 +241,9 @@ func assertSummariesEqual(t *testing.T, got, want []task.Summary) {
 // TestReplayRecovery drives the failure modes a worker can inflict mid-round
 // through the replay path and demands full recovery with bit-identical
 // results: crash during the shard stream, crash after EOS (the coreset never
-// arrives), and a stall that only the IOTimeout can detect.
+// arrives), a SHARD or a CORESET frame damaged on the way (its checksum
+// fails, at the worker or at the coordinator), and a stall that only the
+// IOTimeout can detect.
 func TestReplayRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -227,6 +256,8 @@ func TestReplayRecovery(t *testing.T) {
 	}{
 		{name: "crash-during-shard", plan: proxyPlan{dropAfterFrames: 2}},
 		{name: "crash-awaiting-coreset", plan: proxyPlan{dropAfterEOS: true}},
+		{name: "corrupt-shard", plan: proxyPlan{corruptShard: true}},
+		{name: "corrupt-coreset", plan: proxyPlan{corruptCoreset: true}},
 		{name: "stall-hits-deadline", plan: proxyPlan{dropAfterFrames: 1, stall: true},
 			cfg: func(c *Config) { c.IOTimeout = 2 * time.Second }, lax: true},
 	} {
@@ -282,6 +313,27 @@ func TestReplayRecovery(t *testing.T) {
 				t.Fatalf("ShardBytes %d not > undisturbed %d despite a replayed round", st.ShardBytes, wantSt.ShardBytes)
 			}
 		})
+	}
+}
+
+// TestChecksumMismatchIsConnLoss: without a replay budget, a CORESET frame
+// that fails its checksum fails the run at once, as a lost connection would:
+// a retryable KindConn *WorkerError naming the machine, caused by a
+// *ChecksumError naming the frame.
+func TestChecksumMismatchIsConnLoss(t *testing.T) {
+	backends := startWorkers(t, 2)
+	proxyAddr, closeProxy := flakyProxy(t, backends[1], []proxyPlan{{corruptCoreset: true}})
+	t.Cleanup(closeProxy)
+	g := gen.GNP(500, 8.0/500, rng.New(3))
+	cfg := Config{Workers: []string{backends[0], proxyAddr}, Seed: 3}
+	err := runWithTimeout(t, 30*time.Second, func() error {
+		_, _, err := summaries(context.Background(), stream.NewGraphSource(g), cfg, matchingTask, task.Params{})
+		return err
+	})
+	var we *WorkerError
+	var ce *ChecksumError
+	if !errors.As(err, &we) || we.Machine != 1 || we.Kind != KindConn || !we.Retryable || !errors.As(err, &ce) || ce.Type != frameCoreset {
+		t.Fatalf("err %v, want a retryable KindConn *WorkerError for machine 1 caused by a CORESET *ChecksumError", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -68,9 +69,11 @@ type link struct {
 }
 
 // shardFrame encodes batch into the link's SHARD frame buffer and returns
-// the frame, ready for send; it is valid until the next call.
+// the frame, ready for send; it is valid until the next call. The buffer
+// keeps room for the trailer send appends, so a frame costs no allocation
+// once the buffer has grown to the largest.
 func (l *link) shardFrame(batch []graph.Edge) []byte {
-	l.enc = graph.AppendEdgeBatch(newFrame(l.enc), batch)
+	l.enc = slices.Grow(graph.AppendEdgeBatch(newFrame(l.enc), batch), frameTrailerLen)
 	return l.enc
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"time"
@@ -14,7 +15,13 @@ import (
 
 // Wire protocol. Every message is one frame:
 //
-//	[1 byte type][4 bytes big-endian payload length][payload]
+//	[1 byte type][4 bytes big-endian payload length][payload][4 bytes CRC]
+//
+// where the trailer is the big-endian CRC-32C (Castagnoli) of the header and
+// the payload. A frame whose trailer does not match is refused whole: a bit
+// flipped on the way cannot turn into a different shard or coreset, and the
+// reader reports a *ChecksumError, which the coordinator treats like a lost
+// connection (KindConn) and so replays.
 //
 // The coordinator holds one session per run: one TCP connection per worker,
 // one HELLO on each, and then up to the session's round cap of rounds on the
@@ -57,7 +64,7 @@ import (
 // header in front of the payload's encode buffer, writeFramed fills it in),
 // and a worker reads its connection through one buffered reader; but a peer
 // may split or merge frames across writes and reads in any way, and the bytes
-// are exactly version 4's either way (TestGoldenStreamInHalfReads).
+// are exactly version 5's either way (TestGoldenStreamInHalfReads).
 //
 // Two codecs carry edges. SHARD payloads are graph.AppendEdgeBatch, which
 // preserves order: a machine's coreset is a function of its arrival order, so
@@ -66,17 +73,20 @@ import (
 // for every summary whose order is not information — matchings, EDCSs, the
 // peeled levels and the residual of a VC coreset — that is the sorted-set
 // codec (graph.AppendEdgeSet / AppendIDSet / AppendRankedEdgeSet),
-// Golomb–Rice coded gaps at about
-// half the bytes of an order-preserving list; the diversity centers keep
-// their selection order in graph.AppendIDs. The simulated accounting charges
-// the same functions, and Summary.Bytes is the exact length of the body, so
-// a measured CORESET frame is its estimate plus the 5-byte frame header and
-// the stats varints, to the byte.
+// Golomb–Rice coded gaps at about half the bytes of an order-preserving list,
+// each undirected edge numbered in the upper triangle U <= V; the diversity
+// centers keep their selection order in graph.AppendIDs. The simulated
+// accounting charges the same functions, and Summary.Bytes is the exact
+// length of the body, so a measured CORESET frame is its estimate plus the
+// 9 bytes of frame header and trailer and the stats varints, to the byte.
 //
 // Version 2 is version 1 with the CORESET bodies moved from the delta batch
 // codec to the sorted-set codec; version 3 sends the vc residual in the rank
 // space of the vertices its levels did not fix (core.AppendVCCoreset);
-// version 4 drops the telemetry negotiation and gives HELLO one layout. A
+// version 4 drops the telemetry negotiation and gives HELLO one layout;
+// version 5 numbers the edges of a set in the upper triangle U <= V instead
+// of the stride×stride square, about a bit an edge less, and closes every
+// frame with the CRC-32C trailer. A
 // body does not describe its own format, so the version is compared for
 // equality at the HELLO, the one place peers meet: a worker answers any
 // other version with an ERROR naming both, which the coordinator reports as
@@ -85,7 +95,7 @@ import (
 // in testdata/v<protocolVersion>/ (TestWireGoldens), so a layout change
 // without a bump, or a bump without regenerated goldens, fails a test.
 
-const protocolVersion = 4
+const protocolVersion = 5
 
 // Frame types.
 const (
@@ -162,17 +172,40 @@ const maxK = 1 << 20
 // an absurd run length.
 const maxWireRounds = 1 << 10
 
-const frameHeaderLen = 5
+// A frame's header and trailer lengths, and what the two add to a payload.
+const (
+	frameHeaderLen  = 5
+	frameTrailerLen = 4
+	frameOverhead   = frameHeaderLen + frameTrailerLen
+)
+
+// castagnoli is the CRC-32C table of the frame trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ChecksumError reports a frame whose CRC-32C trailer does not match its
+// header and payload. The stream it came from cannot be trusted past it, so
+// the coordinator treats it like a lost connection (KindConn): the machine's
+// round is replayed on a fresh one.
+type ChecksumError struct {
+	Type      byte   // the frame type the (corrupt) header names
+	Got, Want uint32 // the trailer read, the CRC of what it covers
+}
+
+func (e *ChecksumError) Error() string {
+	return fmt.Sprintf("cluster: frame 0x%02x fails its checksum (trailer %08x, computed %08x)", e.Type, e.Got, e.Want)
+}
 
 // newFrame empties buf and reserves a frame header at its front. The caller
 // appends the payload behind it and hands the result to writeFramed, which
-// fills the header in: a frame built this way leaves in one Write, with no
-// copy and, once buf has grown to the largest frame, no allocation.
+// fills the header in and appends the trailer: a frame built this way leaves
+// in one Write, with no copy and, once buf has grown to the largest frame
+// plus its trailer, no allocation.
 func newFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0, 0) }
 
 // writeFramed writes frame, a header reserved by newFrame followed by the
 // payload, as one frame of type typ in a single Write, and returns the exact
-// bytes put on the wire.
+// bytes put on the wire. The trailer is appended in frame's spare capacity,
+// so a caller reusing its buffer leaves frameTrailerLen bytes of it.
 func writeFramed(w io.Writer, typ byte, frame []byte) (int, error) {
 	size := len(frame) - frameHeaderLen
 	if size > maxFramePayload {
@@ -180,7 +213,7 @@ func writeFramed(w io.Writer, typ byte, frame []byte) (int, error) {
 	}
 	frame[0] = typ
 	binary.BigEndian.PutUint32(frame[1:], uint32(size))
-	return w.Write(frame)
+	return w.Write(binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli)))
 }
 
 // writeFrame is writeFramed for a payload built without a reserved header:
@@ -191,7 +224,7 @@ func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 	if len(payload) > maxFramePayload {
 		return 0, fmt.Errorf("cluster: frame payload %d exceeds limit", len(payload))
 	}
-	return writeFramed(w, typ, append(newFrame(make([]byte, 0, frameHeaderLen+len(payload))), payload...))
+	return writeFramed(w, typ, append(newFrame(make([]byte, 0, frameOverhead+len(payload))), payload...))
 }
 
 // writeFrameDeadline is writeFramed under a per-frame write deadline
@@ -215,9 +248,9 @@ func readFrameDeadline(conn net.Conn, d time.Duration) (typ byte, payload []byte
 }
 
 // readFrame reads one frame and returns its type, payload and total wire
-// size (header included). The payload is a fresh allocation the caller may
-// keep: it is how the coordinator reads the TELEM and CORESET frames it holds
-// on to.
+// size (header and trailer included). The payload is a fresh allocation the
+// caller may keep: it is how the coordinator reads the TELEM and CORESET
+// frames it holds on to.
 func readFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
 	return readFrameInto(r, new(frameBuf))
 }
@@ -234,11 +267,12 @@ const workerReadBuffer = 32 << 10
 // frame this repository sends at the benchmark scales fits in one step.
 const frameReadStep = 256 << 10
 
-// frameBuf is a connection's reusable read buffer: the header scratch and a
-// payload buffer that grows to the largest frame seen and is then reused, so
-// a read loop over it allocates nothing per frame.
+// frameBuf is a connection's reusable read buffer: the header and trailer
+// scratch and a payload buffer that grows to the largest frame seen and is
+// then reused, so a read loop over it allocates nothing per frame.
 type frameBuf struct {
 	hdr     [frameHeaderLen]byte
+	trailer [frameTrailerLen]byte
 	payload []byte
 }
 
@@ -248,7 +282,8 @@ type frameBuf struct {
 // before fb's payload buffer is touched, the buffer grows only as the
 // payload arrives (see frameReadStep), and the payload returned is exactly
 // the bytes of this frame: what an earlier, longer frame left behind lies
-// beyond its length.
+// beyond its length. A frame is returned only once its trailer has matched;
+// otherwise the error is a *ChecksumError and the payload nil.
 func readFrameInto(r io.Reader, fb *frameBuf) (typ byte, payload []byte, n int, err error) {
 	if _, err := io.ReadFull(r, fb.hdr[:]); err != nil {
 		return 0, nil, 0, err
@@ -274,7 +309,17 @@ func readFrameInto(r io.Reader, fb *frameBuf) (typ byte, payload []byte, n int, 
 			return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
 		}
 	}
-	return fb.hdr[0], payload, frameHeaderLen + size, nil
+	if _, err := io.ReadFull(r, fb.trailer[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, 0, fmt.Errorf("cluster: truncated frame: %w", err)
+	}
+	got := binary.BigEndian.Uint32(fb.trailer[:])
+	if want := crc32.Update(crc32.Checksum(fb.hdr[:], castagnoli), castagnoli, payload); got != want {
+		return 0, nil, 0, &ChecksumError{Type: fb.hdr[0], Got: got, Want: want}
+	}
+	return fb.hdr[0], payload, frameOverhead + size, nil
 }
 
 // hello is the HELLO payload: which machine of which run this connection

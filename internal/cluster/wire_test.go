@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"reflect"
@@ -32,8 +34,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if n != frameHeaderLen+len(p) {
-			t.Fatalf("frame %d: wrote %d bytes, want %d", i, n, frameHeaderLen+len(p))
+		if n != frameOverhead+len(p) {
+			t.Fatalf("frame %d: wrote %d bytes, want %d", i, n, frameOverhead+len(p))
 		}
 		written += n
 	}
@@ -45,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if typ != byte(i+1) || n != frameHeaderLen+len(p) || !bytes.Equal(payload, p) {
+		if typ != byte(i+1) || n != frameOverhead+len(p) || !bytes.Equal(payload, p) {
 			t.Fatalf("frame %d: got type %d len %d", i, typ, n)
 		}
 	}
@@ -117,9 +119,9 @@ func TestOneWritePerFrame(t *testing.T) {
 		var copied, framed bytes.Buffer
 		cw := &countingWriter{Writer: &copied}
 		n, err := writeFrame(cw, frameShard, p)
-		if err != nil || cw.writes != 1 || n != frameHeaderLen+len(p) || n != copied.Len() {
+		if err != nil || cw.writes != 1 || n != frameOverhead+len(p) || n != copied.Len() {
 			t.Fatalf("%d-byte payload: writeFrame made %d writes of %d bytes (%d on the wire), err %v; want 1 of %d",
-				len(p), cw.writes, n, copied.Len(), err, frameHeaderLen+len(p))
+				len(p), cw.writes, n, copied.Len(), err, frameOverhead+len(p))
 		}
 		fw := &countingWriter{Writer: &framed}
 		n, err = writeFramed(fw, frameShard, append(newFrame(dirty), p...))
@@ -186,7 +188,7 @@ func TestShardSendAllocatesNothing(t *testing.T) {
 			conn.Close()
 			// AllocsPerRun calls once more than it counts, to warm up.
 			sent := frames + 2
-			frameLen := frameHeaderLen + len(graph.AppendEdgeBatch(nil, batch))
+			frameLen := frameOverhead + len(graph.AppendEdgeBatch(nil, batch))
 			if got := <-received; cc.writes != sent || l.sent != sent*frameLen || got != int64(l.sent) {
 				t.Fatalf("%d frames of %d bytes took %d writes; the link counted %d bytes and the worker side read %d",
 					sent, frameLen, cc.writes, l.sent, got)
@@ -425,7 +427,7 @@ func TestReadFrameIntoDirtyBuffer(t *testing.T) {
 	for _, p := range [][]byte{{0x01, 0x02, 0x03}, {}, bytes.Repeat([]byte{0x5A}, 1000)} {
 		_, _ = writeFrame(&wire, frameShard, p)
 		typ, payload, n, err := readFrameInto(&wire, fb)
-		if err != nil || typ != frameShard || n != frameHeaderLen+len(p) {
+		if err != nil || typ != frameShard || n != frameOverhead+len(p) {
 			t.Fatalf("%d-byte frame: type 0x%02x, %d wire bytes, err %v", len(p), typ, n, err)
 		}
 		if len(payload) != len(p) || !bytes.Equal(payload, p) {
@@ -500,9 +502,10 @@ func TestReadFrameAllocatesByArrival(t *testing.T) {
 }
 
 // FuzzReadFrame: the frame reader sees a peer's bytes before any other
-// validation. Truncated headers and payloads and oversized length prefixes
-// must come back as errors, a frame it accepts must be exactly the bytes on
-// the wire, and no read may allocate more than four times the bytes that
+// validation. Truncated headers, payloads and trailers, oversized length
+// prefixes and trailers that do not match must come back as errors (the last
+// as a *ChecksumError), a frame it accepts must be exactly the bytes on the
+// wire, and no read may allocate more than four times the bytes that
 // arrived plus frameReadStep, whatever its length prefix claims (the buffer
 // doubles as it fills, so the buffers it discards sum to less than the live
 // one, which is under twice what arrived). Every
@@ -523,11 +526,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{frameShard, 0x00, 0x00, 0x00, 0x05, 0x01})     // truncated payload
 	f.Add([]byte{frameCoreset, 0x04, 0x00, 0x00, 0x00, 0x01})   // largest legal prefix, truncated
 	f.Add([]byte{frameCoreset, 0x04, 0x00, 0x00, 0x01, 0x01})   // one past the limit
-	f.Add([]byte{frameEOS, 0x00, 0x00, 0x00, 0x00, 0xAA, 0xBB}) // empty frame, trailing bytes
-	var long bytes.Buffer
-	_, _ = writeFrame(&long, frameShard, bytes.Repeat([]byte{0xEE}, 300))
-	f.Add(long.Bytes())                                                 // longer than the dirty buffer: it must grow
-	f.Add([]byte{frameShard, 0x00, 0x00, 0x00, 0x02, 0xEE, 0xEE, 0xEE}) // short frame of the stale byte itself
+	f.Add([]byte{frameEOS, 0x00, 0x00, 0x00, 0x00, 0xAA, 0xBB}) // empty frame, no trailer
+	frame := func(typ byte, payload []byte) []byte {
+		var b bytes.Buffer
+		_, _ = writeFrame(&b, typ, payload)
+		return b.Bytes()
+	}
+	f.Add(append(frame(frameEOS, nil), 0xAA, 0xBB))           // empty frame, trailing bytes
+	f.Add(frame(frameShard, bytes.Repeat([]byte{0xEE}, 300))) // longer than the dirty buffer: it must grow
+	f.Add(frame(frameShard, []byte{0xEE, 0xEE}))              // short frame of the stale byte itself
+	bad := frame(frameShard, []byte{0x01, 0x02, 0x03})
+	bad[len(bad)-1] ^= 0x10
+	f.Add(bad) // trailer off by a bit
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -564,16 +574,24 @@ func FuzzReadFrame(f *testing.F) {
 		if size > maxFramePayload && (&fb.payload[0] != held || !bytes.Equal(fb.payload[:cap(fb.payload)], stale)) {
 			t.Fatalf("length prefix %d over the limit touched the read buffer", size)
 		}
-		if size > maxFramePayload || uint64(len(data)-frameHeaderLen) < uint64(size) {
+		if size > maxFramePayload || uint64(len(data)-frameHeaderLen) < uint64(size)+frameTrailerLen {
 			if err == nil {
-				t.Fatalf("frame with length prefix %d over %d payload bytes accepted", size, len(data)-frameHeaderLen)
+				t.Fatalf("frame with length prefix %d over %d payload and trailer bytes accepted", size, len(data)-frameHeaderLen)
+			}
+			return
+		}
+		end := frameHeaderLen + int(size)
+		if binary.BigEndian.Uint32(data[end:]) != crc32.Checksum(data[:end], castagnoli) {
+			var ce *ChecksumError
+			if !errors.As(err, &ce) {
+				t.Fatalf("frame with a trailer that does not match: err %v, want a *ChecksumError", err)
 			}
 			return
 		}
 		if err != nil {
 			t.Fatalf("well-formed frame rejected: %v", err)
 		}
-		if typ != data[0] || n != frameHeaderLen+int(size) || !bytes.Equal(payload, data[frameHeaderLen:n]) {
+		if typ != data[0] || n != frameOverhead+int(size) || !bytes.Equal(payload, data[frameHeaderLen:end]) {
 			t.Fatalf("frame type 0x%02x len %d differs from the bytes on the wire", typ, n)
 		}
 	})
@@ -607,7 +625,7 @@ func TestGoldenStreamInHalfReads(t *testing.T) {
 		next := open(iotest.HalfReader(bytes.NewReader(wire)))
 		for _, g := range gs {
 			typ, payload, n, err := next()
-			if err != nil || typ != g.frame[0] || n != len(g.frame) || !bytes.Equal(payload, g.frame[frameHeaderLen:]) {
+			if err != nil || typ != g.frame[0] || n != len(g.frame) || !bytes.Equal(payload, g.frame[frameHeaderLen:len(g.frame)-frameTrailerLen]) {
 				t.Fatalf("%s: %s read back as type 0x%02x, %d bytes, err %v", name, g.name, typ, n, err)
 			}
 		}

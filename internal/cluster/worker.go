@@ -301,10 +301,10 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, b task.Builder, round int,
 		sum.Edges = tm.edgesIn
 		d, _, _ := task.ByWire(h.task) // cannot miss: decodeHello accepted the byte
 		// sum.Bytes is the length of the coreset body; sized to it plus the
-		// frame header and the stats prefix (three uvarints, 30 bytes at
-		// most) the frame is allocated once instead of doubling its way up
-		// to a coreset-sized one, and leaves without a copy.
-		coreset := task.AppendSummary(newFrame(make([]byte, 0, frameHeaderLen+3*binary.MaxVarintLen64+sum.Bytes)), d, sum)
+		// frame header and trailer and the stats prefix (three uvarints, 30
+		// bytes at most) the frame is allocated once instead of doubling its
+		// way up to a coreset-sized one, and leaves without a copy.
+		coreset := task.AppendSummary(newFrame(make([]byte, 0, frameOverhead+3*binary.MaxVarintLen64+sum.Bytes)), d, sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		if bt, ok := b.(task.Telemetered); ok {
 			tm.BuildCounters = bt.Telem()

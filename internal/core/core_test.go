@@ -207,9 +207,9 @@ func TestVCCoresetMessageHostileBodies(t *testing.T) {
 	const budget = 2 << 10
 	for name, data := range map[string][]byte{
 		"rank MaxID behind one fixed":    vcBody([][]graph.ID{{0}}, []graph.Edge{{U: 0, V: graph.MaxID}}),
-		"rank MaxID-1 behind two fixed":  vcBody([][]graph.ID{{1}, {graph.MaxID - 1}}, []graph.Edge{{U: graph.MaxID - 1, V: 0}}),
+		"rank MaxID-1 behind two fixed":  vcBody([][]graph.ID{{1}, {graph.MaxID - 1}}, []graph.Edge{{U: 0, V: graph.MaxID - 1}}),
 		"shared level, rank past MaxID":  vcBody([][]graph.ID{{7, 7}, {7}, {8}}, []graph.Edge{{U: 0, V: graph.MaxID - 1}}),
-		"lone edge, stride near MaxID+1": vcBody([][]graph.ID{{3}}, []graph.Edge{{U: graph.MaxID, V: graph.MaxID - 2}}),
+		"lone edge, stride near MaxID+1": vcBody([][]graph.ID{{3}}, []graph.Edge{{U: graph.MaxID - 2, V: graph.MaxID}}),
 	} {
 		cs, allocated, err := decodeAllocating(data)
 		var ire *graph.IDRangeError
@@ -227,9 +227,9 @@ func TestVCCoresetMessageHostileBodies(t *testing.T) {
 		ranked []graph.Edge
 		want   []graph.Edge
 	}{
-		{"lone edge, stride MaxID", [][]graph.ID{{3}}, []graph.Edge{{U: graph.MaxID - 1, V: 2}}, []graph.Edge{{U: graph.MaxID, V: 2}}},
-		{"levels share a vertex", [][]graph.ID{{2, 5}, {5, 9}}, []graph.Edge{{U: 2, V: 2}, {U: 6, V: 1}}, []graph.Edge{{U: 3, V: 3}, {U: 8, V: 1}}},
-		{"a level repeats a vertex", [][]graph.ID{{4, 4}}, []graph.Edge{{U: 4, V: 0}}, []graph.Edge{{U: 5, V: 0}}},
+		{"lone edge, stride MaxID", [][]graph.ID{{3}}, []graph.Edge{{U: 2, V: graph.MaxID - 1}}, []graph.Edge{{U: 2, V: graph.MaxID}}},
+		{"levels share a vertex", [][]graph.ID{{2, 5}, {5, 9}}, []graph.Edge{{U: 1, V: 6}, {U: 2, V: 2}}, []graph.Edge{{U: 1, V: 8}, {U: 3, V: 3}}},
+		{"a level repeats a vertex", [][]graph.ID{{4, 4}}, []graph.Edge{{U: 0, V: 4}}, []graph.Edge{{U: 0, V: 5}}},
 	} {
 		data := vcBody(c.levels, c.ranked)
 		cs, allocated, err := decodeAllocating(data)

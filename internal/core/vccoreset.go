@@ -18,8 +18,8 @@ type VCCoreset struct {
 	// final vertex cover unconditionally.
 	Fixed []graph.ID
 	// Residual is the edge set of G_Delta^(i), the subgraph left after
-	// peeling, sorted by (U, V) with each edge oriented as it arrived; the
-	// paper bounds it by O(n log n) edges. No residual edge touches a
+	// peeling, each edge canonical (U <= V) and sorted by (U, V); the paper
+	// bounds it by O(n log n) edges. No residual edge touches a
 	// vertex of Levels — the message relies on it, sending each endpoint as
 	// its rank among the vertices the levels did not fix.
 	Residual []graph.Edge
@@ -79,13 +79,13 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 // ignored, and the peel counts the store into a table of its own.
 //
 // The result is that of the paper's definition field for field: Levels
-// ascending (nil for a level that fixed nobody), Residual sorted by (U, V)
-// and exactly sized, self-loops and parallel edges counted as BuildAdj
-// counts them. The residual is a set — its message is coded as one
+// ascending (nil for a level that fixed nobody), Residual canonical, sorted
+// by (U, V) and exactly sized, self-loops and parallel edges counted as
+// BuildAdj counts them. The residual is a set — its message is coded as one
 // (AppendVCCoreset) — so it leaves in the one order every runtime agrees on
-// whatever order the shard arrived in; on a shard that arrived sorted, which
-// is what every generator and ingested dataset delivers, the store knows it
-// and nothing is sorted.
+// whatever order and orientation the shard arrived in; on a shard that
+// arrived sorted and canonical, which is what every generator and ingested
+// dataset delivers, the store knows it and nothing is sorted.
 func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 	delta := PeelingDepth(n, k)
 	out := &VCCoreset{}
@@ -134,8 +134,16 @@ func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 	if killed {
 		st.Prune(dead, deg)
 	}
+	// The residual is an undirected edge set: canonical edges (U <= V), in
+	// a slice of the peel's own, so nothing borrowed is written.
 	out.Residual = st.Edges()
-	if !st.Sorted() {
+	sorted := st.Sorted()
+	for i, e := range out.Residual {
+		if e.U > e.V {
+			out.Residual[i], sorted = graph.Edge{U: e.V, V: e.U}, false
+		}
+	}
+	if !sorted && !graph.EdgesSorted(out.Residual) {
 		graph.SortEdges(out.Residual)
 	}
 	return out

@@ -441,8 +441,10 @@ func (s *Subgraph) flip(e graph.Edge, lu, lv loc) {
 		s.size--
 		s.removals++
 	}
-	s.markDirty(e.U)
-	s.markDirty(e.V)
+	// Lower endpoint first, whichever way e is stored: the repair order, and
+	// so the EDCS, does not depend on the orientation edges arrive in.
+	s.markDirty(min(e.U, e.V))
+	s.markDirty(max(e.U, e.V))
 }
 
 func (s *Subgraph) markDirty(v graph.ID) {
@@ -519,21 +521,23 @@ func (s *Subgraph) RepairIters() int { return s.repairIters }
 // edges, so the final Size may undercount the memory high-water mark.
 func (s *Subgraph) PeakSize() int { return s.peak }
 
-// Edges returns H as a sorted, always non-nil edge list — the machine's
-// coreset message. Sorting canonicalizes the set (arrival order is an
-// implementation detail), and sorted is how the wire codec takes a set
-// (graph.AppendEdgeSet). Each edge is read off its U-side entry, so it keeps
-// the orientation it arrived in. Walking the chains in vertex order lists the
-// edges by U, each U's in arrival order: on a shard that arrived sorted (a
-// generator's, an ingested file's) the list needs no sort.
+// Edges returns H as a sorted, always non-nil edge list of canonical edges
+// (U < V) — the machine's coreset message. Sorting canonicalizes the set
+// (arrival order is an implementation detail), and sorted canonical edges are
+// how the wire codec takes a set (graph.AppendEdgeSet): an undirected edge's
+// orientation is not information. Each edge is read off its lower endpoint's
+// entry, whichever side it arrived on. Walking the chains in vertex order
+// lists the edges by U, each U's in arrival order: on a shard that arrived
+// sorted and canonical (a generator's, an ingested file's) the list needs no
+// sort.
 func (s *Subgraph) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.size)
 	for _, b := range s.head {
 		for b != 0 {
 			blk := s.at(b)
 			for j, x := range blk.ent[:blk.count] {
-				if x >= 0 && blk.inH>>j&1 != 0 {
-					out = append(out, graph.Edge{U: blk.owner, V: x})
+				if w := x ^ x>>31; w > blk.owner && blk.inH>>j&1 != 0 {
+					out = append(out, graph.Edge{U: blk.owner, V: w})
 				}
 			}
 			b = blk.next

@@ -10,8 +10,9 @@ import (
 // storage replaced, kept as a test-only reference: a Go map for dedup, a
 // per-vertex slice of stored-edge indices, append-grown tables. The logic
 // (hygiene, P2 admission, repair order, counters) is the original's line for
-// line; TestDifferentialAgainstReference drives both with the same arrivals
-// and demands equal observable state after every prefix.
+// line, but for orientation: an edge's endpoints turn dirty lower first and H
+// lists canonical edges. TestDifferentialAgainstReference drives both with
+// the same arrivals and demands equal observable state after every prefix.
 type refSubgraph struct {
 	p     Params
 	edges []graph.Edge
@@ -83,8 +84,8 @@ func (s *refSubgraph) addH(j int32) {
 	if s.size > s.peak {
 		s.peak = s.size
 	}
-	s.markDirty(e.U)
-	s.markDirty(e.V)
+	s.markDirty(min(e.U, e.V))
+	s.markDirty(max(e.U, e.V))
 }
 
 func (s *refSubgraph) removeH(j int32) {
@@ -94,8 +95,8 @@ func (s *refSubgraph) removeH(j int32) {
 	s.deg[e.V]--
 	s.size--
 	s.removals++
-	s.markDirty(e.U)
-	s.markDirty(e.V)
+	s.markDirty(min(e.U, e.V))
+	s.markDirty(max(e.U, e.V))
 }
 
 func (s *refSubgraph) markDirty(v graph.ID) {
@@ -127,7 +128,7 @@ func (s *refSubgraph) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.size)
 	for j, in := range s.inH {
 		if in {
-			out = append(out, s.edges[j])
+			out = append(out, s.edges[j].Canon())
 		}
 	}
 	graph.SortEdges(out)

@@ -39,8 +39,8 @@ func ExampleRun() {
 	fmt.Println("maximum matching:", matching.Maximum(g.N, g.Edges).Size())
 	// Output:
 	// input: G(n=2000, m=10068), k=8 machines
-	// matching: 1000 edges, composed over 4966 coreset edges, 8729 bytes sent
-	// vertex cover: 1820 vertices, composed over 10068 coreset edges, 16494 bytes sent
+	// matching: 1000 edges, composed over 4966 coreset edges, 8156 bytes sent
+	// vertex cover: 1820 vertices, composed over 10068 coreset edges, 15302 bytes sent
 	// maximum matching: 1000
 }
 

@@ -66,7 +66,7 @@ func runE20(cfg Config) *Result {
 		}
 	}
 	notes := []string{
-		"measured and estimated sizes share one codec (graph.AppendEdgeSet), so meas/est stays near 1: the gap is 5 B of frame header plus three stats varints per machine — largest in relative terms at large k, where messages are many and small",
+		"measured and estimated sizes share one codec (graph.AppendEdgeSet), so meas/est stays near 1: the gap is 9 B of frame header and checksum trailer plus three stats varints per machine — largest in relative terms at large k, where messages are many and small",
 		"total coreset communication grows with n (the paper's O~(n) per machine times k) while the per-machine maximum falls as k grows: each machine's partition, and hence its maximum matching / residual, shrinks",
 		"shard traffic (coordinator to workers) is the edge stream itself and dwarfs the coreset messages — the asymmetry the simultaneous model is about",
 	}

@@ -111,7 +111,7 @@ func runE21(cfg Config) *Result {
 	notes := []string{
 		"the EDCS union retains far more of each partition than a maximum matching does (beta*n/2 vs n/2 edges per machine), which is what buys its better approximation: here it matches or beats the Theorem-1 greedy combiner on every input, at a coreset-byte cost the table prices honestly",
 		"t1-exact composes an exact maximum matching over the union of per-machine maximum matchings (the paper's Theorem 1 pipeline); t1-greedy is the one-pass GreedyMatch combiner of Section 3.1 — the EDCS ratio is required to dominate the greedy column (acceptance criterion), and its gap to t1-exact narrows as beta grows",
-		"cluster meas KB is the EDCS CORESET frames read off loopback TCP; meas/est stays near 1 because the wire and the simulated accounting share one codec (graph.AppendEdgeSet): the gap is the 5-byte frame header and three stats varints per machine",
+		"cluster meas KB is the EDCS CORESET frames read off loopback TCP; meas/est stays near 1 because the wire and the simulated accounting share one codec (graph.AppendEdgeSet): the gap is the 5-byte frame header, the 4-byte checksum trailer and three stats varints per machine",
 	}
 	if violations > 0 {
 		notes = append(notes, fmt.Sprintf("ENVELOPE VIOLATION: %d cells broke seed parity or lost to the greedy combiner", violations))

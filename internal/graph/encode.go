@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -226,24 +227,31 @@ func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
 // copies. Format:
 //
 //	uvarint count                  and nothing else when count is 0
-//	uvarint stride                 edge sets only: 1 + the largest endpoint
+//	uvarint stride s               edge sets only: 1 + the largest endpoint
 //	byte    k                      the Rice parameter, riceParam(count, last)
 //	bits    count codes, least significant bit first, zero-padded to a byte
 //
-// A gap d is d>>k zero bits, a one bit, then the low k bits of d. An edge
-// (U, V) is the element U*stride + V — orientation kept, no Canon — and an ID
-// is itself. k is a function of the count and the last element alone, which
-// bounds the quotients of a whole set by twice its count (plus 64 bits where
-// k meets its cap) whatever the gaps are: no escape code is needed and an
-// outlier cannot inflate a message.
+// A gap d is d>>k zero bits, a one bit, then the low k bits of d. An ID is
+// itself. An edge is undirected, so an edge set is a set of canonical pairs
+// U <= V (Edge.Canon), the upper triangle of the s×s square: row U holds the
+// s-U pairs (U, U) .. (U, s-1), and (U, V) is the element
+//
+//	T(U, V) = U*s - U*(U-1)/2 + (V-U)   in [0, s*(s+1)/2)
+//
+// which orders the pairs as (U, V) order does. Numbering the square instead
+// would spend about a bit an edge on an orientation the set does not carry.
+// k is a function of the count and the last element alone, which bounds the
+// quotients of a whole set by twice its count (plus 64 bits where k meets its
+// cap) whatever the gaps are: no escape code is needed and an outlier cannot
+// inflate a message.
 //
 // The encoding is canonical — one byte string per multiset — and the decoders
 // are strict about it: a stride or parameter other than the one the encoder
 // would have chosen, a header varint padded with continuation bytes, a
 // nonzero padding bit, an element out of range or a stream that ends early
 // are all errors. A decoder therefore consumes exactly EdgeSetBytes or
-// IDSetBytes of what it returns. Input that is not sorted is a programming
-// error and panics, like an unencodable ID.
+// IDSetBytes of what it returns. Input that is not sorted, or an edge with
+// U > V, is a programming error and panics, like an unencodable ID.
 
 // riceMaxK caps the Rice parameter so that one refill of the decoder's
 // 64-bit window always covers a whole remainder.
@@ -339,24 +347,54 @@ func (w *setWriter) end() {
 
 func (w *setWriter) size() int { return w.bytes + int((w.bits+7)/8) }
 
+// triBase returns T(u, u) - u, the element of (u, v) less v: the rows above
+// row u hold s + (s-1) + ... + (s-u+1) elements, u(2s-u+1)/2 in all, and
+// u(2s-u-1) is even whatever the parity of u.
+func triBase(u, s uint64) uint64 { return u * (2*s - 1 - u) / 2 }
+
+// triRowOf returns the row of element x of the triangle of stride s: the u
+// with T(u, u) <= x < T(u+1, u+1). Rows u..s-1 hold t(t+1)/2 elements for
+// t = s-u, so t is the least with t(t+1)/2 >= s(s+1)/2 - x; the square root
+// lands within a step of it and two integer loops settle it exactly.
+func triRowOf(x, s uint64) uint64 {
+	z := s*(s+1)/2 - x
+	t := uint64((math.Sqrt(8*float64(z)+1) - 1) / 2)
+	for t*(t+1)/2 < z {
+		t++
+	}
+	for t > 0 && (t-1)*t/2 >= z {
+		t--
+	}
+	return s - t
+}
+
+// edgeSetTop checks edges for the encoders — encodable, canonical
+// endpoints — and returns the largest endpoint, every edge's V or less.
+func edgeSetTop(edges []Edge) ID {
+	top := ID(0)
+	for i, e := range edges {
+		if e.U < 0 || e.U > e.V { // 0 <= U <= V: V is encodable too
+			checkID(e.U)
+			checkID(e.V)
+			panic(fmt.Sprintf("graph: edge set edge %d is (%d, %d), U > V: an undirected edge travels as Edge.Canon", i, e.U, e.V))
+		}
+		top = max(top, e.V)
+	}
+	return top
+}
+
 func writeEdgeSet(w *setWriter, edges []Edge) {
 	w.uvarint(uint64(len(edges)))
 	if len(edges) == 0 {
 		return
 	}
-	top := ID(0)
-	for _, e := range edges {
-		checkID(e.U)
-		checkID(e.V)
-		top = max(top, e.U, e.V)
-	}
-	stride := uint64(top) + 1
-	w.uvarint(stride)
+	s := uint64(edgeSetTop(edges)) + 1
+	w.uvarint(s)
 	last := edges[len(edges)-1]
-	w.start(len(edges), uint64(last.U)*stride+uint64(last.V))
+	w.start(len(edges), triBase(uint64(last.U), s)+uint64(last.V))
 	prev := uint64(0)
 	for i, e := range edges {
-		x := uint64(e.U)*stride + uint64(e.V)
+		x := triBase(uint64(e.U), s) + uint64(e.V)
 		if x < prev {
 			panic(fmt.Sprintf("graph: edge set not in (U, V) order at edge %d", i))
 		}
@@ -384,9 +422,10 @@ func writeIDSet(w *setWriter, ids []ID) {
 	w.end()
 }
 
-// AppendEdgeSet appends the sorted-set encoding of edges, which must be in
-// (U, V) order, to dst and returns it. Panics on unsorted input and, with
-// *IDRangeError, on out-of-range endpoints.
+// AppendEdgeSet appends the sorted-set encoding of edges, which must be
+// canonical (U <= V) and in (U, V) order, to dst and returns it. Panics on an
+// edge with U > V, on unsorted input and, with *IDRangeError, on out-of-range
+// endpoints.
 func AppendEdgeSet(dst []byte, edges []Edge) []byte {
 	w := setWriter{buf: dst}
 	writeEdgeSet(&w, edges)
@@ -552,36 +591,38 @@ func DecodeEdgeSet(data []byte) (edges []Edge, rest []byte, err error) {
 	if err != nil || stride == 0 || stride > uint64(MaxID)+1 {
 		return nil, nil, corruptSet("stride")
 	}
+	total := stride * (stride + 1) / 2 // the triangle's elements
 	var r setReader
-	if err := r.start(data, count, stride*stride-1); err != nil {
+	if err := r.start(data, count, total-1); err != nil {
 		return nil, nil, err
 	}
 	edges = make([]Edge, count)
-	var u, v, top uint64 // the current element is u*stride + v; top is the largest v so far
+	var u, v, top uint64 // the current edge is (u, v); top is the largest v so far
 	for i := range edges {
 		d, err := r.gap()
 		if err != nil {
 			return nil, nil, err
 		}
 		if v += d; v >= stride {
-			// Nearly always the next row; never a loop over the rows skipped.
-			if v -= stride; v < stride {
-				u++
-			} else {
-				u += 1 + v/stride
-				v %= stride
-			}
-			if u >= stride {
-				return nil, nil, corruptSet("element out of range")
+			// Nearly always the next row, which starts at (u+1, u+1); never
+			// a loop over the rows skipped.
+			u++
+			if v += u - stride; v >= stride {
+				x := triBase(u, stride) + v
+				if x >= total {
+					return nil, nil, corruptSet("element out of range")
+				}
+				u = triRowOf(x, stride)
+				v = x - triBase(u, stride)
 			}
 		}
 		top = max(top, v)
 		edges[i] = Edge{ID(u), ID(v)}
 	}
-	if max(u, top)+1 != stride {
-		return nil, nil, corruptSet(fmt.Sprintf("stride %d is not the canonical %d", stride, max(u, top)+1))
+	if top+1 != stride {
+		return nil, nil, corruptSet(fmt.Sprintf("stride %d is not the canonical %d", stride, top+1))
 	}
-	rest, err = r.end(len(edges), u*stride+v)
+	rest, err = r.end(len(edges), triBase(u, stride)+v)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,19 +14,20 @@ import (
 	"repro/internal/rng"
 )
 
-// setCases are sorted edge multisets the codec must carry exactly: empty,
-// single, parallel copies (gap 0), self-loops, either endpoint orientation,
-// and the ID range boundary (the largest stride, the largest element).
+// setCases are sorted canonical edge multisets the codec must carry exactly:
+// empty, single, parallel copies (gap 0), self-loops, rows far apart, and the
+// ID range boundary (the largest stride, the largest element).
 var setCases = [][]Edge{
 	nil,
 	{},
 	{{0, 0}},
 	{{0, 1}, {1, 2}, {2, 3}},
 	{{1, 2}, {1, 2}, {1, 2}, {7, 7}, {7, 7}},
-	{{0, 9}, {5, 3}, {7, 7}, {1000000, 2}},
+	{{0, 9}, {2, 1000000}, {3, 5}, {7, 7}},
 	{{0, 1 << 30}, {1 << 30, 1<<30 + 1}},
-	{{0, 0}, {0, MaxID}, {MaxID, 0}, {MaxID, MaxID}},
+	{{0, 0}, {0, MaxID}, {1, MaxID}, {MaxID - 1, MaxID - 1}, {MaxID, MaxID}},
 	{{MaxID, MaxID}},
+	{{0, MaxID}, {MaxID, MaxID}},
 }
 
 func TestEdgeSetRoundTrip(t *testing.T) {
@@ -122,12 +123,12 @@ func TestSetsConcatenate(t *testing.T) {
 	}
 }
 
-// randomEdgeSet draws m edges over n vertices, endpoints in either order,
-// with a few parallel copies and self-loops, sorted by (U, V).
+// randomEdgeSet draws m canonical edges over n vertices, with a few parallel
+// copies and self-loops, sorted by (U, V).
 func randomEdgeSet(r *rng.RNG, n, m int) []Edge {
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
-		e := Edge{ID(r.Intn(n)), ID(r.Intn(n))}
+		e := Edge{ID(r.Intn(n)), ID(r.Intn(n))}.Canon()
 		edges = append(edges, e)
 		if r.Intn(50) == 0 && len(edges) < m {
 			edges = append(edges, e)
@@ -137,21 +138,42 @@ func randomEdgeSet(r *rng.RNG, n, m int) []Edge {
 	return edges
 }
 
-// The encoders take sets: input out of order is a programming error, as is
-// an unencodable ID, and both panic rather than emit bytes the decoders
-// would refuse — from the size functions as from the encoders.
+// The encoders take sets of undirected edges: input out of order is a
+// programming error, as are an edge with U > V and an unencodable ID, and all
+// of them panic rather than emit bytes the decoders would refuse — from the
+// size functions as from the encoders, plain and ranked.
 func TestSetEncodersPanicOnMisuse(t *testing.T) {
+	excluded := [][]ID{{100}}
 	for name, fn := range map[string]func(){
-		"AppendEdgeSet unsorted U": func() { AppendEdgeSet(nil, []Edge{{2, 0}, {1, 0}}) },
-		"AppendEdgeSet unsorted V": func() { AppendEdgeSet(nil, []Edge{{1, 5}, {1, 4}}) },
-		"EdgeSetBytes unsorted":    func() { EdgeSetBytes([]Edge{{2, 0}, {1, 0}}) },
-		"AppendIDSet unsorted":     func() { AppendIDSet(nil, []ID{3, 2}) },
-		"IDSetBytes unsorted":      func() { IDSetBytes([]ID{3, 2}) },
+		"AppendEdgeSet unsorted U":     func() { AppendEdgeSet(nil, []Edge{{2, 3}, {1, 3}}) },
+		"AppendEdgeSet unsorted V":     func() { AppendEdgeSet(nil, []Edge{{1, 5}, {1, 4}}) },
+		"EdgeSetBytes unsorted":        func() { EdgeSetBytes([]Edge{{2, 3}, {1, 3}}) },
+		"AppendRankedEdgeSet unsorted": func() { AppendRankedEdgeSet(nil, []Edge{{2, 3}, {1, 3}}, excluded) },
+		"RankedEdgeSetBytes unsorted":  func() { RankedEdgeSetBytes([]Edge{{1, 5}, {1, 4}}, excluded) },
+		"AppendIDSet unsorted":         func() { AppendIDSet(nil, []ID{3, 2}) },
+		"IDSetBytes unsorted":          func() { IDSetBytes([]ID{3, 2}) },
 	} {
 		func() {
 			defer func() {
 				if msg, _ := recover().(string); !strings.Contains(msg, "order") {
 					t.Fatalf("%s: recovered %q, want an ordering panic", name, msg)
+				}
+			}()
+			fn()
+		}()
+	}
+	for name, fn := range map[string]func(){
+		"AppendEdgeSet":       func() { AppendEdgeSet(nil, []Edge{{0, 1}, {3, 2}}) },
+		"EdgeSetBytes":        func() { EdgeSetBytes([]Edge{{1, 0}}) },
+		"AppendRankedEdgeSet": func() { AppendRankedEdgeSet(nil, []Edge{{0, 1}, {3, 2}}, excluded) },
+		"RankedEdgeSetBytes":  func() { RankedEdgeSetBytes([]Edge{{MaxID, 0}}, excluded) },
+		// Sorted, but reversed: the order check must not be what catches it.
+		"AppendEdgeSet sorted": func() { AppendEdgeSet(nil, []Edge{{1, 0}, {2, 1}}) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "U > V") {
+					t.Fatalf("%s: recovered %q, want the U > V panic", name, msg)
 				}
 			}()
 			fn()
@@ -171,6 +193,43 @@ func TestSetEncodersPanicOnMisuse(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// triRowOf finds the row of every element of small triangles, and of
+// elements at both ends of each row up to the largest stride, where the
+// square root it starts from is least exact.
+func TestTriRowOf(t *testing.T) {
+	for s := uint64(1); s <= 200; s++ {
+		x := uint64(0)
+		for u := uint64(0); u < s; u++ {
+			if base := triBase(u, s); base+u != x {
+				t.Fatalf("s=%d: row %d starts at %d, want %d", s, u, base+u, x)
+			}
+			for v := u; v < s; v, x = v+1, x+1 {
+				if got := triRowOf(x, s); got != u {
+					t.Fatalf("s=%d: element %d is in row %d, not %d", s, x, got, u)
+				}
+			}
+		}
+		if x != s*(s+1)/2 {
+			t.Fatalf("s=%d: %d elements, want s(s+1)/2", s, x)
+		}
+	}
+	r := rng.New(3)
+	for _, s := range []uint64{1 << 20, 1<<31 - 1, 1 << 31} {
+		for i := 0; i < 2000; i++ {
+			u := uint64(r.Intn(int(s)))
+			if i%4 == 0 {
+				u = s - 1 - uint64(i/4%64)
+			}
+			first, last := triBase(u, s)+u, triBase(u, s)+s-1
+			for _, x := range []uint64{first, last} {
+				if got := triRowOf(x, s); got != u {
+					t.Fatalf("s=%d: element %d is in row %d, not %d", s, x, got, u)
+				}
+			}
+		}
 	}
 }
 
@@ -196,8 +255,8 @@ func setWire(count uint64, stride int64, k uint, gaps []uint64, pad byte) []byte
 // Every way a peer's bytes can fail to be the encoding of a set is an error:
 // the decoders accept exactly what the encoders emit.
 func TestSetDecodersRejectCorruptInput(t *testing.T) {
-	valid := AppendEdgeSet(nil, []Edge{{0, 3}, {1, 2}, {4, 4}}) // stride 5, elements 3 7 24, k 3
-	if want := setWire(3, 5, 3, []uint64{3, 4, 17}, 0); !bytes.Equal(valid, want) {
+	valid := AppendEdgeSet(nil, []Edge{{0, 3}, {1, 2}, {4, 4}}) // stride 5, elements 3 6 14 of 15, k 2
+	if want := setWire(3, 5, 2, []uint64{3, 3, 8}, 0); !bytes.Equal(valid, want) {
 		t.Fatalf("the hand-built encoder disagrees with AppendEdgeSet: %x vs %x", want, valid)
 	}
 	// Seven one-bit codes and a sixteen-bit one: cut short by a byte, the
@@ -220,13 +279,13 @@ func TestSetDecodersRejectCorruptInput(t *testing.T) {
 		"padded count":                {append([]byte{0x83, 0x00}, valid[1:]...), "count"},
 		"padded stride":               {append([]byte{0x03, 0x85, 0x00}, valid[2:]...), "stride"},
 		"truncated bit stream":        {long[:len(long)-1], "truncated bit stream"},
-		"all zero bits":               {[]byte{0x01, 0x05, 0x00, 0x00, 0x00, 0x00}, "truncated bit stream"},
-		"element at stride^2":         {setWire(1, 5, 4, []uint64{25}, 0), "out of range"},
-		"row past the stride":         {setWire(2, 5, 3, []uint64{24, 1}, 0), "out of range"},
+		"all zero bits":               {[]byte{0x01, 0x07, 0x00, 0x00, 0x00, 0x00}, "truncated bit stream"},
+		"element at s(s+1)/2":         {setWire(1, 5, 3, []uint64{15}, 0), "out of range"},
+		"row past the stride":         {setWire(2, 5, 3, []uint64{14, 1}, 0), "out of range"},
 		"gap overflowing uint64":      {append([]byte{0x01, 0x05, 56}, append(make([]byte, 40), 0xff)...), "out of range"},
-		"nonzero padding":             {setWire(3, 5, 3, []uint64{3, 4, 17}, 1), "nonzero padding"},
-		"stride larger than needed":   {setWire(3, 6, 3, []uint64{3, 5, 20}, 0), "stride 6 is not the canonical 5"}, // the same edges under stride 6
-		"parameter not canonical":     {setWire(3, 5, 2, []uint64{3, 4, 17}, 0), "parameter 2 is not the canonical 3"},
+		"nonzero padding":             {setWire(3, 5, 2, []uint64{3, 3, 8}, 1), "nonzero padding"},
+		"stride larger than needed":   {setWire(3, 6, 2, []uint64{3, 4, 11}, 0), "stride 6 is not the canonical 5"}, // the same edges under stride 6
+		"parameter not canonical":     {setWire(3, 5, 1, []uint64{3, 3, 8}, 0), "parameter 1 is not the canonical 2"},
 	}
 	for name, c := range edgeCases {
 		if got, _, err := DecodeEdgeSet(c.data); err == nil || got != nil || !strings.Contains(err.Error(), c.why) {
@@ -318,25 +377,27 @@ func TestSetCodecStaysNearInformationBound(t *testing.T) {
 			check("id set", n, m, header, IDSetBytes(ids))
 		}
 	}
-	// Edge sets: m of the N = stride^2 ordered pairs over 1024 vertices.
+	// Edge sets: m of the N = side(side+1)/2 canonical pairs U <= V over 1024
+	// vertices, drawn uniformly.
 	const side = 1 << 10
-	for m := 1; m <= side*side/2; m *= 4 {
+	const pairs = side * (side + 1) / 2
+	for m := 1; m <= pairs/2; m *= 4 {
 		seen := make(map[Edge]bool, m)
 		edges := make([]Edge, 0, m+2)
-		// The corners pin the stride, so the universe is exactly side^2.
+		// The corners pin the stride, so the universe is exactly the triangle.
 		for _, e := range []Edge{{0, 0}, {side - 1, side - 1}} {
 			seen[e] = true
 			edges = append(edges, e)
 		}
 		for len(edges) < m+2 {
-			if e := (Edge{ID(r.Intn(side)), ID(r.Intn(side))}); !seen[e] {
+			if e := (Edge{ID(r.Intn(side)), ID(r.Intn(side))}); e.U <= e.V && !seen[e] {
 				seen[e] = true
 				edges = append(edges, e)
 			}
 		}
 		SortEdges(edges)
 		header := UvarintLen(uint64(len(edges))) + UvarintLen(side) + 1
-		check("edge set", side*side, len(edges), header, EdgeSetBytes(edges))
+		check("edge set", pairs, len(edges), header, EdgeSetBytes(edges))
 	}
 }
 
@@ -354,15 +415,28 @@ func prefixCuts(n int) []int {
 	return cuts
 }
 
-// FuzzEdgeSetCodec fuzzes both set decoders and both directions. Arbitrary
-// bytes must decode without panicking, allocating no more than a stated
-// multiple of the input — an edge is 8 bytes and can arrive as one bit, so
-// the multiple is 64, plus the allocator's rounding — and anything accepted
-// must be the canonical encoding of what it decoded to: re-encoding gives
-// back exactly the bytes consumed, and the size function their number.
-// Sorted sets built from the input must survive encode→decode exactly, every
-// proper prefix of their encoding must be refused, and bytes appended to it
-// must come back as the remainder.
+// fuzzExcluded draws the excluded sets of the ranked codec from the raw
+// bytes: IDs below 4096, in two overlapping sets, so the encoder's rank
+// table stays small whatever the input.
+func fuzzExcluded(data []byte) [][]ID {
+	ex := make([][]ID, 2)
+	for i := 0; i+2 <= len(data); i += 5 {
+		ex[i%2] = append(ex[i%2], ID(binary.LittleEndian.Uint16(data[i:])&0xfff))
+	}
+	return ex
+}
+
+// FuzzEdgeSetCodec fuzzes the set decoders — edge, ID and ranked edge — in
+// both directions. Arbitrary bytes must decode without panicking, allocating
+// no more than a stated multiple of the input — an edge is 8 bytes and can
+// arrive as one bit, so the multiple is 64, plus the allocator's rounding —
+// and anything accepted must be the canonical encoding of what it decoded to:
+// re-encoding gives back exactly the bytes consumed, and the size function
+// their number. Sorted canonical sets built from the input (and, for the
+// ranked codec, excluded sets drawn from it, with the edges that touch them
+// dropped) must survive encode→decode exactly, with the size function equal
+// to the encoding's length; every proper prefix of their encoding must be
+// refused, and bytes appended to it must come back as the remainder.
 func FuzzEdgeSetCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -371,8 +445,9 @@ func FuzzEdgeSetCodec(f *testing.F) {
 		f.Add(AppendEdgeSet(nil, edges))
 	}
 	f.Add(AppendIDSet(nil, []ID{0, 1, 127, 128, 1 << 20, MaxID}))
-	f.Add(setWire(3, 5, 3, []uint64{3, 4, 17}, 1))                                   // nonzero padding
-	f.Add(setWire(2, 5, 3, []uint64{24, 1}, 0))                                      // element past stride^2
+	f.Add(setWire(3, 5, 2, []uint64{3, 3, 8}, 1))                                    // nonzero padding
+	f.Add(setWire(2, 5, 3, []uint64{14, 1}, 0))                                      // element past the triangle
+	f.Add(AppendEdgeSet(nil, []Edge{{0, 2}, {4, 6}, {4, 8}}))                        // a gap over several rows
 	f.Add(append([]byte{0x01, 0x05, 56}, append(make([]byte, 40), 0xff)...))         // uint64 overflow
 	f.Add(append(binary.AppendUvarint(nil, 1<<40), 0x05, 0x00, 0xff))                // count beyond the input
 	f.Add(append([]byte{0x01, 0x05, 57}, make([]byte, 16)...))                       // k out of range
@@ -380,13 +455,16 @@ func FuzzEdgeSetCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))                                            // one bit per element
 	f.Add(binary.LittleEndian.AppendUint64(make([]byte, 24), 0x8000_0000_7fff_ffff)) // direction 2 at the ID boundary
 	f.Fuzz(func(t *testing.T, data []byte) {
+		excluded := fuzzExcluded(data)
+
 		// Direction 1: arbitrary bytes.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		edges, edgeRest, edgeErr := DecodeEdgeSet(data)
 		ids, idRest, idErr := DecodeIDSet(data)
+		ranked, rankedRest, rankedErr := DecodeRankedEdgeSet(data, excluded)
 		runtime.ReadMemStats(&after)
-		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(2*80*len(data)+1<<16); got > budget {
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(3*80*len(data)+1<<16); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(data), got, budget)
 		}
 		if edgeErr == nil {
@@ -411,18 +489,40 @@ func FuzzEdgeSetCodec(f *testing.F) {
 		} else if ids != nil || idRest != nil {
 			t.Fatalf("DecodeIDSet failed (%v) and still returned %d ids, %d bytes", idErr, len(ids), len(idRest))
 		}
+		if rankedErr == nil {
+			consumed := data[:len(data)-len(rankedRest)]
+			if re := AppendRankedEdgeSet(nil, ranked, excluded); !bytes.Equal(re, consumed) {
+				t.Fatalf("accepted a non-canonical ranked edge set: %x re-encodes to %x", consumed, re)
+			}
+			if RankedEdgeSetBytes(ranked, excluded) != len(consumed) {
+				t.Fatalf("RankedEdgeSetBytes %d, consumed %d", RankedEdgeSetBytes(ranked, excluded), len(consumed))
+			}
+		} else if ranked != nil || rankedRest != nil {
+			t.Fatalf("DecodeRankedEdgeSet failed (%v) and still returned %d edges, %d bytes", rankedErr, len(ranked), len(rankedRest))
+		}
 
-		// Direction 2: a sorted edge multiset and a sorted ID multiset built
-		// from the raw bytes.
-		var set []Edge
+		// Direction 2: a sorted canonical edge multiset and a sorted ID
+		// multiset built from the raw bytes, and for the ranked codec the
+		// same edges folded below 4096 less those touching an excluded ID.
+		out := make(map[ID]bool)
+		for _, set := range excluded {
+			for _, v := range set {
+				out[v] = true
+			}
+		}
+		var set, small []Edge
 		var idSet []ID
 		for i := 0; i+8 <= len(data); i += 8 {
 			u := ID(binary.LittleEndian.Uint32(data[i:]) &^ (1 << 31))
 			v := ID(binary.LittleEndian.Uint32(data[i+4:]) &^ (1 << 31))
-			set = append(set, Edge{u, v})
+			set = append(set, Edge{u, v}.Canon())
 			idSet = append(idSet, u, v)
+			if e := (Edge{u & 0xfff, v & 0xfff}.Canon()); !out[e.U] && !out[e.V] {
+				small = append(small, e)
+			}
 		}
 		SortEdges(set)
+		SortEdges(small)
 		slices.Sort(idSet)
 		tail := []byte{0xde, 0xad, 0xbe, 0xef}
 
@@ -437,6 +537,20 @@ func FuzzEdgeSetCodec(f *testing.F) {
 		for _, cut := range prefixCuts(len(wire)) {
 			if _, _, err := DecodeEdgeSet(wire[:cut]); err == nil {
 				t.Fatalf("edge set truncated to %d of %d bytes accepted", cut, len(wire))
+			}
+		}
+
+		wire = AppendRankedEdgeSet(nil, small, excluded)
+		if len(wire) != RankedEdgeSetBytes(small, excluded) {
+			t.Fatalf("RankedEdgeSetBytes %d != encoding %d", RankedEdgeSetBytes(small, excluded), len(wire))
+		}
+		got, rest, err = DecodeRankedEdgeSet(append(wire[:len(wire):len(wire)], tail...), excluded)
+		if err != nil || !bytes.Equal(rest, tail) || !slices.Equal(got, small) {
+			t.Fatalf("ranked edge set round trip: err %v, rest %x, %d of %d edges", err, rest, len(got), len(small))
+		}
+		for _, cut := range prefixCuts(len(wire)) {
+			if _, _, err := DecodeRankedEdgeSet(wire[:cut], excluded); err == nil {
+				t.Fatalf("ranked edge set truncated to %d of %d bytes accepted", cut, len(wire))
 			}
 		}
 

@@ -9,12 +9,13 @@ import (
 // Ranked edge sets: the sorted-set codec over the rank space of the IDs
 // outside an excluded set X. An ID v not in X travels as its rank, v minus
 // the number of IDs of X below v. The map is monotone, so an edge set keeps
-// its (U, V) order under it and the bytes are exactly AppendEdgeSet's of the
-// ranked edges — the same format, the same strictness — but the stride and
-// the gaps shrink by the share of the ID space X takes. A message that sends
-// X first pays nothing for this: its decoder holds X when it reaches the
-// edges. (The peeled levels of a vertex-cover coreset, and its residual, whose
-// edges touch no peeled vertex, are the use.)
+// its (U, V) order and its U <= V under it, and the bytes are exactly
+// AppendEdgeSet's of the ranked edges — the same format, the same
+// strictness — but the stride and the gaps shrink by the share of the ID
+// space X takes. A message that sends X first pays nothing for this: its
+// decoder holds X when it reaches the edges. (The peeled levels of a
+// vertex-cover coreset, and its residual, whose edges touch no peeled vertex,
+// are the use.)
 //
 // X is given as a list of ID sets; an ID in several of them counts once. An
 // edge with an endpoint in X has no rank: the encoders panic on it, as on an
@@ -23,9 +24,9 @@ import (
 // The decoder's table grows only with the number of IDs in X, which it holds
 // decoded — never with a stride or ID the message merely claims.
 
-// AppendRankedEdgeSet appends the encoding of edges, in (U, V) order, in the
-// rank space of the IDs outside excluded, and returns it. Panics like
-// AppendEdgeSet, and if an endpoint is excluded.
+// AppendRankedEdgeSet appends the encoding of edges, canonical and in (U, V)
+// order, in the rank space of the IDs outside excluded, and returns it.
+// Panics like AppendEdgeSet, and if an endpoint is excluded.
 func AppendRankedEdgeSet(dst []byte, edges []Edge, excluded [][]ID) []byte {
 	w := setWriter{buf: dst}
 	writeRankedEdgeSet(&w, edges, excluded)
@@ -67,8 +68,9 @@ func DecodeRankedEdgeSet(data []byte, excluded [][]ID) (edges []Edge, rest []byt
 }
 
 // writeRankedEdgeSet is writeEdgeSet with every endpoint v replaced by its
-// rank. Ranks are monotone, so the largest endpoint's rank is the largest
-// rank; with nothing to rank it is writeEdgeSet itself.
+// rank. Ranks are monotone, so a canonical edge's ranks are canonical and the
+// largest endpoint's rank is the largest rank; with nothing to rank it is
+// writeEdgeSet itself.
 func writeRankedEdgeSet(w *setWriter, edges []Edge, excluded [][]ID) {
 	r := newRanks(edges, excluded)
 	if r == nil {
@@ -76,22 +78,16 @@ func writeRankedEdgeSet(w *setWriter, edges []Edge, excluded [][]ID) {
 		return
 	}
 	w.uvarint(uint64(len(edges)))
-	top := ID(0)
-	for _, e := range edges {
-		checkID(e.U)
-		checkID(e.V)
-		top = max(top, e.U, e.V)
-	}
-	stride := uint64(r.of(top)) + 1
-	w.uvarint(stride)
+	s := uint64(r.of(edgeSetTop(edges))) + 1
+	w.uvarint(s)
 	last := edges[len(edges)-1]
-	w.start(len(edges), uint64(r.of(last.U))*stride+uint64(r.of(last.V)))
-	prev, u, ru := uint64(0), ID(-1), ID(0)
+	w.start(len(edges), triBase(uint64(r.of(last.U)), s)+uint64(r.of(last.V)))
+	prev, u, base := uint64(0), ID(-1), uint64(0)
 	for i, e := range edges {
 		if e.U != u { // a row of edges shares U: rank it once
-			u, ru = e.U, r.of(e.U)
+			u, base = e.U, triBase(uint64(r.of(e.U)), s)
 		}
-		x := uint64(ru)*stride + uint64(r.of(e.V))
+		x := base + uint64(r.of(e.V))
 		if x < prev {
 			// An excluded endpoint ranks as the next ID that is not, which
 			// can break the order: name it rather than the order.

@@ -40,9 +40,9 @@ func TestRankedEdgeSetRoundTrip(t *testing.T) {
 		{nil, [][]ID{{1, 2}}},
 		{[]Edge{{0, 0}}, nil},
 		{[]Edge{{0, 0}}, [][]ID{nil, {}}},
-		{[]Edge{{0, 4}, {4, 0}, {4, 4}}, [][]ID{{1, 2, 3}, {2, 3, 5}}},
-		{[]Edge{{0, 1}, {1, 1}, {1, 1}, {MaxID, 0}, {MaxID, MaxID}}, [][]ID{{2, 63, 64, 200}}},
-		{[]Edge{{0, 6}, {6, 1<<20 + 1}, {1<<20 + 1, 3}}, [][]ID{{5, 1 << 20}, {5}}},
+		{[]Edge{{0, 4}, {0, 4}, {4, 4}}, [][]ID{{1, 2, 3}, {2, 3, 5}}},
+		{[]Edge{{0, 1}, {0, MaxID}, {1, 1}, {1, 1}, {MaxID, MaxID}}, [][]ID{{2, 63, 64, 200}}},
+		{[]Edge{{0, 6}, {3, 1<<20 + 1}, {6, 1<<20 + 1}}, [][]ID{{5, 1 << 20}, {5}}},
 	}
 	for i := 0; i < 400; i++ {
 		// Half the universes are small, where the excluded IDs are dense;
@@ -69,7 +69,7 @@ func TestRankedEdgeSetRoundTrip(t *testing.T) {
 		}
 		var edges []Edge
 		for j := r.Intn(300); j > 0; j-- {
-			if e := (Edge{ID(r.Intn(n)), ID(r.Intn(n))}); !out[e.U] && !out[e.V] {
+			if e := (Edge{ID(r.Intn(n)), ID(r.Intn(n))}.Canon()); !out[e.U] && !out[e.V] {
 				edges = append(edges, e)
 			}
 		}
@@ -102,11 +102,11 @@ func TestRankedEdgeSetRoundTrip(t *testing.T) {
 func TestRankedEdgeSetPanicsOnExcludedEndpoint(t *testing.T) {
 	excluded := [][]ID{{2, 9}, {70}}
 	for name, fn := range map[string]func(){
-		"AppendRankedEdgeSet U": func() { AppendRankedEdgeSet(nil, []Edge{{0, 1}, {9, 3}}, excluded) },
+		"AppendRankedEdgeSet U": func() { AppendRankedEdgeSet(nil, []Edge{{0, 1}, {9, 13}}, excluded) },
 		"AppendRankedEdgeSet V": func() { AppendRankedEdgeSet(nil, []Edge{{0, 70}}, excluded) },
 		"RankedEdgeSetBytes":    func() { RankedEdgeSetBytes([]Edge{{2, 2}}, excluded) },
 		// 9 ranks as 10 does, so these ranks fall out of (U, V) order.
-		"out of rank order": func() { AppendRankedEdgeSet(nil, []Edge{{9, 5}, {10, 0}}, excluded) },
+		"out of rank order": func() { AppendRankedEdgeSet(nil, []Edge{{9, 20}, {10, 11}}, excluded) },
 	} {
 		func() {
 			defer func() {
@@ -124,7 +124,7 @@ func TestRankedEdgeSetPanicsOnExcludedEndpoint(t *testing.T) {
 // excluded IDs in hand, never for the stride the set claims.
 func TestRankedEdgeSetRejectsIDPastMaxID(t *testing.T) {
 	excluded := [][]ID{{MaxID - 7}} // a huge excluded ID, a one-entry table
-	hostile := AppendEdgeSet(nil, []Edge{{0, MaxID - 1}, {MaxID, 0}})
+	hostile := AppendEdgeSet(nil, []Edge{{0, MaxID - 1}, {MaxID, MaxID}})
 	const runs = 64
 	var before, after runtime.MemStats
 	var err error

@@ -47,7 +47,7 @@ func ExampleRegistry() {
 		fmt.Printf("%s %g\n", name, samples[name])
 	}
 	// Output:
-	// rounds_comm_bytes_total 67431
+	// rounds_comm_bytes_total 62043
 	// rounds_completed_total 3
 	// rounds_shrink_ratio_count 3
 	// rounds_shrink_ratio_sum 2.063113282758734

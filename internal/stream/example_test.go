@@ -60,7 +60,7 @@ func ExampleSolve() {
 	//   routed:      20217 edges in 20 batches
 	//   per machine: 2379..2650 edges received
 	//   live greedy: 1257..1312 matched online
-	//   summaries:   1333..1409 edges, 21504 bytes in total
+	//   summaries:   1333..1409 edges, 20130 bytes in total
 	//   composed:    2493 edges
 	// minimum vertex cover (Theorem 2), star K_{1,n-1}:
 	//   peeled:      1..1 vertices fixed online per machine

@@ -19,8 +19,8 @@ import (
 // multigraph is recounted from scratch into a map (a parallel edge once per
 // copy, a self-loop twice), every vertex at or above the threshold is fixed
 // in ascending order, and the edges a fixed vertex covers leave. What is left
-// at the end is the residual, sorted by (U, V) with each edge oriented as it
-// arrived.
+// at the end is the residual, each edge canonical (U <= V) and sorted by
+// (U, V).
 func refPeel(thresholds []int, edges []graph.Edge) *core.VCCoreset {
 	left := append([]graph.Edge{}, edges...)
 	out := &core.VCCoreset{}
@@ -50,6 +50,9 @@ func refPeel(thresholds []int, edges []graph.Edge) *core.VCCoreset {
 		left = rest
 		out.Levels = append(out.Levels, level)
 		out.Fixed = append(out.Fixed, level...)
+	}
+	for i, e := range left {
+		left[i] = e.Canon()
 	}
 	sort.SliceStable(left, func(i, j int) bool {
 		return left[i].U < left[j].U || left[i].U == left[j].U && left[i].V < left[j].V
