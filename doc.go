@@ -212,27 +212,38 @@
 // benchmark ledger (bench/out/result.json); engine.Run's multi-round example
 // walks the per-round shrink end to end, in process and over TCP.
 //
-// Builder memory model. The model grants each machine O(m/k) space, and
-// each task's builder (internal/task) spends it differently. The matching
-// and vc builders keep their shard in a graph.EdgeStore: chunks that double
-// up to 4096 edges and are never copied or re-grown, so a shard costs the 8
-// bytes per edge it holds plus at most 32 KiB of slack (an append-grown
-// slice allocates about five times what it ends up holding). The matching
-// builder adds a 4-byte greedy-mate entry per vertex ID, sized once from the
-// declared n, and its Finish hands the store's chunks to matching.Maximum,
-// which reads them in place. The vc builder keeps a 4-byte running degree
-// per vertex — level 1 is every vertex whose degree reached its threshold —
+// Builder memory model. The model grants each machine O(m/k) space, the
+// same budget in every run, and each task's builder (internal/task) spends
+// it differently. The matching and vc builders keep their shard in a
+// graph.EdgeStore: fixed blocks of 1024 edges (graph.BlockEdges, 8 KiB)
+// that are never copied or re-grown, so a shard costs the 8 bytes per edge
+// it holds plus under one block of slack (an append-grown slice allocates
+// about five times what it ends up holding). The blocks come from one
+// process-wide free list (graph.GetBlock, a sync.Pool), which the router's
+// batches are drawn from too, and each builder hands its memory back at
+// Finish once its summary no longer needs it, so the next job's machines
+// reuse it instead of allocating. A slice the store only borrows
+// (graph.BorrowEdges) is never put on the free list, no summary, solution
+// or report aliases a block, and a machine dropped by cancellation leaves
+// its blocks to the GC. Blocks held on the free list between jobs count as
+// live heap. The matching builder adds a 4-byte greedy-mate entry per
+// vertex ID, sized once from the declared n, and its Finish hands the
+// store's chunks to matching.Maximum, which reads them in place, then
+// releases the store. The vc builder keeps a 4-byte running degree per
+// vertex, in a table taken from a free list of its own and handed back at
+// Finish — level 1 is every vertex whose degree reached its threshold —
 // and stores only the edges that no level-1 vertex covers yet (every edge,
 // when the source cannot declare n); its Finish is the edge-list peel
 // (core.PeelVC), which runs in that degree table and needs no adjacency:
 // per level that fixed a vertex, one sweep over the store drops the covered
-// edges, compacts the chunks in place and recounts the survivors' degrees,
-// and the next level is selected from that table in ascending vertex order
-// (a level above every degree left is recorded without a scan). The peel
-// allocates a dead flag per vertex once a level fixes someone, and the
-// residual, sized to what survives and sorted only if the store saw an edge
-// out of order — the batch core.ComputeVCCoreset runs the same loop over a
-// borrowed slice it never writes, in a degree table of its own. The
+// edges, compacts the chunks in place (returning the blocks it empties) and
+// recounts the survivors' degrees, and the next level is selected from that
+// table in ascending vertex order (a level above every degree left is
+// recorded without a scan). The peel allocates a dead flag per vertex once
+// a level fixes someone, and the residual, sized to what survives and
+// sorted only if the store saw an edge out of order, after which it
+// releases the store — the batch core.ComputeVCCoreset runs the same loop
+// over a borrowed slice it never writes, in a degree table of its own. The
 // diversity builder holds no edges, only the set of vertex IDs it saw. The
 // edcs builder (edcs.Subgraph) stores each distinct non-loop edge as two
 // 4-byte entries, one in each endpoint's chain of 64-byte blocks: a block
@@ -255,7 +266,8 @@
 // data plane around the builders is allocation-free in the steady state:
 // dataset segments and SHARD frames decode into reused buffers
 // (graph.DecodeEdgeBatchInto), the stream and cluster sharders take their
-// routing batches back from the machines and senders that drained them, a
+// routing batches back from the machines and senders that drained them and
+// hand them to the block free list when the pass ends, a
 // cluster link encodes every SHARD frame into one buffer, and a worker
 // reads every mid-run frame into one per connection (the coordinator, which
 // keeps the TELEM and CORESET payloads it reads, does not). Every frame,

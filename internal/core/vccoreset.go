@@ -54,17 +54,19 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 }
 
 // PeelVC is the level loop of VC-Coreset, run straight off a machine's edge
-// store, which it consumes. Level j fixes every vertex whose degree in the
-// surviving subgraph is at least ceil(n/(k*2^(j+1))), in ascending vertex
-// order. A level needs degrees only once, before it selects, and removing a
-// level needs no adjacency — an edge leaves exactly when an endpoint has —
-// so the peel is one sweep per level that removed something: Prune drops the
-// edges the last level killed and recounts the survivors' degrees in the same
-// pass. The cost is what the sweeps visit, on a store that shrinks with every
-// one. Each scan of the degree table also notes the largest degree it leaves
-// alive, and the thresholds only fall, so a level whose threshold is above
-// that (the high thresholds, on a shard with no heavy vertex) is recorded as
-// empty without a scan.
+// store, which it consumes: once the residual is copied out, the store is
+// released, its blocks back on the free list for the next machine. Level j
+// fixes every vertex whose degree in the surviving subgraph is at least
+// ceil(n/(k*2^(j+1))), in ascending vertex order. A level needs degrees only
+// once, before it selects, and removing a level needs no adjacency — an edge
+// leaves exactly when an endpoint has — so the peel is one sweep per level
+// that removed something: Prune drops the edges the last level killed and
+// recounts the survivors' degrees in the same pass. The cost is what the
+// sweeps visit, on a store that shrinks with every one. Each scan of the
+// degree table also notes the largest degree it leaves alive, and the
+// thresholds only fall, so a level whose threshold is above that (the high
+// thresholds, on a shard with no heavy vertex) is recorded as empty without
+// a scan.
 //
 // online, when positive, is the level-1 threshold a streaming machine
 // applied while its shard arrived, and deg the degree table it kept: deg[v]
@@ -135,9 +137,11 @@ func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 		st.Prune(dead, deg)
 	}
 	// The residual is an undirected edge set: canonical edges (U <= V), in
-	// a slice of the peel's own, so nothing borrowed is written.
+	// a slice of the peel's own, so nothing borrowed is written and nothing
+	// released is read.
 	out.Residual = st.Edges()
 	sorted := st.Sorted()
+	st.Release()
 	for i, e := range out.Residual {
 		if e.U > e.V {
 			out.Residual[i], sorted = graph.Edge{U: e.V, V: e.U}, false

@@ -1,34 +1,58 @@
 package graph
 
+import "sync"
+
+// BlockEdges is the number of edges in one block of the free list (8 KiB):
+// the chunk size of every EdgeStore and the routed batch size a pass uses by
+// default (stream.DefaultBatchSize).
+const BlockEdges = 1024
+
+// blocks is the process-wide free list of edge blocks. The model grants each
+// machine the same O(m/k) memory in every run, so a machine's shard chunks
+// and routing batches are drawn from here and handed back when the machine is
+// done with them, instead of being allocated afresh per job. Pointers to
+// arrays, so that a Put boxes nothing.
+var blocks = sync.Pool{New: func() any { return new([BlockEdges]Edge) }}
+
+// GetBlock returns an empty slice of capacity BlockEdges over a block taken
+// from the free list. The block's old contents are garbage: read only what
+// has been appended or written since.
+func GetBlock() []Edge { return blocks.Get().(*[BlockEdges]Edge)[:0] }
+
+// PutBlock hands b's block back to the free list; b must start where a
+// GetBlock slice does, and nothing may read or write the block afterwards. A
+// slice of any capacity but BlockEdges is left to the GC, so a batch sized
+// past a block, or a caller's slice, is never pooled. A block that is never
+// put back (a machine dropped by cancellation) is simply collected.
+func PutBlock(b []Edge) {
+	if cap(b) == BlockEdges {
+		blocks.Put((*[BlockEdges]Edge)(b[:BlockEdges]))
+	}
+}
+
 // EdgeStore holds one machine's shard in arrival order without ever copying
-// an edge it has stored: edges go into fixed chunks, and a full chunk is
-// followed by a new one instead of being re-grown. It is what the per-machine
-// builders keep their O(m/k) partition in — an append-grown slice of the
-// same edges allocates about five times what it ends up holding. It also
-// knows, without a pass, whether what it appended is in SortEdges order: each
-// Append compares the edge with the one before it.
+// an edge it has stored: edges go into blocks from the free list (GetBlock),
+// and a full block is followed by a new one instead of being re-grown. It is
+// what the per-machine builders keep their O(m/k) partition in — an
+// append-grown slice of the same edges allocates about five times what it
+// ends up holding — and a shard costs the 8 bytes per edge it holds plus
+// under one block of slack. Prune returns the blocks it empties and Release
+// the rest, so the next machine's store reuses them. It also knows, without a
+// pass, whether what it appended is in SortEdges order: each Append compares
+// the edge with the one before it.
 //
 // The zero value is an empty store.
 type EdgeStore struct {
 	chunks   [][]Edge // arrival order; every chunk but the last is full
 	spare    [][]Edge // own chunks Prune is compacting into: grow takes these first
-	borrowed bool     // chunks[0] is a caller's slice and must never be written
+	borrowed bool     // chunks[0] is a caller's slice: never written, never released
 	last     Edge     // the last edge held (the zero edge, the least, when empty)
 	unsorted bool     // an appended edge precedes the one before it in SortEdges order
 }
 
-// Chunk capacities in edges. The first chunk is small so that a ten-edge
-// shard (most tests, the tail machines of a multi-round schedule) does not
-// pay for a large one; capacities then double up to maxChunk, which keeps the
-// unused tail of the last chunk under 32 KiB however large the shard: a
-// 20 000-edge shard holds room for 20 448 edges.
-const (
-	minChunk = 32
-	maxChunk = 1 << 12
-)
-
 // BorrowEdges returns a store over part without copying it. The store only
-// reads the slice: Prune moves the survivors into chunks of its own.
+// reads the slice: Prune moves the survivors into blocks of its own, and
+// Release never hands the slice to the free list.
 func BorrowEdges(part []Edge) *EdgeStore {
 	s := &EdgeStore{borrowed: true}
 	if len(part) > 0 {
@@ -57,11 +81,7 @@ func (s *EdgeStore) grow() {
 		s.spare = s.spare[1:]
 		return
 	}
-	size := minChunk
-	if t := len(s.chunks); t > 0 {
-		size = min(2*cap(s.chunks[t-1]), maxChunk)
-	}
-	s.chunks = append(s.chunks, make([]Edge, 0, size))
+	s.chunks = append(s.chunks, GetBlock())
 }
 
 // Len returns the number of edges held.
@@ -93,7 +113,7 @@ func (s *EdgeStore) Sorted() bool {
 // Chunks returns the held edges, in arrival order, as the store's own
 // chunks, for a reader that takes its edges in pieces (BuildAdj,
 // matching.Maximum). The chunks must not be written, and are valid until the
-// next Append or Prune.
+// next Append, Prune or Release.
 func (s *EdgeStore) Chunks() [][]Edge { return s.chunks }
 
 // AddDegrees adds every held edge to the degree table deg, counted as
@@ -110,10 +130,10 @@ func (s *EdgeStore) AddDegrees(deg []int32) {
 // Prune drops every edge with a dead endpoint, keeping the rest in arrival
 // order, and in the same pass recounts deg as the survivors' degrees. The
 // store compacts into its own chunks — the k-th survivor lands where the
-// k-th edge was, so a write never passes the read cursor — and releases the
-// chunks it empties. A borrowed store moves the survivors into chunks of its
-// own instead, and owns them from then on. The survivors are appended anew,
-// which tests their order.
+// k-th edge was, so a write never passes the read cursor — and hands the
+// blocks it empties back to the free list. A borrowed store moves the
+// survivors into blocks of its own instead, and owns them from then on. The
+// survivors are appended anew, which tests their order.
 func (s *EdgeStore) Prune(dead []bool, deg []int32) {
 	clear(deg)
 	old := s.chunks
@@ -133,5 +153,20 @@ func (s *EdgeStore) Prune(dead []bool, deg []int32) {
 			s.Append(e)
 		}
 	}
+	for _, c := range s.spare {
+		PutBlock(c)
+	}
 	s.spare = nil
+}
+
+// Release hands the store's blocks back to the free list and leaves it empty.
+// Whatever was read out of the store in place (Chunks) must be done with; a
+// copy (Edges) is the caller's. A borrowed slice is never released.
+func (s *EdgeStore) Release() {
+	if !s.borrowed {
+		for _, c := range s.chunks {
+			PutBlock(c)
+		}
+	}
+	*s = EdgeStore{}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // storeEdges is a deterministic multigraph edge sequence on n vertices, long
-// enough (past a few maxChunk chunks when m says so) to cross every chunk
-// boundary the store has.
+// enough (past a few blocks when m says so) to cross every chunk boundary the
+// store has.
 func storeEdges(n, m int) []Edge {
 	out := make([]Edge, m)
 	x := uint32(12345)
@@ -34,7 +34,7 @@ func pruneRef(n int, edges []Edge, dead []bool) (kept []Edge, deg []int32) {
 }
 
 func TestEdgeStoreAppendKeepsArrivalOrder(t *testing.T) {
-	for _, m := range []int{0, 1, minChunk, minChunk + 1, 1000, 3*maxChunk + 17} {
+	for _, m := range []int{0, 1, BlockEdges - 1, BlockEdges, BlockEdges + 1, 3*BlockEdges + 17} {
 		want := storeEdges(500, m)
 		var s EdgeStore
 		for _, e := range want {
@@ -52,15 +52,12 @@ func TestEdgeStoreAppendKeepsArrivalOrder(t *testing.T) {
 		}
 		held := 0
 		for _, c := range s.chunks {
-			if cap(c) > maxChunk {
-				t.Fatalf("m=%d: chunk of %d edges above the cap", m, cap(c))
+			if cap(c) != BlockEdges {
+				t.Fatalf("m=%d: chunk of %d edges, not a block", m, cap(c))
 			}
 			held += cap(c)
 		}
-		// Geometric growth up to the cap: room for under twice what is
-		// stored while the chunks still double, and under one cap-sized
-		// chunk beyond it once they no longer do.
-		if held >= 2*m+minChunk && held >= m+maxChunk {
+		if held-m >= BlockEdges {
 			t.Fatalf("m=%d: chunks hold room for %d edges", m, held)
 		}
 		deg := make([]int32, 500)
@@ -76,7 +73,7 @@ func TestEdgeStoreAppendKeepsArrivalOrder(t *testing.T) {
 // chunks they empty.
 func TestEdgeStorePruneInPlace(t *testing.T) {
 	const n = 400
-	flat := storeEdges(n, 2*maxChunk+999)
+	flat := storeEdges(n, 8*BlockEdges+999)
 	var s EdgeStore
 	for _, e := range flat {
 		s.Append(e)
@@ -166,7 +163,7 @@ func TestEdgeStoreTracksOrder(t *testing.T) {
 			t.Fatalf("%s: Sorted() = %v over %d edges that a pass finds otherwise", what, s.Sorted(), s.Len())
 		}
 	}
-	sorted := storeEdges(n, 3*maxChunk+5)
+	sorted := storeEdges(n, 12*BlockEdges+5)
 	SortEdges(sorted)
 	unsorted := storeEdges(n, 2000)
 	for _, part := range [][]Edge{nil, sorted[:1], sorted, unsorted} {
@@ -222,8 +219,8 @@ func TestEdgeStoreTracksOrder(t *testing.T) {
 	agree("second endpoints out of order", &s)
 }
 
-// However large the shard, the store holds room for at most one full chunk
-// (4096 edges, 32 KiB) beyond what it stores.
+// However large the shard, the store holds room for under one block (1024
+// edges, 8 KiB) beyond what it stores.
 func TestEdgeStoreSlack(t *testing.T) {
 	for _, m := range []int{1, 31, 33, 5_000, 20_000, 525_000} {
 		var s EdgeStore
@@ -234,8 +231,70 @@ func TestEdgeStoreSlack(t *testing.T) {
 		for _, c := range s.chunks {
 			held += cap(c)
 		}
-		if held > m+4096 {
+		if held-m >= BlockEdges {
 			t.Fatalf("%d edges: chunks hold room for %d", m, held)
 		}
+	}
+}
+
+// Release leaves an empty store that works as a fresh one, and blocks cycle
+// through the free list: a store filled again after a Release allocates
+// (about) no blocks. The race detector drops a random quarter of what a Pool
+// is handed, so the bound only asks that at least half the blocks come back.
+func TestEdgeStoreReleaseReusesBlocks(t *testing.T) {
+	const blocksHeld = 32
+	edges := storeEdges(100, blocksHeld*BlockEdges)
+	var s EdgeStore
+	fill := func() {
+		for _, e := range edges {
+			s.Append(e)
+		}
+	}
+	fill()
+	s.Release()
+	if s.Len() != 0 || s.Edges() == nil || !s.Sorted() || len(s.Chunks()) != 0 {
+		t.Fatal("a released store must read as empty")
+	}
+	fill()
+	if !slices.Equal(s.Edges(), edges) {
+		t.Fatal("a store refilled after Release lost arrival order")
+	}
+	s.Release()
+	// Each cycle also grows the chunk list itself, about log2(blocksHeld)
+	// allocations.
+	got := testing.AllocsPerRun(20, func() { fill(); s.Release() })
+	t.Logf("%.1f allocations per fill of %d blocks", got, blocksHeld)
+	if got > 10+blocksHeld/2 {
+		t.Fatalf("a fill of %d blocks after a Release allocates %.1f times", blocksHeld, got)
+	}
+}
+
+// A borrowed slice is the caller's: releasing the store, pruned or not, never
+// puts it on the free list, even when its capacity is exactly a block's.
+func TestEdgeStoreReleaseNeverPoolsBorrowed(t *testing.T) {
+	part := storeEdges(50, BlockEdges)
+	before := slices.Clone(part)
+	dead, deg := make([]bool, 50), make([]int32, 50)
+	dead[7] = true
+	for _, prune := range []bool{false, true} {
+		s := BorrowEdges(part)
+		if prune {
+			s.Prune(dead, deg)
+		}
+		s.Release()
+		var held [][]Edge
+		for range 64 {
+			b := GetBlock()
+			if &b[:1][0] == &part[0] {
+				t.Fatalf("prune=%v: GetBlock handed out the borrowed slice", prune)
+			}
+			held = append(held, b)
+		}
+		for _, b := range held {
+			PutBlock(b)
+		}
+	}
+	if !slices.Equal(part, before) {
+		t.Fatal("the borrowed slice was written")
 	}
 }

@@ -38,8 +38,11 @@ type Feed struct {
 	n       *int
 }
 
-// Recycle hands a consumed batch back to the router, which refills it. Add
-// takes edges by value, so nothing downstream may alias a batch past this.
+// Recycle hands a consumed batch back to the router, which refills it; when
+// the pass ends, its batches go back to the process-wide free list of edge
+// blocks (graph.GetBlock), where the next pass — or a machine's edge store —
+// takes them. Add takes edges by value, so nothing downstream may alias a
+// batch past this.
 func (f *Feed) Recycle(batch []graph.Edge) { f.free <- batch[:0] }
 
 // N waits for the source to drain and returns the final vertex count; ok is
@@ -65,8 +68,11 @@ func (f *Feed) N() (n int, ok bool) {
 //
 // Routing batches circulate: a machine hands each consumed batch back with
 // Recycle and the router refills it. At most queueDepth queued, one with the
-// machine and one filling per machine are ever live, so the free list never
-// overflows and a pass allocates O(k) batches however long the source.
+// machine and one filling per machine are ever live, so the pass's free list
+// never overflows. Route draws each batch it needs beyond those from the
+// process-wide block free list, and Pass hands them all back there when it
+// ends, so a pass after a warm one allocates no batches however long the
+// source.
 //
 // Cancellation is cooperative at batch granularity: Route checks ctx once
 // per source batch and on every (possibly blocking) send. On a source error
@@ -121,6 +127,12 @@ func Pass(ctx context.Context, src EdgeSource, cfg Config, machines []int, serve
 		close(ready)
 	}
 	wg.Wait()
+	// Every serve call has returned, and with it every Recycle: the batches
+	// are all back on the pass's free list.
+	close(free)
+	for b := range free {
+		graph.PutBlock(b)
+	}
 	return res
 }
 
@@ -130,13 +142,22 @@ func Pass(ctx context.Context, src EdgeSource, cfg Config, machines []int, serve
 // one caller outside tests. A machine with a nil channel is not taking part
 // in this pass and its edges are dropped. A batch is taken from free when one
 // is waiting there — consumers return each batch once they are done with it —
-// and allocated only otherwise. Sends block on a machine's channel but never
-// past cancellation. Returns the edge and batch totals, a real source error
-// (never a cancellation), and whether the loop aborted on ctx. The caller
-// owns closing the channels.
+// and otherwise from the block free list (graph.GetBlock); a bs larger than a
+// block allocates. The read buffer is a block too, handed back on return, as
+// is a batch left unsent by an abort. Sends block on a machine's channel but
+// never past cancellation. Returns the edge and batch totals, a real source
+// error (never a cancellation), and whether the loop aborted on ctx. The
+// caller owns closing the channels.
 func Route(ctx context.Context, src EdgeSource, chans []chan []graph.Edge, free <-chan []graph.Edge, bs int, seed uint64) (total, batches int, srcErr error, aborted bool) {
 	k := len(chans)
-	buf := make([]graph.Edge, bs)
+	newBatch := func() []graph.Edge {
+		if bs <= graph.BlockEdges {
+			return graph.GetBlock()
+		}
+		return make([]graph.Edge, 0, bs)
+	}
+	buf := newBatch()[:bs]
+	defer graph.PutBlock(buf)
 	pending := make([][]graph.Edge, k)
 	send := func(i int) bool {
 		select {
@@ -166,7 +187,7 @@ shard:
 					select {
 					case pending[i] = <-free:
 					default:
-						pending[i] = make([]graph.Edge, 0, bs)
+						pending[i] = newBatch()
 					}
 				}
 				pending[i] = append(pending[i], e)
@@ -190,6 +211,9 @@ shard:
 				break
 			}
 		}
+	}
+	for _, p := range pending {
+		graph.PutBlock(p) // unsent: a source error or an abort
 	}
 	return total, batches, srcErr, aborted
 }

@@ -39,9 +39,10 @@ import (
 )
 
 // DefaultBatchSize is the number of edges per routed batch when Config leaves
-// BatchSize zero. Batches amortize channel operations; the value is a latency
-// versus overhead trade-off, not a correctness knob.
-const DefaultBatchSize = 1024
+// BatchSize zero: one block of the free list the router draws its batches
+// from (graph.BlockEdges). Batches amortize channel operations; the value is a
+// latency versus overhead trade-off, not a correctness knob.
+const DefaultBatchSize = graph.BlockEdges
 
 // Config parameterizes a streaming run.
 type Config struct {

@@ -2,6 +2,7 @@ package task
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/edcs"
@@ -15,7 +16,7 @@ import (
 // maximum matching at every instant). At end of stream it emits the Theorem
 // 1 summary: a maximum matching of the stored partition, computed by
 // core.MatchingCoreset straight off the store's chunks, which are never
-// flattened.
+// flattened, and then releases the store: the summary is a fresh slice.
 type matchingBuilder struct {
 	edges graph.EdgeStore
 	live  *matching.Incremental
@@ -34,9 +35,11 @@ func (b *matchingBuilder) Finish(n int) Summary {
 	live := b.live.Size()
 	b.live = nil // telemetry only: its table should not sit beside the matcher's
 	cs := core.MatchingCoreset(n, b.edges.Chunks()...)
+	stored := b.edges.Len()
+	b.edges.Release()
 	return Summary{
 		Coreset: cs,
-		Stored:  b.edges.Len(),
+		Stored:  stored,
 		Live:    live,
 		Bytes:   core.CoresetSizeBytes(cs),
 	}
@@ -64,6 +67,11 @@ func (b *matchingBuilder) Finish(n int) Summary {
 // its partition and leaving every level to Finish. A source that delivers ids
 // past the n it declared grows the table; level 1 keeps the declared-n
 // threshold.
+//
+// The machine's memory is reused across jobs: the store's blocks come from
+// graph's block free list and PeelVC hands them back, and the degree table
+// comes from degTables and goes back there at Finish, once the peel is done
+// with it. Nothing in the summary aliases either.
 type vcBuilder struct {
 	k         int
 	threshold int     // level-1 peel threshold; 0 disables online peeling
@@ -76,10 +84,29 @@ func newVCBuilder(k, nHint int) *vcBuilder {
 	if nHint > 0 && core.PeelingDepth(nHint, k) > 1 {
 		// Level j = 1 peels at residual degree >= ceil(n / (k * 2^(j+1))).
 		b.threshold = int(math.Ceil(float64(nHint) / (float64(k) * 4)))
-		b.deg = make([]int32, nHint)
+		b.deg = getDegTable(nHint)
 	}
 	return b
 }
+
+// degTables is the free list of vc degree tables (*[]int32), so that a cold
+// job's machines count degrees in the tables an earlier job's machines left.
+var degTables sync.Pool
+
+// getDegTable returns a zeroed table of n degrees: a recycled one if the one
+// the free list offers has the capacity, a fresh one otherwise (the short
+// table is left to the GC).
+func getDegTable(n int) []int32 {
+	if t, ok := degTables.Get().(*[]int32); ok && cap(*t) >= n {
+		deg := (*t)[:n]
+		clear(deg)
+		return deg
+	}
+	return make([]int32, n)
+}
+
+// putDegTable hands deg back to the free list; nothing may use it afterwards.
+func putDegTable(deg []int32) { degTables.Put(&deg) }
 
 func (b *vcBuilder) Add(e graph.Edge) {
 	if b.threshold == 0 {
@@ -105,6 +132,10 @@ func (b *vcBuilder) Add(e graph.Edge) {
 func (b *vcBuilder) Finish(n int) Summary {
 	stored := b.stored.Len() // the peel consumes the store and the table
 	cs := core.PeelVC(n, b.k, &b.stored, b.deg, b.threshold)
+	if b.deg != nil {
+		putDegTable(b.deg)
+		b.deg = nil
+	}
 	live := 0
 	if b.threshold > 0 {
 		live = len(cs.Levels[0])

@@ -205,10 +205,15 @@ func TestVCBuilderGrowsPastHint(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		n, nHint, k := 400, 250, 2
 		edges := gen.HubNoise(n, 3, 150, 1500, rng.New(seed))
-		b, s := feed(k, nHint, n, edges)
+		b := newVCBuilder(k, nHint)
+		for _, e := range edges {
+			b.Add(e)
+		}
+		// Finish hands the table back, so read it before.
 		if len(b.deg) <= nHint || b.threshold == 0 {
 			t.Fatalf("seed %d: tables hold %d vertices (threshold %d); the input never left the declared %d", seed, len(b.deg), b.threshold, nHint)
 		}
+		s := b.Finish(n)
 		thresholds := refThresholds(n, k)
 		thresholds[0] = b.threshold
 		if want := refPeel(thresholds, edges); !reflect.DeepEqual(s.VC, want) {
