@@ -106,24 +106,32 @@ func (sp Spec) resolve() (d *task.Descriptor, p task.Params, err error) {
 // batch runtime materializes src first and self-checks: the input must pass
 // graph.Validate and the composed solution the task's verifier.
 func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport, error) {
+	rep, _, _, err := run(ctx, sp, src)
+	return rep, err
+}
+
+// run is Run, also returning the final round's summaries and the composed
+// solution, which the parity tests hold equal across runtimes.
+func run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport, []task.Summary, task.Solution, error) {
+	var sol task.Solution
 	d, p, err := sp.resolve()
 	if err != nil {
-		return nil, err
+		return nil, nil, sol, err
 	}
 	var g *graph.Graph
 	if sp.Runtime == Batch {
 		if g, err = stream.Collect(src); err != nil {
-			return nil, err
+			return nil, nil, sol, err
 		}
 		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("invalid input: %w", err)
+			return nil, nil, sol, fmt.Errorf("invalid input: %w", err)
 		}
 		src = stream.NewGraphSource(g)
 	}
 	start := time.Now()
 	round, closeRuntime, err := sp.runtime(ctx, d, p, src)
 	if err != nil {
-		return nil, err
+		return nil, nil, sol, err
 	}
 	defer closeRuntime()
 
@@ -142,15 +150,15 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, sol, err
 	}
-	sol := d.Compose(st.N, sums)
+	sol = d.Compose(st.N, sums)
 	st.Duration = time.Since(start)
 	if g != nil && d.Verify != nil {
 		if err := d.Verify(g.N, g.Edges, sol); err != nil {
 			// The input was valid, so an invalid solution is a bug in this
 			// program.
-			return nil, fmt.Errorf("internal error: %w", err)
+			return nil, nil, sol, fmt.Errorf("internal error: %w", err)
 		}
 	}
 	rep := report(sp, p, st, sol.Size)
@@ -160,7 +168,7 @@ func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport,
 			rep.RoundStats = append(rep.RoundStats, roundReport(rs))
 		}
 	}
-	return rep, nil
+	return rep, sums, sol, nil
 }
 
 // runtime is the one runtime switch: it returns the round function of sp's

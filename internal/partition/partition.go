@@ -37,20 +37,6 @@ func RandomK(edges []graph.Edge, k int, r *rng.RNG) [][]graph.Edge {
 	return parts
 }
 
-// Assignment returns the machine index for every edge under a random
-// k-partitioning, without materializing the parts. Used by experiments that
-// need to know where a distinguished edge (e.g. e* in D_VC) landed.
-func Assignment(m, k int, r *rng.RNG) []int {
-	if k <= 0 {
-		panic("partition: Assignment with k <= 0")
-	}
-	a := make([]int, m)
-	for i := range a {
-		a[i] = r.Intn(k)
-	}
-	return a
-}
-
 // mix64 is the splitmix64 finalizer: a bijective mixer with full avalanche,
 // used to turn structured (seed, edge) keys into uniform machine choices.
 func mix64(x uint64) uint64 {

@@ -92,11 +92,9 @@ func TestRandomKUniformMachineChoice(t *testing.T) {
 func TestAssignmentAndByAssignment(t *testing.T) {
 	r := rng.New(17)
 	edges := randEdges(r, 60, 300)
-	assign := Assignment(len(edges), 7, r)
-	for _, a := range assign {
-		if a < 0 || a >= 7 {
-			t.Fatalf("assignment out of range: %d", a)
-		}
+	assign := make([]int, len(edges))
+	for i := range assign {
+		assign[i] = r.Intn(7)
 	}
 	parts := ByAssignment(edges, 7, assign)
 	if !Verify(edges, parts) {
@@ -189,7 +187,6 @@ func TestPanicsOnBadK(t *testing.T) {
 		func() { RandomK(nil, 0, rng.New(1)) },
 		func() { AdversarialChunks(nil, 0) },
 		func() { AdversarialByVertex(nil, -1) },
-		func() { Assignment(3, 0, rng.New(1)) },
 	} {
 		func() {
 			defer func() {
