@@ -2,10 +2,15 @@ package repro
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,21 +32,27 @@ func importNames(f *ast.File) map[string]string {
 }
 
 // dispatchGate: a frontend (cmd/, internal/service) runs a job through
-// engine.Run. It names no runtime entry point (stream.Solve, cluster.Solve),
-// imports no round driver, and calls no materialized reference
-// (Descriptor.Batch), through any import alias.
+// engine.Run. It names no runtime entry point (stream.Solve, cluster.Solve)
+// and imports no round driver, through any import alias. Batch mode is the
+// stream pipeline over the materialized graph, so neither a frontend nor the
+// engine nor the round driver calls the materialized reference
+// (Descriptor.Batch, BatchSummaries): it is not a runtime.
 func dispatchGate(path string, f *ast.File) []string {
-	if !strings.HasPrefix(path, "cmd/") && !strings.HasPrefix(path, "internal/service/") {
+	frontend := strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "internal/service/")
+	if !frontend && !strings.HasPrefix(path, "internal/engine/") && !strings.HasPrefix(path, "internal/rounds/") {
 		return nil
 	}
 	names := importNames(f)
 	var bad []string
 	for _, spec := range f.Imports {
-		if p, _ := strconv.Unquote(spec.Path.Value); p == "repro/internal/rounds" {
+		if p, _ := strconv.Unquote(spec.Path.Value); frontend && p == "repro/internal/rounds" {
 			bad = append(bad, path+": imports repro/internal/rounds")
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "BatchSummaries" {
+			bad = append(bad, path+": names BatchSummaries")
+		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			// A method call, not a package function: the materialized
 			// reference.
@@ -52,7 +63,7 @@ func dispatchGate(path string, f *ast.File) []string {
 			}
 		}
 		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || !frontend {
 			return true
 		}
 		if x, ok := sel.X.(*ast.Ident); ok && sel.Sel.Name == "Solve" {
@@ -62,6 +73,161 @@ func dispatchGate(path string, f *ast.File) []string {
 		}
 		return true
 	})
+	return bad
+}
+
+// isPkgSelector reports whether e is name selected from the package a file
+// imports as pkg, under whatever name it binds.
+func isPkgSelector(e ast.Expr, names map[string]string, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && names[x.Name] == pkg
+}
+
+// oneRouter: stream.Route, which stream.Pass runs, is the only loop that
+// sends edges to machines. Hashing an edge to a machine anywhere else is a
+// second router that can drift from it.
+func oneRouter(path string, f *ast.File) []string {
+	if strings.HasPrefix(path, "internal/stream/") || strings.HasPrefix(path, "internal/partition/") {
+		return nil
+	}
+	names := importNames(f)
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok && isPkgSelector(e, names, "repro/internal/partition", "HashAssign") {
+			bad = append(bad, path+": names partition.HashAssign")
+		}
+		return true
+	})
+	return bad
+}
+
+// oneLoop: stream.Pass (internal/stream/pass.go) is the only place that
+// runs a set of machines, and it makes their batch queues. A second maker
+// of a chan []graph.Edge is a second pass that can drift from it.
+func oneLoop(path string, f *ast.File) []string {
+	if path == "internal/stream/pass.go" {
+		return nil
+	}
+	names := importNames(f)
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "make" {
+			return true
+		}
+		ch, ok := call.Args[0].(*ast.ChanType)
+		if !ok {
+			return true
+		}
+		if arr, ok := ch.Value.(*ast.ArrayType); ok && arr.Len == nil {
+			edge := isPkgSelector(arr.Elt, names, "repro/internal/graph", "Edge")
+			if id, ok := arr.Elt.(*ast.Ident); ok && id.Name == "Edge" && strings.HasPrefix(path, "internal/graph/") {
+				edge = true
+			}
+			if edge {
+				bad = append(bad, path+": makes a chan []graph.Edge")
+			}
+		}
+		return true
+	})
+	return bad
+}
+
+// oneLocalFleet: -cluster local serves its workers in process
+// (cluster.ServeLoopback); a program that starts processes is a second way
+// to stand up a fleet.
+func oneLocalFleet(path string, f *ast.File) []string {
+	for _, spec := range f.Imports {
+		if p, _ := strconv.Unquote(spec.Path.Value); p == "os/exec" {
+			return []string{path + ": imports os/exec"}
+		}
+	}
+	return nil
+}
+
+// reachable returns the packages imports reaches from pkg, pkg excluded.
+func reachable(imports map[string][]string, pkg string) []string {
+	seen := map[string]bool{pkg: true}
+	var out []string
+	for queue := []string{pkg}; len(queue) > 0; queue = queue[1:] {
+		for _, dep := range imports[queue[0]] {
+			if !seen[dep] {
+				seen[dep] = true
+				out = append(out, dep)
+				queue = append(queue, dep)
+			}
+		}
+	}
+	return out
+}
+
+// roundsKnowsNoRuntime: the round driver knows the schedule, not the
+// runtime; the engine hands it a round function, so internal/rounds depends
+// on neither the cluster runtime nor the engine, directly or not.
+func roundsKnowsNoRuntime(imports map[string][]string) []string {
+	var bad []string
+	for _, dep := range reachable(imports, "repro/internal/rounds") {
+		if dep == "repro/internal/cluster" || dep == "repro/internal/engine" {
+			bad = append(bad, "repro/internal/rounds depends on "+dep)
+		}
+	}
+	return bad
+}
+
+// moduleImports maps every package of this module that pkgs reach to the
+// module packages its non-test files import, as go/build selects the files.
+func moduleImports(t *testing.T, pkgs ...string) map[string][]string {
+	t.Helper()
+	imports := map[string][]string{}
+	for queue := pkgs; len(queue) > 0; queue = queue[1:] {
+		pkg := queue[0]
+		if _, done := imports[pkg]; done {
+			continue
+		}
+		bp, err := build.ImportDir(filepath.FromSlash(strings.TrimPrefix(pkg, "repro/")), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imports[pkg] = nil
+		for _, imp := range bp.Imports {
+			if strings.HasPrefix(imp, "repro/") {
+				imports[pkg] = append(imports[pkg], imp)
+				queue = append(queue, imp)
+			}
+		}
+	}
+	return imports
+}
+
+var (
+	mdRef   = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+	treeRef = regexp.MustCompile("`((?:internal|cmd)/[A-Za-z0-9_./-]+)`")
+)
+
+// docRefs: every Markdown path that file names must exist, resolved from the
+// repository root or from the file's folder; in README.md and doc.go so must
+// every backticked internal/… or cmd/… path, from the root.
+func docRefs(file string, content []byte, exists func(string) bool) []string {
+	var bad []string
+	for _, ref := range mdRef.FindAll(content, -1) {
+		if r := string(ref); !exists(r) && !exists(path.Join(path.Dir(file), r)) {
+			bad = append(bad, file+" names "+r+", which does not exist")
+		}
+	}
+	if file == "README.md" || file == "doc.go" {
+		for _, m := range treeRef.FindAllSubmatch(content, -1) {
+			if r := string(m[1]); !exists(r) {
+				bad = append(bad, file+" names "+r+", which does not exist")
+			}
+		}
+	}
 	return bad
 }
 
@@ -141,12 +307,12 @@ func protocolVersion(f *ast.File) string {
 }
 
 // fileRule is a rule over one parsed non-test file, keyed by its
-// slash-separated path from the repository root.
+// slash-separated path from the repository root, with the planted
+// violations (path → source) it must catch.
 type fileRule struct {
 	name    string
 	check   func(path string, f *ast.File) []string
-	planted string // path of a planted violation
-	src     string // its source
+	planted map[string]string
 }
 
 // TestArchitecture holds design rules as checks over the parsed non-test Go
@@ -156,8 +322,11 @@ type fileRule struct {
 func TestArchitecture(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
-	for _, root := range []string{"cmd", "internal"} {
+	for _, root := range []string{"cmd", "internal", "."} {
 		err := filepath.WalkDir(root, func(p string, de os.DirEntry, err error) error {
+			if err == nil && de.IsDir() && root == "." && p != "." {
+				return fs.SkipDir // the root package only
+			}
 			if err != nil || de.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 				return err
 			}
@@ -170,31 +339,65 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 	for _, r := range []fileRule{
-		{"dispatch gate: aliased Solve", dispatchGate, "cmd/coreset/planted.go", `package main
+		{"dispatch gate", dispatchGate, map[string]string{
+			"cmd/coreset/planted.go": `package main
 
 import s "repro/internal/stream"
 
-// stream.Solve in a comment is fine.
+// A comment naming stream.Solve trips nothing; the aliased call does.
 func run() { s.Solve(nil, nil, s.Config{}, nil, task.Params{}) }
-`},
-		{"dispatch gate: Batch call", dispatchGate, "internal/service/planted.go", `package service
+`,
+			"internal/service/planted.go": `package service
 
 func run(d *task.Descriptor) { d.Batch(nil, 1, 0, 1, task.Params{}) }
-`},
-		{"one report", oneReport, "internal/service/planted.go", `package service
+`,
+			"internal/engine/planted.go": `package engine
+
+func reference(d *task.Descriptor) { d.Batch(nil, 1, 0, 1, task.Params{}) }
+`,
+		}},
+		{"one report", oneReport, map[string]string{
+			"internal/service/planted.go": `package service
 
 import "repro/internal/graph"
 
 func report() *graph.RunReport { return &graph.RunReport{Task: "x"} }
-`},
+`,
+		}},
+		{"one router", oneRouter, map[string]string{
+			"cmd/coreset/planted.go": `package main
+
+import p "repro/internal/partition"
+
+var route = p.HashAssign
+`,
+		}},
+		{"one loop", oneLoop, map[string]string{
+			"internal/cluster/planted.go": `package cluster
+
+import g "repro/internal/graph"
+
+func queue() chan []g.Edge { return make(chan []g.Edge, 4) }
+`,
+		}},
+		{"one local fleet", oneLocalFleet, map[string]string{
+			"cmd/coreset/planted.go": `package main
+
+import "os/exec"
+
+var spawn = exec.Command
+`,
+		}},
 	} {
 		t.Run(r.name, func(t *testing.T) {
-			f, err := parser.ParseFile(token.NewFileSet(), r.planted, r.src, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bad := r.check(r.planted, f); len(bad) == 0 {
-				t.Fatalf("the rule misses a planted violation in %s", r.planted)
+			for path, src := range r.planted {
+				f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bad := r.check(path, f); len(bad) != 1 {
+					t.Fatalf("planted %s: the rule reports %q, want one violation", path, bad)
+				}
 			}
 			for path, f := range files {
 				for _, msg := range r.check(path, f) {
@@ -203,6 +406,44 @@ func report() *graph.RunReport { return &graph.RunReport{Task: "x"} }
 			}
 		})
 	}
+	t.Run("rounds knows no runtime", func(t *testing.T) {
+		planted := map[string][]string{"repro/internal/rounds": {"repro/internal/stream"}, "repro/internal/stream": {"repro/internal/engine"}}
+		if len(roundsKnowsNoRuntime(planted)) == 0 {
+			t.Fatal("the rule misses an indirect dependency on the engine")
+		}
+		for _, msg := range roundsKnowsNoRuntime(moduleImports(t, "repro/internal/rounds")) {
+			t.Error(msg)
+		}
+	})
+	t.Run("doc references", func(t *testing.T) {
+		exists := func(p string) bool { _, err := os.Stat(filepath.FromSlash(p)); return err == nil }
+		if len(docRefs("doc.go", []byte("see NOWHERE"+".md and `internal/nowhere`"), exists)) != 2 {
+			t.Fatal("the rule misses a planted missing reference")
+		}
+		var texts []string
+		err := filepath.WalkDir(".", func(p string, de os.DirEntry, err error) error {
+			if err == nil && de.IsDir() && de.Name() == ".git" {
+				return fs.SkipDir
+			}
+			if err == nil && !de.IsDir() && (strings.HasSuffix(p, ".go") || p == "README.md") {
+				texts = append(texts, filepath.ToSlash(p))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(texts)
+		for _, file := range texts {
+			content, err := os.ReadFile(filepath.FromSlash(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msg := range docRefs(file, content, exists) {
+				t.Error(msg)
+			}
+		}
+	})
 	t.Run("one golden version", func(t *testing.T) {
 		if bad := oneGoldenVersion("5", []string{"v4", "v5"}); len(bad) == 0 {
 			t.Fatal("the rule misses a stale golden directory")
