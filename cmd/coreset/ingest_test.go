@@ -13,7 +13,7 @@ import (
 func TestIngestFileAndRunDataset(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "raw.txt")
-	messy := "# SNAP comment\n0\t1\r\n1 2\n2 2\n2 3\n1 2\n3 4\n"
+	messy := "# SNAP comment\n0\t1\r\n1 2\n2 2\n2 3\n1 2\n3 4\n1 0\n"
 	if err := os.WriteFile(raw, []byte(messy), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,8 @@ func TestIngestFileAndRunDataset(t *testing.T) {
 	if !strings.Contains(out, "ingested: n=5 m=4") {
 		t.Fatalf("ingest summary: %q", out)
 	}
-	if !strings.Contains(out, "dropped: 1 self-loops, 1 duplicate edges") {
+	// "1 2" repeats in the same orientation, "1 0" repeats "0 1" reversed.
+	if !strings.Contains(out, "dropped: 1 self-loops, 2 duplicate edges") {
 		t.Fatalf("ingest drop report missing: %q", out)
 	}
 

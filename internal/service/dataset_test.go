@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,8 +77,8 @@ func TestDatasetRegisterAndJob(t *testing.T) {
 	if code := c.postJSON("/v1/graphs", CreateGraphRequest{Dataset: "web"}, &info); code != http.StatusCreated {
 		t.Fatalf("register dataset: status %d", code)
 	}
-	if info.ID != "web" || info.Source != "dataset" || info.Hash == "" {
-		t.Fatalf("info = %+v, want id web, source dataset, a content hash", info)
+	if info.ID != "web" || info.Source != "dataset" || len(info.Hash) != 64 {
+		t.Fatalf("info = %+v, want id web, source dataset, a 64-digit content hash", info)
 	}
 	if info.N != g.N || info.M != g.M() {
 		t.Fatalf("info shape %d/%d, want %d/%d", info.N, info.M, g.N, g.M())
@@ -147,8 +148,8 @@ func TestDatasetCacheHitZeroReparse(t *testing.T) {
 	if got := ds.SegmentReads(); got != reads {
 		t.Fatalf("cached job read the dataset: %d segment reads, was %d", got, reads)
 	}
-	if second.Result.SolutionSize != first.Result.SolutionSize {
-		t.Fatal("cached result differs from the original")
+	if !reflect.DeepEqual(second.Result, first.Result) {
+		t.Fatalf("cached result differs from the original:\n got %+v\nwant %+v", second.Result, first.Result)
 	}
 
 	// Same bytes, different registration: still a cache hit, still no reads.

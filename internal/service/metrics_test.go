@@ -6,12 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rounds"
+	"repro/internal/task"
 )
 
 // scrape fetches and parses GET /metrics.
@@ -219,4 +222,64 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// TestMetricsExposition reads the /metrics text a scraper reads after a
+// single-round job and a two-round one: every advertised family is there,
+// every registered task has its pre-touched service_jobs_total child (a new
+// task needs no service change to show up), the union sizes of the rounds
+// landed in a finite bucket of their own layout, and every sample line is
+// "name{labels} value" with a numeric value.
+func TestMetricsExposition(t *testing.T) {
+	_, c := newTestService(t, Config{Workers: 2})
+	c.postJSON("/v1/graphs", CreateGraphRequest{ID: "g", Gen: &GenSpec{Name: "gnp", N: 3000, Deg: 60, Seed: 7}}, nil)
+	for _, req := range []CreateJobRequest{
+		{Graph: "g", Task: TaskMatching, K: 4, Seed: 7},
+		{Graph: "g", Task: TaskEDCS, K: 4, Seed: 7, Rounds: 2},
+	} {
+		if v := c.runJob(req); v.State != string(JobDone) {
+			t.Fatalf("%s job ended %s: %s", req.Task, v.State, v.Error)
+		}
+	}
+	resp, err := http.Get(c.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+	for _, name := range []string{MetricJobsSubmitted, MetricJobsDone, MetricJobsTotal, MetricCacheHits, MetricCacheMisses,
+		MetricJobDuration + "_bucket", MetricUptime, rounds.MetricRounds, rounds.MetricUnionEdges + "_bucket"} {
+		if !strings.Contains("\n"+text, "\n"+name) {
+			t.Errorf("no %s sample", name)
+		}
+	}
+	for _, name := range task.Names() {
+		if !strings.Contains(text, "\n"+MetricJobsTotal+`{task="`+name+`"}`) {
+			t.Errorf("no %s child for task %s", MetricJobsTotal, name)
+		}
+	}
+	finite := false
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("bad sample: %q", line)
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("bad sample value: %q", line)
+		}
+		if strings.HasPrefix(line, rounds.MetricUnionEdges+"_bucket{") && !strings.Contains(line, `le="+Inf"`) && v > 0 {
+			finite = true
+		}
+	}
+	if !finite {
+		t.Errorf("no finite %s bucket is non-zero:\n%s", rounds.MetricUnionEdges, text)
+	}
 }
