@@ -567,61 +567,3 @@ func TestMultiRoundOneMatchesSingleRoundCLI(t *testing.T) {
 		}
 	}
 }
-
-// The EDCS streaming runtime must emit the identical report fields for the
-// same input (mode and streaming telemetry aside) — CLI-level seed parity.
-func TestEDCSStreamMatchesBatch(t *testing.T) {
-	args := []string{"-task", "edcs", "-gen", "gnp", "-n", "1500", "-deg", "25", "-seed", "11", "-k", "4", "-beta", "16", "-json"}
-	outBatch, errOut, code := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("batch exit %d, stderr: %s", code, errOut)
-	}
-	outStream, errOut, code := runCLI(t, append(args, "-stream")...)
-	if code != 0 {
-		t.Fatalf("stream exit %d, stderr: %s", code, errOut)
-	}
-	var b, s graph.RunReport
-	if err := json.Unmarshal([]byte(outBatch), &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(outStream), &s); err != nil {
-		t.Fatal(err)
-	}
-	if b.SolutionSize == 0 || b.SolutionSize != s.SolutionSize {
-		t.Fatalf("solutions differ: batch %d, stream %d", b.SolutionSize, s.SolutionSize)
-	}
-	if !reflect.DeepEqual(b.CoresetEdges, s.CoresetEdges) || b.TotalCommBytes != s.TotalCommBytes {
-		t.Fatalf("coreset accounting differs:\nbatch  %v (%d B)\nstream %v (%d B)",
-			b.CoresetEdges, b.TotalCommBytes, s.CoresetEdges, s.TotalCommBytes)
-	}
-}
-
-// The streamed powerlaw generator must shard the exact same graph the batch
-// path materializes, so the two runs compose the same answer.
-func TestPowerlawStreamMatchesBatch(t *testing.T) {
-	args := []string{"-task", "matching", "-gen", "powerlaw", "-n", "2000", "-seed", "11", "-k", "4", "-json"}
-	outBatch, errOut, code := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("batch exit %d, stderr: %s", code, errOut)
-	}
-	outStream, errOut, code := runCLI(t, append(args, "-stream")...)
-	if code != 0 {
-		t.Fatalf("stream exit %d, stderr: %s", code, errOut)
-	}
-	var b, s graph.RunReport
-	if err := json.Unmarshal([]byte(outBatch), &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(outStream), &s); err != nil {
-		t.Fatal(err)
-	}
-	if b.M != s.M || b.N != s.N {
-		t.Fatalf("shapes differ: batch n=%d m=%d, stream n=%d m=%d", b.N, b.M, s.N, s.M)
-	}
-	if b.M == 0 {
-		t.Fatal("powerlaw generated no edges")
-	}
-	if b.SolutionSize == 0 || b.SolutionSize != s.SolutionSize {
-		t.Fatalf("solutions differ: batch %d, stream %d", b.SolutionSize, s.SolutionSize)
-	}
-}

@@ -317,8 +317,8 @@
 // report and each round's graph.RoundReport, so the engine copies it as one
 // block, and the EDCS build
 // counters are graph.BuildCounters, which the builder returns, the TELEM
-// frame carries and graph.MachineStats embeds. CI's "One report" step keeps
-// every RunReport and RoundReport literal inside internal/engine.
+// frame carries and graph.MachineStats embeds. The root TestArchitecture
+// keeps every RunReport and RoundReport literal inside internal/engine.
 // The batch runtime's self-checks (input structure, the task's verifier)
 // live in the engine too, so daemon batch jobs run them like CLI runs do.
 // coreset load is the matching load generator: it drives the HTTP API

@@ -160,84 +160,6 @@ func clusterRounds(ctx context.Context, src stream.EdgeSource, ccfg cluster.Conf
 	return rounds.Drive(ctx, src, cfg, sess.Round)
 }
 
-// TestMultiRoundClusterParity is the multi-round seed-parity gate of the
-// cluster runtime: through engine.Run, batch, stream and a real TCP cluster
-// run the identical schedule — the same per-round breakdowns and answer —
-// and the round functions Run builds for them leave deep-equal final
-// coresets, for the same (graph, seed, k, β, rounds).
-func TestMultiRoundClusterParity(t *testing.T) {
-	addrs, shutdown, err := cluster.ServeLoopback(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	ctx := context.Background()
-	for seed := uint64(1); seed <= 3; seed++ {
-		g := gen.GNP(400, 40.0/400, rng.New(seed))
-		reps := map[string]*graph.RunReport{}
-		finals := map[string][][]graph.Edge{}
-		for _, runtime := range []string{Batch, Stream, Cluster} {
-			sp := Spec{Task: "edcs", Beta: 8, Rounds: 3, Runtime: runtime, K: 4, Seed: seed, Cluster: cluster.Config{Workers: addrs}}
-			rep, err := Run(ctx, sp, stream.NewGraphSource(g))
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, runtime, err)
-			}
-			reps[runtime] = rep
-
-			d, p, err := sp.resolve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			round, done, err := sp.runtime(ctx, d, p, stream.NewGraphSource(g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sums, _, err := rounds.Drive(ctx, stream.NewGraphSource(g), rounds.Config{K: 4, Rounds: 3, Seed: seed, Params: p.EDCS}, round)
-			done()
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, runtime, err)
-			}
-			for _, s := range sums {
-				finals[runtime] = append(finals[runtime], s.Coreset)
-			}
-		}
-		b, s, c := reps[Batch], reps[Stream], reps[Cluster]
-		if !reflect.DeepEqual(finals[Batch], finals[Stream]) || !reflect.DeepEqual(finals[Batch], finals[Cluster]) {
-			t.Fatalf("seed %d: final coresets differ across runtimes", seed)
-		}
-		if b.SolutionSize != s.SolutionSize || b.SolutionSize != c.SolutionSize {
-			t.Fatalf("seed %d: matchings differ: batch %d stream %d cluster %d", seed, b.SolutionSize, s.SolutionSize, c.SolutionSize)
-		}
-		if b.RoundsRun < 2 || b.RoundsRun != s.RoundsRun || b.RoundsRun != c.RoundsRun {
-			t.Fatalf("seed %d: round counts: batch %d stream %d cluster %d, want equal and at least 2",
-				seed, b.RoundsRun, s.RoundsRun, c.RoundsRun)
-		}
-		for r := range b.RoundStats {
-			br, cr := b.RoundStats[r], c.RoundStats[r]
-			for _, o := range []graph.RoundReport{s.RoundStats[r], cr} {
-				if br.K != o.K || br.Seed != o.Seed || br.InputEdges != o.InputEdges || br.UnionEdges != o.UnionEdges {
-					t.Fatalf("seed %d round %d: breakdown differs: batch %+v vs %+v", seed, r, br, o)
-				}
-			}
-			// Cluster rounds measure the wire; the measured bytes must cover
-			// the simulated estimate and stay within frame-header slack.
-			if cr.TotalCommBytes < cr.EstCommBytes {
-				t.Fatalf("seed %d round %d: measured %d below estimate %d", seed, r, cr.TotalCommBytes, cr.EstCommBytes)
-			}
-			if cr.EstCommBytes > 0 && float64(cr.TotalCommBytes) > 1.1*float64(cr.EstCommBytes) {
-				t.Fatalf("seed %d round %d: measured %d not ~= estimate %d", seed, r, cr.TotalCommBytes, cr.EstCommBytes)
-			}
-			if br.TotalCommBytes != cr.EstCommBytes {
-				t.Fatalf("seed %d round %d: batch estimate %d differs from cluster estimate %d",
-					seed, r, br.TotalCommBytes, cr.EstCommBytes)
-			}
-		}
-		if !reflect.DeepEqual(b.CoresetEdges, c.CoresetEdges) {
-			t.Fatalf("seed %d: final coreset sizes differ: batch %v cluster %v", seed, b.CoresetEdges, c.CoresetEdges)
-		}
-	}
-}
-
 // TestClusterSessionReuse: one session serves every round of a multi-round
 // cluster run over the same connections — the per-round shard accounting
 // proves the conversation shape (one HELLO, several rounds) rather than

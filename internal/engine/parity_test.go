@@ -172,6 +172,9 @@ func TestParityMatrix(t *testing.T) {
 									t.Fatalf("%s on %s: %v", runtime, src.name, err)
 								}
 								runs[runtime] = parityRun{rep, sums, sol}
+								if sol.Size <= 0 {
+									t.Fatalf("%s on %s: empty answer on a graph of %d edges", runtime, src.name, in.g.M())
+								}
 								if err := d.Verify(in.g.N, in.g.Edges, sol); err != nil {
 									t.Fatalf("%s on %s: composed answer fails the verifier: %v", runtime, src.name, err)
 								}
@@ -273,20 +276,31 @@ func checkCell(t *testing.T, in parityInput, src paritySource, roundCap int, run
 }
 
 // checkWire checks a cluster report's measured figures, which no in-process
-// runtime has: every CORESET frame costs its body (the estimate) and more,
-// the workers received shard traffic, and each round's machines each sent
-// their telemetry.
+// runtime has: every CORESET frame costs its body (the estimate) plus its
+// 5-byte header, its 4-byte CRC-32C trailer and the three stats varints, and
+// nothing else; the workers received shard traffic; and each round's
+// machines each sent their telemetry.
 func checkWire(t *testing.T, src paritySource, rep *graph.RunReport) {
 	t.Helper()
+	// A multi-round report's top-level byte figures sum its rounds, so the
+	// rounds are checked one by one instead.
 	counts := []graph.RunCounts{rep.RunCounts}
 	machines := [][]graph.MachineStats{rep.MachineStats}
+	if rep.RoundStats != nil {
+		counts, machines = nil, nil
+	}
 	for _, rr := range rep.RoundStats {
 		counts, machines = append(counts, rr.RunCounts), append(machines, rr.MachineStats)
 	}
 	for i, c := range counts {
-		if c.TotalCommBytes <= c.EstCommBytes || c.MaxMachineBytes <= c.EstMaxMachineBytes || c.ShardBytes <= 0 {
-			t.Fatalf("cluster on %s: measured %d B (max %d) over an estimate of %d B (max %d), %d shard bytes",
-				src.name, c.TotalCommBytes, c.MaxMachineBytes, c.EstCommBytes, c.EstMaxMachineBytes, c.ShardBytes)
+		overhead := 0
+		for m := range c.PartEdges {
+			overhead += 5 + 4 + graph.UvarintLen(uint64(c.PartEdges[m])) +
+				graph.UvarintLen(uint64(c.StoredEdges[m])) + graph.UvarintLen(uint64(c.Live[m]))
+		}
+		if c.TotalCommBytes != c.EstCommBytes+overhead || c.MaxMachineBytes <= c.EstMaxMachineBytes || c.ShardBytes <= 0 {
+			t.Fatalf("cluster on %s: measured %d B (max %d) over an estimate of %d B (max %d) and %d B of framing, %d shard bytes",
+				src.name, c.TotalCommBytes, c.MaxMachineBytes, c.EstCommBytes, c.EstMaxMachineBytes, overhead, c.ShardBytes)
 		}
 		if len(machines[i]) != len(c.PartEdges) {
 			t.Fatalf("cluster on %s: %d machineStats entries for %d machines", src.name, len(machines[i]), len(c.PartEdges))
