@@ -31,11 +31,10 @@ type parityInput struct {
 	// iter mints the graph's generator iterator: the IterSource's draw, which
 	// gen's materializing generator collects into g.
 	iter func() gen.EdgeIter
-	// vcBothParts: the vc peel fixes vertices and keeps a residual on every
-	// machine, so both halves of the Theorem 2 summary cross the wire.
-	vcBothParts bool
-	// multiRound: a two-round edcs run shrinks the union and runs both rounds.
-	multiRound bool
+	// dense: the vc peel fixes vertices and keeps a residual on every
+	// machine, so both halves of the Theorem 2 summary cross the wire, and a
+	// two-round edcs run shrinks the union and runs both rounds.
+	dense bool
 }
 
 // paritySource is one way to stream a graph: mint returns a fresh source per
@@ -55,7 +54,7 @@ func parityInputs() []parityInput {
 			iter: func() gen.EdgeIter { return gen.GNPIter(18, 0.3, rng.New(seed)) }},
 		// Dense: the vc peel fires on every machine and leaves a residual, the
 		// EDCS trims, and two edcs rounds both run.
-		{name: "gnp-dense", g: gen.GNP(300, 0.3, rng.New(seed)), vcBothParts: true, multiRound: true,
+		{name: "gnp-dense", g: gen.GNP(300, 0.3, rng.New(seed)), dense: true,
 			iter: func() gen.EdgeIter { return gen.GNPIter(300, 0.3, rng.New(seed)) }},
 		// The CLI's powerlaw spec (exponent 2, weight cap n/16+1): hubs walk
 		// long adjacency chains in the EDCS builder.
@@ -246,7 +245,7 @@ func checkCell(t *testing.T, in parityInput, src paritySource, roundCap int, run
 
 	rep, name := want.rep, want.rep.Task
 	if roundCap > 0 {
-		if in.multiRound && rep.RoundsRun < 2 {
+		if in.dense && rep.RoundsRun < 2 {
 			t.Fatalf("stream on %s: ran %d rounds, want both", src.name, rep.RoundsRun)
 		}
 		for _, r := range runs {
@@ -265,7 +264,7 @@ func checkCell(t *testing.T, in parityInput, src paritySource, roundCap int, run
 			}
 		}
 	}
-	if name == "vc" && in.vcBothParts {
+	if name == "vc" && in.dense {
 		for i := range rep.CoresetEdges {
 			if rep.CoresetEdges[i] == 0 || rep.CoresetFixed[i] == 0 {
 				t.Fatalf("stream on %s machine %d: %d residual edges and %d fixed vertices; the input is too tame",
