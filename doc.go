@@ -230,20 +230,38 @@
 // vertex ID, sized once from the declared n, and its Finish hands the
 // store's chunks to matching.Maximum, which reads them in place, then
 // releases the store. The vc builder keeps a 4-byte running degree per
-// vertex, in a table taken from a free list of its own and handed back at
-// Finish — level 1 is every vertex whose degree reached its threshold —
-// and stores only the edges that no level-1 vertex covers yet (every edge,
-// when the source cannot declare n); its Finish is the edge-list peel
-// (core.PeelVC), which runs in that degree table and needs no adjacency:
-// per level that fixed a vertex, one sweep over the store drops the covered
-// edges, compacts the chunks in place (returning the blocks it empties) and
-// recounts the survivors' degrees, and the next level is selected from that
-// table in ascending vertex order (a level above every degree left is
-// recorded without a scan). The peel allocates a dead flag per vertex once
-// a level fixes someone, and the residual, sized to what survives and
-// sorted only if the store saw an edge out of order, after which it
-// releases the store — the batch core.ComputeVCCoreset runs the same loop
-// over a borrowed slice it never writes, in a degree table of its own. The
+// vertex, in a table taken from graph's free list of int32 tables
+// (graph.GetInt32s, size-classed sync.Pools whose classes round a length up
+// by at most 1/16) and handed back at Finish — level 1 is every vertex whose
+// degree reached its threshold — and stores only the edges that no level-1
+// vertex covers yet (every edge, when the source cannot declare n); its
+// Finish is the edge-list peel (core.PeelVC), which runs in that degree
+// table and needs no adjacency: per level that fixed a vertex, one sweep
+// over the store drops the covered edges, compacts the chunks in place
+// (returning the blocks it empties) and recounts the survivors' degrees, and
+// the next level is selected from that table in ascending vertex order (a
+// level above every degree left is recorded without a scan). The peel
+// allocates a dead flag per vertex once a level fixes someone, and copies
+// the residual, exactly what survives and sorted only if the store saw an
+// edge out of order, into a slice from graph's free list of edge slices
+// (EdgeStore.Edges, graph.GetEdges), after which it releases the store — the
+// batch core.ComputeVCCoreset runs the same loop over a borrowed slice it
+// never writes, in a degree table of its own from the int32 free list. A
+// residual belongs to the summary that carries it, and goes back to the free
+// list (task.Release) where the run is done with it: a cluster worker hands
+// it back as soon as its CORESET frame is encoded, the coordinator decodes
+// each machine's residual into a slice of its own from the same free list
+// (core.DecodeVCCoreset), and engine.Run, stream.Solve and cluster.Solve
+// hand back every summary's residual once they have composed and reported.
+// The composer's n-sized mark table (core.ComposeVC) comes from the int32
+// free list and goes back before it returns; only the cover is allocated. So
+// a warm vc run allocates under 2 bytes per edge (TestVCRunAllocationBudget
+// in internal/engine). Summaries taken from a round function
+// (stream.Summaries, Session.Round) are the caller's to release;
+// task.Descriptor.Batch, the reference, leaves its summaries to the GC, as
+// it does any residual never handed back. The matching and edcs summaries
+// stay GC-managed: recycling them was measured to cost more resident memory
+// than it saved. The
 // diversity builder holds no edges, only the set of vertex IDs it saw. The
 // edcs builder (edcs.Subgraph) stores each distinct non-loop edge as two
 // 4-byte entries, one in each endpoint's chain of 64-byte blocks: a block

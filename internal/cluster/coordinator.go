@@ -20,7 +20,8 @@ import (
 // workers: hash-shard the source's edges over the k worker connections,
 // collect the per-machine summaries the descriptor's builders produced on
 // the other side of the wire, and compose the final solution from their
-// union — exactly the in-process stream.Solve, with the machines remote.
+// union — exactly the in-process stream.Solve, with the machines remote. The
+// decoded summaries go back to the free lists once composed (task.Release).
 func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *core.PipelineStats, error) {
 	start := time.Now()
 	sums, st, err := summaries(ctx, src, cfg, d, p)
@@ -28,6 +29,7 @@ func Solve(ctx context.Context, src stream.EdgeSource, cfg Config, d *task.Descr
 		return task.Solution{}, nil, err
 	}
 	sol := d.Compose(st.N, sums)
+	task.Release(sums...)
 	st.Duration = time.Since(start)
 	return sol, st, nil
 }

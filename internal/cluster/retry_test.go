@@ -312,6 +312,48 @@ func TestReplayRecovery(t *testing.T) {
 			if st.ShardBytes <= wantSt.ShardBytes {
 				t.Fatalf("ShardBytes %d not > undisturbed %d despite a replayed round", st.ShardBytes, wantSt.ShardBytes)
 			}
+
+			// The same disturbance on a vc run, whose residuals come from
+			// graph's free list of edge slices: every worker's at Finish,
+			// handed back once its CORESET is encoded, and the coordinator's
+			// as it decodes them, handed back once Solve has composed. Each
+			// must go back exactly once, the replayed machine's lost answer
+			// included, and the answer must be the undisturbed one.
+			wantVC, _, err := Solve(context.Background(), stream.NewGraphSource(g), Config{Workers: backends, Seed: 11, BatchSize: 64}, vcTask, task.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vcBackends, shutdown, err := ServeLoopback(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopVC := sync.OnceFunc(shutdown)
+			t.Cleanup(stopVC)
+			vcProxy, closeVCProxy := flakyProxy(t, vcBackends[1], []proxyPlan{tc.plan, {}})
+			t.Cleanup(closeVCProxy)
+			cfg.Workers = []string{vcBackends[0], vcProxy, vcBackends[2]}
+			ledger := graph.TrackEdges()
+			t.Cleanup(func() { ledger.Close() }) // uninstalls it, should the run hang
+			var gotVC task.Solution
+			err = runWithTimeout(t, 30*time.Second, func() error {
+				var err error
+				gotVC, st, err = Solve(context.Background(), stream.NewGraphSource(g), cfg, vcTask, task.Params{})
+				return err
+			})
+			closeVCProxy()
+			stopVC() // every worker has served its last connection: nothing is drawn after this
+			if lerr := ledger.Close(); lerr != nil {
+				t.Fatalf("vc run with a replayed round: %v", lerr)
+			}
+			if err != nil {
+				t.Fatalf("vc replay did not recover: %v", err)
+			}
+			if st.Retries < 1 {
+				t.Fatalf("vc run: Retries = %d, want >= 1", st.Retries)
+			}
+			if !reflect.DeepEqual(gotVC, wantVC) {
+				t.Fatalf("vc run with a replayed round: cover of %d, undisturbed %d", gotVC.Size, wantVC.Size)
+			}
 		})
 	}
 }

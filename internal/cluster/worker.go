@@ -305,6 +305,9 @@ func (w *Worker) consumeFrame(conn net.Conn, h hello, b task.Builder, round int,
 		// bytes at most) the frame is allocated once instead of doubling its
 		// way up to a coreset-sized one, and leaves without a copy.
 		coreset := task.AppendSummary(newFrame(make([]byte, 0, frameOverhead+3*binary.MaxVarintLen64+sum.Bytes)), d, sum)
+		// The frame is all that leaves: the summary's memory goes back to
+		// the free lists for the next round's machines.
+		task.Release(sum)
 		tm.encodeNS += uint64(time.Since(t0))
 		if bt, ok := b.(task.Telemetered); ok {
 			tm.BuildCounters = bt.Telem()

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/matching"
 )
 
 // VCCoreset is the vertex-cover coreset of one machine (Theorem 2): a set of
@@ -21,7 +20,9 @@ type VCCoreset struct {
 	// peeling, each edge canonical (U <= V) and sorted by (U, V); the paper
 	// bounds it by O(n log n) edges. No residual edge touches a
 	// vertex of Levels — the message relies on it, sending each endpoint as
-	// its rank among the vertices the levels did not fix.
+	// its rank among the vertices the levels did not fix. PeelVC and
+	// DecodeVCCoreset draw it from graph's free list of edge slices, and
+	// Release hands it back.
 	Residual []graph.Edge
 	// Levels records the peeled set of each iteration j = 1..Delta-1
 	// (diagnostics; Lemma 3.6 sandwiches these sets between the
@@ -54,8 +55,10 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 }
 
 // PeelVC is the level loop of VC-Coreset, run straight off a machine's edge
-// store, which it consumes: once the residual is copied out, the store is
-// released, its blocks back on the free list for the next machine. Level j
+// store, which it consumes: once the residual is copied out (EdgeStore.Edges,
+// into a slice from graph's free list of edge slices), the store is released,
+// its blocks back on the free list for the next machine. The residual is the
+// caller's: whoever holds the coreset last hands it back with Release. Level j
 // fixes every vertex whose degree in the surviving subgraph is at least
 // ceil(n/(k*2^(j+1))), in ascending vertex order. A level needs degrees only
 // once, before it selects, and removing a level needs no adjacency — an edge
@@ -78,12 +81,13 @@ func ComputeVCCoreset(n, k int, part []graph.Edge) *VCCoreset {
 // were discarded on its account. The peel runs in deg: when level 1 fixed
 // nobody, every edge was stored and deg already holds their degrees;
 // otherwise the first sweep recounts into it. With online zero deg is
-// ignored, and the peel counts the store into a table of its own.
+// ignored, and the peel counts the store into a table of its own, drawn from
+// graph's free list of int32 tables and handed back before it returns.
 //
 // The result is that of the paper's definition field for field: Levels
 // ascending (nil for a level that fixed nobody), Residual canonical, sorted
-// by (U, V) and exactly sized, self-loops and parallel edges counted as
-// BuildAdj counts them. The residual is a set — its message is coded as one
+// by (U, V) and exactly its edges long, self-loops and parallel edges
+// counted as BuildAdj counts them. The residual is a set — its message is coded as one
 // (AppendVCCoreset) — so it leaves in the one order every runtime agrees on
 // whatever order and orientation the shard arrived in; on a shard that
 // arrived sorted and canonical, which is what every generator and ingested
@@ -124,7 +128,9 @@ func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 		peel(online)
 		first = 2
 	} else if delta > 1 {
-		deg = make([]int32, n)
+		deg = graph.GetInt32s(n)
+		defer graph.PutInt32s(deg)
+		clear(deg)
 		st.AddDegrees(deg) // nothing to drop yet: count, and leave the store be
 	}
 	for j := first; j <= delta-1; j++ {
@@ -138,7 +144,8 @@ func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 	}
 	// The residual is an undirected edge set: canonical edges (U <= V), in
 	// a slice of the peel's own, so nothing borrowed is written and nothing
-	// released is read.
+	// released is read. Its array may have held an earlier residual: only
+	// what Edges copied in is read.
 	out.Residual = st.Edges()
 	sorted := st.Sorted()
 	st.Release()
@@ -167,16 +174,27 @@ func PeelVC(n, k int, st *graph.EdgeStore, deg []int32, online int) *VCCoreset {
 // The cover is ascending and duplicate-free (nil if empty), and the work is
 // linear in n plus the union's size: the matching runs straight over each
 // residual, never copying the union, and the cover is one ascending pass
-// over the mate array with every fixed vertex marked on it.
+// over the mate array with every fixed vertex marked on it. The mate array is
+// an n-sized table from graph's free list of int32 tables, handed back before
+// ComposeVC returns; only the cover is allocated. The coresets are only read.
 func ComposeVC(n int, coresets []*VCCoreset) []graph.ID {
-	m := matching.NewEmpty(n)
+	mark, size := graph.GetInt32s(n), 0
+	defer graph.PutInt32s(mark)
+	for i := range mark {
+		mark[i] = -1
+	}
+	// The greedy matching: an edge joins it when neither endpoint is matched
+	// yet, and a self-loop never does.
 	for _, cs := range coresets {
-		m.AugmentGreedily(cs.Residual)
+		for _, e := range cs.Residual {
+			if e.U != e.V && mark[e.U] == -1 && mark[e.V] == -1 {
+				mark[e.U], mark[e.V] = e.V, e.U
+				size += 2
+			}
+		}
 	}
 	// Mark each fixed vertex on the mate array as its own mate, which no
-	// matched vertex is (the matcher drops self-loops): the cover is then
-	// every entry other than -1.
-	mark, size := m.Mate, 2*m.Size()
+	// matched vertex is: the cover is then every entry other than -1.
 	for _, cs := range coresets {
 		for _, v := range cs.Fixed {
 			if mark[v] == -1 {
@@ -232,11 +250,14 @@ func VCCoresetSizeBytes(cs *VCCoreset) int {
 
 // DecodeVCCoreset decodes a message produced by AppendVCCoreset, with the
 // slice shapes PeelVC produces (a nil level where nobody was fixed, a non-nil
-// residual), and returns the remaining bytes. Like the set decoders it is
-// built from, it accepts only the encoder's own bytes, so what it consumes
-// is VCCoresetSizeBytes of what it returns. Levels that share a vertex, which
-// PeelVC never emits, decode as the encoder wrote them: ranks count the
-// vertex once, and Fixed, the levels' concatenation, lists it as they do.
+// residual), and returns the remaining bytes. Like PeelVC's, the residual is
+// decoded into a slice from graph's free list of edge slices, for the
+// coordinator that composes it to hand back with Release. Like the set
+// decoders it is built from, it accepts only the encoder's own bytes, so what
+// it consumes is VCCoresetSizeBytes of what it returns. Levels that share a
+// vertex, which PeelVC never emits, decode as the encoder wrote them: ranks
+// count the vertex once, and Fixed, the levels' concatenation, lists it as
+// they do.
 func DecodeVCCoreset(data []byte) (cs *VCCoreset, rest []byte, err error) {
 	nLevels, k := binary.Uvarint(data)
 	if k <= 0 || k != graph.UvarintLen(nLevels) || nLevels > uint64(len(data)) { // each level needs >= 1 byte
@@ -260,6 +281,15 @@ func DecodeVCCoreset(data []byte) (cs *VCCoreset, rest []byte, err error) {
 		cs.Residual = []graph.Edge{}
 	}
 	return cs, data, nil
+}
+
+// Release hands the residual back to graph's free list of edge slices and
+// leaves it nil. It is the last use of the residual: the runtime that holds
+// the coreset last calls it once it has composed and reported, and nothing
+// may read the residual afterwards. Releasing again is a no-op.
+func (cs *VCCoreset) Release() {
+	graph.PutEdges(cs.Residual)
+	cs.Residual = nil
 }
 
 // VCCoresetSize returns the paper's size measure for a VC coreset: number

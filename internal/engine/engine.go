@@ -104,14 +104,18 @@ func (sp Spec) resolve() (d *task.Descriptor, p task.Params, err error) {
 //
 // Every runtime stops at the next batch boundary when ctx is canceled. The
 // batch runtime materializes src first and self-checks: the input must pass
-// graph.Validate and the composed solution the task's verifier.
+// graph.Validate and the composed solution the task's verifier. Once the
+// report is built the final round's summaries go back to the free lists
+// (task.Release), so the next run's machines reuse their memory.
 func Run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport, error) {
-	rep, _, _, err := run(ctx, sp, src)
+	rep, sums, _, err := run(ctx, sp, src)
+	task.Release(sums...)
 	return rep, err
 }
 
 // run is Run, also returning the final round's summaries and the composed
-// solution, which the parity tests hold equal across runtimes.
+// solution, which the parity tests hold equal across runtimes. The summaries
+// are not released: they are the caller's.
 func run(ctx context.Context, sp Spec, src stream.EdgeSource) (*graph.RunReport, []task.Summary, task.Solution, error) {
 	var sol task.Solution
 	d, p, err := sp.resolve()

@@ -583,6 +583,13 @@ func setUvarint(data []byte, field string) (x uint64, rest []byte, err error) {
 // remaining bytes. It accepts exactly the encoder's output: see the section
 // comment. A zero-count set decodes to a nil slice.
 func DecodeEdgeSet(data []byte) (edges []Edge, rest []byte, err error) {
+	return decodeEdgeSet(data, false)
+}
+
+// decodeEdgeSet is DecodeEdgeSet, decoding into a slice from the free list of
+// edge slices (GetEdges) if pooled. A set refused after the slice was drawn
+// leaves it to the GC.
+func decodeEdgeSet(data []byte, pooled bool) (edges []Edge, rest []byte, err error) {
 	count, data, err := setUvarint(data, "count")
 	if err != nil || count == 0 {
 		return nil, data, err
@@ -596,7 +603,11 @@ func DecodeEdgeSet(data []byte) (edges []Edge, rest []byte, err error) {
 	if err := r.start(data, count, total-1); err != nil {
 		return nil, nil, err
 	}
-	edges = make([]Edge, count)
+	if pooled {
+		edges = GetEdges(int(count))
+	} else {
+		edges = make([]Edge, count)
+	}
 	var u, v, top uint64 // the current edge is (u, v); top is the largest v so far
 	for i := range edges {
 		d, err := r.gap()

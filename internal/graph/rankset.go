@@ -43,9 +43,11 @@ func RankedEdgeSetBytes(edges []Edge, excluded [][]ID) int {
 
 // DecodeRankedEdgeSet decodes a set produced by AppendRankedEdgeSet with the
 // same excluded sets, as strictly as DecodeEdgeSet; a rank whose ID would
-// pass MaxID is corrupt too. A zero-count set decodes to a nil slice.
+// pass MaxID is corrupt too. A zero-count set decodes to a nil slice, any
+// other set into a slice from the free list of edge slices (GetEdges), which
+// the caller may hand back with PutEdges once nothing reads it.
 func DecodeRankedEdgeSet(data []byte, excluded [][]ID) (edges []Edge, rest []byte, err error) {
-	edges, rest, err = DecodeEdgeSet(data)
+	edges, rest, err = decodeEdgeSet(data, true)
 	if err != nil || len(edges) == 0 {
 		return edges, rest, err
 	}

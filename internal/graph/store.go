@@ -93,10 +93,12 @@ func (s *EdgeStore) Len() int {
 	return n
 }
 
-// Edges returns the held edges, in arrival order, in a fresh slice of exactly
-// their number (non-nil when empty).
+// Edges returns a copy of the held edges, in arrival order, exactly their
+// number long (non-nil when empty), in a slice from the free list of edge
+// slices (GetEdges): the caller owns it, and may hand it back with PutEdges
+// once nothing reads it, for the next copy to reuse.
 func (s *EdgeStore) Edges() []Edge {
-	out := make([]Edge, 0, s.Len())
+	out := GetEdges(s.Len())[:0]
 	for _, c := range s.chunks {
 		out = append(out, c...)
 	}

@@ -43,9 +43,11 @@ func TestEdgeStoreAppendKeepsArrivalOrder(t *testing.T) {
 		if s.Len() != m {
 			t.Fatalf("m=%d: Len = %d", m, s.Len())
 		}
+		// Edges copies into a slice of the free list's size classes: its
+		// capacity passes its length by at most 1/16.
 		got := s.Edges()
-		if got == nil || len(got) != cap(got) || !slices.Equal(got, want) {
-			t.Fatalf("m=%d: Edges is not the exact-sized arrival sequence (len %d cap %d)", m, len(got), cap(got))
+		if got == nil || cap(got)-len(got) > len(got)/16 || !slices.Equal(got, want) {
+			t.Fatalf("m=%d: Edges is not the arrival sequence in a slice of its size class (len %d cap %d)", m, len(got), cap(got))
 		}
 		if !slices.Equal(slices.Concat(s.Chunks()...), want) {
 			t.Fatalf("m=%d: Chunks do not hold the arrival sequence", m)

@@ -74,6 +74,7 @@ func (c Config) batchSize() int {
 // the machine goroutines are torn down without emitting summaries, and the
 // ctx error is returned — the hook long-running callers (the service's job
 // manager) use to abandon a pipeline mid-stream without leaking goroutines.
+// The summaries go back to the free lists once composed (task.Release).
 func Solve(ctx context.Context, src EdgeSource, cfg Config, d *task.Descriptor, p task.Params) (task.Solution, *core.PipelineStats, error) {
 	start := time.Now()
 	sums, st, err := Summaries(ctx, src, cfg, d, p)
@@ -81,6 +82,7 @@ func Solve(ctx context.Context, src EdgeSource, cfg Config, d *task.Descriptor, 
 		return task.Solution{}, nil, err
 	}
 	sol := d.Compose(st.N, sums)
+	task.Release(sums...)
 	st.Duration = time.Since(start)
 	return sol, st, nil
 }

@@ -2,7 +2,6 @@ package task
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/edcs"
@@ -70,8 +69,10 @@ func (b *matchingBuilder) Finish(n int) Summary {
 //
 // The machine's memory is reused across jobs: the store's blocks come from
 // graph's block free list and PeelVC hands them back, and the degree table
-// comes from degTables and goes back there at Finish, once the peel is done
-// with it. Nothing in the summary aliases either.
+// comes from graph's free list of int32 tables and goes back there at Finish,
+// once the peel is done with it. Nothing in the summary aliases either. The
+// summary's residual is drawn from graph's free list of edge slices too; it
+// is the summary's, and goes back when the run is done with it (Release).
 type vcBuilder struct {
 	k         int
 	threshold int     // level-1 peel threshold; 0 disables online peeling
@@ -84,29 +85,11 @@ func newVCBuilder(k, nHint int) *vcBuilder {
 	if nHint > 0 && core.PeelingDepth(nHint, k) > 1 {
 		// Level j = 1 peels at residual degree >= ceil(n / (k * 2^(j+1))).
 		b.threshold = int(math.Ceil(float64(nHint) / (float64(k) * 4)))
-		b.deg = getDegTable(nHint)
+		b.deg = graph.GetInt32s(nHint)
+		clear(b.deg)
 	}
 	return b
 }
-
-// degTables is the free list of vc degree tables (*[]int32), so that a cold
-// job's machines count degrees in the tables an earlier job's machines left.
-var degTables sync.Pool
-
-// getDegTable returns a zeroed table of n degrees: a recycled one if the one
-// the free list offers has the capacity, a fresh one otherwise (the short
-// table is left to the GC).
-func getDegTable(n int) []int32 {
-	if t, ok := degTables.Get().(*[]int32); ok && cap(*t) >= n {
-		deg := (*t)[:n]
-		clear(deg)
-		return deg
-	}
-	return make([]int32, n)
-}
-
-// putDegTable hands deg back to the free list; nothing may use it afterwards.
-func putDegTable(deg []int32) { degTables.Put(&deg) }
 
 func (b *vcBuilder) Add(e graph.Edge) {
 	if b.threshold == 0 {
@@ -133,7 +116,7 @@ func (b *vcBuilder) Finish(n int) Summary {
 	stored := b.stored.Len() // the peel consumes the store and the table
 	cs := core.PeelVC(n, b.k, &b.stored, b.deg, b.threshold)
 	if b.deg != nil {
-		putDegTable(b.deg)
+		graph.PutInt32s(b.deg)
 		b.deg = nil
 	}
 	live := 0

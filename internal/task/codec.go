@@ -40,3 +40,17 @@ func DecodeSummary(d *Descriptor, data []byte) (Summary, error) {
 	}
 	return s, nil
 }
+
+// Release hands the memory the summaries hold back to graph's free lists, for
+// the next job's machines to reuse: each vc residual (core.VCCoreset.Release).
+// Every other summary field is left to the GC. It is the last use of the
+// summaries: a runtime calls it once it has composed and reported them, and
+// a worker once it has encoded its CORESET frame. Releasing a summary again
+// is a no-op.
+func Release(sums ...Summary) {
+	for _, s := range sums {
+		if s.VC != nil {
+			s.VC.Release()
+		}
+	}
+}

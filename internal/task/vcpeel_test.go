@@ -94,21 +94,27 @@ func feed(k, nHint, n int, edges []graph.Edge) (*vcBuilder, Summary) {
 
 // checkAgainstOracle holds every entry point of the peel to the definition
 // on one shard: the batch ComputeVCCoreset (which must also leave its input
-// untouched), the builder with n declared, and the builder without.
+// untouched), the builder with n declared, and the builder without. Each
+// residual goes back to the free list once checked, so the next peel copies
+// its residual into an array an earlier one filled.
 func checkAgainstOracle(t *testing.T, name string, n, k int, edges []graph.Edge) {
 	t.Helper()
 	want := refPeel(refThresholds(n, k), edges)
 	before := slices.Clone(edges)
-	if got := core.ComputeVCCoreset(n, k, edges); !reflect.DeepEqual(got, want) {
+	got := core.ComputeVCCoreset(n, k, edges)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: ComputeVCCoreset diverges from the definition:\n got %s\nwant %s", name, shape(got), shape(want))
 	}
+	got.Release()
 	if !slices.Equal(edges, before) {
 		t.Fatalf("%s: ComputeVCCoreset wrote to its input", name)
 	}
 	for _, nHint := range []int{n, 0} {
-		if _, s := feed(k, nHint, n, edges); !reflect.DeepEqual(s.VC, want) {
+		_, s := feed(k, nHint, n, edges)
+		if !reflect.DeepEqual(s.VC, want) {
 			t.Fatalf("%s: builder (nHint %d) diverges from the definition:\n got %s\nwant %s", name, nHint, shape(s.VC), shape(want))
 		}
+		Release(s)
 	}
 }
 
@@ -260,10 +266,13 @@ func ids(lo, hi graph.ID) []graph.ID {
 // on fuzzed shards with self-loops, parallel copies and out-of-order arrival:
 // the batch ComputeVCCoreset, the builder with n declared, the builder
 // without n, and the builder declared fewer vertices than arrive (the grow
-// path, whose level 1 keeps the declared threshold). Every vertex id is below
-// 64. n is at most 64 or one of 128..1024: n <= 64 leaves at most one level,
-// and the larger counts give the two to four levels that exercise the skip of
-// a level whose threshold is above every degree left alive.
+// path, whose level 1 keeps the declared threshold). Every residual goes back
+// to the free list once checked, so each peel copies its residual into an
+// array that held an earlier one: a stale tail or a length left unreset is a
+// mismatch. Every vertex id is below 64. n is at most 64 or one of
+// 128..1024: n <= 64 leaves at most one level, and the larger counts give the
+// two to four levels that exercise the skip of a level whose threshold is
+// above every degree left alive.
 func FuzzVCPeel(f *testing.F) {
 	// n = 64, k = 1: level 1 at 16, met exactly by vertex 0.
 	f.Add(vcFuzzInput(62, 1, 10, star(0, ids(1, 17), 1)...))
@@ -307,16 +316,21 @@ func FuzzVCPeel(f *testing.F) {
 		if len(want.Levels) > 0 {
 			level1 = len(want.Levels[0])
 		}
-		if _, s := feed(k, n, n, edges); s.Live != level1 {
+		_, s := feed(k, n, n, edges)
+		Release(s)
+		if s.Live != level1 {
 			t.Fatalf("%s: builder reports %d vertices peeled online, level 1 has %d", name, s.Live, level1)
 		}
-		if _, s := feed(k, 0, n, edges); s.Live != 0 {
+		_, s = feed(k, 0, n, edges)
+		Release(s)
+		if s.Live != 0 {
 			t.Fatalf("%s: builder without n reports %d vertices peeled online", name, s.Live)
 		}
 		// The grow path: level 1 at the declared count's threshold, if that
 		// count leaves a level to run at all, and the later levels at n's.
 		// Otherwise nothing is peeled online and the answer is n's.
 		b, s := feed(k, nHint, n, edges)
+		defer Release(s)
 		level1 = 0
 		if b.threshold > 0 {
 			thresholds = slices.Clone(thresholds)
