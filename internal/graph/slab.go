@@ -61,8 +61,8 @@ func (s *slab[T]) get(n int) []T {
 }
 
 // put hands t's array to the pool of the largest class it can serve, which
-// is its own class for a slice get returned; an array smaller than any class
-// it could be drawn for, or past the pooled classes, is left to the GC.
+// is its own class for a slice get returned; an empty array, or one past the
+// pooled classes, is left to the GC.
 func (s *slab[T]) put(t []T) {
 	c := cap(t)
 	if c == 0 {
